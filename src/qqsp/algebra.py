@@ -30,8 +30,10 @@ from .linalg import (
     predual_matrix,
     ptrace_first,
     supermatrix_from_function,
+    supermatrix_tensor,
     swap_matrix,
     trace_norm,
+    unit_tensor_matrix,
 )
 
 DEFAULT_CP_TOL = 1e-9
@@ -40,7 +42,9 @@ HERMITICITY_TOL = 1e-12
 
 
 def _frozen(a: Array) -> Array:
-    out = np.array(a, dtype=complex)
+    # One layout for every stored matrix: BLAS sums in an order that depends
+    # on it, so a reshuffled (non-contiguous) copy would shift results.
+    out = np.array(a, dtype=complex, order="C")
     out.setflags(write=False)
     return out
 
@@ -75,9 +79,6 @@ class AlgebraElement:
     @classmethod
     def diagonal(cls, values) -> "AlgebraElement":
         return cls(np.diag(np.asarray(values, dtype=complex)), "diagonal")
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return hermiticity_defect(self.entries) <= tol
 
 
 def as_matrix(x) -> Array:
@@ -184,9 +185,12 @@ class SuperMap:
 
     @classmethod
     def constant(cls, omega: State, out_dim: int) -> "SuperMap":
-        """x -> omega(x) * 1 on the out_dim algebra."""
-        one = np.eye(out_dim, dtype=complex)
-        return cls.from_function(lambda x: omega.expect(x) * one, omega.dim, out_dim)
+        """x -> omega(x) * 1 on the out_dim algebra.
+
+        In the tensor view, t[o1, o2, i1, i2] = delta_{o1 o2} rho[i2, i1].
+        """
+        t = np.einsum("xy,ji->xyij", np.eye(out_dim), omega.rho)
+        return cls(omega.dim, out_dim, unit_tensor_matrix(t))
 
 
 def predual(m: SuperMap) -> SuperMap:
@@ -199,8 +203,6 @@ def predual(m: SuperMap) -> SuperMap:
 
 
 def supermap_tensor(m1: SuperMap, m2: SuperMap) -> SuperMap:
-    from .linalg import supermatrix_tensor
-
     mat = supermatrix_tensor(m1.matrix, m1.in_dim, m1.out_dim,
                              m2.matrix, m2.in_dim, m2.out_dim)
     return SuperMap(m1.in_dim * m2.in_dim, m1.out_dim * m2.out_dim, mat)
@@ -245,10 +247,13 @@ def conditional_expectation(phi: State, z) -> AlgebraElement:
 
 
 def expectation_supermap(phi: State) -> SuperMap:
-    """The conditional expectation E_phi as a SuperMap from M_{n^2} to M_n."""
+    """The conditional expectation E_phi as a SuperMap from M_{n^2} to M_n.
+
+    Tr_1[(rho (x) 1) z] sends E_{(e, b), (a, d)} to rho[a, e] E_{bd}.
+    """
     n = phi.dim
-    return SuperMap.from_function(lambda z: conditional_expectation(phi, z).entries,
-                                  n * n, n)
+    t = np.einsum("ae,xb,yd->xyebad", phi.rho, np.eye(n), np.eye(n))
+    return SuperMap(n * n, n, unit_tensor_matrix(t.reshape(n, n, n * n, n * n)))
 
 
 def embed_supermap(n: int) -> SuperMap:
@@ -258,14 +263,14 @@ def embed_supermap(n: int) -> SuperMap:
     process lattice, applying them after this embedding recovers the
     lattice maps.
     """
-    one = np.eye(n, dtype=complex)
-    return SuperMap.from_function(lambda x: np.kron(one, x), n, n * n)
+    t = np.einsum("ac,bi,dj->abcdij", np.eye(n), np.eye(n), np.eye(n))
+    return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
 
 
 def embed_averaged_supermap(n: int) -> SuperMap:
     """The complementary embedding x -> x (x) 1 (the slot E_phi averages)."""
-    one = np.eye(n, dtype=complex)
-    return SuperMap.from_function(lambda x: np.kron(x, one), n, n * n)
+    t = np.einsum("ai,bd,cj->abcdij", np.eye(n), np.eye(n), np.eye(n))
+    return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
 
 
 @dataclass(frozen=True)
@@ -324,13 +329,3 @@ def trace_norm_distance(phi: State, psi: State) -> float:
 def basis_elements(n: int):
     """The matrix units E_ij of M_n, a spanning set for identity checks."""
     return [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
-
-
-def identity_residual_on_basis(m1: SuperMap, m2: SuperMap) -> float:
-    """Max Frobenius gap of two maps over the matrix-unit basis."""
-    if (m1.in_dim, m1.out_dim) != (m2.in_dim, m2.out_dim):
-        raise ValueError("maps must share dimensions")
-    worst = 0.0
-    for x in basis_elements(m1.in_dim):
-        worst = max(worst, float(np.linalg.norm(m1(x) - m2(x))))
-    return worst

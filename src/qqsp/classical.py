@@ -132,9 +132,8 @@ def tensor_diagnostic(p: Array, key) -> TensorDiagnostic:
     )
 
 
-def classical_validate(q: ClassicalQSP, tol: float = 1e-12) -> list[TensorDiagnostic]:
+def classical_validate(q: ClassicalQSP) -> list[TensorDiagnostic]:
     """Symmetry and stochasticity residuals, one entry per stored tensor."""
-    del tol
     out = [tensor_diagnostic(p, (k, k + 1)) for k, p in enumerate(q.step_tensors)]
     if q.lattice is not None:
         for key in sorted(q.lattice):
@@ -143,7 +142,7 @@ def classical_validate(q: ClassicalQSP, tol: float = 1e-12) -> list[TensorDiagno
 
 
 def classical_issues(q: ClassicalQSP, tol: float = 1e-12) -> list[TensorDiagnostic]:
-    return [d for d in classical_validate(q, tol) if not d.ok(tol)]
+    return [d for d in classical_validate(q) if not d.ok(tol)]
 
 
 def classical_propagate(q: ClassicalQSP, strict: bool = True, tol: float = 1e-12) -> ClassicalQSP:

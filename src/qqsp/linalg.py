@@ -1,9 +1,13 @@
 """Dense linear algebra for superoperators on small matrix spaces.
 
 Vectorization is column-stacking throughout: ``vec(A)[i + n*j] = A[i, j]``.
-A linear map from n x n to m x m matrices is stored as the (m^2, n^2)
-matrix acting on vectorizations. Dimensions stay small (n <= 16), so every
-routine favors clarity over asymptotic speed.
+A linear map Phi from n x n to m x m matrices is stored as the (m^2, n^2)
+matrix acting on vectorizations. Its tensor view (:func:`unit_tensor`) is
+the column-major reshape ``t[o1, o2, i1, i2] = Phi(E_{i1 i2})[o1, o2]``, so
+every structural map (the Choi matrix, the predual, the tensor of two maps,
+the transpose) is an index permutation of ``t``; see Wood, Biamonte and
+Cory, arXiv:1111.6950. Tensor factors of M_{n1} (x) M_{n2} split a matrix
+index row-major, ``(a, b) -> a * n2 + b``, as ``np.kron`` does.
 """
 
 from __future__ import annotations
@@ -33,29 +37,32 @@ def matrix_unit(n: int, i: int, j: int) -> Array:
     return e
 
 
+def unit_tensor(mat: Array, in_dim: int, out_dim: int) -> Array:
+    """The view t[o1, o2, i1, i2] = Phi(E_{i1 i2})[o1, o2] of a supermatrix."""
+    return np.asarray(mat, dtype=complex).reshape(out_dim, out_dim, in_dim, in_dim,
+                                                  order="F")
+
+
+def unit_tensor_matrix(t: Array) -> Array:
+    """Inverse of :func:`unit_tensor`: the (out^2, in^2) supermatrix of t."""
+    out_dim, _, in_dim, _ = t.shape
+    return np.reshape(t, (out_dim * out_dim, in_dim * in_dim), order="F")
+
+
 def swap_matrix(n: int) -> Array:
     """Permutation W on C^n (x) C^n with W(e_a (x) e_b) = e_b (x) e_a.
 
-    The same permutation realizes vec(A^T) = W vec(A) for n x n matrices,
-    so it doubles as the commutation matrix used when forming preduals.
+    W is the supermatrix of the transpose map, vec(A^T) = W vec(A), which
+    is why it doubles as the commutation matrix used when forming preduals.
     """
-    w = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            w[b * n + a, a * n + b] = 1.0
-    return w
+    identity = unit_tensor(np.eye(n * n), n, n)
+    return unit_tensor_matrix(identity.transpose(1, 0, 2, 3))
 
 
 def ptrace_first(z: Array, n_first: int, n_second: int) -> Array:
     """Partial trace over the first tensor factor of M_{n1} (x) M_{n2}."""
     z4 = np.asarray(z, dtype=complex).reshape(n_first, n_second, n_first, n_second)
     return np.einsum("ikil->kl", z4)
-
-
-def ptrace_second(z: Array, n_first: int, n_second: int) -> Array:
-    """Partial trace over the second tensor factor."""
-    z4 = np.asarray(z, dtype=complex).reshape(n_first, n_second, n_first, n_second)
-    return np.einsum("ikjk->ij", z4)
 
 
 def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
@@ -79,27 +86,16 @@ def supermatrix_tensor(m1: Array, in1: int, out1: int,
     Acts on M_{in1*in2} with the Kronecker index convention (first factor
     major), sending E_{i1 j1} (x) E_{i2 j2} to Phi1(E_{i1 j1}) (x) Phi2(E_{i2 j2}).
     """
-    in_dim = in1 * in2
-    out_dim = out1 * out2
-    mat = np.zeros((out_dim * out_dim, in_dim * in_dim), dtype=complex)
-    for q in range(in_dim * in_dim):
-        r, s = q % in_dim, q // in_dim
-        i1, i2 = divmod(r, in2)
-        j1, j2 = divmod(s, in2)
-        y1 = apply_supermatrix(m1, matrix_unit(in1, i1, j1), out1)
-        y2 = apply_supermatrix(m2, matrix_unit(in2, i2, j2), out2)
-        mat[:, q] = vec(np.kron(y1, y2))
-    return mat
+    t = np.multiply.outer(unit_tensor(m1, in1, out1), unit_tensor(m2, in2, out2))
+    t = t.transpose(0, 4, 1, 5, 2, 6, 3, 7)
+    out_dim, in_dim = out1 * out2, in1 * in2
+    return unit_tensor_matrix(t.reshape(out_dim, out_dim, in_dim, in_dim))
 
 
 def choi_matrix(mat: Array, in_dim: int, out_dim: int) -> Array:
     """Choi matrix sum_ij E_ij (x) Phi(E_ij) of a map in vectorization form."""
-    c = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
-    for i in range(in_dim):
-        for j in range(in_dim):
-            block = apply_supermatrix(mat, matrix_unit(in_dim, i, j), out_dim)
-            c[i * out_dim:(i + 1) * out_dim, j * out_dim:(j + 1) * out_dim] = block
-    return c
+    c = unit_tensor(mat, in_dim, out_dim).transpose(2, 0, 3, 1)
+    return c.reshape(in_dim * out_dim, in_dim * out_dim)
 
 
 def predual_matrix(mat: Array, in_dim: int, out_dim: int) -> Array:
@@ -107,10 +103,9 @@ def predual_matrix(mat: Array, in_dim: int, out_dim: int) -> Array:
 
     Satisfies trace(Phi_*(rho) x) = trace(rho Phi(x)) for all rho, x
     (no conjugation; on hermitian arguments this is the usual predual).
+    Its tensor view is t_*[a, b, p, q] = t[q, p, b, a].
     """
-    t_in = swap_matrix(in_dim)
-    t_out = swap_matrix(out_dim)
-    return t_in @ mat.T @ t_out
+    return unit_tensor_matrix(unit_tensor(mat, in_dim, out_dim).transpose(3, 2, 1, 0))
 
 
 def trace_norm(a: Array) -> float:

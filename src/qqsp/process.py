@@ -137,6 +137,27 @@ def _omega_from(map0t: SuperMap, omega0: State) -> State:
     return State(rho)
 
 
+def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, omega_s: State,
+                            omega_tau: State, process_type: str) -> SuperMap:
+    """Right-hand side of the fundamental equation at the split s < tau < t.
+
+    Type A: P^{s,tau} E_{omega_tau} P^{tau,t}. Type B:
+    (Q (x) Q) P^{tau,t} with Q = E_{omega_s} P^{s,tau}.
+    """
+    if process_type == "A":
+        return p_s_tau @ expectation_supermap(omega_tau) @ p_tau_t
+    q = expectation_supermap(omega_s) @ p_s_tau
+    return supermap_tensor(q, q) @ p_tau_t
+
+
+def triples(horizon: int):
+    """Every admissible split s < tau < t <= horizon, in a fixed order."""
+    for s in range(horizon - 1):
+        for t in range(s + 2, horizon + 1):
+            for tau in range(s + 1, t):
+                yield s, tau, t
+
+
 def propagate(seed: QQSPSeed, strict: bool = True) -> ProcessLattice:
     """Fill the lattice by the type-appropriate recursion at tau = t-1."""
     if strict:
@@ -153,14 +174,10 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> ProcessLattice:
         maps[(k, k + 1)] = seed.step_maps[k]
     omegas.append(_omega_from(maps[(0, 1)], seed.omega0))
     for t in range(2, T + 1):
-        if seed.process_type == "A":
-            e_prev = expectation_supermap(omegas[t - 1])
-            for s in range(t - 2, -1, -1):
-                maps[(s, t)] = maps[(s, t - 1)] @ e_prev @ maps[(t - 1, t)]
-        else:
-            for s in range(t - 2, -1, -1):
-                q = expectation_supermap(omegas[s]) @ maps[(s, t - 1)]
-                maps[(s, t)] = supermap_tensor(q, q) @ maps[(t - 1, t)]
+        for s in range(t - 2, -1, -1):
+            maps[(s, t)] = fundamental_composition(maps[(s, t - 1)], maps[(t - 1, t)],
+                                                   omegas[s], omegas[t - 1],
+                                                   seed.process_type)
         omegas.append(_omega_from(maps[(0, t)], seed.omega0))
     return ProcessLattice(maps=maps, omegas=tuple(omegas),
                           process_type=seed.process_type,
@@ -204,29 +221,20 @@ class ResidualTable:
         return sorted(self.entries.items())
 
 
-def kc_consistency(lattice: ProcessLattice, tol: float = 1e-10) -> ResidualTable:
+def kc_consistency(lattice: ProcessLattice) -> ResidualTable:
     """Residual of the fundamental equation at every admissible split.
 
-    For each s < tau < t the type-A law P^{s,t} = P^{s,tau} E_{omega_tau} P^{tau,t}
-    (or the type-B law with the doubled averaged map) is evaluated in
-    operator norm. The maximum is the lattice's consistency score; a
-    nonzero score is a diagnostic, not an error. ``tol`` only feeds
-    :meth:`ResidualTable.ok`.
+    For each s < tau < t the gap between P^{s,t} and
+    :func:`fundamental_composition` is evaluated in operator norm. The
+    maximum is the lattice's consistency score; a nonzero score is a
+    diagnostic, not an error.
     """
-    del tol
     entries = {}
-    T = lattice.horizon
-    for s in range(T - 1):
-        for t in range(s + 2, T + 1):
-            for tau in range(s + 1, t):
-                direct = lattice.map(s, t).matrix
-                if lattice.process_type == "A":
-                    comp = (lattice.map(s, tau) @ expectation_supermap(lattice.omega(tau))
-                            @ lattice.map(tau, t)).matrix
-                else:
-                    q = expectation_supermap(lattice.omega(s)) @ lattice.map(s, tau)
-                    comp = (supermap_tensor(q, q) @ lattice.map(tau, t)).matrix
-                entries[(s, tau, t)] = operator_norm(direct - comp)
+    for s, tau, t in triples(lattice.horizon):
+        comp = fundamental_composition(lattice.map(s, tau), lattice.map(tau, t),
+                                       lattice.omega(s), lattice.omega(tau),
+                                       lattice.process_type)
+        entries[(s, tau, t)] = operator_norm(lattice.map(s, t).matrix - comp.matrix)
     return ResidualTable(entries, label=f"kc-type-{lattice.process_type}")
 
 

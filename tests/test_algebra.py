@@ -10,6 +10,7 @@ from qqsp.algebra import (
     basis_elements,
     certify_unital_cp,
     conditional_expectation,
+    embed_averaged_supermap,
     embed_supermap,
     expectation_supermap,
     flip_conjugate,
@@ -18,6 +19,15 @@ from qqsp.algebra import (
     supermap_tensor,
     tensor,
     trace_norm_distance,
+)
+from qqsp.linalg import (
+    choi_matrix,
+    matrix_unit,
+    predual_matrix,
+    supermatrix_from_function,
+    supermatrix_tensor,
+    swap_matrix,
+    vec,
 )
 from qqsp.seeds import symmetrized_embedding, transpose_embedding
 
@@ -47,6 +57,58 @@ def expectation_by_basis_expansion(rho_phi: np.ndarray, z: np.ndarray) -> np.nda
             phi_eij = rho_phi[j, i]  # trace(rho E_ij)
             out += phi_eij * z[i * n:(i + 1) * n, j * n:(j + 1) * n]
     return out
+
+
+def tensor_by_units(m1: SuperMap, m2: SuperMap) -> np.ndarray:
+    """Tensor of two maps, column by column from its image of E_ij (x) E_kl."""
+    n1, n2 = m1.in_dim, m2.in_dim
+    d = n1 * n2
+    mat = np.zeros(((m1.out_dim * m2.out_dim) ** 2, d * d), dtype=complex)
+    for q in range(d * d):
+        (i1, i2), (j1, j2) = divmod(q % d, n2), divmod(q // d, n2)
+        mat[:, q] = vec(np.kron(m1(matrix_unit(n1, i1, j1)), m2(matrix_unit(n2, i2, j2))))
+    return mat
+
+
+def random_supermap(rng, in_dim: int, out_dim: int) -> SuperMap:
+    shape = (out_dim ** 2, in_dim ** 2)
+    return SuperMap(in_dim, out_dim, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+# ----------------------------------------------------------- closed forms
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_forms_equal_their_references(rng, n):
+    phi = State(random_density(rng, n))
+    one = np.eye(n, dtype=complex)
+    one2 = np.eye(n * n, dtype=complex)
+    probed = {
+        "expectation": (expectation_supermap(phi), supermatrix_from_function(
+            lambda z: conditional_expectation(phi, z).entries, n * n, n)),
+        "embed": (embed_supermap(n), supermatrix_from_function(
+            lambda x: np.kron(one, x), n, n * n)),
+        "embed_averaged": (embed_averaged_supermap(n), supermatrix_from_function(
+            lambda x: np.kron(x, one), n, n * n)),
+        "constant": (SuperMap.constant(phi, n * n), supermatrix_from_function(
+            lambda x: phi.expect(x) * one2, n, n * n)),
+    }
+    for name, (closed, reference) in probed.items():
+        assert np.array_equal(closed.matrix, reference), name
+
+    m = random_supermap(rng, n, n + 1)
+    assert np.array_equal(choi_matrix(m.matrix, n, n + 1), choi_by_hand(m))
+    assert np.array_equal(predual_matrix(m.matrix, n, n + 1),
+                          swap_matrix(n) @ m.matrix.T @ swap_matrix(n + 1))
+    a = rng.normal(size=(n, n))
+    assert np.array_equal(swap_matrix(n) @ vec(a), vec(a.T))
+    m1, m2 = random_supermap(rng, n, n), random_supermap(rng, 2, 3)
+    assert np.array_equal(supermatrix_tensor(m1.matrix, n, n, m2.matrix, 2, 3),
+                          tensor_by_units(m1, m2))
+
+    stored = [closed for closed, _ in probed.values()] + [
+        predual(m), supermap_tensor(m1, m2), m1 @ m1,
+        SuperMap(n, n + 1, np.asfortranarray(m.matrix))]
+    assert all(x.matrix.flags.c_contiguous for x in stored)
 
 
 # ----------------------------------------------------------------- tensor

@@ -221,6 +221,16 @@ def test_abstract_families_are_accepted():
 
 # --------------------------------------------------------- reconstruction
 
+def test_permissive_reconstruction_skips_the_axiom_suite(monkeypatch, mixed_lattice):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the axiom suite ran in permissive mode")
+
+    monkeypatch.setattr("qqsp.marginal.verify_marginal_axioms", refuse)
+    q, h = build_Q(mixed_lattice), build_H(mixed_lattice)
+    rec = reconstruct_qqsp(q, h, mixed_lattice.omega(0), "A", strict=False)
+    assert rec.pairs() == mixed_lattice.pairs()
+
+
 def test_round_trip_type_a(mixed_lattice):
     q, h = build_Q(mixed_lattice), build_H(mixed_lattice)
     rec = reconstruct_qqsp(q, h, mixed_lattice.omega(0), "A")

@@ -5,6 +5,7 @@ import pytest
 
 from qqsp.algebra import (
     State,
+    SuperMap,
     certify_unital_cp,
     expectation_supermap,
     flip_symmetry_residual,
@@ -18,6 +19,7 @@ from qqsp.process import (
     ProcessLattice,
     QQSPSeed,
     ValidationFailure,
+    fundamental_composition,
     interact_states,
     kc_consistency,
     propagate,
@@ -206,6 +208,29 @@ def test_omega_consistency_on_basis():
 
 
 # ----------------------------------------------------------- consistency
+
+def test_fundamental_composition_matches_explicit_laws(rng):
+    n = 3
+    shape = (n ** 4, n * n)
+    p_s_tau, p_tau_t = (SuperMap(n, n * n, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                        for _ in range(2))
+    omega_s, omega_tau = State(random_density(rng, n)), State(random_density(rng, n))
+    # type A: P^{s,tau} E_{omega_tau} P^{tau,t} with an independently built E matrix
+    oracle = p_s_tau.matrix @ expectation_matrix_by_hand(omega_tau.rho) @ p_tau_t.matrix
+    got = fundamental_composition(p_s_tau, p_tau_t, omega_s, omega_tau, "A").matrix
+    assert operator_norm(got - oracle) <= 1e-12 * operator_norm(oracle)
+    # type B: (Q (x) Q) P^{tau,t} x with Q = E_{omega_s} P^{s,tau}, expanded in blocks
+    type_b = fundamental_composition(p_s_tau, p_tau_t, omega_s, omega_tau, "B")
+    q = expectation_supermap(omega_s) @ p_s_tau
+    x = random_density(rng, n)
+    y = p_tau_t(x)
+    blocks = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            blk = y[i * n:(i + 1) * n, j * n:(j + 1) * n]
+            blocks += np.kron(q(matrix_unit(n, i, j)), q(blk))
+    assert np.abs(type_b(x) - blocks).max() <= 1e-12 * np.abs(blocks).max()
+
 
 def test_kc_constant_lattice_zero():
     lat = propagate(make_constant_seed(2, 5))
