@@ -49,7 +49,6 @@ from .ergodic import (
 )
 from .marginal import (
     AxiomReport,
-    MarginalFamily,
     build_H,
     build_Q,
     build_Z,
@@ -62,15 +61,13 @@ from .marginal import (
     verify_marginal_axioms,
 )
 from .process import (
-    ProcessLattice,
+    Family,
     QQSPSeed,
     ResidualTable,
     ValidationFailure,
     interact_states,
     kc_consistency,
     propagate,
-    propagate_type_A,
-    propagate_type_B,
     seed_diagnostics,
     validate_seed,
 )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import State, SuperMap
 from .linalg import Array
-from .process import ProcessLattice, QQSPSeed, ValidationFailure
+from .process import Family, QQSPSeed, ValidationFailure
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def _extract_tensor(m: SuperMap, N: int, tol: float) -> Array:
     return p
 
 
-def project_to_classical(lattice: ProcessLattice, tol: float = 1e-12) -> ClassicalQSP:
+def project_to_classical(lattice: Family, tol: float = 1e-12) -> ClassicalQSP:
     """Read tensors off a diagonal-preserving lattice via indicator elements."""
     N, T = lattice.n, lattice.horizon
     filled = {key: _extract_tensor(lattice.map(*key), N, tol) for key in lattice.pairs()}

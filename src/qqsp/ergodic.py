@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import State, SuperMap, predual
+from .algebra import State, predual
 from .linalg import trace_norm
-from .marginal import MarginalFamily
-from .process import ProcessLattice
+from .process import Family
 
 
 @dataclass(frozen=True)
@@ -46,47 +45,28 @@ class DecayTrace:
         return out
 
 
-def _resolve(source, s: int, t: int) -> SuperMap:
-    if isinstance(source, ProcessLattice):
-        return source.map(s, t)
-    if isinstance(source, MarginalFamily):
-        return source.map(s, t)
-    raise TypeError(f"expected a lattice or marginal family, got {type(source)!r}")
-
-
-def _kind_of(source) -> str:
-    return "P" if isinstance(source, ProcessLattice) else source.kind
-
-
-def pair_dimension(source) -> int:
-    """Side length of the algebra the state pairs must live on."""
-    if isinstance(source, ProcessLattice):
-        return source.n * source.n
-    return source.n if source.kind == "Q" else source.n * source.n
-
-
-def decay_trace(source, pairs, s: int, T: int | None = None) -> DecayTrace:
+def decay_trace(source: Family, pairs, s: int, T: int | None = None) -> DecayTrace:
     """Distance table over t = s+1 .. T for each state pair.
 
+    The pairs live on the algebra the maps land in (``source.side``).
     Monotonicity is not asserted; non-stationary processes may violate it
     and the full table is the point of the diagnostic.
     """
     if T is None:
-        T = (source.horizon if isinstance(source, ProcessLattice)
-             else max(t for (_, t) in source.maps))
-    d = pair_dimension(source)
+        T = source.horizon
     for phi, psi in pairs:
-        if phi.dim != d or psi.dim != d:
-            raise ValueError(f"pair dimension {phi.dim} does not match the family ({d})")
+        if phi.dim != source.side or psi.dim != source.side:
+            raise ValueError(f"pair dimension {phi.dim} does not match the family "
+                             f"({source.side})")
     if T <= s:
         raise ValueError(f"horizon {T} leaves no times after s = {s}")
     times = tuple(range(s + 1, T + 1))
-    preduals = {t: predual(_resolve(source, s, t)) for t in times}
+    preduals = {t: predual(source.map(s, t)) for t in times}
     rows = []
     for phi, psi in pairs:
         rows.append(tuple(trace_norm(preduals[t](phi.rho) - preduals[t](psi.rho))
                           for t in times))
-    return DecayTrace(_kind_of(source), s, times, tuple(rows))
+    return DecayTrace(source.kind, s, times, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -106,7 +86,7 @@ class ContractionEstimate:
     sample_count: int
 
 
-def _dobrushin(q_family: MarginalFamily, s: int, t: int) -> float:
+def _dobrushin(q_family: Family, s: int, t: int) -> float:
     n = q_family.n
     dual = predual(q_family.map(s, t))
     rows = np.zeros((n, n))
@@ -121,7 +101,7 @@ def _dobrushin(q_family: MarginalFamily, s: int, t: int) -> float:
     return lam
 
 
-def contraction_coefficient(q_family: MarginalFamily, s: int, t: int,
+def contraction_coefficient(q_family: Family, s: int, t: int,
                             sample_count: int = 200,
                             rng: np.random.Generator | None = None) -> ContractionEstimate:
     if (s, t) not in q_family.maps:
@@ -205,11 +185,11 @@ class ErgodicReport:
     horizon: int
 
 
-def ergodic_verdict(lattice: ProcessLattice, families: dict,
+def ergodic_verdict(lattice: Family, families: dict,
                     config: ErgodicConfig = ErgodicConfig()) -> ErgodicReport:
     """Finite-horizon ergodicity verdict for the lattice and its marginals.
 
-    ``families`` maps kind to MarginalFamily ({Q, H, Z} or {Q, h, z}).
+    ``families`` maps kind to marginal Family ({Q, H, Z} or {Q, h, z}).
     All sources are driven over one seeded ensemble: pairs on M (x) M for
     the doubled families and the lattice itself, pairs on M for Q.
     """
@@ -227,7 +207,7 @@ def ergodic_verdict(lattice: ProcessLattice, families: dict,
     traces, verdicts = {}, {}
     for kind in sorted(sources):
         src = sources[kind]
-        pairs = pairs_single if pair_dimension(src) == lattice.n else pairs_double
+        pairs = pairs_single if src.side == lattice.n else pairs_double
         tr = decay_trace(src, pairs, config.s, T)
         ratios = tr.step_ratios()
         traces[kind] = tr

@@ -33,100 +33,68 @@ from .algebra import (
     trace_norm_distance,
 )
 from .linalg import operator_norm
-from .process import ProcessLattice, ResidualTable, ValidationFailure, triples
-
-FAMILY_KINDS = ("Q", "H", "h", "Z", "z")
+from .process import Family, ResidualTable, ValidationFailure, split_residuals
 
 
-@dataclass(frozen=True)
-class MarginalFamily:
-    """A family of maps over the (s, t) lattice, tagged by kind."""
-
-    kind: str
-    n: int
-    maps: dict
-    omegas: tuple[State, ...] | None = None
-    algebra_kind: str = "full"
-    companion_q: "MarginalFamily | None" = None
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        side = self.n if self.kind == "Q" else self.n * self.n
-        for key, m in self.maps.items():
-            if m.in_dim != side or m.out_dim != side:
-                raise ValueError(f"map {key} has dims ({m.in_dim}, {m.out_dim}), "
-                                 f"expected ({side}, {side})")
-
-    @property
-    def horizon(self) -> int:
-        return max(t for (_, t) in self.maps)
-
-    def map(self, s: int, t: int) -> SuperMap:
-        return self.maps[(s, t)]
-
-    def pairs(self):
-        return sorted(self.maps.keys())
+def _derived(source: Family, kind: str, maps: dict,
+             companion_q: Family | None = None) -> Family:
+    """A marginal family on the trajectory of ``source``, sharing its E_{omega_t}."""
+    return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
+                  companion_q=companion_q, expectations=source.expectations)
 
 
-def build_Q(lattice: ProcessLattice) -> MarginalFamily:
+def build_Q(lattice: Family) -> Family:
     """Q^{s,t} = E_{omega_s} P^{s,t}, the marginal Markov process on M."""
-    maps = {}
-    for (s, t) in lattice.pairs():
-        maps[(s, t)] = expectation_supermap(lattice.omega(s)) @ lattice.map(s, t)
-    return MarginalFamily("Q", lattice.n, maps, lattice.omegas, lattice.algebra_kind)
+    es = lattice.expectations
+    return _derived(lattice, "Q", {(s, t): es[s] @ lattice.map(s, t)
+                                   for (s, t) in lattice.pairs()})
 
 
-def _build_doubled(lattice: ProcessLattice, kind: str) -> MarginalFamily:
-    maps = {}
-    for (s, t) in lattice.pairs():
-        maps[(s, t)] = lattice.map(s, t) @ expectation_supermap(lattice.omega(t))
+def _build_doubled(lattice: Family, kind: str) -> Family:
+    es = lattice.expectations
+    maps = {(s, t): lattice.map(s, t) @ es[t] for (s, t) in lattice.pairs()}
     companion = build_Q(lattice) if kind == "h" else None
-    return MarginalFamily(kind, lattice.n, maps, lattice.omegas,
-                          lattice.algebra_kind, companion_q=companion)
+    return _derived(lattice, kind, maps, companion)
 
 
-def build_H(lattice: ProcessLattice) -> MarginalFamily:
+def build_H(lattice: Family) -> Family:
     """H^{s,t} = P^{s,t} E_{omega_t} for a type-A lattice."""
     if lattice.process_type != "A":
         raise ValueError("H is the type-A marginal; got a type-B lattice")
     return _build_doubled(lattice, "H")
 
 
-def build_h(lattice: ProcessLattice) -> MarginalFamily:
+def build_h(lattice: Family) -> Family:
     """h^{s,t} = P^{s,t} E_{omega_t} for a type-B lattice (not Markov)."""
     if lattice.process_type != "B":
         raise ValueError("h is the type-B marginal; got a type-A lattice")
     return _build_doubled(lattice, "h")
 
 
-def _derive_embedded(family: MarginalFamily, omegas, kind: str) -> MarginalFamily:
-    omegas = omegas if omegas is not None else family.omegas
-    if omegas is None:
+def _derive_embedded(family: Family, kind: str) -> Family:
+    if family.expectations is None:
         raise ValueError("need the omega trajectory to build the derived family")
     emb = embed_supermap(family.n)
-    maps = {}
-    for (s, t) in family.pairs():
-        maps[(s, t)] = emb @ expectation_supermap(omegas[s]) @ family.map(s, t)
-    return MarginalFamily(kind, family.n, maps, tuple(omegas), family.algebra_kind,
-                          companion_q=family.companion_q)
+    es = family.expectations
+    maps = {(s, t): emb @ es[s] @ family.map(s, t) for (s, t) in family.pairs()}
+    return _derived(family, kind, maps, family.companion_q)
 
 
-def build_Z(h_family: MarginalFamily, omegas=None) -> MarginalFamily:
+def build_Z(h_family: Family) -> Family:
     """Z^{s,t} = embed(E_{omega_s} H^{s,t}(.)), a Markov process on M (x) M."""
     if h_family.kind != "H":
         raise ValueError(f"Z derives from an H family, got kind {h_family.kind!r}")
-    return _derive_embedded(h_family, omegas, "Z")
+    return _derive_embedded(h_family, "Z")
 
 
-def build_z(h_family: MarginalFamily, omegas=None) -> MarginalFamily:
+def build_z(h_family: Family) -> Family:
     """z^{s,t} = embed(E_{omega_s} h^{s,t}(.)); Markov despite h not being so."""
     if h_family.kind != "h":
         raise ValueError(f"z derives from an h family, got kind {h_family.kind!r}")
-    return _derive_embedded(h_family, omegas, "z")
+    return _derive_embedded(h_family, "z")
 
 
-def check_markov(family: MarginalFamily, law: str = "native") -> ResidualTable:
+def check_markov(family: Family, law: str = "native") -> ResidualTable:
     """Residuals of the composition law over every admissible triple.
 
     Kinds Q, H, Z, z use the plain Markov law; kind h natively uses the
@@ -138,21 +106,18 @@ def check_markov(family: MarginalFamily, law: str = "native") -> ResidualTable:
     doubled = family.kind == "h" and law == "native"
     if doubled and family.companion_q is None:
         raise ValueError("h family needs its companion Q to check the doubled law")
-    entries = {}
-    for s, tau, t in triples(family.horizon):
-        if (s, tau) not in family.maps or (tau, t) not in family.maps:
-            continue
-        if doubled:
+    if doubled:
+        def compose(s, tau, t):
             q = family.companion_q.map(s, tau)
-            comp = supermap_tensor(q, q) @ family.map(tau, t)
-        else:
-            comp = family.map(s, tau) @ family.map(tau, t)
-        entries[(s, tau, t)] = operator_norm(family.map(s, t).matrix - comp.matrix)
+            return supermap_tensor(q, q) @ family.map(tau, t)
+    else:
+        def compose(s, tau, t):
+            return family.map(s, tau) @ family.map(tau, t)
     label = "doubled-composition" if doubled else "markov"
-    return ResidualTable(entries, label=f"{label}-{family.kind}")
+    return split_residuals(family, compose, f"{label}-{family.kind}")
 
 
-def _phi_trajectory(q_family: MarginalFamily, omega0: State) -> list[State]:
+def _phi_trajectory(q_family: Family, omega0: State) -> list[State]:
     """phi_t = omega_0 after Q^{0,t} on the predual side."""
     out = [omega0]
     for t in range(1, q_family.horizon + 1):
@@ -160,7 +125,7 @@ def _phi_trajectory(q_family: MarginalFamily, omega0: State) -> list[State]:
     return out
 
 
-def _psi_trajectory(h_family: MarginalFamily, omega0: State) -> list[State]:
+def _psi_trajectory(h_family: Family, omega0: State) -> list[State]:
     """psi_t = (omega_0 (x) omega_0) after H^{0,t} on the embedded slot."""
     emb = embed_supermap(h_family.n)
     rho00 = np.kron(omega0.rho, omega0.rho)
@@ -192,7 +157,7 @@ class AxiomReport:
         return self.max_residual <= tol
 
 
-def verify_marginal_axioms(q_family: MarginalFamily, h_family: MarginalFamily,
+def verify_marginal_axioms(q_family: Family, h_family: Family,
                            omega0: State) -> AxiomReport:
     """Check the exchange axioms an abstract pair (Q, H or h) must satisfy."""
     if q_family.n != h_family.n:
@@ -204,15 +169,17 @@ def verify_marginal_axioms(q_family: MarginalFamily, h_family: MarginalFamily,
     emb = embed_supermap(n)
     phis = _phi_trajectory(q_family, omega0)
     psis = _psi_trajectory(h_family, omega0)
+    e_phi = [expectation_supermap(phi) for phi in phis]
+    e_psi = [expectation_supermap(psi) for psi in psis]
     flip_res, exch_res, absorb_res = {}, {}, {}
     for (s, t) in h_family.pairs():
         hm = h_family.map(s, t)
         qm = q_family.map(s, t)
         flip_res[(s, t)] = operator_norm(flip_m.matrix @ hm.matrix - hm.matrix)
-        lhs = expectation_supermap(psis[s]) @ hm
-        rhs = qm @ expectation_supermap(phis[t])
+        lhs = e_psi[s] @ hm
+        rhs = qm @ e_phi[t]
         exch_res[(s, t)] = operator_norm(lhs.matrix - rhs.matrix)
-        absorbed = hm @ emb @ expectation_supermap(psis[t])
+        absorbed = hm @ emb @ e_psi[t]
         absorb_res[(s, t)] = operator_norm(hm.matrix - absorbed.matrix)
     gap = max(trace_norm_distance(phis[t], psis[t]) for t in range(len(phis)))
     return AxiomReport(
@@ -223,9 +190,9 @@ def verify_marginal_axioms(q_family: MarginalFamily, h_family: MarginalFamily,
     )
 
 
-def reconstruct_qqsp(q_family: MarginalFamily, h_family: MarginalFamily,
+def reconstruct_qqsp(q_family: Family, h_family: Family,
                      omega0: State, target_type: str,
-                     strict: bool = True, tol: float = 1e-8) -> ProcessLattice:
+                     strict: bool = True, tol: float = 1e-8) -> Family:
     """Rebuild the lattice from a marginal pair: P^{s,t} x = H^{s,t}(embed(x)).
 
     In strict mode the axiom suite must pass at ``tol`` first. The
@@ -242,11 +209,10 @@ def reconstruct_qqsp(q_family: MarginalFamily, h_family: MarginalFamily,
     emb = embed_supermap(h_family.n)
     maps = {key: h_family.map(*key) @ emb for key in h_family.pairs()}
     omegas = tuple(_psi_trajectory(h_family, omega0))
-    return ProcessLattice(maps=maps, omegas=omegas, process_type=target_type,
-                          algebra_kind=h_family.algebra_kind)
+    return Family("P", h_family.n, maps, omegas, target_type, h_family.algebra_kind)
 
 
-def state_consistency_residual(q_family: MarginalFamily) -> ResidualTable:
+def state_consistency_residual(q_family: Family) -> ResidualTable:
     """Residual of E_{omega_s} Q^{s,t} = E_{omega_t} (trajectory consistency).
 
     Measured as the operator-norm gap between the two conditional
@@ -258,14 +224,14 @@ def state_consistency_residual(q_family: MarginalFamily) -> ResidualTable:
     for (s, t) in q_family.pairs():
         carried = State(predual(q_family.map(s, t))(q_family.omegas[s].rho))
         lhs = expectation_supermap(carried)
-        rhs = expectation_supermap(q_family.omegas[t])
+        rhs = q_family.expectations[t]
         entries[(s, t)] = operator_norm(lhs.matrix - rhs.matrix)
     return ResidualTable(entries, "state-consistency")
 
 
-def slice_residuals(lattice: ProcessLattice, q_family: MarginalFamily,
-                    h_family: MarginalFamily,
-                    z_family: MarginalFamily | None = None) -> dict:
+def slice_residuals(lattice: Family, q_family: Family,
+                    h_family: Family,
+                    z_family: Family | None = None) -> dict:
     """Map-level residuals of the slice identities, keyed by identity name.
 
     reconstruction_slot: H(embed x) = P x; averaged_slot: H(x (x) 1) =
@@ -286,8 +252,8 @@ def slice_residuals(lattice: ProcessLattice, q_family: MarginalFamily,
                                          operator_norm((hm @ emb).matrix - pm.matrix))
         out["averaged_slot"] = max(out["averaged_slot"],
                                    operator_norm((hm @ emb_avg).matrix - const.matrix))
-        lhs = expectation_supermap(lattice.omega(s)) @ hm
-        rhs = qm @ expectation_supermap(lattice.omega(t))
+        lhs = lattice.expectations[s] @ hm
+        rhs = qm @ lattice.expectations[t]
         out["intertwining"] = max(out["intertwining"],
                                   operator_norm(lhs.matrix - rhs.matrix))
         if z_family is not None:

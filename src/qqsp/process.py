@@ -4,11 +4,13 @@ A seed supplies the unit-step maps P^{k,k+1} and an initial state. The
 lattice is filled on the integer time grid with the constructing split
 fixed at tau = t-1; consistency at every other split is measured, never
 assumed. The state trajectory obeys omega_t(x) = (omega_0 (x) omega_0)(P^{0,t} x).
+The lattice and its marginals share one type, :class:`Family`, which
+carries the trajectory's conditional expectations E_{omega_t}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,35 +94,71 @@ def seed_diagnostics(seed: QQSPSeed, cp_tolerance: float = 1e-9,
     return out
 
 
-def validate_seed(seed: QQSPSeed, tol: float = DEFAULT_FLIP_TOL) -> list[SeedIssue]:
-    """Return one issue per violated seed invariant; empty means valid."""
+def seed_issues(diagnostics: list[StepDiagnostic], flip_tol: float) -> list[SeedIssue]:
+    """One issue per violated invariant of already certified unit-step maps."""
     issues = []
-    for d in seed_diagnostics(seed, cp_tolerance=max(tol, 1e-9), unital_tolerance=tol):
+    for d in diagnostics:
         if not d.choi.is_cp:
             issues.append(SeedIssue(d.step, "cp", -d.choi.min_choi_eigenvalue))
         if not d.choi.is_unital:
             issues.append(SeedIssue(d.step, "unitality", d.choi.unitality_residual))
-        if d.flip_residual > tol:
+        if d.flip_residual > flip_tol:
             issues.append(SeedIssue(d.step, "flip", d.flip_residual))
     return issues
 
 
-@dataclass(frozen=True)
-class ProcessLattice:
-    """The filled family {P^{s,t}} with its state trajectory."""
+def validate_seed(seed: QQSPSeed, tol: float = DEFAULT_FLIP_TOL) -> list[SeedIssue]:
+    """Return one issue per violated seed invariant; empty means valid."""
+    return seed_issues(seed_diagnostics(seed, cp_tolerance=max(tol, 1e-9),
+                                        unital_tolerance=tol), tol)
 
+
+FAMILY_KINDS = ("P", "Q", "H", "h", "Z", "z")
+
+
+@dataclass(frozen=True)
+class Family:
+    """A two-time family of maps {F^{s,t}} over one state trajectory.
+
+    Kind P is the process itself (M -> M (x) M, tagged type A or B); Q is
+    its marginal Markov process on M; H/h and Z/z are the doubled
+    marginals on M (x) M (see :mod:`qqsp.marginal`). ``expectations``
+    holds E_{omega_t} for every t of ``omegas``; it is built here unless
+    the caller already has it.
+    """
+
+    kind: str
+    n: int
     maps: dict
-    omegas: tuple[State, ...]
-    process_type: str
+    omegas: tuple[State, ...] | None = None
+    process_type: str | None = None
     algebra_kind: str = "full"
+    companion_q: "Family | None" = None
+    expectations: tuple[SuperMap, ...] | None = field(default=None, repr=False,
+                                                      compare=False)
+
+    def __post_init__(self):
+        if self.kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.kind == "P" and self.process_type not in ("A", "B"):
+            raise ValueError(f"a process needs type 'A' or 'B', got {self.process_type!r}")
+        in_dim = self.n if self.kind in ("P", "Q") else self.n * self.n
+        for key, m in self.maps.items():
+            if m.in_dim != in_dim or m.out_dim != self.side:
+                raise ValueError(f"map {key} has dims ({m.in_dim}, {m.out_dim}), "
+                                 f"expected ({in_dim}, {self.side})")
+        if self.expectations is None and self.omegas is not None:
+            object.__setattr__(self, "expectations",
+                               tuple(expectation_supermap(w) for w in self.omegas))
 
     @property
-    def n(self) -> int:
-        return self.omegas[0].dim
+    def side(self) -> int:
+        """Side of the algebra the maps land in, where their preduals' states live."""
+        return self.n if self.kind == "Q" else self.n * self.n
 
     @property
     def horizon(self) -> int:
-        return len(self.omegas) - 1
+        return max(t for (_, t) in self.maps)
 
     def map(self, s: int, t: int) -> SuperMap:
         return self.maps[(s, t)]
@@ -137,16 +175,17 @@ def _omega_from(map0t: SuperMap, omega0: State) -> State:
     return State(rho)
 
 
-def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, omega_s: State,
-                            omega_tau: State, process_type: str) -> SuperMap:
+def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, e_s: SuperMap,
+                            e_tau: SuperMap, process_type: str) -> SuperMap:
     """Right-hand side of the fundamental equation at the split s < tau < t.
 
-    Type A: P^{s,tau} E_{omega_tau} P^{tau,t}. Type B:
-    (Q (x) Q) P^{tau,t} with Q = E_{omega_s} P^{s,tau}.
+    ``e_s`` and ``e_tau`` are E_{omega_s} and E_{omega_tau}. Type A:
+    P^{s,tau} E_{omega_tau} P^{tau,t}. Type B: (Q (x) Q) P^{tau,t} with
+    Q = E_{omega_s} P^{s,tau}.
     """
     if process_type == "A":
-        return p_s_tau @ expectation_supermap(omega_tau) @ p_tau_t
-    q = expectation_supermap(omega_s) @ p_s_tau
+        return p_s_tau @ e_tau @ p_tau_t
+    q = e_s @ p_s_tau
     return supermap_tensor(q, q) @ p_tau_t
 
 
@@ -158,7 +197,7 @@ def triples(horizon: int):
                 yield s, tau, t
 
 
-def propagate(seed: QQSPSeed, strict: bool = True) -> ProcessLattice:
+def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     """Fill the lattice by the type-appropriate recursion at tau = t-1."""
     if strict:
         issues = validate_seed(seed)
@@ -167,33 +206,18 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> ProcessLattice:
             raise ValidationFailure(
                 f"seed fails validation: step {worst.step} {worst.kind} "
                 f"residual {worst.residual:.3e} ({len(issues)} issue(s))")
-    n, T = seed.n, seed.horizon
-    maps: dict = {}
+    maps = {(k, k + 1): m for k, m in enumerate(seed.step_maps)}
     omegas = [seed.omega0]
-    for k in range(T):
-        maps[(k, k + 1)] = seed.step_maps[k]
-    omegas.append(_omega_from(maps[(0, 1)], seed.omega0))
-    for t in range(2, T + 1):
+    expectations = [expectation_supermap(seed.omega0)]
+    for t in range(1, seed.horizon + 1):
         for s in range(t - 2, -1, -1):
             maps[(s, t)] = fundamental_composition(maps[(s, t - 1)], maps[(t - 1, t)],
-                                                   omegas[s], omegas[t - 1],
+                                                   expectations[s], expectations[t - 1],
                                                    seed.process_type)
         omegas.append(_omega_from(maps[(0, t)], seed.omega0))
-    return ProcessLattice(maps=maps, omegas=tuple(omegas),
-                          process_type=seed.process_type,
-                          algebra_kind=seed.algebra_kind)
-
-
-def propagate_type_A(seed: QQSPSeed, strict: bool = True) -> ProcessLattice:
-    if seed.process_type != "A":
-        raise ValueError("seed is not of type A")
-    return propagate(seed, strict=strict)
-
-
-def propagate_type_B(seed: QQSPSeed, strict: bool = True) -> ProcessLattice:
-    if seed.process_type != "B":
-        raise ValueError("seed is not of type B")
-    return propagate(seed, strict=strict)
+        expectations.append(expectation_supermap(omegas[t]))
+    return Family("P", seed.n, maps, tuple(omegas), seed.process_type, seed.algebra_kind,
+                  expectations=tuple(expectations))
 
 
 @dataclass(frozen=True)
@@ -221,7 +245,17 @@ class ResidualTable:
         return sorted(self.entries.items())
 
 
-def kc_consistency(lattice: ProcessLattice) -> ResidualTable:
+def split_residuals(family: Family, compose, label: str) -> ResidualTable:
+    """||F^{s,t} - compose(s, tau, t)|| at every split whose two factors are stored."""
+    entries = {}
+    for s, tau, t in triples(family.horizon):
+        if (s, tau) in family.maps and (tau, t) in family.maps:
+            comp = compose(s, tau, t)
+            entries[(s, tau, t)] = operator_norm(family.map(s, t).matrix - comp.matrix)
+    return ResidualTable(entries, label)
+
+
+def kc_consistency(lattice: Family) -> ResidualTable:
     """Residual of the fundamental equation at every admissible split.
 
     For each s < tau < t the gap between P^{s,t} and
@@ -229,16 +263,15 @@ def kc_consistency(lattice: ProcessLattice) -> ResidualTable:
     maximum is the lattice's consistency score; a nonzero score is a
     diagnostic, not an error.
     """
-    entries = {}
-    for s, tau, t in triples(lattice.horizon):
-        comp = fundamental_composition(lattice.map(s, tau), lattice.map(tau, t),
-                                       lattice.omega(s), lattice.omega(tau),
-                                       lattice.process_type)
-        entries[(s, tau, t)] = operator_norm(lattice.map(s, t).matrix - comp.matrix)
-    return ResidualTable(entries, label=f"kc-type-{lattice.process_type}")
+    es = lattice.expectations
+    return split_residuals(
+        lattice,
+        lambda s, tau, t: fundamental_composition(lattice.map(s, tau), lattice.map(tau, t),
+                                                  es[s], es[tau], lattice.process_type),
+        f"kc-type-{lattice.process_type}")
 
 
-def interact_states(lattice: ProcessLattice, phi: State, psi: State,
+def interact_states(lattice: Family, phi: State, psi: State,
                     s: int, t: int) -> State:
     """Law of interaction: the state with density predual(P^{s,t})(rho_phi (x) rho_psi).
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import State, SuperMap, expectation_supermap
+from .algebra import State, SuperMap
 from .classical import (
     ClassicalQSP,
     classical_validate,
@@ -39,13 +39,13 @@ from .marginal import (
     verify_marginal_axioms,
 )
 from .process import (
-    ProcessLattice,
+    Family,
     QQSPSeed,
     ValidationFailure,
     kc_consistency,
     propagate,
     seed_diagnostics,
-    validate_seed,
+    seed_issues,
 )
 from .report import Report, complex_matrix_to_pairs, pairs_to_complex_matrix
 from .seeds import (
@@ -394,7 +394,7 @@ def _table_dict(table) -> dict:
 
 class _PipelineState:
     def __init__(self):
-        self.lattice: ProcessLattice | None = None
+        self.lattice: Family | None = None
         self.families: dict = {}
         self.classical: ClassicalQSP | None = None
 
@@ -437,7 +437,6 @@ def run_scenario_file(path, out_dir=".", fmt: str = "structured",
 
 
 def _stage_validate(sc, seed, ctx, report):
-    tol = sc.tolerances["flip"]
     out: dict = {}
     if ctx.classical is not None:
         out["classical"] = [
@@ -446,9 +445,9 @@ def _stage_validate(sc, seed, ctx, report):
              "normalization_residual": d.normalization_residual,
              "ok": d.ok(1e-12)}
             for d in classical_validate(ctx.classical)]
-    out["steps"] = [_choi_row(d.step, d) for d in
-                    seed_diagnostics(seed, sc.tolerances["cp"], sc.tolerances["unital"])]
-    issues = validate_seed(seed, tol)
+    diagnostics = seed_diagnostics(seed, sc.tolerances["cp"], sc.tolerances["unital"])
+    out["steps"] = [_choi_row(d.step, d) for d in diagnostics]
+    issues = seed_issues(diagnostics, sc.tolerances["flip"])
     out["issues"] = [{"step": i.step, "kind": i.kind, "residual": i.residual}
                      for i in issues]
     report.stages["validate"] = out
@@ -459,7 +458,9 @@ def _stage_validate(sc, seed, ctx, report):
 
 
 def _stage_propagate(sc, seed, ctx, report):
-    ctx.lattice = propagate(seed, strict=(sc.mode == "strict"))
+    # a strict validate stage has already accepted the seed at the scenario's tolerances
+    ctx.lattice = propagate(seed, strict=(sc.mode == "strict"
+                                          and "validate" not in report.stages))
     traj = [list(ctx.lattice.omega(t).diagonal_weights())
             for t in range(ctx.lattice.horizon + 1)]
     report.trajectory = traj
@@ -479,12 +480,13 @@ def _stage_kc(sc, seed, ctx, report):
 
 def _stage_marginals(sc, seed, ctx, report):
     lat = ctx.lattice
-    q = build_Q(lat)
     if lat.process_type == "A":
+        q = build_Q(lat)
         hh = build_H(lat)
         zz = build_Z(hh)
     else:
         hh = build_h(lat)
+        q = hh.companion_q
         zz = build_z(hh)
     ctx.families = {"Q": q, hh.kind: hh, zz.kind: zz}
     out = {"kinds": sorted(ctx.families)}
@@ -520,12 +522,14 @@ def _stage_axioms(sc, seed, ctx, report):
 def _stage_reconstruct(sc, seed, ctx, report):
     lat = ctx.lattice
     hh = ctx.families.get("H") or ctx.families.get("h")
+    # a passed axioms stage has already checked this pair at the same tolerance
+    recheck = sc.mode == "strict" and not report.verdicts.get("axioms_ok", False)
     rec = reconstruct_qqsp(ctx.families["Q"], hh, lat.omega(0), lat.process_type,
-                           strict=(sc.mode == "strict"), tol=sc.tolerances["axiom"])
+                           strict=recheck, tol=sc.tolerances["axiom"])
     deviation = max(operator_norm(rec.map(s, t).matrix - lat.map(s, t).matrix)
                     for (s, t) in lat.pairs())
     conclusion_b = max(
-        operator_norm((expectation_supermap(rec.omega(s)) @ rec.map(s, t)).matrix
+        operator_norm((rec.expectations[s] @ rec.map(s, t)).matrix
                       - ctx.families["Q"].map(s, t).matrix)
         for (s, t) in rec.pairs())
     out = {

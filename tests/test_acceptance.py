@@ -34,7 +34,7 @@ from qqsp.marginal import (
     state_consistency_residual,
     verify_marginal_axioms,
 )
-from qqsp.process import ProcessLattice, kc_consistency, propagate
+from qqsp.process import Family, kc_consistency, propagate
 from qqsp.report import emit_report
 from qqsp.scenarios import builtin_scenarios, run_scenario
 from qqsp.seeds import (
@@ -224,8 +224,8 @@ def test_criterion_6_negative_controls():
     # the fixed symmetrized-embedding family is not Kolmogorov-Chapman consistent
     omega = State.maximally_mixed(2)
     s_map = symmetrized_embedding(2)
-    fixed = ProcessLattice(
-        maps={(s, t): s_map for s in range(4) for t in range(s + 1, 5)},
+    fixed = Family(
+        "P", 2, {(s, t): s_map for s in range(4) for t in range(s + 1, 5)},
         omegas=(omega,) * 5, process_type="A")
     assert kc_consistency(fixed).max_residual > 0.01
 

@@ -191,6 +191,15 @@ def test_expectation_matches_basis_expansion_oracle(rng):
         assert np.abs(got - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expectation_gram_identity(rng, n):
+    # E_omega E_omega^dagger = ||rho||_F^2 I, so ||X E_omega|| = ||rho||_F ||X||
+    rho = random_density(rng, n)
+    e = expectation_supermap(State(rho)).matrix
+    want = np.linalg.norm(rho) ** 2 * np.eye(n * n)
+    assert np.abs(e @ e.conj().T - want).max() <= 1e-14
+
+
 def test_expectation_fixes_unaveraged_slot(rng):
     # E_phi(1 (x) x) = x for every phi, forced by the product formula at a = 1
     states = [State(random_density(rng, 2)), State(np.diag([1, 0]).astype(complex))]

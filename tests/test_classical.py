@@ -185,7 +185,7 @@ def test_mendel_unit_step_projection():
 def test_projection_rejects_non_diagonal_lattice():
     # a rotated embedding sends indicators to matrices with off-diagonal mass
     from qqsp.algebra import State, SuperMap
-    from qqsp.process import ProcessLattice
+    from qqsp.process import Family
 
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     r = np.kron(had, had)
@@ -193,9 +193,9 @@ def test_projection_rejects_non_diagonal_lattice():
     def rotated(x):
         return r @ np.kron(x, np.eye(2, dtype=complex)) @ r.conj().T
 
-    lat = ProcessLattice(maps={(0, 1): SuperMap.from_function(rotated, 2, 4)},
-                         omegas=(State.maximally_mixed(2), State.maximally_mixed(2)),
-                         process_type="A", algebra_kind="diagonal")
+    lat = Family("P", 2, {(0, 1): SuperMap.from_function(rotated, 2, 4)},
+                 omegas=(State.maximally_mixed(2), State.maximally_mixed(2)),
+                 process_type="A", algebra_kind="diagonal")
     with pytest.raises(ValueError):
         project_to_classical(lat)
 

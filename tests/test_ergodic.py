@@ -92,10 +92,17 @@ def test_distances_stay_in_range(rng):
 
 
 def test_decay_trace_dimension_guard(rng):
+    # pairs live where the maps land: M (x) M for the lattice, M for Q
     lat = propagate(make_mixed_seed(3, "A"))
-    bad_pairs = [(State.maximally_mixed(2), State.maximally_mixed(2))]
+    pairs_n = [(State.maximally_mixed(2), State.maximally_mixed(2))]
+    pairs_n2 = [(State.maximally_mixed(4), State.maximally_mixed(4))]
     with pytest.raises(ValueError):
-        decay_trace(lat, bad_pairs, 0)  # lattice pairs live on M (x) M
+        decay_trace(lat, pairs_n, 0)
+    assert decay_trace(lat, pairs_n2, 0).family_kind == "P"
+    q = build_Q(lat)
+    with pytest.raises(ValueError):
+        decay_trace(q, pairs_n2, 0)
+    assert decay_trace(q, pairs_n, 0).family_kind == "Q"
 
 
 # ------------------------------------------------------------- contraction

@@ -12,7 +12,6 @@ from qqsp.algebra import (
 )
 from qqsp.linalg import matrix_unit, operator_norm
 from qqsp.marginal import (
-    MarginalFamily,
     build_H,
     build_Q,
     build_Z,
@@ -24,8 +23,13 @@ from qqsp.marginal import (
     state_consistency_residual,
     verify_marginal_axioms,
 )
-from qqsp.process import ValidationFailure, kc_consistency, propagate
-from qqsp.seeds import make_constant_seed, make_entangling_seed, make_mixed_seed
+from qqsp.process import Family, ValidationFailure, kc_consistency, propagate
+from qqsp.seeds import (
+    make_constant_seed,
+    make_entangling_seed,
+    make_mixed_seed,
+    symmetrized_embedding,
+)
 
 from conftest import random_density
 
@@ -173,7 +177,7 @@ def test_type_b_contrast(entangling_lattice):
 
 def test_h_native_requires_companion(entangling_lattice):
     h = build_h(entangling_lattice)
-    orphan = MarginalFamily("h", h.n, dict(h.maps), h.omegas, h.algebra_kind)
+    orphan = Family("h", h.n, dict(h.maps), h.omegas, algebra_kind=h.algebra_kind)
     with pytest.raises(ValueError):
         check_markov(orphan)
 
@@ -207,8 +211,8 @@ def test_abstract_families_are_accepted():
     # hand-built identity families: valid inputs, axioms measured not assumed
     n, T = 2, 3
     keys = [(s, t) for s in range(T) for t in range(s + 1, T + 1)]
-    q = MarginalFamily("Q", n, {k: SuperMap.identity(n) for k in keys})
-    h = MarginalFamily("H", n, {k: SuperMap.identity(n * n) for k in keys})
+    q = Family("Q", n, {k: SuperMap.identity(n) for k in keys})
+    h = Family("H", n, {k: SuperMap.identity(n * n) for k in keys})
     omega0 = State.maximally_mixed(n)
     rep = verify_marginal_axioms(q, h, omega0)
     assert rep.exchange.max_residual <= 1e-12   # both sides are E_{omega0}
@@ -299,6 +303,13 @@ def test_predual_factorization_z(mixed_lattice, rng):
 
 def test_family_dimension_guard():
     with pytest.raises(ValueError):
-        MarginalFamily("Q", 2, {(0, 1): SuperMap.identity(4)})
+        Family("Q", 2, {(0, 1): SuperMap.identity(4)})
     with pytest.raises(ValueError):
-        MarginalFamily("H", 2, {(0, 1): SuperMap.identity(2)})
+        Family("H", 2, {(0, 1): SuperMap.identity(2)})
+    with pytest.raises(ValueError, match="expected \\(2, 4\\)"):
+        Family("P", 2, {(0, 1): SuperMap.identity(4)}, process_type="A")
+    with pytest.raises(ValueError, match="unknown family kind"):
+        Family("X", 2, {(0, 1): SuperMap.identity(2)})
+    with pytest.raises(ValueError, match="type"):
+        Family("P", 2, {(0, 1): symmetrized_embedding(2)})
+    assert Family("P", 2, {(0, 1): symmetrized_embedding(2)}, process_type="B").side == 4

@@ -16,15 +16,13 @@ from qqsp.classical import ClassicalQSP, lift_to_quantum, volterra_tensor
 from qqsp.linalg import matrix_unit, operator_norm, ptrace_first
 from qqsp.marginal import build_H
 from qqsp.process import (
-    ProcessLattice,
+    Family,
     QQSPSeed,
     ValidationFailure,
     fundamental_composition,
     interact_states,
     kc_consistency,
     propagate,
-    propagate_type_A,
-    propagate_type_B,
     validate_seed,
 )
 from qqsp.seeds import (
@@ -110,19 +108,12 @@ def test_strict_propagate_rejects_bad_seed():
     assert lat.horizon == 3
 
 
-def test_propagate_type_dispatch():
-    with pytest.raises(ValueError):
-        propagate_type_A(make_constant_seed(2, 3, "B"))
-    with pytest.raises(ValueError):
-        propagate_type_B(make_constant_seed(2, 3, "A"))
-
-
 # ------------------------------------------------------------ propagation
 
 def test_constant_lattice_is_fixed_point():
     omega = State.maximally_mixed(2)
     seed = make_constant_seed(2, 5)
-    lat = propagate_type_A(seed)
+    lat = propagate(seed)
     base = seed.step_maps[0].matrix
     for (s, t) in lat.pairs():
         assert operator_norm(lat.map(s, t).matrix - base) <= 1e-13
@@ -132,7 +123,7 @@ def test_constant_lattice_is_fixed_point():
 
 def test_mixed_type_a_matches_composition_oracle(rng):
     seed = make_mixed_seed(3, "A")
-    lat = propagate_type_A(seed)
+    lat = propagate(seed)
     # oracle: compose the matrices directly with an independently built E matrix
     e1 = expectation_matrix_by_hand(lat.omega(1).rho)
     oracle = lat.map(0, 1).matrix @ e1 @ lat.map(1, 2).matrix
@@ -147,7 +138,7 @@ def test_mixed_type_a_matches_composition_oracle(rng):
 
 def test_mixed_type_b_matches_composition_oracle(rng):
     seed = make_entangling_seed(3, "B")
-    lat = propagate_type_B(seed)
+    lat = propagate(seed)
     q01 = expectation_supermap(lat.omega(0)) @ lat.map(0, 1)
     # oracle: expand P^{1,2}x in product units and apply Q to each leg by hand
     x = random_density(rng, 2)
@@ -217,11 +208,12 @@ def test_fundamental_composition_matches_explicit_laws(rng):
     omega_s, omega_tau = State(random_density(rng, n)), State(random_density(rng, n))
     # type A: P^{s,tau} E_{omega_tau} P^{tau,t} with an independently built E matrix
     oracle = p_s_tau.matrix @ expectation_matrix_by_hand(omega_tau.rho) @ p_tau_t.matrix
-    got = fundamental_composition(p_s_tau, p_tau_t, omega_s, omega_tau, "A").matrix
+    e_s, e_tau = expectation_supermap(omega_s), expectation_supermap(omega_tau)
+    got = fundamental_composition(p_s_tau, p_tau_t, e_s, e_tau, "A").matrix
     assert operator_norm(got - oracle) <= 1e-12 * operator_norm(oracle)
     # type B: (Q (x) Q) P^{tau,t} x with Q = E_{omega_s} P^{s,tau}, expanded in blocks
-    type_b = fundamental_composition(p_s_tau, p_tau_t, omega_s, omega_tau, "B")
-    q = expectation_supermap(omega_s) @ p_s_tau
+    type_b = fundamental_composition(p_s_tau, p_tau_t, e_s, e_tau, "B")
+    q = e_s @ p_s_tau
     x = random_density(rng, n)
     y = p_tau_t(x)
     blocks = np.zeros((n * n, n * n), dtype=complex)
@@ -250,7 +242,7 @@ def test_kc_fixed_family_violates():
     omega = State.maximally_mixed(2)
     s_map = symmetrized_embedding(2)
     maps = {(s, t): s_map for s in range(5) for t in range(s + 1, 6)}
-    lat = ProcessLattice(maps=maps, omegas=(omega,) * 6, process_type="A")
+    lat = Family("P", 2, maps, omegas=(omega,) * 6, process_type="A")
     table = kc_consistency(lat)
     assert table.max_residual > 0.01
     # oracle: direct evaluation at x = diag(1, 0)

@@ -1,5 +1,6 @@
 """Scenario files, the pipeline runner, report emission, CLI exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qqsp.algebra import SuperMap
 from qqsp.process import ValidationFailure
 from qqsp.report import (
     CSV_HEADER,
@@ -24,7 +26,7 @@ from qqsp.scenarios import (
     run_scenario,
     scenario_from_file,
 )
-from qqsp.seeds import mixed_step_map
+from qqsp.seeds import mixed_step_map, symmetrized_embedding, unsymmetrized_embedding
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -148,6 +150,72 @@ def test_explicit_step_map_scenario():
     report = run_scenario(parse_scenario(data))
     assert report.verdicts["seed_valid"]
     assert report.verdicts["roundtrip_ok"]
+
+
+def test_strict_seed_is_validated_once_at_the_scenario_tolerance():
+    # flip residual 2e-8: inside the scenario's 1e-6, outside the library default 1e-10
+    n = 2
+    step = (1 - 1e-8) * mixed_step_map(n).matrix + 1e-8 * unsymmetrized_embedding(n).matrix
+    data = {
+        "name": "slightly-unsymmetric",
+        "algebra": {"kind": "full", "dim": n},
+        "process_type": "A",
+        "horizon": 3,
+        "initial_state": {"diag": [0.7, 0.3]},
+        "seed": {"step_maps": [complex_matrix_to_pairs(step)]},
+        "tolerances": {"flip": 1e-6, "kc": 1e-6, "markov": 1e-6, "axiom": 1e-6},
+    }
+    report = run_scenario(parse_scenario(data))
+    flips = [row["flip_residual"] for row in report.stages["validate"]["steps"]]
+    assert 1e-10 < max(flips) <= 1e-6
+    assert {k for k, v in report.verdicts.items() if not v} == {"ergodic_at_horizon"}
+
+
+def test_validate_stage_issues_follow_its_own_rows():
+    # min Choi eigenvalue about -3.3e-8: CP at the scenario's cp tolerance 1e-6
+    n = 2
+    one = np.eye(n, dtype=complex)
+    transposed = SuperMap.from_function(
+        lambda x: 0.5 * (np.kron(x.T, one) + np.kron(one, x.T)), n, n * n)
+    step = (1 - 1e-7) * symmetrized_embedding(n).matrix + 1e-7 * transposed.matrix
+    data = {
+        "name": "slightly-non-cp",
+        "algebra": {"kind": "full", "dim": n},
+        "process_type": "A",
+        "horizon": 2,
+        "mode": "permissive",
+        "initial_state": {"diag": [0.7, 0.3]},
+        "seed": {"step_maps": [complex_matrix_to_pairs(step)]},
+        "tolerances": {"cp": 1e-6},
+        "pipeline": ["validate"],
+    }
+    report = run_scenario(parse_scenario(data))
+    rows = report.stages["validate"]["steps"]
+    assert all(row["is_cp"] for row in rows)
+    assert min(row["min_choi_eigenvalue"] for row in rows) < -1e-9
+    assert report.stages["validate"]["issues"] == []
+    assert report.verdicts["seed_valid"] is True
+
+
+def test_each_quantity_is_computed_once(monkeypatch):
+    # one axiom suite, one Q family and one Choi certificate per step in a strict run
+    counts = {}
+    defining = {"verify_marginal_axioms": "qqsp.marginal", "build_Q": "qqsp.marginal",
+                "certify_unital_cp": "qqsp.algebra"}
+    for name, module_name in defining.items():
+        original = getattr(importlib.import_module(module_name), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("qqsp")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    sc = builtin_scenarios()["mixed-n2-typeB"]
+    run_scenario(sc)
+    assert counts == {"verify_marginal_axioms": 1, "build_Q": 1,
+                      "certify_unital_cp": sc.horizon}
 
 
 def test_explicit_pair_ensemble_scenario():
