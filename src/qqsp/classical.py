@@ -145,12 +145,17 @@ def classical_issues(q: ClassicalQSP, tol: float = 1e-12) -> list[TensorDiagnost
     return [d for d in classical_validate(q) if not d.ok(tol)]
 
 
+def require_valid_tensors(q: ClassicalQSP, tol: float = 1e-12) -> None:
+    """Raise ValidationFailure unless every tensor is symmetric and stochastic."""
+    bad = classical_issues(q, tol)
+    if bad:
+        raise ValidationFailure(f"classical tensors violate (i)-(ii): {bad[0]}")
+
+
 def classical_propagate(q: ClassicalQSP, strict: bool = True, tol: float = 1e-12) -> ClassicalQSP:
     """Fill tensors and trajectory with the fixed split r = t-1."""
     if strict:
-        bad = classical_issues(q, tol)
-        if bad:
-            raise ValidationFailure(f"classical tensors violate (i)-(ii): {bad[0]}")
+        require_valid_tensors(q, tol)
     N, T = q.N, q.horizon
     lattice: dict = {}
     for k in range(T):
@@ -195,14 +200,9 @@ def tensor_to_step_map(p: Array) -> SuperMap:
 def lift_to_quantum(q: ClassicalQSP, strict: bool = True) -> QQSPSeed:
     """Embed a classical process as a diagonal-algebra seed."""
     if strict:
-        bad = classical_issues(q)
-        if bad:
-            raise ValidationFailure(f"classical tensors violate (i)-(ii): {bad[0]}")
+        require_valid_tensors(q)
     maps = tuple(tensor_to_step_map(p) for p in q.step_tensors)
-    omega0 = State.from_weights(q.x0.weights)
-    homogeneous = all(np.array_equal(q.step_tensors[0], p) for p in q.step_tensors)
-    return QQSPSeed(maps, omega0, q.process_type,
-                    homogeneous=homogeneous, algebra_kind="diagonal")
+    return QQSPSeed(maps, State.from_weights(q.x0.weights), q.process_type, "diagonal")
 
 
 def _extract_tensor(m: SuperMap, N: int, tol: float) -> Array:

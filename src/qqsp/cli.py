@@ -6,7 +6,8 @@ Subcommands:
   describe <builtin>               print a builtin scenario as JSON
 
 Exit status: 0 success, 2 parse or validation error, 3 strict-mode
-mathematical failure, 4 I/O failure.
+mathematical failure or, in either mode, a computed state that fails
+State's checks, 4 I/O failure.
 """
 
 from __future__ import annotations

@@ -27,10 +27,6 @@ class DecayTrace:
     times: tuple[int, ...]
     distances: tuple[tuple[float, ...], ...]  # [pair][time]
 
-    def max_at(self, t: int) -> float:
-        idx = self.times.index(t)
-        return max(row[idx] for row in self.distances)
-
     @property
     def final_max(self) -> float:
         return max((row[-1] for row in self.distances), default=0.0)
@@ -134,11 +130,9 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
 @dataclass(frozen=True)
 class ErgodicConfig:
     epsilon: float = 1e-3
-    s: int = 0
     pair_count: int = 20
     rng_seed: int = 12345
     sample_count: int = 200
-    contraction_t: int = 1
     explicit_single: tuple = ()   # (State, State) pairs on M, overrides sampling
     explicit_double: tuple = ()   # (State, State) pairs on M (x) M
 
@@ -208,15 +202,14 @@ def ergodic_verdict(lattice: Family, families: dict,
     for kind in sorted(sources):
         src = sources[kind]
         pairs = pairs_single if src.side == lattice.n else pairs_double
-        tr = decay_trace(src, pairs, config.s, T)
+        tr = decay_trace(src, pairs, 0, T)
         ratios = tr.step_ratios()
         traces[kind] = tr
         verdicts[kind] = FamilyVerdict(kind, tr.final_max,
                                        tr.final_max < config.epsilon,
                                        max(ratios) if ratios else 0.0)
-    contraction = contraction_coefficient(
-        families["Q"], config.s, config.s + config.contraction_t,
-        sample_count=config.sample_count, rng=rng)
+    contraction = contraction_coefficient(families["Q"], 0, 1,
+                                          sample_count=config.sample_count, rng=rng)
     flags = [v.ergodic for v in verdicts.values()]
     return ErgodicReport(
         traces=traces,

@@ -40,7 +40,6 @@ class QQSPSeed:
     step_maps: tuple[SuperMap, ...]
     omega0: State
     process_type: str
-    homogeneous: bool = False
     algebra_kind: str = "full"
 
     def __post_init__(self):
@@ -66,8 +65,7 @@ class QQSPSeed:
     @classmethod
     def from_single_map(cls, step_map: SuperMap, omega0: State, horizon: int,
                         process_type: str, algebra_kind: str = "full") -> "QQSPSeed":
-        return cls((step_map,) * horizon, omega0, process_type,
-                   homogeneous=True, algebra_kind=algebra_kind)
+        return cls((step_map,) * horizon, omega0, process_type, algebra_kind)
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,13 @@ class Family:
         return sorted(self.maps.keys())
 
 
-def _omega_from(map0t: SuperMap, omega0: State) -> State:
-    rho = predual(map0t)(np.kron(omega0.rho, omega0.rho))
-    return State(rho)
+def computed_state(rho, quantity: str, t: int) -> State:
+    """A state the pipeline computed; failing State's checks is a ValidationFailure."""
+    try:
+        return State(rho)
+    except ValueError as exc:
+        raise ValidationFailure(f"computed state {quantity} at t={t} is not a state: "
+                                f"{exc}") from exc
 
 
 def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, e_s: SuperMap,
@@ -208,13 +210,14 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
                 f"residual {worst.residual:.3e} ({len(issues)} issue(s))")
     maps = {(k, k + 1): m for k, m in enumerate(seed.step_maps)}
     omegas = [seed.omega0]
+    rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)
     expectations = [expectation_supermap(seed.omega0)]
     for t in range(1, seed.horizon + 1):
         for s in range(t - 2, -1, -1):
             maps[(s, t)] = fundamental_composition(maps[(s, t - 1)], maps[(t - 1, t)],
                                                    expectations[s], expectations[t - 1],
                                                    seed.process_type)
-        omegas.append(_omega_from(maps[(0, t)], seed.omega0))
+        omegas.append(computed_state(predual(maps[(0, t)])(rho00), "omega_t", t))
         expectations.append(expectation_supermap(omegas[t]))
     return Family("P", seed.n, maps, tuple(omegas), seed.process_type, seed.algebra_kind,
                   expectations=tuple(expectations))
@@ -253,6 +256,12 @@ def split_residuals(family: Family, compose, label: str) -> ResidualTable:
             comp = compose(s, tau, t)
             entries[(s, tau, t)] = operator_norm(family.map(s, t).matrix - comp.matrix)
     return ResidualTable(entries, label)
+
+
+def pair_residuals(family: Family, lhs, rhs, label: str) -> ResidualTable:
+    """||lhs(s, t) - rhs(s, t)|| at every stored pair (s, t) of ``family``."""
+    return ResidualTable({(s, t): operator_norm(lhs(s, t).matrix - rhs(s, t).matrix)
+                          for (s, t) in family.pairs()}, label)
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:

@@ -56,7 +56,10 @@ def complex_matrix_to_pairs(m: np.ndarray):
 
 
 def pairs_to_complex_matrix(rows) -> np.ndarray:
-    return np.array([[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex)
+    try:
+        return np.array([[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex)
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ValueError(f"expected rows of [re, im] pairs ({exc})") from exc
 
 
 @dataclass

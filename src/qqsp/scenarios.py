@@ -22,10 +22,10 @@ from .classical import (
     copy_second_parent_tensor,
     lift_to_quantum,
     mendel_tensor,
+    require_valid_tensors,
     volterra_tensor,
 )
 from .ergodic import ErgodicConfig, ergodic_verdict
-from .linalg import operator_norm
 from .marginal import (
     build_H,
     build_Q,
@@ -43,6 +43,7 @@ from .process import (
     QQSPSeed,
     ValidationFailure,
     kc_consistency,
+    pair_residuals,
     propagate,
     seed_diagnostics,
     seed_issues,
@@ -87,6 +88,10 @@ class Scenario:
     rng_seed: int = 12345
     sample_count: int = 200
     pipeline: tuple = STAGES
+    # parse-time forms of seed_spec/initial_state ((QQSPSeed, ClassicalQSP | None))
+    # and of ensemble ((count, single pairs, double pairs))
+    resolved: tuple | None = field(default=None, repr=False, compare=False)
+    pair_ensemble: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +112,8 @@ class Scenario:
 
 
 def _require(data: dict, key: str, where: str):
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{where}: expected an object")
     if key not in data:
         raise ScenarioError(f"{where}: missing required field {key!r}")
     return data[key]
@@ -133,7 +140,10 @@ def parse_scenario(data: dict) -> Scenario:
     mode = data.get("mode", "strict")
     if mode not in ("strict", "permissive"):
         raise ScenarioError(f"{name}.mode: expected 'strict' or 'permissive', got {mode!r}")
-    pipeline = tuple(data.get("pipeline", list(STAGES)))
+    pipeline = data.get("pipeline", list(STAGES))
+    if not isinstance(pipeline, list):
+        raise ScenarioError(f"{name}.pipeline: expected a list of stages, got {pipeline!r}")
+    pipeline = tuple(pipeline)
     for stage in pipeline:
         if stage not in STAGES:
             raise ScenarioError(f"{name}.pipeline: unknown stage {stage!r}")
@@ -146,23 +156,31 @@ def parse_scenario(data: dict) -> Scenario:
         seen.add(stage)
     if horizon < 2 and any(s in pipeline for s in LATTICE_STAGES):
         raise ScenarioError(f"{name}.horizon: composition stages need horizon >= 2")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(data.get("tolerances", {}))
-    ensemble = data.get("ensemble", {"random": 20})
-    epsilon = float(data.get("epsilon", 1e-3))
-    rng_seed = int(data.get("rng_seed", 12345))
-    sample_count = int(data.get("sample_count", 200))
+    tolerances = data.get("tolerances", {})
+    if not isinstance(tolerances, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in tolerances.values()):
+        raise ScenarioError(f"{name}.tolerances: expected an object of numbers, "
+                            f"got {tolerances!r}")
     sc = Scenario(
         name=name, algebra_kind=kind, dim=dim, process_type=ptype,
         horizon=horizon, seed_spec=_require(data, "seed", name),
         initial_state=_require(data, "initial_state", name), mode=mode,
-        tolerances=tolerances, ensemble=ensemble, epsilon=epsilon,
-        rng_seed=rng_seed, sample_count=sample_count, pipeline=pipeline,
+        tolerances={**DEFAULT_TOLERANCES, **tolerances},
+        ensemble=data.get("ensemble", {"random": 20}),
+        epsilon=_number(data, "epsilon", 1e-3, float, name),
+        rng_seed=_number(data, "rng_seed", 12345, int, name),
+        sample_count=_number(data, "sample_count", 200, int, name), pipeline=pipeline,
     )
-    # fail fast on dimension inconsistencies
-    _parse_state(sc.initial_state, sc.dim, f"{name}.initial_state")
-    _resolve_seed(sc, strict=False)
-    return sc
+    return replace(sc, resolved=_resolve_seed(sc), pair_ensemble=_parse_ensemble(sc))
+
+
+def _number(data: dict, key: str, default, kind, where: str):
+    value = data.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}") from exc
 
 
 def scenario_from_file(path) -> Scenario:
@@ -196,7 +214,7 @@ def _parse_state(spec: dict, dim: int, where: str) -> State:
             return State.maximally_mixed(dim)
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: expected 'diag', 'matrix' or 'maximally_mixed'")
 
@@ -214,8 +232,12 @@ _CLASSICAL_BUILTIN_TENSORS = {
 }
 
 
-def _resolve_seed(sc: Scenario, strict: bool):
-    """Build (QQSPSeed, ClassicalQSP | None) from the scenario seed spec."""
+def _resolve_seed(sc: Scenario):
+    """Build (QQSPSeed, ClassicalQSP | None) from the scenario seed spec.
+
+    Classical tensors are lifted without their validity gate, which a
+    strict run applies (see :func:`run_scenario`).
+    """
     spec = sc.seed_spec
     omega0 = _parse_state(sc.initial_state, sc.dim, f"{sc.name}.initial_state")
     where = f"{sc.name}.seed"
@@ -250,21 +272,24 @@ def _resolve_seed(sc: Scenario, strict: bool):
         try:
             classical = ClassicalQSP.homogeneous(
                 tensor, omega0.diagonal_weights(), sc.horizon, sc.process_type)
-            seed = lift_to_quantum(classical, strict=strict)
-        except ValidationFailure:
-            raise
+            seed = lift_to_quantum(classical, strict=False)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         return seed, classical
     if "step_maps" in spec:
         n = sc.dim
         mats = spec["step_maps"]
+        if not isinstance(mats, list):
+            raise ScenarioError(f"{where}.step_maps: expected a list of matrices, got {mats!r}")
         if len(mats) not in (1, sc.horizon):
             raise ScenarioError(
                 f"{where}.step_maps: expected 1 or {sc.horizon} matrices, got {len(mats)}")
         maps = []
         for k, rows in enumerate(mats):
-            m = pairs_to_complex_matrix(rows)
+            try:
+                m = pairs_to_complex_matrix(rows)
+            except ValueError as exc:
+                raise ScenarioError(f"{where}.step_maps[{k}]: {exc}") from exc
             if m.shape != (n ** 4, n ** 2):
                 raise ScenarioError(
                     f"{where}.step_maps[{k}]: shape {m.shape} != ({n ** 4}, {n ** 2})")
@@ -280,6 +305,7 @@ def _resolve_seed(sc: Scenario, strict: bool):
 
 
 def _parse_ensemble(sc: Scenario):
+    """(pair count, explicit pairs on M, explicit pairs on M (x) M) of the ensemble."""
     ens = sc.ensemble
     if not isinstance(ens, dict):
         raise ScenarioError(f"{sc.name}.ensemble: expected an object")
@@ -289,6 +315,8 @@ def _parse_ensemble(sc: Scenario):
             raise ScenarioError(f"{sc.name}.ensemble.random: expected a positive integer")
         return count, (), ()
     if "pairs" in ens:
+        if not isinstance(ens["pairs"], list):
+            raise ScenarioError(f"{sc.name}.ensemble.pairs: expected a list of pairs")
         single, double = [], []
         for idx, pair in enumerate(ens["pairs"]):
             where = f"{sc.name}.ensemble.pairs[{idx}]"
@@ -300,13 +328,11 @@ def _parse_ensemble(sc: Scenario):
 
 
 def _pair_dim(pair: dict, sc: Scenario, where: str) -> int:
-    spec = pair.get("a", {})
-    if "diag" in spec:
-        d = len(spec["diag"])
-    elif "matrix" in spec:
-        d = len(spec["matrix"])
-    else:
+    spec = pair["a"]
+    entries = spec.get("diag", spec.get("matrix")) if isinstance(spec, dict) else None
+    if not isinstance(entries, list):
         raise ScenarioError(f"{where}: pair states need explicit entries")
+    d = len(entries)
     if d not in (sc.dim, sc.dim * sc.dim):
         raise ScenarioError(f"{where}: state dim {d} is neither n nor n^2")
     return d
@@ -397,13 +423,15 @@ class _PipelineState:
         self.lattice: Family | None = None
         self.families: dict = {}
         self.classical: ClassicalQSP | None = None
+        self.rebuilt: Family | None = None   # the lattice rebuilt from (Q, H), once checked
 
 
 def run_scenario(sc: Scenario, mode: str | None = None,
                  seed: int | None = None) -> Report:
     """Execute the pipeline stages in order and assemble the Report.
 
-    Strict-mode mathematical failures raise ValidationFailure; scenario
+    Strict-mode mathematical failures raise ValidationFailure, and so does
+    a computed state that fails State's checks, in either mode; scenario
     inconsistencies raise ScenarioError. File emission is the caller's
     business (see :func:`qqsp.report.emit_report`).
     """
@@ -411,10 +439,11 @@ def run_scenario(sc: Scenario, mode: str | None = None,
         sc = replace(sc, mode=mode)
     if seed is not None:
         sc = replace(sc, rng_seed=seed)
-    strict = sc.mode == "strict"
     report = Report(scenario_echo=sc.to_dict(), run_seed=sc.rng_seed, mode=sc.mode)
     ctx = _PipelineState()
-    qqsp_seed, ctx.classical = _resolve_seed(sc, strict=strict)
+    qqsp_seed, ctx.classical = sc.resolved or _resolve_seed(sc)
+    if sc.mode == "strict" and ctx.classical is not None:
+        require_valid_tensors(ctx.classical)
     for stage in sc.pipeline:
         started = time.perf_counter()
         _STAGE_RUNNERS[stage](sc, qqsp_seed, ctx, report)
@@ -503,9 +532,10 @@ def _stage_marginals(sc, seed, ctx, report):
 
 
 def _stage_axioms(sc, seed, ctx, report):
-    lat = ctx.lattice
+    lat, q = ctx.lattice, ctx.families["Q"]
     hh = ctx.families.get("H") or ctx.families.get("h")
-    rep = verify_marginal_axioms(ctx.families["Q"], hh, lat.omega(0))
+    ctx.rebuilt = reconstruct_qqsp(q, hh, lat.omega(0), lat.process_type, strict=False)
+    rep = verify_marginal_axioms(q, hh, ctx.rebuilt)
     report.stages["axioms"] = {
         "flip": _table_dict(rep.flip),
         "exchange": _table_dict(rep.exchange),
@@ -520,32 +550,28 @@ def _stage_axioms(sc, seed, ctx, report):
 
 
 def _stage_reconstruct(sc, seed, ctx, report):
-    lat = ctx.lattice
-    hh = ctx.families.get("H") or ctx.families.get("h")
-    # a passed axioms stage has already checked this pair at the same tolerance
-    recheck = sc.mode == "strict" and not report.verdicts.get("axioms_ok", False)
-    rec = reconstruct_qqsp(ctx.families["Q"], hh, lat.omega(0), lat.process_type,
-                           strict=recheck, tol=sc.tolerances["axiom"])
-    deviation = max(operator_norm(rec.map(s, t).matrix - lat.map(s, t).matrix)
-                    for (s, t) in lat.pairs())
-    conclusion_b = max(
-        operator_norm((rec.expectations[s] @ rec.map(s, t)).matrix
-                      - ctx.families["Q"].map(s, t).matrix)
-        for (s, t) in rec.pairs())
+    lat, q = ctx.lattice, ctx.families["Q"]
+    rec = ctx.rebuilt
+    if rec is None:   # no axioms stage has checked the pair
+        hh = ctx.families.get("H") or ctx.families.get("h")
+        rec = reconstruct_qqsp(q, hh, lat.omega(0), lat.process_type,
+                               strict=sc.mode == "strict", tol=sc.tolerances["axiom"])
+    deviation = pair_residuals(lat, rec.map, lat.map, "map-deviation").max_residual
+    conclusion_b = pair_residuals(rec, lambda s, t: rec.expectations[s] @ rec.map(s, t),
+                                  q.map, "conclusion-b").max_residual
     out = {
         "max_map_deviation": deviation,
         "conclusion_b_residual": conclusion_b,
         "fundamental_equation_max": kc_consistency(rec).max_residual,
     }
     if lat.process_type == "B":
-        out["state_consistency_residual"] = state_consistency_residual(
-            ctx.families["Q"]).max_residual
+        out["state_consistency_residual"] = state_consistency_residual(q).max_residual
     report.stages["reconstruct"] = out
     report.verdicts["roundtrip_ok"] = deviation <= 1e-10
 
 
 def _stage_ergodic(sc, seed, ctx, report):
-    count, single, double = _parse_ensemble(sc)
+    count, single, double = sc.pair_ensemble or _parse_ensemble(sc)
     config = ErgodicConfig(
         epsilon=sc.epsilon, pair_count=count, rng_seed=sc.rng_seed,
         sample_count=sc.sample_count,

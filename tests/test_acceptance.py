@@ -111,7 +111,8 @@ def test_criterion_1_structural_identities(rng):
         assert operator_norm(lhs - rhs) <= TOL_STRUCTURAL
 
     # phi_t = psi_t
-    axioms = verify_marginal_axioms(q, h, lat.omega(0))
+    axioms = verify_marginal_axioms(
+        q, h, reconstruct_qqsp(q, h, lat.omega(0), "A", strict=False))
     assert axioms.trajectory_gap <= TOL_STRUCTURAL
     _pass(1, "structural identity suite")
 
@@ -232,8 +233,10 @@ def test_criterion_6_negative_controls():
     # a mismatched marginal pair fails the exchange axiom
     lat_const = propagate(make_constant_seed(2, 5))
     lat_mixed = propagate(make_mixed_seed(5, "A"))
-    rep = verify_marginal_axioms(build_Q(lat_const), build_H(lat_mixed),
-                                 lat_mixed.omega(0))
+    q_const, h_mixed = build_Q(lat_const), build_H(lat_mixed)
+    rep = verify_marginal_axioms(
+        q_const, h_mixed,
+        reconstruct_qqsp(q_const, h_mixed, lat_mixed.omega(0), "A", strict=False))
     assert rep.exchange.max_residual > 0.01
 
     # the transpose-based map is not completely positive

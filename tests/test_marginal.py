@@ -186,7 +186,8 @@ def test_h_native_requires_companion(entangling_lattice):
 
 def test_axioms_hold_for_built_pair(mixed_lattice):
     q, h = build_Q(mixed_lattice), build_H(mixed_lattice)
-    rep = verify_marginal_axioms(q, h, mixed_lattice.omega(0))
+    rep = verify_marginal_axioms(
+        q, h, reconstruct_qqsp(q, h, mixed_lattice.omega(0), "A", strict=False))
     assert rep.flip.max_residual <= 1e-10
     assert rep.exchange.max_residual <= 1e-10
     assert rep.absorption.max_residual <= 1e-10
@@ -195,7 +196,8 @@ def test_axioms_hold_for_built_pair(mixed_lattice):
 
 def test_axioms_hold_for_type_b_pair(entangling_lattice):
     q, h = build_Q(entangling_lattice), build_h(entangling_lattice)
-    rep = verify_marginal_axioms(q, h, entangling_lattice.omega(0))
+    rep = verify_marginal_axioms(
+        q, h, reconstruct_qqsp(q, h, entangling_lattice.omega(0), "B", strict=False))
     assert rep.max_residual <= 1e-10
 
 
@@ -203,7 +205,9 @@ def test_mismatched_pair_fails_exchange(constant_lattice, mixed_lattice):
     # deliberate mismatch: Q from the constant lattice, H from the mixed one
     q_const = build_Q(constant_lattice)
     h_mixed = build_H(mixed_lattice)
-    rep = verify_marginal_axioms(q_const, h_mixed, mixed_lattice.omega(0))
+    rep = verify_marginal_axioms(
+        q_const, h_mixed,
+        reconstruct_qqsp(q_const, h_mixed, mixed_lattice.omega(0), "A", strict=False))
     assert rep.exchange.max_residual > 0.01
 
 
@@ -214,13 +218,13 @@ def test_abstract_families_are_accepted():
     q = Family("Q", n, {k: SuperMap.identity(n) for k in keys})
     h = Family("H", n, {k: SuperMap.identity(n * n) for k in keys})
     omega0 = State.maximally_mixed(n)
-    rep = verify_marginal_axioms(q, h, omega0)
+    rec = reconstruct_qqsp(q, h, omega0, "A", strict=False)
+    assert rec.horizon == T
+    rep = verify_marginal_axioms(q, h, rec)
     assert rep.exchange.max_residual <= 1e-12   # both sides are E_{omega0}
     assert rep.absorption.max_residual > 0.1    # identity does not absorb
     with pytest.raises(ValidationFailure):
         reconstruct_qqsp(q, h, omega0, "A", strict=True, tol=1e-8)
-    rec = reconstruct_qqsp(q, h, omega0, "A", strict=False)
-    assert rec.horizon == T
 
 
 # --------------------------------------------------------- reconstruction

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qqsp.algebra import SuperMap
-from qqsp.process import ValidationFailure
+from qqsp.cli import main
+from qqsp.process import ValidationFailure, computed_state
 from qqsp.report import (
     CSV_HEADER,
     complex_matrix_to_pairs,
@@ -131,7 +132,7 @@ def test_identity_like_scenario_permissive_run():
 
 
 def test_identity_like_strict_mode_fails():
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="classical tensors violate"):
         run_scenario(builtin_scenarios()["identity-like-typeA"], mode="strict")
 
 
@@ -198,10 +199,13 @@ def test_validate_stage_issues_follow_its_own_rows():
 
 
 def test_each_quantity_is_computed_once(monkeypatch):
-    # one axiom suite, one Q family and one Choi certificate per step in a strict run
+    # a strict run checks the seed once, runs one axiom suite, builds one Q family,
+    # one rebuilt lattice and one Choi certificate per step, and re-resolves no seed
+    sc = builtin_scenarios()["mixed-n2-typeB"]
     counts = {}
     defining = {"verify_marginal_axioms": "qqsp.marginal", "build_Q": "qqsp.marginal",
-                "certify_unital_cp": "qqsp.algebra"}
+                "reconstruct_qqsp": "qqsp.marginal", "_resolve_seed": "qqsp.scenarios",
+                "certify_unital_cp": "qqsp.algebra", "expectation_supermap": "qqsp.algebra"}
     for name, module_name in defining.items():
         original = getattr(importlib.import_module(module_name), name)
 
@@ -212,10 +216,12 @@ def test_each_quantity_is_computed_once(monkeypatch):
         for module in [m for key, m in sys.modules.items() if key.startswith("qqsp")]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    sc = builtin_scenarios()["mixed-n2-typeB"]
     run_scenario(sc)
-    assert counts == {"verify_marginal_axioms": 1, "build_Q": 1,
-                      "certify_unital_cp": sc.horizon}
+    T = sc.horizon
+    # E_{omega_t}, E_{phi_t} and E_{psi_t} once per t; one carried state per (s, t)
+    assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
+                      "certify_unital_cp": T,
+                      "expectation_supermap": 3 * (T + 1) + T * (T + 1) // 2}
 
 
 def test_explicit_pair_ensemble_scenario():
@@ -340,6 +346,54 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     assert proc.returncode == 2
     assert "initial_state" in proc.stderr
     assert not (tmp_path / "out").exists()  # no output files on parse failure
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerances", "abc"),
+    ("tolerances", {"kc": "1e-3"}),
+    ("epsilon", "x"),
+    ("rng_seed", "q"),
+    ("pipeline", 5),
+    ("seed", {"step_maps": 3}),
+    ("seed", {"step_maps": [5]}),
+    ("initial_state", {"matrix": 5}),
+    ("ensemble", {"pairs": 5}),
+    ("ensemble", {"pairs": [5]}),
+    ("ensemble", {"pairs": [{"a": {"diag": 3}, "b": {"diag": [1.0, 0.0]}}]}),
+])
+def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
+    # the ensemble is parsed up front even though this pipeline has no ergodic stage
+    data = builtin_scenarios()["constant-n2"].to_dict()
+    data["pipeline"] = ["validate"]
+    data[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"constant-n2.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_exit_3_on_drifted_computed_state(tmp_path, capsys):
+    # psi_12 of this lattice has trace 1 - 1.06e-12, which State rejects
+    data = {
+        "name": "drift-mixed-n3-T12-A",
+        "algebra": {"kind": "full", "dim": 3},
+        "process_type": "A", "horizon": 12,
+        "seed": {"builtin": "mixed"},
+        "initial_state": {"maximally_mixed": True},
+        "pipeline": ["propagate", "marginals", "axioms"],
+    }
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    assert "computed state psi_t at t=12" in capsys.readouterr().err
+
+
+def test_computed_state_failure_is_a_validation_failure():
+    # in either mode: the helper has no mode to consult
+    with pytest.raises(ValidationFailure, match="phi_t at t=3"):
+        computed_state(np.diag([0.5, 0.5 - 1e-11]), "phi_t", 3)
+    assert computed_state(np.diag([0.25, 0.75]), "phi_t", 3).dim == 2
 
 
 def test_cli_exit_3_on_strict_math_failure(tmp_path):
