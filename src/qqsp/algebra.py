@@ -33,6 +33,7 @@ from .linalg import (
     supermatrix_tensor,
     swap_matrix,
     trace_norm,
+    unit_tensor,
     unit_tensor_matrix,
 )
 
@@ -221,13 +222,28 @@ def flip_conjugate(z) -> AlgebraElement:
     n = int(round(np.sqrt(d)))
     if n * n != d:
         raise ValueError(f"flip needs a matrix on M_n (x) M_n, got side {d}")
-    w = swap_matrix(n)
+    # W m W with W the swap: exchange the factors of the row and the column index
+    flipped = m.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(d, d)
     kind = z.algebra_kind if isinstance(z, AlgebraElement) else "full"
-    return AlgebraElement(w @ m @ w, kind)
+    return AlgebraElement(flipped, kind)
+
+
+def flip_after(m: SuperMap) -> SuperMap:
+    """U m for a map m into M_n (x) M_n, U(x (x) y) = y (x) x.
+
+    A permutation of the rows, exact and without a product: in the tensor
+    view each output index splits as (a, b) and U exchanges a and b.
+    """
+    n = int(round(np.sqrt(m.out_dim)))
+    if n * n != m.out_dim:
+        raise ValueError("the flip needs a map into a doubled algebra")
+    t = unit_tensor(m.matrix, m.in_dim, m.out_dim).reshape(n, n, n, n, m.in_dim, m.in_dim)
+    t = t.transpose(1, 0, 3, 2, 4, 5).reshape(m.out_dim, m.out_dim, m.in_dim, m.in_dim)
+    return SuperMap(m.in_dim, m.out_dim, unit_tensor_matrix(t))
 
 
 def flip_supermap(n: int) -> SuperMap:
-    """The flip as a superoperator on M_{n^2}."""
+    """The flip as a superoperator on M_{n^2}; :func:`flip_after` applies it."""
     w = swap_matrix(n)
     return SuperMap(n * n, n * n, np.kron(w, w))
 
@@ -312,11 +328,7 @@ def certify_unital_cp(m: SuperMap,
 
 def flip_symmetry_residual(m: SuperMap) -> float:
     """Operator-norm residual of U Phi = Phi for a map into M_n (x) M_n."""
-    n = int(round(np.sqrt(m.out_dim)))
-    if n * n != m.out_dim:
-        raise ValueError("flip symmetry needs a map into a doubled algebra")
-    f = flip_supermap(n)
-    return operator_norm(f.matrix @ m.matrix - m.matrix)
+    return operator_norm(flip_after(m).matrix - m.matrix)
 
 
 def trace_norm_distance(phi: State, psi: State) -> float:

@@ -123,5 +123,17 @@ def operator_norm(a: Array) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex), ord=2))
 
 
+def product_norm(x: Array, y: Array) -> float:
+    """operator_norm(x @ y) without forming the product.
+
+    With thin QRs x = Q_x R_x and y^dagger = Q_y R_y, x y = Q_x R_x R_y^dagger Q_y^dagger
+    and both Q factors are isometries, so ||x y|| = ||R_x R_y^dagger||: for a
+    tall x and a wide y the norm is taken on their small inner dimension.
+    """
+    r_x = np.linalg.qr(np.asarray(x, dtype=complex), mode="r")
+    r_y = np.linalg.qr(dagger(y), mode="r")
+    return operator_norm(r_x @ dagger(r_y))
+
+
 def hermiticity_defect(a: Array) -> float:
     return float(np.linalg.norm(a - dagger(a)))

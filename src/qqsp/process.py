@@ -123,6 +123,13 @@ class Family:
     marginals on M (x) M (see :mod:`qqsp.marginal`). ``expectations``
     holds E_{omega_t} for every t of ``omegas``; it is built here unless
     the caller already has it.
+
+    A ``factored`` family stores in ``maps`` the core C^{s,t} (M -> M (x) M)
+    of F^{s,t} = C^{s,t} E_{omega_t}; :meth:`map` forms the dense product
+    only on demand. Residual sweeps work on the cores: E E^dagger =
+    ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X||
+    (:meth:`trailing_norm`). Any other family has the trivial trailing
+    factor, so the same sweeps read its maps as they are.
     """
 
     kind: str
@@ -134,13 +141,17 @@ class Family:
     companion_q: "Family | None" = None
     expectations: tuple[SuperMap, ...] | None = field(default=None, repr=False,
                                                       compare=False)
+    factored: bool = False
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "P" and self.process_type not in ("A", "B"):
             raise ValueError(f"a process needs type 'A' or 'B', got {self.process_type!r}")
-        in_dim = self.n if self.kind in ("P", "Q") else self.n * self.n
+        if self.factored and (self.kind in ("P", "Q") or self.omegas is None):
+            raise ValueError(f"a factored family is a doubled marginal with a trajectory, "
+                             f"got kind {self.kind!r}")
+        in_dim = self.n if self.kind in ("P", "Q") or self.factored else self.n * self.n
         for key, m in self.maps.items():
             if m.in_dim != in_dim or m.out_dim != self.side:
                 raise ValueError(f"map {key} has dims ({m.in_dim}, {m.out_dim}), "
@@ -158,8 +169,25 @@ class Family:
     def horizon(self) -> int:
         return max(t for (_, t) in self.maps)
 
-    def map(self, s: int, t: int) -> SuperMap:
+    def core(self, s: int, t: int) -> SuperMap:
+        """C^{s,t}: the stored map, F^{s,t} itself unless the family is factored."""
         return self.maps[(s, t)]
+
+    def map(self, s: int, t: int) -> SuperMap:
+        """The dense F^{s,t}; for a factored family a product built on every call."""
+        return self.times_trailing(self.maps[(s, t)], t)
+
+    def times_trailing(self, m: SuperMap, t: int) -> SuperMap:
+        """m followed by the trailing factor of F^{., t}: m E_{omega_t}, or m."""
+        return m @ self.expectations[t] if self.factored else m
+
+    def trailing_times(self, t: int, m: SuperMap) -> SuperMap:
+        """The trailing factor of F^{., t} after m: E_{omega_t} m, or m."""
+        return self.expectations[t] @ m if self.factored else m
+
+    def trailing_norm(self, t: int) -> float:
+        """||X T_t|| / ||X|| for the trailing factor T_t: ||rho_t||_F, or 1."""
+        return float(np.linalg.norm(self.omegas[t].rho)) if self.factored else 1.0
 
     def omega(self, t: int) -> State:
         return self.omegas[t]
@@ -249,19 +277,31 @@ class ResidualTable:
 
 
 def split_residuals(family: Family, compose, label: str) -> ResidualTable:
-    """||F^{s,t} - compose(s, tau, t)|| at every split whose two factors are stored."""
+    """||F^{s,t} - compose(s, tau, t) T_t|| at every split whose two factors are stored.
+
+    ``compose`` gives the core of the split product; T_t is the family's
+    trailing factor, so the norm is taken on the cores (:class:`Family`).
+    """
     entries = {}
     for s, tau, t in triples(family.horizon):
         if (s, tau) in family.maps and (tau, t) in family.maps:
-            comp = compose(s, tau, t)
-            entries[(s, tau, t)] = operator_norm(family.map(s, t).matrix - comp.matrix)
+            gap = family.core(s, t).matrix - compose(s, tau, t).matrix
+            entries[(s, tau, t)] = family.trailing_norm(t) * operator_norm(gap)
     return ResidualTable(entries, label)
 
 
-def pair_residuals(family: Family, lhs, rhs, label: str) -> ResidualTable:
-    """||lhs(s, t) - rhs(s, t)|| at every stored pair (s, t) of ``family``."""
-    return ResidualTable({(s, t): operator_norm(lhs(s, t).matrix - rhs(s, t).matrix)
-                          for (s, t) in family.pairs()}, label)
+def pair_residuals(family: Family, lhs, rhs, label: str,
+                   trailing: Family | None = None) -> ResidualTable:
+    """||(lhs(s, t) - rhs(s, t)) T_t|| at every stored pair (s, t) of ``family``.
+
+    T_t is the trailing factor of ``trailing`` (none by default), applied
+    through :meth:`Family.trailing_norm`.
+    """
+    def norm(s, t):
+        gap = operator_norm(lhs(s, t).matrix - rhs(s, t).matrix)
+        return gap if trailing is None else trailing.trailing_norm(t) * gap
+
+    return ResidualTable({(s, t): norm(s, t) for (s, t) in family.pairs()}, label)
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:

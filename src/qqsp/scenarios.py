@@ -124,6 +124,10 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     name = _require(data, "name", "scenario")
+    # the name is the stem of every report file, so it must not leave --out-dir
+    if not isinstance(name, str) or not name or any(bad in name for bad in ("/", "\\", "..")):
+        raise ScenarioError(f"scenario.name: expected a plain file stem (no path separator "
+                            f"or '..'), got {name!r}")
     algebra = _require(data, "algebra", name)
     kind = _require(algebra, "kind", f"{name}.algebra")
     dim = _require(algebra, "dim", f"{name}.algebra")
@@ -162,6 +166,10 @@ def parse_scenario(data: dict) -> Scenario:
             for v in tolerances.values()):
         raise ScenarioError(f"{name}.tolerances: expected an object of numbers, "
                             f"got {tolerances!r}")
+    for key in tolerances:
+        if key not in DEFAULT_TOLERANCES:
+            raise ScenarioError(f"{name}.tolerances: unknown key {key!r} "
+                                f"(expected one of {', '.join(DEFAULT_TOLERANCES)})")
     sc = Scenario(
         name=name, algebra_kind=kind, dim=dim, process_type=ptype,
         horizon=horizon, seed_spec=_require(data, "seed", name),

@@ -13,8 +13,10 @@ from qqsp.algebra import (
     embed_averaged_supermap,
     embed_supermap,
     expectation_supermap,
+    flip_after,
     flip_conjugate,
     flip_supermap,
+    flip_symmetry_residual,
     predual,
     supermap_tensor,
     tensor,
@@ -23,7 +25,9 @@ from qqsp.algebra import (
 from qqsp.linalg import (
     choi_matrix,
     matrix_unit,
+    operator_norm,
     predual_matrix,
+    product_norm,
     supermatrix_from_function,
     supermatrix_tensor,
     swap_matrix,
@@ -340,6 +344,35 @@ def test_flip_supermap_matches_elementwise(rng):
     f = flip_supermap(2)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert np.abs(f(z) - flip_conjugate(AlgebraElement(z)).entries).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, in_dim", [(2, 2), (2, 4), (3, 3)])
+def test_flip_by_row_permutation_is_exact(rng, n, in_dim):
+    # flip_after permutes rows; multiplying by the 0/1 flip_supermap gives the same bits
+    m = random_supermap(rng, in_dim, n * n)
+    want = flip_supermap(n).matrix @ m.matrix
+    assert np.array_equal(flip_after(m).matrix, want)
+    z = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    w = swap_matrix(n)
+    assert np.array_equal(flip_conjugate(AlgebraElement(z)).entries, w @ z @ w)
+    assert flip_symmetry_residual(m) == operator_norm(want - m.matrix)
+
+
+@pytest.mark.parametrize("x_shape, y_shape, rank", [
+    ((16, 4), (4, 16), None),     # tall core times a wide expectation
+    ((81, 9), (9, 81), 3),        # rank-deficient factors
+    ((5, 7), (7, 3), None),       # more columns than rows
+    ((1, 1), (1, 1), None),
+])
+def test_product_norm_matches_the_dense_product(rng, x_shape, y_shape, rank):
+    x = rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)
+    y = rng.normal(size=y_shape) + 1j * rng.normal(size=y_shape)
+    if rank is not None:
+        x[:, rank:] = x[:, :rank] @ rng.normal(size=(rank, x_shape[1] - rank))
+        y[rank:] = rng.normal(size=(y_shape[0] - rank, rank)) @ y[:rank]
+    want = operator_norm(x @ y)
+    assert abs(product_norm(x, y) - want) <= 1e-13 * max(1.0, want)
+    assert product_norm(x, np.zeros(y_shape)) == 0.0
 
 
 def test_supermap_shape_validation():

@@ -1,13 +1,19 @@
 """Marginal families, their composition laws, axioms, and reconstruction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qqsp.algebra import (
     State,
     SuperMap,
+    embed_averaged_supermap,
+    embed_supermap,
     expectation_supermap,
+    flip_supermap,
     predual,
+    supermap_tensor,
     trace_norm_distance,
 )
 from qqsp.linalg import matrix_unit, operator_norm
@@ -23,11 +29,13 @@ from qqsp.marginal import (
     state_consistency_residual,
     verify_marginal_axioms,
 )
-from qqsp.process import Family, ValidationFailure, kc_consistency, propagate
+from qqsp.process import Family, QQSPSeed, ValidationFailure, kc_consistency, propagate, triples
+from qqsp.scenarios import parse_scenario, run_scenario
 from qqsp.seeds import (
     make_constant_seed,
     make_entangling_seed,
     make_mixed_seed,
+    mixed_step_map,
     symmetrized_embedding,
 )
 
@@ -177,7 +185,7 @@ def test_type_b_contrast(entangling_lattice):
 
 def test_h_native_requires_companion(entangling_lattice):
     h = build_h(entangling_lattice)
-    orphan = Family("h", h.n, dict(h.maps), h.omegas, algebra_kind=h.algebra_kind)
+    orphan = replace(h, companion_q=None)
     with pytest.raises(ValueError):
         check_markov(orphan)
 
@@ -317,3 +325,128 @@ def test_family_dimension_guard():
     with pytest.raises(ValueError, match="type"):
         Family("P", 2, {(0, 1): symmetrized_embedding(2)})
     assert Family("P", 2, {(0, 1): symmetrized_embedding(2)}, process_type="B").side == 4
+
+
+# ------------------------------------------- factored doubled marginals
+
+def _dense(family):
+    """F^{s,t} = C^{s,t} E_{omega_t} multiplied out, as an independent reference."""
+    es = family.expectations
+    return {(s, t): family.core(s, t).matrix @ es[t].matrix for (s, t) in family.pairs()}
+
+
+def _assert_table(table, want):
+    assert set(table.entries) == set(want)
+    for key, value in want.items():
+        assert abs(table.entries[key] - value) <= 1e-14, (table.label, key)
+
+
+def _mixed_lattice(n, ptype):
+    weights = np.arange(n, 0, -1) / (n * (n + 1) / 2)
+    return propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.from_weights(weights),
+                                              4, ptype))
+
+
+def _fixed_lattice():
+    # not Kolmogorov-Chapman consistent, so the Markov residuals are of order one
+    omega = State.from_weights([0.7, 0.3])
+    return Family("P", 2, {(s, t): symmetrized_embedding(2)
+                           for s in range(4) for t in range(s + 1, 5)},
+                  omegas=(omega,) * 5, process_type="A")
+
+
+@pytest.mark.parametrize("make_lattice, foreign_q", [
+    (lambda: _mixed_lattice(2, "A"), False),
+    (lambda: _mixed_lattice(2, "B"), False),
+    (lambda: _mixed_lattice(3, "A"), False),
+    (lambda: _mixed_lattice(3, "B"), False),
+    (lambda: propagate(make_entangling_seed(4, "B")), False),   # plain law of h fails
+    (_fixed_lattice, True),     # with the Q of another lattice, exchange and intertwining fail
+], ids=["mixed-n2-A", "mixed-n2-B", "mixed-n3-A", "mixed-n3-B", "entangling-n2-B",
+        "fixed-n2-A-foreign-Q"])
+def test_factored_residuals_match_dense_reference(make_lattice, foreign_q):
+    lat = make_lattice()
+    n, ptype, es = lat.n, lat.process_type, lat.expectations
+    q = build_Q(propagate(make_constant_seed(n, lat.horizon)) if foreign_q else lat)
+    h = build_H(lat) if ptype == "A" else build_h(lat)
+    z = (build_Z if ptype == "A" else build_z)(h)
+    dense_h, dense_z = _dense(h), _dense(z)
+    for fam, dense in ((h, dense_h), (z, dense_z)):
+        assert fam.factored
+        for key in fam.pairs():
+            assert np.array_equal(fam.map(*key).matrix, dense[key])
+    assert all(h.core(*key) is lat.map(*key) for key in lat.pairs())
+
+    def markov(dense):
+        return {(s, tau, t): operator_norm(dense[(s, t)] - dense[(s, tau)] @ dense[(tau, t)])
+                for s, tau, t in triples(lat.horizon)}
+
+    _assert_table(check_markov(z), markov(dense_z))
+    if ptype == "A":
+        _assert_table(check_markov(h), markov(dense_h))
+    else:
+        _assert_table(check_markov(h, law="plain"), markov(dense_h))
+        doubled = {}
+        for s, tau, t in triples(lat.horizon):
+            qq = supermap_tensor(q.map(s, tau), q.map(s, tau)).matrix
+            doubled[(s, tau, t)] = operator_norm(dense_h[(s, t)] - qq @ dense_h[(tau, t)])
+        _assert_table(check_markov(h), doubled)
+
+    rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
+    rep = verify_marginal_axioms(q, h, rebuilt)
+    e_psi = rebuilt.expectations
+    e_phi = [expectation_supermap(State(predual(q.map(0, t))(lat.omega(0).rho)))
+             for t in range(1, lat.horizon + 1)]
+    flip, emb = flip_supermap(n).matrix, embed_supermap(n).matrix
+    _assert_table(rep.flip, {k: operator_norm(flip @ f - f) for k, f in dense_h.items()})
+    _assert_table(rep.exchange, {
+        (s, t): operator_norm(e_psi[s].matrix @ f - q.map(s, t).matrix @ e_phi[t - 1].matrix)
+        for (s, t), f in dense_h.items()})
+    _assert_table(rep.absorption, {(s, t): operator_norm(f - f @ emb @ e_psi[t].matrix)
+                                   for (s, t), f in dense_h.items()})
+
+    emb_avg = embed_averaged_supermap(n).matrix
+    consts = [SuperMap.constant(w, n * n).matrix for w in lat.omegas]
+    want = {
+        "reconstruction_slot": [operator_norm(f @ emb - lat.map(*k).matrix)
+                                for k, f in dense_h.items()],
+        "averaged_slot": [operator_norm(f @ emb_avg - consts[k[1]]) for k, f in dense_h.items()],
+        "intertwining": [operator_norm(es[k[0]].matrix @ f - q.map(*k).matrix @ es[k[1]].matrix)
+                         for k, f in dense_h.items()],
+        "z_reconstruction_slot": [operator_norm(f @ emb - emb @ q.map(*k).matrix)
+                                  for k, f in dense_z.items()],
+        "z_averaged_slot": [operator_norm(f @ emb_avg - consts[k[1]])
+                            for k, f in dense_z.items()],
+    }
+    got = slice_residuals(lat, q, h, z)
+    assert set(got) == set(want)
+    for name, values in want.items():
+        assert abs(got[name] - max(values)) <= 1e-14, name
+
+
+def test_no_residual_norm_sees_a_dense_doubled_map(monkeypatch):
+    # a strict n=3 type-A run takes every operator norm below n^4 x n^4
+    import qqsp.algebra
+    import qqsp.linalg
+    import qqsp.marginal
+    import qqsp.process
+
+    shapes = []
+    original = qqsp.linalg.operator_norm
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    for module in (qqsp.linalg, qqsp.algebra, qqsp.process, qqsp.marginal):
+        monkeypatch.setattr(module, "operator_norm", recording)
+    sc = parse_scenario({
+        "name": "mixed-n3-T4-A", "algebra": {"kind": "full", "dim": 3},
+        "process_type": "A", "horizon": 4, "mode": "strict",
+        "seed": {"builtin": "mixed"}, "initial_state": {"diag": [0.5, 0.3, 0.2]},
+        "ensemble": {"random": 2}, "sample_count": 4,
+    })
+    report = run_scenario(sc)
+    assert all(report.verdicts[k] for k in ("kc_ok", "composition_ok", "axioms_ok",
+                                            "roundtrip_ok"))
+    assert shapes and (81, 81) not in shapes

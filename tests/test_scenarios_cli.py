@@ -360,6 +360,9 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     ("ensemble", {"pairs": 5}),
     ("ensemble", {"pairs": [5]}),
     ("ensemble", {"pairs": [{"a": {"diag": 3}, "b": {"diag": [1.0, 0.0]}}]}),
+    ("tolerances", {"axoim": 1.0}),
+    ("name", "../escaped"),
+    ("name", "sub/escaped"),
 ])
 def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     # the ensemble is parsed up front even though this pipeline has no ergodic stage
@@ -369,7 +372,8 @@ def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
-    assert f"constant-n2.{field}" in capsys.readouterr().err
+    where = "scenario" if field == "name" else "constant-n2"
+    assert f"{where}.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
