@@ -3,8 +3,15 @@
 The ergodic principle asks that trace-norm distances between evolved
 state pairs vanish as t grows. At desk scale the limit is replaced by a
 finite-horizon verdict: every tracked family must push the whole pair
-ensemble below epsilon by t = T. The equivalence theorems predict the
-per-family verdicts agree; disagreement is reported, never reconciled.
+ensemble below epsilon by t = T.
+
+The ergodic relations between the marginals follow from F = C E_{omega_t}:
+H_*(rho) = omega_t (x) P_*(rho), Z_*(rho) = omega_t (x) Q_*(Tr_1 rho) and
+Q_*(sigma) = P_*(omega_s (x) sigma). :func:`decay_trace` applies them by
+taking every distance on the stored core, so H/h decays exactly as P does
+on the same pairs and Z/z as Q does on the Tr_1 images of those pairs.
+Only {P, H/h} against {Q, Z/z} can still disagree, and Q against Z/z only
+through the two different pair ensembles they see.
 """
 
 from __future__ import annotations
@@ -20,10 +27,9 @@ from .process import Family
 
 @dataclass(frozen=True)
 class DecayTrace:
-    """Distances ||map_*(rho_phi) - map_*(rho_psi)||_1 per pair and time."""
+    """Distances ||map_*(rho_phi) - map_*(rho_psi)||_1 per pair and time t = 1..T."""
 
     family_kind: str
-    s: int
     times: tuple[int, ...]
     distances: tuple[tuple[float, ...], ...]  # [pair][time]
 
@@ -41,36 +47,33 @@ class DecayTrace:
         return out
 
 
-def decay_trace(source: Family, pairs, s: int, T: int | None = None) -> DecayTrace:
-    """Distance table over t = s+1 .. T for each state pair.
+def decay_trace(source: Family, pairs) -> DecayTrace:
+    """Distance table over t = 1 .. horizon for each state pair, from s = 0.
 
-    The pairs live on the algebra the maps land in (``source.side``).
-    Monotonicity is not asserted; non-stationary processes may violate it
-    and the full table is the point of the diagnostic.
+    The pairs live on the algebra the maps land in (``source.side``). The
+    distances are taken on the stored core C^{0,t}: omega_t (x) C_* is the
+    predual of C E_{omega_t}, and omega_t drops out of the trace norm.
+    Monotonicity is not asserted; the full table is the point of the diagnostic.
     """
-    if T is None:
-        T = source.horizon
     for phi, psi in pairs:
         if phi.dim != source.side or psi.dim != source.side:
             raise ValueError(f"pair dimension {phi.dim} does not match the family "
                              f"({source.side})")
-    if T <= s:
-        raise ValueError(f"horizon {T} leaves no times after s = {s}")
-    times = tuple(range(s + 1, T + 1))
-    preduals = {t: predual(source.map(s, t)) for t in times}
+    times = tuple(range(1, source.horizon + 1))
+    preduals = {t: predual(source.core(0, t)) for t in times}
     rows = []
     for phi, psi in pairs:
         rows.append(tuple(trace_norm(preduals[t](phi.rho) - preduals[t](psi.rho))
                           for t in times))
-    return DecayTrace(source.kind, s, times, tuple(rows))
+    return DecayTrace(source.kind, times, tuple(rows))
 
 
 @dataclass(frozen=True)
 class ContractionEstimate:
     """Trace-norm contraction coefficient of Q^{s,t} on the predual.
 
-    Exact for diagonal algebras (Dobrushin coefficient of the induced
-    stochastic matrix, attained on vertex pairs). On full matrix algebras
+    Exact for diagonal algebras and for M_1 (Dobrushin coefficient of the
+    induced stochastic matrix, attained on vertex pairs). On full matrix algebras
     the supremum is sampled over orthonormal pure pairs and reported as a
     lower bound; basis-aligned pairs are always included.
     """
@@ -104,7 +107,8 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
         raise ValueError(f"no map stored at ({s}, {t})")
     if q_family.kind != "Q":
         raise ValueError("contraction coefficients are measured on the Q family")
-    if q_family.algebra_kind == "diagonal":
+    # M_1 = C is diagonal too and has no orthonormal pure pair to sample
+    if q_family.algebra_kind == "diagonal" or q_family.n == 1:
         return ContractionEstimate(s, t, _dobrushin(q_family, s, t),
                                    "exact-classical", 0)
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -202,7 +206,7 @@ def ergodic_verdict(lattice: Family, families: dict,
     for kind in sorted(sources):
         src = sources[kind]
         pairs = pairs_single if src.side == lattice.n else pairs_double
-        tr = decay_trace(src, pairs, 0, T)
+        tr = decay_trace(src, pairs)
         ratios = tr.step_ratios()
         traces[kind] = tr
         verdicts[kind] = FamilyVerdict(kind, tr.final_max,

@@ -24,6 +24,7 @@ slot state the same identities with the tensor factors exchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,9 +125,15 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
     if doubled and family.companion_q is None:
         raise ValueError("h family needs its companion Q to check the doubled law")
     if doubled:
-        def compose(s, tau, t):
+        # Q^{s,tau} (x) Q^{s,tau} is built once per pair (s, tau); the sweep visits the
+        # triples pair by pair, so one n^4 x n^4 product is held at a time
+        @lru_cache(maxsize=1)
+        def outer(s, tau):
             q = family.companion_q.map(s, tau)
-            return supermap_tensor(q, q) @ family.core(tau, t)
+            return supermap_tensor(q, q)
+
+        def compose(s, tau, t):
+            return outer(s, tau) @ family.core(tau, t)
     else:
         # where F^{s,tau} meets F^{tau,t}: T_tau C^{tau,t}, once per pair
         inner = {(tau, t): family.trailing_times(tau, family.core(tau, t))

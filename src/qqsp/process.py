@@ -125,9 +125,9 @@ class Family:
     the caller already has it.
 
     A ``factored`` family stores in ``maps`` the core C^{s,t} (M -> M (x) M)
-    of F^{s,t} = C^{s,t} E_{omega_t}; :meth:`map` forms the dense product
-    only on demand. Residual sweeps work on the cores: E E^dagger =
-    ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X||
+    of F^{s,t} = C^{s,t} E_{omega_t} and never forms the n^4 x n^4 product;
+    it is read through :meth:`core`. Residual sweeps work on the cores:
+    E E^dagger = ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X||
     (:meth:`trailing_norm`). Any other family has the trivial trailing
     factor, so the same sweeps read its maps as they are.
     """
@@ -174,8 +174,10 @@ class Family:
         return self.maps[(s, t)]
 
     def map(self, s: int, t: int) -> SuperMap:
-        """The dense F^{s,t}; for a factored family a product built on every call."""
-        return self.times_trailing(self.maps[(s, t)], t)
+        """F^{s,t} of a family stored as it is; a factored family has only its core."""
+        if self.factored:
+            raise ValueError(f"factored {self.kind} stores only C^{{s,t}}; use core(s, t)")
+        return self.maps[(s, t)]
 
     def times_trailing(self, m: SuperMap, t: int) -> SuperMap:
         """m followed by the trailing factor of F^{., t}: m E_{omega_t}, or m."""
@@ -220,10 +222,10 @@ def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, e_s: SuperMap,
 
 
 def triples(horizon: int):
-    """Every admissible split s < tau < t <= horizon, in a fixed order."""
+    """Every admissible split s < tau < t <= horizon, grouped by the pair (s, tau)."""
     for s in range(horizon - 1):
-        for t in range(s + 2, horizon + 1):
-            for tau in range(s + 1, t):
+        for tau in range(s + 1, horizon):
+            for t in range(tau + 1, horizon + 1):
                 yield s, tau, t
 
 

@@ -9,6 +9,7 @@ of pipeline stages. Complex matrices appear as dense row-major lists of
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -163,8 +164,8 @@ def parse_scenario(data: dict) -> Scenario:
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in tolerances.values()):
-        raise ScenarioError(f"{name}.tolerances: expected an object of numbers, "
+            and math.isfinite(v) and v >= 0 for v in tolerances.values()):
+        raise ScenarioError(f"{name}.tolerances: expected an object of finite numbers >= 0, "
                             f"got {tolerances!r}")
     for key in tolerances:
         if key not in DEFAULT_TOLERANCES:
@@ -177,18 +178,35 @@ def parse_scenario(data: dict) -> Scenario:
         tolerances={**DEFAULT_TOLERANCES, **tolerances},
         ensemble=data.get("ensemble", {"random": 20}),
         epsilon=_number(data, "epsilon", 1e-3, float, name),
-        rng_seed=_number(data, "rng_seed", 12345, int, name),
+        rng_seed=_check_seed(_number(data, "rng_seed", 12345, int, name), f"{name}.rng_seed"),
         sample_count=_number(data, "sample_count", 200, int, name), pipeline=pipeline,
     )
     return replace(sc, resolved=_resolve_seed(sc), pair_ensemble=_parse_ensemble(sc))
 
 
+_NUMBER_RULES = {
+    "epsilon": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "sample_count": (lambda v: v >= 0, "an integer >= 0"),
+}
+
+
 def _number(data: dict, key: str, default, kind, where: str):
     value = data.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}") from exc
+    admissible, rule = _NUMBER_RULES.get(key, (lambda v: True, ""))
+    if not admissible(number):
+        raise ScenarioError(f"{where}.{key}: expected {rule}, got {value!r}")
+    return number
+
+
+def _check_seed(seed: int, where: str) -> int:
+    """A run seed, which numpy's generators take only when it is >= 0."""
+    if seed < 0:
+        raise ScenarioError(f"{where}: expected an integer >= 0, got {seed!r}")
+    return seed
 
 
 def scenario_from_file(path) -> Scenario:
@@ -319,7 +337,7 @@ def _parse_ensemble(sc: Scenario):
         raise ScenarioError(f"{sc.name}.ensemble: expected an object")
     if "random" in ens:
         count = ens["random"]
-        if not isinstance(count, int) or count < 1:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ScenarioError(f"{sc.name}.ensemble.random: expected a positive integer")
         return count, (), ()
     if "pairs" in ens:
@@ -446,7 +464,7 @@ def run_scenario(sc: Scenario, mode: str | None = None,
     if mode is not None:
         sc = replace(sc, mode=mode)
     if seed is not None:
-        sc = replace(sc, rng_seed=seed)
+        sc = replace(sc, rng_seed=_check_seed(seed, f"{sc.name}: run seed"))
     report = Report(scenario_echo=sc.to_dict(), run_seed=sc.rng_seed, mode=sc.mode)
     ctx = _PipelineState()
     qqsp_seed, ctx.classical = sc.resolved or _resolve_seed(sc)

@@ -8,6 +8,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from qqsp.algebra import SuperMap  # noqa: E402
+
 
 @pytest.fixture
 def rng():
@@ -35,3 +37,14 @@ def symmetric_stochastic_tensor(rng, N):
             p[i, j] = row
             p[j, i] = row
     return p
+
+
+def dense(family):
+    """F^{s,t} = C^{s,t} E_{omega_t} of a factored family multiplied out, per (s, t).
+
+    The library never forms these n^4 x n^4 maps; tests use them as an
+    independent reference.
+    """
+    es, side = family.expectations, family.side
+    return {(s, t): SuperMap(side, side, family.core(s, t).matrix @ es[t].matrix)
+            for (s, t) in family.pairs()}

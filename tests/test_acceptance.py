@@ -46,7 +46,7 @@ from qqsp.seeds import (
     transpose_embedding,
 )
 
-from conftest import random_density, symmetric_stochastic_tensor
+from conftest import dense, random_density, symmetric_stochastic_tensor
 
 TOL_STRUCTURAL = 1e-10
 TOL_MARKOV = 1e-9
@@ -89,8 +89,9 @@ def test_criterion_1_structural_identities(rng):
                 assert np.abs(got - want).max() <= TOL_STRUCTURAL
 
     one2, one4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+    dense_h, dense_z = dense(h), dense(z)
     for (s, t) in lat.pairs():
-        pm, hm, qm, zm = lat.map(s, t), h.map(s, t), q.map(s, t), z.map(s, t)
+        pm, hm, qm, zm = lat.map(s, t), dense_h[(s, t)], q.map(s, t), dense_z[(s, t)]
         # flip symmetry and unital complete positivity of every P^{s,t}
         assert flip_symmetry_residual(pm) <= TOL_STRUCTURAL
         rep = certify_unital_cp(pm)

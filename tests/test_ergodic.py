@@ -12,13 +12,16 @@ from qqsp.ergodic import (
     ergodic_verdict,
     state_pair_ensemble,
 )
+from qqsp.linalg import ptrace_first
 from qqsp.marginal import build_H, build_Q, build_Z, build_h, build_z
-from qqsp.process import propagate
+from qqsp.process import QQSPSeed, propagate
+from qqsp.scenarios import parse_scenario, run_scenario
 from qqsp.seeds import (
     make_constant_seed,
     make_entangling_seed,
     make_identity_like_seed,
     make_mixed_seed,
+    mixed_step_map,
 )
 
 
@@ -53,7 +56,7 @@ def build_families(lattice):
 def test_constant_lattice_distances_vanish(rng):
     lat = propagate(make_constant_seed(2, 5))
     pairs = state_pair_ensemble(4, 5, rng)
-    trace = decay_trace(lat, pairs, 0)
+    trace = decay_trace(lat, pairs)
     assert trace.family_kind == "P"
     for row in trace.distances:
         assert max(row) <= 1e-13
@@ -63,7 +66,7 @@ def test_identity_channel_distances_constant(rng):
     lat = propagate(make_identity_like_seed(6), strict=False)
     q = build_Q(lat)
     pairs = state_pair_ensemble(2, 5, rng, diagonal=True)
-    trace = decay_trace(q, pairs, 0)
+    trace = decay_trace(q, pairs)
     for (phi, psi), row in zip(pairs, trace.distances):
         d0 = trace_norm_distance(phi, psi)
         for d in row:
@@ -76,7 +79,7 @@ def test_volterra_decay_matches_classical_oracle():
     lat = propagate(lift_to_quantum(q))
     qfam = build_Q(lat)
     d1, d2 = State.from_weights([1.0, 0.0]), State.from_weights([0.0, 1.0])
-    trace = decay_trace(qfam, [(d1, d2)], 0)
+    trace = decay_trace(qfam, [(d1, d2)])
     for idx, t in enumerate(trace.times):
         chain = classical_marginal_chain(filled, 0, t)
         l1 = np.abs(np.array([1.0, 0.0]) @ chain - np.array([0.0, 1.0]) @ chain).sum()
@@ -87,7 +90,7 @@ def test_distances_stay_in_range(rng):
     for seed in (make_mixed_seed(5, "A"), make_entangling_seed(5, "B")):
         lat = propagate(seed)
         pairs = state_pair_ensemble(4, 6, rng)
-        for row in decay_trace(lat, pairs, 0).distances:
+        for row in decay_trace(lat, pairs).distances:
             assert all(0.0 <= d <= 2.0 + 1e-12 for d in row)
 
 
@@ -97,12 +100,12 @@ def test_decay_trace_dimension_guard(rng):
     pairs_n = [(State.maximally_mixed(2), State.maximally_mixed(2))]
     pairs_n2 = [(State.maximally_mixed(4), State.maximally_mixed(4))]
     with pytest.raises(ValueError):
-        decay_trace(lat, pairs_n, 0)
-    assert decay_trace(lat, pairs_n2, 0).family_kind == "P"
+        decay_trace(lat, pairs_n)
+    assert decay_trace(lat, pairs_n2).family_kind == "P"
     q = build_Q(lat)
     with pytest.raises(ValueError):
-        decay_trace(q, pairs_n2, 0)
-    assert decay_trace(q, pairs_n, 0).family_kind == "Q"
+        decay_trace(q, pairs_n2)
+    assert decay_trace(q, pairs_n).family_kind == "Q"
 
 
 # ------------------------------------------------------------- contraction
@@ -206,15 +209,59 @@ def test_mixed_verdict_true_with_ratio_bound():
         assert v.max_step_ratio <= lam + 0.05
 
 
-def test_h_distances_equal_p_distances(rng):
-    # the omega_t factor cancels in trace norm, so H and P decay identically
-    lat = propagate(make_mixed_seed(6, "A"))
-    pairs = state_pair_ensemble(4, 8, rng)
-    tp = decay_trace(lat, pairs, 0)
-    th = decay_trace(build_H(lat), pairs, 0)
-    for rp, rh in zip(tp.distances, th.distances):
-        for a, b in zip(rp, rh):
-            assert abs(a - b) <= 1e-10
+def test_h_distances_equal_p_distances():
+    # H_*(rho) = omega_t (x) P_*(rho) and the omega_t factor drops out of the
+    # trace norm, so the verdict takes H/h's trace on P's own maps: equal bits
+    for seed in (make_mixed_seed(6, "A"), make_mixed_seed(6, "B"),
+                 make_entangling_seed(6, "B")):
+        lat = propagate(seed)
+        rep = ergodic_verdict(lat, build_families(lat), ErgodicConfig(pair_count=8))
+        doubled = "H" if lat.process_type == "A" else "h"
+        assert rep.traces[doubled].distances == rep.traces["P"].distances
+        assert rep.verdicts[doubled].ergodic == rep.verdicts["P"].ergodic
+
+
+@pytest.mark.parametrize("n, ptype", [(2, "A"), (2, "B"), (3, "A"), (3, "B")])
+def test_z_distances_are_q_distances_on_reduced_pairs(n, ptype, rng):
+    # Z_*(rho) = omega_t (x) Q_*(Tr_1 rho): Z/z decays as Q does on the Tr_1 images
+    weights = np.arange(n, 0, -1) / (n * (n + 1) / 2)
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.from_weights(weights),
+                                             4, ptype))
+    families = build_families(lat)
+    z = families["Z" if ptype == "A" else "z"]
+    pairs = state_pair_ensemble(n * n, 6, rng)
+    reduced = [(State(ptrace_first(phi.rho, n, n)), State(ptrace_first(psi.rho, n, n)))
+               for phi, psi in pairs]
+    tz = decay_trace(z, pairs)
+    tq = decay_trace(families["Q"], reduced)
+    assert tz.times == tq.times
+    for rz, rq in zip(tz.distances, tq.distances):
+        assert max(abs(a - b) for a, b in zip(rz, rq)) <= 1e-15
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_no_decay_trace_sees_a_dense_doubled_map(monkeypatch, ptype):
+    # every predual the ergodic stage takes is of a stored map, at most n^4 x n^2
+    import qqsp.ergodic
+
+    shapes = []
+    original = qqsp.ergodic.predual
+
+    def recording(m):
+        shapes.append(m.matrix.shape)
+        return original(m)
+
+    monkeypatch.setattr(qqsp.ergodic, "predual", recording)
+    sc = parse_scenario({
+        "name": f"mixed-n3-T4-{ptype}", "algebra": {"kind": "full", "dim": 3},
+        "process_type": ptype, "horizon": 4, "mode": "strict",
+        "seed": {"builtin": "mixed"}, "initial_state": {"diag": [0.5, 0.3, 0.2]},
+        "ensemble": {"random": 2}, "sample_count": 4,
+    })
+    report = run_scenario(sc)
+    assert report.verdicts["verdicts_agree"]
+    assert shapes and (81, 81) not in shapes
+    assert set(shapes) == {(81, 9), (9, 9)}
 
 
 def test_verdict_coherence_across_builtin_classes():

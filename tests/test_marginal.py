@@ -16,7 +16,7 @@ from qqsp.algebra import (
     supermap_tensor,
     trace_norm_distance,
 )
-from qqsp.linalg import matrix_unit, operator_norm
+from qqsp.linalg import matrix_unit, operator_norm, ptrace_first
 from qqsp.marginal import (
     build_H,
     build_Q,
@@ -39,7 +39,7 @@ from qqsp.seeds import (
     symmetrized_embedding,
 )
 
-from conftest import random_density
+from conftest import dense, random_density
 
 BASIS2 = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
 
@@ -88,37 +88,37 @@ def test_q_matches_composition_oracle(mixed_lattice):
 
 def test_h_reconstruction_slot_identity(mixed_lattice):
     # the embedding the expectation leaves alone recovers the lattice map
-    h = build_H(mixed_lattice)
-    for (s, t) in h.pairs():
+    h = dense(build_H(mixed_lattice))
+    for (s, t), hm in h.items():
         for x in BASIS2:
-            got = h.map(s, t)(np.kron(np.eye(2), x))
+            got = hm(np.kron(np.eye(2), x))
             assert np.abs(got - mixed_lattice.map(s, t)(x)).max() <= 1e-12
 
 
 def test_h_averaged_slot_identity(mixed_lattice):
-    h = build_H(mixed_lattice)
-    for (s, t) in h.pairs():
+    h = dense(build_H(mixed_lattice))
+    for (s, t), hm in h.items():
         for x in BASIS2:
-            got = h.map(s, t)(np.kron(x, np.eye(2)))
+            got = hm(np.kron(x, np.eye(2)))
             want = mixed_lattice.omega(t).expect(x) * np.eye(4)
             assert np.abs(got - want).max() <= 1e-12
 
 
 def test_h_constant_lattice_products(constant_lattice, rng):
-    h = build_H(constant_lattice)
+    h = dense(build_H(constant_lattice))
     omega = State.maximally_mixed(2)
     for _ in range(5):
         a, b = random_density(rng, 2), random_density(rng, 2)
-        got = h.map(0, 2)(np.kron(a, b))
+        got = h[(0, 2)](np.kron(a, b))
         want = omega.expect(a) * omega.expect(b) * np.eye(4)
         assert np.abs(got - want).max() <= 1e-12
 
 
 def test_h_typeB_reconstruction_slot(entangling_lattice):
-    h = build_h(entangling_lattice)
-    for (s, t) in h.pairs():
+    h = dense(build_h(entangling_lattice))
+    for (s, t), hm in h.items():
         for x in BASIS2:
-            got = h.map(s, t)(np.kron(np.eye(2), x))
+            got = hm(np.kron(np.eye(2), x))
             assert np.abs(got - entangling_lattice.map(s, t)(x)).max() <= 1e-12
 
 
@@ -136,13 +136,13 @@ def test_build_kind_guards(mixed_lattice, entangling_lattice):
 def test_z_slice_identities(mixed_lattice):
     h = build_H(mixed_lattice)
     q = build_Q(mixed_lattice)
-    z = build_Z(h)
-    for (s, t) in z.pairs():
+    z = dense(build_Z(h))
+    for (s, t), zm in z.items():
         for x in BASIS2:
-            got = z.map(s, t)(np.kron(np.eye(2), x))
+            got = zm(np.kron(np.eye(2), x))
             want = np.kron(np.eye(2), q.map(s, t)(x))
             assert np.abs(got - want).max() <= 1e-12
-            got2 = z.map(s, t)(np.kron(x, np.eye(2)))
+            got2 = zm(np.kron(x, np.eye(2)))
             want2 = mixed_lattice.omega(t).expect(x) * np.eye(4)
             assert np.abs(got2 - want2).max() <= 1e-12
 
@@ -288,29 +288,38 @@ def test_state_consistency_also_type_a(mixed_lattice):
 
 # -------------------------------------------------- predual factorization
 
-def test_predual_factorization_h(mixed_lattice, rng):
-    # H_*(rho) = rho_{omega_t} (x) P_*(rho) for states on the doubled algebra
-    h = build_H(mixed_lattice)
-    for (s, t) in [(0, 1), (0, 3), (1, 4), (2, 5)]:
-        for _ in range(3):
-            rho = random_density(rng, 4)
-            lhs = predual(h.map(s, t))(rho)
-            rhs = np.kron(mixed_lattice.omega(t).rho,
-                          predual(mixed_lattice.map(s, t))(rho))
-            assert np.abs(lhs - rhs).max() <= 1e-10
+def _relation_lattices():
+    # n in {2, 3}, both types, and the n=2 type-B lattice whose h is not Markov
+    return [_mixed_lattice(2, "A"), _mixed_lattice(2, "B"), _mixed_lattice(3, "A"),
+            _mixed_lattice(3, "B"), propagate(make_entangling_seed(4, "B"))]
 
 
-def test_predual_factorization_z(mixed_lattice, rng):
-    # Z_*(sigma (x) psi) = rho_{omega_t} (x) P_*(rho_{omega_s} (x) psi)
-    z = build_Z(build_H(mixed_lattice))
-    for (s, t) in [(0, 2), (1, 3)]:
-        for _ in range(3):
-            sigma, psi = random_density(rng, 2), random_density(rng, 2)
-            lhs = predual(z.map(s, t))(np.kron(sigma, psi))
-            rhs = np.kron(mixed_lattice.omega(t).rho,
-                          predual(mixed_lattice.map(s, t))(
-                              np.kron(mixed_lattice.omega(s).rho, psi)))
-            assert np.abs(lhs - rhs).max() <= 1e-10
+def test_predual_factorization_h(rng):
+    # H_*(rho) = h_*(rho) = rho_{omega_t} (x) P_*(rho) for states on the doubled algebra
+    for lat in _relation_lattices():
+        n = lat.n
+        h = dense(build_H(lat) if lat.process_type == "A" else build_h(lat))
+        for (s, t), hm in h.items():
+            rho = random_density(rng, n * n)
+            rhs = np.kron(lat.omega(t).rho, predual(lat.map(s, t))(rho))
+            assert np.abs(predual(hm)(rho) - rhs).max() <= 1e-12
+
+
+def test_predual_factorization_z(rng):
+    # Z_*(rho) = z_*(rho) = rho_{omega_t} (x) Q_*(Tr_1 rho), and
+    # Q_*(sigma) = P_*(rho_{omega_s} (x) sigma)
+    for lat in _relation_lattices():
+        n = lat.n
+        q = build_Q(lat)
+        z = dense((build_Z(build_H(lat)) if lat.process_type == "A"
+                   else build_z(build_h(lat))))
+        for (s, t), zm in z.items():
+            rho, sigma = random_density(rng, n * n), random_density(rng, n)
+            q_dual = predual(q.map(s, t))
+            rhs = np.kron(lat.omega(t).rho, q_dual(ptrace_first(rho, n, n)))
+            assert np.abs(predual(zm)(rho) - rhs).max() <= 1e-12
+            p_dual = predual(lat.map(s, t))(np.kron(lat.omega(s).rho, sigma))
+            assert np.abs(q_dual(sigma) - p_dual).max() <= 1e-12
 
 
 def test_family_dimension_guard():
@@ -328,12 +337,6 @@ def test_family_dimension_guard():
 
 
 # ------------------------------------------- factored doubled marginals
-
-def _dense(family):
-    """F^{s,t} = C^{s,t} E_{omega_t} multiplied out, as an independent reference."""
-    es = family.expectations
-    return {(s, t): family.core(s, t).matrix @ es[t].matrix for (s, t) in family.pairs()}
-
 
 def _assert_table(table, want):
     assert set(table.entries) == set(want)
@@ -370,11 +373,12 @@ def test_factored_residuals_match_dense_reference(make_lattice, foreign_q):
     q = build_Q(propagate(make_constant_seed(n, lat.horizon)) if foreign_q else lat)
     h = build_H(lat) if ptype == "A" else build_h(lat)
     z = (build_Z if ptype == "A" else build_z)(h)
-    dense_h, dense_z = _dense(h), _dense(z)
-    for fam, dense in ((h, dense_h), (z, dense_z)):
+    dense_h = {k: m.matrix for k, m in dense(h).items()}
+    dense_z = {k: m.matrix for k, m in dense(z).items()}
+    for fam in (h, z):
         assert fam.factored
-        for key in fam.pairs():
-            assert np.array_equal(fam.map(*key).matrix, dense[key])
+        with pytest.raises(ValueError, match="core"):
+            fam.map(0, 1)
     assert all(h.core(*key) is lat.map(*key) for key in lat.pairs())
 
     def markov(dense):

@@ -34,7 +34,7 @@ from qqsp.seeds import (
     unsymmetrized_embedding,
 )
 
-from conftest import random_density
+from conftest import dense, random_density
 
 
 # ---------------------------------------------------------------- oracles
@@ -255,9 +255,9 @@ def test_theorem_a_composition_for_type_a():
     # P^{s,t} = H^{s,tau} P^{tau,t} whenever the lattice is KC consistent
     lat = propagate(make_mixed_seed(5, "A"))
     assert kc_consistency(lat).max_residual <= 1e-10
-    h = build_H(lat)
+    h = dense(build_H(lat))
     for (s, tau, t) in [(0, 1, 2), (0, 2, 4), (1, 3, 5), (2, 3, 5)]:
-        lhs = (h.map(s, tau) @ lat.map(tau, t)).matrix
+        lhs = (h[(s, tau)] @ lat.map(tau, t)).matrix
         assert operator_norm(lhs - lat.map(s, t).matrix) <= 1e-10
 
 

@@ -363,6 +363,14 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     ("tolerances", {"axoim": 1.0}),
     ("name", "../escaped"),
     ("name", "sub/escaped"),
+    ("tolerances", {"axiom": -1}),
+    ("tolerances", {"kc": float("inf")}),
+    ("epsilon", -1),
+    ("epsilon", "nan"),
+    ("epsilon", float("nan")),
+    ("sample_count", -5),
+    ("rng_seed", -1),
+    ("ensemble", {"random": True}),
 ])
 def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     # the ensemble is parsed up front even though this pipeline has no ergodic stage
@@ -375,6 +383,27 @@ def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     where = "scenario" if field == "name" else "constant-n2"
     assert f"{where}.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_exit_2_on_negative_seed_flag(tmp_path, capsys):
+    assert main(["run", "constant-n2", "--seed", "-5", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "run seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_runs_a_one_dimensional_full_algebra(tmp_path):
+    # M_1 has no orthonormal pure pair, so the contraction coefficient is exact there
+    data = {
+        "name": "mixed-n1", "algebra": {"kind": "full", "dim": 1},
+        "process_type": "A", "horizon": 3, "mode": "strict",
+        "seed": {"builtin": "mixed"}, "initial_state": {"maximally_mixed": True},
+    }
+    path = tmp_path / "n1.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "mixed-n1.report.json").read_text())
+    assert all(doc["verdicts"].values())
+    assert doc["stages"]["ergodic"]["contraction"]["lambda"] == 0.0
 
 
 def test_cli_exit_3_on_drifted_computed_state(tmp_path, capsys):
