@@ -209,6 +209,27 @@ def supermap_tensor(m1: SuperMap, m2: SuperMap) -> SuperMap:
     return SuperMap(m1.in_dim * m2.in_dim, m1.out_dim * m2.out_dim, mat)
 
 
+def doubled_after(q: SuperMap, m: SuperMap) -> SuperMap:
+    """(q (x) q) m for a map q on M_n and a map m into M_n (x) M_n, without q (x) q.
+
+    In the tensor view of m each output index splits as (a, b); q (x) q
+    acts on the two a's and on the two b's separately, so it is two
+    n^2 x n^2 mode products: n^6 k^2 MACs each instead of the n^8 k^2 of
+    the dense (q (x) q) m, for m on M_k.
+    """
+    n, k = q.in_dim, m.in_dim
+    if q.out_dim != n or m.out_dim != n * n:
+        raise ValueError("doubled_after needs q on M_n and m into M_n (x) M_n")
+    # t[a, b, c, d, i, j] = m(E_ij)[(a, b), (c, d)]; q.matrix rows and columns
+    # are column-stacked pairs, i.e. (c, a) -> c * n + a in C order
+    t = unit_tensor(m.matrix, k, n * n).reshape(n, n, n, n, k, k)
+    t = q.matrix @ t.transpose(2, 0, 1, 3, 4, 5).reshape(n * n, -1)     # [y, x, b, d, i, j]
+    t = t.reshape(n, n, n, n, k, k).transpose(3, 2, 0, 1, 4, 5).reshape(n * n, -1)
+    t = (q.matrix @ t).reshape(n, n, n, n, k, k)                         # [v, u, y, x, i, j]
+    t = t.transpose(3, 1, 2, 0, 4, 5).reshape(n * n, n * n, k, k)       # [x, u, y, v, i, j]
+    return SuperMap(k, n * n, unit_tensor_matrix(t))
+
+
 def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Kronecker product of algebra elements; bilinear in both arguments."""
     kind = "diagonal" if (a.algebra_kind == "diagonal" and b.algebra_kind == "diagonal") else "full"

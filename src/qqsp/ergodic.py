@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import State, predual
-from .linalg import trace_norm
+from .linalg import trace_norm, trace_norms
 from .process import Family
 
 
@@ -60,12 +60,12 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
             raise ValueError(f"pair dimension {phi.dim} does not match the family "
                              f"({source.side})")
     times = tuple(range(1, source.horizon + 1))
-    preduals = {t: predual(source.core(0, t)) for t in times}
-    rows = []
-    for phi, psi in pairs:
-        rows.append(tuple(trace_norm(preduals[t](phi.rho) - preduals[t](psi.rho))
-                          for t in times))
-    return DecayTrace(source.kind, times, tuple(rows))
+    columns = []   # [time][pair]: the gaps of one t are normed in one stacked call
+    for t in times:
+        dual = predual(source.core(0, t))
+        columns.append(trace_norms([dual(phi.rho) - dual(psi.rho) for phi, psi in pairs]))
+    rows = tuple(tuple(float(column[p]) for column in columns) for p in range(len(pairs)))
+    return DecayTrace(source.kind, times, rows)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,35 @@ def operator_norm(a: Array) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex), ord=2))
 
 
+def operator_norms(stack: Array) -> Array:
+    """:func:`operator_norm` of every matrix of a (k, rows, cols) stack, in one LAPACK call."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.size == 0:
+        return np.zeros(len(stack))
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def trace_norms(stack: Array) -> Array:
+    """:func:`trace_norm` of every matrix of a (k, side, side) stack.
+
+    The hermitian slices go through one stacked eigvalsh, the rest through
+    one stacked svd; each slice takes the branch :func:`trace_norm` takes.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    out = np.zeros(len(stack))
+    if stack.size == 0:
+        return out
+    adjoint = np.conj(stack).transpose(0, 2, 1)
+    skew = np.linalg.norm(stack - adjoint, axis=(1, 2))
+    hermitian = skew <= 1e-12 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    if hermitian.any():
+        herm = (stack[hermitian] + adjoint[hermitian]) / 2
+        out[hermitian] = np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
+    if not hermitian.all():
+        out[~hermitian] = np.linalg.svd(stack[~hermitian], compute_uv=False).sum(axis=1)
+    return out
+
+
 def product_norm(x: Array, y: Array) -> float:
     """operator_norm(x @ y) without forming the product.
 

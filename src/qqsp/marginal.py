@@ -24,19 +24,18 @@ slot state the same identities with the tensor factors exchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .algebra import (
     State,
     SuperMap,
+    doubled_after,
     embed_averaged_supermap,
     embed_supermap,
     expectation_supermap,
     flip_after,
     predual,
-    supermap_tensor,
     trace_norm_distance,
 )
 # not called here since pair_residuals took the residual loops; perfbench's
@@ -125,15 +124,8 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
     if doubled and family.companion_q is None:
         raise ValueError("h family needs its companion Q to check the doubled law")
     if doubled:
-        # Q^{s,tau} (x) Q^{s,tau} is built once per pair (s, tau); the sweep visits the
-        # triples pair by pair, so one n^4 x n^4 product is held at a time
-        @lru_cache(maxsize=1)
-        def outer(s, tau):
-            q = family.companion_q.map(s, tau)
-            return supermap_tensor(q, q)
-
         def compose(s, tau, t):
-            return outer(s, tau) @ family.core(tau, t)
+            return doubled_after(family.companion_q.map(s, tau), family.core(tau, t))
     else:
         # where F^{s,tau} meets F^{tau,t}: T_tau C^{tau,t}, once per pair
         inner = {(tau, t): family.trailing_times(tau, family.core(tau, t))

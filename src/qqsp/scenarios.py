@@ -191,11 +191,16 @@ _NUMBER_RULES = {
 
 
 def _number(data: dict, key: str, default, kind, where: str):
+    """A JSON number as ``kind``; bools, strings and, for ints, fractions are refused."""
     value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{where}.{key}: expected an integer, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}") from exc
+    except OverflowError as exc:   # an integer too large for a float
+        raise ScenarioError(f"{where}.{key}: expected a finite number, got {value!r}") from exc
     admissible, rule = _NUMBER_RULES.get(key, (lambda v: True, ""))
     if not admissible(number):
         raise ScenarioError(f"{where}.{key}: expected {rule}, got {value!r}")

@@ -10,6 +10,7 @@ from qqsp.algebra import (
     basis_elements,
     certify_unital_cp,
     conditional_expectation,
+    doubled_after,
     embed_averaged_supermap,
     embed_supermap,
     expectation_supermap,
@@ -26,11 +27,14 @@ from qqsp.linalg import (
     choi_matrix,
     matrix_unit,
     operator_norm,
+    operator_norms,
     predual_matrix,
     product_norm,
     supermatrix_from_function,
     supermatrix_tensor,
     swap_matrix,
+    trace_norm,
+    trace_norms,
     vec,
 )
 from qqsp.seeds import symmetrized_embedding, transpose_embedding
@@ -338,6 +342,42 @@ def test_supermap_tensor_on_products(rng):
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert np.abs(mt(np.kron(x, y)) - np.kron(m1(x), m2(y))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k_is_n", [True, False])
+def test_doubled_after_matches_the_dense_tensor(rng, n, k_is_n):
+    k = n if k_is_n else 1
+    q, m = random_supermap(rng, n, n), random_supermap(rng, k, n * n)
+    want = (supermap_tensor(q, q) @ m).matrix
+    got = doubled_after(q, m).matrix
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_doubled_after_rejects_mismatched_maps(rng):
+    with pytest.raises(ValueError):
+        doubled_after(random_supermap(rng, 2, 4), random_supermap(rng, 2, 4))
+    with pytest.raises(ValueError):
+        doubled_after(random_supermap(rng, 2, 2), random_supermap(rng, 2, 9))
+
+
+def _slices(rng, count, rows, cols):
+    return rng.normal(size=(count, rows, cols)) + 1j * rng.normal(size=(count, rows, cols))
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (5, 1, 1), (4, 9, 9), (3, 81, 9), (2, 0, 3)])
+def test_stacked_operator_norms_equal_the_per_matrix_norm(rng, shape):
+    stack = _slices(rng, *shape)
+    assert np.array_equal(operator_norms(stack), [operator_norm(a) for a in stack])
+
+
+@pytest.mark.parametrize("count, side", [(0, 4), (5, 1), (6, 2), (6, 9)])
+def test_stacked_trace_norms_equal_the_per_matrix_norm(rng, count, side):
+    # hermitian, nearly hermitian and non-hermitian slices mixed: both branches run
+    stack = _slices(rng, count, side, side)
+    stack[::2] = (stack[::2] + np.conj(stack[::2]).transpose(0, 2, 1)) / 2
+    stack[2::4] += 1e-14 * _slices(rng, len(stack[2::4]), side, side)
+    assert np.array_equal(trace_norms(stack), [trace_norm(a) for a in stack])
 
 
 def test_flip_supermap_matches_elementwise(rng):

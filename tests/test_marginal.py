@@ -428,29 +428,82 @@ def test_factored_residuals_match_dense_reference(make_lattice, foreign_q):
         assert abs(got[name] - max(values)) <= 1e-14, name
 
 
+def _strict_n3_t4(ptype):
+    return parse_scenario({
+        "name": f"mixed-n3-T4-{ptype}", "algebra": {"kind": "full", "dim": 3},
+        "process_type": ptype, "horizon": 4, "mode": "strict",
+        "seed": {"builtin": "mixed"}, "initial_state": {"diag": [0.5, 0.3, 0.2]},
+        "ensemble": {"random": 2}, "sample_count": 4,
+    })
+
+
 def test_no_residual_norm_sees_a_dense_doubled_map(monkeypatch):
-    # a strict n=3 type-A run takes every operator norm below n^4 x n^4
+    # a strict n=3 type-A run takes every operator norm below n^4 x n^4, one by one
+    # or stacked
     import qqsp.algebra
     import qqsp.linalg
     import qqsp.marginal
     import qqsp.process
 
-    shapes = []
-    original = qqsp.linalg.operator_norm
+    shapes, stacked = [], []
+    original, original_stacked = qqsp.linalg.operator_norm, qqsp.linalg.operator_norms
 
     def recording(a):
         shapes.append(np.shape(a))
         return original(a)
 
+    def recording_stacked(stack):
+        stacked.extend(np.shape(a) for a in stack)
+        return original_stacked(stack)
+
     for module in (qqsp.linalg, qqsp.algebra, qqsp.process, qqsp.marginal):
-        monkeypatch.setattr(module, "operator_norm", recording)
-    sc = parse_scenario({
-        "name": "mixed-n3-T4-A", "algebra": {"kind": "full", "dim": 3},
-        "process_type": "A", "horizon": 4, "mode": "strict",
-        "seed": {"builtin": "mixed"}, "initial_state": {"diag": [0.5, 0.3, 0.2]},
-        "ensemble": {"random": 2}, "sample_count": 4,
-    })
-    report = run_scenario(sc)
+        for name, wrapper in (("operator_norm", recording),
+                              ("operator_norms", recording_stacked)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    report = run_scenario(_strict_n3_t4("A"))
     assert all(report.verdicts[k] for k in ("kc_ok", "composition_ok", "axioms_ok",
                                             "roundtrip_ok"))
     assert shapes and (81, 81) not in shapes
+    assert stacked and (81, 81) not in stacked
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_no_stage_forms_a_quartic_matrix(monkeypatch, ptype):
+    # after validate, no SuperMap is n^4 x n^4 and no Q (x) Q is built densely:
+    # kc, the doubled law and propagate go through reassociation and mode products
+    import sys
+
+    import qqsp.algebra
+    import qqsp.scenarios
+
+    stage, shapes, tensors = ["validate"], [], []
+    original_init, original_tensor = SuperMap.__post_init__, qqsp.algebra.supermap_tensor
+
+    def recording_init(self):
+        original_init(self)
+        if stage[0] != "validate":
+            shapes.append(self.matrix.shape)
+
+    def recording_tensor(m1, m2):
+        if stage[0] != "validate":
+            tensors.append((m1.matrix.shape, m2.matrix.shape))
+        return original_tensor(m1, m2)
+
+    def entering(name, runner):
+        def run(*args):
+            stage[0] = name
+            return runner(*args)
+        return run
+
+    monkeypatch.setattr(SuperMap, "__post_init__", recording_init)
+    for module in [m for name, m in sys.modules.items() if name.startswith("qqsp")]:
+        if getattr(module, "supermap_tensor", None) is original_tensor:
+            monkeypatch.setattr(module, "supermap_tensor", recording_tensor)
+    for name, runner in qqsp.scenarios._STAGE_RUNNERS.items():
+        monkeypatch.setitem(qqsp.scenarios._STAGE_RUNNERS, name, entering(name, runner))
+    report = run_scenario(_strict_n3_t4(ptype))
+    assert all(report.verdicts[k] for k in ("kc_ok", "composition_ok", "axioms_ok",
+                                            "roundtrip_ok"))
+    assert shapes and (81, 81) not in shapes
+    assert tensors == []

@@ -23,12 +23,14 @@ from qqsp.process import (
     interact_states,
     kc_consistency,
     propagate,
+    triples,
     validate_seed,
 )
 from qqsp.seeds import (
     make_constant_seed,
     make_entangling_seed,
     make_mixed_seed,
+    mixed_step_map,
     symmetrized_embedding,
     transpose_embedding,
     unsymmetrized_embedding,
@@ -222,6 +224,19 @@ def test_fundamental_composition_matches_explicit_laws(rng):
             blk = y[i * n:(i + 1) * n, j * n:(j + 1) * n]
             blocks += np.kron(q(matrix_unit(n, i, j)), q(blk))
     assert np.abs(type_b(x) - blocks).max() <= 1e-12 * np.abs(blocks).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_type_a_composition_is_reassociated_exactly(n):
+    # P^{s,tau} (E_tau P^{tau,t}) against the left-to-right product through the
+    # n^4 x n^4 intermediate P^{s,tau} E_tau
+    omega0 = State.from_weights(np.arange(1, n + 1) / (n * (n + 1) / 2))
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), omega0, 4, "A"))
+    es = lat.expectations
+    for s, tau, t in triples(lat.horizon):
+        want = (lat.map(s, tau).matrix @ es[tau].matrix) @ lat.map(tau, t).matrix
+        got = fundamental_composition(lat.map(s, tau), lat.map(tau, t), es[s], es[tau], "A")
+        assert operator_norm(got.matrix - want) <= 1e-14 * operator_norm(want)
 
 
 def test_kc_constant_lattice_zero():

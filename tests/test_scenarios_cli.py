@@ -371,6 +371,14 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     ("sample_count", -5),
     ("rng_seed", -1),
     ("ensemble", {"random": True}),
+    ("sample_count", 2.7),
+    ("sample_count", True),
+    ("rng_seed", True),
+    ("rng_seed", 1.5),
+    ("rng_seed", "7"),
+    ("epsilon", True),
+    ("epsilon", "0.001"),
+    pytest.param("epsilon", 10 ** 400, id="epsilon-huge-integer"),
 ])
 def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     # the ensemble is parsed up front even though this pipeline has no ergodic stage
@@ -406,20 +414,21 @@ def test_cli_runs_a_one_dimensional_full_algebra(tmp_path):
     assert doc["stages"]["ergodic"]["contraction"]["lambda"] == 0.0
 
 
-def test_cli_exit_3_on_drifted_computed_state(tmp_path, capsys):
-    # psi_12 of this lattice has trace 1 - 1.06e-12, which State rejects
+def test_cli_exit_3_on_computed_non_state(tmp_path, capsys):
+    # a step map scaled by 1 + 1e-9 is not unital, so omega_1 has trace 1 + 1e-9 however
+    # the products round; permissive mode lets the seed through to propagate
     data = {
-        "name": "drift-mixed-n3-T12-A",
-        "algebra": {"kind": "full", "dim": 3},
-        "process_type": "A", "horizon": 12,
-        "seed": {"builtin": "mixed"},
+        "name": "nonunital-mixed-n2-T3-A",
+        "algebra": {"kind": "full", "dim": 2},
+        "process_type": "A", "horizon": 3, "mode": "permissive",
+        "seed": {"step_maps": [complex_matrix_to_pairs((1 + 1e-9) * mixed_step_map(2).matrix)]},
         "initial_state": {"maximally_mixed": True},
-        "pipeline": ["propagate", "marginals", "axioms"],
     }
-    path = tmp_path / "drift.json"
+    path = tmp_path / "nonunital.json"
     path.write_text(json.dumps(data))
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
-    assert "computed state psi_t at t=12" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "computed state omega_t at t=1" in err and "trace 1.000000001" in err
 
 
 def test_computed_state_failure_is_a_validation_failure():
