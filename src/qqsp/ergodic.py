@@ -7,21 +7,21 @@ ensemble below epsilon by t = T.
 
 The ergodic relations between the marginals follow from F = C E_{omega_t}:
 H_*(rho) = omega_t (x) P_*(rho), Z_*(rho) = omega_t (x) Q_*(Tr_1 rho) and
-Q_*(sigma) = P_*(omega_s (x) sigma). :func:`decay_trace` applies them by
-taking every distance on the stored core, so H/h decays exactly as P does
-on the same pairs and Z/z as Q does on the Tr_1 images of those pairs.
-Only {P, H/h} against {Q, Z/z} can still disagree, and Q against Z/z only
-through the two different pair ensembles they see.
+Q_*(sigma) = P_*(omega_s (x) sigma). :func:`decay_trace` takes every distance
+on the stored core. H/h's cores are P's own maps, so :func:`ergodic_verdict`
+hands H/h P's trace as it is; Z/z, measured on its core, decays as Q does on
+the Tr_1 images of the pairs. Only {P, H/h} against {Q, Z/z} can still
+disagree, and Q against Z/z only through the two pair ensembles they see.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import State, predual
-from .linalg import trace_norm, trace_norms
+from .linalg import matrix_unit, trace_norms
 from .process import Family
 
 
@@ -72,10 +72,10 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
 class ContractionEstimate:
     """Trace-norm contraction coefficient of Q^{s,t} on the predual.
 
-    Exact for diagonal algebras and for M_1 (Dobrushin coefficient of the
-    induced stochastic matrix, attained on vertex pairs). On full matrix algebras
-    the supremum is sampled over orthonormal pure pairs and reported as a
-    lower bound; basis-aligned pairs are always included.
+    The supremum is taken over the computational-basis pairs and, on a full
+    algebra with n >= 2, over ``sample_count`` sampled orthonormal pure pairs
+    (a lower bound). On a diagonal algebra and on M_1 the basis pairs attain
+    it (the Dobrushin coefficient), so it is exact and nothing is sampled.
     """
 
     s: int
@@ -85,21 +85,6 @@ class ContractionEstimate:
     sample_count: int
 
 
-def _dobrushin(q_family: Family, s: int, t: int) -> float:
-    n = q_family.n
-    dual = predual(q_family.map(s, t))
-    rows = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        rows[i] = np.real(np.diag(dual(e)))
-    lam = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            lam = max(lam, 0.5 * float(np.abs(rows[i] - rows[j]).sum()))
-    return lam
-
-
 def contraction_coefficient(q_family: Family, s: int, t: int,
                             sample_count: int = 200,
                             rng: np.random.Generator | None = None) -> ContractionEstimate:
@@ -107,28 +92,25 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
         raise ValueError(f"no map stored at ({s}, {t})")
     if q_family.kind != "Q":
         raise ValueError("contraction coefficients are measured on the Q family")
-    # M_1 = C is diagonal too and has no orthonormal pure pair to sample
-    if q_family.algebra_kind == "diagonal" or q_family.n == 1:
-        return ContractionEstimate(s, t, _dobrushin(q_family, s, t),
-                                   "exact-classical", 0)
-    rng = rng if rng is not None else np.random.default_rng(0)
     n = q_family.n
+    # M_1 = C is diagonal too and has no orthonormal pure pair to sample
+    exact = q_family.algebra_kind == "diagonal" or n == 1
+    sample_count = 0 if exact else sample_count
     dual = predual(q_family.map(s, t))
-    lam = 0.0
-    # deterministic floor: all computational-basis pairs
-    basis_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in basis_pairs:
-        ei, ej = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
-        ei[i, i] = 1.0
-        ej[j, j] = 1.0
-        lam = max(lam, 0.5 * trace_norm(dual(ei) - dual(ej)))
-    for _ in range(sample_count):
-        g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    images = [dual(matrix_unit(n, i, i)) for i in range(n)]
+    gaps = [images[i] - images[j] for i in range(n) for j in range(i + 1, n)]
+    if sample_count:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        g = np.array([rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+                      for _ in range(sample_count)])
         u, _ = np.linalg.qr(g)
-        p1 = np.outer(u[:, 0], u[:, 0].conj())
-        p2 = np.outer(u[:, 1], u[:, 1].conj())
-        lam = max(lam, 0.5 * trace_norm(dual(p1) - dual(p2)))
-    return ContractionEstimate(s, t, lam, "pure-pair-sampling", sample_count)
+        # projectors[k, c] = |u_c><u_c| of sample k
+        projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
+        gaps += [dual(p1) - dual(p2) for p1, p2 in projectors]
+    norms = trace_norms(np.reshape(gaps, (len(gaps), n, n)))
+    return ContractionEstimate(s, t, 0.5 * float(norms.max(initial=0.0)),
+                               "exact-classical" if exact else "pure-pair-sampling",
+                               sample_count)
 
 
 @dataclass(frozen=True)
@@ -189,10 +171,16 @@ def ergodic_verdict(lattice: Family, families: dict,
 
     ``families`` maps kind to marginal Family ({Q, H, Z} or {Q, h, z}).
     All sources are driven over one seeded ensemble: pairs on M (x) M for
-    the doubled families and the lattice itself, pairs on M for Q.
+    the doubled families and the lattice itself, pairs on M for Q. H/h
+    must store ``lattice``'s own maps as its cores; it takes P's trace.
     """
     if "Q" not in families:
         raise ValueError("a Q family is required")
+    for kind in {"H", "h"} & set(families):
+        cores = families[kind].maps
+        if cores.keys() != lattice.maps.keys() or any(
+                cores[key] is not m for key, m in lattice.maps.items()):
+            raise ValueError(f"{kind} does not store this lattice's maps P^{{s,t}} as its cores")
     rng = np.random.default_rng(config.rng_seed)
     diagonal = lattice.algebra_kind == "diagonal"
     pairs_single = (list(config.explicit_single) or
@@ -200,15 +188,16 @@ def ergodic_verdict(lattice: Family, families: dict,
     pairs_double = (list(config.explicit_double) or
                     state_pair_ensemble(lattice.n * lattice.n, config.pair_count,
                                         rng, diagonal))
-    T = lattice.horizon
     sources = {"P": lattice, **families}
     traces, verdicts = {}, {}
-    for kind in sorted(sources):
+    for kind in sorted(sources, key=lambda k: k in ("H", "h")):   # P before H/h
         src = sources[kind]
-        pairs = pairs_single if src.side == lattice.n else pairs_double
-        tr = decay_trace(src, pairs)
+        traces[kind] = (replace(traces["P"], family_kind=kind) if kind in ("H", "h") else
+                        decay_trace(src, pairs_single if src.side == lattice.n
+                                    else pairs_double))
+    traces = dict(sorted(traces.items()))
+    for kind, tr in traces.items():
         ratios = tr.step_ratios()
-        traces[kind] = tr
         verdicts[kind] = FamilyVerdict(kind, tr.final_max,
                                        tr.final_max < config.epsilon,
                                        max(ratios) if ratios else 0.0)
@@ -222,5 +211,5 @@ def ergodic_verdict(lattice: Family, families: dict,
         all_agree=len(set(flags)) == 1,
         ergodic_at_horizon=all(flags),
         epsilon=config.epsilon,
-        horizon=T,
+        horizon=lattice.horizon,
     )

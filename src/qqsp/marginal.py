@@ -24,6 +24,7 @@ slot state the same identities with the tensor factors exchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -182,33 +183,35 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     e_phi = [expectation_supermap(phi) for phi in phis]
     e_psi = rebuilt.expectations
     core, q = h_family.core, q_family.map
-    tails = _absorption_tails(h_family, e_psi)
     return AxiomReport(
         flip=pair_residuals(h_family, lambda s, t: flip_after(core(s, t)), core,
                             "axiom-flip", trailing=h_family),
         exchange=pair_residuals(h_family,
                                 lambda s, t: h_family.times_trailing(e_psi[s] @ core(s, t), t),
                                 lambda s, t: q(s, t) @ e_phi[t], "axiom-exchange"),
-        absorption=ResidualTable({(s, t): product_norm(core(s, t).matrix, tails[t])
-                                  for (s, t) in h_family.pairs()}, "axiom-absorption"),
+        absorption=_absorption(h_family, e_psi),
         trajectory_gap=max(trace_norm_distance(phi, psi)
                            for phi, psi in zip(phis, rebuilt.omegas)),
     )
 
 
-def _absorption_tails(h_family: Family, e_psi) -> dict:
-    """D_t = T_t - T_t embed E_{psi_t} per t, so that H - H embed E_{psi_t} = C D_t.
+def _absorption(h_family: Family, e_psi) -> ResidualTable:
+    """||H - H embed E_{psi_t}|| = ||C D_t|| with D_t = T_t - T_t embed E_{psi_t}.
 
     T_t is the trailing factor of ``h_family`` (the identity if it has none).
+    Each D_t is built when the pairs ending at t are normed, so one is held at a time.
     """
     emb = embed_supermap(h_family.n)
-    tails = {}
-    for t in sorted({t for _, t in h_family.pairs()}):
+    entries = {}
+    for t, group in groupby(sorted(h_family.pairs(), key=lambda st: st[1]),
+                            key=lambda st: st[1]):
         absorbed = (h_family.trailing_times(t, emb) @ e_psi[t]).matrix
         lead = (h_family.expectations[t].matrix if h_family.factored
                 else np.eye(len(absorbed)))
-        tails[t] = lead - absorbed
-    return tails
+        tail = lead - absorbed
+        for s, _ in group:
+            entries[(s, t)] = product_norm(h_family.core(s, t).matrix, tail)
+    return ResidualTable(dict(sorted(entries.items())), "axiom-absorption")
 
 
 def reconstruct_qqsp(q_family: Family, h_family: Family,

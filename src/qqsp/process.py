@@ -114,6 +114,15 @@ def validate_seed(seed: QQSPSeed, tol: float = DEFAULT_FLIP_TOL) -> list[SeedIss
                                         unital_tolerance=tol), tol)
 
 
+def reject_seed(issues: list[SeedIssue]) -> None:
+    """Raise ValidationFailure naming the worst of ``issues``, if there is any."""
+    if issues:
+        worst = max(issues, key=lambda i: i.residual)
+        raise ValidationFailure(
+            f"seed fails validation: step {worst.step} {worst.kind} "
+            f"residual {worst.residual:.3e} ({len(issues)} issue(s))")
+
+
 FAMILY_KINDS = ("P", "Q", "H", "h", "Z", "z")
 
 
@@ -236,12 +245,7 @@ def triples(horizon: int):
 def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     """Fill the lattice by the type-appropriate recursion at tau = t-1."""
     if strict:
-        issues = validate_seed(seed)
-        if issues:
-            worst = max(issues, key=lambda i: i.residual)
-            raise ValidationFailure(
-                f"seed fails validation: step {worst.step} {worst.kind} "
-                f"residual {worst.residual:.3e} ({len(issues)} issue(s))")
+        reject_seed(validate_seed(seed))
     maps = {(k, k + 1): m for k, m in enumerate(seed.step_maps)}
     omegas = [seed.omega0]
     rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)

@@ -46,6 +46,7 @@ from .process import (
     kc_consistency,
     pair_residuals,
     propagate,
+    reject_seed,
     seed_diagnostics,
     seed_issues,
 )
@@ -371,55 +372,48 @@ def _pair_dim(pair: dict, sc: Scenario, where: str) -> int:
 
 def builtin_scenarios() -> dict:
     """The named scenario catalog, keyed by scenario name."""
-    full_pipe = list(STAGES)
     defs = [
         {
             "name": "constant-n2",
             "algebra": {"kind": "full", "dim": 2},
-            "process_type": "A", "horizon": 6, "mode": "strict",
+            "process_type": "A", "horizon": 6,
             "seed": {"builtin": "constant"},
             "initial_state": {"maximally_mixed": True},
-            "pipeline": full_pipe,
         },
         {
             "name": "mixed-n2-typeA",
             "algebra": {"kind": "full", "dim": 2},
-            "process_type": "A", "horizon": 8, "mode": "strict",
+            "process_type": "A", "horizon": 8,
             "seed": {"builtin": "mixed"},
             "initial_state": {"diag": [0.7, 0.3]},
-            "pipeline": full_pipe,
         },
         {
             "name": "mixed-n2-typeB",
             "algebra": {"kind": "full", "dim": 2},
-            "process_type": "B", "horizon": 8, "mode": "strict",
+            "process_type": "B", "horizon": 8,
             "seed": {"builtin": "entangling-mixed"},
             "initial_state": {"diag": [0.7, 0.3]},
-            "pipeline": full_pipe,
         },
         {
             "name": "volterra-a1-typeA",
             "algebra": {"kind": "diagonal", "dim": 2},
-            "process_type": "A", "horizon": 6, "mode": "strict",
+            "process_type": "A", "horizon": 6,
             "seed": {"classical": {"builtin": "volterra", "a": 1.0}},
             "initial_state": {"diag": [0.5, 0.5]},
-            "pipeline": full_pipe,
         },
         {
             "name": "volterra-a1-typeB",
             "algebra": {"kind": "diagonal", "dim": 2},
-            "process_type": "B", "horizon": 6, "mode": "strict",
+            "process_type": "B", "horizon": 6,
             "seed": {"classical": {"builtin": "volterra", "a": 1.0}},
             "initial_state": {"diag": [0.5, 0.5]},
-            "pipeline": full_pipe,
         },
         {
             "name": "mendel-typeA",
             "algebra": {"kind": "diagonal", "dim": 2},
-            "process_type": "A", "horizon": 6, "mode": "strict",
+            "process_type": "A", "horizon": 6,
             "seed": {"classical": {"builtin": "mendel"}},
             "initial_state": {"diag": [0.3, 0.7]},
-            "pipeline": full_pipe,
         },
         {
             "name": "identity-like-typeA",
@@ -427,7 +421,6 @@ def builtin_scenarios() -> dict:
             "process_type": "A", "horizon": 8, "mode": "permissive",
             "seed": {"classical": {"builtin": "copy-second"}},
             "initial_state": {"diag": [0.6, 0.4]},
-            "pipeline": full_pipe,
         },
     ]
     return {d["name"]: parse_scenario(d) for d in defs}
@@ -518,9 +511,12 @@ def _stage_validate(sc, seed, ctx, report):
 
 
 def _stage_propagate(sc, seed, ctx, report):
-    # a strict validate stage has already accepted the seed at the scenario's tolerances
-    ctx.lattice = propagate(seed, strict=(sc.mode == "strict"
-                                          and "validate" not in report.stages))
+    # strict mode judges the seed once, at the scenario's tolerances; a validate
+    # stage has already done so when it ran
+    if sc.mode == "strict" and "validate" not in report.stages:
+        tol = sc.tolerances
+        reject_seed(seed_issues(seed_diagnostics(seed, tol["cp"], tol["unital"]), tol["flip"]))
+    ctx.lattice = propagate(seed, strict=False)
     traj = [list(ctx.lattice.omega(t).diagonal_weights())
             for t in range(ctx.lattice.horizon + 1)]
     report.trajectory = traj

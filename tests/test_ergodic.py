@@ -12,7 +12,7 @@ from qqsp.ergodic import (
     ergodic_verdict,
     state_pair_ensemble,
 )
-from qqsp.linalg import ptrace_first
+from qqsp.linalg import ptrace_first, trace_norm
 from qqsp.marginal import build_H, build_Q, build_Z, build_h, build_z
 from qqsp.process import QQSPSeed, propagate
 from qqsp.scenarios import parse_scenario, run_scenario
@@ -23,6 +23,8 @@ from qqsp.seeds import (
     make_mixed_seed,
     mixed_step_map,
 )
+
+from conftest import symmetric_stochastic_tensor
 
 
 # ---------------------------------------------------------------- oracles
@@ -124,30 +126,77 @@ def test_identity_channel_lambda_one():
     assert abs(est.lam - 1.0) <= 1e-13
 
 
-def test_dobrushin_matches_vertex_enumeration_oracle():
-    # smoothed random-parent tensor: half uniform, half mendel
-    tensor = 0.5 * np.full((2, 2, 2), 0.5) + 0.5 * mendel_tensor()
-    q = ClassicalQSP.homogeneous(tensor, [0.5, 0.5], 3, "A")
+@pytest.mark.parametrize("N", [2, 3])
+def test_dobrushin_matches_vertex_enumeration_oracle(N):
+    if N == 2:
+        # smoothed random-parent tensor: half uniform, half mendel
+        tensor = 0.5 * np.full((2, 2, 2), 0.5) + 0.5 * mendel_tensor()
+    else:
+        tensor = symmetric_stochastic_tensor(np.random.default_rng(3), N)
+    q = ClassicalQSP.homogeneous(tensor, np.full(N, 1.0 / N), 3, "A")
     lat = propagate(lift_to_quantum(q))
     qfam = build_Q(lat)
     est = contraction_coefficient(qfam, 0, 1)
-    assert est.method == "exact-classical"
+    assert est.method == "exact-classical" and est.sample_count == 0
     # oracle: brute-force maximization over simplex vertex pairs via the predual
     dual = predual(qfam.map(0, 1))
     best = 0.0
-    for i in range(2):
-        for j in range(2):
+    for i in range(N):
+        for j in range(N):
             if i == j:
                 continue
-            ei = np.zeros((2, 2), dtype=complex)
-            ej = np.zeros((2, 2), dtype=complex)
+            ei = np.zeros((N, N), dtype=complex)
+            ej = np.zeros((N, N), dtype=complex)
             ei[i, i] = 1.0
             ej[j, j] = 1.0
             num = np.abs(np.linalg.eigvalsh(dual(ei) - dual(ej))).sum()
             best = max(best, num / 2.0)
-    assert abs(est.lam - best) <= 1e-12
-    # hand value: rows differ only in the identity quarter, so lambda = 1/4
-    assert abs(est.lam - 0.25) <= 1e-12
+    assert abs(est.lam - best) <= 1e-15
+    # and the classical Dobrushin coefficient of the stochastic matrix Q^{0,1}
+    chain = classical_marginal_chain(classical_propagate(q), 0, 1)
+    dobrushin = max(0.5 * np.abs(chain[i] - chain[j]).sum()
+                    for i in range(N) for j in range(i + 1, N))
+    assert abs(est.lam - dobrushin) <= 1e-15
+    if N == 2:
+        # hand value: rows differ only in the identity quarter, so lambda = 1/4
+        assert abs(est.lam - 0.25) <= 1e-12
+
+
+def _per_pair_lambda(q_family, sample_count, rng):
+    """The per-pair loop: each basis pair, then each sampled pure pair, normed alone."""
+    n = q_family.n
+    dual = predual(q_family.map(0, 1))
+    lam = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            ei, ej = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+            ei[i, i] = 1.0
+            ej[j, j] = 1.0
+            lam = max(lam, 0.5 * trace_norm(dual(ei) - dual(ej)))
+    for _ in range(sample_count):
+        g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        u, _ = np.linalg.qr(g)
+        p1 = np.outer(u[:, 0], u[:, 0].conj())
+        p2 = np.outer(u[:, 1], u[:, 1].conj())
+        lam = max(lam, 0.5 * trace_norm(dual(p1) - dual(p2)))
+    return lam
+
+
+@pytest.mark.parametrize("seed", [make_mixed_seed(3, "A"),
+                                  QQSPSeed.from_single_map(mixed_step_map(3),
+                                                           State.from_weights([0.5, 0.3, 0.2]),
+                                                           3, "A"),
+                                  make_entangling_seed(3, "B")],
+                         ids=["mixed-n2-A", "mixed-n3-A", "entangling-n2-B"])
+def test_stacked_lambda_equals_the_per_pair_loop(seed):
+    # several rng seeds, so that the maximum falls on a sampled pair at least once;
+    # an einsum-formed projector or a stacked predual product moves it by an ulp
+    qfam = build_Q(propagate(seed))
+    for rng_seed in range(10):
+        est = contraction_coefficient(qfam, 0, 1, sample_count=50,
+                                      rng=np.random.default_rng(rng_seed))
+        assert est.method == "pure-pair-sampling" and est.sample_count == 50
+        assert est.lam == _per_pair_lambda(qfam, 50, np.random.default_rng(rng_seed))
 
 
 def test_mixed_lambda_is_one_quarter(rng):
@@ -219,6 +268,39 @@ def test_h_distances_equal_p_distances():
         doubled = "H" if lat.process_type == "A" else "h"
         assert rep.traces[doubled].distances == rep.traces["P"].distances
         assert rep.verdicts[doubled].ergodic == rep.verdicts["P"].ergodic
+
+
+def test_verdict_takes_three_decay_traces(monkeypatch):
+    # P, Q and Z/z are measured; H/h takes P's trace, relabelled
+    import qqsp.ergodic
+
+    calls = []
+    original = qqsp.ergodic.decay_trace
+
+    def counting(source, pairs):
+        calls.append(source.kind)
+        return original(source, pairs)
+
+    monkeypatch.setattr(qqsp.ergodic, "decay_trace", counting)
+    for seed in (make_mixed_seed(4, "A"), make_entangling_seed(4, "B")):
+        calls.clear()
+        lat = propagate(seed)
+        rep = ergodic_verdict(lat, build_families(lat), ErgodicConfig(pair_count=4))
+        doubled = "H" if lat.process_type == "A" else "h"
+        assert sorted(calls) == sorted(["P", "Q", "Z" if doubled == "H" else "z"])
+        assert rep.traces[doubled].family_kind == doubled
+        assert list(rep.traces) == sorted(rep.traces)
+
+
+def test_verdict_rejects_a_doubled_family_of_another_lattice():
+    # H from an equal lattice built anew: same numbers, but not this lattice's maps
+    lat, other = propagate(make_mixed_seed(4, "A")), propagate(make_mixed_seed(4, "A"))
+    with pytest.raises(ValueError, match="cores"):
+        ergodic_verdict(lat, {**build_families(lat), "H": build_H(other)})
+    # and h of a shorter type-B lattice
+    lat, shorter = propagate(make_entangling_seed(4, "B")), propagate(make_entangling_seed(3, "B"))
+    with pytest.raises(ValueError, match="cores"):
+        ergodic_verdict(lat, {**build_families(lat), "h": build_h(shorter)})
 
 
 @pytest.mark.parametrize("n, ptype", [(2, "A"), (2, "B"), (3, "A"), (3, "B")])

@@ -172,6 +172,35 @@ def test_strict_seed_is_validated_once_at_the_scenario_tolerance():
     assert {k for k, v in report.verdicts.items() if not v} == {"ergodic_at_horizon"}
 
 
+def _unsymmetric_scenario(weight: float, flip: float, pipeline: list) -> dict:
+    # flip residual about 2 * weight, against a scenario flip tolerance of ``flip``
+    n = 2
+    step = (1 - weight) * mixed_step_map(n).matrix + weight * unsymmetrized_embedding(n).matrix
+    return {
+        "name": "unsymmetric", "algebra": {"kind": "full", "dim": n},
+        "process_type": "A", "horizon": 3, "initial_state": {"diag": [0.7, 0.3]},
+        "seed": {"step_maps": [complex_matrix_to_pairs(step)]},
+        "tolerances": {"flip": flip, "kc": 1e-6}, "pipeline": pipeline,
+    }
+
+
+def test_strict_propagate_without_validate_uses_the_scenario_tolerance():
+    # flip residual 2e-8 is inside the scenario's 1e-6: no spurious failure
+    data = _unsymmetric_scenario(1e-8, 1e-6, ["propagate", "kc"])
+    report = run_scenario(parse_scenario(data))
+    assert report.verdicts["kc_ok"]
+    assert report.stages["propagate"]["horizon"] == 3
+
+
+def test_strict_propagate_without_validate_rejects_at_a_tight_tolerance():
+    # flip residual 2e-12 is outside the scenario's 1e-14, though inside the library's 1e-10
+    data = _unsymmetric_scenario(1e-12, 1e-14, ["propagate"])
+    with pytest.raises(ValidationFailure, match="flip residual"):
+        run_scenario(parse_scenario(data))
+    with pytest.raises(ValidationFailure, match="seed validation failed"):
+        run_scenario(parse_scenario({**data, "pipeline": ["validate", "propagate"]}))
+
+
 def test_validate_stage_issues_follow_its_own_rows():
     # min Choi eigenvalue about -3.3e-8: CP at the scenario's cp tolerance 1e-6
     n = 2
