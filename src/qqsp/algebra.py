@@ -15,6 +15,7 @@ the dual coincide; states are plain density matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .linalg import (
     supermatrix_tensor,
     swap_matrix,
     trace_norm,
-    unit_tensor,
     unit_tensor_matrix,
 )
 
@@ -162,8 +162,9 @@ class SuperMap:
         object.__setattr__(self, "matrix", _frozen(m))
 
     def __call__(self, x) -> Array:
+        """The image of a matrix, or the images of a (k, in_dim, in_dim) stack."""
         x = as_matrix(x)
-        if x.shape != (self.in_dim, self.in_dim):
+        if x.ndim not in (2, 3) or x.shape[-2:] != (self.in_dim, self.in_dim):
             raise ValueError(f"input shape {x.shape} does not match in_dim {self.in_dim}")
         return apply_supermatrix(self.matrix, x, self.out_dim)
 
@@ -209,25 +210,33 @@ def supermap_tensor(m1: SuperMap, m2: SuperMap) -> SuperMap:
     return SuperMap(m1.in_dim * m2.in_dim, m1.out_dim * m2.out_dim, mat)
 
 
-def doubled_after(q: SuperMap, m: SuperMap) -> SuperMap:
-    """(q (x) q) m for a map q on M_n and a map m into M_n (x) M_n, without q (x) q.
+def doubled_after(q: SuperMap, ms) -> Array:
+    """(q (x) q) m for every m of a stack of maps into M_n (x) M_n, without q (x) q.
 
-    In the tensor view of m each output index splits as (a, b); q (x) q
-    acts on the two a's and on the two b's separately, so it is two
-    n^2 x n^2 mode products: n^6 k^2 MACs each instead of the n^8 k^2 of
-    the dense (q (x) q) m, for m on M_k.
+    ``ms`` holds the (n^4, k^2) matrices of maps on M_k, as a (K, n^4, k^2) array
+    or a sequence; the result is the (K, n^4, k^2) stack of products, and a single
+    map is the K = 1 case. In the tensor view of m each output index splits as
+    (a, b); q (x) q acts on the two a's and on the two b's separately, so it is two
+    n^2 x n^2 mode products, each one broadcast matmul over the stack: n^6 k^2 MACs
+    per map each instead of the n^8 k^2 of the dense (q (x) q) m.
     """
-    n, k = q.in_dim, m.in_dim
-    if q.out_dim != n or m.out_dim != n * n:
-        raise ValueError("doubled_after needs q on M_n and m into M_n (x) M_n")
-    # t[a, b, c, d, i, j] = m(E_ij)[(a, b), (c, d)]; q.matrix rows and columns
-    # are column-stacked pairs, i.e. (c, a) -> c * n + a in C order
-    t = unit_tensor(m.matrix, k, n * n).reshape(n, n, n, n, k, k)
-    t = q.matrix @ t.transpose(2, 0, 1, 3, 4, 5).reshape(n * n, -1)     # [y, x, b, d, i, j]
-    t = t.reshape(n, n, n, n, k, k).transpose(3, 2, 0, 1, 4, 5).reshape(n * n, -1)
-    t = (q.matrix @ t).reshape(n, n, n, n, k, k)                         # [v, u, y, x, i, j]
-    t = t.transpose(3, 1, 2, 0, 4, 5).reshape(n * n, n * n, k, k)       # [x, u, y, v, i, j]
-    return SuperMap(k, n * n, unit_tensor_matrix(t))
+    n = q.in_dim
+    count, (rows, cols) = len(ms), np.shape(ms[0])
+    k = math.isqrt(cols)
+    if q.out_dim != n or rows != n ** 4 or k * k != cols:
+        raise ValueError("doubled_after needs q on M_n and maps into M_n (x) M_n")
+    # in C order m.reshape(n, n, n, n, k, k) is [c, d, a, b, j, i] with
+    # m(E_ij)[(a, b), (c, d)]; q.matrix rows and columns are column-stacked pairs,
+    # i.e. (c, a) -> c * n + a in C order
+    t = np.empty((count, n, n, n, n, k, k), dtype=complex)             # [c, a, b, d, i, j]
+    for m, slot in zip(ms, t):
+        slot[...] = np.reshape(m, (n, n, n, n, k, k)).transpose(0, 2, 3, 1, 5, 4)
+    t = q.matrix @ t.reshape(count, n * n, -1)                          # [y, x, b, d, i, j]
+    t = t.reshape(count, n, n, n, n, k, k).transpose(0, 4, 3, 1, 2, 5, 6)
+    t = q.matrix @ t.reshape(count, n * n, -1)                          # [v, u, y, x, i, j]
+    t = t.reshape(count, n, n, n, n, k, k)
+    # the matrix of the product is [y, v, x, u, j, i] in C order
+    return t.transpose(0, 3, 1, 4, 2, 6, 5).reshape(count, n ** 4, cols)
 
 
 def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -249,18 +258,21 @@ def flip_conjugate(z) -> AlgebraElement:
     return AlgebraElement(flipped, kind)
 
 
-def flip_after(m: SuperMap) -> SuperMap:
-    """U m for a map m into M_n (x) M_n, U(x (x) y) = y (x) x.
+def flip_rows(n: int) -> Array:
+    """The row permutation of U m for maps m into M_n (x) M_n, U(x (x) y) = y (x) x.
 
-    A permutation of the rows, exact and without a product: in the tensor
-    view each output index splits as (a, b) and U exchanges a and b.
+    In the tensor view each output index splits as (a, b) and U exchanges a and b;
+    in C order the rows of m are [c, d, a, b] with output (a, b), (c, d).
     """
-    n = int(round(np.sqrt(m.out_dim)))
+    return np.arange(n ** 4).reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(-1)
+
+
+def flip_after(m: SuperMap) -> SuperMap:
+    """U m for a map m into M_n (x) M_n: a permutation of the rows, exact and without a product."""
+    n = math.isqrt(m.out_dim)
     if n * n != m.out_dim:
         raise ValueError("the flip needs a map into a doubled algebra")
-    t = unit_tensor(m.matrix, m.in_dim, m.out_dim).reshape(n, n, n, n, m.in_dim, m.in_dim)
-    t = t.transpose(1, 0, 3, 2, 4, 5).reshape(m.out_dim, m.out_dim, m.in_dim, m.in_dim)
-    return SuperMap(m.in_dim, m.out_dim, unit_tensor_matrix(t))
+    return SuperMap(m.in_dim, m.out_dim, m.matrix[flip_rows(n)])
 
 
 def flip_supermap(n: int) -> SuperMap:

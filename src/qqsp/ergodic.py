@@ -60,10 +60,11 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
             raise ValueError(f"pair dimension {phi.dim} does not match the family "
                              f"({source.side})")
     times = tuple(range(1, source.horizon + 1))
+    states = np.array([[phi.rho, psi.rho] for phi, psi in pairs]).reshape(-1, *[source.side] * 2)
     columns = []   # [time][pair]: the gaps of one t are normed in one stacked call
     for t in times:
-        dual = predual(source.core(0, t))
-        columns.append(trace_norms([dual(phi.rho) - dual(psi.rho) for phi, psi in pairs]))
+        images = predual(source.core(0, t))(states)
+        columns.append(trace_norms(images[0::2] - images[1::2]))
     rows = tuple(tuple(float(column[p]) for column in columns) for p in range(len(pairs)))
     return DecayTrace(source.kind, times, rows)
 
@@ -97,8 +98,9 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
     exact = q_family.algebra_kind == "diagonal" or n == 1
     sample_count = 0 if exact else sample_count
     dual = predual(q_family.map(s, t))
-    images = [dual(matrix_unit(n, i, i)) for i in range(n)]
-    gaps = [images[i] - images[j] for i in range(n) for j in range(i + 1, n)]
+    images = dual(np.array([matrix_unit(n, i, i) for i in range(n)]))
+    first, second = np.triu_indices(n, 1)
+    gaps = [images[first] - images[second]]
     if sample_count:
         rng = rng if rng is not None else np.random.default_rng(0)
         g = np.array([rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
@@ -106,8 +108,9 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
         u, _ = np.linalg.qr(g)
         # projectors[k, c] = |u_c><u_c| of sample k
         projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
-        gaps += [dual(p1) - dual(p2) for p1, p2 in projectors]
-    norms = trace_norms(np.reshape(gaps, (len(gaps), n, n)))
+        images = dual(projectors.reshape(-1, n, n))
+        gaps.append(images[0::2] - images[1::2])
+    norms = trace_norms(np.concatenate(gaps))
     return ContractionEstimate(s, t, 0.5 * float(norms.max(initial=0.0)),
                                "exact-classical" if exact else "pure-pair-sampling",
                                sample_count)

@@ -66,8 +66,31 @@ def ptrace_first(z: Array, n_first: int, n_second: int) -> Array:
 
 
 def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
-    """Apply a vectorization-form map to a matrix."""
-    return unvec(mat @ vec(x), out_dim)
+    """Apply a vectorization-form map to a matrix, or to each matrix of a (k, side, side) stack.
+
+    A stack is applied as ``mat @ vecs[:, :, None]``, one gemv per matrix, so each
+    image has the bits of the single-matrix product; one gemm over the stacked
+    columns would round differently.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 2:
+        return unvec(mat @ vec(x), out_dim)
+    vecs = x.transpose(0, 2, 1).reshape(len(x), -1)       # column-stack each matrix
+    images = (mat @ vecs[:, :, None]).reshape(len(x), out_dim, out_dim)
+    return np.ascontiguousarray(images.transpose(0, 2, 1))
+
+
+def stacked_products(lefts, rights) -> Array:
+    """The fresh (k, rows, cols) stack of a @ b over the pairs of ``lefts`` and ``rights``.
+
+    Each product is one gemm written straight into the stack, with the bits of
+    ``a @ b``; neither factor is copied into a stack of its own.
+    """
+    pairs = list(zip(lefts, rights, strict=True))
+    out = np.empty((len(pairs), pairs[0][0].shape[0], pairs[0][1].shape[1]), dtype=complex)
+    for (a, b), product in zip(pairs, out):
+        np.matmul(a, b, out=product)
+    return out
 
 
 def supermatrix_from_function(f, in_dim: int, out_dim: int) -> Array:

@@ -24,6 +24,7 @@ slot state the same identities with the tensor factors exchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 
 import numpy as np
@@ -35,20 +36,21 @@ from .algebra import (
     embed_averaged_supermap,
     embed_supermap,
     expectation_supermap,
-    flip_after,
+    flip_rows,
     predual,
     trace_norm_distance,
 )
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import product_norm
+from .linalg import product_norm, stacked_products
 from .process import (
     Family,
     ResidualTable,
     ValidationFailure,
     computed_state,
     pair_residuals,
+    row,
     split_residuals,
 )
 
@@ -125,17 +127,23 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
     if doubled and family.companion_q is None:
         raise ValueError("h family needs its companion Q to check the doubled law")
     if doubled:
-        def compose(s, tau, t):
-            return doubled_after(family.companion_q.map(s, tau), family.core(tau, t))
-    else:
-        # where F^{s,tau} meets F^{tau,t}: T_tau C^{tau,t}, once per pair
-        inner = {(tau, t): family.trailing_times(tau, family.core(tau, t))
-                 for (tau, t) in family.pairs() if tau > 0}
+        q = family.companion_q.map
 
-        def compose(s, tau, t):
-            return family.core(s, tau) @ inner[(tau, t)]
+        def products(s, tau, ts):
+            return doubled_after(q(s, tau), row(family.core, tau, ts))
+    else:
+        @cache
+        def inner(tau, ts):
+            # where F^{s,tau} meets F^{tau,t}: T_tau C^{tau,t}, once per tau
+            cores = row(family.core, tau, ts)
+            if not family.factored:
+                return np.stack(cores)
+            return stacked_products([family.expectations[tau].matrix] * len(ts), cores)
+
+        def products(s, tau, ts):
+            return np.matmul(family.core(s, tau).matrix, inner(tau, ts))
     label = "doubled-composition" if doubled else "markov"
-    return split_residuals(family, compose, f"{label}-{family.kind}")
+    return split_residuals(family, products, f"{label}-{family.kind}")
 
 
 def _phi_trajectory(q_family: Family, omega0: State) -> list[State]:
@@ -183,12 +191,16 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     e_phi = [expectation_supermap(phi) for phi in phis]
     e_psi = rebuilt.expectations
     core, q = h_family.core, q_family.map
+    flip = flip_rows(h_family.n)
     return AxiomReport(
-        flip=pair_residuals(h_family, lambda s, t: flip_after(core(s, t)), core,
-                            "axiom-flip", trailing=h_family),
-        exchange=pair_residuals(h_family,
-                                lambda s, t: h_family.times_trailing(e_psi[s] @ core(s, t), t),
-                                lambda s, t: q(s, t) @ e_phi[t], "axiom-exchange"),
+        flip=pair_residuals(h_family, lambda s, ts: np.stack([m[flip] for m in row(core, s, ts)]),
+                            lambda s, ts: row(core, s, ts), "axiom-flip", trailing=h_family),
+        exchange=pair_residuals(
+            h_family,
+            lambda s, ts: h_family.times_trailing(
+                stacked_products([e_psi[s].matrix] * len(ts), row(core, s, ts)), ts),
+            lambda s, ts: (m @ e_phi[t].matrix for m, t in zip(row(q, s, ts), ts)),
+            "axiom-exchange"),
         absorption=_absorption(h_family, e_psi),
         trajectory_gap=max(trace_norm_distance(phi, psi)
                            for phi, psi in zip(phis, rebuilt.omegas)),
@@ -250,11 +262,13 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
 
-    def carried(s, t):
-        rho = predual(q_family.map(s, t))(q_family.omegas[s].rho)
-        return expectation_supermap(computed_state(rho, f"Q^{{{s},t}}_* omega_{s}", t))
+    def carried(s, ts):
+        rhos = [predual(q_family.map(s, t))(q_family.omegas[s].rho) for t in ts]
+        return np.stack([expectation_supermap(computed_state(rho, f"Q^{{{s},t}}_* omega_{s}", t))
+                         .matrix for rho, t in zip(rhos, ts)])
 
-    return pair_residuals(q_family, carried, lambda s, t: q_family.expectations[t],
+    return pair_residuals(q_family, carried,
+                          lambda s, ts: [q_family.expectations[t].matrix for t in ts],
                           "state-consistency")
 
 
@@ -277,16 +291,24 @@ def slice_residuals(lattice: Family, q_family: Family,
     averaged = {t: es[t] @ embed_averaged_supermap(n) for t in times}
     consts = [SuperMap.constant(w, n * n) for w in lattice.omegas]
     h, q = h_family.core, q_family.map
+
+    def at(per_t, ts):
+        return [per_t[t].matrix for t in ts]
+
     sides = {
-        "reconstruction_slot": (lambda s, t: h(s, t) @ slot[t], lattice.map, None),
-        "averaged_slot": (lambda s, t: h(s, t) @ averaged[t], lambda s, t: consts[t], None),
-        "intertwining": (lambda s, t: es[s] @ h(s, t), q, h_family),
+        "reconstruction_slot": (lambda s, ts: stacked_products(row(h, s, ts), at(slot, ts)),
+                                lambda s, ts: row(lattice.map, s, ts), None),
+        "averaged_slot": (lambda s, ts: stacked_products(row(h, s, ts), at(averaged, ts)),
+                          lambda s, ts: at(consts, ts), None),
+        "intertwining": (lambda s, ts: stacked_products([es[s].matrix] * len(ts), row(h, s, ts)),
+                         lambda s, ts: row(q, s, ts), h_family),
     }
     if z_family is not None:
         z = z_family.core
-        sides["z_reconstruction_slot"] = (lambda s, t: z(s, t) @ slot[t],
-                                          lambda s, t: emb @ q(s, t), None)
-        sides["z_averaged_slot"] = (lambda s, t: z(s, t) @ averaged[t],
-                                    lambda s, t: consts[t], None)
+        sides["z_reconstruction_slot"] = (
+            lambda s, ts: stacked_products(row(z, s, ts), at(slot, ts)),
+            lambda s, ts: (emb.matrix @ m for m in row(q, s, ts)), None)
+        sides["z_averaged_slot"] = (lambda s, ts: stacked_products(row(z, s, ts), at(averaged, ts)),
+                                    lambda s, ts: at(consts, ts), None)
     return {name: pair_residuals(lattice, lhs, rhs, name, trailing).max_residual
             for name, (lhs, rhs, trailing) in sides.items()}

@@ -11,6 +11,7 @@ carries the trajectory's conditional expectations E_{omega_t}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .algebra import (
 # operator_norm is not called here since the sweeps take stacked norms; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import operator_norms
+from .linalg import operator_norms, stacked_products
 
 DEFAULT_FLIP_TOL = 1e-10
 
@@ -191,9 +192,11 @@ class Family:
             raise ValueError(f"factored {self.kind} stores only C^{{s,t}}; use core(s, t)")
         return self.maps[(s, t)]
 
-    def times_trailing(self, m: SuperMap, t: int) -> SuperMap:
-        """m followed by the trailing factor of F^{., t}: m E_{omega_t}, or m."""
-        return m @ self.expectations[t] if self.factored else m
+    def times_trailing(self, stack: np.ndarray, ts) -> np.ndarray:
+        """Slice i of ``stack`` followed by the trailing factor of F^{., ts[i]}: X E_{omega_t}, or X."""
+        if not self.factored:
+            return stack
+        return stacked_products(stack, [self.expectations[t].matrix for t in ts])
 
     def trailing_times(self, t: int, m: SuperMap) -> SuperMap:
         """The trailing factor of F^{., t} after m: E_{omega_t} m, or m."""
@@ -219,19 +222,43 @@ def computed_state(rho, quantity: str, t: int) -> State:
                                 f"{exc}") from exc
 
 
-def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, e_s: SuperMap,
-                            e_tau: SuperMap, process_type: str) -> SuperMap:
-    """Right-hand side of the fundamental equation at the split s < tau < t.
+def fundamental_rights(p_tau_ts, e_tau: SuperMap, process_type: str):
+    """The right factors :func:`fundamental_products` takes for one tau and maps P^{tau,t}.
 
-    ``e_s`` and ``e_tau`` are E_{omega_s} and E_{omega_tau}. Type A:
-    P^{s,tau} E_{omega_tau} P^{tau,t}, associated right to left so that no
-    n^4 x n^4 product is formed (n^8 MACs, not n^10). Type B:
+    Type A: the (k, n^2, n^2) stack of E_{omega_tau} P^{tau,t}. Type B: the matrices
+    of the P^{tau,t} themselves, which :func:`qqsp.algebra.doubled_after` stacks.
+    """
+    mats = [m.matrix for m in p_tau_ts]
+    if process_type == "A":
+        return stacked_products([e_tau.matrix] * len(mats), mats)
+    return mats
+
+
+def fundamental_products(p_s_tau: SuperMap, rights, e_s: SuperMap,
+                         process_type: str) -> np.ndarray:
+    """Right-hand sides of the fundamental equation at s < tau, one per t, as a stack.
+
+    ``rights`` is :func:`fundamental_rights` of tau; ``e_s`` is E_{omega_s}. Type A:
+    P^{s,tau} (E_{omega_tau} P^{tau,t}), associated right to left so that no
+    n^4 x n^4 product is formed (n^8 MACs, not n^10), in one broadcast matmul. Type B:
     (Q (x) Q) P^{tau,t} with Q = E_{omega_s} P^{s,tau}, by mode products
     (:func:`qqsp.algebra.doubled_after`).
     """
     if process_type == "A":
-        return p_s_tau @ (e_tau @ p_tau_t)
-    return doubled_after(e_s @ p_s_tau, p_tau_t)
+        return np.matmul(p_s_tau.matrix, rights)
+    return doubled_after(e_s @ p_s_tau, rights)
+
+
+def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, e_s: SuperMap,
+                            e_tau: SuperMap, process_type: str) -> SuperMap:
+    """The fundamental equation's right-hand side at one split s < tau < t.
+
+    The one-t case of :func:`fundamental_products`; ``e_s`` and ``e_tau`` are
+    E_{omega_s} and E_{omega_tau}.
+    """
+    rights = fundamental_rights([p_tau_t], e_tau, process_type)
+    return SuperMap(p_tau_t.in_dim, p_s_tau.out_dim,
+                    fundamental_products(p_s_tau, rights, e_s, process_type)[0])
 
 
 def triples(horizon: int):
@@ -286,6 +313,11 @@ class ResidualTable:
         return sorted(self.entries.items())
 
 
+def row(get, s: int, ts) -> list:
+    """The matrices of get(s, t) for the times ``ts`` of one row s of a sweep."""
+    return [get(s, t).matrix for t in ts]
+
+
 def _grouped(keys):
     """``keys`` in order, in runs that agree on everything but the last time."""
     groups = {}
@@ -294,51 +326,45 @@ def _grouped(keys):
     return groups.values()
 
 
-def _gap_norms(sides, count: int) -> np.ndarray:
-    """Operator norms of lhs - rhs over ``count`` (lhs, rhs) pairs of one shape.
+def split_residuals(family: Family, products, label: str) -> ResidualTable:
+    """||F^{s,t} - G^{s,tau,t} T_t|| at every split whose two factors are stored.
 
-    Each gap is written straight into one preallocated stack, so a group
-    is held once, not once as gaps and again as their stack.
-    """
-    stack = None
-    for i, (lhs, rhs) in enumerate(sides):
-        if stack is None:
-            stack = np.empty((count, *lhs.shape), dtype=complex)
-        np.subtract(lhs, rhs, out=stack[i])
-    return operator_norms(stack)
-
-
-def split_residuals(family: Family, compose, label: str) -> ResidualTable:
-    """||F^{s,t} - compose(s, tau, t) T_t|| at every split whose two factors are stored.
-
-    ``compose`` gives the core of the split product; T_t is the family's
-    trailing factor, so the norm is taken on the cores (:class:`Family`).
-    The gaps of one pair (s, tau) are normed in one stacked call.
+    ``products(s, tau, ts)`` gives the cores G of the split products of one pair
+    (s, tau) for every t of ``ts``, as a fresh (len(ts), rows, cols) stack; T_t is
+    the family's trailing factor, so the norm is taken on the cores
+    (:class:`Family`). Each stored core is subtracted into the stack in place, and
+    the group is normed in one stacked call.
     """
     keys = [(s, tau, t) for s, tau, t in triples(family.horizon)
             if (s, tau) in family.maps and (tau, t) in family.maps]
     entries = {}
     for group in _grouped(keys):
-        norms = _gap_norms(((family.core(s, t).matrix, compose(s, tau, t).matrix)
-                            for s, tau, t in group), len(group))
-        for (s, tau, t), norm in zip(group, norms):
+        (s, tau, _), ts = group[0], tuple(t for *_, t in group)
+        gaps = products(s, tau, ts)
+        for gap, t in zip(gaps, ts, strict=True):
+            np.subtract(family.core(s, t).matrix, gap, out=gap)
+        for t, norm in zip(ts, operator_norms(gaps)):
             entries[(s, tau, t)] = family.trailing_norm(t) * float(norm)
     return ResidualTable(entries, label)
 
 
 def pair_residuals(family: Family, lhs, rhs, label: str,
                    trailing: Family | None = None) -> ResidualTable:
-    """||(lhs(s, t) - rhs(s, t)) T_t|| at every stored pair (s, t) of ``family``.
+    """||(L^{s,t} - R^{s,t}) T_t|| at every stored pair (s, t) of ``family``.
 
-    T_t is the trailing factor of ``trailing`` (none by default), applied
-    through :meth:`Family.trailing_norm`. The gaps of one row s are normed
-    in one stacked call.
+    For one row s and its times ``ts``, ``lhs(s, ts)`` gives the L's as a fresh
+    (len(ts), rows, cols) stack and ``rhs(s, ts)`` the R's in any iterable; each R
+    is subtracted into the stack in place, and the row is normed in one stacked
+    call. T_t is the trailing factor of ``trailing`` (none by default), applied
+    through :meth:`Family.trailing_norm`.
     """
     entries = {}
     for group in _grouped(family.pairs()):
-        norms = _gap_norms(((lhs(s, t).matrix, rhs(s, t).matrix) for s, t in group),
-                           len(group))
-        for (s, t), norm in zip(group, norms):
+        s, ts = group[0][0], tuple(t for _, t in group)
+        gaps = lhs(s, ts)
+        for gap, r in zip(gaps, rhs(s, ts), strict=True):
+            np.subtract(gap, r, out=gap)
+        for t, norm in zip(ts, operator_norms(gaps)):
             entries[(s, t)] = (float(norm) if trailing is None
                                else trailing.trailing_norm(t) * float(norm))
     return ResidualTable(entries, label)
@@ -347,17 +373,23 @@ def pair_residuals(family: Family, lhs, rhs, label: str,
 def kc_consistency(lattice: Family) -> ResidualTable:
     """Residual of the fundamental equation at every admissible split.
 
-    For each s < tau < t the gap between P^{s,t} and
-    :func:`fundamental_composition` is evaluated in operator norm. The
-    maximum is the lattice's consistency score; a nonzero score is a
-    diagnostic, not an error.
+    For each s < tau < t the gap between P^{s,t} and the fundamental
+    equation's product (:func:`fundamental_products`) is evaluated in
+    operator norm. The right factors of a tau are built once and serve
+    every s < tau. The maximum is the lattice's consistency score; a nonzero
+    score is a diagnostic, not an error.
     """
-    es = lattice.expectations
+    es, ptype = lattice.expectations, lattice.process_type
+
+    @cache
+    def rights(tau, ts):
+        return fundamental_rights([lattice.map(tau, t) for t in ts], es[tau], ptype)
+
     return split_residuals(
         lattice,
-        lambda s, tau, t: fundamental_composition(lattice.map(s, tau), lattice.map(tau, t),
-                                                  es[s], es[tau], lattice.process_type),
-        f"kc-type-{lattice.process_type}")
+        lambda s, tau, ts: fundamental_products(lattice.map(s, tau), rights(tau, ts),
+                                                es[s], ptype),
+        f"kc-type-{ptype}")
 
 
 def interact_states(lattice: Family, phi: State, psi: State,

@@ -27,6 +27,7 @@ from .classical import (
     volterra_tensor,
 )
 from .ergodic import ErgodicConfig, ergodic_verdict
+from .linalg import stacked_products
 from .marginal import (
     build_H,
     build_Q,
@@ -47,6 +48,7 @@ from .process import (
     pair_residuals,
     propagate,
     reject_seed,
+    row,
     seed_diagnostics,
     seed_issues,
 )
@@ -583,9 +585,12 @@ def _stage_reconstruct(sc, seed, ctx, report):
         hh = ctx.families.get("H") or ctx.families.get("h")
         rec = reconstruct_qqsp(q, hh, lat.omega(0), lat.process_type,
                                strict=sc.mode == "strict", tol=sc.tolerances["axiom"])
-    deviation = pair_residuals(lat, rec.map, lat.map, "map-deviation").max_residual
-    conclusion_b = pair_residuals(rec, lambda s, t: rec.expectations[s] @ rec.map(s, t),
-                                  q.map, "conclusion-b").max_residual
+    deviation = pair_residuals(lat, lambda s, ts: np.stack(row(rec.map, s, ts)),
+                               lambda s, ts: row(lat.map, s, ts), "map-deviation").max_residual
+    conclusion_b = pair_residuals(
+        rec, lambda s, ts: stacked_products([rec.expectations[s].matrix] * len(ts),
+                                            row(rec.map, s, ts)),
+        lambda s, ts: row(q.map, s, ts), "conclusion-b").max_residual
     out = {
         "max_map_deviation": deviation,
         "conclusion_b_residual": conclusion_b,

@@ -350,15 +350,15 @@ def test_doubled_after_matches_the_dense_tensor(rng, n, k_is_n):
     k = n if k_is_n else 1
     q, m = random_supermap(rng, n, n), random_supermap(rng, k, n * n)
     want = (supermap_tensor(q, q) @ m).matrix
-    got = doubled_after(q, m).matrix
+    got = doubled_after(q, [m.matrix])[0]
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_doubled_after_rejects_mismatched_maps(rng):
     with pytest.raises(ValueError):
-        doubled_after(random_supermap(rng, 2, 4), random_supermap(rng, 2, 4))
+        doubled_after(random_supermap(rng, 2, 4), [random_supermap(rng, 2, 4).matrix])
     with pytest.raises(ValueError):
-        doubled_after(random_supermap(rng, 2, 2), random_supermap(rng, 2, 9))
+        doubled_after(random_supermap(rng, 2, 2), [random_supermap(rng, 2, 9).matrix])
 
 
 def _slices(rng, count, rows, cols):
