@@ -141,17 +141,43 @@ def trace_norm(a: Array) -> float:
 
 def operator_norm(a: Array) -> float:
     """Largest singular value (operator norm on Frobenius vectorizations)."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), ord=2))
+    return float(operator_norms(np.asarray(a)[None])[0])
 
 
 def operator_norms(stack: Array) -> Array:
-    """:func:`operator_norm` of every matrix of a (k, rows, cols) stack, in one LAPACK call."""
-    stack = np.asarray(stack, dtype=complex)
-    if stack.size == 0:
+    """:func:`operator_norm` of every matrix of a (k, rows, cols) stack.
+
+    The norm is 2^e sqrt(lambda_max) of a scaled Gram matrix
+    (:func:`scaled_grams`, :func:`gram_norms`). It agrees with the largest
+    singular value of an SVD to a few ulps, relative.
+    """
+    if np.size(stack) == 0:
         return np.zeros(len(stack))
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return gram_norms(*scaled_grams(stack))
+
+
+def scaled_grams(stack: Array) -> tuple[Array, Array]:
+    """The smaller Gram matrix of every scaled slice of a (k, rows, cols) stack, and the scales.
+
+    Slice X is scaled by 2^-e, with 2^e the power of two frexp takes from its
+    largest real or imaginary part. The scaling is exact and keeps the Gram
+    matrix, X^dagger X or X X^dagger, from underflowing or overflowing.
+    Returns the (k, side, side) Grams and the k exponents e.
+    """
+    parts = np.ascontiguousarray(stack, dtype=complex).view(float)
+    _, exps = np.frexp(np.abs(parts).max(axis=(1, 2)))
+    x = np.ldexp(parts, -exps[:, None, None]).view(complex)
+    adjoint = np.conj(x).transpose(0, 2, 1)
+    return (adjoint @ x if x.shape[1] >= x.shape[2] else x @ adjoint), exps
+
+
+def gram_norms(grams: Array, exps: Array) -> Array:
+    """Operator norms from :func:`scaled_grams`: 2^e sqrt(lambda_max), one stacked eigvalsh.
+
+    A sweep can gather the Grams of many stacks of one shape and take all their
+    norms in one call.
+    """
+    return np.ldexp(np.sqrt(np.linalg.eigvalsh(grams)[:, -1]), exps)
 
 
 def trace_norms(stack: Array) -> Array:
@@ -175,16 +201,16 @@ def trace_norms(stack: Array) -> Array:
     return out
 
 
-def product_norm(x: Array, y: Array) -> float:
-    """operator_norm(x @ y) without forming the product.
+def product_norms(xs, y: Array) -> Array:
+    """operator_norm(x @ y) for every x of ``xs``, without forming the products.
 
     With thin QRs x = Q_x R_x and y^dagger = Q_y R_y, x y = Q_x R_x R_y^dagger Q_y^dagger
     and both Q factors are isometries, so ||x y|| = ||R_x R_y^dagger||: for a
     tall x and a wide y the norm is taken on their small inner dimension.
     """
-    r_x = np.linalg.qr(np.asarray(x, dtype=complex), mode="r")
-    r_y = np.linalg.qr(dagger(y), mode="r")
-    return operator_norm(r_x @ dagger(r_y))
+    r_y = dagger(np.linalg.qr(dagger(y), mode="r"))
+    return operator_norms(np.array([np.linalg.qr(np.asarray(x, dtype=complex), mode="r") @ r_y
+                                    for x in xs]))
 
 
 def hermiticity_defect(a: Array) -> float:

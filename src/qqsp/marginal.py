@@ -43,7 +43,7 @@ from .algebra import (
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import product_norm, stacked_products
+from .linalg import product_norms, stacked_products
 from .process import (
     Family,
     ResidualTable,
@@ -220,9 +220,9 @@ def _absorption(h_family: Family, e_psi) -> ResidualTable:
         absorbed = (h_family.trailing_times(t, emb) @ e_psi[t]).matrix
         lead = (h_family.expectations[t].matrix if h_family.factored
                 else np.eye(len(absorbed)))
-        tail = lead - absorbed
-        for s, _ in group:
-            entries[(s, t)] = product_norm(h_family.core(s, t).matrix, tail)
+        group = list(group)
+        norms = product_norms([h_family.core(s, t).matrix for s, _ in group], lead - absorbed)
+        entries.update(zip(group, map(float, norms)))
     return ResidualTable(dict(sorted(entries.items())), "axiom-absorption")
 
 

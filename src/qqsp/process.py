@@ -11,7 +11,7 @@ carries the trajectory's conditional expectations E_{omega_t}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .algebra import (
 # operator_norm is not called here since the sweeps take stacked norms; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import operator_norms, stacked_products
+from .linalg import gram_norms, scaled_grams, stacked_products
 
 DEFAULT_FLIP_TOL = 1e-10
 
@@ -204,7 +204,11 @@ class Family:
 
     def trailing_norm(self, t: int) -> float:
         """||X T_t|| / ||X|| for the trailing factor T_t: ||rho_t||_F, or 1."""
-        return float(np.linalg.norm(self.omegas[t].rho)) if self.factored else 1.0
+        return self._rho_norms[t] if self.factored else 1.0
+
+    @cached_property
+    def _rho_norms(self) -> tuple[float, ...]:
+        return tuple(float(np.linalg.norm(w.rho)) for w in self.omegas)
 
     def omega(self, t: int) -> State:
         return self.omegas[t]
@@ -326,26 +330,42 @@ def _grouped(keys):
     return groups.values()
 
 
+def _table(groups, gaps, scale, label: str) -> ResidualTable:
+    """scale(key) ||gap|| for every key of ``groups``, a group's gaps coming from ``gaps(group)``.
+
+    The Gram matrix of each gap is formed with its group, and every norm of the
+    table is taken in one stacked eigvalsh (:func:`qqsp.linalg.gram_norms`).
+    """
+    keys, grams, exps = [], [], []
+    for group in groups:
+        gram, exp = scaled_grams(gaps(group))
+        keys += group
+        grams.append(gram)
+        exps.append(exp)
+    norms = gram_norms(np.concatenate(grams), np.concatenate(exps)) if keys else ()
+    return ResidualTable({key: scale(key) * float(norm) for key, norm in zip(keys, norms)},
+                         label)
+
+
 def split_residuals(family: Family, products, label: str) -> ResidualTable:
     """||F^{s,t} - G^{s,tau,t} T_t|| at every split whose two factors are stored.
 
     ``products(s, tau, ts)`` gives the cores G of the split products of one pair
     (s, tau) for every t of ``ts``, as a fresh (len(ts), rows, cols) stack; T_t is
     the family's trailing factor, so the norm is taken on the cores
-    (:class:`Family`). Each stored core is subtracted into the stack in place, and
-    the group is normed in one stacked call.
+    (:class:`Family`). Each stored core is subtracted into the stack in place.
     """
     keys = [(s, tau, t) for s, tau, t in triples(family.horizon)
             if (s, tau) in family.maps and (tau, t) in family.maps]
-    entries = {}
-    for group in _grouped(keys):
+
+    def gaps(group):
         (s, tau, _), ts = group[0], tuple(t for *_, t in group)
-        gaps = products(s, tau, ts)
-        for gap, t in zip(gaps, ts, strict=True):
+        stack = products(s, tau, ts)
+        for gap, t in zip(stack, ts, strict=True):
             np.subtract(family.core(s, t).matrix, gap, out=gap)
-        for t, norm in zip(ts, operator_norms(gaps)):
-            entries[(s, tau, t)] = family.trailing_norm(t) * float(norm)
-    return ResidualTable(entries, label)
+        return stack
+
+    return _table(_grouped(keys), gaps, lambda key: family.trailing_norm(key[-1]), label)
 
 
 def pair_residuals(family: Family, lhs, rhs, label: str,
@@ -354,20 +374,19 @@ def pair_residuals(family: Family, lhs, rhs, label: str,
 
     For one row s and its times ``ts``, ``lhs(s, ts)`` gives the L's as a fresh
     (len(ts), rows, cols) stack and ``rhs(s, ts)`` the R's in any iterable; each R
-    is subtracted into the stack in place, and the row is normed in one stacked
-    call. T_t is the trailing factor of ``trailing`` (none by default), applied
-    through :meth:`Family.trailing_norm`.
+    is subtracted into the stack in place. T_t is the trailing factor of
+    ``trailing`` (none by default), applied through :meth:`Family.trailing_norm`.
     """
-    entries = {}
-    for group in _grouped(family.pairs()):
+    def gaps(group):
         s, ts = group[0][0], tuple(t for _, t in group)
-        gaps = lhs(s, ts)
-        for gap, r in zip(gaps, rhs(s, ts), strict=True):
+        stack = lhs(s, ts)
+        for gap, r in zip(stack, rhs(s, ts), strict=True):
             np.subtract(gap, r, out=gap)
-        for t, norm in zip(ts, operator_norms(gaps)):
-            entries[(s, t)] = (float(norm) if trailing is None
-                               else trailing.trailing_norm(t) * float(norm))
-    return ResidualTable(entries, label)
+        return stack
+
+    return _table(_grouped(family.pairs()), gaps,
+                  lambda key: 1.0 if trailing is None else trailing.trailing_norm(key[-1]),
+                  label)
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:

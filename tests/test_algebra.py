@@ -29,7 +29,7 @@ from qqsp.linalg import (
     operator_norm,
     operator_norms,
     predual_matrix,
-    product_norm,
+    product_norms,
     supermatrix_from_function,
     supermatrix_tensor,
     swap_matrix,
@@ -410,9 +410,12 @@ def test_product_norm_matches_the_dense_product(rng, x_shape, y_shape, rank):
     if rank is not None:
         x[:, rank:] = x[:, :rank] @ rng.normal(size=(rank, x_shape[1] - rank))
         y[rank:] = rng.normal(size=(y_shape[0] - rank, rank)) @ y[:rank]
-    want = operator_norm(x @ y)
-    assert abs(product_norm(x, y) - want) <= 1e-13 * max(1.0, want)
-    assert product_norm(x, np.zeros(y_shape)) == 0.0
+    xs = [x, 2 * x, np.zeros(x_shape)]
+    got = product_norms(xs, y)
+    for a, norm in zip(xs, got):
+        want = operator_norm(a @ y)
+        assert abs(norm - want) <= 1e-13 * max(1.0, want)
+    assert product_norms([x], np.zeros(y_shape))[0] == 0.0
 
 
 def test_supermap_shape_validation():
