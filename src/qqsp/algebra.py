@@ -103,6 +103,8 @@ class State:
         m = np.asarray(self.rho, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():   # NaN would pass every comparison below
+            raise ValueError("density matrix has non-finite entries")
         skew = hermiticity_defect(m)
         if skew > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m))):
             raise ValueError(f"density matrix is not hermitian (defect {skew:.2e})")

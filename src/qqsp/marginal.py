@@ -52,6 +52,7 @@ from .process import (
     pair_residuals,
     row,
     split_residuals,
+    triples,
 )
 
 
@@ -144,6 +145,23 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
             return np.matmul(family.core(s, tau).matrix, inner(tau, ts))
     label = "doubled-composition" if doubled else "markov"
     return split_residuals(family, products, f"{label}-{family.kind}")
+
+
+def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
+    """:func:`check_markov` of the H or h built from the lattice whose kc table is ``kc``.
+
+    H's Markov law and h's doubled law compare the core P^{s,t} with the
+    fundamental equation's product of P^{s,tau} and P^{tau,t}, formed as
+    :func:`qqsp.process.kc_consistency` forms it. The gaps are the kc gaps, so
+    each entry is the kc entry times ||rho_t||_F, bit for bit.
+    """
+    ptype = {"H": "A", "h": "B"}.get(family.kind)
+    if kc.label != f"kc-type-{ptype}" or set(kc.entries) != set(triples(family.horizon)):
+        raise ValueError(f"{kc.label!r} is not the kc table of a lattice an {family.kind} "
+                         f"family can share")
+    label = "doubled-composition" if family.kind == "h" else "markov"
+    return ResidualTable({key: family.trailing_norm(key[-1]) * value
+                          for key, value in kc.entries.items()}, f"{label}-{family.kind}")
 
 
 def _phi_trajectory(q_family: Family, omega0: State) -> list[State]:

@@ -57,9 +57,12 @@ def complex_matrix_to_pairs(m: np.ndarray):
 
 def pairs_to_complex_matrix(rows) -> np.ndarray:
     try:
-        return np.array([[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex)
+        m = np.array([[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex)
     except (TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"expected rows of [re, im] pairs ({exc})") from exc
+    if not np.isfinite(m).all():   # json accepts NaN and Infinity
+        raise ValueError("entries must be finite numbers")
+    return m
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .marginal import (
     build_h,
     build_z,
     check_markov,
+    composition_from_kc,
     reconstruct_qqsp,
     slice_residuals,
     state_consistency_residual,
@@ -43,6 +44,7 @@ from .marginal import (
 from .process import (
     Family,
     QQSPSeed,
+    ResidualTable,
     ValidationFailure,
     kc_consistency,
     pair_residuals,
@@ -230,12 +232,23 @@ def scenario_from_file(path) -> Scenario:
     return parse_scenario(data)
 
 
+def _finite_array(value, where: str) -> np.ndarray:
+    """A JSON array of finite real numbers; json accepts NaN and Infinity, this does not."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: expected an array of numbers ({exc})") from exc
+    if not np.isfinite(array).all():
+        raise ScenarioError(f"{where}: entries must be finite numbers")
+    return array
+
+
 def _parse_state(spec: dict, dim: int, where: str) -> State:
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
     try:
         if "diag" in spec:
-            w = np.asarray(spec["diag"], dtype=float)
+            w = _finite_array(spec["diag"], f"{where}.diag")
             if w.shape != (dim,):
                 raise ScenarioError(f"{where}: diag length {w.shape} != algebra dim {dim}")
             return State.from_weights(w)
@@ -259,10 +272,18 @@ _QUANTUM_BUILTIN_MAPS = {
     "entangling-mixed": lambda n: entangling_mixed_step_map(),
 }
 
-_CLASSICAL_BUILTIN_TENSORS = {
-    "mendel": lambda spec, N: mendel_tensor(),
-    "volterra": lambda spec, N: volterra_tensor(float(spec.get("a", 1.0))),
-    "copy-second": lambda spec, N: copy_second_parent_tensor(N),
+def _volterra(spec: dict, where: str):
+    a = _number(spec, "a", 1.0, float, where)
+    try:
+        return volterra_tensor(a)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}.a: {exc}") from exc
+
+
+_CLASSICAL_BUILTIN_TENSORS = {   # (spec, N, where) -> tensor
+    "mendel": lambda spec, N, where: mendel_tensor(),
+    "volterra": lambda spec, N, where: _volterra(spec, where),
+    "copy-second": lambda spec, N, where: copy_second_parent_tensor(N),
 }
 
 
@@ -291,13 +312,15 @@ def _resolve_seed(sc: Scenario):
         if sc.algebra_kind != "diagonal":
             raise ScenarioError(f"{where}: classical tensors need a diagonal algebra")
         cs = spec["classical"]
+        if not isinstance(cs, dict):
+            raise ScenarioError(f"{where}.classical: expected an object")
         if "builtin" in cs:
             builder = _CLASSICAL_BUILTIN_TENSORS.get(cs["builtin"])
             if builder is None:
                 raise ScenarioError(f"{where}: unknown classical builtin {cs['builtin']!r}")
-            tensor = builder(cs, sc.dim)
+            tensor = builder(cs, sc.dim, f"{where}.classical")
         elif "tensor" in cs:
-            tensor = np.asarray(cs["tensor"], dtype=float)
+            tensor = _finite_array(cs["tensor"], f"{where}.classical.tensor")
         else:
             raise ScenarioError(f"{where}.classical: expected 'builtin' or 'tensor'")
         if tensor.shape != (sc.dim,) * 3:
@@ -450,6 +473,7 @@ class _PipelineState:
         self.families: dict = {}
         self.classical: ClassicalQSP | None = None
         self.rebuilt: Family | None = None   # the lattice rebuilt from (Q, H), once checked
+        self.kc: ResidualTable | None = None    # the kc stage's table, which H/h's law reuses
 
 
 def run_scenario(sc: Scenario, mode: str | None = None,
@@ -531,7 +555,7 @@ def _stage_propagate(sc, seed, ctx, report):
 
 
 def _stage_kc(sc, seed, ctx, report):
-    table = kc_consistency(ctx.lattice)
+    table = ctx.kc = kc_consistency(ctx.lattice)
     report.stages["kc"] = _table_dict(table)
     report.verdicts["kc_ok"] = table.ok(sc.tolerances["kc"])
 
@@ -550,7 +574,8 @@ def _stage_marginals(sc, seed, ctx, report):
     out = {"kinds": sorted(ctx.families)}
     worst = 0.0
     for kind, fam in sorted(ctx.families.items()):
-        table = check_markov(fam)
+        shared = ctx.kc is not None and kind in ("H", "h")
+        table = composition_from_kc(ctx.kc, fam) if shared else check_markov(fam)
         out[f"composition_{kind}"] = _table_dict(table)
         worst = max(worst, table.max_residual)
     if "h" in ctx.families:

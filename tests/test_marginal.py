@@ -470,14 +470,16 @@ def test_no_residual_norm_sees_a_dense_doubled_map(monkeypatch):
 
 @pytest.mark.parametrize("ptype", ["A", "B"])
 def test_no_stage_forms_a_quartic_matrix(monkeypatch, ptype):
-    # after validate, no SuperMap is n^4 x n^4 and no Q (x) Q is built densely:
-    # kc, the doubled law and propagate go through reassociation and mode products
+    # after validate, no SuperMap is n^4 x n^4, no slice of a stacked product or of a
+    # stack of residual gaps is either, and no Q (x) Q is built densely: kc, the doubled
+    # law and propagate go through reassociation and mode products
     import sys
 
     import qqsp.algebra
+    import qqsp.linalg
     import qqsp.scenarios
 
-    stage, shapes, tensors = ["validate"], [], []
+    stage, shapes, tensors, stacked = ["validate"], [], [], []
     original_init, original_tensor = SuperMap.__post_init__, qqsp.algebra.supermap_tensor
 
     def recording_init(self):
@@ -490,6 +492,14 @@ def test_no_stage_forms_a_quartic_matrix(monkeypatch, ptype):
             tensors.append((m1.matrix.shape, m2.matrix.shape))
         return original_tensor(m1, m2)
 
+    def recording_stack(original, result_of):
+        def run(*args):
+            out = original(*args)
+            if stage[0] != "validate":
+                stacked.append(np.shape(result_of(args, out))[1:])
+            return out
+        return run
+
     def entering(name, runner):
         def run(*args):
             stage[0] = name
@@ -497,13 +507,22 @@ def test_no_stage_forms_a_quartic_matrix(monkeypatch, ptype):
         return run
 
     monkeypatch.setattr(SuperMap, "__post_init__", recording_init)
+    stack_kernels = {  # the stacked products, and the gap stacks every sweep norms
+        qqsp.algebra.doubled_after: lambda args, out: out,
+        qqsp.linalg.stacked_products: lambda args, out: out,
+        qqsp.linalg.scaled_grams: lambda args, out: args[0],
+    }
     for module in [m for name, m in sys.modules.items() if name.startswith("qqsp")]:
         if getattr(module, "supermap_tensor", None) is original_tensor:
             monkeypatch.setattr(module, "supermap_tensor", recording_tensor)
+        for kernel, result_of in stack_kernels.items():
+            if getattr(module, kernel.__name__, None) is kernel:
+                monkeypatch.setattr(module, kernel.__name__, recording_stack(kernel, result_of))
     for name, runner in qqsp.scenarios._STAGE_RUNNERS.items():
         monkeypatch.setitem(qqsp.scenarios._STAGE_RUNNERS, name, entering(name, runner))
     report = run_scenario(_strict_n3_t4(ptype))
     assert all(report.verdicts[k] for k in ("kc_ok", "composition_ok", "axioms_ok",
                                             "roundtrip_ok"))
     assert shapes and (81, 81) not in shapes
+    assert (81, 9) in stacked and (81, 81) not in stacked
     assert tensors == []

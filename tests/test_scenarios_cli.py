@@ -422,6 +422,68 @@ def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+def _non_finite_case(case: str) -> dict:
+    """A full-pipeline scenario with one NaN or infinite entry; json reads both."""
+    quantum = {"name": case, "algebra": {"kind": "full", "dim": 2}, "process_type": "A",
+               "horizon": 3, "seed": {"builtin": "mixed"},
+               "initial_state": {"diag": [0.5, 0.5]}}
+    if case == "diag-nan":
+        return {**quantum, "initial_state": {"diag": [float("nan"), 0.5]}}
+    if case == "diag-inf":
+        return {**quantum, "initial_state": {"diag": [float("inf"), 0.5]}}
+    if case == "step-map-nan":
+        m = mixed_step_map(2).matrix.copy()
+        m[0, 0] = float("nan")
+        return {**quantum, "seed": {"step_maps": [complex_matrix_to_pairs(m)]}}
+    if case == "pair-matrix-nan":
+        rho = complex_matrix_to_pairs(np.diag([float("nan"), 0.5]))
+        return {**quantum, "ensemble": {"pairs": [{"a": {"matrix": rho},
+                                                   "b": {"diag": [1.0, 0.0]}}]}}
+    tensor = [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]]
+    tensor[0][0][0] = float("nan")
+    return {**quantum, "name": case, "algebra": {"kind": "diagonal", "dim": 2},
+            "seed": {"classical": {"tensor": tensor}}}
+
+
+@pytest.mark.parametrize("mode", ["strict", "permissive"])
+@pytest.mark.parametrize("case, field", [
+    ("diag-nan", "initial_state.diag"),
+    ("diag-inf", "initial_state.diag"),
+    ("step-map-nan", "seed.step_maps[0]"),
+    ("pair-matrix-nan", "ensemble.pairs[0]"),
+    ("tensor-nan", "seed.classical.tensor"),
+])
+def test_cli_exit_2_on_non_finite_input(tmp_path, capsys, mode, case, field):
+    # each used to end in a LinAlgError traceback (exit 1) in some mode
+    data = {**_non_finite_case(case), "mode": mode}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{case}.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_state_rejects_non_finite_entries():
+    from qqsp.algebra import State
+
+    for bad in (np.diag([float("nan"), 1.0]), np.diag([float("inf"), 0.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            State(bad)
+    with pytest.raises(ValueError, match="finite"):
+        pairs_to_complex_matrix([[[float("nan"), 0.0]]])
+
+
+@pytest.mark.parametrize("a", [2, -1, "x", True, float("nan")])
+def test_cli_exit_2_on_a_bad_volterra_parameter(tmp_path, capsys, a):
+    data = {"name": "volterra-bad", "algebra": {"kind": "diagonal", "dim": 2},
+            "process_type": "A", "horizon": 3, "initial_state": {"diag": [0.5, 0.5]},
+            "seed": {"classical": {"builtin": "volterra", "a": a}}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "volterra-bad.seed.classical.a" in capsys.readouterr().err
+
+
 def test_cli_exit_2_on_negative_seed_flag(tmp_path, capsys):
     assert main(["run", "constant-n2", "--seed", "-5", "--out-dir", str(tmp_path / "out")]) == 2
     assert "run seed" in capsys.readouterr().err
