@@ -156,19 +156,34 @@ def operator_norms(stack: Array) -> Array:
     return gram_norms(*scaled_grams(stack))
 
 
+GRAM_CHUNK_BYTES = 1 << 20
+
+
 def scaled_grams(stack: Array) -> tuple[Array, Array]:
     """The smaller Gram matrix of every scaled slice of a (k, rows, cols) stack, and the scales.
 
     Slice X is scaled by 2^-e, with 2^e the power of two frexp takes from its
     largest real or imaginary part. The scaling is exact and keeps the Gram
     matrix, X^dagger X or X X^dagger, from underflowing or overflowing.
-    Returns the (k, side, side) Grams and the k exponents e.
+    Returns the (k, side, side) Grams and the k exponents e. The slices are
+    taken about ``GRAM_CHUNK_BYTES`` at a time, so the scaled and conjugated
+    copies stay small however large the stack is.
     """
-    parts = np.ascontiguousarray(stack, dtype=complex).view(float)
-    _, exps = np.frexp(np.abs(parts).max(axis=(1, 2)))
-    x = np.ldexp(parts, -exps[:, None, None]).view(complex)
-    adjoint = np.conj(x).transpose(0, 2, 1)
-    return (adjoint @ x if x.shape[1] >= x.shape[2] else x @ adjoint), exps
+    stack = np.asarray(stack, dtype=complex)
+    count, rows, cols = stack.shape
+    side = min(rows, cols)
+    grams = np.empty((count, side, side), dtype=complex)
+    exps = np.empty(count, dtype=np.intc)
+    step = max(1, GRAM_CHUNK_BYTES // max(1, stack[0].nbytes))
+    for start in range(0, count, step):
+        parts = np.ascontiguousarray(stack[start:start + step]).view(float)
+        _, exp = np.frexp(np.abs(parts).max(axis=(1, 2)))
+        x = np.ldexp(parts, -exp[:, None, None]).view(complex)
+        adjoint = np.conj(x).transpose(0, 2, 1)
+        out = grams[start:start + step]
+        np.matmul(adjoint, x, out=out) if rows >= cols else np.matmul(x, adjoint, out=out)
+        exps[start:start + step] = exp
+    return grams, exps
 
 
 def gram_norms(grams: Array, exps: Array) -> Array:

@@ -211,8 +211,10 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     core, q = h_family.core, q_family.map
     flip = flip_rows(h_family.n)
     return AxiomReport(
-        flip=pair_residuals(h_family, lambda s, ts: np.stack([m[flip] for m in row(core, s, ts)]),
-                            lambda s, ts: row(core, s, ts), "axiom-flip", trailing=h_family),
+        # H - U H, so that each flipped core is made only while it is subtracted
+        flip=pair_residuals(h_family, lambda s, ts: np.stack(row(core, s, ts)),
+                            lambda s, ts: (m[flip] for m in row(core, s, ts)), "axiom-flip",
+                            trailing=h_family),
         exchange=pair_residuals(
             h_family,
             lambda s, ts: h_family.times_trailing(
@@ -280,14 +282,15 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
 
-    def carried(s, ts):
-        rhos = [predual(q_family.map(s, t))(q_family.omegas[s].rho) for t in ts]
-        return np.stack([expectation_supermap(computed_state(rho, f"Q^{{{s},t}}_* omega_{s}", t))
-                         .matrix for rho, t in zip(rhos, ts)])
+    def carried(s, ts):   # made one at a time, each while it is subtracted
+        for t in ts:
+            rho = predual(q_family.map(s, t))(q_family.omegas[s].rho)
+            yield expectation_supermap(computed_state(rho, f"Q^{{{s},t}}_* omega_{s}", t)).matrix
 
-    return pair_residuals(q_family, carried,
-                          lambda s, ts: [q_family.expectations[t].matrix for t in ts],
-                          "state-consistency")
+    # E_{omega_t} - E_{Q_* omega_s}
+    return pair_residuals(q_family,
+                          lambda s, ts: np.stack([q_family.expectations[t].matrix for t in ts]),
+                          carried, "state-consistency")
 
 
 def slice_residuals(lattice: Family, q_family: Family,
