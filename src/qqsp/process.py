@@ -193,7 +193,7 @@ class Family:
         return self.maps[(s, t)]
 
     def times_trailing(self, stack: np.ndarray, ts) -> np.ndarray:
-        """Slice i of ``stack`` followed by the trailing factor of F^{., ts[i]}: X E_{omega_t}, or X."""
+        """Slice X of ``stack`` followed by the trailing factor of its t: X E_{omega_t}, or X."""
         if not self.factored:
             return stack
         return stacked_products(stack, [self.expectations[t].matrix for t in ts])
