@@ -60,7 +60,8 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
             raise ValueError(f"pair dimension {phi.dim} does not match the family "
                              f"({source.side})")
     times = tuple(range(1, source.horizon + 1))
-    states = np.array([[phi.rho, psi.rho] for phi, psi in pairs]).reshape(-1, *[source.side] * 2)
+    states = np.array([x.rho for pair in pairs for x in pair]).reshape(
+        2 * len(pairs), source.side, source.side)
     columns = []   # [time][pair]: the gaps of one t are normed in one stacked call
     for t in times:
         images = predual(source.core(0, t))(states)

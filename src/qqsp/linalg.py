@@ -75,7 +75,7 @@ def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
     x = np.asarray(x, dtype=complex)
     if x.ndim == 2:
         return unvec(mat @ vec(x), out_dim)
-    vecs = x.transpose(0, 2, 1).reshape(len(x), -1)       # column-stack each matrix
+    vecs = x.transpose(0, 2, 1).reshape(len(x), x.shape[1] ** 2)   # column-stack each matrix
     images = (mat @ vecs[:, :, None]).reshape(len(x), out_dim, out_dim)
     return np.ascontiguousarray(images.transpose(0, 2, 1))
 
@@ -174,14 +174,14 @@ def scaled_grams(stack: Array) -> tuple[Array, Array]:
     side = min(rows, cols)
     grams = np.empty((count, side, side), dtype=complex)
     exps = np.empty(count, dtype=np.intc)
-    step = max(1, GRAM_CHUNK_BYTES // max(1, stack[0].nbytes))
+    step = max(1, GRAM_CHUNK_BYTES // max(1, stack.itemsize * rows * cols))
     for start in range(0, count, step):
         parts = np.ascontiguousarray(stack[start:start + step]).view(float)
         _, exp = np.frexp(np.abs(parts).max(axis=(1, 2)))
         x = np.ldexp(parts, -exp[:, None, None]).view(complex)
         adjoint = np.conj(x).transpose(0, 2, 1)
-        out = grams[start:start + step]
-        np.matmul(adjoint, x, out=out) if rows >= cols else np.matmul(x, adjoint, out=out)
+        left, right = (adjoint, x) if rows >= cols else (x, adjoint)
+        np.matmul(left, right, out=grams[start:start + step])
         exps[start:start + step] = exp
     return grams, exps
 
