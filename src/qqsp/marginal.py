@@ -8,7 +8,11 @@ From a lattice {P^{s,t}} with trajectory {omega_t} we form
 
 where embed(x) = 1 (x) x is the slot the conditional expectation leaves
 untouched. Q, H and Z are Markov; h is not, but satisfies the doubled
-composition law h^{s,t} = (Q^{s,tau} (x) Q^{s,tau}) h^{tau,t}.
+composition law h^{s,t} = (Q^{s,tau} (x) Q^{s,tau}) h^{tau,t}. On the cores
+H's Markov law is the type-A fundamental equation and h's doubled law the
+type-B one, so :func:`check_markov` only picks a split law of
+:func:`qqsp.process.split_residuals`; h reads Q^{s,tau} = E_{omega_s} P^{s,tau}
+off its own cores.
 
 H/h and Z/z are stored factored (:class:`qqsp.process.Family`): each keeps
 its core C^{s,t}, P^{s,t} for H/h and embed(E_{omega_s} P^{s,t}) for Z/z,
@@ -24,7 +28,6 @@ slot state the same identities with the tensor factors exchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import groupby
 
 import numpy as np
@@ -32,7 +35,6 @@ import numpy as np
 from .algebra import (
     State,
     SuperMap,
-    doubled_after,
     embed_averaged_supermap,
     embed_supermap,
     expectation_supermap,
@@ -56,12 +58,10 @@ from .process import (
 )
 
 
-def _derived(source: Family, kind: str, maps: dict, factored: bool,
-             companion_q: Family | None = None) -> Family:
+def _derived(source: Family, kind: str, maps: dict, factored: bool) -> Family:
     """A marginal family on the trajectory of ``source``, sharing its E_{omega_t}."""
     return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
-                  companion_q=companion_q, expectations=source.expectations,
-                  factored=factored)
+                  expectations=source.expectations, factored=factored)
 
 
 def build_Q(lattice: Family) -> Family:
@@ -73,8 +73,7 @@ def build_Q(lattice: Family) -> Family:
 
 def _build_doubled(lattice: Family, kind: str) -> Family:
     # the core of H^{s,t} = P^{s,t} E_{omega_t} is the lattice map itself
-    companion = build_Q(lattice) if kind == "h" else None
-    return _derived(lattice, kind, dict(lattice.maps), True, companion)
+    return _derived(lattice, kind, dict(lattice.maps), True)
 
 
 def build_H(lattice: Family) -> Family:
@@ -98,7 +97,7 @@ def _derive_embedded(family: Family, kind: str) -> Family:
     es = family.expectations
     # embed(E_{omega_s} C^{s,t}) keeps the trailing factor of the source family
     maps = {(s, t): emb @ (es[s] @ family.core(s, t)) for (s, t) in family.pairs()}
-    return _derived(family, kind, maps, family.factored, family.companion_q)
+    return _derived(family, kind, maps, family.factored)
 
 
 def build_Z(h_family: Family) -> Family:
@@ -118,33 +117,22 @@ def build_z(h_family: Family) -> Family:
 def check_markov(family: Family, law: str = "native") -> ResidualTable:
     """Residuals of the composition law over every admissible triple.
 
-    Kinds Q, H, Z, z use the plain Markov law; kind h natively uses the
-    doubled law with its companion Q family. Pass ``law='plain'`` to force
-    the plain law (the type-B contrast makes it fail on purpose).
+    The law is the split law of :func:`qqsp.process.split_residuals` that the
+    kind asks for. Q and any unfactored family compose plainly, F^{s,tau} F^{tau,t}.
+    The factored H, Z, z compose as C^{s,tau} E_{omega_tau} C^{tau,t} (law A), and so
+    does h with ``law='plain'`` (the type-B contrast makes it fail on purpose).
+    Natively h obeys the doubled law (Q^{s,tau} (x) Q^{s,tau}) h^{tau,t} (law B), with
+    Q^{s,tau} = E_{omega_s} P^{s,tau} read off its own cores.
     """
     if law not in ("native", "plain"):
         raise ValueError(f"unknown law {law!r}")
     doubled = family.kind == "h" and law == "native"
-    if doubled and family.companion_q is None:
-        raise ValueError("h family needs its companion Q to check the doubled law")
-    if doubled:
-        q = family.companion_q.map
-
-        def products(s, tau, ts):
-            return doubled_after(q(s, tau), row(family.core, tau, ts))
-    else:
-        @cache
-        def inner(tau, ts):
-            # where F^{s,tau} meets F^{tau,t}: T_tau C^{tau,t}, once per tau
-            cores = row(family.core, tau, ts)
-            if not family.factored:
-                return np.stack(cores)
-            return stacked_products([family.expectations[tau].matrix] * len(ts), cores)
-
-        def products(s, tau, ts):
-            return np.matmul(family.core(s, tau).matrix, inner(tau, ts))
+    if doubled and not family.factored:
+        raise ValueError("the doubled law of h reads Q^{s,tau} = E_{omega_s} P^{s,tau} off "
+                         "its cores; an unfactored h stores no P^{s,tau}")
+    split = "B" if doubled else "A" if family.factored else "plain"
     label = "doubled-composition" if doubled else "markov"
-    return split_residuals(family, products, f"{label}-{family.kind}")
+    return split_residuals(family, split, f"{label}-{family.kind}")
 
 
 def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:

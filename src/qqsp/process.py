@@ -6,6 +6,13 @@ fixed at tau = t-1; consistency at every other split is measured, never
 assumed. The state trajectory obeys omega_t(x) = (omega_0 (x) omega_0)(P^{0,t} x).
 The lattice and its marginals share one type, :class:`Family`, which
 carries the trajectory's conditional expectations E_{omega_t}.
+
+Every split product is formed by one kernel, :func:`fundamental_rights` and
+:func:`fundamental_products`, under one of three laws: A, the type-A
+fundamental equation; B, the type-B one with Q = E_{omega_s} C^{s,tau}; plain,
+C^{s,tau} C^{tau,t}. :func:`propagate` fills the lattice with it, and
+:func:`split_residuals` is the one sweep that measures it, for
+:func:`kc_consistency` and for the Markov laws of the marginals.
 """
 
 from __future__ import annotations
@@ -151,7 +158,6 @@ class Family:
     omegas: tuple[State, ...] | None = None
     process_type: str | None = None
     algebra_kind: str = "full"
-    companion_q: "Family | None" = None
     expectations: tuple[SuperMap, ...] | None = field(default=None, repr=False,
                                                       compare=False)
     factored: bool = False
@@ -226,43 +232,35 @@ def computed_state(rho, quantity: str, t: int) -> State:
                                 f"{exc}") from exc
 
 
-def fundamental_rights(p_tau_ts, e_tau: SuperMap, process_type: str):
-    """The right factors :func:`fundamental_products` takes for one tau and maps P^{tau,t}.
+LAWS = ("A", "B", "plain")
 
-    Type A: the (k, n^2, n^2) stack of E_{omega_tau} P^{tau,t}. Type B: the matrices
-    of the P^{tau,t} themselves, which :func:`qqsp.algebra.doubled_after` stacks.
+
+def fundamental_rights(cores, e_tau: SuperMap | None, law: str):
+    """The right factors :func:`fundamental_products` takes for one tau and cores C^{tau,t}.
+
+    ``cores`` holds the matrices of the C^{tau,t}. Law A: the (k, n^2, n^2) stack of
+    E_{omega_tau} C^{tau,t}. Laws B and plain: the matrices themselves, which
+    :func:`qqsp.algebra.doubled_after` or the matmul stacks. Only law A reads ``e_tau``.
     """
-    mats = [m.matrix for m in p_tau_ts]
-    if process_type == "A":
-        return stacked_products([e_tau.matrix] * len(mats), mats)
-    return mats
+    if law == "A":
+        return stacked_products([e_tau.matrix] * len(cores), cores)
+    return cores
 
 
-def fundamental_products(p_s_tau: SuperMap, rights, e_s: SuperMap,
-                         process_type: str) -> np.ndarray:
-    """Right-hand sides of the fundamental equation at s < tau, one per t, as a stack.
+def fundamental_products(left: SuperMap, rights, e_s: SuperMap | None,
+                         law: str) -> np.ndarray:
+    """The split products of C^{s,tau} and C^{tau,t} at one s < tau, one per t, as a stack.
 
-    ``rights`` is :func:`fundamental_rights` of tau; ``e_s`` is E_{omega_s}. Type A:
-    P^{s,tau} (E_{omega_tau} P^{tau,t}), associated right to left so that no
-    n^4 x n^4 product is formed (n^8 MACs, not n^10), in one broadcast matmul. Type B:
-    (Q (x) Q) P^{tau,t} with Q = E_{omega_s} P^{s,tau}, by mode products
-    (:func:`qqsp.algebra.doubled_after`).
+    ``left`` is C^{s,tau} and ``rights`` is :func:`fundamental_rights` of tau. Law A, the
+    type-A fundamental equation: C^{s,tau} (E_{omega_tau} C^{tau,t}), associated right
+    to left so that no n^4 x n^4 product is formed (n^8 MACs, not n^10), in one
+    broadcast matmul. Law B, the type-B equation: (Q (x) Q) C^{tau,t} with
+    Q = E_{omega_s} C^{s,tau}, by mode products (:func:`qqsp.algebra.doubled_after`).
+    Law plain: C^{s,tau} C^{tau,t}. Only law B reads ``e_s``.
     """
-    if process_type == "A":
-        return np.matmul(p_s_tau.matrix, rights)
-    return doubled_after(e_s @ p_s_tau, rights)
-
-
-def fundamental_composition(p_s_tau: SuperMap, p_tau_t: SuperMap, e_s: SuperMap,
-                            e_tau: SuperMap, process_type: str) -> SuperMap:
-    """The fundamental equation's right-hand side at one split s < tau < t.
-
-    The one-t case of :func:`fundamental_products`; ``e_s`` and ``e_tau`` are
-    E_{omega_s} and E_{omega_tau}.
-    """
-    rights = fundamental_rights([p_tau_t], e_tau, process_type)
-    return SuperMap(p_tau_t.in_dim, p_s_tau.out_dim,
-                    fundamental_products(p_s_tau, rights, e_s, process_type)[0])
+    if law == "B":
+        return doubled_after(e_s @ left, rights)
+    return np.matmul(left.matrix, rights)
 
 
 def triples(horizon: int):
@@ -281,11 +279,13 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     omegas = [seed.omega0]
     rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)
     expectations = [expectation_supermap(seed.omega0)]
+    law = seed.process_type
     for t in range(1, seed.horizon + 1):
+        # the right factor of tau = t-1 serves every s of the row
+        rights = fundamental_rights([maps[(t - 1, t)].matrix], expectations[t - 1], law)
         for s in range(t - 2, -1, -1):
-            maps[(s, t)] = fundamental_composition(maps[(s, t - 1)], maps[(t - 1, t)],
-                                                   expectations[s], expectations[t - 1],
-                                                   seed.process_type)
+            product = fundamental_products(maps[(s, t - 1)], rights, expectations[s], law)
+            maps[(s, t)] = SuperMap(seed.n, seed.n * seed.n, product[0])
         omegas.append(computed_state(predual(maps[(0, t)])(rho00), "omega_t", t))
         expectations.append(expectation_supermap(omegas[t]))
     return Family("P", seed.n, maps, tuple(omegas), seed.process_type, seed.algebra_kind,
@@ -347,20 +347,28 @@ def _table(groups, gaps, scale, label: str) -> ResidualTable:
                          label)
 
 
-def split_residuals(family: Family, products, label: str) -> ResidualTable:
+def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     """||F^{s,t} - G^{s,tau,t} T_t|| at every split whose two factors are stored.
 
-    ``products(s, tau, ts)`` gives the cores G of the split products of one pair
-    (s, tau) for every t of ``ts``, as a fresh (len(ts), rows, cols) stack; T_t is
-    the family's trailing factor, so the norm is taken on the cores
-    (:class:`Family`). Each stored core is subtracted into the stack in place.
+    G^{s,tau,t} is the split product under ``law`` of the cores C^{s,tau} and
+    C^{tau,t} (:func:`fundamental_products`) and T_t is the family's trailing factor,
+    so the norm is taken on the cores (:class:`Family`). The right factors of a tau
+    are built once and serve every s < tau; each stored core is subtracted into the
+    products of a pair (s, tau) in place.
     """
+    if law not in LAWS:
+        raise ValueError(f"unknown split law {law!r}")
     keys = [(s, tau, t) for s, tau, t in triples(family.horizon)
             if (s, tau) in family.maps and (tau, t) in family.maps]
+    es = family.expectations or (None,) * (family.horizon + 1)   # the plain law reads none
+
+    @cache
+    def rights(tau, ts):
+        return fundamental_rights(row(family.core, tau, ts), es[tau], law)
 
     def gaps(group):
         (s, tau, _), ts = group[0], tuple(t for *_, t in group)
-        stack = products(s, tau, ts)
+        stack = fundamental_products(family.core(s, tau), rights(tau, ts), es[s], law)
         for gap, t in zip(stack, ts, strict=True):
             np.subtract(family.core(s, t).matrix, gap, out=gap)
         return stack
@@ -393,22 +401,13 @@ def kc_consistency(lattice: Family) -> ResidualTable:
     """Residual of the fundamental equation at every admissible split.
 
     For each s < tau < t the gap between P^{s,t} and the fundamental
-    equation's product (:func:`fundamental_products`) is evaluated in
-    operator norm. The right factors of a tau are built once and serve
-    every s < tau. The maximum is the lattice's consistency score; a nonzero
-    score is a diagnostic, not an error.
+    equation's product under the lattice's own type as the law
+    (:func:`split_residuals`) is evaluated in operator norm. The maximum is
+    the lattice's consistency score; a nonzero score is a diagnostic, not
+    an error.
     """
-    es, ptype = lattice.expectations, lattice.process_type
-
-    @cache
-    def rights(tau, ts):
-        return fundamental_rights([lattice.map(tau, t) for t in ts], es[tau], ptype)
-
-    return split_residuals(
-        lattice,
-        lambda s, tau, ts: fundamental_products(lattice.map(s, tau), rights(tau, ts),
-                                                es[s], ptype),
-        f"kc-type-{ptype}")
+    ptype = lattice.process_type
+    return split_residuals(lattice, ptype, f"kc-type-{ptype}")
 
 
 def interact_states(lattice: Family, phi: State, psi: State,

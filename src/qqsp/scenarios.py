@@ -562,13 +562,12 @@ def _stage_kc(sc, seed, ctx, report):
 
 def _stage_marginals(sc, seed, ctx, report):
     lat = ctx.lattice
+    q = build_Q(lat)
     if lat.process_type == "A":
-        q = build_Q(lat)
         hh = build_H(lat)
         zz = build_Z(hh)
     else:
         hh = build_h(lat)
-        q = hh.companion_q
         zz = build_z(hh)
     ctx.families = {"Q": q, hh.kind: hh, zz.kind: zz}
     out = {"kinds": sorted(ctx.families)}

@@ -1,7 +1,5 @@
 """Marginal families, their composition laws, axioms, and reconstruction."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -183,11 +181,15 @@ def test_type_b_contrast(entangling_lattice):
     assert check_markov(z).max_residual <= 1e-9
 
 
-def test_h_native_requires_companion(entangling_lattice):
-    h = build_h(entangling_lattice)
-    orphan = replace(h, companion_q=None)
-    with pytest.raises(ValueError):
-        check_markov(orphan)
+def test_unfactored_h_has_no_doubled_law():
+    # the doubled law reads Q^{s,tau} = E_{omega_s} P^{s,tau} off the cores, which a
+    # hand-built h on M (x) M does not store; its plain law is still measured
+    n, T = 2, 3
+    h = Family("h", n, {(s, t): SuperMap.identity(n * n)
+                        for s in range(T) for t in range(s + 1, T + 1)})
+    with pytest.raises(ValueError, match="unfactored h"):
+        check_markov(h)
+    assert check_markov(h, law="plain").max_residual == 0.0
 
 
 # ----------------------------------------------------------------- axioms

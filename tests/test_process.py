@@ -19,7 +19,8 @@ from qqsp.process import (
     Family,
     QQSPSeed,
     ValidationFailure,
-    fundamental_composition,
+    fundamental_products,
+    fundamental_rights,
     interact_states,
     kc_consistency,
     propagate,
@@ -202,6 +203,13 @@ def test_omega_consistency_on_basis():
 
 # ----------------------------------------------------------- consistency
 
+def _one_split(p_s_tau, p_tau_t, e_s, e_tau, law):
+    """The kernel's product at one split, as a stack of one."""
+    rights = fundamental_rights([p_tau_t.matrix], e_tau, law)
+    return SuperMap(p_tau_t.in_dim, p_s_tau.out_dim,
+                    fundamental_products(p_s_tau, rights, e_s, law)[0])
+
+
 def test_fundamental_composition_matches_explicit_laws(rng):
     n = 3
     shape = (n ** 4, n * n)
@@ -211,10 +219,10 @@ def test_fundamental_composition_matches_explicit_laws(rng):
     # type A: P^{s,tau} E_{omega_tau} P^{tau,t} with an independently built E matrix
     oracle = p_s_tau.matrix @ expectation_matrix_by_hand(omega_tau.rho) @ p_tau_t.matrix
     e_s, e_tau = expectation_supermap(omega_s), expectation_supermap(omega_tau)
-    got = fundamental_composition(p_s_tau, p_tau_t, e_s, e_tau, "A").matrix
+    got = _one_split(p_s_tau, p_tau_t, e_s, e_tau, "A").matrix
     assert operator_norm(got - oracle) <= 1e-12 * operator_norm(oracle)
     # type B: (Q (x) Q) P^{tau,t} x with Q = E_{omega_s} P^{s,tau}, expanded in blocks
-    type_b = fundamental_composition(p_s_tau, p_tau_t, e_s, e_tau, "B")
+    type_b = _one_split(p_s_tau, p_tau_t, e_s, e_tau, "B")
     q = e_s @ p_s_tau
     x = random_density(rng, n)
     y = p_tau_t(x)
@@ -235,7 +243,7 @@ def test_type_a_composition_is_reassociated_exactly(n):
     es = lat.expectations
     for s, tau, t in triples(lat.horizon):
         want = (lat.map(s, tau).matrix @ es[tau].matrix) @ lat.map(tau, t).matrix
-        got = fundamental_composition(lat.map(s, tau), lat.map(tau, t), es[s], es[tau], "A")
+        got = _one_split(lat.map(s, tau), lat.map(tau, t), es[s], es[tau], "A")
         assert operator_norm(got.matrix - want) <= 1e-14 * operator_norm(want)
 
 

@@ -29,7 +29,6 @@ from qqsp.marginal import (
 )
 from qqsp.process import (
     QQSPSeed,
-    fundamental_composition,
     kc_consistency,
     propagate,
     triples,
@@ -57,7 +56,7 @@ def _families(lat):
         h = build_H(lat)
         return build_Q(lat), h, build_Z(h)
     h = build_h(lat)
-    return h.companion_q, h, build_z(h)
+    return build_Q(lat), h, build_z(h)
 
 
 # ------------------------------------------------- per-gap reference loops
@@ -80,11 +79,27 @@ def _plain(family):
     return compose
 
 
+def _fundamental(lattice):
+    """The fundamental equation's product at one split, written out for the lattice's type."""
+    p, es = lattice.map, lattice.expectations
+    if lattice.process_type == "A":
+        return lambda s, tau, t: (p(s, tau) @ (es[tau] @ p(tau, t))).matrix
+    return lambda s, tau, t: doubled_after(es[s] @ p(s, tau), [p(tau, t).matrix])[0]
+
+
 def test_stacked_kc_equals_the_per_gap_loop(lattice):
-    es = lattice.expectations
-    want = _split_loop(lattice, lambda s, tau, t: fundamental_composition(
-        lattice.map(s, tau), lattice.map(tau, t), es[s], es[tau], lattice.process_type).matrix)
-    assert kc_consistency(lattice).entries == want
+    assert kc_consistency(lattice).entries == _split_loop(lattice, _fundamental(lattice))
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_propagate_fills_each_pair_by_the_one_split_formula(ptype):
+    # P^{s,t} is the product of the split tau = t-1, bit for bit
+    lat = propagate(make_mixed_seed(6, ptype))
+    product = _fundamental(lat)
+    pairs = [(s, t) for s, t in lat.pairs() if t - s >= 2]
+    assert len(pairs) == 15
+    for s, t in pairs:
+        assert np.array_equal(lat.map(s, t).matrix, product(s, t - 1, t))
 
 
 def test_stacked_markov_laws_equal_the_per_gap_loop(lattice):
