@@ -287,8 +287,9 @@ def slice_residuals(lattice: Family, q_family: Family,
     """Map-level residuals of the slice identities, keyed by identity name.
 
     reconstruction_slot: H(embed x) = P x; averaged_slot: H(x (x) 1) =
-    omega_t(x) 1 (x) 1; intertwining: E_{omega_s} H = Q E_{omega_t};
-    z_reconstruction_slot: Z(embed x) = embed(Q x); z_averaged_slot as for H.
+    omega_t(x) 1 (x) 1; z_reconstruction_slot: Z(embed x) = embed(Q x);
+    z_averaged_slot as for H. The intertwining E_{omega_s} H = Q E_{omega_t}
+    holds here by the definition of Q; the axiom exchange checks it for a pair.
     """
     if not (h_family.factored and (z_family is None or z_family.factored)):
         raise ValueError("slice identities are stated for the marginals built from the lattice")
@@ -306,18 +307,16 @@ def slice_residuals(lattice: Family, q_family: Family,
 
     sides = {
         "reconstruction_slot": (lambda s, ts: stacked_products(row(h, s, ts), at(slot, ts)),
-                                lambda s, ts: row(lattice.map, s, ts), None),
+                                lambda s, ts: row(lattice.map, s, ts)),
         "averaged_slot": (lambda s, ts: stacked_products(row(h, s, ts), at(averaged, ts)),
-                          lambda s, ts: at(consts, ts), None),
-        "intertwining": (lambda s, ts: stacked_products([es[s].matrix] * len(ts), row(h, s, ts)),
-                         lambda s, ts: row(q, s, ts), h_family),
+                          lambda s, ts: at(consts, ts)),
     }
     if z_family is not None:
         z = z_family.core
         sides["z_reconstruction_slot"] = (
             lambda s, ts: stacked_products(row(z, s, ts), at(slot, ts)),
-            lambda s, ts: (emb.matrix @ m for m in row(q, s, ts)), None)
+            lambda s, ts: (emb.matrix @ m for m in row(q, s, ts)))
         sides["z_averaged_slot"] = (lambda s, ts: stacked_products(row(z, s, ts), at(averaged, ts)),
-                                    lambda s, ts: at(consts, ts), None)
-    return {name: pair_residuals(lattice, lhs, rhs, name, trailing).max_residual
-            for name, (lhs, rhs, trailing) in sides.items()}
+                                    lambda s, ts: at(consts, ts))
+    return {name: pair_residuals(lattice, lhs, rhs, name).max_residual
+            for name, (lhs, rhs) in sides.items()}

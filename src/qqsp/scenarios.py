@@ -139,13 +139,13 @@ def parse_scenario(data: dict) -> Scenario:
     dim = _require(algebra, "dim", f"{name}.algebra")
     if kind not in ("full", "diagonal"):
         raise ScenarioError(f"{name}.algebra.kind: expected 'full' or 'diagonal', got {kind!r}")
-    if not isinstance(dim, int) or not 1 <= dim <= 8:
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= 8:
         raise ScenarioError(f"{name}.algebra.dim: expected an integer in 1..8, got {dim!r}")
     ptype = _require(data, "process_type", name)
     if ptype not in ("A", "B"):
         raise ScenarioError(f"{name}.process_type: expected 'A' or 'B', got {ptype!r}")
     horizon = _require(data, "horizon", name)
-    if not isinstance(horizon, int) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise ScenarioError(f"{name}.horizon: expected a positive integer, got {horizon!r}")
     mode = data.get("mode", "strict")
     if mode not in ("strict", "permissive"):
@@ -287,6 +287,15 @@ _CLASSICAL_BUILTIN_TENSORS = {   # (spec, N, where) -> tensor
 }
 
 
+def _builtin(catalog: dict, spec: dict, where: str):
+    """The builder ``catalog`` holds under the name ``spec["builtin"]``."""
+    name = spec["builtin"]
+    if not isinstance(name, str) or name not in catalog:
+        raise ScenarioError(f"{where}: unknown builtin {name!r} "
+                            f"(expected one of {', '.join(catalog)})")
+    return catalog[name]
+
+
 def _resolve_seed(sc: Scenario):
     """Build (QQSPSeed, ClassicalQSP | None) from the scenario seed spec.
 
@@ -301,9 +310,7 @@ def _resolve_seed(sc: Scenario):
     if "builtin" in spec:
         if sc.algebra_kind != "full":
             raise ScenarioError(f"{where}: quantum builtins need a full matrix algebra")
-        builder = _QUANTUM_BUILTIN_MAPS.get(spec["builtin"])
-        if builder is None:
-            raise ScenarioError(f"{where}: unknown builtin {spec['builtin']!r}")
+        builder = _builtin(_QUANTUM_BUILTIN_MAPS, spec, f"{where}.builtin")
         if spec["builtin"] == "entangling-mixed" and sc.dim != 2:
             raise ScenarioError(f"{where}: entangling-mixed is defined for dim 2")
         seed = QQSPSeed.from_single_map(builder(sc.dim), omega0, sc.horizon, sc.process_type)
@@ -315,9 +322,7 @@ def _resolve_seed(sc: Scenario):
         if not isinstance(cs, dict):
             raise ScenarioError(f"{where}.classical: expected an object")
         if "builtin" in cs:
-            builder = _CLASSICAL_BUILTIN_TENSORS.get(cs["builtin"])
-            if builder is None:
-                raise ScenarioError(f"{where}: unknown classical builtin {cs['builtin']!r}")
+            builder = _builtin(_CLASSICAL_BUILTIN_TENSORS, cs, f"{where}.classical.builtin")
             tensor = builder(cs, sc.dim, f"{where}.classical")
         elif "tensor" in cs:
             tensor = _finite_array(cs["tensor"], f"{where}.classical.tensor")
@@ -474,6 +479,9 @@ class _PipelineState:
         self.classical: ClassicalQSP | None = None
         self.rebuilt: Family | None = None   # the lattice rebuilt from (Q, H), once checked
         self.kc: ResidualTable | None = None    # the kc stage's table, which H/h's law reuses
+        # slices.reconstruction_slot: ||H^{s,t} embed - P^{s,t}||, the reconstruct
+        # stage's max_map_deviation (the rebuilt maps are H^{s,t} embed)
+        self.map_deviation: float | None = None
 
 
 def run_scenario(sc: Scenario, mode: str | None = None,
@@ -580,6 +588,7 @@ def _stage_marginals(sc, seed, ctx, report):
     if "h" in ctx.families:
         out["plain_markov_h"] = _table_dict(check_markov(ctx.families["h"], law="plain"))
     out["slices"] = slice_residuals(lat, q, hh, zz)
+    ctx.map_deviation = out["slices"]["reconstruction_slot"]
     report.stages["marginals"] = out
     report.verdicts["composition_ok"] = worst <= sc.tolerances["markov"]
 
@@ -609,8 +618,7 @@ def _stage_reconstruct(sc, seed, ctx, report):
         hh = ctx.families.get("H") or ctx.families.get("h")
         rec = reconstruct_qqsp(q, hh, lat.omega(0), lat.process_type,
                                strict=sc.mode == "strict", tol=sc.tolerances["axiom"])
-    deviation = pair_residuals(lat, lambda s, ts: np.stack(row(rec.map, s, ts)),
-                               lambda s, ts: row(lat.map, s, ts), "map-deviation").max_residual
+    deviation = ctx.map_deviation
     conclusion_b = pair_residuals(
         rec, lambda s, ts: stacked_products([rec.expectations[s].matrix] * len(ts),
                                             row(rec.map, s, ts)),

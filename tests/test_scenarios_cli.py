@@ -484,6 +484,28 @@ def test_cli_exit_2_on_a_bad_volterra_parameter(tmp_path, capsys, a):
     assert "volterra-bad.seed.classical.a" in capsys.readouterr().err
 
 
+_QUANTUM = {"name": "parse-bad", "algebra": {"kind": "full", "dim": 2}, "process_type": "A",
+            "horizon": 3, "seed": {"builtin": "mixed"}, "initial_state": {"maximally_mixed": True}}
+_CLASSICAL = {**_QUANTUM, "algebra": {"kind": "diagonal", "dim": 2},
+              "initial_state": {"diag": [0.5, 0.5]}}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({**_QUANTUM, "algebra": {"kind": "full", "dim": True}}, "algebra.dim"),
+    ({**_QUANTUM, "horizon": True, "pipeline": ["validate", "propagate"]}, "horizon"),
+    ({**_QUANTUM, "seed": {"builtin": ["mixed"]}}, "seed.builtin"),
+    ({**_QUANTUM, "seed": {"builtin": {"a": 1}}}, "seed.builtin"),
+    ({**_CLASSICAL, "seed": {"classical": {"builtin": ["mendel"]}}}, "seed.classical.builtin"),
+], ids=["bool-dim", "bool-horizon", "list-builtin", "object-builtin", "list-classical-builtin"])
+def test_cli_exit_2_on_a_bool_or_unhashable_field(tmp_path, capsys, data, field):
+    # a TypeError traceback (exit 1), or for the horizon a run as T=1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"parse-bad.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_2_on_negative_seed_flag(tmp_path, capsys):
     assert main(["run", "constant-n2", "--seed", "-5", "--out-dir", str(tmp_path / "out")]) == 2
     assert "run seed" in capsys.readouterr().err

@@ -30,7 +30,9 @@ from qqsp.marginal import (
 from qqsp.process import (
     QQSPSeed,
     kc_consistency,
+    pair_residuals,
     propagate,
+    row,
     triples,
 )
 from qqsp.scenarios import parse_scenario, run_scenario
@@ -143,8 +145,6 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
                                           .matrix, lambda s, t: lattice.map(s, t).matrix),
         "averaged_slot": _pair_loop(lattice, lambda s, t: (h.core(s, t) @ (es[t] @ avg)).matrix,
                                     lambda s, t: consts[t]),
-        "intertwining": _pair_loop(lattice, lambda s, t: (es[s] @ h.core(s, t)).matrix,
-                                   lambda s, t: q.map(s, t).matrix, h),
         "z_reconstruction_slot": _pair_loop(
             lattice, lambda s, t: (z.core(s, t) @ (es[t] @ emb)).matrix,
             lambda s, t: (emb @ q.map(s, t)).matrix),
@@ -219,6 +219,24 @@ def test_composition_from_kc_rejects_the_other_type():
     lat_a, lat_b = (propagate(make_mixed_seed(4, ptype)) for ptype in "AB")
     with pytest.raises(ValueError, match="kc table"):
         composition_from_kc(kc_consistency(lat_a), build_h(lat_b))
+
+
+@pytest.mark.parametrize("builtin, ptype", [("mixed", "A"), ("entangling-mixed", "B")])
+@pytest.mark.parametrize("stages", [["axioms", "reconstruct"], ["reconstruct"]],
+                         ids=["after-axioms", "alone"])
+def test_map_deviation_is_the_rebuilt_lattice_against_p(builtin, ptype, stages):
+    # the reconstruct stage reports the marginals stage's reconstruction slot
+    sc = parse_scenario({"name": f"{builtin}-n2-{ptype}", "algebra": {"kind": "full", "dim": 2},
+                         "process_type": ptype, "horizon": 5, "seed": {"builtin": builtin},
+                         "initial_state": {"diag": [0.7, 0.3]},
+                         "pipeline": ["propagate", "marginals", *stages]})
+    report = run_scenario(sc)
+    lat = propagate(sc.resolved[0])
+    q, h, _ = _families(lat)
+    rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
+    want = pair_residuals(lat, lambda s, ts: np.stack(row(rebuilt.map, s, ts)),
+                          lambda s, ts: row(lat.map, s, ts), "map-deviation").max_residual
+    assert report.stages["reconstruct"]["max_map_deviation"] == want
 
 
 def test_marginals_without_kc_check_the_law_directly(monkeypatch):
