@@ -89,12 +89,57 @@ def as_matrix(x) -> Array:
     return np.asarray(x, dtype=complex)
 
 
+class InvalidDensity(ValueError):
+    """A matrix failed :class:`State`'s checks; ``index`` is its slice in the checked stack."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+def _hermitian_densities(stack: Array) -> Array:
+    """The hermitian parts of a (k, d, d) stack of density matrices, checked per slice.
+
+    Each slice must be finite, hermitian up to 1e-12 relative, of trace 1 within
+    1e-12 and have no eigenvalue below -1e-12. Every check runs on the whole stack;
+    the first failing slice raises :class:`InvalidDensity` with the message of the
+    first check it fails, as a loop over the slices would.
+    """
+    m = stack
+    index, message = len(m), None
+
+    def reject(bad, describe) -> None:
+        nonlocal m, index, message
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            index, message = int(hits[0]), describe(int(hits[0]))
+            m = m[:index]   # only slices before the first failure are checked further
+
+    reject(~np.isfinite(m).all(axis=(1, 2)),   # NaN would pass every comparison below
+           lambda i: "density matrix has non-finite entries")
+    adjoint = np.conj(m).transpose(0, 2, 1)
+    skew = np.linalg.norm(m - adjoint, axis=(1, 2))
+    bound = HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
+    reject(skew > bound, lambda i: f"density matrix is not hermitian (defect {skew[i]:.2e})")
+    m = np.add(m, adjoint[:len(m)])
+    m /= 2
+    tr = np.real(np.trace(m, axis1=1, axis2=2))
+    reject(np.abs(tr - 1.0) > 1e-12,
+           lambda i: f"density matrix trace {float(tr[i])!r} is not 1")
+    lo = np.linalg.eigvalsh(m).min(axis=1, initial=np.inf)
+    reject(lo < -1e-12, lambda i: f"density matrix has eigenvalue {lo[i]:.2e} < -1e-12")
+    if message is not None:
+        raise InvalidDensity(message, index)
+    return m
+
+
 @dataclass(frozen=True)
 class State:
     """A density matrix: hermitian, positive semidefinite, unit trace.
 
     Harmless skew parts (below 1e-12) are symmetrized away; anything worse
-    is rejected rather than silently repaired.
+    is rejected rather than silently repaired. :meth:`stack` runs the same
+    checks on a whole stack of matrices at once.
     """
 
     rho: Array
@@ -103,19 +148,27 @@ class State:
         m = np.asarray(self.rho, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():   # NaN would pass every comparison below
-            raise ValueError("density matrix has non-finite entries")
-        skew = hermiticity_defect(m)
-        if skew > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m))):
-            raise ValueError(f"density matrix is not hermitian (defect {skew:.2e})")
-        m = (m + dagger(m)) / 2
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"density matrix trace {tr!r} is not 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -1e-12:
-            raise ValueError(f"density matrix has eigenvalue {lo:.2e} < -1e-12")
-        object.__setattr__(self, "rho", _frozen(m))
+        object.__setattr__(self, "rho", _frozen(_hermitian_densities(m[None])[0]))
+
+    @classmethod
+    def stack(cls, rhos) -> tuple["State", ...]:
+        """The State of every matrix of a (k, d, d) stack, checked in one pass.
+
+        Accepts and rejects what the constructor does, slice by slice, and gives
+        the same ``rho`` bits; a failure raises :class:`InvalidDensity` naming the
+        first failing slice in ``index``.
+        """
+        m = np.asarray(rhos, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise ValueError(f"expected a (k, d, d) stack of density matrices, got shape {m.shape}")
+        checked = _hermitian_densities(m)
+        checked.setflags(write=False)
+        states = []
+        for rho in checked:   # read-only views of one C-ordered stack, as _frozen would lay them out
+            state = object.__new__(cls)
+            object.__setattr__(state, "rho", rho)
+            states.append(state)
+        return tuple(states)
 
     @property
     def dim(self) -> int:

@@ -52,7 +52,8 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
 
     The pairs live on the algebra the maps land in (``source.side``). The
     distances are taken on the stored core C^{0,t}: omega_t (x) C_* is the
-    predual of C E_{omega_t}, and omega_t drops out of the trace norm.
+    predual of C E_{omega_t}, and omega_t drops out of the trace norm. The gaps
+    of every t are normed in one :func:`qqsp.linalg.trace_norms` call.
     Monotonicity is not asserted; the full table is the point of the diagnostic.
     """
     for phi, psi in pairs:
@@ -62,12 +63,14 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
     times = tuple(range(1, source.horizon + 1))
     states = np.array([x.rho for pair in pairs for x in pair]).reshape(
         2 * len(pairs), source.side, source.side)
-    columns = []   # [time][pair]: the gaps of one t are normed in one stacked call
-    for t in times:
+    side = source.core(0, 1).in_dim   # where the core's predual lands
+    gaps = np.empty((len(times), len(pairs), side, side), dtype=complex)
+    for t, gap in zip(times, gaps):
         images = predual(source.core(0, t))(states)
-        columns.append(trace_norms(images[0::2] - images[1::2]))
-    rows = tuple(tuple(float(column[p]) for column in columns) for p in range(len(pairs)))
-    return DecayTrace(source.kind, times, rows)
+        np.subtract(images[0::2], images[1::2], out=gap)
+    norms = trace_norms(gaps.reshape(-1, side, side))
+    rows = norms.reshape(len(times), len(pairs)).T.tolist()   # [pair][time]
+    return DecayTrace(source.kind, times, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,9 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
     gaps = [images[first] - images[second]]
     if sample_count:
         rng = rng if rng is not None else np.random.default_rng(0)
-        g = np.array([rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-                      for _ in range(sample_count)])
+        # one draw in the per-sample order: the real, then the imaginary n x 2 block
+        draws = rng.normal(size=(sample_count, 2, n, 2))
+        g = draws[:, 0] + 1j * draws[:, 1]
         u, _ = np.linalg.qr(g)
         # projectors[k, c] = |u_c><u_c| of sample k
         projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
@@ -127,27 +131,33 @@ class ErgodicConfig:
     explicit_double: tuple = ()   # (State, State) pairs on M (x) M
 
 
-def random_state(rng: np.random.Generator, dim: int, diagonal: bool = False) -> State:
-    if diagonal:
-        w = rng.random(dim) + 1e-3
-        return State.from_weights(w / w.sum())
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return State(rho / np.trace(rho))
-
-
 def state_pair_ensemble(dim: int, count: int, rng: np.random.Generator,
                         diagonal: bool = False) -> list[tuple[State, State]]:
-    """count pairs; the first is the extremal basis pair (e_0 vs e_last)."""
-    pairs = []
-    w0, w1 = np.zeros(dim), np.zeros(dim)
-    w0[0] = 1.0
-    w1[-1] = 1.0
-    pairs.append((State.from_weights(w0), State.from_weights(w1)))
-    while len(pairs) < count:
-        pairs.append((random_state(rng, dim, diagonal),
-                      random_state(rng, dim, diagonal)))
-    return pairs
+    """count pairs: the extremal basis pair (e_0 vs e_last), then count - 1 random pairs.
+
+    The 2 (count - 1) random states are drawn in one call: on a full algebra
+    g g^dagger / tr with g from ``rng.normal(size=(k, 2, dim, dim))`` (real part,
+    then imaginary part), on a diagonal one normalised weights from
+    ``rng.random((k, dim)) + 1e-3``. That is the stream and the order of drawing
+    the states one at a time. The whole ensemble is checked by one :meth:`State.stack`.
+    """
+    k = 2 * max(count - 1, 0)
+    rhos = np.zeros((k + 2, dim, dim), dtype=complex)
+    rhos[0, 0, 0] = rhos[1, -1, -1] = 1.0
+    if diagonal:
+        w = rng.random((k, dim)) + 1e-3
+        diag = np.arange(dim)
+        rhos[2:, diag, diag] = w / w.sum(axis=1, keepdims=True)
+    else:
+        draws = rng.normal(size=(k, 2, dim, dim))
+        g = 1j * draws[:, 1]
+        g += draws[:, 0]
+        del draws
+        rho = rhos[2:]
+        np.matmul(g, np.conj(g).transpose(0, 2, 1), out=rho)
+        rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    states = State.stack(rhos)
+    return list(zip(states[0::2], states[1::2]))
 
 
 @dataclass(frozen=True)

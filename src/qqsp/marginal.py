@@ -51,6 +51,7 @@ from .process import (
     ResidualTable,
     ValidationFailure,
     computed_state,
+    computed_states,
     pair_residuals,
     row,
     split_residuals,
@@ -153,11 +154,9 @@ def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
 
 
 def _phi_trajectory(q_family: Family, omega0: State) -> list[State]:
-    """phi_t = omega_0 after Q^{0,t} on the predual side."""
-    out = [omega0]
-    for t in range(1, q_family.horizon + 1):
-        out.append(computed_state(predual(q_family.map(0, t))(omega0.rho), "phi_t", t))
-    return out
+    """phi_t = omega_0 after Q^{0,t} on the predual side, checked as one stack."""
+    images = [predual(q_family.map(0, t))(omega0.rho) for t in range(1, q_family.horizon + 1)]
+    return [omega0, *computed_states(images, "phi_t", 1)]
 
 
 @dataclass(frozen=True)
@@ -249,8 +248,8 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     slots = {t: h_family.trailing_times(t, emb) for t in {t for _, t in h_family.pairs()}}
     maps = {(s, t): h_family.core(s, t) @ slots[t] for (s, t) in h_family.pairs()}
     rho00 = np.kron(omega0.rho, omega0.rho)
-    psis = [computed_state(predual(maps[(0, t)])(rho00), "psi_t", t)
-            for t in range(1, h_family.horizon + 1)]
+    psis = computed_states([predual(maps[(0, t)])(rho00) for t in range(1, h_family.horizon + 1)],
+                           "psi_t", 1)
     rebuilt = Family("P", h_family.n, maps, (omega0, *psis), target_type,
                      h_family.algebra_kind)
     if strict:

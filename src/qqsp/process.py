@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import (
     ChoiReport,
+    InvalidDensity,
     State,
     SuperMap,
     certify_unital_cp,
@@ -95,12 +96,17 @@ class SeedIssue:
 
 def seed_diagnostics(seed: QQSPSeed, cp_tolerance: float = 1e-9,
                      unital_tolerance: float = 1e-10) -> list[StepDiagnostic]:
-    """ChoiReport plus flip-symmetry residual for every unit-step map."""
-    out = []
-    for k, m in enumerate(seed.step_maps):
-        out.append(StepDiagnostic(k, certify_unital_cp(m, cp_tolerance, unital_tolerance),
-                                  flip_symmetry_residual(m)))
-    return out
+    """ChoiReport plus flip-symmetry residual for every unit-step map.
+
+    Each distinct map object is certified once; a seed that holds one map T
+    times gets its row T times.
+    """
+    rows = {}
+    for m in seed.step_maps:
+        if id(m) not in rows:
+            rows[id(m)] = (certify_unital_cp(m, cp_tolerance, unital_tolerance),
+                           flip_symmetry_residual(m))
+    return [StepDiagnostic(k, *rows[id(m)]) for k, m in enumerate(seed.step_maps)]
 
 
 def seed_issues(diagnostics: list[StepDiagnostic], flip_tol: float) -> list[SeedIssue]:
@@ -223,13 +229,21 @@ class Family:
         return sorted(self.maps.keys())
 
 
-def computed_state(rho, quantity: str, t: int) -> State:
-    """A state the pipeline computed; failing State's checks is a ValidationFailure."""
+def computed_states(rhos, quantity: str, first_t: int) -> tuple[State, ...]:
+    """The states the pipeline computed for t = first_t, first_t + 1, ..., checked as one stack.
+
+    Failing :class:`State`'s checks is a ValidationFailure naming the first failing t.
+    """
     try:
-        return State(rho)
-    except ValueError as exc:
-        raise ValidationFailure(f"computed state {quantity} at t={t} is not a state: "
-                                f"{exc}") from exc
+        return State.stack(rhos)
+    except InvalidDensity as exc:
+        raise ValidationFailure(f"computed state {quantity} at t={first_t + exc.index} "
+                                f"is not a state: {exc}") from exc
+
+
+def computed_state(rho, quantity: str, t: int) -> State:
+    """One state the pipeline computed; see :func:`computed_states`."""
+    return computed_states(np.asarray(rho)[None], quantity, t)[0]
 
 
 LAWS = ("A", "B", "plain")
@@ -330,18 +344,44 @@ def _grouped(keys):
     return groups.values()
 
 
+RESIDUAL_BATCH_BYTES = 1 << 15
+
+
 def _table(groups, gaps, scale, label: str) -> ResidualTable:
     """scale(key) ||gap|| for every key of ``groups``, a group's gaps coming from ``gaps(group)``.
 
-    The Gram matrix of each gap is formed with its group, and every norm of the
-    table is taken in one stacked eigvalsh (:func:`qqsp.linalg.gram_norms`).
+    Each group's gaps are copied into a batch buffer of ``RESIDUAL_BATCH_BYTES``,
+    which is handed to :func:`qqsp.linalg.scaled_grams` in one call when the next
+    group would not fit; a group larger than the buffer is a batch of its own. Every
+    norm of the table is then taken in one stacked eigvalsh
+    (:func:`qqsp.linalg.gram_norms`). Per slice the Grams and norms are those of
+    the group taken alone.
     """
     keys, grams, exps = [], [], []
-    for group in groups:
-        gram, exp = scaled_grams(gaps(group))
-        keys += group
+    batch, filled = None, 0   # the buffer, shaped by the first group's slices
+
+    def add_grams(stack) -> None:
+        gram, exp = scaled_grams(stack)
         grams.append(gram)
         exps.append(exp)
+
+    for group in groups:
+        if filled and filled + len(group) > len(batch):
+            add_grams(batch[:filled])
+            filled = 0
+        stack = gaps(group)
+        keys += group
+        if batch is None:
+            batch = np.empty((RESIDUAL_BATCH_BYTES // max(1, stack[0].nbytes), *stack.shape[1:]),
+                             dtype=complex)
+        if len(stack) > len(batch):
+            add_grams(stack)
+        else:
+            batch[filled:filled + len(stack)] = stack
+            filled += len(stack)
+        del stack   # the next group's gaps are not formed next to this one's
+    if filled:
+        add_grams(batch[:filled])
     norms = gram_norms(np.concatenate(grams), np.concatenate(exps)) if keys else ()
     return ResidualTable({key: scale(key) * float(norm) for key, norm in zip(keys, norms)},
                          label)

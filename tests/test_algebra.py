@@ -5,6 +5,7 @@ import pytest
 
 from qqsp.algebra import (
     AlgebraElement,
+    InvalidDensity,
     State,
     SuperMap,
     basis_elements,
@@ -444,3 +445,79 @@ def test_state_validation():
     rho[0, 1] = 1e-14j
     s = State(rho)
     assert np.abs(s.rho - s.rho.conj().T).max() == 0.0
+
+
+def _per_matrix_state_rho(m):
+    """State's checks written out for one matrix, as the constructor ran them one at a time.
+
+    Returns the hermitian part it stores, or raises ValueError with its message.
+    """
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has non-finite entries")
+    skew = float(np.linalg.norm(m - m.conj().T))
+    if skew > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+        raise ValueError(f"density matrix is not hermitian (defect {skew:.2e})")
+    m = (m + m.conj().T) / 2
+    tr = float(np.real(np.trace(m)))
+    if abs(tr - 1.0) > 1e-12:
+        raise ValueError(f"density matrix trace {tr!r} is not 1")
+    lo = float(np.linalg.eigvalsh(m).min())
+    if lo < -1e-12:
+        raise ValueError(f"density matrix has eigenvalue {lo:.2e} < -1e-12")
+    return m
+
+
+def _density_cases():
+    rng = np.random.default_rng(7)
+    valid = random_density(rng, 3)
+    nan = valid.copy()
+    nan[1, 2] = np.nan
+    skewed = valid.copy()
+    skewed[0, 1] += 1e-11j   # a skew part above the 1e-12 tolerance
+    faint = valid.copy()
+    faint[0, 1] += 1e-14j    # below it: symmetrized away
+    return {
+        "valid": valid,
+        "nan": nan,
+        "skew": skewed,
+        "faint-skew": faint,
+        "trace-off-2e-12": np.diag([0.5 + 2e-12, 0.3, 0.2]).astype(complex),
+        "trace-off-5e-13": np.diag([0.5 + 5e-13, 0.3, 0.2]).astype(complex),
+        "eigenvalue-minus-1e-11": np.diag([0.6 + 1e-11, 0.4, -1e-11]).astype(complex),
+        "eigenvalue-minus-1e-13": np.diag([0.6 + 1e-13, 0.4, -1e-13]).astype(complex),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_density_cases()))
+def test_state_stack_accepts_and_rejects_what_state_does(case):
+    m = _density_cases()[case]
+    good = random_density(np.random.default_rng(8), 3)
+    try:
+        want = _per_matrix_state_rho(m)
+    except ValueError as exc:
+        for check in (lambda: State(m), lambda: State.stack([good, m, good])):
+            with pytest.raises(InvalidDensity) as info:
+                check()
+            assert str(info.value) == str(exc)
+        assert info.value.index == 1
+        return
+    assert State(m).rho.tobytes() == want.tobytes()
+    stacked = State.stack([good, m, good])
+    assert [x.rho.tobytes() for x in stacked] == [
+        _per_matrix_state_rho(x).tobytes() for x in (good, m, good)]
+    assert not stacked[1].rho.flags.writeable and stacked[1].rho.flags.c_contiguous
+
+
+def test_state_stack_names_the_first_failing_slice_and_its_first_failing_check():
+    cases = _density_cases()
+    both = cases["skew"].copy()
+    both[0, 0] = np.inf   # fails the finite check before the hermitian one
+    stack = [cases["valid"], cases["trace-off-2e-12"], both, cases["nan"]]
+    with pytest.raises(InvalidDensity, match="trace") as info:
+        State.stack(stack)
+    assert info.value.index == 1
+    with pytest.raises(InvalidDensity, match="non-finite") as info:
+        State.stack(stack[2:])
+    assert info.value.index == 0
+    assert State.stack(np.zeros((0, 3, 3))) == ()

@@ -12,7 +12,7 @@ from qqsp.ergodic import (
     ergodic_verdict,
     state_pair_ensemble,
 )
-from qqsp.linalg import ptrace_first, trace_norm
+from qqsp.linalg import ptrace_first, trace_norm, trace_norms
 from qqsp.marginal import build_H, build_Q, build_Z, build_h, build_z
 from qqsp.process import QQSPSeed, propagate
 from qqsp.scenarios import parse_scenario, run_scenario
@@ -110,6 +110,58 @@ def test_decay_trace_dimension_guard(rng):
     assert decay_trace(q, pairs_n).family_kind == "Q"
 
 
+def _per_t_decay_rows(source, pairs):
+    """The per-t loop: the gaps of one t normed in one trace_norms call, t after t."""
+    states = np.array([x.rho for pair in pairs for x in pair])
+    columns = []
+    for t in range(1, source.horizon + 1):
+        images = predual(source.core(0, t))(states)
+        columns.append(trace_norms(images[0::2] - images[1::2]))
+    return tuple(tuple(float(column[p]) for column in columns) for p in range(len(pairs)))
+
+
+@pytest.mark.parametrize("seed", [make_mixed_seed(6, "A"), make_entangling_seed(5, "B")],
+                         ids=["mixed-n2-A", "entangling-n2-B"])
+def test_decay_trace_equals_the_per_t_rows(seed):
+    lat = propagate(seed)
+    families = build_families(lat)
+    rng = np.random.default_rng(3)
+    for source in (lat, families["Q"], families["Z" if "Z" in families else "z"]):
+        pairs = state_pair_ensemble(source.side, 7, rng)
+        assert decay_trace(source, pairs).distances == _per_t_decay_rows(source, pairs)
+    assert decay_trace(lat, []).distances == ()
+
+
+def _per_state_ensemble(dim, count, rng, diagonal):
+    """The per-state loop: the basis pair, then each random state drawn and checked alone."""
+    def draw():
+        if diagonal:
+            w = rng.random(dim) + 1e-3
+            return State.from_weights(w / w.sum())
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        return State(rho / np.trace(rho))
+
+    pairs = [(State.from_weights(np.eye(dim)[0]), State.from_weights(np.eye(dim)[-1]))]
+    while len(pairs) < count:
+        pairs.append((draw(), draw()))
+    return pairs
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 16])
+def test_ensemble_equals_the_per_state_loop(dim, diagonal):
+    for count in (1, 2, 20):
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = state_pair_ensemble(dim, count, rng, diagonal)
+        want = _per_state_ensemble(dim, count, oracle_rng, diagonal)
+        assert len(got) == len(want) == count
+        assert [(a.rho.tobytes(), b.rho.tobytes()) for a, b in got] == [
+            (a.rho.tobytes(), b.rho.tobytes()) for a, b in want]
+        # the same stream, left where the loop leaves it
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 # ------------------------------------------------------------- contraction
 
 def test_constant_family_lambda_zero(rng):
@@ -196,7 +248,21 @@ def test_stacked_lambda_equals_the_per_pair_loop(seed):
         est = contraction_coefficient(qfam, 0, 1, sample_count=50,
                                       rng=np.random.default_rng(rng_seed))
         assert est.method == "pure-pair-sampling" and est.sample_count == 50
-        assert est.lam == _per_pair_lambda(qfam, 50, np.random.default_rng(rng_seed))
+        rng, oracle_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+        assert est.lam == _per_pair_lambda(qfam, 50, oracle_rng)
+        contraction_coefficient(qfam, 0, 1, sample_count=50, rng=rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_diagonal_contraction_draws_nothing():
+    q = ClassicalQSP.homogeneous(volterra_tensor(1.0), [0.5, 0.5], 3, "A")
+    qfam = build_Q(propagate(lift_to_quantum(q)))
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    est = contraction_coefficient(qfam, 0, 1, sample_count=50, rng=rng)
+    assert est.sample_count == 0 and est.method == "exact-classical"
+    assert est.lam == _per_pair_lambda(qfam, 0, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_mixed_lambda_is_one_quarter(rng):

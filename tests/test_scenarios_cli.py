@@ -12,7 +12,8 @@ import pytest
 
 from qqsp.algebra import SuperMap
 from qqsp.cli import main
-from qqsp.process import ValidationFailure, computed_state
+from qqsp.marginal import build_H, build_Q, reconstruct_qqsp
+from qqsp.process import ValidationFailure, computed_state, computed_states, propagate
 from qqsp.report import (
     CSV_HEADER,
     complex_matrix_to_pairs,
@@ -27,7 +28,12 @@ from qqsp.scenarios import (
     run_scenario,
     scenario_from_file,
 )
-from qqsp.seeds import mixed_step_map, symmetrized_embedding, unsymmetrized_embedding
+from qqsp.seeds import (
+    make_mixed_seed,
+    mixed_step_map,
+    symmetrized_embedding,
+    unsymmetrized_embedding,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -229,7 +235,8 @@ def test_validate_stage_issues_follow_its_own_rows():
 
 def test_each_quantity_is_computed_once(monkeypatch):
     # a strict run checks the seed once, runs one axiom suite, builds one Q family,
-    # one rebuilt lattice and one Choi certificate per step, and re-resolves no seed
+    # one rebuilt lattice and one Choi certificate per distinct step map, and
+    # re-resolves no seed
     sc = builtin_scenarios()["mixed-n2-typeB"]
     counts = {}
     defining = {"verify_marginal_axioms": "qqsp.marginal", "build_Q": "qqsp.marginal",
@@ -247,9 +254,11 @@ def test_each_quantity_is_computed_once(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     run_scenario(sc)
     T = sc.horizon
+    distinct = len({id(m) for m in sc.resolved[0].step_maps})
+    assert distinct == 1   # the builtin holds one map T times
     # E_{omega_t}, E_{phi_t} and E_{psi_t} once per t; one carried state per (s, t)
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
-                      "certify_unital_cp": T,
+                      "certify_unital_cp": distinct,
                       "expectation_supermap": 3 * (T + 1) + T * (T + 1) // 2}
 
 
@@ -549,6 +558,34 @@ def test_computed_state_failure_is_a_validation_failure():
     with pytest.raises(ValidationFailure, match="phi_t at t=3"):
         computed_state(np.diag([0.5, 0.5 - 1e-11]), "phi_t", 3)
     assert computed_state(np.diag([0.25, 0.75]), "phi_t", 3).dim == 2
+
+
+def test_stacked_computed_states_name_the_first_failing_t():
+    good, bad = np.diag([0.25, 0.75]), np.diag([0.5, 0.5 - 1e-11])
+    with pytest.raises(ValidationFailure, match="psi_t at t=3 is not a state: density matrix "
+                                                "trace"):
+        computed_states([good, good, bad, bad], "psi_t", 1)
+    states = computed_states([good, good], "psi_t", 1)
+    assert [x.rho.tobytes() for x in states] == [computed_state(good, "psi_t", 1).rho.tobytes()] * 2
+
+
+def test_a_failing_phi_is_named_by_its_t(monkeypatch):
+    # phi_t goes through one stack per trajectory; a bad image still names its t
+    import qqsp.marginal
+
+    lat = propagate(make_mixed_seed(4, "A"))
+    q, h = build_Q(lat), build_H(lat)
+    original = qqsp.marginal.computed_states
+
+    def spoiled(rhos, quantity, first_t):
+        rhos = np.array(rhos)
+        if quantity == "phi_t":
+            rhos[1] *= 1 + 1e-9   # phi_2
+        return original(rhos, quantity, first_t)
+
+    monkeypatch.setattr(qqsp.marginal, "computed_states", spoiled)
+    with pytest.raises(ValidationFailure, match="phi_t at t=2"):
+        reconstruct_qqsp(q, h, lat.omega(0), "A")
 
 
 def test_cli_exit_3_on_strict_math_failure(tmp_path):

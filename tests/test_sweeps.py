@@ -155,6 +155,47 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
     assert got == {name: max(table.values()) for name, table in want.items()}
 
 
+# ------------------------------------------- batches across group boundaries
+
+def _sweep_tables(lat):
+    """Every residual table of the split and pair sweeps, keyed by name."""
+    q, h, z = _families(lat)
+    rebuilt = reconstruct_qqsp(q, h, lat.omega(0), lat.process_type, strict=False)
+    axioms = verify_marginal_axioms(q, h, rebuilt)
+    tables = {"kc": kc_consistency(lat), "markov-Q": check_markov(q),
+              "markov-h": check_markov(h), "markov-z": check_markov(z),
+              "plain-h": check_markov(h, law="plain"), "state": state_consistency_residual(q),
+              "flip": axioms.flip, "exchange": axioms.exchange}
+    return {name: table.entries for name, table in tables.items()} | {
+        "slices": slice_residuals(lat, q, h, z)}
+
+
+@pytest.mark.parametrize("n, horizon, ptype", [(2, 12, "A"), (2, 12, "B"), (4, 6, "A"),
+                                               (4, 6, "B")])
+def test_batched_tables_equal_the_per_group_tables(monkeypatch, n, horizon, ptype):
+    import qqsp.process
+
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.maximally_mixed(n),
+                                             horizon, ptype))
+    lengths = []
+    original = qqsp.process.scaled_grams
+
+    def recorded(stack):
+        lengths.append(len(stack))
+        return original(stack)
+
+    monkeypatch.setattr(qqsp.process, "scaled_grams", recorded)
+    batched = _sweep_tables(lat)
+    batches = len(lengths)
+    lengths.clear()
+    monkeypatch.setattr(qqsp.process, "RESIDUAL_BATCH_BYTES", 0)   # one batch per group
+    per_group = _sweep_tables(lat)
+    assert batched == per_group
+    assert batches < len(lengths)   # some batch holds more than one group
+    # and the kc table is still the per-gap loop
+    assert batched["kc"] == _split_loop(lat, _fundamental(lat))
+
+
 # ------------------------------------------------------ Gram operator norms
 
 def _slices(rng, count, rows, cols):
