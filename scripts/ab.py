@@ -60,7 +60,8 @@ def compare(dirs: dict, workload: str, pairs: int, seed: int, seconds: float,
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
             runs[side].append(bench(dirs[side], workload, seed, seconds))
             print(f"  {workload} pair {k + 1}/{pairs}: {side} done", file=sys.stderr)
-    out = {"correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
+    out = {"pairs": pairs,
+           "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
            "metrics": {}}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -105,7 +106,6 @@ def main(argv=None) -> int:
         "label": args.label,
         "command": (f"perfbench/run.py --workload W --seed {args.seed} "
                     f"--seconds {args.seconds:g} --trace 0"),
-        "pairs": args.pairs,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": importlib.metadata.version("numpy"),
                     "platform": platform.platform()},

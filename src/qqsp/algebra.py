@@ -92,7 +92,7 @@ def as_matrix(x) -> Array:
 class InvalidDensity(ValueError):
     """A matrix failed :class:`State`'s checks; ``index`` is its slice in the checked stack."""
 
-    def __init__(self, message: str, index: int = 0):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
 
@@ -121,8 +121,7 @@ def _hermitian_densities(stack: Array) -> Array:
     skew = np.linalg.norm(m - adjoint, axis=(1, 2))
     bound = HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
     reject(skew > bound, lambda i: f"density matrix is not hermitian (defect {skew[i]:.2e})")
-    m = np.add(m, adjoint[:len(m)])
-    m /= 2
+    m = (m + adjoint[:len(m)]) / 2
     tr = np.real(np.trace(m, axis1=1, axis2=2))
     reject(np.abs(tr - 1.0) > 1e-12,
            lambda i: f"density matrix trace {float(tr[i])!r} is not 1")

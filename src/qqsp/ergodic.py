@@ -150,12 +150,9 @@ def state_pair_ensemble(dim: int, count: int, rng: np.random.Generator,
         rhos[2:, diag, diag] = w / w.sum(axis=1, keepdims=True)
     else:
         draws = rng.normal(size=(k, 2, dim, dim))
-        g = 1j * draws[:, 1]
-        g += draws[:, 0]
-        del draws
-        rho = rhos[2:]
-        np.matmul(g, np.conj(g).transpose(0, 2, 1), out=rho)
-        rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+        g = draws[:, 0] + 1j * draws[:, 1]
+        rho = g @ np.conj(g).transpose(0, 2, 1)
+        rhos[2:] = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
     states = State.stack(rhos)
     return list(zip(states[0::2], states[1::2]))
 

@@ -245,12 +245,11 @@ def test_stacked_lambda_equals_the_per_pair_loop(seed):
     # an einsum-formed projector or a stacked predual product moves it by an ulp
     qfam = build_Q(propagate(seed))
     for rng_seed in range(10):
-        est = contraction_coefficient(qfam, 0, 1, sample_count=50,
-                                      rng=np.random.default_rng(rng_seed))
-        assert est.method == "pure-pair-sampling" and est.sample_count == 50
         rng, oracle_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+        est = contraction_coefficient(qfam, 0, 1, sample_count=50, rng=rng)
+        assert est.method == "pure-pair-sampling" and est.sample_count == 50
         assert est.lam == _per_pair_lambda(qfam, 50, oracle_rng)
-        contraction_coefficient(qfam, 0, 1, sample_count=50, rng=rng)
+        # one draw consumes the stream the per-sample draws consume
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
