@@ -1,17 +1,18 @@
 """Compare the end-to-end benchmark metrics of two checkouts, run in alternation.
 
     python3 scripts/ab.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
-                          [--pairs K] [--seed S] [--seconds X] [--label L] [--out-dir D]
+                          [--pairs K] [--label L]
 
-For each workload, runs ``python3 perfbench/run.py --workload W --seed S
---seconds X --trace 0`` K times in each checkout, one run at a time and
-alternating which checkout goes first in each pair. It prints, per
-end-to-end metric of ``BENCHMARK.json``, the median and quartiles of each
-side, the change/parent ratio of the medians and the number of pairs in
-which the change was better. It writes those numbers, every run's value and
-both checkouts' ``src/qqsp`` line counts to ``BENCH_<label>.json`` in the
-output directory (default: the checkout this script sits in). An existing
-file of that name keeps the workloads this run does not measure.
+For each workload, runs ``python3 perfbench/run.py --workload W --trace 0``
+K times in each checkout, one run at a time and alternating which checkout
+goes first in each pair, so every run takes the benchmark's own seed and run
+length. It prints, per end-to-end metric of ``BENCHMARK.json``, the median
+and quartiles of each side, the change/parent ratio of the medians and the
+number of pairs in which the change was better. It writes those numbers,
+every run's value, the command, the machine and both checkouts' ``src/qqsp``
+line counts, per workload, to ``BENCH_<label>.json`` in the checkout this
+script sits in. An existing file of that name keeps the workloads this run
+does not measure.
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ def src_lines(checkout: Path) -> int:
                for p in sorted((checkout / "src" / "qqsp").glob("*.py")))
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def command(workload: str) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--trace", "0"]
+
+
+def bench(checkout: Path, workload: str) -> dict:
     """The final JSON line of one untraced ``perfbench/run.py`` run in ``checkout``."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+    proc = subprocess.run([sys.executable, *command(workload)],
                           cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}: "
@@ -53,14 +57,18 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(dirs: dict, workload: str, pairs: int, seed: int, seconds: float,
-            metrics: list[dict]) -> dict:
+def compare(dirs: dict, workload: str, pairs: int, metrics: list[dict]) -> dict:
     runs = {side: [] for side in SIDES}
     for k in range(pairs):
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            runs[side].append(bench(dirs[side], workload, seed, seconds))
+            runs[side].append(bench(dirs[side], workload))
             print(f"  {workload} pair {k + 1}/{pairs}: {side} done", file=sys.stderr)
     out = {"pairs": pairs,
+           "command": " ".join(command(workload)),
+           "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                       "numpy": importlib.metadata.version("numpy"),
+                       "platform": platform.platform()},
+           "src_qqsp_lines": {side: src_lines(checkout) for side, checkout in dirs.items()},
            "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
            "metrics": {}}
     for metric in metrics:
@@ -87,11 +95,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--label", default="ab")
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -100,21 +105,12 @@ def main(argv=None) -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {checkout} has no perfbench/run.py")
     metrics = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    path = args.out_dir / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.is_file() else {"workloads": {}}
-    doc.update({
-        "label": args.label,
-        "command": (f"perfbench/run.py --workload W --seed {args.seed} "
-                    f"--seconds {args.seconds:g} --trace 0"),
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": importlib.metadata.version("numpy"),
-                    "platform": platform.platform()},
-        "src_qqsp_lines": {side: src_lines(checkout) for side, checkout in dirs.items()},
-    })
+    doc["label"] = args.label
     for workload in args.workload:
         try:
-            doc["workloads"][workload] = compare(dirs, workload, args.pairs, args.seed,
-                                                 args.seconds, metrics)
+            doc["workloads"][workload] = compare(dirs, workload, args.pairs, metrics)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

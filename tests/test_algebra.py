@@ -509,6 +509,35 @@ def test_state_stack_accepts_and_rejects_what_state_does(case):
     assert not stacked[1].rho.flags.writeable and stacked[1].rho.flags.c_contiguous
 
 
+def test_state_stack_decides_at_the_hermiticity_bound_as_one_matrix_does():
+    # skew parts within a few ulps of the 1e-12 bound, where a stacked norm that sums
+    # in another order than a single matrix's norm would flip some decisions
+    rng = np.random.default_rng(3)
+    cases = []
+    for _ in range(8):
+        r = np.diag(rng.random(3)).astype(complex)
+        r /= np.trace(r)
+        s = rng.normal(size=(3, 3))
+        s = s + s.T
+        s *= 1e-12 / np.linalg.norm(2 * s)
+        cases += [r + 1j * s * (1 + k * 1e-16) for k in range(-4, 5)]
+    verdicts = set()
+    for m in cases:
+        try:
+            want = _per_matrix_state_rho(m).tobytes()
+        except ValueError as exc:
+            want = str(exc)
+        for check in (lambda: State(m).rho.tobytes(),
+                      lambda: State.stack([m, m])[1].rho.tobytes()):
+            try:
+                got = check()
+            except InvalidDensity as exc:
+                got = str(exc)
+            assert got == want
+        verdicts.add(isinstance(want, str))
+    assert verdicts == {True, False}   # the cases straddle the bound
+
+
 def test_state_stack_names_the_first_failing_slice_and_its_first_failing_check():
     cases = _density_cases()
     both = cases["skew"].copy()
