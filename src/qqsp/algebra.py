@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -358,24 +359,48 @@ def conditional_expectation(phi: State, z) -> AlgebraElement:
 def expectation_supermap(phi: State) -> SuperMap:
     """The conditional expectation E_phi as a SuperMap from M_{n^2} to M_n.
 
-    Tr_1[(rho (x) 1) z] sends E_{(e, b), (a, d)} to rho[a, e] E_{bd}.
+    Tr_1[(rho (x) 1) z] sends E_{(e, b), (a, d)} to rho[a, e] E_{bd}. It is
+    :func:`expectation_supermaps` of a stack of one.
     """
-    n = phi.dim
-    t = np.einsum("ae,xb,yd->xyebad", phi.rho, np.eye(n), np.eye(n))
-    return SuperMap(n * n, n, unit_tensor_matrix(t.reshape(n, n, n * n, n * n)))
+    return expectation_supermaps(phi.rho[None])[0]
 
 
+def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
+    """E_phi of every density matrix of a (k, n, n) stack, formed in one call.
+
+    The SuperMaps are read-only views of one C-ordered stack, laid out as
+    :class:`SuperMap` lays out its matrix; every entry is an entry of a rho or 0.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    k, n = len(rhos), rhos.shape[-1]
+    t = np.einsum("kae,xb,yd->kxyebad", rhos, np.eye(n), np.eye(n))
+    # per slice, the column-major reshape of [x, y, (e, b), (a, d)] (unit_tensor_matrix)
+    mats = np.ascontiguousarray(t.reshape(k, n, n, n * n, n * n).transpose(0, 2, 1, 4, 3)
+                                .reshape(k, n * n, n ** 4))
+    mats.setflags(write=False)
+    maps = []
+    for mat in mats:
+        m = object.__new__(SuperMap)
+        for name, value in (("in_dim", n * n), ("out_dim", n), ("matrix", mat)):
+            object.__setattr__(m, name, value)
+        maps.append(m)
+    return tuple(maps)
+
+
+@cache
 def embed_supermap(n: int) -> SuperMap:
     """The unital embedding x -> 1 (x) x left fixed by every E_phi.
 
     This is the reconstruction slot: for marginal processes built from a
     process lattice, applying them after this embedding recovers the
-    lattice maps.
+    lattice maps. Its matrix is a 0/1 row selection with embed^dagger embed
+    = n 1, so ||embed X|| = sqrt(n) ||X||. Built once per n.
     """
     t = np.einsum("ac,bi,dj->abcdij", np.eye(n), np.eye(n), np.eye(n))
     return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
 
 
+@cache
 def embed_averaged_supermap(n: int) -> SuperMap:
     """The complementary embedding x -> x (x) 1 (the slot E_phi averages)."""
     t = np.einsum("ai,bd,cj->abcdij", np.eye(n), np.eye(n), np.eye(n))

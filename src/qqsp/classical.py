@@ -72,7 +72,11 @@ class ClassicalQSP:
     def __post_init__(self):
         if self.process_type not in ("A", "B"):
             raise ValueError(f"process type must be 'A' or 'B', got {self.process_type!r}")
-        ts = tuple(np.array(p, dtype=float) for p in self.step_tensors)
+        copies = {}   # one copy per distinct tensor object, so a repeated tensor stays one
+        for p in self.step_tensors:
+            if id(p) not in copies:
+                copies[id(p)] = np.array(p, dtype=float)
+        ts = tuple(copies[id(p)] for p in self.step_tensors)
         if not ts:
             raise ValueError("need at least one step tensor")
         for k, p in enumerate(ts):
@@ -198,10 +202,18 @@ def tensor_to_step_map(p: Array) -> SuperMap:
 
 
 def lift_to_quantum(q: ClassicalQSP, strict: bool = True) -> QQSPSeed:
-    """Embed a classical process as a diagonal-algebra seed."""
+    """Embed a classical process as a diagonal-algebra seed.
+
+    Each distinct step-tensor object is lifted once, and a repeated tensor
+    gives the seed one SuperMap repeated, which validation certifies once.
+    """
     if strict:
         require_valid_tensors(q)
-    maps = tuple(tensor_to_step_map(p) for p in q.step_tensors)
+    lifted = {}
+    for p in q.step_tensors:
+        if id(p) not in lifted:
+            lifted[id(p)] = tensor_to_step_map(p)
+    maps = tuple(lifted[id(p)] for p in q.step_tensors)
     return QQSPSeed(maps, State.from_weights(q.x0.weights), q.process_type, "diagonal")
 
 

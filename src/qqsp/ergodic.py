@@ -8,10 +8,11 @@ ensemble below epsilon by t = T.
 The ergodic relations between the marginals follow from F = C E_{omega_t}:
 H_*(rho) = omega_t (x) P_*(rho), Z_*(rho) = omega_t (x) Q_*(Tr_1 rho) and
 Q_*(sigma) = P_*(omega_s (x) sigma). :func:`decay_trace` takes every distance
-on the stored core. H/h's cores are P's own maps, so :func:`ergodic_verdict`
-hands H/h P's trace as it is; Z/z, measured on its core, decays as Q does on
-the Tr_1 images of the pairs. Only {P, H/h} against {Q, Z/z} can still
-disagree, and Q against Z/z only through the two pair ensembles they see.
+on the core C^{0,t}. H/h's cores are P's own maps, so :func:`ergodic_verdict`
+hands H/h P's trace as it is; Z/z, which store Q's maps and form the core
+embed Q^{0,t} for the trace, decay as Q does on the Tr_1 images of the pairs.
+Only {P, H/h} against {Q, Z/z} can still disagree, and Q against Z/z only
+through the two pair ensembles they see.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .algebra import State, predual
 from .linalg import matrix_unit, trace_norms
-from .process import Family
+from .process import Family, same_maps
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
     times = tuple(range(1, source.horizon + 1))
     states = np.array([x.rho for pair in pairs for x in pair]).reshape(
         2 * len(pairs), source.side, source.side)
-    side = source.core(0, 1).in_dim   # where the core's predual lands
+    side = source.maps[(0, 1)].in_dim   # where the core's predual lands
     gaps = np.empty((len(times), len(pairs), side, side), dtype=complex)
     for t, gap in zip(times, gaps):
         images = predual(source.core(0, t))(states)
@@ -188,9 +189,7 @@ def ergodic_verdict(lattice: Family, families: dict,
     if "Q" not in families:
         raise ValueError("a Q family is required")
     for kind in {"H", "h"} & set(families):
-        cores = families[kind].maps
-        if cores.keys() != lattice.maps.keys() or any(
-                cores[key] is not m for key, m in lattice.maps.items()):
+        if not same_maps(families[kind], lattice):
             raise ValueError(f"{kind} does not store this lattice's maps P^{{s,t}} as its cores")
     rng = np.random.default_rng(config.rng_seed)
     diagonal = lattice.algebra_kind == "diagonal"

@@ -122,13 +122,19 @@ def choi_matrix(mat: Array, in_dim: int, out_dim: int) -> Array:
 
 
 def predual_matrix(mat: Array, in_dim: int, out_dim: int) -> Array:
-    """Vectorization matrix of the bilinear adjoint.
+    """Vectorization matrix of the bilinear adjoint, or of every map of a (k, out^2, in^2) stack.
 
     Satisfies trace(Phi_*(rho) x) = trace(rho Phi(x)) for all rho, x
     (no conjugation; on hermitian arguments this is the usual predual).
     Its tensor view is t_*[a, b, p, q] = t[q, p, b, a].
     """
-    return unit_tensor_matrix(unit_tensor(mat, in_dim, out_dim).transpose(3, 2, 1, 0))
+    m = np.asarray(mat, dtype=complex)
+    k = m.ndim - 2
+    # in C order a row o1 + out*o2 splits as (o2, o1), so m is [o2, o1, i2, i1] = t[o1, o2, i1, i2]
+    # and the predual [b, a, q, p] = t_*[a, b, p, q] = t[q, p, b, a] reverses those four axes
+    t = m.reshape(*m.shape[:k], out_dim, out_dim, in_dim, in_dim)
+    return t.transpose(*range(k), k + 3, k + 2, k + 1, k).reshape(
+        *m.shape[:k], in_dim * in_dim, out_dim * out_dim)
 
 
 def trace_norm(a: Array) -> float:
@@ -219,13 +225,13 @@ def trace_norms(stack: Array) -> Array:
 def product_norms(xs, y: Array) -> Array:
     """operator_norm(x @ y) for every x of ``xs``, without forming the products.
 
-    With thin QRs x = Q_x R_x and y^dagger = Q_y R_y, x y = Q_x R_x R_y^dagger Q_y^dagger
-    and both Q factors are isometries, so ||x y|| = ||R_x R_y^dagger||: for a
-    tall x and a wide y the norm is taken on their small inner dimension.
+    With the thin QR y^dagger = Q_y R_y, x y = x R_y^dagger Q_y^dagger and Q_y is an
+    isometry, so ||x y|| = ||x R_y^dagger||. With x = Q_x R_x that is ||R_x R_y^dagger||,
+    so a caller that holds the thin R factors of tall x's passes them in place of
+    the x's, and the norm is taken on the small inner dimension.
     """
     r_y = dagger(np.linalg.qr(dagger(y), mode="r"))
-    return operator_norms(np.array([np.linalg.qr(np.asarray(x, dtype=complex), mode="r") @ r_y
-                                    for x in xs]))
+    return operator_norms(np.array([x @ r_y for x in xs]))
 
 
 def hermiticity_defect(a: Array) -> float:

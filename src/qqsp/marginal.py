@@ -14,9 +14,13 @@ type-B one, so :func:`check_markov` only picks a split law of
 :func:`qqsp.process.split_residuals`; h reads Q^{s,tau} = E_{omega_s} P^{s,tau}
 off its own cores.
 
-H/h and Z/z are stored factored (:class:`qqsp.process.Family`): each keeps
-its core C^{s,t}, P^{s,t} for H/h and embed(E_{omega_s} P^{s,t}) for Z/z,
-and every residual that ends in E_{omega_t} is taken on the n^4 x n^2 core.
+H/h and Z/z are stored factored (:class:`qqsp.process.Family`). H/h keep
+P's maps as their cores C^{s,t}. Z^{s,t} = embed Q^{s,t} E_{omega_t}, so Z/z
+keep Q's maps and form the core embed Q^{s,t} only on demand. Every Z/z
+residual is taken on n^2 x n^2 stacks and scaled by sqrt(n) (embed is a 0/1
+row selection with embed^dagger embed = n 1), with the slot S_tau =
+E_{omega_tau} embed between two of Q's maps. H/h's residuals that start with
+C^{s,t} are normed on its thin R factor, taken once per core.
 
 A pair (Q, H) with the right exchange axioms determines the lattice:
 P^{s,t} x = H^{s,t}(embed(x)) along the trajectory psi_t. That rebuilt
@@ -36,8 +40,8 @@ from .algebra import (
     State,
     SuperMap,
     embed_averaged_supermap,
-    embed_supermap,
     expectation_supermap,
+    expectation_supermaps,
     flip_rows,
     predual,
     trace_norm_distance,
@@ -45,24 +49,24 @@ from .algebra import (
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import product_norms, stacked_products
+from .linalg import predual_matrix, product_norms, stacked_products, vec
 from .process import (
     Family,
     ResidualTable,
     ValidationFailure,
-    computed_state,
     computed_states,
     pair_residuals,
     row,
+    same_maps,
     split_residuals,
     triples,
 )
 
 
 def _derived(source: Family, kind: str, maps: dict, factored: bool) -> Family:
-    """A marginal family on the trajectory of ``source``, sharing its E_{omega_t}."""
+    """A marginal family on the trajectory of ``source``, sharing its E_{omega_t} and slots."""
     return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
-                  expectations=source.expectations, factored=factored)
+                  expectations=source.expectations, factored=factored, slots=source.slots)
 
 
 def build_Q(lattice: Family) -> Family:
@@ -91,28 +95,36 @@ def build_h(lattice: Family) -> Family:
     return _build_doubled(lattice, "h")
 
 
-def _derive_embedded(family: Family, kind: str) -> Family:
-    if family.expectations is None:
-        raise ValueError("need the omega trajectory to build the derived family")
-    emb = embed_supermap(family.n)
-    es = family.expectations
-    # embed(E_{omega_s} C^{s,t}) keeps the trailing factor of the source family
-    maps = {(s, t): emb @ (es[s] @ family.core(s, t)) for (s, t) in family.pairs()}
-    return _derived(family, kind, maps, family.factored)
+def _derive_embedded(h_family: Family, q_family: Family, kind: str) -> Family:
+    # embed(E_{omega_s} P^{s,t} E_{omega_t}) = embed Q^{s,t} E_{omega_t}: Q's maps, with embed
+    # as the lead
+    if not h_family.factored:
+        raise ValueError(f"{kind} derives from the {h_family.kind} built from a lattice")
+    if q_family.kind != "Q" or q_family.omegas is not h_family.omegas or (
+            q_family.maps.keys() != h_family.maps.keys()):
+        raise ValueError(f"{kind} takes Q^{{s,t}} from the Q family of its {h_family.kind}'s "
+                         f"lattice, which shares its trajectory")
+    return _derived(h_family, kind, dict(q_family.maps), True)
 
 
-def build_Z(h_family: Family) -> Family:
-    """Z^{s,t} = embed(E_{omega_s} H^{s,t}(.)), a Markov process on M (x) M."""
+def build_Z(h_family: Family, q_family: Family) -> Family:
+    """Z^{s,t} = embed(E_{omega_s} H^{s,t}(.)), a Markov process on M (x) M.
+
+    Stored as the maps of ``q_family``, the Q of H's lattice: Z^{s,t} = embed Q^{s,t} E_{omega_t}.
+    """
     if h_family.kind != "H":
         raise ValueError(f"Z derives from an H family, got kind {h_family.kind!r}")
-    return _derive_embedded(h_family, "Z")
+    return _derive_embedded(h_family, q_family, "Z")
 
 
-def build_z(h_family: Family) -> Family:
-    """z^{s,t} = embed(E_{omega_s} h^{s,t}(.)); Markov despite h not being so."""
+def build_z(h_family: Family, q_family: Family) -> Family:
+    """z^{s,t} = embed(E_{omega_s} h^{s,t}(.)); Markov despite h not being so.
+
+    Stored as the maps of ``q_family``, the Q of h's lattice: z^{s,t} = embed Q^{s,t} E_{omega_t}.
+    """
     if h_family.kind != "h":
         raise ValueError(f"z derives from an h family, got kind {h_family.kind!r}")
-    return _derive_embedded(h_family, "z")
+    return _derive_embedded(h_family, q_family, "z")
 
 
 def check_markov(family: Family, law: str = "native") -> ResidualTable:
@@ -201,7 +213,7 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
         # H - U H, so that each flipped core is made only while it is subtracted
         flip=pair_residuals(h_family, lambda s, ts: np.stack(row(core, s, ts)),
                             lambda s, ts: (m[flip] for m in row(core, s, ts)), "axiom-flip",
-                            trailing=h_family),
+                            scale=h_family.trailing_norm),
         exchange=pair_residuals(
             h_family,
             lambda s, ts: h_family.times_trailing(
@@ -215,20 +227,21 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
 
 
 def _absorption(h_family: Family, e_psi) -> ResidualTable:
-    """||H - H embed E_{psi_t}|| = ||C D_t|| with D_t = T_t - T_t embed E_{psi_t}.
+    """||H - H embed E_{psi_t}|| = ||C D_t|| = ||R D_t|| with D_t = T_t - T_t embed E_{psi_t}.
 
-    T_t is the trailing factor of ``h_family`` (the identity if it has none).
-    Each D_t is built when the pairs ending at t are normed, so one is held at a time.
+    T_t is the trailing factor of ``h_family`` (the identity if it has none) and R
+    the family's thin R factor of C. Each D_t is built when the pairs ending at t
+    are normed, so one is held at a time.
     """
-    emb = embed_supermap(h_family.n)
+    r = h_family.thin_r
     entries = {}
     for t, group in groupby(sorted(h_family.pairs(), key=lambda st: st[1]),
                             key=lambda st: st[1]):
-        absorbed = (h_family.trailing_times(t, emb) @ e_psi[t]).matrix
+        absorbed = (h_family.slot(t) @ e_psi[t]).matrix
         lead = (h_family.expectations[t].matrix if h_family.factored
                 else np.eye(len(absorbed)))
         group = list(group)
-        norms = product_norms([h_family.core(s, t).matrix for s, _ in group], lead - absorbed)
+        norms = product_norms([r[key] for key in group], lead - absorbed)
         entries.update(zip(group, map(float, norms)))
     return ResidualTable(dict(sorted(entries.items())), "axiom-absorption")
 
@@ -244,9 +257,7 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     """
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
-    emb = embed_supermap(h_family.n)
-    slots = {t: h_family.trailing_times(t, emb) for t in {t for _, t in h_family.pairs()}}
-    maps = {(s, t): h_family.core(s, t) @ slots[t] for (s, t) in h_family.pairs()}
+    maps = {(s, t): h_family.core(s, t) @ h_family.slot(t) for (s, t) in h_family.pairs()}
     rho00 = np.kron(omega0.rho, omega0.rho)
     psis = computed_states([predual(maps[(0, t)])(rho00) for t in range(1, h_family.horizon + 1)],
                            "psi_t", 1)
@@ -264,15 +275,20 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     """Residual of E_{omega_s} Q^{s,t} = E_{omega_t} (trajectory consistency).
 
     Measured as the operator-norm gap between the two conditional
-    expectations, i.e. with omega_s carried forward through Q^{s,t}.
+    expectations, i.e. with omega_s carried forward through Q^{s,t}. The states
+    of a row s are carried by one matmul of the row's preduals, checked as one
+    stack and turned into their E_{Q_* omega_s} by one call.
     """
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
+    n = q_family.n
 
-    def carried(s, ts):   # made one at a time, each while it is subtracted
-        for t in ts:
-            rho = predual(q_family.map(s, t))(q_family.omegas[s].rho)
-            yield expectation_supermap(computed_state(rho, f"Q^{{{s},t}}_* omega_{s}", t)).matrix
+    def carried(s, ts):
+        duals = np.ascontiguousarray(predual_matrix(np.array(row(q_family.map, s, ts)), n, n))
+        images = duals @ vec(q_family.omegas[s].rho)[:, None]   # one gemv per map
+        rhos = images.reshape(len(ts), n, n).transpose(0, 2, 1)   # unvec of each image
+        states = computed_states(rhos, f"Q^{{{s},t}}_* omega_{s}", ts[0])
+        return (e.matrix for e in expectation_supermaps([w.rho for w in states]))
 
     # E_{omega_t} - E_{Q_* omega_s}
     return pair_residuals(q_family,
@@ -289,33 +305,48 @@ def slice_residuals(lattice: Family, q_family: Family,
     omega_t(x) 1 (x) 1; z_reconstruction_slot: Z(embed x) = embed(Q x);
     z_averaged_slot as for H. The intertwining E_{omega_s} H = Q E_{omega_t}
     holds here by the definition of Q; the axiom exchange checks it for a pair.
+
+    Each is taken on its smallest exact factor. With S_t = E_{omega_t} embed and
+    the thin R factor of P^{s,t}, H's reconstruction slot is ||R^{s,t} (S_t - 1)||.
+    E_{omega_t} embed_averaged is |vec 1><rho_t| and the constant map |vec 1 (x) 1><rho_t|,
+    so H's averaged slot is the rank-one ||P^{s,t}(1) - 1 (x) 1||_F ||rho_t||_F. Z/z
+    store Q's maps Y: its slots are sqrt(n) ||Y^{s,t} S_t - Q^{s,t}|| and
+    sqrt(n) ||Y^{s,t} A_t - K_t||, with A_t = E_{omega_t} embed_averaged and K_t the
+    constant map x -> omega_t(x) 1 on M.
     """
     if not (h_family.factored and (z_family is None or z_family.factored)):
         raise ValueError("slice identities are stated for the marginals built from the lattice")
+    if not same_maps(h_family, lattice):
+        raise ValueError(f"{h_family.kind} does not store this lattice's maps P^{{s,t}} "
+                         f"as its cores")
     n = lattice.n
-    emb = embed_supermap(n)
-    es = lattice.expectations
     times = range(1, lattice.horizon + 1)
-    slot = {t: es[t] @ emb for t in times}
-    averaged = {t: es[t] @ embed_averaged_supermap(n) for t in times}
-    consts = [SuperMap.constant(w, n * n) for w in lattice.omegas]
-    h, q = h_family.core, q_family.map
-
-    def at(per_t, ts):
-        return [per_t[t].matrix for t in ts]
-
-    sides = {
-        "reconstruction_slot": (lambda s, ts: stacked_products(row(h, s, ts), at(slot, ts)),
-                                lambda s, ts: row(lattice.map, s, ts)),
-        "averaged_slot": (lambda s, ts: stacked_products(row(h, s, ts), at(averaged, ts)),
-                          lambda s, ts: at(consts, ts)),
+    r = h_family.thin_r
+    slot_gap = {t: h_family.slot(t).matrix - np.eye(n * n) for t in times}
+    pairs = lattice.pairs()
+    units = np.array([lattice.map(s, t).matrix @ vec(np.eye(n)) for s, t in pairs])
+    unital = np.linalg.norm(units - vec(np.eye(n * n)), axis=1)
+    out = {
+        "reconstruction_slot": pair_residuals(
+            lattice, lambda s, ts: stacked_products([r[(s, t)] for t in ts],
+                                                    [slot_gap[t] for t in ts]),
+            None, "reconstruction_slot").max_residual,
+        "averaged_slot": max(float(gap) * h_family.trailing_norm(t)
+                             for gap, (_, t) in zip(unital, pairs)),
     }
     if z_family is not None:
-        z = z_family.core
-        sides["z_reconstruction_slot"] = (
-            lambda s, ts: stacked_products(row(z, s, ts), at(slot, ts)),
-            lambda s, ts: (emb.matrix @ m for m in row(q, s, ts)))
-        sides["z_averaged_slot"] = (lambda s, ts: stacked_products(row(z, s, ts), at(averaged, ts)),
-                                    lambda s, ts: at(consts, ts))
-    return {name: pair_residuals(lattice, lhs, rhs, name).max_residual
-            for name, (lhs, rhs) in sides.items()}
+        y, q, root_n = z_family.maps, q_family.map, z_family.lead_norm
+        averaged = {t: (z_family.expectations[t] @ embed_averaged_supermap(n)).matrix
+                    for t in times}
+        consts = {t: SuperMap.constant(lattice.omega(t), n).matrix for t in times}
+        out["z_reconstruction_slot"] = pair_residuals(
+            lattice, lambda s, ts: stacked_products([y[(s, t)].matrix for t in ts],
+                                                    [z_family.slot(t).matrix for t in ts]),
+            lambda s, ts: row(q, s, ts), "z_reconstruction_slot",
+            scale=lambda t: root_n).max_residual
+        out["z_averaged_slot"] = pair_residuals(
+            lattice, lambda s, ts: stacked_products([y[(s, t)].matrix for t in ts],
+                                                    [averaged[t] for t in ts]),
+            lambda s, ts: (consts[t] for t in ts), "z_averaged_slot",
+            scale=lambda t: root_n).max_residual
+    return out

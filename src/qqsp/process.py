@@ -17,6 +17,7 @@ C^{s,tau} C^{tau,t}. :func:`propagate` fills the lattice with it, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -29,6 +30,7 @@ from .algebra import (
     SuperMap,
     certify_unital_cp,
     doubled_after,
+    embed_supermap,
     expectation_supermap,
     flip_symmetry_residual,
     predual,
@@ -150,12 +152,14 @@ class Family:
     holds E_{omega_t} for every t of ``omegas``; it is built here unless
     the caller already has it.
 
-    A ``factored`` family stores in ``maps`` the core C^{s,t} (M -> M (x) M)
-    of F^{s,t} = C^{s,t} E_{omega_t} and never forms the n^4 x n^4 product;
-    it is read through :meth:`core`. Residual sweeps work on the cores:
-    E E^dagger = ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X||
-    (:meth:`trailing_norm`). Any other family has the trivial trailing
-    factor, so the same sweeps read its maps as they are.
+    A ``factored`` family never forms its n^4 x n^4 maps. H/h store in ``maps``
+    the core C^{s,t} (M -> M (x) M) of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store
+    Q's maps Y^{s,t} (M -> M) of F^{s,t} = embed Y^{s,t} E_{omega_t}, and
+    :meth:`core` forms their core embed Y^{s,t} only when asked. Residual sweeps
+    work on the stored maps: E E^dagger = ||rho||_F^2 1 gives ||X E_{omega_t}|| =
+    ||rho_t||_F ||X|| (:meth:`trailing_norm`), and embed^dagger embed = n 1 gives
+    ||embed X|| = sqrt(n) ||X|| (:attr:`lead_norm`). Any other family has trivial
+    lead and trailing factors, so the same sweeps read its maps as they are.
     """
 
     kind: str
@@ -167,6 +171,8 @@ class Family:
     expectations: tuple[SuperMap, ...] | None = field(default=None, repr=False,
                                                       compare=False)
     factored: bool = False
+    # S_t = E_{omega_t} embed by t, filled by :meth:`slot`; shared like ``expectations``
+    slots: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -177,10 +183,11 @@ class Family:
             raise ValueError(f"a factored family is a doubled marginal with a trajectory, "
                              f"got kind {self.kind!r}")
         in_dim = self.n if self.kind in ("P", "Q") or self.factored else self.n * self.n
+        out_dim = self.n if self.kind == "Q" or self.lead is not None else self.side
         for key, m in self.maps.items():
-            if m.in_dim != in_dim or m.out_dim != self.side:
+            if m.in_dim != in_dim or m.out_dim != out_dim:
                 raise ValueError(f"map {key} has dims ({m.in_dim}, {m.out_dim}), "
-                                 f"expected ({in_dim}, {self.side})")
+                                 f"expected ({in_dim}, {out_dim})")
         if self.expectations is None and self.omegas is not None:
             object.__setattr__(self, "expectations",
                                tuple(expectation_supermap(w) for w in self.omegas))
@@ -194,9 +201,23 @@ class Family:
     def horizon(self) -> int:
         return max(t for (_, t) in self.maps)
 
+    @property
+    def lead(self) -> SuperMap | None:
+        """embed for a factored Z/z, whose stored maps are Q's; None for every other family."""
+        return embed_supermap(self.n) if self.factored and self.kind in ("Z", "z") else None
+
+    @property
+    def lead_norm(self) -> float:
+        """||L X|| / ||X|| for the lead L: sqrt(n) for a factored Z/z, or 1."""
+        return math.sqrt(self.n) if self.lead is not None else 1.0
+
     def core(self, s: int, t: int) -> SuperMap:
-        """C^{s,t}: the stored map, F^{s,t} itself unless the family is factored."""
-        return self.maps[(s, t)]
+        """C^{s,t}: the stored map, F^{s,t} itself unless the family is factored.
+
+        A factored Z/z forms its core embed Y^{s,t} here, on each call.
+        """
+        m = self.maps[(s, t)]
+        return m if self.lead is None else self.lead @ m
 
     def map(self, s: int, t: int) -> SuperMap:
         """F^{s,t} of a family stored as it is; a factored family has only its core."""
@@ -210,9 +231,18 @@ class Family:
             return stack
         return stacked_products(stack, [self.expectations[t].matrix for t in ts])
 
-    def trailing_times(self, t: int, m: SuperMap) -> SuperMap:
-        """The trailing factor of F^{., t} after m: E_{omega_t} m, or m."""
-        return self.expectations[t] @ m if self.factored else m
+    def slot(self, t: int) -> SuperMap:
+        """The trailing factor of F^{., t} followed by embed: S_t = E_{omega_t} embed, or embed.
+
+        S_t is the reconstruction slot; it stands between two stored maps of Z/z.
+        It is formed once, on first use, into ``slots``, which every family
+        derived from one lattice shares with it.
+        """
+        if not self.factored:
+            return embed_supermap(self.n)
+        if t not in self.slots:
+            self.slots[t] = self.expectations[t] @ embed_supermap(self.n)
+        return self.slots[t]
 
     def trailing_norm(self, t: int) -> float:
         """||X T_t|| / ||X|| for the trailing factor T_t: ||rho_t||_F, or 1."""
@@ -222,11 +252,27 @@ class Family:
     def _rho_norms(self) -> tuple[float, ...]:
         return tuple(float(np.linalg.norm(w.rho)) for w in self.omegas)
 
+    @cached_property
+    def thin_r(self) -> dict:
+        """R^{s,t} of the thin QR of every core, from one stacked ``np.linalg.qr`` call.
+
+        ||C X|| = ||R X|| for every X, so a residual C^{s,t} X is normed on R^{s,t} X.
+        """
+        pairs = self.pairs()
+        r = np.linalg.qr(np.array([self.core(s, t).matrix for s, t in pairs]), mode="r")
+        return dict(zip(pairs, r))
+
     def omega(self, t: int) -> State:
         return self.omegas[t]
 
     def pairs(self):
         return sorted(self.maps.keys())
+
+
+def same_maps(family: Family, lattice: Family) -> bool:
+    """Whether ``family`` stores ``lattice``'s own SuperMap objects, pair for pair."""
+    return family.maps.keys() == lattice.maps.keys() and all(
+        family.maps[key] is m for key, m in lattice.maps.items())
 
 
 def computed_states(rhos, quantity: str, first_t: int) -> tuple[State, ...]:
@@ -390,51 +436,58 @@ def _table(groups, gaps, scale, label: str) -> ResidualTable:
 def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     """||F^{s,t} - G^{s,tau,t} T_t|| at every split whose two factors are stored.
 
-    G^{s,tau,t} is the split product under ``law`` of the cores C^{s,tau} and
-    C^{tau,t} (:func:`fundamental_products`) and T_t is the family's trailing factor,
-    so the norm is taken on the cores (:class:`Family`). The right factors of a tau
-    are built once and serve every s < tau; each stored core is subtracted into the
-    products of a pair (s, tau) in place.
+    G^{s,tau,t} is the split product under ``law`` of the stored maps C^{s,tau}
+    and C^{tau,t} (:func:`fundamental_products`) and T_t is the family's trailing
+    factor, so the norm is taken on the stored maps (:class:`Family`). Under law A
+    E_{omega_tau} stands between the two, or the slot S_tau = E_{omega_tau} embed for
+    Z/z, whose lead embed is taken out of the norm as sqrt(n). The right factors
+    of a tau are built once and serve every s < tau; each stored map is subtracted
+    into the products of a pair (s, tau) in place.
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
     keys = [(s, tau, t) for s, tau, t in triples(family.horizon)
             if (s, tau) in family.maps and (tau, t) in family.maps]
     es = family.expectations or (None,) * (family.horizon + 1)   # the plain law reads none
+    between = family.slot if family.lead is not None else es.__getitem__
+
+    def stored(s, t):
+        return family.maps[(s, t)]
 
     @cache
     def rights(tau, ts):
-        return fundamental_rights(row(family.core, tau, ts), es[tau], law)
+        return fundamental_rights(row(stored, tau, ts), between(tau), law)
 
     def gaps(group):
         (s, tau, _), ts = group[0], tuple(t for *_, t in group)
-        stack = fundamental_products(family.core(s, tau), rights(tau, ts), es[s], law)
+        stack = fundamental_products(stored(s, tau), rights(tau, ts), es[s], law)
         for gap, t in zip(stack, ts, strict=True):
-            np.subtract(family.core(s, t).matrix, gap, out=gap)
+            np.subtract(stored(s, t).matrix, gap, out=gap)
         return stack
 
-    return _table(_grouped(keys), gaps, lambda key: family.trailing_norm(key[-1]), label)
+    return _table(_grouped(keys), gaps,
+                  lambda key: family.lead_norm * family.trailing_norm(key[-1]), label)
 
 
-def pair_residuals(family: Family, lhs, rhs, label: str,
-                   trailing: Family | None = None) -> ResidualTable:
-    """||(L^{s,t} - R^{s,t}) T_t|| at every stored pair (s, t) of ``family``.
+def pair_residuals(family: Family, lhs, rhs, label: str, scale=None) -> ResidualTable:
+    """scale(t) ||L^{s,t} - R^{s,t}|| at every stored pair (s, t) of ``family``.
 
     For one row s and its times ``ts``, ``lhs(s, ts)`` gives the L's as a fresh
     (len(ts), rows, cols) stack and ``rhs(s, ts)`` the R's in any iterable; each R
-    is subtracted into the stack in place. T_t is the trailing factor of
-    ``trailing`` (none by default), applied through :meth:`Family.trailing_norm`.
+    is subtracted into the stack in place. With ``rhs`` None the L's are the gaps.
+    ``scale`` defaults to 1; a gap followed by a family's trailing factor takes
+    that family's :meth:`Family.trailing_norm`.
     """
     def gaps(group):
         s, ts = group[0][0], tuple(t for _, t in group)
         stack = lhs(s, ts)
-        for gap, r in zip(stack, rhs(s, ts), strict=True):
-            np.subtract(gap, r, out=gap)
+        if rhs is not None:
+            for gap, r in zip(stack, rhs(s, ts), strict=True):
+                np.subtract(gap, r, out=gap)
         return stack
 
     return _table(_grouped(family.pairs()), gaps,
-                  lambda key: 1.0 if trailing is None else trailing.trailing_norm(key[-1]),
-                  label)
+                  lambda key: 1.0 if scale is None else scale(key[-1]), label)
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:

@@ -9,7 +9,6 @@ the only run artifact allowed to differ between reruns.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,33 +20,11 @@ from . import __version__
 CSV_HEADER = "t,pair_index,distance"
 
 
-def jsonify(obj):
-    """Normalize to JSON-safe values; complex numbers become [re, im]."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, str) or obj is None:
-        return obj
-    if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
-    if isinstance(obj, dict):
-        return {_key(k): jsonify(v) for k, v in sorted(obj.items(), key=lambda kv: _key(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return jsonify(dataclasses.asdict(obj))
+def _json_scalar(obj):
+    """The Python value of a numpy scalar, for ``json.dumps``'s ``default``."""
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _key(k) -> str:
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return str(k)
 
 
 def complex_matrix_to_pairs(m: np.ndarray):
@@ -83,16 +60,18 @@ class Report:
         return self.scenario_echo.get("name", "scenario")
 
     def to_document(self) -> dict:
-        return jsonify({
+        return json.loads(self.to_structured_text())
+
+    def to_structured_text(self) -> str:
+        """The report document as sorted, indented JSON; one walk over the stages."""
+        document = {
             "tool": {"name": "qqsp", "version": __version__},
             "scenario": self.scenario_echo,
             "run": {"seed": self.run_seed, "mode": self.mode},
             "stages": self.stages,
             "verdicts": self.verdicts,
-        })
-
-    def to_structured_text(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
+        }
+        return json.dumps(document, sort_keys=True, indent=2, default=_json_scalar) + "\n"
 
 
 def _decay_csv_text(trace) -> str:

@@ -469,7 +469,7 @@ def _choi_row(step, diag) -> dict:
 
 def _table_dict(table) -> dict:
     return {"max": table.max_residual,
-            "entries": {k: v for k, v in table.sorted_items()}}
+            "entries": {",".join(map(str, k)): v for k, v in table.sorted_items()}}
 
 
 class _PipelineState:
@@ -573,10 +573,10 @@ def _stage_marginals(sc, seed, ctx, report):
     q = build_Q(lat)
     if lat.process_type == "A":
         hh = build_H(lat)
-        zz = build_Z(hh)
+        zz = build_Z(hh, q)
     else:
         hh = build_h(lat)
-        zz = build_z(hh)
+        zz = build_z(hh, q)
     ctx.families = {"Q": q, hh.kind: hh, zz.kind: zz}
     out = {"kinds": sorted(ctx.families)}
     worst = 0.0

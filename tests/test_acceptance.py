@@ -68,10 +68,10 @@ def _families(lattice):
     q = build_Q(lattice)
     if lattice.process_type == "A":
         hh = build_H(lattice)
-        zz = build_Z(hh)
+        zz = build_Z(hh, q)
     else:
         hh = build_h(lattice)
-        zz = build_z(hh)
+        zz = build_z(hh, q)
     return q, hh, zz
 
 
@@ -123,7 +123,7 @@ def test_criterion_2_markov_composition():
     assert kc_consistency(lat_a).max_residual <= TOL_KC
     h_a = build_H(lat_a)
     assert check_markov(h_a).max_residual <= TOL_MARKOV
-    assert check_markov(build_Z(h_a)).max_residual <= TOL_MARKOV
+    assert check_markov(build_Z(h_a, build_Q(lat_a))).max_residual <= TOL_MARKOV
 
     lat_b = propagate(make_entangling_seed(5, "B"))
     h_b = build_h(lat_b)

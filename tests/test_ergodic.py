@@ -46,10 +46,10 @@ def build_families(lattice):
     q = build_Q(lattice)
     if lattice.process_type == "A":
         hh = build_H(lattice)
-        zz = build_Z(hh)
+        zz = build_Z(hh, q)
     else:
         hh = build_h(lattice)
-        zz = build_z(hh)
+        zz = build_z(hh, q)
     return {"Q": q, hh.kind: hh, zz.kind: zz}
 
 

@@ -126,7 +126,7 @@ def test_build_kind_guards(mixed_lattice, entangling_lattice):
     with pytest.raises(ValueError):
         build_h(mixed_lattice)
     with pytest.raises(ValueError):
-        build_Z(build_Q(mixed_lattice))
+        build_Z(build_Q(mixed_lattice), build_Q(mixed_lattice))
 
 
 # ---------------------------------------------------------------------- Z
@@ -134,7 +134,7 @@ def test_build_kind_guards(mixed_lattice, entangling_lattice):
 def test_z_slice_identities(mixed_lattice):
     h = build_H(mixed_lattice)
     q = build_Q(mixed_lattice)
-    z = dense(build_Z(h))
+    z = dense(build_Z(h, q))
     for (s, t), zm in z.items():
         for x in BASIS2:
             got = zm(np.kron(np.eye(2), x))
@@ -147,7 +147,7 @@ def test_z_slice_identities(mixed_lattice):
 
 def test_slice_residual_summary(mixed_lattice):
     q, h = build_Q(mixed_lattice), build_H(mixed_lattice)
-    res = slice_residuals(mixed_lattice, q, h, build_Z(h))
+    res = slice_residuals(mixed_lattice, q, h, build_Z(h, q))
     assert max(res.values()) <= 1e-10
 
 
@@ -156,7 +156,7 @@ def test_slice_residual_summary(mixed_lattice):
 def test_constant_all_kinds_compose(constant_lattice):
     q = build_Q(constant_lattice)
     h = build_H(constant_lattice)
-    z = build_Z(h)
+    z = build_Z(h, q)
     for fam in (q, h, z):
         assert check_markov(fam).max_residual <= 1e-13
 
@@ -165,7 +165,7 @@ def test_h_and_z_markov_when_kc_holds(mixed_lattice):
     assert kc_consistency(mixed_lattice).max_residual <= 1e-10
     h = build_H(mixed_lattice)
     assert check_markov(h).max_residual <= 1e-9
-    assert check_markov(build_Z(h)).max_residual <= 1e-9
+    assert check_markov(build_Z(h, build_Q(mixed_lattice))).max_residual <= 1e-9
     assert check_markov(build_Q(mixed_lattice)).max_residual <= 1e-9
 
 
@@ -177,7 +177,7 @@ def test_type_b_contrast(entangling_lattice):
     assert max(construction.values()) <= 1e-11
     plain = check_markov(h, law="plain")
     assert plain.max_residual > 0.01
-    z = build_z(h)
+    z = build_z(h, build_Q(entangling_lattice))
     assert check_markov(z).max_residual <= 1e-9
 
 
@@ -313,8 +313,8 @@ def test_predual_factorization_z(rng):
     for lat in _relation_lattices():
         n = lat.n
         q = build_Q(lat)
-        z = dense((build_Z(build_H(lat)) if lat.process_type == "A"
-                   else build_z(build_h(lat))))
+        z = dense((build_Z(build_H(lat), q) if lat.process_type == "A"
+                   else build_z(build_h(lat), q)))
         for (s, t), zm in z.items():
             rho, sigma = random_density(rng, n * n), random_density(rng, n)
             q_dual = predual(q.map(s, t))
@@ -374,7 +374,7 @@ def test_factored_residuals_match_dense_reference(make_lattice, foreign_q):
     n, ptype = lat.n, lat.process_type
     q = build_Q(propagate(make_constant_seed(n, lat.horizon)) if foreign_q else lat)
     h = build_H(lat) if ptype == "A" else build_h(lat)
-    z = (build_Z if ptype == "A" else build_z)(h)
+    z = (build_Z if ptype == "A" else build_z)(h, build_Q(lat))
     dense_h = {k: m.matrix for k, m in dense(h).items()}
     dense_z = {k: m.matrix for k, m in dense(z).items()}
     for fam in (h, z):

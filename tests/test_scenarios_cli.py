@@ -241,7 +241,8 @@ def test_each_quantity_is_computed_once(monkeypatch):
     counts = {}
     defining = {"verify_marginal_axioms": "qqsp.marginal", "build_Q": "qqsp.marginal",
                 "reconstruct_qqsp": "qqsp.marginal", "_resolve_seed": "qqsp.scenarios",
-                "certify_unital_cp": "qqsp.algebra", "expectation_supermap": "qqsp.algebra"}
+                "certify_unital_cp": "qqsp.algebra", "expectation_supermap": "qqsp.algebra",
+                "expectation_supermaps": "qqsp.algebra"}
     for name, module_name in defining.items():
         original = getattr(importlib.import_module(module_name), name)
 
@@ -256,10 +257,11 @@ def test_each_quantity_is_computed_once(monkeypatch):
     T = sc.horizon
     distinct = len({id(m) for m in sc.resolved[0].step_maps})
     assert distinct == 1   # the builtin holds one map T times
-    # E_{omega_t}, E_{phi_t} and E_{psi_t} once per t; one carried state per (s, t)
+    # E_{omega_t}, E_{phi_t} and E_{psi_t} once per t, each a stack of one; the carried
+    # states' E_{Q_* omega_s} in one stack per row s
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
-                      "certify_unital_cp": distinct,
-                      "expectation_supermap": 3 * (T + 1) + T * (T + 1) // 2}
+                      "certify_unital_cp": distinct, "expectation_supermap": 3 * (T + 1),
+                      "expectation_supermaps": 3 * (T + 1) + T}
 
 
 def test_explicit_pair_ensemble_scenario():

@@ -13,7 +13,7 @@ from qqsp.algebra import (
     flip_after,
     predual,
 )
-from qqsp.linalg import operator_norm, operator_norms
+from qqsp.linalg import operator_norm, operator_norms, vec
 from qqsp.marginal import (
     build_H,
     build_Q,
@@ -54,31 +54,89 @@ def lattice(request):
 
 
 def _families(lat):
+    q = build_Q(lat)
     if lat.process_type == "A":
         h = build_H(lat)
-        return build_Q(lat), h, build_Z(h)
+        return q, h, build_Z(h, q)
     h = build_h(lat)
-    return build_Q(lat), h, build_z(h)
+    return q, h, build_z(h, q)
 
 
 # ------------------------------------------------- per-gap reference loops
 
 def _split_loop(family, compose):
-    """The sweep one gap at a time: per-split product, per-gap operator_norm."""
-    return {(s, tau, t): family.trailing_norm(t)
-            * operator_norm(family.core(s, t).matrix - compose(s, tau, t))
+    """The sweep one gap at a time: per-split product of the stored maps, per-gap operator_norm."""
+    return {(s, tau, t): family.lead_norm * family.trailing_norm(t)
+            * operator_norm(family.maps[(s, t)].matrix - compose(s, tau, t))
             for s, tau, t in triples(family.horizon)}
 
 
-def _pair_loop(family, lhs, rhs, trailing=None):
-    return {(s, t): (1.0 if trailing is None else trailing.trailing_norm(t))
-            * operator_norm(lhs(s, t) - rhs(s, t)) for s, t in family.pairs()}
+def _pair_loop(family, lhs, rhs, scale=lambda t: 1.0):
+    return {(s, t): scale(t) * operator_norm(lhs(s, t) - rhs(s, t)) for s, t in family.pairs()}
 
 
 def _plain(family):
+    """The plain law on the stored maps; a factored family has E_tau, or S_tau for Z/z, between."""
+    y = family.maps
+
     def compose(s, tau, t):
-        return (family.core(s, tau) @ family.trailing_times(tau, family.core(tau, t))).matrix
+        if not family.factored:
+            return (y[(s, tau)] @ y[(tau, t)]).matrix
+        between = family.slot(tau) if family.lead is not None else family.expectations[tau]
+        return (y[(s, tau)] @ (between @ y[(tau, t)])).matrix
     return compose
+
+
+def _dense_split_loop(family):
+    """Today's n^4 x n^2 reference: ||rho_t||_F ||C^{s,t} - C^{s,tau} E_tau C^{tau,t}|| on the cores."""
+    c, es = family.core, family.expectations
+    return {(s, tau, t): family.trailing_norm(t)
+            * operator_norm(c(s, t).matrix - (c(s, tau) @ (es[tau] @ c(tau, t))).matrix)
+            for s, tau, t in triples(family.horizon)}
+
+
+def _close(got, want):
+    """Within 8 ulps relative or 1e-15 absolute: the drift bound of the factored formulas."""
+    return abs(got - want) <= max(8 * np.spacing(abs(want)), 1e-15)
+
+
+def _slice_loops(lattice, q, h, z):
+    """Per-gap loops of the factored slice formulas, in the stacked code's arithmetic."""
+    n, es = lattice.n, lattice.expectations
+    avg, root_n = embed_averaged_supermap(n), z.lead_norm
+    one, one2 = vec(np.eye(n)), vec(np.eye(n * n))
+    return {
+        "reconstruction_slot": _pair_loop(
+            lattice, lambda s, t: np.linalg.qr(h.core(s, t).matrix, mode="r")
+            @ (h.slot(t).matrix - np.eye(n * n)), lambda s, t: 0),
+        "averaged_slot": {(s, t): float(np.linalg.norm(lattice.map(s, t).matrix @ one - one2,
+                                                       axis=-1)) * h.trailing_norm(t)
+                          for s, t in lattice.pairs()},
+        "z_reconstruction_slot": _pair_loop(
+            lattice, lambda s, t: z.maps[(s, t)].matrix @ z.slot(t).matrix,
+            lambda s, t: q.map(s, t).matrix, lambda t: root_n),
+        "z_averaged_slot": _pair_loop(
+            lattice, lambda s, t: z.maps[(s, t)].matrix @ (es[t] @ avg).matrix,
+            lambda s, t: SuperMap.constant(lattice.omega(t), n).matrix, lambda t: root_n),
+    }
+
+
+def _dense_slices(lattice, q, h, z):
+    """Today's n^4 x n^2 sweeps of the slice identities, on the cores."""
+    n, es = lattice.n, lattice.expectations
+    emb, avg = embed_supermap(n), embed_averaged_supermap(n)
+    consts = [SuperMap.constant(w, n * n).matrix for w in lattice.omegas]
+    return {
+        "reconstruction_slot": _pair_loop(lattice, lambda s, t: (h.core(s, t) @ (es[t] @ emb))
+                                          .matrix, lambda s, t: lattice.map(s, t).matrix),
+        "averaged_slot": _pair_loop(lattice, lambda s, t: (h.core(s, t) @ (es[t] @ avg)).matrix,
+                                    lambda s, t: consts[t]),
+        "z_reconstruction_slot": _pair_loop(
+            lattice, lambda s, t: (z.core(s, t) @ (es[t] @ emb)).matrix,
+            lambda s, t: (emb @ q.map(s, t)).matrix),
+        "z_averaged_slot": _pair_loop(lattice, lambda s, t: (z.core(s, t) @ (es[t] @ avg))
+                                      .matrix, lambda s, t: consts[t]),
+    }
 
 
 def _fundamental(lattice):
@@ -115,11 +173,14 @@ def test_stacked_markov_laws_equal_the_per_gap_loop(lattice):
     else:
         want = _split_loop(h, _plain(h))
     assert check_markov(h).entries == want
+    # Z/z's law on Q's maps against the n^4 x n^2 sweep on its cores
+    dense = _dense_split_loop(z)
+    assert all(_close(value, dense[key]) for key, value in check_markov(z).entries.items())
 
 
 def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
     q, h, z = _families(lattice)
-    n, es = lattice.n, lattice.expectations
+    es = lattice.expectations
     rebuilt = reconstruct_qqsp(q, h, lattice.omega(0), lattice.process_type, strict=False)
     rep = verify_marginal_axioms(q, h, rebuilt)
     e_psi = rebuilt.expectations
@@ -127,7 +188,8 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
         expectation_supermap(State(predual(q.map(0, t))(lattice.omega(0).rho)))
         for t in range(1, lattice.horizon + 1)]
     assert rep.flip.entries == _pair_loop(
-        h, lambda s, t: flip_after(h.core(s, t)).matrix, lambda s, t: h.core(s, t).matrix, h)
+        h, lambda s, t: flip_after(h.core(s, t)).matrix, lambda s, t: h.core(s, t).matrix,
+        h.trailing_norm)
     assert rep.exchange.entries == _pair_loop(
         h, lambda s, t: (e_psi[s] @ h.core(s, t) @ es[t]).matrix,
         lambda s, t: (q.map(s, t) @ e_phi[t]).matrix)
@@ -138,21 +200,12 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
     assert state_consistency_residual(q).entries == _pair_loop(
         q, carried, lambda s, t: es[t].matrix)
 
-    emb, avg = embed_supermap(n), embed_averaged_supermap(n)
-    consts = [SuperMap.constant(w, n * n).matrix for w in lattice.omegas]
-    want = {
-        "reconstruction_slot": _pair_loop(lattice, lambda s, t: (h.core(s, t) @ (es[t] @ emb))
-                                          .matrix, lambda s, t: lattice.map(s, t).matrix),
-        "averaged_slot": _pair_loop(lattice, lambda s, t: (h.core(s, t) @ (es[t] @ avg)).matrix,
-                                    lambda s, t: consts[t]),
-        "z_reconstruction_slot": _pair_loop(
-            lattice, lambda s, t: (z.core(s, t) @ (es[t] @ emb)).matrix,
-            lambda s, t: (emb @ q.map(s, t)).matrix),
-        "z_averaged_slot": _pair_loop(lattice, lambda s, t: (z.core(s, t) @ (es[t] @ avg))
-                                      .matrix, lambda s, t: consts[t]),
-    }
     got = slice_residuals(lattice, q, h, z)
-    assert got == {name: max(table.values()) for name, table in want.items()}
+    assert got == {name: max(table.values())
+                   for name, table in _slice_loops(lattice, q, h, z).items()}
+    dense = _dense_slices(lattice, q, h, z)
+    assert got.keys() == dense.keys()
+    assert all(_close(got[name], max(table.values())) for name, table in dense.items())
 
 
 # ------------------------------------------- batches across group boundaries
@@ -273,11 +326,13 @@ def test_map_deviation_is_the_rebuilt_lattice_against_p(builtin, ptype, stages):
                          "pipeline": ["propagate", "marginals", *stages]})
     report = run_scenario(sc)
     lat = propagate(sc.resolved[0])
-    q, h, _ = _families(lat)
+    q, h, z = _families(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
-    want = pair_residuals(lat, lambda s, ts: np.stack(row(rebuilt.map, s, ts)),
-                          lambda s, ts: row(lat.map, s, ts), "map-deviation").max_residual
-    assert report.stages["reconstruct"]["max_map_deviation"] == want
+    dense = pair_residuals(lat, lambda s, ts: np.stack(row(rebuilt.map, s, ts)),
+                           lambda s, ts: row(lat.map, s, ts), "map-deviation").max_residual
+    deviation = report.stages["reconstruct"]["max_map_deviation"]
+    assert deviation == max(_slice_loops(lat, q, h, z)["reconstruction_slot"].values())
+    assert _close(deviation, dense)
 
 
 def test_marginals_without_kc_check_the_law_directly(monkeypatch):
