@@ -366,25 +366,13 @@ def expectation_supermap(phi: State) -> SuperMap:
 
 
 def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
-    """E_phi of every density matrix of a (k, n, n) stack, formed in one call.
-
-    The SuperMaps are read-only views of one C-ordered stack, laid out as
-    :class:`SuperMap` lays out its matrix; every entry is an entry of a rho or 0.
-    """
+    """:func:`expectation_supermap` of every density matrix of a (k, n, n) stack, in one einsum."""
     rhos = np.asarray(rhos, dtype=complex)
     k, n = len(rhos), rhos.shape[-1]
     t = np.einsum("kae,xb,yd->kxyebad", rhos, np.eye(n), np.eye(n))
     # per slice, the column-major reshape of [x, y, (e, b), (a, d)] (unit_tensor_matrix)
-    mats = np.ascontiguousarray(t.reshape(k, n, n, n * n, n * n).transpose(0, 2, 1, 4, 3)
-                                .reshape(k, n * n, n ** 4))
-    mats.setflags(write=False)
-    maps = []
-    for mat in mats:
-        m = object.__new__(SuperMap)
-        for name, value in (("in_dim", n * n), ("out_dim", n), ("matrix", mat)):
-            object.__setattr__(m, name, value)
-        maps.append(m)
-    return tuple(maps)
+    mats = t.reshape(k, n, n, n * n, n * n).transpose(0, 2, 1, 4, 3).reshape(k, n * n, n ** 4)
+    return tuple(SuperMap(n * n, n, m) for m in mats)
 
 
 @cache

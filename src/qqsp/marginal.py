@@ -284,7 +284,7 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     n = q_family.n
 
     def carried(s, ts):
-        duals = np.ascontiguousarray(predual_matrix(np.array(row(q_family.map, s, ts)), n, n))
+        duals = predual_matrix(np.array(row(q_family.map, s, ts)), n, n)
         images = duals @ vec(q_family.omegas[s].rho)[:, None]   # one gemv per map
         rhos = images.reshape(len(ts), n, n).transpose(0, 2, 1)   # unvec of each image
         states = computed_states(rhos, f"Q^{{{s},t}}_* omega_{s}", ts[0])
@@ -322,31 +322,35 @@ def slice_residuals(lattice: Family, q_family: Family,
     n = lattice.n
     times = range(1, lattice.horizon + 1)
     r = h_family.thin_r
-    slot_gap = {t: h_family.slot(t).matrix - np.eye(n * n) for t in times}
+    slot_gaps = {t: h_family.slot(t).matrix - np.eye(n * n) for t in times}
     pairs = lattice.pairs()
-    units = np.array([lattice.map(s, t).matrix @ vec(np.eye(n)) for s, t in pairs])
+    units = np.array([lattice.map(s, t).matrix @ vec(np.eye(n)) for s, t in pairs])   # P(1)
     unital = np.linalg.norm(units - vec(np.eye(n * n)), axis=1)
+
+    def products(left, right):
+        """The products left(s, t) right[t] of one row, as one stack."""
+        return lambda s, ts: stacked_products([left(s, t) for t in ts], [right[t] for t in ts])
+
     out = {
         "reconstruction_slot": pair_residuals(
-            lattice, lambda s, ts: stacked_products([r[(s, t)] for t in ts],
-                                                    [slot_gap[t] for t in ts]),
-            None, "reconstruction_slot").max_residual,
+            lattice, products(lambda s, t: r[(s, t)], slot_gaps), None,
+            "reconstruction_slot").max_residual,
         "averaged_slot": max(float(gap) * h_family.trailing_norm(t)
                              for gap, (_, t) in zip(unital, pairs)),
     }
     if z_family is not None:
-        y, q, root_n = z_family.maps, q_family.map, z_family.lead_norm
+        def y(s, t):
+            return z_family.maps[(s, t)].matrix
+
+        slots = {t: z_family.slot(t).matrix for t in times}
         averaged = {t: (z_family.expectations[t] @ embed_averaged_supermap(n)).matrix
                     for t in times}
         consts = {t: SuperMap.constant(lattice.omega(t), n).matrix for t in times}
+        root_n = z_family.lead_norm
         out["z_reconstruction_slot"] = pair_residuals(
-            lattice, lambda s, ts: stacked_products([y[(s, t)].matrix for t in ts],
-                                                    [z_family.slot(t).matrix for t in ts]),
-            lambda s, ts: row(q, s, ts), "z_reconstruction_slot",
-            scale=lambda t: root_n).max_residual
+            lattice, products(y, slots), lambda s, ts: row(q_family.map, s, ts),
+            "z_reconstruction_slot", scale=lambda t: root_n).max_residual
         out["z_averaged_slot"] = pair_residuals(
-            lattice, lambda s, ts: stacked_products([y[(s, t)].matrix for t in ts],
-                                                    [averaged[t] for t in ts]),
-            lambda s, ts: (consts[t] for t in ts), "z_averaged_slot",
-            scale=lambda t: root_n).max_residual
+            lattice, products(y, averaged), lambda s, ts: (consts[t] for t in ts),
+            "z_averaged_slot", scale=lambda t: root_n).max_residual
     return out

@@ -356,3 +356,66 @@ def test_marginals_without_kc_check_the_law_directly(monkeypatch):
     without_kc = run_scenario(parse_scenario({**doc, "pipeline": ["propagate", "marginals"]}))
     assert sorted(kinds) == ["Q", "h", "h", "z"]
     assert with_kc.stages["marginals"] == without_kc.stages["marginals"]
+
+
+# ------------------------------- factored identities against today's dense sweeps
+
+def _mixed_lattice(n, ptype):
+    weights = np.arange(n, 0, -1) / (n * (n + 1) / 2)
+    return propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.from_weights(weights),
+                                              4, ptype))
+
+
+def _volterra_lattice(ptype):
+    from qqsp.classical import ClassicalQSP, lift_to_quantum, volterra_tensor
+
+    return propagate(lift_to_quantum(ClassicalQSP.homogeneous(volterra_tensor(0.6), [0.3, 0.7],
+                                                              5, ptype)))
+
+
+def _fixed_lattice():
+    # not Kolmogorov-Chapman consistent, so its residuals are of order one
+    from qqsp.process import Family
+    from qqsp.seeds import symmetrized_embedding
+
+    omega = State.from_weights([0.7, 0.3])
+    return Family("P", 2, {(s, t): symmetrized_embedding(2)
+                           for s in range(4) for t in range(s + 1, 5)},
+                  omegas=(omega,) * 5, process_type="A")
+
+
+DENSE_CASES = {
+    **{f"mixed-n{n}-{ptype}": (lambda n=n, ptype=ptype: _mixed_lattice(n, ptype))
+       for n in (1, 2, 3) for ptype in "AB"},
+    "entangling-n2-B": lambda: propagate(make_entangling_seed(4, "B")),
+    "volterra-A": lambda: _volterra_lattice("A"),
+    "volterra-B": lambda: _volterra_lattice("B"),
+    "fixed-n2-A-foreign-Q": _fixed_lattice,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_factored_identities_match_the_dense_sweeps(case):
+    # Z/z's law and the four slots on their smallest factor against the n^4 x n^2 sweeps
+    # on the cores, within the drift bound; the per-gap formulas hold with ==
+    lat = DENSE_CASES[case]()
+    foreign = case.endswith("foreign-Q")
+    q, h, z = _families(lat)
+    if foreign:   # the pair hands the slices and the axioms the Q of another lattice
+        from qqsp.seeds import make_constant_seed
+        q = build_Q(propagate(make_constant_seed(lat.n, lat.horizon)))
+    markov = check_markov(z).entries
+    assert markov == _split_loop(z, _plain(z))
+    dense = _dense_split_loop(z)
+    assert markov.keys() == dense.keys()
+    assert all(_close(value, dense[key]) for key, value in markov.items())
+    got = slice_residuals(lat, q, h, z)
+    assert got == {name: max(table.values())
+                   for name, table in _slice_loops(lat, q, h, z).items()}
+    want = {name: max(table.values()) for name, table in _dense_slices(lat, q, h, z).items()}
+    assert got.keys() == want.keys()
+    assert all(_close(got[name], want[name]) for name in want), (got, want)
+    exchange = verify_marginal_axioms(
+        q, h, reconstruct_qqsp(q, h, lat.omega(0), lat.process_type, strict=False)).exchange
+    assert (got["z_reconstruction_slot"] > 0.01) == foreign
+    assert (exchange.max_residual > 0.01) == foreign
