@@ -366,12 +366,14 @@ def expectation_supermap(phi: State) -> SuperMap:
 
 
 def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
-    """:func:`expectation_supermap` of every density matrix of a (k, n, n) stack, in one einsum."""
+    """:func:`expectation_supermap` of every density matrix of a (k, n, n) stack, in one call."""
     rhos = np.asarray(rhos, dtype=complex)
     k, n = len(rhos), rhos.shape[-1]
-    t = np.einsum("kae,xb,yd->kxyebad", rhos, np.eye(n), np.eye(n))
-    # per slice, the column-major reshape of [x, y, (e, b), (a, d)] (unit_tensor_matrix)
-    mats = t.reshape(k, n, n, n * n, n * n).transpose(0, 2, 1, 4, 3).reshape(k, n * n, n ** 4)
+    # E_{(e, b), (a, d)} -> rho[a, e] E_{bd}: the only nonzero entries sit at row
+    # (x, y) = (b, d) and column (e, x) + n^2 (a, y) of the column-stacked matrix
+    x, y, e, a = np.indices((n, n, n, n)).reshape(4, -1)
+    mats = np.zeros((k, n * n, n ** 4), dtype=complex)
+    mats[:, x + n * y, e * n + x + n * n * (a * n + y)] = rhos[:, a, e]
     return tuple(SuperMap(n * n, n, m) for m in mats)
 
 

@@ -40,7 +40,6 @@ from .algebra import (
     State,
     SuperMap,
     embed_averaged_supermap,
-    expectation_supermap,
     expectation_supermaps,
     flip_rows,
     predual,
@@ -205,7 +204,7 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
         raise ValueError("families cover different (s, t) lattices")
     phis = _phi_trajectory(q_family, rebuilt.omega(0))
-    e_phi = [expectation_supermap(phi) for phi in phis]
+    e_phi = expectation_supermaps([phi.rho for phi in phis])
     e_psi = rebuilt.expectations
     core, q = h_family.core, q_family.map
     flip = flip_rows(h_family.n)

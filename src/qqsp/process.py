@@ -32,6 +32,7 @@ from .algebra import (
     doubled_after,
     embed_supermap,
     expectation_supermap,
+    expectation_supermaps,
     flip_symmetry_residual,
     predual,
 )
@@ -190,7 +191,7 @@ class Family:
                                  f"expected ({in_dim}, {out_dim})")
         if self.expectations is None and self.omegas is not None:
             object.__setattr__(self, "expectations",
-                               tuple(expectation_supermap(w) for w in self.omegas))
+                               expectation_supermaps([w.rho for w in self.omegas]))
 
     @property
     def side(self) -> int:

@@ -257,11 +257,12 @@ def test_each_quantity_is_computed_once(monkeypatch):
     T = sc.horizon
     distinct = len({id(m) for m in sc.resolved[0].step_maps})
     assert distinct == 1   # the builtin holds one map T times
-    # E_{omega_t}, E_{phi_t} and E_{psi_t} once per t, each a stack of one; the carried
-    # states' E_{Q_* omega_s} in one stack per row s
+    # E_{omega_t} once per t as propagate makes omega_t, each a stack of one; E_{phi_t} and
+    # E_{psi_t} in one stack per trajectory; the carried states' E_{Q_* omega_s} in one
+    # stack per row s
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
-                      "certify_unital_cp": distinct, "expectation_supermap": 3 * (T + 1),
-                      "expectation_supermaps": 3 * (T + 1) + T}
+                      "certify_unital_cp": distinct, "expectation_supermap": T + 1,
+                      "expectation_supermaps": (T + 1) + 2 + T}
 
 
 def test_explicit_pair_ensemble_scenario():
