@@ -27,6 +27,7 @@ from qqsp.marginal import (
     build_h,
     build_z,
     reconstruct_qqsp,
+    slice_residuals,
     state_consistency_residual,
     verify_marginal_axioms,
 )
@@ -154,6 +155,15 @@ def test_stacked_qr_equals_the_per_matrix_qr(monkeypatch, ptype):
     for key in lat.pairs():
         want = np.linalg.qr(h.core(*key).matrix, mode="r")
         assert r[key].tobytes() == want.tobytes()
+
+
+def test_slices_take_only_the_lattice_own_cores():
+    # the R of H's cores stands for P^{s,t} only when the cores are the lattice's maps
+    lat, other = _lattice(2, "A"), _lattice(2, "A")
+    q, h, z = _marginals(lat)
+    assert slice_residuals(lat, q, h, z)["reconstruction_slot"] <= 1e-14
+    with pytest.raises(ValueError, match="cores"):
+        slice_residuals(lat, q, build_H(other), z)
 
 
 @pytest.mark.parametrize("ptype", ["A", "B"])
