@@ -31,6 +31,7 @@ from .linalg import (
     operator_norm,
     predual_matrix,
     ptrace_first,
+    stacked,
     supermatrix_from_function,
     supermatrix_tensor,
     swap_matrix,
@@ -271,30 +272,34 @@ def supermap_tensor(m1: SuperMap, m2: SuperMap) -> SuperMap:
     return SuperMap(m1.in_dim * m2.in_dim, m1.out_dim * m2.out_dim, mat)
 
 
-def doubled_after(q: SuperMap, ms) -> Array:
-    """(q (x) q) m for every m of a stack of maps into M_n (x) M_n, without q (x) q.
+def doubled_after(q, ms) -> Array:
+    """(q (x) q) m for every pair of a q and a map m into M_n (x) M_n, without q (x) q.
 
-    ``ms`` holds the (n^4, k^2) matrices of maps on M_k, as a (K, n^4, k^2) array
-    or a sequence; the result is the (K, n^4, k^2) stack of products, and a single
-    map is the K = 1 case. In the tensor view of m each output index splits as
-    (a, b); q (x) q acts on the two a's and on the two b's separately, so it is two
-    n^2 x n^2 mode products, each one broadcast matmul over the stack: n^6 k^2 MACs
-    per map each instead of the n^8 k^2 of the dense (q (x) q) m.
+    ``q`` is a map on M_n: a SuperMap, its (n^2, n^2) matrix, or a (K, n^2, n^2)
+    stack of them, one per m. ``ms`` holds the (n^4, k^2) matrices of maps on M_k,
+    as a (K, n^4, k^2) array or a sequence, which is stacked in one copy
+    (:func:`qqsp.linalg.stacked`); a single q or a single m serves every
+    slice of the other side. The result is the stack of products. In the tensor
+    view of m each output index splits as (a, b); q (x) q acts on the two a's and
+    on the two b's separately, so it is two n^2 x n^2 mode products, each one
+    broadcast matmul over the stack: n^6 k^2 MACs per map each instead of the
+    n^8 k^2 of the dense (q (x) q) m. Each slice has the bits of its pair taken alone.
     """
-    n = q.in_dim
-    count, (rows, cols) = len(ms), np.shape(ms[0])
+    q = q.matrix if isinstance(q, SuperMap) else np.asarray(q)
+    n = math.isqrt(q.shape[-1])
+    ms = ms if isinstance(ms, np.ndarray) else stacked(ms)
+    count, rows, cols = ms.shape
     k = math.isqrt(cols)
-    if q.out_dim != n or rows != n ** 4 or k * k != cols:
+    if q.shape[-2:] != (n * n, n * n) or rows != n ** 4 or k * k != cols:
         raise ValueError("doubled_after needs q on M_n and maps into M_n (x) M_n")
     # in C order m.reshape(n, n, n, n, k, k) is [c, d, a, b, j, i] with
-    # m(E_ij)[(a, b), (c, d)]; q.matrix rows and columns are column-stacked pairs,
+    # m(E_ij)[(a, b), (c, d)]; q's rows and columns are column-stacked pairs,
     # i.e. (c, a) -> c * n + a in C order
-    t = np.empty((count, n, n, n, n, k, k), dtype=complex)             # [c, a, b, d, i, j]
-    for m, slot in zip(ms, t):
-        slot[...] = np.reshape(m, (n, n, n, n, k, k)).transpose(0, 2, 3, 1, 5, 4)
-    t = q.matrix @ t.reshape(count, n * n, -1)                          # [y, x, b, d, i, j]
+    t = ms.reshape(count, n, n, n, n, k, k).transpose(0, 1, 3, 4, 2, 6, 5)   # [c, a, b, d, i, j]
+    t = q @ t.reshape(count, n * n, -1)                                 # [y, x, b, d, i, j]
+    count = len(t)
     t = t.reshape(count, n, n, n, n, k, k).transpose(0, 4, 3, 1, 2, 5, 6)
-    t = q.matrix @ t.reshape(count, n * n, -1)                          # [v, u, y, x, i, j]
+    t = q @ t.reshape(count, n * n, -1)                                 # [v, u, y, x, i, j]
     t = t.reshape(count, n, n, n, n, k, k)
     # the matrix of the product is [y, v, x, u, j, i] in C order
     return t.transpose(0, 3, 1, 4, 2, 6, 5).reshape(count, n ** 4, cols)
@@ -365,8 +370,8 @@ def expectation_supermap(phi: State) -> SuperMap:
     return expectation_supermaps(phi.rho[None])[0]
 
 
-def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
-    """:func:`expectation_supermap` of every density matrix of a (k, n, n) stack, in one call."""
+def expectation_matrices(rhos) -> Array:
+    """The (k, n^2, n^4) matrices of E_phi for every density matrix of a (k, n, n) stack."""
     rhos = np.asarray(rhos, dtype=complex)
     k, n = len(rhos), rhos.shape[-1]
     # E_{(e, b), (a, d)} -> rho[a, e] E_{bd}: the only nonzero entries sit at row
@@ -374,7 +379,13 @@ def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
     x, y, e, a = np.indices((n, n, n, n)).reshape(4, -1)
     mats = np.zeros((k, n * n, n ** 4), dtype=complex)
     mats[:, x + n * y, e * n + x + n * n * (a * n + y)] = rhos[:, a, e]
-    return tuple(SuperMap(n * n, n, m) for m in mats)
+    return mats
+
+
+def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
+    """:func:`expectation_supermap` of every density matrix of a (k, n, n) stack, in one call."""
+    n = np.shape(rhos)[-1]
+    return tuple(SuperMap(n * n, n, m) for m in expectation_matrices(rhos))
 
 
 @cache

@@ -80,6 +80,17 @@ def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
     return np.ascontiguousarray(images.transpose(0, 2, 1))
 
 
+def stacked(matrices) -> Array:
+    """The (k, rows, cols) stack of a sequence of k matrices of one shape, to be read.
+
+    It equals ``np.stack(matrices)``, which costs several times as much per matrix:
+    one copy, or for k = 1 a view of the matrix itself, which is not copied at all.
+    """
+    if len(matrices) == 1:
+        return np.asarray(matrices[0])[None]
+    return np.concatenate(matrices).reshape(len(matrices), *np.shape(matrices[0]))
+
+
 def stacked_products(lefts, rights) -> Array:
     """The fresh (k, rows, cols) stack of a @ b over the pairs of ``lefts`` and ``rights``.
 
@@ -162,7 +173,18 @@ def operator_norms(stack: Array) -> Array:
     return gram_norms(*scaled_grams(stack))
 
 
-GRAM_CHUNK_BYTES = 1 << 20
+CHUNK_BYTES = 1 << 17
+
+
+def chunks(count: int, slice_bytes: int):
+    """Consecutive slices of ``range(count)``, each holding about ``CHUNK_BYTES`` of slices.
+
+    A slice larger than the budget is a chunk of its own. The one budget sizes
+    every stack a residual table forms at once and the stacks :func:`scaled_grams`
+    scales, so its copies stay in cache however large the table is.
+    """
+    step = max(1, CHUNK_BYTES // max(1, slice_bytes))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def scaled_grams(stack: Array) -> tuple[Array, Array]:
@@ -172,7 +194,7 @@ def scaled_grams(stack: Array) -> tuple[Array, Array]:
     largest real or imaginary part. The scaling is exact and keeps the Gram
     matrix, X^dagger X or X X^dagger, from underflowing or overflowing.
     Returns the (k, side, side) Grams and the k exponents e. The slices are
-    taken about ``GRAM_CHUNK_BYTES`` at a time, so the scaled and conjugated
+    taken a chunk at a time (:func:`chunks`), so the scaled and conjugated
     copies stay small however large the stack is.
     """
     stack = np.asarray(stack, dtype=complex)
@@ -180,15 +202,14 @@ def scaled_grams(stack: Array) -> tuple[Array, Array]:
     side = min(rows, cols)
     grams = np.empty((count, side, side), dtype=complex)
     exps = np.empty(count, dtype=np.intc)
-    step = max(1, GRAM_CHUNK_BYTES // max(1, stack.itemsize * rows * cols))
-    for start in range(0, count, step):
-        parts = np.ascontiguousarray(stack[start:start + step]).view(float)
+    for part in chunks(count, stack.itemsize * rows * cols):
+        parts = np.ascontiguousarray(stack[part]).view(float)
         _, exp = np.frexp(np.abs(parts).max(axis=(1, 2)))
         x = np.ldexp(parts, -exp[:, None, None]).view(complex)
         adjoint = np.conj(x).transpose(0, 2, 1)
         left, right = (adjoint, x) if rows >= cols else (x, adjoint)
-        np.matmul(left, right, out=grams[start:start + step])
-        exps[start:start + step] = exp
+        np.matmul(left, right, out=grams[part])
+        exps[part] = exp
     return grams, exps
 
 

@@ -40,6 +40,7 @@ from .algebra import (
     State,
     SuperMap,
     embed_averaged_supermap,
+    expectation_matrices,
     expectation_supermaps,
     flip_rows,
     predual,
@@ -48,36 +49,42 @@ from .algebra import (
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import predual_matrix, product_norms, stacked_products, vec
+from .linalg import predual_matrix, product_norms, stacked, vec
 from .process import (
     Family,
     ResidualTable,
     ValidationFailure,
     computed_states,
+    gather,
     pair_residuals,
-    row,
     same_maps,
     split_residuals,
     triples,
 )
 
 
-def _derived(source: Family, kind: str, maps: dict, factored: bool) -> Family:
+def _derived(source: Family, kind: str, maps: dict, factored: bool, **shared) -> Family:
     """A marginal family on the trajectory of ``source``, sharing its E_{omega_t} and slots."""
     return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
-                  expectations=source.expectations, factored=factored, slots=source.slots)
+                  expectations=source.expectations, factored=factored, slots=source.slots,
+                  **shared)
 
 
 def build_Q(lattice: Family) -> Family:
-    """Q^{s,t} = E_{omega_s} P^{s,t}, the marginal Markov process on M."""
-    es = lattice.expectations
-    return _derived(lattice, "Q", {(s, t): es[s] @ lattice.map(s, t)
+    """Q^{s,t} = E_{omega_s} P^{s,t}, the marginal Markov process on M.
+
+    Its maps are the lattice's :meth:`Family.conditioned` maps, so a Q^{s,t} that
+    propagation or kc already formed is not formed again.
+    """
+    return _derived(lattice, "Q", {(s, t): lattice.conditioned(s, t)
                                    for (s, t) in lattice.pairs()}, False)
 
 
 def _build_doubled(lattice: Family, kind: str) -> Family:
-    # the core of H^{s,t} = P^{s,t} E_{omega_t} is the lattice map itself
-    return _derived(lattice, kind, dict(lattice.maps), True)
+    # the core of H^{s,t} = P^{s,t} E_{omega_t} is the lattice map itself, so H/h
+    # share the lattice's E_{omega_s} P^{s,t}
+    return _derived(lattice, kind, dict(lattice.maps), True,
+                    conditioned_maps=lattice.conditioned_maps)
 
 
 def build_H(lattice: Family) -> Family:
@@ -206,19 +213,27 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     phis = _phi_trajectory(q_family, rebuilt.omega(0))
     e_phi = expectation_supermaps([phi.rho for phi in phis])
     e_psi = rebuilt.expectations
-    core, q = h_family.core, q_family.map
+    cores = h_family.maps   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
-    return AxiomReport(
+
+    def flipped(pairs):
         # H - U H, so that each flipped core is made only while it is subtracted
-        flip=pair_residuals(h_family, lambda s, ts: np.stack(row(core, s, ts)),
-                            lambda s, ts: (m[flip] for m in row(core, s, ts)), "axiom-flip",
-                            scale=h_family.trailing_norm),
-        exchange=pair_residuals(
-            h_family,
-            lambda s, ts: h_family.times_trailing(
-                stacked_products([e_psi[s].matrix] * len(ts), row(core, s, ts)), ts),
-            lambda s, ts: (m @ e_phi[t].matrix for m, t in zip(row(q, s, ts), ts)),
-            "axiom-exchange"),
+        stack = gather(cores, pairs)
+        return stack - stack[:, flip]
+
+    def exchanged(pairs):   # E_{psi_s} H^{s,t}
+        ss, ts = zip(*pairs)
+        return h_family.times_trailing(np.matmul(gather(e_psi, ss), gather(cores, pairs)), ts)
+
+    def intertwined(pairs):   # Q^{s,t} E_{phi_t}
+        return np.matmul(gather(q_family.maps, pairs), gather(e_phi, [t for _, t in pairs]))
+
+    side = h_family.n * h_family.n
+    return AxiomReport(
+        flip=pair_residuals(h_family, next(iter(cores.values())).matrix.shape, flipped, None,
+                            "axiom-flip", scale=h_family.trailing_norm),
+        exchange=pair_residuals(h_family, (side, side * side), exchanged, intertwined,
+                                "axiom-exchange"),
         absorption=_absorption(h_family, e_psi),
         trajectory_gap=max(trace_norm_distance(phi, psi)
                            for phi, psi in zip(phis, rebuilt.omegas)),
@@ -274,25 +289,31 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     """Residual of E_{omega_s} Q^{s,t} = E_{omega_t} (trajectory consistency).
 
     Measured as the operator-norm gap between the two conditional
-    expectations, i.e. with omega_s carried forward through Q^{s,t}. The states
-    of a row s are carried by one matmul of the row's preduals, checked as one
-    stack and turned into their E_{Q_* omega_s} by one call.
+    expectations, i.e. with omega_s carried forward through Q^{s,t}. One matmul
+    of the preduals carries every state; each row s of them is checked as one
+    stack, so a failure names Q^{s,t}_* omega_s and its t. Each chunk of the
+    table places its E_{Q_* omega_s} in one call.
     """
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
-    n = q_family.n
-
-    def carried(s, ts):
-        duals = predual_matrix(np.array(row(q_family.map, s, ts)), n, n)
-        images = duals @ vec(q_family.omegas[s].rho)[:, None]   # one gemv per map
-        rhos = images.reshape(len(ts), n, n).transpose(0, 2, 1)   # unvec of each image
-        states = computed_states(rhos, f"Q^{{{s},t}}_* omega_{s}", ts[0])
-        return (e.matrix for e in expectation_supermaps([w.rho for w in states]))
+    n, pairs = q_family.n, q_family.pairs()
+    duals = predual_matrix(gather(q_family.maps, pairs), n, n)
+    vecs = np.array([vec(w.rho) for w in q_family.omegas])[[s for s, _ in pairs]]
+    images = duals @ vecs[:, :, None]   # one gemv per map
+    rhos = images.reshape(len(pairs), n, n).transpose(0, 2, 1)   # unvec of each image
+    starts = [i for i, (s, _) in enumerate(pairs) if i == 0 or pairs[i - 1][0] != s]
+    states = []
+    for lo, hi in zip(starts, [*starts[1:], len(pairs)]):   # one row s at a time
+        s, t = pairs[lo]
+        states += computed_states(rhos[lo:hi], f"Q^{{{s},t}}_* omega_{s}", t)
+    carried = dict(zip(pairs, states))
 
     # E_{omega_t} - E_{Q_* omega_s}
-    return pair_residuals(q_family,
-                          lambda s, ts: np.stack([q_family.expectations[t].matrix for t in ts]),
-                          carried, "state-consistency")
+    return pair_residuals(
+        q_family, (n * n, n ** 4),
+        lambda chunk: gather(q_family.expectations, [t for _, t in chunk]),
+        lambda chunk: expectation_matrices([carried[key].rho for key in chunk]),
+        "state-consistency")
 
 
 def slice_residuals(lattice: Family, q_family: Family,
@@ -327,29 +348,29 @@ def slice_residuals(lattice: Family, q_family: Family,
     unital = np.linalg.norm(units - vec(np.eye(n * n)), axis=1)
 
     def products(left, right):
-        """The products left(s, t) right[t] of one row, as one stack."""
-        return lambda s, ts: stacked_products([left(s, t) for t in ts], [right[t] for t in ts])
+        """The products left[(s, t)] right[t] of a chunk of pairs, as one stack."""
+        return lambda chunk: np.matmul(stacked([left[key] for key in chunk]),
+                                       stacked([right[t] for _, t in chunk]))
 
+    side = (n * n, n * n)
     out = {
         "reconstruction_slot": pair_residuals(
-            lattice, products(lambda s, t: r[(s, t)], slot_gaps), None,
-            "reconstruction_slot").max_residual,
+            lattice, side, products(r, slot_gaps), None, "reconstruction_slot").max_residual,
         "averaged_slot": max(float(gap) * h_family.trailing_norm(t)
                              for gap, (_, t) in zip(unital, pairs)),
     }
     if z_family is not None:
-        def y(s, t):
-            return z_family.maps[(s, t)].matrix
-
+        y = {key: m.matrix for key, m in z_family.maps.items()}
         slots = {t: z_family.slot(t).matrix for t in times}
         averaged = {t: (z_family.expectations[t] @ embed_averaged_supermap(n)).matrix
                     for t in times}
         consts = {t: SuperMap.constant(lattice.omega(t), n).matrix for t in times}
         root_n = z_family.lead_norm
         out["z_reconstruction_slot"] = pair_residuals(
-            lattice, products(y, slots), lambda s, ts: row(q_family.map, s, ts),
+            lattice, side, products(y, slots), lambda chunk: gather(q_family.maps, chunk),
             "z_reconstruction_slot", scale=lambda t: root_n).max_residual
         out["z_averaged_slot"] = pair_residuals(
-            lattice, products(y, averaged), lambda s, ts: (consts[t] for t in ts),
+            lattice, side, products(y, averaged),
+            lambda chunk: stacked([consts[t] for _, t in chunk]),
             "z_averaged_slot", scale=lambda t: root_n).max_residual
     return out

@@ -10,16 +10,19 @@ carries the trajectory's conditional expectations E_{omega_t}.
 Every split product is formed by one kernel, :func:`fundamental_rights` and
 :func:`fundamental_products`, under one of three laws: A, the type-A
 fundamental equation; B, the type-B one with Q = E_{omega_s} C^{s,tau}; plain,
-C^{s,tau} C^{tau,t}. :func:`propagate` fills the lattice with it, and
-:func:`split_residuals` is the one sweep that measures it, for
-:func:`kc_consistency` and for the Markov laws of the marginals.
+C^{s,tau} C^{tau,t}. :func:`propagate` fills the lattice with it, a row at a
+time, and :func:`split_residuals` is the one sweep that measures it, for
+:func:`kc_consistency` and for the Markov laws of the marginals. Every residual
+table, split or pair (:func:`pair_residuals`), is taken a chunk of its keys at a
+time: the operands are gathered by pair, and each chunk's gaps are one batched
+product, one subtraction and one Gram call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .algebra import (
 # operator_norm is not called here since the sweeps take stacked norms; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import gram_norms, scaled_grams, stacked_products
+from .linalg import chunks, gram_norms, scaled_grams, stacked, stacked_products
 
 DEFAULT_FLIP_TOL = 1e-10
 
@@ -174,6 +177,9 @@ class Family:
     factored: bool = False
     # S_t = E_{omega_t} embed by t, filled by :meth:`slot`; shared like ``expectations``
     slots: dict = field(default_factory=dict, repr=False, compare=False)
+    # E_{omega_s} C^{s,t} by pair, filled by :meth:`conditioned`; shared by the families
+    # that store the same maps (a lattice and its H/h)
+    conditioned_maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -230,7 +236,18 @@ class Family:
         """Slice X of ``stack`` followed by the trailing factor of its t: X E_{omega_t}, or X."""
         if not self.factored:
             return stack
-        return stacked_products(stack, [self.expectations[t].matrix for t in ts])
+        return np.matmul(stack, gather(self.expectations, ts))
+
+    def conditioned(self, s: int, t: int) -> SuperMap:
+        """E_{omega_s} C^{s,t}: the lattice's Q^{s,t}, formed once per pair into ``conditioned_maps``.
+
+        :func:`propagate` leaves the Q^{s,tau} law B formed in it; kc's law B, h's
+        doubled law, the lattice's Q family and the rebuilt lattice's conclusion-b
+        read them here.
+        """
+        if (s, t) not in self.conditioned_maps:
+            self.conditioned_maps[(s, t)] = self.expectations[s] @ self.maps[(s, t)]
+        return self.conditioned_maps[(s, t)]
 
     def slot(self, t: int) -> SuperMap:
         """The trailing factor of F^{., t} followed by embed: S_t = E_{omega_t} embed, or embed.
@@ -270,6 +287,11 @@ class Family:
         return sorted(self.maps.keys())
 
 
+def gather(maps, keys) -> np.ndarray:
+    """The matrices of maps[key] for every key of ``keys`` as one stack to read (:func:`stacked`)."""
+    return stacked([maps[key].matrix for key in keys])
+
+
 def same_maps(family: Family, lattice: Family) -> bool:
     """Whether ``family`` stores ``lattice``'s own SuperMap objects, pair for pair."""
     return family.maps.keys() == lattice.maps.keys() and all(
@@ -296,32 +318,34 @@ def computed_state(rho, quantity: str, t: int) -> State:
 LAWS = ("A", "B", "plain")
 
 
-def fundamental_rights(cores, e_tau: SuperMap | None, law: str):
-    """The right factors :func:`fundamental_products` takes for one tau and cores C^{tau,t}.
+def fundamental_rights(cores, betweens, law: str):
+    """The right factors :func:`fundamental_products` takes for the cores C^{tau,t}.
 
-    ``cores`` holds the matrices of the C^{tau,t}. Law A: the (k, n^2, n^2) stack of
-    E_{omega_tau} C^{tau,t}. Laws B and plain: the matrices themselves, which
-    :func:`qqsp.algebra.doubled_after` or the matmul stacks. Only law A reads ``e_tau``.
+    ``cores`` holds the matrices of the C^{tau,t} and ``betweens`` the matrix that
+    stands before each. Law A: the (k, n^2, n^2) stack of E_{omega_tau} C^{tau,t},
+    one gemm per core. Laws B and plain: the cores themselves, which
+    :func:`qqsp.algebra.doubled_after` or the matmul takes. Only law A reads ``betweens``.
     """
     if law == "A":
-        return stacked_products([e_tau.matrix] * len(cores), cores)
+        return stacked_products(betweens, cores)
     return cores
 
 
-def fundamental_products(left: SuperMap, rights, e_s: SuperMap | None,
-                         law: str) -> np.ndarray:
-    """The split products of C^{s,tau} and C^{tau,t} at one s < tau, one per t, as a stack.
+def fundamental_products(lefts, rights, law: str) -> np.ndarray:
+    """The split products of C^{s,tau} and C^{tau,t}, one per slice, as a stack.
 
-    ``left`` is C^{s,tau} and ``rights`` is :func:`fundamental_rights` of tau. Law A, the
-    type-A fundamental equation: C^{s,tau} (E_{omega_tau} C^{tau,t}), associated right
-    to left so that no n^4 x n^4 product is formed (n^8 MACs, not n^10), in one
-    broadcast matmul. Law B, the type-B equation: (Q (x) Q) C^{tau,t} with
-    Q = E_{omega_s} C^{s,tau}, by mode products (:func:`qqsp.algebra.doubled_after`).
-    Law plain: C^{s,tau} C^{tau,t}. Only law B reads ``e_s``.
+    ``lefts`` and ``rights`` are stacks of one factor per slice, or a single factor
+    that serves every slice; ``rights`` comes from :func:`fundamental_rights`. Law A,
+    the type-A fundamental equation: C^{s,tau} (E_{omega_tau} C^{tau,t}), associated
+    right to left so that no n^4 x n^4 product is formed (n^8 MACs, not n^10), in one
+    batched matmul. Law B, the type-B equation: (Q (x) Q) C^{tau,t}, where ``lefts``
+    holds Q = E_{omega_s} C^{s,tau} (:meth:`Family.conditioned`), by mode products
+    (:func:`qqsp.algebra.doubled_after`). Law plain: C^{s,tau} C^{tau,t}. Per slice
+    each product runs the gemm of its pair taken alone.
     """
     if law == "B":
-        return doubled_after(e_s @ left, rights)
-    return np.matmul(left.matrix, rights)
+        return doubled_after(lefts, rights)
+    return np.matmul(lefts, rights)
 
 
 def triples(horizon: int):
@@ -333,24 +357,34 @@ def triples(horizon: int):
 
 
 def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
-    """Fill the lattice by the type-appropriate recursion at tau = t-1."""
+    """Fill the lattice by the type-appropriate recursion at tau = t-1.
+
+    Each row t is one call of the split kernel over every s < t-1. Type B forms
+    each Q^{s,t-1} here once and hands it on with the lattice (:meth:`Family.conditioned`).
+    """
     if strict:
         reject_seed(validate_seed(seed))
+    n, law = seed.n, seed.process_type
     maps = {(k, k + 1): m for k, m in enumerate(seed.step_maps)}
     omegas = [seed.omega0]
     rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)
     expectations = [expectation_supermap(seed.omega0)]
-    law = seed.process_type
+    conditioned = {}
     for t in range(1, seed.horizon + 1):
-        # the right factor of tau = t-1 serves every s of the row
-        rights = fundamental_rights([maps[(t - 1, t)].matrix], expectations[t - 1], law)
-        for s in range(t - 2, -1, -1):
-            product = fundamental_products(maps[(s, t - 1)], rights, expectations[s], law)
-            maps[(s, t)] = SuperMap(seed.n, seed.n * seed.n, product[0])
+        ss = range(t - 1)
+        if law == "B":
+            for s in ss:
+                conditioned[(s, t - 1)] = expectations[s] @ maps[(s, t - 1)]
+        if ss:
+            lefts = gather(conditioned if law == "B" else maps, [(s, t - 1) for s in ss])
+            rights = fundamental_rights([maps[(t - 1, t)].matrix],
+                                        [expectations[t - 1].matrix], law)
+            for s, product in zip(ss, fundamental_products(lefts, rights, law)):
+                maps[(s, t)] = SuperMap(n, n * n, product)
         omegas.append(computed_state(predual(maps[(0, t)])(rho00), "omega_t", t))
         expectations.append(expectation_supermap(omegas[t]))
-    return Family("P", seed.n, maps, tuple(omegas), seed.process_type, seed.algebra_kind,
-                  expectations=tuple(expectations))
+    return Family("P", n, maps, tuple(omegas), seed.process_type, seed.algebra_kind,
+                  expectations=tuple(expectations), conditioned_maps=conditioned)
 
 
 @dataclass(frozen=True)
@@ -378,60 +412,24 @@ class ResidualTable:
         return sorted(self.entries.items())
 
 
-def row(get, s: int, ts) -> list:
-    """The matrices of get(s, t) for the times ``ts`` of one row s of a sweep."""
-    return [get(s, t).matrix for t in ts]
+def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
+    """scales[t] ||gap|| for every key (..., t) of ``keys``, each gap of the given shape.
 
-
-def _grouped(keys):
-    """``keys`` in order, in runs that agree on everything but the last time."""
-    groups = {}
-    for key in keys:
-        groups.setdefault(key[:-1], []).append(key)
-    return groups.values()
-
-
-RESIDUAL_BATCH_BYTES = 1 << 15
-
-
-def _table(groups, gaps, scale, label: str) -> ResidualTable:
-    """scale(key) ||gap|| for every key of ``groups``, a group's gaps coming from ``gaps(group)``.
-
-    Each group's gaps are copied into a batch buffer of ``RESIDUAL_BATCH_BYTES``,
-    which is handed to :func:`qqsp.linalg.scaled_grams` in one call when the next
-    group would not fit; a group larger than the buffer is a batch of its own. Every
-    norm of the table is then taken in one stacked eigvalsh
-    (:func:`qqsp.linalg.gram_norms`). Per slice the Grams and norms are those of
-    the group taken alone.
+    The keys are taken in chunks of about ``CHUNK_BYTES`` of gaps
+    (:func:`qqsp.linalg.chunks`); ``gaps(part)`` returns the stack of the gaps of
+    ``keys[part]``, and each chunk's Grams are one :func:`scaled_grams` call.
+    Every norm of the table is then taken in one stacked eigvalsh
+    (:func:`qqsp.linalg.gram_norms`) and scaled by the one vector ``scales``,
+    indexed by t. Per slice the Grams and norms are those of the gap taken alone,
+    so the table does not depend on the chunks.
     """
-    keys, grams, exps = [], [], []
-    batch, filled = None, 0   # the buffer, shaped by the first group's slices
-
-    def add_grams(stack) -> None:
-        gram, exp = scaled_grams(stack)
-        grams.append(gram)
-        exps.append(exp)
-
-    for group in groups:
-        if filled and filled + len(group) > len(batch):
-            add_grams(batch[:filled])
-            filled = 0
-        stack = gaps(group)
-        keys += group
-        if batch is None:
-            batch = np.empty((RESIDUAL_BATCH_BYTES // max(1, stack[0].nbytes), *stack.shape[1:]),
-                             dtype=complex)
-        if len(stack) > len(batch):
-            add_grams(stack)
-        else:
-            batch[filled:filled + len(stack)] = stack
-            filled += len(stack)
-        del stack   # the next group's gaps are not formed next to this one's
-    if filled:
-        add_grams(batch[:filled])
-    norms = gram_norms(np.concatenate(grams), np.concatenate(exps)) if keys else ()
-    return ResidualTable({key: scale(key) * float(norm) for key, norm in zip(keys, norms)},
-                         label)
+    if not keys:
+        return ResidualTable({}, label)
+    grams, exps = zip(*(scaled_grams(gaps(part))
+                        for part in chunks(len(keys), 16 * shape[0] * shape[1])))
+    norms = gram_norms(np.concatenate(grams), np.concatenate(exps))
+    values = np.asarray(scales)[[key[-1] for key in keys]] * norms
+    return ResidualTable(dict(zip(keys, values.tolist())), label)
 
 
 def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
@@ -441,54 +439,63 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     and C^{tau,t} (:func:`fundamental_products`) and T_t is the family's trailing
     factor, so the norm is taken on the stored maps (:class:`Family`). Under law A
     E_{omega_tau} stands between the two, or the slot S_tau = E_{omega_tau} embed for
-    Z/z, whose lead embed is taken out of the norm as sqrt(n). The right factors
-    of a tau are built once and serve every s < tau; each stored map is subtracted
-    into the products of a pair (s, tau) in place.
+    Z/z, whose lead embed is taken out of the norm as sqrt(n). The sweep's own
+    factors are formed once: law A's right factors once per right pair, law B's
+    Q^{s,tau} once per left pair (:meth:`Family.conditioned`). For each chunk of
+    splits the other operands are gathered by pair, the products are one kernel
+    call and the stored maps C^{s,t} are subtracted into them in one call.
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
+    maps = family.maps
     keys = [(s, tau, t) for s, tau, t in triples(family.horizon)
-            if (s, tau) in family.maps and (tau, t) in family.maps]
-    es = family.expectations or (None,) * (family.horizon + 1)   # the plain law reads none
-    between = family.slot if family.lead is not None else es.__getitem__
+            if (s, tau) in maps and (tau, t) in maps]
+    lefts = [(s, tau) for s, tau, _ in keys]
+    rights = [(tau, t) for _, tau, t in keys]
+    wholes = [(s, t) for s, _, t in keys]
+    left_maps = maps
+    if law == "A":
+        between = family.slot if family.lead is not None else family.expectations.__getitem__
+        formed = sorted(set(rights))
+        factors = fundamental_rights([maps[key].matrix for key in formed],
+                                     [between(tau).matrix for tau, _ in formed], law)
+        position = {key: i for i, key in enumerate(formed)}
+        at = np.array([position[key] for key in rights], dtype=int)
 
-    def stored(s, t):
-        return family.maps[(s, t)]
+        def right(part):
+            return factors[at[part]]
+    elif law == "B":
+        left_maps = {key: family.conditioned(*key) for key in set(lefts)}
+        right = [maps[key].matrix for key in rights].__getitem__   # doubled_after gathers them
+    else:
+        def right(part):
+            return gather(maps, rights[part])
 
-    @cache
-    def rights(tau, ts):
-        return fundamental_rights(row(stored, tau, ts), between(tau), law)
+    def gaps(part):
+        products = fundamental_products(gather(left_maps, lefts[part]), right(part), law)
+        return np.subtract(gather(maps, wholes[part]), products, out=products)
 
-    def gaps(group):
-        (s, tau, _), ts = group[0], tuple(t for *_, t in group)
-        stack = fundamental_products(stored(s, tau), rights(tau, ts), es[s], law)
-        for gap, t in zip(stack, ts, strict=True):
-            np.subtract(stored(s, t).matrix, gap, out=gap)
-        return stack
-
-    return _table(_grouped(keys), gaps,
-                  lambda key: family.lead_norm * family.trailing_norm(key[-1]), label)
+    scales = [family.lead_norm * family.trailing_norm(t) for t in range(family.horizon + 1)]
+    return _table(keys, next(iter(maps.values())).matrix.shape, gaps, scales, label)
 
 
-def pair_residuals(family: Family, lhs, rhs, label: str, scale=None) -> ResidualTable:
+def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> ResidualTable:
     """scale(t) ||L^{s,t} - R^{s,t}|| at every stored pair (s, t) of ``family``.
 
-    For one row s and its times ``ts``, ``lhs(s, ts)`` gives the L's as a fresh
-    (len(ts), rows, cols) stack and ``rhs(s, ts)`` the R's in any iterable; each R
-    is subtracted into the stack in place. With ``rhs`` None the L's are the gaps.
-    ``scale`` defaults to 1; a gap followed by a family's trailing factor takes
+    The pairs are taken a chunk at a time (:func:`_table`), and each L^{s,t} - R^{s,t}
+    has the given ``shape``. For a chunk's list of pairs ``lhs(pairs)`` gives the L's
+    and ``rhs(pairs)`` the R's, each as one stack; with ``rhs`` None the L's are the
+    gaps. ``scale`` defaults to 1; a gap followed by a family's trailing factor takes
     that family's :meth:`Family.trailing_norm`.
     """
-    def gaps(group):
-        s, ts = group[0][0], tuple(t for _, t in group)
-        stack = lhs(s, ts)
-        if rhs is not None:
-            for gap, r in zip(stack, rhs(s, ts), strict=True):
-                np.subtract(gap, r, out=gap)
-        return stack
+    pairs = family.pairs()
 
-    return _table(_grouped(family.pairs()), gaps,
-                  lambda key: 1.0 if scale is None else scale(key[-1]), label)
+    def gaps(part):
+        stack = lhs(pairs[part])
+        return stack if rhs is None else stack - rhs(pairs[part])
+
+    scales = [1.0 if scale is None else scale(t) for t in range(family.horizon + 1)]
+    return _table(pairs, shape, gaps, scales, label)
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:

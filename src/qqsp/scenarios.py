@@ -27,7 +27,7 @@ from .classical import (
     volterra_tensor,
 )
 from .ergodic import ErgodicConfig, ergodic_verdict
-from .linalg import stacked_products
+from .linalg import stacked
 from .marginal import (
     build_H,
     build_Q,
@@ -46,11 +46,11 @@ from .process import (
     QQSPSeed,
     ResidualTable,
     ValidationFailure,
+    gather,
     kc_consistency,
     pair_residuals,
     propagate,
     reject_seed,
-    row,
     seed_diagnostics,
     seed_issues,
 )
@@ -619,10 +619,11 @@ def _stage_reconstruct(sc, seed, ctx, report):
         rec = reconstruct_qqsp(q, hh, lat.omega(0), lat.process_type,
                                strict=sc.mode == "strict", tol=sc.tolerances["axiom"])
     deviation = ctx.map_deviation
+    # E_{psi_s} P_rec^{s,t} - Q^{s,t}; a type-B kc of the rebuilt lattice reads the same products
     conclusion_b = pair_residuals(
-        rec, lambda s, ts: stacked_products([rec.expectations[s].matrix] * len(ts),
-                                            row(rec.map, s, ts)),
-        lambda s, ts: row(q.map, s, ts), "conclusion-b").max_residual
+        rec, (q.n ** 2, q.n ** 2),
+        lambda pairs: stacked([rec.conditioned(s, t).matrix for s, t in pairs]),
+        lambda pairs: gather(q.maps, pairs), "conclusion-b").max_residual
     out = {
         "max_map_deviation": deviation,
         "conclusion_b_residual": conclusion_b,

@@ -239,6 +239,31 @@ def test_a_carried_state_that_fails_is_named_as_before():
     assert "Q^{0,t}_* omega_0 at t=3" in str(stacked.value)
 
 
+@pytest.mark.parametrize("bad", [(1, 3), (2, 4)])
+def test_a_carried_state_that_fails_in_a_chunk_across_rows_is_named_by_its_pair(monkeypatch,
+                                                                               bad):
+    import qqsp.linalg
+
+    gap_bytes = 16 * 4 * 16   # one (n^2, n^4) gap at n=2
+    monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 3 * gap_bytes)
+    q = build_Q(_lattice(2, "B"))
+    maps = dict(q.maps)
+    maps[bad] = SuperMap(2, 2, 2 * maps[bad].matrix)   # Q_* omega_s has trace 2 there
+    spoiled = Family("Q", 2, maps, q.omegas, expectations=q.expectations)
+    pairs = spoiled.pairs()
+    chunk = next(c for c in qqsp.linalg.chunks(len(pairs), gap_bytes) if bad in pairs[c])
+    assert len({s for s, _ in pairs[chunk]}) == 2   # the failing pair's chunk spans two rows
+    with pytest.raises(ValidationFailure) as stacked:
+        state_consistency_residual(spoiled)
+    with pytest.raises(ValidationFailure) as one_at_a_time:
+        for s, t in pairs:
+            computed_state(predual(spoiled.map(s, t))(spoiled.omega(s).rho),
+                           f"Q^{{{s},t}}_* omega_{s}", t)
+    s, t = bad
+    assert str(stacked.value) == str(one_at_a_time.value)
+    assert f"Q^{{{s},t}}_* omega_{s} at t={t} " in str(stacked.value)
+
+
 # ------------------------------------------------------------ one-walk reports
 
 def _jsonify(obj):

@@ -204,10 +204,11 @@ def test_omega_consistency_on_basis():
 # ----------------------------------------------------------- consistency
 
 def _one_split(p_s_tau, p_tau_t, e_s, e_tau, law):
-    """The kernel's product at one split, as a stack of one."""
-    rights = fundamental_rights([p_tau_t.matrix], e_tau, law)
+    """The kernel's product at one split, as a stack of one; law B's left factor is Q."""
+    rights = fundamental_rights([p_tau_t.matrix], [e_tau.matrix], law)
+    left = e_s @ p_s_tau if law == "B" else p_s_tau
     return SuperMap(p_tau_t.in_dim, p_s_tau.out_dim,
-                    fundamental_products(p_s_tau, rights, e_s, law)[0])
+                    fundamental_products(left.matrix[None], rights, law)[0])
 
 
 def test_fundamental_composition_matches_explicit_laws(rng):

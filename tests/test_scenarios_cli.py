@@ -1,11 +1,14 @@
 """Scenario files, the pipeline runner, report emission, CLI exit codes."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,11 +41,20 @@ from qqsp.seeds import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
+    """``qqsp.cli.main`` in this process: its exit status and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(list(args))
+    return SimpleNamespace(returncode=status, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def run_module(*args):
+    """``python -m qqsp`` in a fresh interpreter, which runs the package's entry point."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "qqsp", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env)
 
 
 BUILTIN_NAMES = {
@@ -258,11 +270,11 @@ def test_each_quantity_is_computed_once(monkeypatch):
     distinct = len({id(m) for m in sc.resolved[0].step_maps})
     assert distinct == 1   # the builtin holds one map T times
     # E_{omega_t} once per t as propagate makes omega_t, each a stack of one; E_{phi_t} and
-    # E_{psi_t} in one stack per trajectory; the carried states' E_{Q_* omega_s} in one
-    # stack per row s
+    # E_{psi_t} in one stack per trajectory; the carried states' E_{Q_* omega_s} are
+    # placed as bare matrices, a chunk of the state-consistency table at a time
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
                       "certify_unital_cp": distinct, "expectation_supermap": T + 1,
-                      "expectation_supermaps": (T + 1) + 2 + T}
+                      "expectation_supermaps": (T + 1) + 2}
 
 
 def test_explicit_pair_ensemble_scenario():
@@ -348,7 +360,8 @@ def test_determinism_per_builtin(tmp_path, name):
 # --------------------------------------------------------------------- cli
 
 def test_cli_list_builtins():
-    proc = run_cli("list-builtins")
+    # the one run through the entry point; every other CLI test calls main in-process
+    proc = run_module("list-builtins")
     assert proc.returncode == 0
     assert set(proc.stdout.split()) == BUILTIN_NAMES
 

@@ -31,8 +31,8 @@ from qqsp.process import (
     QQSPSeed,
     kc_consistency,
     pair_residuals,
+    gather,
     propagate,
-    row,
     triples,
 )
 from qqsp.scenarios import parse_scenario, run_scenario
@@ -208,7 +208,7 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
     assert all(_close(got[name], max(table.values())) for name, table in dense.items())
 
 
-# ------------------------------------------- batches across group boundaries
+# ------------------------------------------------- chunks across row boundaries
 
 def _sweep_tables(lat):
     """Every residual table of the split and pair sweeps, keyed by name."""
@@ -223,9 +223,63 @@ def _sweep_tables(lat):
         "slices": slice_residuals(lat, q, h, z)}
 
 
+def _loop_tables(lat):
+    """:func:`_sweep_tables` from the per-gap loops, one gap and one operator_norm at a time."""
+    q, h, z = _families(lat)
+    es = lat.expectations
+    rebuilt = reconstruct_qqsp(q, h, lat.omega(0), lat.process_type, strict=False)
+    e_psi = rebuilt.expectations
+    e_phi = [expectation_supermap(lat.omega(0))] + [
+        expectation_supermap(State(predual(q.map(0, t))(lat.omega(0).rho)))
+        for t in range(1, lat.horizon + 1)]
+    if h.kind == "h":
+        doubled = _split_loop(h, lambda s, tau, t: doubled_after(q.map(s, tau),
+                                                                 [h.core(tau, t).matrix])[0])
+    else:
+        doubled = _split_loop(h, _plain(h))
+
+    def carried(s, t):
+        return expectation_supermap(State(predual(q.map(s, t))(q.omega(s).rho))).matrix
+
+    return {
+        "kc": _split_loop(lat, _fundamental(lat)), "markov-Q": _split_loop(q, _plain(q)),
+        "markov-h": doubled, "markov-z": _split_loop(z, _plain(z)),
+        "plain-h": _split_loop(h, _plain(h)),
+        "state": _pair_loop(q, carried, lambda s, t: es[t].matrix),
+        "flip": _pair_loop(h, lambda s, t: flip_after(h.core(s, t)).matrix,
+                           lambda s, t: h.core(s, t).matrix, h.trailing_norm),
+        "exchange": _pair_loop(h, lambda s, t: (e_psi[s] @ h.core(s, t) @ es[t]).matrix,
+                               lambda s, t: (q.map(s, t) @ e_phi[t]).matrix),
+        "slices": {name: max(table.values())
+                   for name, table in _slice_loops(lat, q, h, z).items()},
+    }
+
+
+BUDGETS = {"one-slice": 0, "default": None, "whole-table": 1 << 40}
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("ptype", ["A", "B"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_table_equals_the_per_gap_loops_at_any_chunk_budget(monkeypatch, n, ptype,
+                                                                 budget):
+    # one slice per chunk, chunks that hold several groups and rows (n=4 holds two
+    # kc gaps per chunk), and one chunk for the whole table all give the loops' bits
+    import qqsp.linalg
+
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.maximally_mixed(n),
+                                             4, ptype))
+    want = _loop_tables(lat)
+    if BUDGETS[budget] is not None:
+        monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", BUDGETS[budget])
+    assert _sweep_tables(lat) == want
+
+
 @pytest.mark.parametrize("n, horizon, ptype", [(2, 12, "A"), (2, 12, "B"), (4, 6, "A"),
                                                (4, 6, "B")])
 def test_batched_tables_equal_the_per_group_tables(monkeypatch, n, horizon, ptype):
+    # the default chunks against one slice per chunk: same tables, fewer Gram calls
+    import qqsp.linalg
     import qqsp.process
 
     lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.maximally_mixed(n),
@@ -241,12 +295,21 @@ def test_batched_tables_equal_the_per_group_tables(monkeypatch, n, horizon, ptyp
     batched = _sweep_tables(lat)
     batches = len(lengths)
     lengths.clear()
-    monkeypatch.setattr(qqsp.process, "RESIDUAL_BATCH_BYTES", 0)   # one batch per group
-    per_group = _sweep_tables(lat)
-    assert batched == per_group
-    assert batches < len(lengths)   # some batch holds more than one group
+    monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 0)   # one slice per chunk
+    per_slice = _sweep_tables(lat)
+    assert batched == per_slice
+    assert set(lengths) == {1} and batches < len(lengths)
     # and the kc table is still the per-gap loop
     assert batched["kc"] == _split_loop(lat, _fundamental(lat))
+
+
+def test_chunks_cover_the_table_in_order_within_the_budget(monkeypatch):
+    import qqsp.linalg
+
+    monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 1000)
+    assert [(c.start, c.stop) for c in qqsp.linalg.chunks(7, 300)] == [(0, 3), (3, 6), (6, 9)]
+    assert len(qqsp.linalg.chunks(3, 5000)) == 3   # a slice over the budget stands alone
+    assert qqsp.linalg.chunks(0, 300) == []
 
 
 # ------------------------------------------------------ Gram operator norms
@@ -294,6 +357,29 @@ def test_kc_makes_at_most_one_compose_per_stored_pair(monkeypatch, ptype):
     assert len(calls) <= len(lat.maps)
 
 
+def test_each_q_is_formed_once_per_type_b_run(monkeypatch):
+    # propagate forms Q^{s,tau} = E_{omega_s} P^{s,tau} for every tau < T, and kc, h's
+    # doubled law and build_Q read them; the rebuilt lattice forms its E_{psi_s} P^{s,t}
+    # once, for conclusion-b, and its kc reads them
+    n, horizon = 2, 5
+    slots, original = (embed_supermap(n), embed_averaged_supermap(n)), SuperMap.compose
+    formed = []
+
+    def counted(self, other):   # an E after a map into M (x) M that is no slot
+        if (self.in_dim, self.out_dim, other.in_dim) == (n * n, n, n) and not any(other is x for x in slots):
+            formed.append((id(self), id(other)))
+        return original(self, other)
+
+    monkeypatch.setattr(SuperMap, "compose", counted)
+    report = run_scenario(parse_scenario({
+        "name": "mixed-n2-T5-B", "algebra": {"kind": "full", "dim": n}, "process_type": "B",
+        "horizon": horizon, "seed": {"builtin": "entangling-mixed"},
+        "initial_state": {"diag": [0.7, 0.3]},
+        "pipeline": ["propagate", "kc", "marginals", "axioms", "reconstruct"]}))
+    assert report.verdicts["kc_ok"] and report.verdicts["roundtrip_ok"]
+    assert len(formed) == len(set(formed)) == 2 * horizon * (horizon + 1) // 2
+
+
 # ------------------------------------------------- H/h's law from the kc table
 
 @pytest.mark.parametrize("make", [
@@ -328,8 +414,9 @@ def test_map_deviation_is_the_rebuilt_lattice_against_p(builtin, ptype, stages):
     lat = propagate(sc.resolved[0])
     q, h, z = _families(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
-    dense = pair_residuals(lat, lambda s, ts: np.stack(row(rebuilt.map, s, ts)),
-                           lambda s, ts: row(lat.map, s, ts), "map-deviation").max_residual
+    dense = pair_residuals(lat, lat.map(0, 1).matrix.shape,
+                           lambda pairs: gather(rebuilt.maps, pairs),
+                           lambda pairs: gather(lat.maps, pairs), "map-deviation").max_residual
     deviation = report.stages["reconstruct"]["max_map_deviation"]
     assert deviation == max(_slice_loops(lat, q, h, z)["reconstruction_slot"].values())
     assert _close(deviation, dense)
