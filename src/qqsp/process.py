@@ -453,26 +453,16 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     lefts = [(s, tau) for s, tau, _ in keys]
     rights = [(tau, t) for _, tau, t in keys]
     wholes = [(s, t) for s, _, t in keys]
-    left_maps = maps
-    if law == "A":
-        between = family.slot if family.lead is not None else family.expectations.__getitem__
-        formed = sorted(set(rights))
-        factors = fundamental_rights([maps[key].matrix for key in formed],
-                                     [between(tau).matrix for tau, _ in formed], law)
-        position = {key: i for i, key in enumerate(formed)}
-        at = np.array([position[key] for key in rights], dtype=int)
-
-        def right(part):
-            return factors[at[part]]
-    elif law == "B":
-        left_maps = {key: family.conditioned(*key) for key in set(lefts)}
-        right = [maps[key].matrix for key in rights].__getitem__   # doubled_after gathers them
-    else:
-        def right(part):
-            return gather(maps, rights[part])
+    formed = sorted(set(rights))
+    between = family.slot if family.lead is not None else lambda tau: family.expectations[tau]
+    factors = dict(zip(formed, fundamental_rights(
+        [maps[key].matrix for key in formed],
+        [between(tau).matrix for tau, _ in formed] if law == "A" else None, law)))
+    left_maps = {key: family.conditioned(*key) for key in set(lefts)} if law == "B" else maps
 
     def gaps(part):
-        products = fundamental_products(gather(left_maps, lefts[part]), right(part), law)
+        products = fundamental_products(gather(left_maps, lefts[part]),
+                                        stacked([factors[key] for key in rights[part]]), law)
         return np.subtract(gather(maps, wholes[part]), products, out=products)
 
     scales = [family.lead_norm * family.trailing_norm(t) for t in range(family.horizon + 1)]
