@@ -239,11 +239,11 @@ class Family:
         return np.matmul(stack, gather(self.expectations, ts))
 
     def conditioned(self, s: int, t: int) -> SuperMap:
-        """E_{omega_s} C^{s,t}: the lattice's Q^{s,t}, formed once per pair into ``conditioned_maps``.
+        """E_{omega_s} C^{s,t}, the lattice's Q^{s,t}, formed once per pair.
 
-        :func:`propagate` leaves the Q^{s,tau} law B formed in it; kc's law B, h's
-        doubled law, the lattice's Q family and the rebuilt lattice's conclusion-b
-        read them here.
+        The maps are kept in ``conditioned_maps``. :func:`propagate` leaves there
+        the Q^{s,tau} law B formed in it; kc's law B, h's doubled law, the
+        lattice's Q family and the rebuilt lattice's conclusion-b read them here.
         """
         if (s, t) not in self.conditioned_maps:
             self.conditioned_maps[(s, t)] = self.expectations[s] @ self.maps[(s, t)]
@@ -288,7 +288,10 @@ class Family:
 
 
 def gather(maps, keys) -> np.ndarray:
-    """The matrices of maps[key] for every key of ``keys`` as one stack to read (:func:`stacked`)."""
+    """The matrices of maps[key] for every key of ``keys``, as one stack to read.
+
+    See :func:`qqsp.linalg.stacked`.
+    """
     return stacked([maps[key].matrix for key in keys])
 
 
@@ -359,8 +362,10 @@ def triples(horizon: int):
 def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     """Fill the lattice by the type-appropriate recursion at tau = t-1.
 
-    Each row t is one call of the split kernel over every s < t-1. Type B forms
-    each Q^{s,t-1} here once and hands it on with the lattice (:meth:`Family.conditioned`).
+    Each row t is one call of the split kernel over every s < t-1, or one call per
+    chunk of the row where its products exceed the chunk budget
+    (:func:`qqsp.linalg.chunks`). Type B forms each Q^{s,t-1} here once and hands it
+    on with the lattice (:meth:`Family.conditioned`).
     """
     if strict:
         reject_seed(validate_seed(seed))
@@ -376,10 +381,11 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
             for s in ss:
                 conditioned[(s, t - 1)] = expectations[s] @ maps[(s, t - 1)]
         if ss:
-            lefts = gather(conditioned if law == "B" else maps, [(s, t - 1) for s in ss])
             rights = fundamental_rights([maps[(t - 1, t)].matrix],
                                         [expectations[t - 1].matrix], law)
-            for s, product in zip(ss, fundamental_products(lefts, rights, law)):
+        for part in chunks(len(ss), 16 * n ** 6):   # the products are n^4 x n^2
+            lefts = gather(conditioned if law == "B" else maps, [(s, t - 1) for s in ss[part]])
+            for s, product in zip(ss[part], fundamental_products(lefts, rights, law)):
                 maps[(s, t)] = SuperMap(n, n * n, product)
         omegas.append(computed_state(predual(maps[(0, t)])(rho00), "omega_t", t))
         expectations.append(expectation_supermap(omegas[t]))

@@ -29,9 +29,9 @@ from qqsp.marginal import (
 )
 from qqsp.process import (
     QQSPSeed,
+    gather,
     kc_consistency,
     pair_residuals,
-    gather,
     propagate,
     triples,
 )
@@ -366,7 +366,8 @@ def test_each_q_is_formed_once_per_type_b_run(monkeypatch):
     formed = []
 
     def counted(self, other):   # an E after a map into M (x) M that is no slot
-        if (self.in_dim, self.out_dim, other.in_dim) == (n * n, n, n) and not any(other is x for x in slots):
+        if ((self.in_dim, self.out_dim, other.in_dim) == (n * n, n, n)
+                and not any(other is slot for slot in slots)):
             formed.append((id(self), id(other)))
         return original(self, other)
 
