@@ -173,7 +173,7 @@ def operator_norms(stack: Array) -> Array:
     return gram_norms(*scaled_grams(stack))
 
 
-CHUNK_BYTES = 1 << 17
+CHUNK_BYTES = 1 << 16
 
 
 def chunks(count: int, slice_bytes: int):

@@ -263,7 +263,7 @@ BUDGETS = {"one-slice": 0, "default": None, "whole-table": 1 << 40}
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_table_equals_the_per_gap_loops_at_any_chunk_budget(monkeypatch, n, ptype,
                                                                  budget):
-    # one slice per chunk, chunks that hold several groups and rows (n=4 holds two
+    # one slice per chunk, chunks that hold several groups and rows (n=3 holds five
     # kc gaps per chunk), and one chunk for the whole table all give the loops' bits
     import qqsp.linalg
 
