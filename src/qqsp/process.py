@@ -453,9 +453,10 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
-    maps = family.maps
-    keys = [(s, tau, t) for s, tau, t in triples(family.horizon)
-            if (s, tau) in maps and (tau, t) in maps]
+    maps, horizon = family.maps, family.horizon
+    # the order of :func:`triples`, which runs over the sorted pairs (s, tau)
+    keys = [(s, tau, t) for s, tau in family.pairs() for t in range(tau + 1, horizon + 1)
+            if (tau, t) in maps]
     lefts = [(s, tau) for s, tau, _ in keys]
     rights = [(tau, t) for _, tau, t in keys]
     wholes = [(s, t) for s, _, t in keys]
@@ -471,7 +472,7 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
                                         stacked([factors[key] for key in rights[part]]), law)
         return np.subtract(gather(maps, wholes[part]), products, out=products)
 
-    scales = [family.lead_norm * family.trailing_norm(t) for t in range(family.horizon + 1)]
+    scales = [family.lead_norm * family.trailing_norm(t) for t in range(horizon + 1)]
     return _table(keys, next(iter(maps.values())).matrix.shape, gaps, scales, label)
 
 
