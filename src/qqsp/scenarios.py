@@ -74,6 +74,12 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# the bytes of the largest state stack an ergodic count may ask for: the pair ensemble
+# on M (x) M or the contraction coefficient's sampled pure pairs on M; the stage peaks
+# at about seven times the stack
+ERGODIC_STACK_BYTES = 1 << 26
+
+
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input."""
 
@@ -184,7 +190,8 @@ def parse_scenario(data: dict) -> Scenario:
         ensemble=data.get("ensemble", {"random": 20}),
         epsilon=_number(data, "epsilon", 1e-3, float, name),
         rng_seed=_check_seed(_number(data, "rng_seed", 12345, int, name), f"{name}.rng_seed"),
-        sample_count=_number(data, "sample_count", 200, int, name), pipeline=pipeline,
+        sample_count=_pair_count(_number(data, "sample_count", 200, int, name), dim,
+                                 f"{name}.sample_count"), pipeline=pipeline,
     )
     return replace(sc, resolved=_resolve_seed(sc), pair_ensemble=_parse_ensemble(sc))
 
@@ -210,6 +217,16 @@ def _number(data: dict, key: str, default, kind, where: str):
     if not admissible(number):
         raise ScenarioError(f"{where}.{key}: expected {rule}, got {value!r}")
     return number
+
+
+def _pair_count(count: int, side: int, where: str) -> int:
+    """A count of state pairs on M_side, refused if their stack passes ERGODIC_STACK_BYTES."""
+    need = 2 * count * side * side * np.dtype(complex).itemsize
+    if need > ERGODIC_STACK_BYTES:
+        raise ScenarioError(f"{where}: {count} pairs of {side} x {side} states need "
+                            f"{need / 2 ** 20:.0f} MiB, over the "
+                            f"{ERGODIC_STACK_BYTES >> 20} MiB an ergodic stack may take")
+    return count
 
 
 def _check_seed(seed: int, where: str) -> int:
@@ -375,7 +392,7 @@ def _parse_ensemble(sc: Scenario):
         count = ens["random"]
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ScenarioError(f"{sc.name}.ensemble.random: expected a positive integer")
-        return count, (), ()
+        return _pair_count(count, sc.dim * sc.dim, f"{sc.name}.ensemble.random"), (), ()
     if "pairs" in ens:
         if not isinstance(ens["pairs"], list):
             raise ScenarioError(f"{sc.name}.ensemble.pairs: expected a list of pairs")

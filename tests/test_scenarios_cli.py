@@ -25,6 +25,7 @@ from qqsp.report import (
     pairs_to_complex_matrix,
 )
 from qqsp.scenarios import (
+    ERGODIC_STACK_BYTES,
     ScenarioError,
     builtin_scenarios,
     parse_scenario,
@@ -433,6 +434,8 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     ("epsilon", True),
     ("epsilon", "0.001"),
     pytest.param("epsilon", 10 ** 400, id="epsilon-huge-integer"),
+    pytest.param("sample_count", 10 ** 12, id="sample_count-past-the-memory-bound"),
+    pytest.param("ensemble", {"random": 10 ** 12}, id="ensemble-past-the-memory-bound"),
 ])
 def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     # the ensemble is parsed up front even though this pipeline has no ergodic stage
@@ -445,6 +448,23 @@ def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     where = "scenario" if field == "name" else "constant-n2"
     assert f"{where}.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, side, place", [
+    ("ensemble.random", 64, lambda count: {"ensemble": {"random": count}}),
+    ("sample_count", 8, lambda count: {"sample_count": count}),
+], ids=["ensemble", "sample_count"])
+def test_ergodic_counts_parse_up_to_the_memory_bound(field, side, place):
+    # 2 count side^2 complex entries: pairs on M_8 (x) M_8 for the ensemble, on M_8 for the
+    # sampled pure pairs; the defaults and the last count that fits parse, the next is refused
+    most = ERGODIC_STACK_BYTES // (2 * side * side * 16)
+    doc = {"name": "mixed-n8", "algebra": {"kind": "full", "dim": 8}, "process_type": "A",
+           "horizon": 2, "seed": {"builtin": "mixed"}, "initial_state": {"maximally_mixed": True}}
+    sc = parse_scenario(doc)
+    assert (sc.pair_ensemble[0], sc.sample_count) == (20, 200)
+    parse_scenario({**doc, **place(most)})
+    with pytest.raises(ScenarioError, match=f"mixed-n8.{field}: {most + 1} pairs"):
+        parse_scenario({**doc, **place(most + 1)})
 
 
 def _non_finite_case(case: str) -> dict:
