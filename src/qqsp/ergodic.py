@@ -8,11 +8,10 @@ ensemble below epsilon by t = T.
 The ergodic relations between the marginals follow from F = C E_{omega_t}:
 H_*(rho) = omega_t (x) P_*(rho), Z_*(rho) = omega_t (x) Q_*(Tr_1 rho) and
 Q_*(sigma) = P_*(omega_s (x) sigma). :func:`decay_trace` takes every distance
-on the core C^{0,t}. H/h's cores are P's own maps, so :func:`ergodic_verdict`
-hands H/h P's trace as it is; Z/z, which store Q's maps and form the core
-embed Q^{0,t} for the trace, decay as Q does on the Tr_1 images of the pairs.
-Only {P, H/h} against {Q, Z/z} can still disagree, and Q against Z/z only
-through the two pair ensembles they see.
+on the stored maps. H/h's cores are P's own maps, so :func:`ergodic_verdict`
+hands H/h P's trace as it is; Z/z store Q's maps and decay as Q does on the
+Tr_1 images of the pairs. Only {P, H/h} against {Q, Z/z} can still disagree,
+and Q against Z/z only through the two pair ensembles they see.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import State, predual
-from .linalg import matrix_unit, trace_norms
+from .linalg import matrix_unit, ptrace_first, trace_norms
 from .process import Family, same_maps
 
 
@@ -52,9 +51,11 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
     """Distance table over t = 1 .. horizon for each state pair, from s = 0.
 
     The pairs live on the algebra the maps land in (``source.side``). The
-    distances are taken on the stored core C^{0,t}: omega_t (x) C_* is the
-    predual of C E_{omega_t}, and omega_t drops out of the trace norm. The gaps
-    of every t are normed in one :func:`qqsp.linalg.trace_norms` call.
+    distances are taken on the stored map C^{0,t}: omega_t (x) C_* is the
+    predual of C E_{omega_t}, and omega_t drops out of the trace norm. A factored
+    Z/z stores Q's maps Y, and (embed Y)_* = Y_* Tr_1, so its trace is Q's on the
+    Tr_1 images of the pairs. The gaps of every t are normed in one
+    :func:`qqsp.linalg.trace_norms` call.
     Monotonicity is not asserted; the full table is the point of the diagnostic.
     """
     for phi, psi in pairs:
@@ -64,10 +65,12 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
     times = tuple(range(1, source.horizon + 1))
     states = np.array([x.rho for pair in pairs for x in pair]).reshape(
         2 * len(pairs), source.side, source.side)
-    side = source.maps[(0, 1)].in_dim   # where the core's predual lands
+    if source.stores_q:
+        states = ptrace_first(states, source.n, source.n)
+    side = source.maps[(0, 1)].in_dim   # where the stored map's predual lands
     gaps = np.empty((len(times), len(pairs), side, side), dtype=complex)
     for t, gap in zip(times, gaps):
-        images = predual(source.core(0, t))(states)
+        images = predual(source.maps[(0, t)])(states)
         np.subtract(images[0::2], images[1::2], out=gap)
     norms = trace_norms(gaps.reshape(-1, side, side))
     rows = norms.reshape(len(times), len(pairs)).T.tolist()   # [pair][time]

@@ -60,9 +60,10 @@ def swap_matrix(n: int) -> Array:
 
 
 def ptrace_first(z: Array, n_first: int, n_second: int) -> Array:
-    """Partial trace over the first tensor factor of M_{n1} (x) M_{n2}."""
-    z4 = np.asarray(z, dtype=complex).reshape(n_first, n_second, n_first, n_second)
-    return np.einsum("ikil->kl", z4)
+    """Partial trace over the first tensor factor of M_{n1} (x) M_{n2}, or of each of a stack."""
+    z = np.asarray(z, dtype=complex)
+    z4 = z.reshape(*z.shape[:-2], n_first, n_second, n_first, n_second)
+    return np.einsum("...ikil->...kl", z4)
 
 
 def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
@@ -180,8 +181,8 @@ def chunks(count: int, slice_bytes: int):
     """Consecutive slices of ``range(count)``, each holding about ``CHUNK_BYTES`` of slices.
 
     A slice larger than the budget is a chunk of its own. The one budget sizes
-    every stack a residual table forms at once and the stacks :func:`scaled_grams`
-    scales, so its copies stay in cache however large the table is.
+    every stack a residual table forms and scales at once, so its copies stay in
+    cache however large the table is.
     """
     step = max(1, CHUNK_BYTES // max(1, slice_bytes))
     return [slice(start, start + step) for start in range(0, count, step)]
@@ -193,24 +194,15 @@ def scaled_grams(stack: Array) -> tuple[Array, Array]:
     Slice X is scaled by 2^-e, with 2^e the power of two frexp takes from its
     largest real or imaginary part. The scaling is exact and keeps the Gram
     matrix, X^dagger X or X X^dagger, from underflowing or overflowing.
-    Returns the (k, side, side) Grams and the k exponents e. The slices are
-    taken a chunk at a time (:func:`chunks`), so the scaled and conjugated
-    copies stay small however large the stack is.
+    Returns the (k, side, side) Grams and the k exponents e. The scaled and
+    conjugated copies are as large as the stack, so a residual table hands in
+    one chunk (:func:`chunks`) at a time.
     """
-    stack = np.asarray(stack, dtype=complex)
-    count, rows, cols = stack.shape
-    side = min(rows, cols)
-    grams = np.empty((count, side, side), dtype=complex)
-    exps = np.empty(count, dtype=np.intc)
-    for part in chunks(count, stack.itemsize * rows * cols):
-        parts = np.ascontiguousarray(stack[part]).view(float)
-        _, exp = np.frexp(np.abs(parts).max(axis=(1, 2)))
-        x = np.ldexp(parts, -exp[:, None, None]).view(complex)
-        adjoint = np.conj(x).transpose(0, 2, 1)
-        left, right = (adjoint, x) if rows >= cols else (x, adjoint)
-        np.matmul(left, right, out=grams[part])
-        exps[part] = exp
-    return grams, exps
+    parts = np.ascontiguousarray(stack, dtype=complex).view(float)
+    _, exp = np.frexp(np.abs(parts).max(axis=(1, 2)))
+    x = np.ldexp(parts, -exp[:, None, None]).view(complex)
+    adjoint = np.conj(x).transpose(0, 2, 1)
+    return (adjoint @ x if x.shape[1] >= x.shape[2] else x @ adjoint), exp
 
 
 def gram_norms(grams: Array, exps: Array) -> Array:
@@ -241,18 +233,6 @@ def trace_norms(stack: Array) -> Array:
     if not hermitian.all():
         out[~hermitian] = np.linalg.svd(stack[~hermitian], compute_uv=False).sum(axis=1)
     return out
-
-
-def product_norms(xs, y: Array) -> Array:
-    """operator_norm(x @ y) for every x of ``xs``, without forming the products.
-
-    With the thin QR y^dagger = Q_y R_y, x y = x R_y^dagger Q_y^dagger and Q_y is an
-    isometry, so ||x y|| = ||x R_y^dagger||. With x = Q_x R_x that is ||R_x R_y^dagger||,
-    so a caller that holds the thin R factors of tall x's passes them in place of
-    the x's, and the norm is taken on the small inner dimension.
-    """
-    r_y = dagger(np.linalg.qr(dagger(y), mode="r"))
-    return operator_norms(np.array([x @ r_y for x in xs]))
 
 
 def hermiticity_defect(a: Array) -> float:

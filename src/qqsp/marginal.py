@@ -16,11 +16,12 @@ off its own cores.
 
 H/h and Z/z are stored factored (:class:`qqsp.process.Family`). H/h keep
 P's maps as their cores C^{s,t}. Z^{s,t} = embed Q^{s,t} E_{omega_t}, so Z/z
-keep Q's maps and form the core embed Q^{s,t} only on demand. Every Z/z
-residual is taken on n^2 x n^2 stacks and scaled by sqrt(n) (embed is a 0/1
-row selection with embed^dagger embed = n 1), with the slot S_tau =
-E_{omega_tau} embed between two of Q's maps. H/h's residuals that start with
-C^{s,t} are normed on its thin R factor, taken once per core.
+keep Q's maps, and nothing forms embed Q^{s,t}. Every Z/z residual is taken
+on n^2 x n^2 stacks and scaled by sqrt(n) (embed is a 0/1 row selection with
+embed^dagger embed = n 1), with the slot S_tau = E_{omega_tau} embed between
+two of Q's maps. H/h's residuals that start with C^{s,t} are normed on its
+thin R factor, taken once per core; the absorption axiom is then one table of
+n^2 x n^2 products of two R factors.
 
 A pair (Q, H) with the right exchange axioms determines the lattice:
 P^{s,t} x = H^{s,t}(embed(x)) along the trajectory psi_t. That rebuilt
@@ -32,7 +33,6 @@ slot state the same identities with the tensor factors exchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .algebra import (
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import predual_matrix, product_norms, stacked, vec
+from .linalg import dagger, predual_matrix, stacked, vec
 from .process import (
     Family,
     ResidualTable,
@@ -241,23 +241,25 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
 
 
 def _absorption(h_family: Family, e_psi) -> ResidualTable:
-    """||H - H embed E_{psi_t}|| = ||C D_t|| = ||R D_t|| with D_t = T_t - T_t embed E_{psi_t}.
+    """||H - H embed E_{psi_t}|| = ||C D_t|| = ||R^{s,t} R_t^dagger|| at every pair (s, t).
 
-    T_t is the trailing factor of ``h_family`` (the identity if it has none) and R
-    the family's thin R factor of C. Each D_t is built when the pairs ending at t
-    are normed, so one is held at a time.
+    D_t = T_t - T_t embed E_{psi_t}, with T_t the trailing factor of ``h_family`` (the
+    identity if it has none), and R^{s,t} is the family's thin R factor of C^{s,t}.
+    With the thin QR D_t^dagger = Q_t R_t, Q_t is an isometry, so the norm is taken on
+    the small product R^{s,t} R_t^dagger, one QR per t.
     """
     r = h_family.thin_r
-    entries = {}
-    for t, group in groupby(sorted(h_family.pairs(), key=lambda st: st[1]),
-                            key=lambda st: st[1]):
+    r_t = {}
+    for t in range(1, h_family.horizon + 1):
         absorbed = (h_family.slot(t) @ e_psi[t]).matrix
-        lead = (h_family.expectations[t].matrix if h_family.factored
-                else np.eye(len(absorbed)))
-        group = list(group)
-        norms = product_norms([r[key] for key in group], lead - absorbed)
-        entries.update(zip(group, map(float, norms)))
-    return ResidualTable(dict(sorted(entries.items())), "axiom-absorption")
+        trailing = (h_family.expectations[t].matrix if h_family.factored
+                    else np.eye(len(absorbed)))
+        r_t[t] = dagger(np.linalg.qr(dagger(trailing - absorbed), mode="r"))
+    return pair_residuals(
+        h_family, r_t[1].shape,
+        lambda pairs: np.matmul(stacked([r[key] for key in pairs]),
+                                stacked([r_t[t] for _, t in pairs])),
+        None, "axiom-absorption")
 
 
 def reconstruct_qqsp(q_family: Family, h_family: Family,
@@ -271,7 +273,7 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     """
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
-    maps = {(s, t): h_family.core(s, t) @ h_family.slot(t) for (s, t) in h_family.pairs()}
+    maps = {(s, t): h_family.maps[(s, t)] @ h_family.slot(t) for (s, t) in h_family.pairs()}
     rho00 = np.kron(omega0.rho, omega0.rho)
     psis = computed_states([predual(maps[(0, t)])(rho00) for t in range(1, h_family.horizon + 1)],
                            "psi_t", 1)

@@ -158,9 +158,9 @@ class Family:
 
     A ``factored`` family never forms its n^4 x n^4 maps. H/h store in ``maps``
     the core C^{s,t} (M -> M (x) M) of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store
-    Q's maps Y^{s,t} (M -> M) of F^{s,t} = embed Y^{s,t} E_{omega_t}, and
-    :meth:`core` forms their core embed Y^{s,t} only when asked. Residual sweeps
-    work on the stored maps: E E^dagger = ||rho||_F^2 1 gives ||X E_{omega_t}|| =
+    Q's maps Y^{s,t} (M -> M) of F^{s,t} = embed Y^{s,t} E_{omega_t}
+    (:attr:`stores_q`), and nothing forms embed Y^{s,t}. Residual sweeps work on
+    the stored maps: E E^dagger = ||rho||_F^2 1 gives ||X E_{omega_t}|| =
     ||rho_t||_F ||X|| (:meth:`trailing_norm`), and embed^dagger embed = n 1 gives
     ||embed X|| = sqrt(n) ||X|| (:attr:`lead_norm`). Any other family has trivial
     lead and trailing factors, so the same sweeps read its maps as they are.
@@ -190,7 +190,7 @@ class Family:
             raise ValueError(f"a factored family is a doubled marginal with a trajectory, "
                              f"got kind {self.kind!r}")
         in_dim = self.n if self.kind in ("P", "Q") or self.factored else self.n * self.n
-        out_dim = self.n if self.kind == "Q" or self.lead is not None else self.side
+        out_dim = self.n if self.kind == "Q" or self.stores_q else self.side
         for key, m in self.maps.items():
             if m.in_dim != in_dim or m.out_dim != out_dim:
                 raise ValueError(f"map {key} has dims ({m.in_dim}, {m.out_dim}), "
@@ -209,27 +209,19 @@ class Family:
         return max(t for (_, t) in self.maps)
 
     @property
-    def lead(self) -> SuperMap | None:
-        """embed for a factored Z/z, whose stored maps are Q's; None for every other family."""
-        return embed_supermap(self.n) if self.factored and self.kind in ("Z", "z") else None
+    def stores_q(self) -> bool:
+        """Whether this is a factored Z/z: its stored maps are Q's, and its lead is embed."""
+        return self.factored and self.kind in ("Z", "z")
 
     @property
     def lead_norm(self) -> float:
-        """||L X|| / ||X|| for the lead L: sqrt(n) for a factored Z/z, or 1."""
-        return math.sqrt(self.n) if self.lead is not None else 1.0
-
-    def core(self, s: int, t: int) -> SuperMap:
-        """C^{s,t}: the stored map, F^{s,t} itself unless the family is factored.
-
-        A factored Z/z forms its core embed Y^{s,t} here, on each call.
-        """
-        m = self.maps[(s, t)]
-        return m if self.lead is None else self.lead @ m
+        """||embed X|| / ||X|| = sqrt(n) for a factored Z/z; 1 for every other family."""
+        return math.sqrt(self.n) if self.stores_q else 1.0
 
     def map(self, s: int, t: int) -> SuperMap:
         """F^{s,t} of a family stored as it is; a factored family has only its core."""
         if self.factored:
-            raise ValueError(f"factored {self.kind} stores only C^{{s,t}}; use core(s, t)")
+            raise ValueError(f"factored {self.kind} stores only the core of F^{{s,t}}; read maps")
         return self.maps[(s, t)]
 
     def times_trailing(self, stack: np.ndarray, ts) -> np.ndarray:
@@ -272,12 +264,12 @@ class Family:
 
     @cached_property
     def thin_r(self) -> dict:
-        """R^{s,t} of the thin QR of every core, from one stacked ``np.linalg.qr`` call.
+        """R^{s,t} of the thin QR of every stored map, from one stacked ``np.linalg.qr`` call.
 
         ||C X|| = ||R X|| for every X, so a residual C^{s,t} X is normed on R^{s,t} X.
         """
         pairs = self.pairs()
-        r = np.linalg.qr(np.array([self.core(s, t).matrix for s, t in pairs]), mode="r")
+        r = np.linalg.qr(gather(self.maps, pairs), mode="r")
         return dict(zip(pairs, r))
 
     def omega(self, t: int) -> State:
@@ -461,7 +453,7 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     rights = [(tau, t) for _, tau, t in keys]
     wholes = [(s, t) for s, _, t in keys]
     formed = sorted(set(rights))
-    between = family.slot if family.lead is not None else lambda tau: family.expectations[tau]
+    between = family.slot if family.stores_q else lambda tau: family.expectations[tau]
     factors = dict(zip(formed, fundamental_rights(
         [maps[key].matrix for key in formed],
         [between(tau).matrix for tau, _ in formed] if law == "A" else None, law)))

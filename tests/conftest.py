@@ -8,7 +8,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from qqsp.algebra import SuperMap  # noqa: E402
+from qqsp.algebra import SuperMap, embed_supermap  # noqa: E402
 
 
 @pytest.fixture
@@ -39,6 +39,15 @@ def symmetric_stochastic_tensor(rng, N):
     return p
 
 
+def core(family, s, t):
+    """C^{s,t}: the stored map, or embed Y^{s,t} for a factored Z/z, which stores Q's maps Y.
+
+    The library never forms embed Y^{s,t}; tests use it as the reference route.
+    """
+    m = family.maps[(s, t)]
+    return embed_supermap(family.n) @ m if family.stores_q else m
+
+
 def dense(family):
     """F^{s,t} = C^{s,t} E_{omega_t} of a factored family multiplied out, per (s, t).
 
@@ -46,5 +55,5 @@ def dense(family):
     independent reference.
     """
     es, side = family.expectations, family.side
-    return {(s, t): SuperMap(side, side, family.core(s, t).matrix @ es[t].matrix)
+    return {(s, t): SuperMap(side, side, core(family, s, t).matrix @ es[t].matrix)
             for (s, t) in family.pairs()}

@@ -30,7 +30,6 @@ from qqsp.linalg import (
     operator_norm,
     operator_norms,
     predual_matrix,
-    product_norms,
     supermatrix_from_function,
     supermatrix_tensor,
     swap_matrix,
@@ -397,26 +396,6 @@ def test_flip_by_row_permutation_is_exact(rng, n, in_dim):
     w = swap_matrix(n)
     assert np.array_equal(flip_conjugate(AlgebraElement(z)).entries, w @ z @ w)
     assert flip_symmetry_residual(m) == operator_norm(want - m.matrix)
-
-
-@pytest.mark.parametrize("x_shape, y_shape, rank", [
-    ((16, 4), (4, 16), None),     # tall core times a wide expectation
-    ((81, 9), (9, 81), 3),        # rank-deficient factors
-    ((5, 7), (7, 3), None),       # more columns than rows
-    ((1, 1), (1, 1), None),
-])
-def test_product_norm_matches_the_dense_product(rng, x_shape, y_shape, rank):
-    x = rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)
-    y = rng.normal(size=y_shape) + 1j * rng.normal(size=y_shape)
-    if rank is not None:
-        x[:, rank:] = x[:, :rank] @ rng.normal(size=(rank, x_shape[1] - rank))
-        y[rank:] = rng.normal(size=(y_shape[0] - rank, rank)) @ y[:rank]
-    xs = [x, 2 * x, np.zeros(x_shape)]
-    got = product_norms(xs, y)
-    for a, norm in zip(xs, got):
-        want = operator_norm(a @ y)
-        assert abs(norm - want) <= 1e-13 * max(1.0, want)
-    assert product_norms([x], np.zeros(y_shape))[0] == 0.0
 
 
 def test_supermap_shape_validation():

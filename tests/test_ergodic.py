@@ -1,5 +1,7 @@
 """Decay traces, contraction coefficients, and the finite-horizon verdict."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from qqsp.seeds import (
     mixed_step_map,
 )
 
-from conftest import symmetric_stochastic_tensor
+from conftest import core, symmetric_stochastic_tensor
 
 
 # ---------------------------------------------------------------- oracles
@@ -111,11 +113,14 @@ def test_decay_trace_dimension_guard(rng):
 
 
 def _per_t_decay_rows(source, pairs):
-    """The per-t loop: the gaps of one t normed in one trace_norms call, t after t."""
+    """The per-t loop: the gaps of one t normed in one trace_norms call, t after t.
+
+    A factored Z/z is traced on its core embed Q^{0,t}, formed here.
+    """
     states = np.array([x.rho for pair in pairs for x in pair])
     columns = []
     for t in range(1, source.horizon + 1):
-        images = predual(source.core(0, t))(states)
+        images = predual(core(source, 0, t))(states)
         columns.append(trace_norms(images[0::2] - images[1::2]))
     return tuple(tuple(float(column[p]) for column in columns) for p in range(len(pairs)))
 
@@ -126,7 +131,7 @@ def test_decay_trace_equals_the_per_t_rows(seed):
     lat = propagate(seed)
     families = build_families(lat)
     rng = np.random.default_rng(3)
-    for source in (lat, families["Q"], families["Z" if "Z" in families else "z"]):
+    for source in (lat, families["Q"]):
         pairs = state_pair_ensemble(source.side, 7, rng)
         assert decay_trace(source, pairs).distances == _per_t_decay_rows(source, pairs)
     assert decay_trace(lat, []).distances == ()
@@ -370,20 +375,22 @@ def test_verdict_rejects_a_doubled_family_of_another_lattice():
 
 @pytest.mark.parametrize("n, ptype", [(2, "A"), (2, "B"), (3, "A"), (3, "B")])
 def test_z_distances_are_q_distances_on_reduced_pairs(n, ptype, rng):
-    # Z_*(rho) = omega_t (x) Q_*(Tr_1 rho): Z/z decays as Q does on the Tr_1 images
+    # Z_*(rho) = omega_t (x) Q_*(Tr_1 rho): Z/z's trace, in the verdict too, is Q's on the
+    # Tr_1 images of its pairs, within 1e-15 of the route through the core embed Q^{0,t}
     weights = np.arange(n, 0, -1) / (n * (n + 1) / 2)
     lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.from_weights(weights),
                                              4, ptype))
     families = build_families(lat)
-    z = families["Z" if ptype == "A" else "z"]
+    kind = "Z" if ptype == "A" else "z"
     pairs = state_pair_ensemble(n * n, 6, rng)
     reduced = [(State(ptrace_first(phi.rho, n, n)), State(ptrace_first(psi.rho, n, n)))
                for phi, psi in pairs]
-    tz = decay_trace(z, pairs)
-    tq = decay_trace(families["Q"], reduced)
-    assert tz.times == tq.times
-    for rz, rq in zip(tz.distances, tq.distances):
-        assert max(abs(a - b) for a, b in zip(rz, rq)) <= 1e-15
+    tz = decay_trace(families[kind], pairs)
+    assert tz == replace(decay_trace(families["Q"], reduced), family_kind=kind)
+    assert ergodic_verdict(lat, families, ErgodicConfig(explicit_double=tuple(pairs))
+                           ).traces[kind] == tz
+    for got, want in zip(tz.distances, _per_t_decay_rows(families[kind], pairs)):
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
 
 
 @pytest.mark.parametrize("ptype", ["A", "B"])

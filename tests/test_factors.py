@@ -94,10 +94,11 @@ def test_z_holds_the_maps_of_q(ptype):
     assert z.factored and z.lead_norm == math.sqrt(2)
     assert z.maps.keys() == q.maps.keys()
     assert all(z.maps[key] is m for key, m in q.maps.items())
-    # the core embed Q^{s,t} is formed on demand, with the bits of embed(E_{omega_s} P^{s,t})
+    # embed Q^{s,t}, formed here, has the bits of embed(E_{omega_s} P^{s,t})
     es, emb = lat.expectations, embed_supermap(2)
     for s, t in lat.pairs():
-        assert np.array_equal(z.core(s, t).matrix, (emb @ (es[s] @ lat.map(s, t))).matrix)
+        assert np.array_equal((emb @ z.maps[(s, t)]).matrix,
+                              (emb @ (es[s] @ lat.map(s, t))).matrix)
 
 
 def test_z_takes_only_the_q_of_its_lattice():
@@ -114,7 +115,7 @@ def test_z_takes_only_the_q_of_its_lattice():
 @pytest.mark.parametrize("ptype", ["A", "B"])
 @pytest.mark.parametrize("ergodic", [True, False], ids=["ergodic", "no-ergodic"])
 def test_no_embedded_core_is_formed_but_the_decay_traces(monkeypatch, ptype, ergodic):
-    # the only n^4 x n^2 Z/z maps of a run are decay_trace's C^{0,t} = embed Q^{0,t}
+    # no stage forms an n^4 x n^2 Z/z map embed Q^{s,t}: the decay trace takes Q's maps too
     stages = ["validate", "propagate", "kc", "marginals", "axioms", "reconstruct", "ergodic"]
     sc = parse_scenario({
         "name": f"mixed-n3-T4-{ptype}", "algebra": {"kind": "full", "dim": 3},
@@ -132,7 +133,7 @@ def test_no_embedded_core_is_formed_but_the_decay_traces(monkeypatch, ptype, erg
     monkeypatch.setattr(SuperMap, "compose", counted)
     report = run_scenario(sc)
     assert all(report.verdicts[k] for k in ("kc_ok", "composition_ok", "roundtrip_ok"))
-    assert embedded == ([(9, 9)] * sc.horizon if ergodic else [])
+    assert embedded == []
 
 
 # ------------------------------------------------------ one R factor per core
@@ -153,7 +154,7 @@ def test_stacked_qr_equals_the_per_matrix_qr(monkeypatch, ptype):
     assert h.thin_r is r and calls == [(len(lat.maps), 81, 9)]   # one stacked call, once
     monkeypatch.undo()
     for key in lat.pairs():
-        want = np.linalg.qr(h.core(*key).matrix, mode="r")
+        want = np.linalg.qr(h.maps[key].matrix, mode="r")
         assert r[key].tobytes() == want.tobytes()
 
 
@@ -178,7 +179,7 @@ def test_absorption_keeps_the_bits_of_the_per_core_qr(ptype):
         d = lat.expectations[t].matrix - (lat.expectations[t] @ emb @ e_psi[t]).matrix
         r_y = np.linalg.qr(d.conj().T, mode="r").conj().T
         group = [(s, t) for s in range(t)]
-        norms = operator_norms(np.array([np.linalg.qr(h.core(*key).matrix, mode="r") @ r_y
+        norms = operator_norms(np.array([np.linalg.qr(h.maps[key].matrix, mode="r") @ r_y
                                          for key in group]))
         want.update(zip(group, map(float, norms)))
     assert got == want

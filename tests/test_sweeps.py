@@ -1,5 +1,7 @@
 """Stacked residual sweeps against per-gap loops, Gram operator norms, op-count pins."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,8 @@ from qqsp.process import (
 )
 from qqsp.scenarios import parse_scenario, run_scenario
 from qqsp.seeds import make_entangling_seed, make_mixed_seed, mixed_step_map
+
+from conftest import core
 
 LATTICES = {
     "mixed-n2-A": lambda: propagate(make_mixed_seed(5, "A")),
@@ -82,14 +86,14 @@ def _plain(family):
     def compose(s, tau, t):
         if not family.factored:
             return (y[(s, tau)] @ y[(tau, t)]).matrix
-        between = family.slot(tau) if family.lead is not None else family.expectations[tau]
+        between = family.slot(tau) if family.stores_q else family.expectations[tau]
         return (y[(s, tau)] @ (between @ y[(tau, t)])).matrix
     return compose
 
 
 def _dense_split_loop(family):
     """Today's n^4 x n^2 reference: ||rho_t||_F ||C^{s,t} - C^{s,tau} E_tau C^{tau,t}|| on the cores."""
-    c, es = family.core, family.expectations
+    c, es = partial(core, family), family.expectations
     return {(s, tau, t): family.trailing_norm(t)
             * operator_norm(c(s, t).matrix - (c(s, tau) @ (es[tau] @ c(tau, t))).matrix)
             for s, tau, t in triples(family.horizon)}
@@ -107,7 +111,7 @@ def _slice_loops(lattice, q, h, z):
     one, one2 = vec(np.eye(n)), vec(np.eye(n * n))
     return {
         "reconstruction_slot": _pair_loop(
-            lattice, lambda s, t: np.linalg.qr(h.core(s, t).matrix, mode="r")
+            lattice, lambda s, t: np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
             @ (h.slot(t).matrix - np.eye(n * n)), lambda s, t: 0),
         "averaged_slot": {(s, t): float(np.linalg.norm(lattice.map(s, t).matrix @ one - one2,
                                                        axis=-1)) * h.trailing_norm(t)
@@ -127,14 +131,14 @@ def _dense_slices(lattice, q, h, z):
     emb, avg = embed_supermap(n), embed_averaged_supermap(n)
     consts = [SuperMap.constant(w, n * n).matrix for w in lattice.omegas]
     return {
-        "reconstruction_slot": _pair_loop(lattice, lambda s, t: (h.core(s, t) @ (es[t] @ emb))
+        "reconstruction_slot": _pair_loop(lattice, lambda s, t: (h.maps[(s, t)] @ (es[t] @ emb))
                                           .matrix, lambda s, t: lattice.map(s, t).matrix),
-        "averaged_slot": _pair_loop(lattice, lambda s, t: (h.core(s, t) @ (es[t] @ avg)).matrix,
+        "averaged_slot": _pair_loop(lattice, lambda s, t: (h.maps[(s, t)] @ (es[t] @ avg)).matrix,
                                     lambda s, t: consts[t]),
         "z_reconstruction_slot": _pair_loop(
-            lattice, lambda s, t: (z.core(s, t) @ (es[t] @ emb)).matrix,
+            lattice, lambda s, t: (core(z, s, t) @ (es[t] @ emb)).matrix,
             lambda s, t: (emb @ q.map(s, t)).matrix),
-        "z_averaged_slot": _pair_loop(lattice, lambda s, t: (z.core(s, t) @ (es[t] @ avg))
+        "z_averaged_slot": _pair_loop(lattice, lambda s, t: (core(z, s, t) @ (es[t] @ avg))
                                       .matrix, lambda s, t: consts[t]),
     }
 
@@ -169,7 +173,7 @@ def test_stacked_markov_laws_equal_the_per_gap_loop(lattice):
     assert check_markov(h, law="plain").entries == _split_loop(h, _plain(h))
     if h.kind == "h":
         want = _split_loop(h, lambda s, tau, t: doubled_after(q.map(s, tau),
-                                                              [h.core(tau, t).matrix])[0])
+                                                              [h.maps[(tau, t)].matrix])[0])
     else:
         want = _split_loop(h, _plain(h))
     assert check_markov(h).entries == want
@@ -188,10 +192,10 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
         expectation_supermap(State(predual(q.map(0, t))(lattice.omega(0).rho)))
         for t in range(1, lattice.horizon + 1)]
     assert rep.flip.entries == _pair_loop(
-        h, lambda s, t: flip_after(h.core(s, t)).matrix, lambda s, t: h.core(s, t).matrix,
+        h, lambda s, t: flip_after(h.maps[(s, t)]).matrix, lambda s, t: h.maps[(s, t)].matrix,
         h.trailing_norm)
     assert rep.exchange.entries == _pair_loop(
-        h, lambda s, t: (e_psi[s] @ h.core(s, t) @ es[t]).matrix,
+        h, lambda s, t: (e_psi[s] @ h.maps[(s, t)] @ es[t]).matrix,
         lambda s, t: (q.map(s, t) @ e_phi[t]).matrix)
 
     def carried(s, t):
@@ -218,7 +222,7 @@ def _sweep_tables(lat):
     tables = {"kc": kc_consistency(lat), "markov-Q": check_markov(q),
               "markov-h": check_markov(h), "markov-z": check_markov(z),
               "plain-h": check_markov(h, law="plain"), "state": state_consistency_residual(q),
-              "flip": axioms.flip, "exchange": axioms.exchange}
+              "flip": axioms.flip, "exchange": axioms.exchange, "absorption": axioms.absorption}
     return {name: table.entries for name, table in tables.items()} | {
         "slices": slice_residuals(lat, q, h, z)}
 
@@ -234,22 +238,28 @@ def _loop_tables(lat):
         for t in range(1, lat.horizon + 1)]
     if h.kind == "h":
         doubled = _split_loop(h, lambda s, tau, t: doubled_after(q.map(s, tau),
-                                                                 [h.core(tau, t).matrix])[0])
+                                                                 [h.maps[(tau, t)].matrix])[0])
     else:
         doubled = _split_loop(h, _plain(h))
 
     def carried(s, t):
         return expectation_supermap(State(predual(q.map(s, t))(q.omega(s).rho))).matrix
 
+    def absorbed(s, t):   # R^{s,t} R_t^dagger, with D_t^dagger = Q_t R_t
+        d = es[t].matrix - (h.slot(t) @ e_psi[t]).matrix
+        return (np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
+                @ np.linalg.qr(d.conj().T, mode="r").conj().T)
+
     return {
         "kc": _split_loop(lat, _fundamental(lat)), "markov-Q": _split_loop(q, _plain(q)),
         "markov-h": doubled, "markov-z": _split_loop(z, _plain(z)),
         "plain-h": _split_loop(h, _plain(h)),
         "state": _pair_loop(q, carried, lambda s, t: es[t].matrix),
-        "flip": _pair_loop(h, lambda s, t: flip_after(h.core(s, t)).matrix,
-                           lambda s, t: h.core(s, t).matrix, h.trailing_norm),
-        "exchange": _pair_loop(h, lambda s, t: (e_psi[s] @ h.core(s, t) @ es[t]).matrix,
+        "flip": _pair_loop(h, lambda s, t: flip_after(h.maps[(s, t)]).matrix,
+                           lambda s, t: h.maps[(s, t)].matrix, h.trailing_norm),
+        "exchange": _pair_loop(h, lambda s, t: (e_psi[s] @ h.maps[(s, t)] @ es[t]).matrix,
                                lambda s, t: (q.map(s, t) @ e_phi[t]).matrix),
+        "absorption": _pair_loop(h, absorbed, lambda s, t: 0),
         "slices": {name: max(table.values())
                    for name, table in _slice_loops(lat, q, h, z).items()},
     }
