@@ -190,7 +190,9 @@ def parse_scenario(data: dict) -> Scenario:
         ensemble=data.get("ensemble", {"random": 20}),
         epsilon=_number(data, "epsilon", 1e-3, float, name),
         rng_seed=_check_seed(_number(data, "rng_seed", 12345, int, name), f"{name}.rng_seed"),
-        sample_count=_pair_count(_number(data, "sample_count", 200, int, name), dim,
+        # a diagonal algebra and M_1 sample nothing (ergodic.contraction_coefficient)
+        sample_count=_pair_count(_number(data, "sample_count", 200, int, name),
+                                 dim if kind == "full" and dim > 1 else 0,
                                  f"{name}.sample_count"), pipeline=pipeline,
     )
     return replace(sc, resolved=_resolve_seed(sc), pair_ensemble=_parse_ensemble(sc))

@@ -467,6 +467,14 @@ def test_ergodic_counts_parse_up_to_the_memory_bound(field, side, place):
         parse_scenario({**doc, **place(most + 1)})
 
 
+def test_an_algebra_that_samples_nothing_takes_any_sample_count():
+    # on a diagonal algebra and on M_1 the contraction coefficient is exact and draws nothing
+    m1 = {"name": "mixed-n1", "algebra": {"kind": "full", "dim": 1}, "process_type": "A",
+          "horizon": 3, "seed": {"builtin": "mixed"}, "initial_state": {"maximally_mixed": True}}
+    for data in (builtin_scenarios()["volterra-a1-typeA"].to_dict(), m1):
+        assert parse_scenario({**data, "sample_count": 10 ** 12}).sample_count == 10 ** 12
+
+
 def _non_finite_case(case: str) -> dict:
     """A full-pipeline scenario with one NaN or infinite entry; json reads both."""
     quantum = {"name": case, "algebra": {"kind": "full", "dim": 2}, "process_type": "A",
