@@ -16,6 +16,7 @@ the dual coincide; states are plain density matrices.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 
@@ -31,7 +32,6 @@ from .linalg import (
     operator_norm,
     predual_matrix,
     ptrace_first,
-    stacked,
     supermatrix_from_function,
     supermatrix_tensor,
     swap_matrix,
@@ -46,7 +46,10 @@ HERMITICITY_TOL = 1e-12
 
 def _frozen(a: Array) -> Array:
     # One layout for every stored matrix: BLAS sums in an order that depends
-    # on it, so a reshuffled (non-contiguous) copy would shift results.
+    # on it, so a reshuffled (non-contiguous) copy would shift results. An array
+    # already so laid out and read-only, such as a row of a Stacked, is kept.
+    if getattr(a, "dtype", None) == complex and a.flags.c_contiguous and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=complex, order="C")
     out.setflags(write=False)
     return out
@@ -257,6 +260,46 @@ class SuperMap:
         return cls(omega.dim, out_dim, unit_tensor_matrix(t))
 
 
+class Stacked(Mapping):
+    """Matrices of one shape as one read-only (K, rows, cols) array, keyed in ``order``.
+
+    ``x[key]`` is the row of ``key``, a view; :meth:`rows` reads many keys as one stack.
+    """
+
+    def __init__(self, array, order):
+        self.array = np.ascontiguousarray(array, dtype=complex)
+        self.array.setflags(write=False)
+        self.order = tuple(order)
+        self.index = {key: i for i, key in enumerate(self.order)}
+
+    def __getitem__(self, key):
+        return self.array[self.index[key]]
+
+    def __iter__(self):
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def rows(self, keys) -> Array:
+        """The rows of ``keys`` as one stack: a slice where they are consecutive, else one take."""
+        at = [self.index[key] for key in keys]
+        if at and at == list(range(at[0], at[0] + len(at))):
+            return self.array[at[0]:at[0] + len(at)]
+        return self.array.take(at, axis=0)
+
+
+class MapStack(Stacked):
+    """Maps of one shape as one (K, out_dim^2, in_dim^2) array: ``x[key]`` is a SuperMap view."""
+
+    def __init__(self, array, order):
+        super().__init__(array, order)
+        self.out_dim, self.in_dim = (math.isqrt(d) for d in self.array.shape[1:])
+
+    def __getitem__(self, key) -> SuperMap:
+        return SuperMap(self.in_dim, self.out_dim, self.array[self.index[key]])
+
+
 def predual(m: SuperMap) -> SuperMap:
     """Map on densities with trace(predual(m)(rho) x) = trace(rho m(x)).
 
@@ -277,8 +320,7 @@ def doubled_after(q, ms) -> Array:
 
     ``q`` is a map on M_n: a SuperMap, its (n^2, n^2) matrix, or a (K, n^2, n^2)
     stack of them, one per m. ``ms`` holds the (n^4, k^2) matrices of maps on M_k,
-    as a (K, n^4, k^2) array or a sequence, which is stacked in one copy
-    (:func:`qqsp.linalg.stacked`); a single q or a single m serves every
+    as a (K, n^4, k^2) array or a sequence; a single q or a single m serves every
     slice of the other side. The result is the stack of products. In the tensor
     view of m each output index splits as (a, b); q (x) q acts on the two a's and
     on the two b's separately, so it is two n^2 x n^2 mode products, each one
@@ -287,7 +329,7 @@ def doubled_after(q, ms) -> Array:
     """
     q = q.matrix if isinstance(q, SuperMap) else np.asarray(q)
     n = math.isqrt(q.shape[-1])
-    ms = ms if isinstance(ms, np.ndarray) else stacked(ms)
+    ms = np.asarray(ms)
     count, rows, cols = ms.shape
     k = math.isqrt(cols)
     if q.shape[-2:] != (n * n, n * n) or rows != n ** 4 or k * k != cols:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import State, predual
 from .linalg import matrix_unit, ptrace_first, trace_norms
-from .process import Family, same_maps
+from .process import Family
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
         2 * len(pairs), source.side, source.side)
     if source.stores_q:
         states = ptrace_first(states, source.n, source.n)
-    side = source.maps[(0, 1)].in_dim   # where the stored map's predual lands
+    side = source.maps.in_dim   # where the stored maps' preduals land
     gaps = np.empty((len(times), len(pairs), side, side), dtype=complex)
     for t, gap in zip(times, gaps):
         images = predual(source.maps[(0, t)])(states)
@@ -192,7 +192,7 @@ def ergodic_verdict(lattice: Family, families: dict,
     if "Q" not in families:
         raise ValueError("a Q family is required")
     for kind in {"H", "h"} & set(families):
-        if not same_maps(families[kind], lattice):
+        if families[kind].maps.array is not lattice.maps.array:
             raise ValueError(f"{kind} does not store this lattice's maps P^{{s,t}} as its cores")
     rng = np.random.default_rng(config.rng_seed)
     diagonal = lattice.algebra_kind == "diagonal"

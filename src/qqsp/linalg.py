@@ -81,17 +81,6 @@ def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
     return np.ascontiguousarray(images.transpose(0, 2, 1))
 
 
-def stacked(matrices) -> Array:
-    """The (k, rows, cols) stack of a sequence of k matrices of one shape, to be read.
-
-    It equals ``np.stack(matrices)``, which costs several times as much per matrix:
-    one copy, or for k = 1 a view of the matrix itself, which is not copied at all.
-    """
-    if len(matrices) == 1:
-        return np.asarray(matrices[0])[None]
-    return np.concatenate(matrices).reshape(len(matrices), *np.shape(matrices[0]))
-
-
 def stacked_products(lefts, rights) -> Array:
     """The fresh (k, rows, cols) stack of a @ b over the pairs of ``lefts`` and ``rights``.
 

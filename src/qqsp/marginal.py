@@ -14,9 +14,9 @@ type-B one, so :func:`check_markov` only picks a split law of
 :func:`qqsp.process.split_residuals`; h reads Q^{s,tau} = E_{omega_s} P^{s,tau}
 off its own cores.
 
-H/h and Z/z are stored factored (:class:`qqsp.process.Family`). H/h keep
-P's maps as their cores C^{s,t}. Z^{s,t} = embed Q^{s,t} E_{omega_t}, so Z/z
-keep Q's maps, and nothing forms embed Q^{s,t}. Every Z/z residual is taken
+H/h and Z/z are stored factored (:class:`qqsp.process.Family`). H/h hold
+P's own array as their cores C^{s,t}. Z^{s,t} = embed Q^{s,t} E_{omega_t}, so Z/z
+hold Q's array, and nothing forms embed Q^{s,t}. Every Z/z residual is taken
 on n^2 x n^2 stacks and scaled by sqrt(n) (embed is a 0/1 row selection with
 embed^dagger embed = n 1), with the slot S_tau = E_{omega_tau} embed between
 two of Q's maps. H/h's residuals that start with C^{s,t} are normed on its
@@ -25,7 +25,7 @@ n^2 x n^2 products of two R factors.
 
 A pair (Q, H) with the right exchange axioms determines the lattice:
 P^{s,t} x = H^{s,t}(embed(x)) along the trajectory psi_t. That rebuilt
-lattice is built once, by :func:`reconstruct_qqsp`, and the axiom suite
+lattice is built once, by :func:`reconstruct_qqsp` in one batched product, and the axiom suite
 reads psi_t and E_{psi_t} from it. Conventions that place x in the averaged
 slot state the same identities with the tensor factors exchanged.
 """
@@ -37,11 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    MapStack,
     State,
     SuperMap,
     embed_averaged_supermap,
+    embed_supermap,
     expectation_matrices,
-    expectation_supermaps,
     flip_rows,
     predual,
     trace_norm_distance,
@@ -49,21 +50,19 @@ from .algebra import (
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import dagger, predual_matrix, stacked, vec
+from .linalg import dagger, predual_matrix, vec
 from .process import (
     Family,
     ResidualTable,
     ValidationFailure,
     computed_states,
-    gather,
     pair_residuals,
-    same_maps,
     split_residuals,
     triples,
 )
 
 
-def _derived(source: Family, kind: str, maps: dict, factored: bool, **shared) -> Family:
+def _derived(source: Family, kind: str, maps: MapStack, factored: bool, **shared) -> Family:
     """A marginal family on the trajectory of ``source``, sharing its E_{omega_t} and slots."""
     return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
                   expectations=source.expectations, factored=factored, slots=source.slots,
@@ -73,18 +72,16 @@ def _derived(source: Family, kind: str, maps: dict, factored: bool, **shared) ->
 def build_Q(lattice: Family) -> Family:
     """Q^{s,t} = E_{omega_s} P^{s,t}, the marginal Markov process on M.
 
-    Its maps are the lattice's :meth:`Family.conditioned` maps, so a Q^{s,t} that
-    propagation or kc already formed is not formed again.
+    Its maps are the lattice's :attr:`Family.conditioned` maps, so Q^{s,t} that
+    propagation or kc already formed are not formed again.
     """
-    return _derived(lattice, "Q", {(s, t): lattice.conditioned(s, t)
-                                   for (s, t) in lattice.pairs()}, False)
+    return _derived(lattice, "Q", lattice.conditioned, False)
 
 
 def _build_doubled(lattice: Family, kind: str) -> Family:
     # the core of H^{s,t} = P^{s,t} E_{omega_t} is the lattice map itself, so H/h
-    # share the lattice's E_{omega_s} P^{s,t}
-    return _derived(lattice, kind, dict(lattice.maps), True,
-                    conditioned_maps=lattice.conditioned_maps)
+    # hold the lattice's own array and share its E_{omega_s} P^{s,t}
+    return _derived(lattice, kind, lattice.maps, True, conditioned_maps=lattice.conditioned)
 
 
 def build_H(lattice: Family) -> Family:
@@ -106,11 +103,10 @@ def _derive_embedded(h_family: Family, q_family: Family, kind: str) -> Family:
     # as the lead
     if not h_family.factored:
         raise ValueError(f"{kind} derives from the {h_family.kind} built from a lattice")
-    if q_family.kind != "Q" or q_family.omegas is not h_family.omegas or (
-            q_family.maps.keys() != h_family.maps.keys()):
+    if q_family.maps is not h_family.conditioned_maps:   # Q's own array, not a copy
         raise ValueError(f"{kind} takes Q^{{s,t}} from the Q family of its {h_family.kind}'s "
                          f"lattice, which shares its trajectory")
-    return _derived(h_family, kind, dict(q_family.maps), True)
+    return _derived(h_family, kind, q_family.maps, True)
 
 
 def build_Z(h_family: Family, q_family: Family) -> Family:
@@ -211,26 +207,28 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
         raise ValueError("families cover different (s, t) lattices")
     phis = _phi_trajectory(q_family, rebuilt.omega(0))
-    e_phi = expectation_supermaps([phi.rho for phi in phis])
+    e_phi = expectation_matrices([phi.rho for phi in phis])
     e_psi = rebuilt.expectations
-    cores = h_family.maps   # H/h carry no lead, so their cores are the stored maps
+    cores = h_family.maps.array   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
+    ss, ts = np.array(h_family.pairs()).T
 
-    def flipped(pairs):
+    def flipped(part):
         # H - U H, so that each flipped core is made only while it is subtracted
-        stack = gather(cores, pairs)
-        return stack - stack[:, flip]
+        return cores[part] - cores[part][:, flip]
 
-    def exchanged(pairs):   # E_{psi_s} H^{s,t}
-        ss, ts = zip(*pairs)
-        return h_family.times_trailing(np.matmul(gather(e_psi, ss), gather(cores, pairs)), ts)
+    trailing = h_family.expectations.array if h_family.factored else None
 
-    def intertwined(pairs):   # Q^{s,t} E_{phi_t}
-        return np.matmul(gather(q_family.maps, pairs), gather(e_phi, [t for _, t in pairs]))
+    def exchanged(part):   # E_{psi_s} H^{s,t}, followed by H's trailing factor E_{omega_t}
+        stack = np.matmul(e_psi.array[ss[part]], cores[part])
+        return stack if trailing is None else np.matmul(stack, trailing[ts[part]])
+
+    def intertwined(part):   # Q^{s,t} E_{phi_t}
+        return np.matmul(q_family.maps.array[part], e_phi[ts[part]])
 
     side = h_family.n * h_family.n
     return AxiomReport(
-        flip=pair_residuals(h_family, next(iter(cores.values())).matrix.shape, flipped, None,
+        flip=pair_residuals(h_family, cores.shape[1:], flipped, None,
                             "axiom-flip", scale=h_family.trailing_norm),
         exchange=pair_residuals(h_family, (side, side * side), exchanged, intertwined,
                                 "axiom-exchange"),
@@ -248,18 +246,17 @@ def _absorption(h_family: Family, e_psi) -> ResidualTable:
     With the thin QR D_t^dagger = Q_t R_t, Q_t is an isometry, so the norm is taken on
     the small product R^{s,t} R_t^dagger, one QR per t.
     """
-    r = h_family.thin_r
-    r_t = {}
+    lead, r_t = embed_supermap(h_family.n).matrix, []   # R_t^dagger at t - 1
     for t in range(1, h_family.horizon + 1):
-        absorbed = (h_family.slot(t) @ e_psi[t]).matrix
-        trailing = (h_family.expectations[t].matrix if h_family.factored
-                    else np.eye(len(absorbed)))
-        r_t[t] = dagger(np.linalg.qr(dagger(trailing - absorbed), mode="r"))
-    return pair_residuals(
-        h_family, r_t[1].shape,
-        lambda pairs: np.matmul(stacked([r[key] for key in pairs]),
-                                stacked([r_t[t] for _, t in pairs])),
-        None, "axiom-absorption")
+        # D_t = E_{omega_t} - S_t E_{psi_t}, or 1 - embed E_{psi_t}
+        d = (h_family.expectations.array[t] - h_family.slots[t] @ e_psi.array[t]
+             if h_family.factored else np.eye(len(lead)) - lead @ e_psi.array[t])
+        r_t.append(dagger(np.linalg.qr(dagger(d), mode="r")))
+    r, r_t = h_family.thin_r.array, np.array(r_t)
+    ts = np.array([t for _, t in h_family.pairs()])
+    return pair_residuals(h_family, r_t.shape[1:],
+                          lambda part: np.matmul(r[part], r_t[ts[part] - 1]),
+                          None, "axiom-absorption")
 
 
 def reconstruct_qqsp(q_family: Family, h_family: Family,
@@ -273,7 +270,10 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     """
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
-    maps = {(s, t): h_family.maps[(s, t)] @ h_family.slot(t) for (s, t) in h_family.pairs()}
+    order = h_family.maps.order
+    slots = (h_family.slots[[t for _, t in order]] if h_family.factored
+             else embed_supermap(h_family.n).matrix)
+    maps = MapStack(np.matmul(h_family.maps.array, slots), order)   # H^{s,t} S_t, in one call
     rho00 = np.kron(omega0.rho, omega0.rho)
     psis = computed_states([predual(maps[(0, t)])(rho00) for t in range(1, h_family.horizon + 1)],
                            "psi_t", 1)
@@ -299,7 +299,7 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
     n, pairs = q_family.n, q_family.pairs()
-    duals = predual_matrix(gather(q_family.maps, pairs), n, n)
+    duals = predual_matrix(q_family.maps.array, n, n)
     vecs = np.array([vec(w.rho) for w in q_family.omegas])[[s for s, _ in pairs]]
     images = duals @ vecs[:, :, None]   # one gemv per map
     rhos = images.reshape(len(pairs), n, n).transpose(0, 2, 1)   # unvec of each image
@@ -308,13 +308,13 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     for lo, hi in zip(starts, [*starts[1:], len(pairs)]):   # one row s at a time
         s, t = pairs[lo]
         states += computed_states(rhos[lo:hi], f"Q^{{{s},t}}_* omega_{s}", t)
-    carried = dict(zip(pairs, states))
+    ts = np.array([t for _, t in pairs])
 
     # E_{omega_t} - E_{Q_* omega_s}
     return pair_residuals(
         q_family, (n * n, n ** 4),
-        lambda chunk: gather(q_family.expectations, [t for _, t in chunk]),
-        lambda chunk: expectation_matrices([carried[key].rho for key in chunk]),
+        lambda part: q_family.expectations.array[ts[part]],
+        lambda part: expectation_matrices([w.rho for w in states[part]]),
         "state-consistency")
 
 
@@ -338,41 +338,35 @@ def slice_residuals(lattice: Family, q_family: Family,
     """
     if not (h_family.factored and (z_family is None or z_family.factored)):
         raise ValueError("slice identities are stated for the marginals built from the lattice")
-    if not same_maps(h_family, lattice):
+    if h_family.maps.array is not lattice.maps.array:
         raise ValueError(f"{h_family.kind} does not store this lattice's maps P^{{s,t}} "
                          f"as its cores")
-    n = lattice.n
-    times = range(1, lattice.horizon + 1)
-    r = h_family.thin_r
-    slot_gaps = {t: h_family.slot(t).matrix - np.eye(n * n) for t in times}
-    pairs = lattice.pairs()
-    units = np.array([lattice.map(s, t).matrix @ vec(np.eye(n)) for s, t in pairs])   # P(1)
+    n, pairs = lattice.n, lattice.pairs()
+    ts = np.array([t for _, t in pairs])
+    units = lattice.maps.array @ vec(np.eye(n))   # P(1), one gemv per map
     unital = np.linalg.norm(units - vec(np.eye(n * n)), axis=1)
 
     def products(left, right):
-        """The products left[(s, t)] right[t] of a chunk of pairs, as one stack."""
-        return lambda chunk: np.matmul(stacked([left[key] for key in chunk]),
-                                       stacked([right[t] for _, t in chunk]))
+        """The products left[(s, t)] right[t] of a chunk, from an array by pair and one by t."""
+        return lambda part: np.matmul(left[part], right[ts[part]])
 
     side = (n * n, n * n)
     out = {
         "reconstruction_slot": pair_residuals(
-            lattice, side, products(r, slot_gaps), None, "reconstruction_slot").max_residual,
+            lattice, side, products(h_family.thin_r.array, h_family.slots - np.eye(n * n)), None,
+            "reconstruction_slot").max_residual,
         "averaged_slot": max(float(gap) * h_family.trailing_norm(t)
                              for gap, (_, t) in zip(unital, pairs)),
     }
     if z_family is not None:
-        y = {key: m.matrix for key, m in z_family.maps.items()}
-        slots = {t: z_family.slot(t).matrix for t in times}
-        averaged = {t: (z_family.expectations[t] @ embed_averaged_supermap(n)).matrix
-                    for t in times}
-        consts = {t: SuperMap.constant(lattice.omega(t), n).matrix for t in times}
+        averaged = np.matmul(z_family.expectations.array, embed_averaged_supermap(n).matrix)
+        consts = np.array([SuperMap.constant(w, n).matrix for w in lattice.omegas])
         root_n = z_family.lead_norm
         out["z_reconstruction_slot"] = pair_residuals(
-            lattice, side, products(y, slots), lambda chunk: gather(q_family.maps, chunk),
+            lattice, side, products(z_family.maps.array, z_family.slots),
+            lambda part: q_family.maps.array[part],
             "z_reconstruction_slot", scale=lambda t: root_n).max_residual
         out["z_averaged_slot"] = pair_residuals(
-            lattice, side, products(y, averaged),
-            lambda chunk: stacked([consts[t] for _, t in chunk]),
+            lattice, side, products(z_family.maps.array, averaged), lambda part: consts[ts[part]],
             "z_averaged_slot", scale=lambda t: root_n).max_residual
     return out

@@ -4,8 +4,8 @@ A seed supplies the unit-step maps P^{k,k+1} and an initial state. The
 lattice is filled on the integer time grid with the constructing split
 fixed at tau = t-1; consistency at every other split is measured, never
 assumed. The state trajectory obeys omega_t(x) = (omega_0 (x) omega_0)(P^{0,t} x).
-The lattice and its marginals share one type, :class:`Family`, which
-carries the trajectory's conditional expectations E_{omega_t}.
+The lattice and its marginals share one type, :class:`Family`, which holds
+its maps and the trajectory's conditional expectations E_{omega_t} as one array each.
 
 Every split product is formed by one kernel, :func:`fundamental_rights` and
 :func:`fundamental_products`, under one of three laws: A, the type-A
@@ -14,8 +14,8 @@ C^{s,tau} C^{tau,t}. :func:`propagate` fills the lattice with it, a row at a
 time, and :func:`split_residuals` is the one sweep that measures it, for
 :func:`kc_consistency` and for the Markov laws of the marginals. Every residual
 table, split or pair (:func:`pair_residuals`), is taken a chunk of its keys at a
-time: the operands are gathered by pair, and each chunk's gaps are one batched
-product, one subtraction and one Gram call.
+time: the operands are slices or takes of the stored arrays, and each chunk's
+gaps are one batched product, one subtraction and one Gram call.
 """
 
 from __future__ import annotations
@@ -32,17 +32,18 @@ from .algebra import (
     State,
     SuperMap,
     certify_unital_cp,
+    MapStack,
+    Stacked,
     doubled_after,
     embed_supermap,
-    expectation_supermap,
-    expectation_supermaps,
+    expectation_matrices,
     flip_symmetry_residual,
     predual,
 )
 # operator_norm is not called here since the sweeps take stacked norms; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import chunks, gram_norms, scaled_grams, stacked, stacked_products
+from .linalg import chunks, gram_norms, predual_matrix, scaled_grams, stacked_products, unvec, vec
 
 DEFAULT_FLIP_TOL = 1e-10
 
@@ -152,9 +153,9 @@ class Family:
 
     Kind P is the process itself (M -> M (x) M, tagged type A or B); Q is
     its marginal Markov process on M; H/h and Z/z are the doubled
-    marginals on M (x) M (see :mod:`qqsp.marginal`). ``expectations``
-    holds E_{omega_t} for every t of ``omegas``; it is built here unless
-    the caller already has it.
+    marginals on M (x) M (see :mod:`qqsp.marginal`). ``maps`` holds the stored maps
+    in sorted pair order and ``expectations`` E_{omega_t} by t, built here unless the
+    caller has it, each as one array (:class:`qqsp.algebra.MapStack`).
 
     A ``factored`` family never forms its n^4 x n^4 maps. H/h store in ``maps``
     the core C^{s,t} (M -> M (x) M) of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store
@@ -168,18 +169,17 @@ class Family:
 
     kind: str
     n: int
-    maps: dict
+    maps: MapStack
     omegas: tuple[State, ...] | None = None
     process_type: str | None = None
     algebra_kind: str = "full"
-    expectations: tuple[SuperMap, ...] | None = field(default=None, repr=False,
-                                                      compare=False)
+    expectations: MapStack | None = field(default=None, repr=False, compare=False)
     factored: bool = False
-    # S_t = E_{omega_t} embed by t, filled by :meth:`slot`; shared like ``expectations``
-    slots: dict = field(default_factory=dict, repr=False, compare=False)
-    # E_{omega_s} C^{s,t} by pair, filled by :meth:`conditioned`; shared by the families
-    # that store the same maps (a lattice and its H/h)
-    conditioned_maps: dict = field(default_factory=dict, repr=False, compare=False)
+    # the reconstruction slot S_t = E_{omega_t} embed of a factored family by t, which stands
+    # between two stored maps of Z/z; shared by the families derived from it
+    slots: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # E_{omega_s} C^{s,t} (:attr:`conditioned`); shared by a lattice and its H/h
+    conditioned_maps: MapStack | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -189,15 +189,20 @@ class Family:
         if self.factored and (self.kind in ("P", "Q") or self.omegas is None):
             raise ValueError(f"a factored family is a doubled marginal with a trajectory, "
                              f"got kind {self.kind!r}")
+        if not isinstance(self.maps, MapStack):   # a {(s, t): SuperMap} dict, stacked once
+            order = sorted(self.maps)
+            object.__setattr__(self, "maps", MapStack([self.maps[k].matrix for k in order], order))
         in_dim = self.n if self.kind in ("P", "Q") or self.factored else self.n * self.n
         out_dim = self.n if self.kind == "Q" or self.stores_q else self.side
-        for key, m in self.maps.items():
-            if m.in_dim != in_dim or m.out_dim != out_dim:
-                raise ValueError(f"map {key} has dims ({m.in_dim}, {m.out_dim}), "
-                                 f"expected ({in_dim}, {out_dim})")
+        if (self.maps.in_dim, self.maps.out_dim) != (in_dim, out_dim):
+            raise ValueError(f"maps have dims ({self.maps.in_dim}, {self.maps.out_dim}), "
+                             f"expected ({in_dim}, {out_dim})")
         if self.expectations is None and self.omegas is not None:
-            object.__setattr__(self, "expectations",
-                               expectation_supermaps([w.rho for w in self.omegas]))
+            object.__setattr__(self, "expectations", MapStack(
+                expectation_matrices([w.rho for w in self.omegas]), range(len(self.omegas))))
+        if self.factored and self.slots is None:   # S_t, one composition per t
+            embed, es = embed_supermap(self.n), self.expectations
+            object.__setattr__(self, "slots", np.array([(es[t] @ embed).matrix for t in es]))
 
     @property
     def side(self) -> int:
@@ -224,35 +229,19 @@ class Family:
             raise ValueError(f"factored {self.kind} stores only the core of F^{{s,t}}; read maps")
         return self.maps[(s, t)]
 
-    def times_trailing(self, stack: np.ndarray, ts) -> np.ndarray:
-        """Slice X of ``stack`` followed by the trailing factor of its t: X E_{omega_t}, or X."""
-        if not self.factored:
-            return stack
-        return np.matmul(stack, gather(self.expectations, ts))
+    @property
+    def conditioned(self) -> MapStack:
+        """E_{omega_s} C^{s,t} at every pair, the lattice's Q^{s,t}, formed once into one array.
 
-    def conditioned(self, s: int, t: int) -> SuperMap:
-        """E_{omega_s} C^{s,t}, the lattice's Q^{s,t}, formed once per pair.
-
-        The maps are kept in ``conditioned_maps``. :func:`propagate` leaves there
-        the Q^{s,tau} law B formed in it; kc's law B, h's doubled law, the
-        lattice's Q family and the rebuilt lattice's conclusion-b read them here.
+        One gemm a pair; Z/z's E_{omega_s} embed Y^{s,t} is S_s Y^{s,t}. A type-B lattice
+        comes from :func:`propagate` with them; kc, h's doubled law, the lattice's Q family
+        and the rebuilt lattice's conclusion-b read them here.
         """
-        if (s, t) not in self.conditioned_maps:
-            self.conditioned_maps[(s, t)] = self.expectations[s] @ self.maps[(s, t)]
-        return self.conditioned_maps[(s, t)]
-
-    def slot(self, t: int) -> SuperMap:
-        """The trailing factor of F^{., t} followed by embed: S_t = E_{omega_t} embed, or embed.
-
-        S_t is the reconstruction slot; it stands between two stored maps of Z/z.
-        It is formed once, on first use, into ``slots``, which every family
-        derived from one lattice shares with it.
-        """
-        if not self.factored:
-            return embed_supermap(self.n)
-        if t not in self.slots:
-            self.slots[t] = self.expectations[t] @ embed_supermap(self.n)
-        return self.slots[t]
+        if self.conditioned_maps is None:
+            before = self.slots if self.stores_q else self.expectations.array
+            q = stacked_products([before[s] for s, _ in self.maps.order], self.maps.array)
+            object.__setattr__(self, "conditioned_maps", MapStack(q, self.maps.order))
+        return self.conditioned_maps
 
     def trailing_norm(self, t: int) -> float:
         """||X T_t|| / ||X|| for the trailing factor T_t: ||rho_t||_F, or 1."""
@@ -263,34 +252,21 @@ class Family:
         return tuple(float(np.linalg.norm(w.rho)) for w in self.omegas)
 
     @cached_property
-    def thin_r(self) -> dict:
-        """R^{s,t} of the thin QR of every stored map, from one stacked ``np.linalg.qr`` call.
+    def thin_r(self) -> Stacked:
+        """R^{s,t} of the thin QR of every stored map, one ``np.linalg.qr`` call per chunk.
 
         ||C X|| = ||R X|| for every X, so a residual C^{s,t} X is normed on R^{s,t} X.
         """
-        pairs = self.pairs()
-        r = np.linalg.qr(gather(self.maps, pairs), mode="r")
-        return dict(zip(pairs, r))
+        maps = self.maps.array
+        return Stacked(np.concatenate([np.linalg.qr(maps[part], mode="r")
+                                       for part in chunks(len(maps), maps[0].nbytes)]),
+                       self.maps.order)
 
     def omega(self, t: int) -> State:
         return self.omegas[t]
 
     def pairs(self):
-        return sorted(self.maps.keys())
-
-
-def gather(maps, keys) -> np.ndarray:
-    """The matrices of maps[key] for every key of ``keys``, as one stack to read.
-
-    See :func:`qqsp.linalg.stacked`.
-    """
-    return stacked([maps[key].matrix for key in keys])
-
-
-def same_maps(family: Family, lattice: Family) -> bool:
-    """Whether ``family`` stores ``lattice``'s own SuperMap objects, pair for pair."""
-    return family.maps.keys() == lattice.maps.keys() and all(
-        family.maps[key] is m for key, m in lattice.maps.items())
+        return list(self.maps.order)
 
 
 def computed_states(rhos, quantity: str, first_t: int) -> tuple[State, ...]:
@@ -334,7 +310,7 @@ def fundamental_products(lefts, rights, law: str) -> np.ndarray:
     the type-A fundamental equation: C^{s,tau} (E_{omega_tau} C^{tau,t}), associated
     right to left so that no n^4 x n^4 product is formed (n^8 MACs, not n^10), in one
     batched matmul. Law B, the type-B equation: (Q (x) Q) C^{tau,t}, where ``lefts``
-    holds Q = E_{omega_s} C^{s,tau} (:meth:`Family.conditioned`), by mode products
+    holds Q = E_{omega_s} C^{s,tau} (:attr:`Family.conditioned`), by mode products
     (:func:`qqsp.algebra.doubled_after`). Law plain: C^{s,tau} C^{tau,t}. Per slice
     each product runs the gemm of its pair taken alone.
     """
@@ -354,35 +330,40 @@ def triples(horizon: int):
 def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     """Fill the lattice by the type-appropriate recursion at tau = t-1.
 
-    Each row t is one call of the split kernel over every s < t-1, or one call per
-    chunk of the row where its products exceed the chunk budget
-    (:func:`qqsp.linalg.chunks`). Type B forms each Q^{s,t-1} here once and hands it
-    on with the lattice (:meth:`Family.conditioned`).
+    The lattice is one (K, n^4, n^2) array in sorted pair order and E_{omega_t} one
+    (T+1, n^2, n^4) array, both allocated up front. Each row t is one call of the split
+    kernel over every s < t-1, or one per chunk of the row where its products exceed
+    the chunk budget (:func:`qqsp.linalg.chunks`). Type B forms each Q^{s,t} here once
+    and hands them on with the lattice (:attr:`Family.conditioned`).
     """
     if strict:
         reject_seed(validate_seed(seed))
-    n, law = seed.n, seed.process_type
-    maps = {(k, k + 1): m for k, m in enumerate(seed.step_maps)}
+    n, law, horizon = seed.n, seed.process_type, seed.horizon
+    order = [(s, t) for s in range(horizon) for t in range(s + 1, horizon + 1)]
+    at = {key: i for i, key in enumerate(order)}
+    maps = np.empty((len(order), n ** 4, n * n), dtype=complex)
+    es = np.empty((horizon + 1, n * n, n ** 4), dtype=complex)
+    qs = np.empty((len(order), n * n, n * n), dtype=complex) if law == "B" else None
     omegas = [seed.omega0]
     rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)
-    expectations = [expectation_supermap(seed.omega0)]
-    conditioned = {}
-    for t in range(1, seed.horizon + 1):
-        ss = range(t - 1)
-        if law == "B":
-            for s in ss:
-                conditioned[(s, t - 1)] = expectations[s] @ maps[(s, t - 1)]
-        if ss:
-            rights = fundamental_rights([maps[(t - 1, t)].matrix],
-                                        [expectations[t - 1].matrix], law)
-        for part in chunks(len(ss), 16 * n ** 6):   # the products are n^4 x n^2
-            lefts = gather(conditioned if law == "B" else maps, [(s, t - 1) for s in ss[part]])
-            for s, product in zip(ss[part], fundamental_products(lefts, rights, law)):
-                maps[(s, t)] = SuperMap(n, n * n, product)
-        omegas.append(computed_state(predual(maps[(0, t)])(rho00), "omega_t", t))
-        expectations.append(expectation_supermap(omegas[t]))
-    return Family("P", n, maps, tuple(omegas), seed.process_type, seed.algebra_kind,
-                  expectations=tuple(expectations), conditioned_maps=conditioned)
+    for t in range(1, horizon + 1):
+        maps[at[(t - 1, t)]] = seed.step_maps[t - 1].matrix
+        es[t - 1] = expectation_matrices(omegas[t - 1].rho[None])[0]
+        lefts, rows = ([at[(s, tau)] for s in range(t - 1)] for tau in (t - 1, t))
+        if rows:
+            rights = fundamental_rights(maps[at[(t - 1, t)]][None], es[t - 1][None], law)
+        for part in chunks(len(rows), 16 * n ** 6):   # the products are n^4 x n^2
+            left = (qs if law == "B" else maps).take(lefts[part], axis=0)
+            maps[rows[part]] = fundamental_products(left, rights, law)
+        if law == "B":   # Q^{s,t} of the finished column t: the left factors of row t + 1
+            column = [at[(s, t)] for s in range(t)]
+            qs[column] = stacked_products(es[:t], [maps[i] for i in column])
+        image = predual_matrix(maps[at[(0, t)]], n, n * n) @ vec(rho00)
+        omegas.append(computed_state(unvec(image, n), "omega_t", t))
+    es[horizon] = expectation_matrices(omegas[horizon].rho[None])[0]
+    return Family("P", n, MapStack(maps, order), tuple(omegas), law, seed.algebra_kind,
+                  expectations=MapStack(es, range(horizon + 1)),
+                  conditioned_maps=None if qs is None else MapStack(qs, order))
 
 
 @dataclass(frozen=True)
@@ -437,54 +418,49 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     and C^{tau,t} (:func:`fundamental_products`) and T_t is the family's trailing
     factor, so the norm is taken on the stored maps (:class:`Family`). Under law A
     E_{omega_tau} stands between the two, or the slot S_tau = E_{omega_tau} embed for
-    Z/z, whose lead embed is taken out of the norm as sqrt(n). The sweep's own
-    factors are formed once: law A's right factors once per right pair, law B's
-    Q^{s,tau} once per left pair (:meth:`Family.conditioned`). For each chunk of
-    splits the other operands are gathered by pair, the products are one kernel
-    call and the stored maps C^{s,t} are subtracted into them in one call.
+    Z/z, whose lead embed is taken out of the norm as sqrt(n). Law A's right factors
+    E_{omega_tau} C^{tau,t} and law B's left factors E_{omega_s} C^{s,tau} are the
+    family's conditioned maps (:attr:`Family.conditioned`), formed once per run. For
+    each chunk of splits the operands are slices or takes of those arrays, the products
+    are one kernel call and the stored maps C^{s,t} are subtracted into them in one call.
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
     maps, horizon = family.maps, family.horizon
     # the order of :func:`triples`, which runs over the sorted pairs (s, tau)
-    keys = [(s, tau, t) for s, tau in family.pairs() for t in range(tau + 1, horizon + 1)
+    keys = [(s, tau, t) for s, tau in maps.order for t in range(tau + 1, horizon + 1)
             if (tau, t) in maps]
     lefts = [(s, tau) for s, tau, _ in keys]
     rights = [(tau, t) for _, tau, t in keys]
     wholes = [(s, t) for s, _, t in keys]
-    formed = sorted(set(rights))
-    between = family.slot if family.stores_q else lambda tau: family.expectations[tau]
-    factors = dict(zip(formed, fundamental_rights(
-        [maps[key].matrix for key in formed],
-        [between(tau).matrix for tau, _ in formed] if law == "A" else None, law)))
-    left_maps = {key: family.conditioned(*key) for key in set(lefts)} if law == "B" else maps
+    left_maps = family.conditioned if law == "B" else maps
+    right_maps = family.conditioned if law == "A" else maps
 
     def gaps(part):
-        products = fundamental_products(gather(left_maps, lefts[part]),
-                                        stacked([factors[key] for key in rights[part]]), law)
-        return np.subtract(gather(maps, wholes[part]), products, out=products)
+        products = fundamental_products(left_maps.rows(lefts[part]),
+                                        right_maps.rows(rights[part]), law)
+        return np.subtract(maps.rows(wholes[part]), products, out=products)
 
     scales = [family.lead_norm * family.trailing_norm(t) for t in range(horizon + 1)]
-    return _table(keys, next(iter(maps.values())).matrix.shape, gaps, scales, label)
+    return _table(keys, maps.array.shape[1:], gaps, scales, label)
 
 
 def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> ResidualTable:
     """scale(t) ||L^{s,t} - R^{s,t}|| at every stored pair (s, t) of ``family``.
 
-    The pairs are taken a chunk at a time (:func:`_table`), and each L^{s,t} - R^{s,t}
-    has the given ``shape``. For a chunk's list of pairs ``lhs(pairs)`` gives the L's
-    and ``rhs(pairs)`` the R's, each as one stack; with ``rhs`` None the L's are the
-    gaps. ``scale`` defaults to 1; a gap followed by a family's trailing factor takes
-    that family's :meth:`Family.trailing_norm`.
+    The pairs are taken in the order of the family's array, a chunk at a time
+    (:func:`_table`), and each L^{s,t} - R^{s,t} has the given ``shape``. For a chunk,
+    a slice ``part`` of that order, ``lhs(part)`` gives the L's and ``rhs(part)`` the
+    R's, each as one stack; with ``rhs`` None the L's are the gaps. ``scale`` defaults
+    to 1; a gap followed by a family's trailing factor takes that family's
+    :meth:`Family.trailing_norm`.
     """
-    pairs = family.pairs()
-
     def gaps(part):
-        stack = lhs(pairs[part])
-        return stack if rhs is None else stack - rhs(pairs[part])
+        stack = lhs(part)
+        return stack if rhs is None else stack - rhs(part)
 
     scales = [1.0 if scale is None else scale(t) for t in range(family.horizon + 1)]
-    return _table(pairs, shape, gaps, scales, label)
+    return _table(family.pairs(), shape, gaps, scales, label)
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:

@@ -27,7 +27,6 @@ from .classical import (
     volterra_tensor,
 )
 from .ergodic import ErgodicConfig, ergodic_verdict
-from .linalg import stacked
 from .marginal import (
     build_H,
     build_Q,
@@ -46,7 +45,6 @@ from .process import (
     QQSPSeed,
     ResidualTable,
     ValidationFailure,
-    gather,
     kc_consistency,
     pair_residuals,
     propagate,
@@ -78,6 +76,8 @@ DEFAULT_TOLERANCES = {
 # on M (x) M or the contraction coefficient's sampled pure pairs on M; the stage peaks
 # at about seven times the stack
 ERGODIC_STACK_BYTES = 1 << 26
+# the bytes of the one lattice array propagate allocates: T(T+1)/2 maps of n^4 x n^2
+LATTICE_BYTES = 1 << 30
 
 
 class ScenarioError(ValueError):
@@ -172,6 +172,11 @@ def parse_scenario(data: dict) -> Scenario:
         seen.add(stage)
     if horizon < 2 and any(s in pipeline for s in LATTICE_STAGES):
         raise ScenarioError(f"{name}.horizon: composition stages need horizon >= 2")
+    lattice_bytes = horizon * (horizon + 1) // 2 * dim ** 6 * np.dtype(complex).itemsize
+    if "propagate" in pipeline and lattice_bytes > LATTICE_BYTES:
+        raise ScenarioError(f"{name}.horizon: a lattice of horizon {horizon} on M_{dim} needs "
+                            f"{lattice_bytes / 2 ** 30:.1f} GiB, over the "
+                            f"{LATTICE_BYTES >> 20} MiB one lattice may take")
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -262,7 +267,8 @@ def _finite_array(value, where: str) -> np.ndarray:
     return array
 
 
-def _parse_state(spec: dict, dim: int, where: str) -> State:
+def _parse_state(spec: dict, dim: int, where: str, diagonal: bool) -> State:
+    """A state on M_dim; on a diagonal algebra a matrix must have exact zeros off the diagonal."""
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
     try:
@@ -275,6 +281,9 @@ def _parse_state(spec: dict, dim: int, where: str) -> State:
             m = pairs_to_complex_matrix(spec["matrix"])
             if m.shape != (dim, dim):
                 raise ScenarioError(f"{where}: matrix shape {m.shape} != ({dim}, {dim})")
+            if diagonal and np.any(m[~np.eye(dim, dtype=bool)] != 0):
+                raise ScenarioError(f"{where}.matrix: a diagonal algebra takes only diagonal "
+                                    f"matrices")
             return State(m)
         if spec.get("maximally_mixed"):
             return State.maximally_mixed(dim)
@@ -322,7 +331,8 @@ def _resolve_seed(sc: Scenario):
     strict run applies (see :func:`run_scenario`).
     """
     spec = sc.seed_spec
-    omega0 = _parse_state(sc.initial_state, sc.dim, f"{sc.name}.initial_state")
+    diagonal = sc.algebra_kind == "diagonal"
+    omega0 = _parse_state(sc.initial_state, sc.dim, f"{sc.name}.initial_state", diagonal)
     where = f"{sc.name}.seed"
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
@@ -374,6 +384,15 @@ def _resolve_seed(sc: Scenario):
             if m.shape != (n ** 4, n ** 2):
                 raise ScenarioError(
                     f"{where}.step_maps[{k}]: shape {m.shape} != ({n ** 4}, {n ** 2})")
+            if diagonal:   # a map of the diagonal algebra: E_ii to a diagonal element, E_ij to 0
+                kept = np.zeros(m.shape, dtype=bool)
+                kept[::n * n + 1, ::n + 1] = True
+                bad = np.flatnonzero(np.any((m != 0) & ~kept, axis=0))
+                if bad.size:
+                    i, j = bad[0] % n, bad[0] // n   # column i + n j is vec E_ij
+                    raise ScenarioError(
+                        f"{where}.step_maps[{k}]: the image of E_{i}{j} is "
+                        f"{'not diagonal' if i == j else 'not 0'}, as a diagonal algebra requires")
             maps.append(SuperMap(n, n * n, m))
         if len(maps) == 1:
             seed = QQSPSeed.from_single_map(maps[0], omega0, sc.horizon, sc.process_type,
@@ -399,10 +418,12 @@ def _parse_ensemble(sc: Scenario):
         if not isinstance(ens["pairs"], list):
             raise ScenarioError(f"{sc.name}.ensemble.pairs: expected a list of pairs")
         single, double = [], []
+        diagonal = sc.algebra_kind == "diagonal"
         for idx, pair in enumerate(ens["pairs"]):
             where = f"{sc.name}.ensemble.pairs[{idx}]"
-            a = _parse_state(_require(pair, "a", where), _pair_dim(pair, sc, where), where)
-            b = _parse_state(_require(pair, "b", where), a.dim, where)
+            a = _parse_state(_require(pair, "a", where), _pair_dim(pair, sc, where),
+                             f"{where}.a", diagonal)
+            b = _parse_state(_require(pair, "b", where), a.dim, f"{where}.b", diagonal)
             (single if a.dim == sc.dim else double).append((a, b))
         return max(len(single), len(double), 1), tuple(single), tuple(double)
     raise ScenarioError(f"{sc.name}.ensemble: expected 'random' or 'pairs'")
@@ -641,8 +662,8 @@ def _stage_reconstruct(sc, seed, ctx, report):
     # E_{psi_s} P_rec^{s,t} - Q^{s,t}; a type-B kc of the rebuilt lattice reads the same products
     conclusion_b = pair_residuals(
         rec, (q.n ** 2, q.n ** 2),
-        lambda pairs: stacked([rec.conditioned(s, t).matrix for s, t in pairs]),
-        lambda pairs: gather(q.maps, pairs), "conclusion-b").max_residual
+        lambda part: rec.conditioned.array[part], lambda part: q.maps.array[part],
+        "conclusion-b").max_residual
     out = {
         "max_map_deviation": deviation,
         "conclusion_b_residual": conclusion_b,

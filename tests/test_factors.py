@@ -19,7 +19,7 @@ from qqsp.algebra import (
     predual,
 )
 from qqsp.classical import ClassicalQSP, lift_to_quantum, volterra_tensor
-from qqsp.linalg import operator_norms, unit_tensor_matrix, vec
+from qqsp.linalg import chunks, operator_norms, unit_tensor_matrix, vec
 from qqsp.marginal import (
     build_H,
     build_Q,
@@ -93,12 +93,29 @@ def test_z_holds_the_maps_of_q(ptype):
     q, h, z = _marginals(lat)
     assert z.factored and z.lead_norm == math.sqrt(2)
     assert z.maps.keys() == q.maps.keys()
-    assert all(z.maps[key] is m for key, m in q.maps.items())
+    assert z.maps is q.maps   # Q's one array, shared, not copied per pair
     # embed Q^{s,t}, formed here, has the bits of embed(E_{omega_s} P^{s,t})
     es, emb = lat.expectations, embed_supermap(2)
     for s, t in lat.pairs():
         assert np.array_equal((emb @ z.maps[(s, t)]).matrix,
                               (emb @ (es[s] @ lat.map(s, t))).matrix)
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_a_lattice_is_held_as_one_array(ptype):
+    # every map of the lattice is a read-only view of its one array, which H/h hold as it
+    # is; Q and Z/z hold Q's one array, and E_{omega_t} is one array by t
+    lat = _lattice(2, ptype)
+    q, h, z = _marginals(lat)
+    p = lat.maps.array
+    assert p.shape == (len(lat.pairs()), 16, 4) and not p.flags.writeable
+    for i, key in enumerate(lat.pairs()):
+        assert np.shares_memory(lat.map(*key).matrix, p[i])
+        assert np.shares_memory(q.maps[key].matrix, q.maps.array[i])
+    for t in range(lat.horizon + 1):
+        assert np.shares_memory(lat.expectations[t].matrix, lat.expectations.array[t])
+    assert (build_H if ptype == "A" else build_h)(lat).maps.array is p
+    assert h.maps.array is p and q.maps is lat.conditioned and z.maps.array is q.maps.array
 
 
 def test_z_takes_only_the_q_of_its_lattice():
@@ -151,7 +168,9 @@ def test_stacked_qr_equals_the_per_matrix_qr(monkeypatch, ptype):
 
     monkeypatch.setattr(np.linalg, "qr", counted)
     r = h.thin_r
-    assert h.thin_r is r and calls == [(len(lat.maps), 81, 9)]   # one stacked call, once
+    # one call per chunk of the stored array, once
+    parts = [range(len(lat.maps))[part] for part in chunks(len(lat.maps), 81 * 9 * 16)]
+    assert h.thin_r is r and len(parts) > 1 and calls == [(len(p), 81, 9) for p in parts]
     monkeypatch.undo()
     for key in lat.pairs():
         want = np.linalg.qr(h.maps[key].matrix, mode="r")

@@ -26,6 +26,7 @@ from qqsp.report import (
 )
 from qqsp.scenarios import (
     ERGODIC_STACK_BYTES,
+    LATTICE_BYTES,
     ScenarioError,
     builtin_scenarios,
     parse_scenario,
@@ -255,7 +256,7 @@ def test_each_quantity_is_computed_once(monkeypatch):
     defining = {"verify_marginal_axioms": "qqsp.marginal", "build_Q": "qqsp.marginal",
                 "reconstruct_qqsp": "qqsp.marginal", "_resolve_seed": "qqsp.scenarios",
                 "certify_unital_cp": "qqsp.algebra", "expectation_supermap": "qqsp.algebra",
-                "expectation_supermaps": "qqsp.algebra"}
+                "expectation_supermaps": "qqsp.algebra", "expectation_matrices": "qqsp.algebra"}
     for name, module_name in defining.items():
         original = getattr(importlib.import_module(module_name), name)
 
@@ -270,12 +271,12 @@ def test_each_quantity_is_computed_once(monkeypatch):
     T = sc.horizon
     distinct = len({id(m) for m in sc.resolved[0].step_maps})
     assert distinct == 1   # the builtin holds one map T times
-    # E_{omega_t} once per t as propagate makes omega_t, each a stack of one; E_{phi_t} and
-    # E_{psi_t} in one stack per trajectory; the carried states' E_{Q_* omega_s} are
-    # placed as bare matrices, a chunk of the state-consistency table at a time
+    # E_{omega_t} once per t as propagate makes omega_t, each a stack of one written into
+    # the lattice's E array; E_{phi_t} and E_{psi_t} in one stack per trajectory; the
+    # carried states' E_{Q_* omega_s} in one stack per chunk of the state-consistency
+    # table (one chunk here); expectation_supermap(s) form none of them
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
-                      "certify_unital_cp": distinct, "expectation_supermap": T + 1,
-                      "expectation_supermaps": (T + 1) + 2}
+                      "certify_unital_cp": distinct, "expectation_matrices": (T + 1) + 2 + 1}
 
 
 def test_explicit_pair_ensemble_scenario():
@@ -465,6 +466,61 @@ def test_ergodic_counts_parse_up_to_the_memory_bound(field, side, place):
     parse_scenario({**doc, **place(most)})
     with pytest.raises(ScenarioError, match=f"mixed-n8.{field}: {most + 1} pairs"):
         parse_scenario({**doc, **place(most + 1)})
+
+
+def test_a_lattice_past_the_memory_bound_is_refused_at_parse_time():
+    # T(T+1)/2 n^6 complex entries; the parser refuses before any stage can allocate them
+    doc = {"name": "mixed-n8", "algebra": {"kind": "full", "dim": 8}, "process_type": "A",
+           "seed": {"builtin": "mixed"}, "initial_state": {"maximally_mixed": True}}
+    assert 200 * 201 // 2 * 8 ** 6 * 16 > LATTICE_BYTES >= 36 * 8 ** 6 * 16
+    with pytest.raises(ScenarioError, match=r"mixed-n8.horizon: .* needs 78.5 GiB"):
+        parse_scenario({**doc, "horizon": 200})
+    assert parse_scenario({**doc, "horizon": 8}).horizon == 8   # 144 MiB, the largest scale row
+    assert parse_scenario({**doc, "horizon": 200, "pipeline": ["validate"]}).horizon == 200
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+def _symmetrised_seed(phi) -> list:
+    """The step map P(x) = (1 (x) Phi(x) + Phi(x) (x) 1) / 2 as a scenario's step_maps."""
+    def step(x):
+        return (np.kron(np.eye(2), phi(x)) + np.kron(phi(x), np.eye(2))) / 2
+    return [complex_matrix_to_pairs(SuperMap.from_function(step, 2, 4).matrix)]
+
+
+def _hadamard_dephasing(x):
+    # Phi(E_ii) = 1/2 is diagonal, but Phi(E_01) is not 0
+    return sum(np.outer(v, v) @ x @ np.outer(v, v) for v in _HADAMARD)
+
+
+_PLUS = complex_matrix_to_pairs(np.full((2, 2), 0.5))   # |+><+|
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"initial_state": {"matrix": _PLUS}}, "mendel-typeA.initial_state.matrix"),
+    ({"ensemble": {"pairs": [{"a": {"diag": [1.0, 0.0]}, "b": {"matrix": _PLUS}}]}},
+     "mendel-typeA.ensemble.pairs[0].b.matrix"),
+    ({"seed": {"step_maps": _symmetrised_seed(_hadamard_dephasing)}},
+     "mendel-typeA.seed.step_maps[0]: the image of E_10 is not 0"),
+    ({"seed": {"step_maps": _symmetrised_seed(lambda x: _HADAMARD @ x @ _HADAMARD)}},
+     "mendel-typeA.seed.step_maps[0]: the image of E_00 is not diagonal"),
+], ids=["initial-state", "ensemble-pair", "step-map-dephasing", "step-map-rotation"])
+def test_cli_exit_2_on_non_diagonal_input_to_a_diagonal_algebra(tmp_path, capsys, change,
+                                                                 field):
+    # a diagonal algebra would drop the off-diagonal part silently: omega_0 of |+><+| read
+    # diag(0.5, 0.5), and the Hadamard dephasing passed as an exact-classical lambda = 0
+    data = {**builtin_scenarios()["mendel-typeA"].to_dict(), **change}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    full = {**data, "algebra": {"kind": "full", "dim": 2}}   # the same input on a full algebra
+    if "seed" in change:
+        assert parse_scenario(full).resolved[0].step_maps
+    else:
+        assert parse_scenario({**full, "seed": {"builtin": "mixed"}}).pair_ensemble
 
 
 def test_an_algebra_that_samples_nothing_takes_any_sample_count():

@@ -31,7 +31,6 @@ from qqsp.marginal import (
 )
 from qqsp.process import (
     QQSPSeed,
-    gather,
     kc_consistency,
     pair_residuals,
     propagate,
@@ -86,7 +85,8 @@ def _plain(family):
     def compose(s, tau, t):
         if not family.factored:
             return (y[(s, tau)] @ y[(tau, t)]).matrix
-        between = family.slot(tau) if family.stores_q else family.expectations[tau]
+        between = (SuperMap(family.n, family.n, family.slots[tau]) if family.stores_q
+                   else family.expectations[tau])
         return (y[(s, tau)] @ (between @ y[(tau, t)])).matrix
     return compose
 
@@ -112,12 +112,12 @@ def _slice_loops(lattice, q, h, z):
     return {
         "reconstruction_slot": _pair_loop(
             lattice, lambda s, t: np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
-            @ (h.slot(t).matrix - np.eye(n * n)), lambda s, t: 0),
+            @ (h.slots[t] - np.eye(n * n)), lambda s, t: 0),
         "averaged_slot": {(s, t): float(np.linalg.norm(lattice.map(s, t).matrix @ one - one2,
                                                        axis=-1)) * h.trailing_norm(t)
                           for s, t in lattice.pairs()},
         "z_reconstruction_slot": _pair_loop(
-            lattice, lambda s, t: z.maps[(s, t)].matrix @ z.slot(t).matrix,
+            lattice, lambda s, t: z.maps[(s, t)].matrix @ z.slots[t],
             lambda s, t: q.map(s, t).matrix, lambda t: root_n),
         "z_averaged_slot": _pair_loop(
             lattice, lambda s, t: z.maps[(s, t)].matrix @ (es[t] @ avg).matrix,
@@ -246,7 +246,7 @@ def _loop_tables(lat):
         return expectation_supermap(State(predual(q.map(s, t))(q.omega(s).rho))).matrix
 
     def absorbed(s, t):   # R^{s,t} R_t^dagger, with D_t^dagger = Q_t R_t
-        d = es[t].matrix - (h.slot(t) @ e_psi[t]).matrix
+        d = es[t].matrix - h.slots[t] @ e_psi[t].matrix
         return (np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
                 @ np.linalg.qr(d.conj().T, mode="r").conj().T)
 
@@ -368,26 +368,38 @@ def test_kc_makes_at_most_one_compose_per_stored_pair(monkeypatch, ptype):
 
 
 def test_each_q_is_formed_once_per_type_b_run(monkeypatch):
-    # propagate forms Q^{s,tau} = E_{omega_s} P^{s,tau} for every tau < T, and kc, h's
-    # doubled law and build_Q read them; the rebuilt lattice forms its E_{psi_s} P^{s,t}
-    # once, for conclusion-b, and its kc reads them
+    # propagate forms Q^{s,t} = E_{omega_s} P^{s,t} for every pair, and kc, h's doubled
+    # law and build_Q read them; the rebuilt lattice forms its E_{psi_s} P^{s,t} once, for
+    # conclusion-b, and its kc reads them. Each is one gemm of an E before a row of its
+    # family's one array, and no E is composed after a map as a SuperMap
+    import qqsp.process
+
     n, horizon = 2, 5
     slots, original = (embed_supermap(n), embed_averaged_supermap(n)), SuperMap.compose
-    formed = []
+    original_products = qqsp.process.stacked_products
+    composed, formed = [], []
 
     def counted(self, other):   # an E after a map into M (x) M that is no slot
         if ((self.in_dim, self.out_dim, other.in_dim) == (n * n, n, n)
                 and not any(other is slot for slot in slots)):
-            formed.append((id(self), id(other)))
+            composed.append((id(self), id(other)))
         return original(self, other)
 
+    def products(lefts, rights):
+        pairs = list(zip(lefts, rights))
+        if np.shape(pairs[0][0]) == (n * n, n ** 4):   # E_{omega_s} before a map: a Q^{s,t}
+            formed.extend(b.__array_interface__["data"][0] for _, b in pairs)
+        return original_products([a for a, _ in pairs], [b for _, b in pairs])
+
     monkeypatch.setattr(SuperMap, "compose", counted)
+    monkeypatch.setattr(qqsp.process, "stacked_products", products)
     report = run_scenario(parse_scenario({
         "name": "mixed-n2-T5-B", "algebra": {"kind": "full", "dim": n}, "process_type": "B",
         "horizon": horizon, "seed": {"builtin": "entangling-mixed"},
         "initial_state": {"diag": [0.7, 0.3]},
         "pipeline": ["propagate", "kc", "marginals", "axioms", "reconstruct"]}))
     assert report.verdicts["kc_ok"] and report.verdicts["roundtrip_ok"]
+    assert composed == []
     assert len(formed) == len(set(formed)) == 2 * horizon * (horizon + 1) // 2
 
 
@@ -426,8 +438,8 @@ def test_map_deviation_is_the_rebuilt_lattice_against_p(builtin, ptype, stages):
     q, h, z = _families(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
     dense = pair_residuals(lat, lat.map(0, 1).matrix.shape,
-                           lambda pairs: gather(rebuilt.maps, pairs),
-                           lambda pairs: gather(lat.maps, pairs), "map-deviation").max_residual
+                           lambda part: rebuilt.maps.array[part],
+                           lambda part: lat.maps.array[part], "map-deviation").max_residual
     deviation = report.stages["reconstruct"]["max_map_deviation"]
     assert deviation == max(_slice_loops(lat, q, h, z)["reconstruction_slot"].values())
     assert _close(deviation, dense)
