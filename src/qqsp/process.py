@@ -429,7 +429,7 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     maps, horizon = family.maps, family.horizon
     # the order of :func:`triples`, which runs over the sorted pairs (s, tau)
     keys = [(s, tau, t) for s, tau in maps.order for t in range(tau + 1, horizon + 1)
-            if (tau, t) in maps]
+            if (tau, t) in maps.index]
     lefts = [(s, tau) for s, tau, _ in keys]
     rights = [(tau, t) for _, tau, t in keys]
     wholes = [(s, t) for s, _, t in keys]
