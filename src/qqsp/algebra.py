@@ -300,6 +300,33 @@ class MapStack(Stacked):
         return SuperMap(self.in_dim, self.out_dim, self.array[self.index[key]])
 
 
+class ScaledMapStack(Mapping):
+    """The maps c_k F_k of a :class:`MapStack` F, one factor per row, without a copy of F.
+
+    ``base`` is F itself; there is no array of the scaled maps. :meth:`rows` is the one
+    read, and it scales each row as it is gathered; ``x[key]`` is a SuperMap of one row.
+    """
+
+    def __init__(self, base: MapStack, factors):
+        self.base, self.factors = base, np.asarray(factors)
+        self.order, self.index = base.order, base.index
+        self.in_dim, self.out_dim = base.in_dim, base.out_dim
+
+    def __getitem__(self, key) -> SuperMap:
+        return SuperMap(self.in_dim, self.out_dim, self.rows([key])[0])
+
+    def __iter__(self):
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def rows(self, keys) -> Array:
+        """c_k F_k for every key of ``keys``, as one fresh stack."""
+        at = [self.index[key] for key in keys]
+        return self.base.rows(keys) * self.factors[at][:, None, None]
+
+
 def predual(m: SuperMap) -> SuperMap:
     """Map on densities with trace(predual(m)(rho) x) = trace(rho m(x)).
 

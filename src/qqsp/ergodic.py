@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import State, predual
-from .linalg import matrix_unit, ptrace_first, trace_norms
+from .algebra import InvalidDensity, State, predual
+from .linalg import chunks, matrix_unit, ptrace_first, trace_norms
 from .process import Family
 
 
@@ -143,21 +143,29 @@ def state_pair_ensemble(dim: int, count: int, rng: np.random.Generator,
     g g^dagger / tr with g from ``rng.normal(size=(k, 2, dim, dim))`` (real part,
     then imaginary part), on a diagonal one normalised weights from
     ``rng.random((k, dim)) + 1e-3``. That is the stream and the order of drawing
-    the states one at a time. The whole ensemble is checked by one :meth:`State.stack`.
+    the states one at a time. The states are formed and checked by :meth:`State.stack`
+    one chunk of about ``CHUNK_BYTES`` at a time (:func:`qqsp.linalg.chunks`), so beside
+    the draws and the states only one chunk's copies are live; per state the bits do
+    not depend on the chunks. A failing state raises :class:`InvalidDensity` with its
+    index in the whole ensemble.
     """
     k = 2 * max(count - 1, 0)
-    rhos = np.zeros((k + 2, dim, dim), dtype=complex)
-    rhos[0, 0, 0] = rhos[1, -1, -1] = 1.0
-    if diagonal:
-        w = rng.random((k, dim)) + 1e-3
-        diag = np.arange(dim)
-        rhos[2:, diag, diag] = w / w.sum(axis=1, keepdims=True)
-    else:
-        draws = rng.normal(size=(k, 2, dim, dim))
-        g = draws[:, 0] + 1j * draws[:, 1]
-        rho = g @ np.conj(g).transpose(0, 2, 1)
-        rhos[2:] = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
-    states = State.stack(rhos)
+    basis = np.zeros((2, dim, dim), dtype=complex)
+    basis[0, 0, 0] = basis[1, -1, -1] = 1.0
+    draws = rng.random((k, dim)) + 1e-3 if diagonal else rng.normal(size=(k, 2, dim, dim))
+    states = list(State.stack(basis))
+    for part in chunks(k, 16 * dim * dim):
+        if diagonal:
+            w = draws[part]
+            rhos = (w / w.sum(axis=1, keepdims=True))[:, :, None] * np.eye(dim)
+        else:
+            g = draws[part, 0] + 1j * draws[part, 1]
+            rhos = g @ np.conj(g).transpose(0, 2, 1)
+            rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        try:
+            states += State.stack(rhos)
+        except InvalidDensity as exc:
+            raise InvalidDensity(str(exc), 2 + part.start + exc.index) from exc
     return list(zip(states[0::2], states[1::2]))
 
 
@@ -192,7 +200,7 @@ def ergodic_verdict(lattice: Family, families: dict,
     if "Q" not in families:
         raise ValueError("a Q family is required")
     for kind in {"H", "h"} & set(families):
-        if families[kind].maps.array is not lattice.maps.array:
+        if families[kind].maps is not lattice.maps:
             raise ValueError(f"{kind} does not store this lattice's maps P^{{s,t}} as its cores")
     rng = np.random.default_rng(config.rng_seed)
     diagonal = lattice.algebra_kind == "diagonal"

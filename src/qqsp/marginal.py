@@ -25,8 +25,9 @@ n^2 x n^2 products of two R factors.
 
 A pair (Q, H) with the right exchange axioms determines the lattice:
 P^{s,t} x = H^{s,t}(embed(x)) along the trajectory psi_t. That rebuilt
-lattice is built once, by :func:`reconstruct_qqsp` in one batched product, and the axiom suite
-reads psi_t and E_{psi_t} from it. Conventions that place x in the averaged
+lattice is built once, by :func:`reconstruct_qqsp`; from the H/h of a lattice it is P's own
+array scaled by tr(rho_t). The axiom suite reads psi_t from it and places E_{psi_t} and
+E_{phi_t} a chunk at a time. Conventions that place x in the averaged
 slot state the same identities with the tensor factors exchanged.
 """
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .algebra import (
     MapStack,
+    ScaledMapStack,
     State,
     SuperMap,
     embed_averaged_supermap,
@@ -200,15 +202,16 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     """Check the exchange axioms an abstract pair (Q, H or h) must satisfy.
 
     ``rebuilt`` is :func:`reconstruct_qqsp` of the pair: its maps are
-    H^{s,t} embed, its trajectory is psi_t and it carries E_{psi_t}.
+    H^{s,t} embed and its trajectory is psi_t. The exchange table places each chunk's
+    E_{psi_s} and E_{phi_t} in one :func:`qqsp.algebra.expectation_matrices` call each,
+    and the absorption table E_{psi_t} once per t.
     """
     if q_family.n != h_family.n:
         raise ValueError("families live on different algebras")
     if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
         raise ValueError("families cover different (s, t) lattices")
     phis = _phi_trajectory(q_family, rebuilt.omega(0))
-    e_phi = expectation_matrices([phi.rho for phi in phis])
-    e_psi = rebuilt.expectations
+    phi_rhos = np.array([phi.rho for phi in phis])
     cores = h_family.maps.array   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
     ss, ts = np.array(h_family.pairs()).T
@@ -217,14 +220,14 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
         # H - U H, so that each flipped core is made only while it is subtracted
         return cores[part] - cores[part][:, flip]
 
-    trailing = h_family.expectations.array if h_family.factored else None
-
     def exchanged(part):   # E_{psi_s} H^{s,t}, followed by H's trailing factor E_{omega_t}
-        stack = np.matmul(e_psi.array[ss[part]], cores[part])
-        return stack if trailing is None else np.matmul(stack, trailing[ts[part]])
+        stack = np.matmul(rebuilt.expectation_rows(ss[part]), cores[part])
+        if not h_family.factored:
+            return stack
+        return np.matmul(stack, h_family.expectation_rows(ts[part]))
 
     def intertwined(part):   # Q^{s,t} E_{phi_t}
-        return np.matmul(q_family.maps.array[part], e_phi[ts[part]])
+        return np.matmul(q_family.maps.array[part], expectation_matrices(phi_rhos[ts[part]]))
 
     side = h_family.n * h_family.n
     return AxiomReport(
@@ -232,25 +235,26 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
                             "axiom-flip", scale=h_family.trailing_norm),
         exchange=pair_residuals(h_family, (side, side * side), exchanged, intertwined,
                                 "axiom-exchange"),
-        absorption=_absorption(h_family, e_psi),
+        absorption=_absorption(h_family, rebuilt),
         trajectory_gap=max(trace_norm_distance(phi, psi)
                            for phi, psi in zip(phis, rebuilt.omegas)),
     )
 
 
-def _absorption(h_family: Family, e_psi) -> ResidualTable:
+def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
     """||H - H embed E_{psi_t}|| = ||C D_t|| = ||R^{s,t} R_t^dagger|| at every pair (s, t).
 
     D_t = T_t - T_t embed E_{psi_t}, with T_t the trailing factor of ``h_family`` (the
-    identity if it has none), and R^{s,t} is the family's thin R factor of C^{s,t}.
-    With the thin QR D_t^dagger = Q_t R_t, Q_t is an isometry, so the norm is taken on
-    the small product R^{s,t} R_t^dagger, one QR per t.
+    identity if it has none), psi_t the trajectory of ``rebuilt``, and R^{s,t} the
+    family's thin R factor of C^{s,t}. With the thin QR D_t^dagger = Q_t R_t, Q_t is an
+    isometry, so the norm is taken on the small product R^{s,t} R_t^dagger, one QR per t.
     """
     lead, r_t = embed_supermap(h_family.n).matrix, []   # R_t^dagger at t - 1
     for t in range(1, h_family.horizon + 1):
+        e_psi = rebuilt.expectation_rows([t])[0]
         # D_t = E_{omega_t} - S_t E_{psi_t}, or 1 - embed E_{psi_t}
-        d = (h_family.expectations.array[t] - h_family.slots[t] @ e_psi.array[t]
-             if h_family.factored else np.eye(len(lead)) - lead @ e_psi.array[t])
+        d = (h_family.expectations.array[t] - h_family.slots[t] @ e_psi
+             if h_family.factored else np.eye(len(lead)) - lead @ e_psi)
         r_t.append(dagger(np.linalg.qr(dagger(d), mode="r")))
     r, r_t = h_family.thin_r.array, np.array(r_t)
     ts = np.array([t for _, t in h_family.pairs()])
@@ -259,10 +263,21 @@ def _absorption(h_family: Family, e_psi) -> ResidualTable:
                           None, "axiom-absorption")
 
 
+def _scalar_slots(slots) -> bool:
+    """Whether every slot S of a (k, m, m) stack is exactly S[0, 0] times the identity."""
+    return bool(np.array_equal(slots, slots[:, :1, :1] * np.eye(slots.shape[-1])))
+
+
 def reconstruct_qqsp(q_family: Family, h_family: Family,
                      omega0: State, target_type: str,
                      strict: bool = True, tol: float = 1e-8) -> Family:
     """Rebuild the lattice from a marginal pair: P^{s,t} x = H^{s,t}(embed(x)).
+
+    The rebuilt maps are H^{s,t} S_t, with S_t = E_{omega_t} embed for a factored H/h.
+    Where every S_t is exactly c_t 1 (n^4 compares a t), H^{s,t} S_t has the bits of
+    c_t C^{s,t}, so the rebuilt lattice holds H's own array and scales each row as it is
+    read (:class:`qqsp.algebra.ScaledMapStack`). Any other slot, and an unfactored H
+    (S_t = embed), gets the products in one batched call.
 
     The returned trajectory is psi_t, omega_0 (x) omega_0 after P^{0,t},
     which the axioms force to agree with phi_t. In strict mode the
@@ -271,9 +286,13 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
     order = h_family.maps.order
-    slots = (h_family.slots[[t for _, t in order]] if h_family.factored
-             else embed_supermap(h_family.n).matrix)
-    maps = MapStack(np.matmul(h_family.maps.array, slots), order)   # H^{s,t} S_t, in one call
+    ts = [t for _, t in order]
+    if h_family.factored and _scalar_slots(h_family.slots[1:]):
+        # S_t = c_t 1, and H^{s,t} S_t has the bits of c_t H^{s,t}: H's own array, scaled as read
+        maps = ScaledMapStack(h_family.maps, h_family.slots[ts, 0, 0])
+    else:
+        slots = h_family.slots[ts] if h_family.factored else embed_supermap(h_family.n).matrix
+        maps = MapStack(np.matmul(h_family.maps.array, slots), order)   # H^{s,t} S_t, one call
     rho00 = np.kron(omega0.rho, omega0.rho)
     psis = computed_states([predual(maps[(0, t)])(rho00) for t in range(1, h_family.horizon + 1)],
                            "psi_t", 1)
@@ -338,7 +357,7 @@ def slice_residuals(lattice: Family, q_family: Family,
     """
     if not (h_family.factored and (z_family is None or z_family.factored)):
         raise ValueError("slice identities are stated for the marginals built from the lattice")
-    if h_family.maps.array is not lattice.maps.array:
+    if h_family.maps is not lattice.maps:
         raise ValueError(f"{h_family.kind} does not store this lattice's maps P^{{s,t}} "
                          f"as its cores")
     n, pairs = lattice.n, lattice.pairs()

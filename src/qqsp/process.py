@@ -33,6 +33,7 @@ from .algebra import (
     SuperMap,
     certify_unital_cp,
     MapStack,
+    ScaledMapStack,
     Stacked,
     doubled_after,
     embed_supermap,
@@ -154,8 +155,10 @@ class Family:
     Kind P is the process itself (M -> M (x) M, tagged type A or B); Q is
     its marginal Markov process on M; H/h and Z/z are the doubled
     marginals on M (x) M (see :mod:`qqsp.marginal`). ``maps`` holds the stored maps
-    in sorted pair order and ``expectations`` E_{omega_t} by t, built here unless the
-    caller has it, each as one array (:class:`qqsp.algebra.MapStack`).
+    in sorted pair order as one array (:class:`qqsp.algebra.MapStack`), or a rebuilt
+    lattice's scaled view of another family's (:class:`qqsp.algebra.ScaledMapStack`).
+    ``expectations`` holds E_{omega_t} by t as one array, where the caller hands it or
+    the maps come as a dict; otherwise :meth:`expectation_rows` places them.
 
     A ``factored`` family never forms its n^4 x n^4 maps. H/h store in ``maps``
     the core C^{s,t} (M -> M (x) M) of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store
@@ -169,7 +172,7 @@ class Family:
 
     kind: str
     n: int
-    maps: MapStack
+    maps: MapStack | ScaledMapStack
     omegas: tuple[State, ...] | None = None
     process_type: str | None = None
     algebra_kind: str = "full"
@@ -186,20 +189,21 @@ class Family:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "P" and self.process_type not in ("A", "B"):
             raise ValueError(f"a process needs type 'A' or 'B', got {self.process_type!r}")
-        if self.factored and (self.kind in ("P", "Q") or self.omegas is None):
-            raise ValueError(f"a factored family is a doubled marginal with a trajectory, "
-                             f"got kind {self.kind!r}")
-        if not isinstance(self.maps, MapStack):   # a {(s, t): SuperMap} dict, stacked once
+        if self.factored and (self.kind in ("P", "Q") or self.expectations is None):
+            raise ValueError(f"a factored family is a doubled marginal with the E_{{omega_t}} "
+                             f"of its lattice, got kind {self.kind!r}")
+        if not isinstance(self.maps, (MapStack, ScaledMapStack)):
+            # a hand-built {(s, t): SuperMap} dict: its maps and E_{omega_t} are stacked once
             order = sorted(self.maps)
             object.__setattr__(self, "maps", MapStack([self.maps[k].matrix for k in order], order))
+            if self.expectations is None and self.omegas is not None:
+                object.__setattr__(self, "expectations", MapStack(
+                    expectation_matrices([w.rho for w in self.omegas]), range(len(self.omegas))))
         in_dim = self.n if self.kind in ("P", "Q") or self.factored else self.n * self.n
         out_dim = self.n if self.kind == "Q" or self.stores_q else self.side
         if (self.maps.in_dim, self.maps.out_dim) != (in_dim, out_dim):
             raise ValueError(f"maps have dims ({self.maps.in_dim}, {self.maps.out_dim}), "
                              f"expected ({in_dim}, {out_dim})")
-        if self.expectations is None and self.omegas is not None:
-            object.__setattr__(self, "expectations", MapStack(
-                expectation_matrices([w.rho for w in self.omegas]), range(len(self.omegas))))
         if self.factored and self.slots is None:   # S_t, one composition per t
             embed, es = embed_supermap(self.n), self.expectations
             object.__setattr__(self, "slots", np.array([(es[t] @ embed).matrix for t in es]))
@@ -229,18 +233,35 @@ class Family:
             raise ValueError(f"factored {self.kind} stores only the core of F^{{s,t}}; read maps")
         return self.maps[(s, t)]
 
+    def expectation_rows(self, ts) -> np.ndarray:
+        """E_{omega_t} for every t of ``ts``, as one (k, n^2, n^4) stack.
+
+        Rows of the stored array where the family has one, else placed from the states
+        in one :func:`qqsp.algebra.expectation_matrices` call. Placing is exact, so both
+        give the same bits.
+        """
+        if self.expectations is not None:
+            return self.expectations.array[list(ts)]
+        return expectation_matrices([self.omegas[t].rho for t in ts])
+
     @property
     def conditioned(self) -> MapStack:
         """E_{omega_s} C^{s,t} at every pair, the lattice's Q^{s,t}, formed once into one array.
 
-        One gemm a pair; Z/z's E_{omega_s} embed Y^{s,t} is S_s Y^{s,t}. A type-B lattice
-        comes from :func:`propagate` with them; kc, h's doubled law, the lattice's Q family
-        and the rebuilt lattice's conclusion-b read them here.
+        One gemm a pair, a chunk of pairs at a time (:func:`qqsp.linalg.chunks`), with the
+        chunk's maps read by ``maps.rows`` and its E_{omega_s} by :meth:`expectation_rows`;
+        Z/z's E_{omega_s} embed Y^{s,t} is S_s Y^{s,t}. A type-B lattice comes from
+        :func:`propagate` with them; kc, h's doubled law, the lattice's Q family and the
+        rebuilt lattice's kc and conclusion-b read them here.
         """
         if self.conditioned_maps is None:
-            before = self.slots if self.stores_q else self.expectations.array
-            q = stacked_products([before[s] for s, _ in self.maps.order], self.maps.array)
-            object.__setattr__(self, "conditioned_maps", MapStack(q, self.maps.order))
+            order, rows, cols = self.maps.order, self.maps.out_dim ** 2, self.maps.in_dim ** 2
+            q = np.empty((len(order), self.n ** 2, cols), dtype=complex)
+            for part in chunks(len(order), 16 * rows * cols):
+                starts = [s for s, _ in order[part]]
+                before = self.slots[starts] if self.stores_q else self.expectation_rows(starts)
+                q[part] = stacked_products(before, self.maps.rows(order[part]))
+            object.__setattr__(self, "conditioned_maps", MapStack(q, order))
         return self.conditioned_maps
 
     def trailing_norm(self, t: int) -> float:
@@ -442,7 +463,7 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
         return np.subtract(maps.rows(wholes[part]), products, out=products)
 
     scales = [family.lead_norm * family.trailing_norm(t) for t in range(horizon + 1)]
-    return _table(keys, maps.array.shape[1:], gaps, scales, label)
+    return _table(keys, (maps.out_dim ** 2, maps.in_dim ** 2), gaps, scales, label)
 
 
 def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> ResidualTable:

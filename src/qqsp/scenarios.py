@@ -73,8 +73,9 @@ DEFAULT_TOLERANCES = {
 
 
 # the bytes of the largest state stack an ergodic count may ask for: the pair ensemble
-# on M (x) M or the contraction coefficient's sampled pure pairs on M; the stage peaks
-# at about seven times the stack
+# on M (x) M or the contraction coefficient's sampled pure pairs on M; the ensemble
+# peaks at about two times its stack (three for 4 x 4 states, whose State objects
+# weigh about as much as their matrices)
 ERGODIC_STACK_BYTES = 1 << 26
 # the bytes of the one lattice array propagate allocates: T(T+1)/2 maps of n^4 x n^2
 LATTICE_BYTES = 1 << 30
@@ -417,6 +418,8 @@ def _parse_ensemble(sc: Scenario):
     if "pairs" in ens:
         if not isinstance(ens["pairs"], list):
             raise ScenarioError(f"{sc.name}.ensemble.pairs: expected a list of pairs")
+        if not ens["pairs"]:   # an empty ensemble would be sampled instead
+            raise ScenarioError(f"{sc.name}.ensemble.pairs: expected at least one pair")
         single, double = [], []
         diagonal = sc.algebra_kind == "diagonal"
         for idx, pair in enumerate(ens["pairs"]):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qqsp.algebra import State, predual, trace_norm_distance
+from qqsp.algebra import InvalidDensity, State, predual, trace_norm_distance
 from qqsp.classical import ClassicalQSP, classical_propagate, lift_to_quantum, mendel_tensor, volterra_tensor
 from qqsp.ergodic import (
     ErgodicConfig,
@@ -165,6 +165,54 @@ def test_ensemble_equals_the_per_state_loop(dim, diagonal):
             (a.rho.tobytes(), b.rho.tobytes()) for a, b in want]
         # the same stream, left where the loop leaves it
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _one_shot_ensemble(dim, count, rng, diagonal):
+    """The whole ensemble formed as one stack and checked by one State.stack."""
+    k = 2 * (count - 1)
+    rhos = np.zeros((k + 2, dim, dim), dtype=complex)
+    rhos[0, 0, 0] = rhos[1, -1, -1] = 1.0
+    if diagonal:
+        w = rng.random((k, dim)) + 1e-3
+        rhos[2:, np.arange(dim), np.arange(dim)] = w / w.sum(axis=1, keepdims=True)
+    else:
+        draws = rng.normal(size=(k, 2, dim, dim))
+        g = draws[:, 0] + 1j * draws[:, 1]
+        rho = g @ np.conj(g).transpose(0, 2, 1)
+        rhos[2:] = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    return np.array([state.rho for state in State.stack(rhos)])
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_ensemble_equals_the_one_shot_stack_at_any_chunk_budget(monkeypatch, dim, diagonal):
+    import qqsp.linalg
+
+    def rhos(pairs):
+        return np.array([x.rho for pair in pairs for x in pair])
+
+    default = rhos(state_pair_ensemble(dim, 40, np.random.default_rng(5), diagonal))
+    monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 16 * dim * dim)   # one state a chunk
+    one = rhos(state_pair_ensemble(dim, 40, np.random.default_rng(5), diagonal))
+    assert np.array_equal(one, default)
+    assert np.array_equal(default, _one_shot_ensemble(dim, 40, np.random.default_rng(5),
+                                                      diagonal))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_failing_ensemble_state_is_named_by_its_index_in_the_ensemble(monkeypatch):
+    import qqsp.linalg
+
+    class Draws:   # the stream of default_rng, with state 7 of the random ones spoiled
+        def normal(self, size):
+            draws = np.random.default_rng(5).normal(size=size)
+            draws[7, 0, 0, 0] = np.nan
+            return draws
+
+    monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 16 * 3 * 3)   # one state a chunk
+    with pytest.raises(InvalidDensity, match="non-finite") as caught:
+        state_pair_ensemble(3, 10, Draws())
+    assert caught.value.index == 2 + 7   # after the basis pair
 
 
 # ------------------------------------------------------------- contraction

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from qqsp import __version__
 from qqsp.algebra import (
+    MapStack,
+    ScaledMapStack,
     State,
     SuperMap,
     embed_averaged_supermap,
@@ -41,7 +44,7 @@ from qqsp.process import (
 from qqsp.scenarios import builtin_scenarios, parse_scenario, run_scenario
 from qqsp.seeds import make_entangling_seed, make_mixed_seed, mixed_step_map
 
-from conftest import random_density
+from conftest import dense, random_density
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,7 +195,7 @@ def test_absorption_keeps_the_bits_of_the_per_core_qr(ptype):
     q, h, _ = _marginals(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
     got = verify_marginal_axioms(q, h, rebuilt).absorption.entries
-    emb, e_psi = embed_supermap(3), rebuilt.expectations
+    emb, e_psi = embed_supermap(3), expectation_supermaps([w.rho for w in rebuilt.omegas])
     want = {}
     for t in range(1, lat.horizon + 1):
         d = lat.expectations[t].matrix - (lat.expectations[t] @ emb @ e_psi[t]).matrix
@@ -202,6 +205,74 @@ def test_absorption_keeps_the_bits_of_the_per_core_qr(ptype):
                                          for key in group]))
         want.update(zip(group, map(float, norms)))
     assert got == want
+
+
+# ----------------------------------------------- the rebuilt lattice as c_t P
+
+def _rebuilt_rows(rebuilt):
+    """Every map of a rebuilt lattice, by the one stacked read and by key, which must agree."""
+    rows = rebuilt.maps.rows(rebuilt.maps.order)
+    for key, row in zip(rebuilt.maps.order, rows):
+        assert np.array_equal(rebuilt.maps[key].matrix, row)
+    return rows
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_rebuilt_lattice_is_p_scaled_by_the_slot(n, ptype):
+    # S_t = E_{omega_t} embed is exactly c_t 1, so the rebuilt lattice holds P's own array
+    # and its maps, scaled as they are read, have the bits of the products H^{s,t} S_t
+    lat = _lattice(n, ptype)
+    q, h, _ = _marginals(lat)
+    rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
+    assert isinstance(rebuilt.maps, ScaledMapStack) and rebuilt.expectations is None
+    assert rebuilt.maps.base.array is lat.maps.array
+    emb = embed_supermap(n)
+    slots = {t: (lat.expectations[t] @ emb).matrix for t in range(1, lat.horizon + 1)}
+    want = np.array([h.maps[(s, t)].matrix @ slots[t] for s, t in lat.pairs()])
+    assert np.array_equal(_rebuilt_rows(rebuilt), want)
+    # its E_{psi_s} P_rec^{s,t}, placed a chunk at a time, against the per-pair products
+    e_psi = [expectation_supermap(psi).matrix for psi in rebuilt.omegas]
+    assert np.array_equal(rebuilt.conditioned.array,
+                          [e_psi[s] @ m for (s, _), m in zip(lat.pairs(), want)])
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_a_slot_that_is_not_scalar_gets_the_stored_product(ptype):
+    # a factored H whose slot at T is moved off c_T 1 (hermiticity- and unit-preserving, so
+    # psi_T stays a state), and an unfactored H: both keep the stored products H^{s,t} S_t
+    lat = _lattice(2, ptype)
+    q, h, _ = _marginals(lat)
+    slots = h.slots.copy()
+    slots[-1, 1, 2] += 1e-3   # E_10 picks up E_01 and E_01 picks up E_10
+    slots[-1, 2, 1] += 1e-3
+    moved = Family(h.kind, 2, h.maps, h.omegas, expectations=h.expectations, factored=True,
+                   slots=slots, conditioned_maps=h.conditioned_maps)
+    unfactored = Family(h.kind, 2, dense(h), h.omegas)
+    emb = embed_supermap(2).matrix
+    for family, slot in ((moved, lambda t: slots[t]), (unfactored, lambda t: emb)):
+        rebuilt = reconstruct_qqsp(q, family, lat.omega(0), ptype, strict=False)
+        assert isinstance(rebuilt.maps, MapStack)
+        want = np.array([family.maps[(s, t)].matrix @ slot(t) for s, t in lat.pairs()])
+        assert np.array_equal(rebuilt.maps.array, want)
+        assert np.array_equal(_rebuilt_rows(rebuilt), want)
+
+
+def test_rebuilding_and_checking_a_pair_stays_under_one_lattice_array():
+    # the rebuilt lattice shares P's array and E_{psi_t}, E_{phi_t} are placed a chunk at a
+    # time, so the axioms stage grows the heap by less than one lattice array
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(4), State.maximally_mixed(4), 6,
+                                             "A"))
+    q, h, _ = _marginals(lat)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        rebuilt = reconstruct_qqsp(q, h, lat.omega(0), "A", strict=False)
+        assert verify_marginal_axioms(q, h, rebuilt).ok(1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < lat.maps.array.nbytes
 
 
 # ------------------------------------------------ carried states, one row a call

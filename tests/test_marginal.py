@@ -400,7 +400,7 @@ def test_factored_residuals_match_dense_reference(make_lattice, foreign_q):
 
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
     rep = verify_marginal_axioms(q, h, rebuilt)
-    e_psi = rebuilt.expectations
+    e_psi = [expectation_supermap(psi) for psi in rebuilt.omegas]
     e_phi = [expectation_supermap(State(predual(q.map(0, t))(lat.omega(0).rho)))
              for t in range(1, lat.horizon + 1)]
     flip, emb = flip_supermap(n).matrix, embed_supermap(n).matrix

@@ -15,6 +15,7 @@ import pytest
 
 from qqsp.algebra import SuperMap
 from qqsp.cli import main
+from qqsp.linalg import chunks
 from qqsp.marginal import build_H, build_Q, reconstruct_qqsp
 from qqsp.process import ValidationFailure, computed_state, computed_states, propagate
 from qqsp.report import (
@@ -272,11 +273,19 @@ def test_each_quantity_is_computed_once(monkeypatch):
     distinct = len({id(m) for m in sc.resolved[0].step_maps})
     assert distinct == 1   # the builtin holds one map T times
     # E_{omega_t} once per t as propagate makes omega_t, each a stack of one written into
-    # the lattice's E array; E_{phi_t} and E_{psi_t} in one stack per trajectory; the
-    # carried states' E_{Q_* omega_s} in one stack per chunk of the state-consistency
-    # table (one chunk here); expectation_supermap(s) form none of them
+    # the lattice's E array. No E_{phi_t} or E_{psi_t} trajectory is stored: the exchange
+    # table places its E_{psi_s} and its E_{phi_t} in one stack each per chunk, the
+    # absorption table E_{psi_t} once per t, and the rebuilt lattice's conditioned maps
+    # E_{psi_s} in one stack per chunk of pairs; the carried states' E_{Q_* omega_s} in
+    # one stack per chunk of the state-consistency table. Each table is one chunk here;
+    # expectation_supermap(s) form none of them
+    n, pairs = sc.dim, T * (T + 1) // 2
+    exchange = state = len(chunks(pairs, 16 * n ** 2 * n ** 4))   # n^2 x n^4 gaps
+    conditioned = len(chunks(pairs, 16 * n ** 4 * n ** 2))        # n^4 x n^2 maps
+    assert (exchange, conditioned) == (1, 1)
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
-                      "certify_unital_cp": distinct, "expectation_matrices": (T + 1) + 2 + 1}
+                      "certify_unital_cp": distinct,
+                      "expectation_matrices": (T + 1) + 2 * exchange + T + conditioned + state}
 
 
 def test_explicit_pair_ensemble_scenario():
@@ -415,6 +424,7 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     ("initial_state", {"matrix": 5}),
     ("ensemble", {"pairs": 5}),
     ("ensemble", {"pairs": [5]}),
+    pytest.param("ensemble", {"pairs": []}, id="ensemble-without-pairs"),
     ("ensemble", {"pairs": [{"a": {"diag": 3}, "b": {"diag": [1.0, 0.0]}}]}),
     ("tolerances", {"axoim": 1.0}),
     ("name", "../escaped"),

@@ -187,7 +187,7 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
     es = lattice.expectations
     rebuilt = reconstruct_qqsp(q, h, lattice.omega(0), lattice.process_type, strict=False)
     rep = verify_marginal_axioms(q, h, rebuilt)
-    e_psi = rebuilt.expectations
+    e_psi = [expectation_supermap(psi) for psi in rebuilt.omegas]
     e_phi = [expectation_supermap(lattice.omega(0))] + [
         expectation_supermap(State(predual(q.map(0, t))(lattice.omega(0).rho)))
         for t in range(1, lattice.horizon + 1)]
@@ -232,7 +232,7 @@ def _loop_tables(lat):
     q, h, z = _families(lat)
     es = lat.expectations
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), lat.process_type, strict=False)
-    e_psi = rebuilt.expectations
+    e_psi = [expectation_supermap(psi) for psi in rebuilt.omegas]
     e_phi = [expectation_supermap(lat.omega(0))] + [
         expectation_supermap(State(predual(q.map(0, t))(lat.omega(0).rho)))
         for t in range(1, lat.horizon + 1)]
@@ -438,7 +438,7 @@ def test_map_deviation_is_the_rebuilt_lattice_against_p(builtin, ptype, stages):
     q, h, z = _families(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
     dense = pair_residuals(lat, lat.map(0, 1).matrix.shape,
-                           lambda part: rebuilt.maps.array[part],
+                           lambda part: rebuilt.maps.rows(rebuilt.maps.order[part]),
                            lambda part: lat.maps.array[part], "map-deviation").max_residual
     deviation = report.stages["reconstruct"]["max_map_deviation"]
     assert deviation == max(_slice_loops(lat, q, h, z)["reconstruction_slot"].values())
