@@ -439,15 +439,27 @@ def expectation_supermap(phi: State) -> SuperMap:
     return expectation_supermaps(phi.rho[None])[0]
 
 
+@cache
+def _expectation_entries(n: int) -> tuple[Array, ...]:
+    """Row, column and (a, e) of rho of the n^4 nonzero entries of E_phi's matrix on M_n.
+
+    E_{(e, b), (a, d)} -> rho[a, e] E_{bd}: the entries sit at row (x, y) = (b, d) and
+    column (e, x) + n^2 (a, y) of the column-stacked matrix. Built once per n.
+    """
+    x, y, e, a = np.indices((n, n, n, n)).reshape(4, -1)
+    entries = (x + n * y, e * n + x + n * n * (a * n + y), a, e)
+    for index in entries:
+        index.setflags(write=False)
+    return entries
+
+
 def expectation_matrices(rhos) -> Array:
     """The (k, n^2, n^4) matrices of E_phi for every density matrix of a (k, n, n) stack."""
     rhos = np.asarray(rhos, dtype=complex)
     k, n = len(rhos), rhos.shape[-1]
-    # E_{(e, b), (a, d)} -> rho[a, e] E_{bd}: the only nonzero entries sit at row
-    # (x, y) = (b, d) and column (e, x) + n^2 (a, y) of the column-stacked matrix
-    x, y, e, a = np.indices((n, n, n, n)).reshape(4, -1)
+    rows, cols, a, e = _expectation_entries(n)
     mats = np.zeros((k, n * n, n ** 4), dtype=complex)
-    mats[:, x + n * y, e * n + x + n * n * (a * n + y)] = rhos[:, a, e]
+    mats[:, rows, cols] = rhos[:, a, e]
     return mats
 
 
