@@ -424,7 +424,6 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     ("initial_state", {"matrix": 5}),
     ("ensemble", {"pairs": 5}),
     ("ensemble", {"pairs": [5]}),
-    pytest.param("ensemble", {"pairs": []}, id="ensemble-without-pairs"),
     ("ensemble", {"pairs": [{"a": {"diag": 3}, "b": {"diag": [1.0, 0.0]}}]}),
     ("tolerances", {"axoim": 1.0}),
     ("name", "../escaped"),
@@ -447,6 +446,7 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     pytest.param("epsilon", 10 ** 400, id="epsilon-huge-integer"),
     pytest.param("sample_count", 10 ** 12, id="sample_count-past-the-memory-bound"),
     pytest.param("ensemble", {"random": 10 ** 12}, id="ensemble-past-the-memory-bound"),
+    pytest.param("ensemble", {"pairs": []}, id="ensemble-without-pairs"),
 ])
 def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     # the ensemble is parsed up front even though this pipeline has no ergodic stage
