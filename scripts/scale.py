@@ -10,7 +10,8 @@ type TYPE, in strict mode through every pipeline stage; a trailing
 started from this checkout's ``src`` with the BLAS thread count pinned to
 1, and prints one line: the exit status, the wall time of ``qqsp run``
 (parse, stages and report emission), the per-stage seconds of the timings
-sidecar, and the interpreter's peak resident set size in MiB (import included).
+sidecar, and the interpreter's peak resident set size in MiB (import included),
+then a second line with the sidecar's peak resident set size after each stage.
 A run that exits non-zero writes no sidecar; its error line is printed.
 """
 
@@ -77,8 +78,13 @@ def measure(row: str, work: Path) -> str:
             f"peak RSS {result['peak_mib']:6.1f} MiB")
     sidecar = work / f"{doc['name']}.timings.txt"
     if result["status"] == 0 and sidecar.is_file():
-        stages = [ln.replace(" s", "").split(": ") for ln in sidecar.read_text().splitlines()]
+        lines = sidecar.read_text().splitlines()
+        stages = [ln.removesuffix(" s").split(": ") for ln in lines if ln.endswith(" s")]
+        peaks = [ln.removesuffix(" MiB").split(" peak RSS: ") for ln in lines
+                 if ln.endswith(" MiB")]
         line += "  | " + " ".join(f"{stage} {float(sec):.2f}" for stage, sec in stages)
+        line += (f"\n{'':<16} peak RSS after each stage (MiB) | "
+                 + " ".join(f"{stage} {mib}" for stage, mib in peaks))
     elif result["error"]:
         line += f"  | {result['error'].splitlines()[-1]}"
     return line

@@ -327,6 +327,35 @@ class ScaledMapStack(Mapping):
         return self.base.rows(keys) * self.factors[at][:, None, None]
 
 
+class ExpectationMaps(Mapping):
+    """E_{omega_t} of every state of a trajectory, keyed by t, placed as it is read.
+
+    There is no array of them: :meth:`rows` is one :func:`expectation_matrices` call,
+    and ``x[t]`` is a SuperMap of one row. Placing is exact, so every read has the bits
+    of every other.
+    """
+
+    def __init__(self, states):
+        self.rhos = np.array([w.rho for w in states])
+        n = self.rhos.shape[-1]
+        self.in_dim, self.out_dim = n * n, n
+
+    def __getitem__(self, t) -> SuperMap:
+        if t not in range(len(self.rhos)):
+            raise KeyError(t)
+        return SuperMap(self.in_dim, self.out_dim, self.rows([t])[0])
+
+    def __iter__(self):
+        return iter(range(len(self.rhos)))
+
+    def __len__(self) -> int:
+        return len(self.rhos)
+
+    def rows(self, ts) -> Array:
+        """E_{omega_t} for every t of ``ts``, as one fresh (k, n^2, n^4) stack."""
+        return expectation_matrices(self.rhos[list(ts)])
+
+
 def predual(m: SuperMap) -> SuperMap:
     """Map on densities with trace(predual(m)(rho) x) = trace(rho m(x)).
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .process import ValidationFailure
@@ -27,7 +28,9 @@ EXIT_MATH = 3
 EXIT_IO = 4
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each ``parse_args`` makes a new namespace."""
     parser = argparse.ArgumentParser(
         prog="qqsp",
         description="Quantum quadratic stochastic process laboratory")

@@ -17,6 +17,7 @@ and Q against Z/z only through the two pair ensembles they see.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +55,11 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
     distances are taken on the stored map C^{0,t}: omega_t (x) C_* is the
     predual of C E_{omega_t}, and omega_t drops out of the trace norm. A factored
     Z/z stores Q's maps Y, and (embed Y)_* = Y_* Tr_1, so its trace is Q's on the
-    Tr_1 images of the pairs. The gaps of every t are normed in one
-    :func:`qqsp.linalg.trace_norms` call.
+    Tr_1 images of the pairs. Each t's predual is formed once and applied to one
+    chunk of pairs at a time (:func:`qqsp.linalg.chunks`), whose states are stacked
+    as they are read; the last chunk's stack is kept, so an ensemble of one chunk is
+    stacked once. Only the gaps, on the maps' input side, are held for every t, and
+    they are normed in one :func:`qqsp.linalg.trace_norms` call.
     Monotonicity is not asserted; the full table is the point of the diagnostic.
     """
     for phi, psi in pairs:
@@ -63,15 +67,21 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
             raise ValueError(f"pair dimension {phi.dim} does not match the family "
                              f"({source.side})")
     times = tuple(range(1, source.horizon + 1))
-    states = np.array([x.rho for pair in pairs for x in pair]).reshape(
-        2 * len(pairs), source.side, source.side)
-    if source.stores_q:
-        states = ptrace_first(states, source.n, source.n)
+    parts = chunks(len(pairs), 2 * 16 * source.side ** 2)
+
+    @lru_cache(maxsize=1)
+    def states(start: int, stop: int) -> np.ndarray:
+        """The states of the pairs start..stop - 1, pair by pair (Tr_1 images for Z/z)."""
+        rhos = np.array([x.rho for pair in pairs[start:stop] for x in pair])
+        return ptrace_first(rhos, source.n, source.n) if source.stores_q else rhos
+
     side = source.maps.in_dim   # where the stored maps' preduals land
     gaps = np.empty((len(times), len(pairs), side, side), dtype=complex)
     for t, gap in zip(times, gaps):
-        images = predual(source.maps[(0, t)])(states)
-        np.subtract(images[0::2], images[1::2], out=gap)
+        dual = predual(source.maps[(0, t)])
+        for part in parts:
+            images = dual(states(part.start, part.stop))
+            np.subtract(images[0::2], images[1::2], out=gap[part])
     norms = trace_norms(gaps.reshape(-1, side, side))
     rows = norms.reshape(len(times), len(pairs)).T.tolist()   # [pair][time]
     return DecayTrace(source.kind, times, tuple(map(tuple, rows)))
@@ -97,6 +107,13 @@ class ContractionEstimate:
 def contraction_coefficient(q_family: Family, s: int, t: int,
                             sample_count: int = 200,
                             rng: np.random.Generator | None = None) -> ContractionEstimate:
+    """The largest half trace distance of Q^{s,t}_* over the basis pairs and sampled pure pairs.
+
+    The ``sample_count`` orthonormal pure pairs come from one ``rng.normal`` draw; their
+    projectors, images and gaps are formed one chunk of samples at a time
+    (:func:`qqsp.linalg.chunks`), and a running maximum keeps the largest norm. Per sample
+    the bits do not depend on the chunks, and the generator is left where one draw leaves it.
+    """
     if (s, t) not in q_family.maps:
         raise ValueError(f"no map stored at ({s}, {t})")
     if q_family.kind != "Q":
@@ -108,19 +125,19 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
     dual = predual(q_family.map(s, t))
     images = dual(np.array([matrix_unit(n, i, i) for i in range(n)]))
     first, second = np.triu_indices(n, 1)
-    gaps = [images[first] - images[second]]
+    lam = trace_norms(images[first] - images[second]).max(initial=0.0)
     if sample_count:
         rng = rng if rng is not None else np.random.default_rng(0)
         # one draw in the per-sample order: the real, then the imaginary n x 2 block
         draws = rng.normal(size=(sample_count, 2, n, 2))
-        g = draws[:, 0] + 1j * draws[:, 1]
-        u, _ = np.linalg.qr(g)
-        # projectors[k, c] = |u_c><u_c| of sample k
-        projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
-        images = dual(projectors.reshape(-1, n, n))
-        gaps.append(images[0::2] - images[1::2])
-    norms = trace_norms(np.concatenate(gaps))
-    return ContractionEstimate(s, t, 0.5 * float(norms.max(initial=0.0)),
+        for part in chunks(sample_count, 2 * 16 * n * n):   # a sample's two projectors
+            g = draws[part, 0] + 1j * draws[part, 1]
+            u, _ = np.linalg.qr(g)
+            # projectors[k, c] = |u_c><u_c| of sample k
+            projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
+            images = dual(projectors.reshape(-1, n, n))
+            lam = np.maximum(lam, trace_norms(images[0::2] - images[1::2]).max())
+    return ContractionEstimate(s, t, 0.5 * float(lam),
                                "exact-classical" if exact else "pure-pair-sampling",
                                sample_count)
 

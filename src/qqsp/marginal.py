@@ -26,8 +26,9 @@ n^2 x n^2 products of two R factors.
 A pair (Q, H) with the right exchange axioms determines the lattice:
 P^{s,t} x = H^{s,t}(embed(x)) along the trajectory psi_t. That rebuilt
 lattice is built once, by :func:`reconstruct_qqsp`; from the H/h of a lattice it is P's own
-array scaled by tr(rho_t). The axiom suite reads psi_t from it and places E_{psi_t} and
-E_{phi_t} a chunk at a time. Conventions that place x in the averaged
+array scaled by tr(rho_t). No family stores a trajectory of conditional expectations: every
+table places the E_{omega_t}, E_{psi_t} and E_{phi_t} it reads a chunk at a time
+(:class:`qqsp.algebra.ExpectationMaps`). Conventions that place x in the averaged
 slot state the same identities with the tensor factors exchanged.
 """
 
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    ExpectationMaps,
     MapStack,
     ScaledMapStack,
     State,
@@ -52,7 +54,7 @@ from .algebra import (
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import dagger, predual_matrix, vec
+from .linalg import chunks, dagger, predual_matrix, vec
 from .process import (
     Family,
     ResidualTable,
@@ -203,15 +205,16 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
 
     ``rebuilt`` is :func:`reconstruct_qqsp` of the pair: its maps are
     H^{s,t} embed and its trajectory is psi_t. The exchange table places each chunk's
-    E_{psi_s} and E_{phi_t} in one :func:`qqsp.algebra.expectation_matrices` call each,
-    and the absorption table E_{psi_t} once per t.
+    E_{psi_s}, E_{phi_t} and H's trailing E_{omega_t} in one
+    :func:`qqsp.algebra.expectation_matrices` call each, and the absorption table its
+    E_{psi_t} and E_{omega_t} one chunk of t at a time.
     """
     if q_family.n != h_family.n:
         raise ValueError("families live on different algebras")
     if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
         raise ValueError("families cover different (s, t) lattices")
     phis = _phi_trajectory(q_family, rebuilt.omega(0))
-    phi_rhos = np.array([phi.rho for phi in phis])
+    phi_es = ExpectationMaps(phis)
     cores = h_family.maps.array   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
     ss, ts = np.array(h_family.pairs()).T
@@ -221,13 +224,13 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
         return cores[part] - cores[part][:, flip]
 
     def exchanged(part):   # E_{psi_s} H^{s,t}, followed by H's trailing factor E_{omega_t}
-        stack = np.matmul(rebuilt.expectation_rows(ss[part]), cores[part])
+        stack = np.matmul(rebuilt.expectations.rows(ss[part]), cores[part])
         if not h_family.factored:
             return stack
-        return np.matmul(stack, h_family.expectation_rows(ts[part]))
+        return np.matmul(stack, h_family.expectations.rows(ts[part]))
 
     def intertwined(part):   # Q^{s,t} E_{phi_t}
-        return np.matmul(q_family.maps.array[part], expectation_matrices(phi_rhos[ts[part]]))
+        return np.matmul(q_family.maps.array[part], phi_es.rows(ts[part]))
 
     side = h_family.n * h_family.n
     return AxiomReport(
@@ -248,14 +251,18 @@ def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
     identity if it has none), psi_t the trajectory of ``rebuilt``, and R^{s,t} the
     family's thin R factor of C^{s,t}. With the thin QR D_t^dagger = Q_t R_t, Q_t is an
     isometry, so the norm is taken on the small product R^{s,t} R_t^dagger, one QR per t.
+    E_{psi_t} and E_{omega_t} are placed one chunk of t at a time.
     """
-    lead, r_t = embed_supermap(h_family.n).matrix, []   # R_t^dagger at t - 1
-    for t in range(1, h_family.horizon + 1):
-        e_psi = rebuilt.expectation_rows([t])[0]
-        # D_t = E_{omega_t} - S_t E_{psi_t}, or 1 - embed E_{psi_t}
-        d = (h_family.expectations.array[t] - h_family.slots[t] @ e_psi
-             if h_family.factored else np.eye(len(lead)) - lead @ e_psi)
-        r_t.append(dagger(np.linalg.qr(dagger(d), mode="r")))
+    n, times = h_family.n, range(1, h_family.horizon + 1)
+    lead, r_t = embed_supermap(n).matrix, []   # R_t^dagger at t - 1
+    for part in chunks(len(times), 16 * n ** 6):   # E_{omega_t} is n^2 x n^4
+        e_psis = rebuilt.expectations.rows(times[part])
+        e_omegas = h_family.expectations.rows(times[part]) if h_family.factored else None
+        for i, (t, e_psi) in enumerate(zip(times[part], e_psis)):
+            # D_t = E_{omega_t} - S_t E_{psi_t}, or 1 - embed E_{psi_t}
+            d = (e_omegas[i] - h_family.slots[t] @ e_psi
+                 if h_family.factored else np.eye(len(lead)) - lead @ e_psi)
+            r_t.append(dagger(np.linalg.qr(dagger(d), mode="r")))
     r, r_t = h_family.thin_r.array, np.array(r_t)
     ts = np.array([t for _, t in h_family.pairs()])
     return pair_residuals(h_family, r_t.shape[1:],
@@ -313,7 +320,7 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     expectations, i.e. with omega_s carried forward through Q^{s,t}. One matmul
     of the preduals carries every state; each row s of them is checked as one
     stack, so a failure names Q^{s,t}_* omega_s and its t. Each chunk of the
-    table places its E_{Q_* omega_s} in one call.
+    table places its E_{omega_t} and its E_{Q_* omega_s} in one call each.
     """
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
@@ -332,7 +339,7 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     # E_{omega_t} - E_{Q_* omega_s}
     return pair_residuals(
         q_family, (n * n, n ** 4),
-        lambda part: q_family.expectations.array[ts[part]],
+        lambda part: q_family.expectations.rows(ts[part]),
         lambda part: expectation_matrices([w.rho for w in states[part]]),
         "state-consistency")
 
@@ -378,7 +385,11 @@ def slice_residuals(lattice: Family, q_family: Family,
                              for gap, (_, t) in zip(unital, pairs)),
     }
     if z_family is not None:
-        averaged = np.matmul(z_family.expectations.array, embed_averaged_supermap(n).matrix)
+        es, avg = z_family.expectations, embed_averaged_supermap(n).matrix
+        times = range(len(es))
+        # A_t = E_{omega_t} embed_averaged, E_{omega_t} placed a chunk of t at a time
+        averaged = np.concatenate([np.matmul(es.rows(times[part]), avg)
+                                   for part in chunks(len(times), 16 * n ** 6)])
         consts = np.array([SuperMap.constant(w, n).matrix for w in lattice.omegas])
         root_n = z_family.lead_norm
         out["z_reconstruction_slot"] = pair_residuals(

@@ -5,7 +5,8 @@ lattice is filled on the integer time grid with the constructing split
 fixed at tau = t-1; consistency at every other split is measured, never
 assumed. The state trajectory obeys omega_t(x) = (omega_0 (x) omega_0)(P^{0,t} x).
 The lattice and its marginals share one type, :class:`Family`, which holds
-its maps and the trajectory's conditional expectations E_{omega_t} as one array each.
+its maps as one array; the trajectory's conditional expectations E_{omega_t} are
+placed from the states as they are read, and no array of them is kept.
 
 Every split product is formed by one kernel, :func:`fundamental_rights` and
 :func:`fundamental_products`, under one of three laws: A, the type-A
@@ -28,6 +29,7 @@ import numpy as np
 
 from .algebra import (
     ChoiReport,
+    ExpectationMaps,
     InvalidDensity,
     State,
     SuperMap,
@@ -157,8 +159,9 @@ class Family:
     marginals on M (x) M (see :mod:`qqsp.marginal`). ``maps`` holds the stored maps
     in sorted pair order as one array (:class:`qqsp.algebra.MapStack`), or a rebuilt
     lattice's scaled view of another family's (:class:`qqsp.algebra.ScaledMapStack`).
-    ``expectations`` holds E_{omega_t} by t as one array, where the caller hands it or
-    the maps come as a dict; otherwise :meth:`expectation_rows` places them.
+    ``expectations`` reads E_{omega_t} by t off the trajectory
+    (:class:`qqsp.algebra.ExpectationMaps`): each read places the rows it asks for, and
+    every reader asks a chunk at a time, so no family holds an array of them.
 
     A ``factored`` family never forms its n^4 x n^4 maps. H/h store in ``maps``
     the core C^{s,t} (M -> M (x) M) of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store
@@ -176,7 +179,7 @@ class Family:
     omegas: tuple[State, ...] | None = None
     process_type: str | None = None
     algebra_kind: str = "full"
-    expectations: MapStack | None = field(default=None, repr=False, compare=False)
+    expectations: ExpectationMaps | None = field(default=None, repr=False, compare=False)
     factored: bool = False
     # the reconstruction slot S_t = E_{omega_t} embed of a factored family by t, which stands
     # between two stored maps of Z/z; shared by the families derived from it
@@ -189,16 +192,15 @@ class Family:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "P" and self.process_type not in ("A", "B"):
             raise ValueError(f"a process needs type 'A' or 'B', got {self.process_type!r}")
+        if self.expectations is None and self.omegas is not None:
+            object.__setattr__(self, "expectations", ExpectationMaps(self.omegas))
         if self.factored and (self.kind in ("P", "Q") or self.expectations is None):
             raise ValueError(f"a factored family is a doubled marginal with the E_{{omega_t}} "
                              f"of its lattice, got kind {self.kind!r}")
         if not isinstance(self.maps, (MapStack, ScaledMapStack)):
-            # a hand-built {(s, t): SuperMap} dict: its maps and E_{omega_t} are stacked once
+            # a hand-built {(s, t): SuperMap} dict: its maps are stacked once
             order = sorted(self.maps)
             object.__setattr__(self, "maps", MapStack([self.maps[k].matrix for k in order], order))
-            if self.expectations is None and self.omegas is not None:
-                object.__setattr__(self, "expectations", MapStack(
-                    expectation_matrices([w.rho for w in self.omegas]), range(len(self.omegas))))
         in_dim = self.n if self.kind in ("P", "Q") or self.factored else self.n * self.n
         out_dim = self.n if self.kind == "Q" or self.stores_q else self.side
         if (self.maps.in_dim, self.maps.out_dim) != (in_dim, out_dim):
@@ -206,7 +208,10 @@ class Family:
                              f"expected ({in_dim}, {out_dim})")
         if self.factored and self.slots is None:   # S_t, one composition per t
             embed, es = embed_supermap(self.n), self.expectations
-            object.__setattr__(self, "slots", np.array([(es[t] @ embed).matrix for t in es]))
+            ts = range(len(es))   # E_{omega_t} placed a chunk of t at a time
+            rows = (e for part in chunks(len(ts), 16 * self.n ** 6) for e in es.rows(ts[part]))
+            object.__setattr__(self, "slots", np.array(
+                [(SuperMap(es.in_dim, es.out_dim, e) @ embed).matrix for e in rows]))
 
     @property
     def side(self) -> int:
@@ -233,23 +238,12 @@ class Family:
             raise ValueError(f"factored {self.kind} stores only the core of F^{{s,t}}; read maps")
         return self.maps[(s, t)]
 
-    def expectation_rows(self, ts) -> np.ndarray:
-        """E_{omega_t} for every t of ``ts``, as one (k, n^2, n^4) stack.
-
-        Rows of the stored array where the family has one, else placed from the states
-        in one :func:`qqsp.algebra.expectation_matrices` call. Placing is exact, so both
-        give the same bits.
-        """
-        if self.expectations is not None:
-            return self.expectations.array[list(ts)]
-        return expectation_matrices([self.omegas[t].rho for t in ts])
-
     @property
     def conditioned(self) -> MapStack:
         """E_{omega_s} C^{s,t} at every pair, the lattice's Q^{s,t}, formed once into one array.
 
         One gemm a pair, a chunk of pairs at a time (:func:`qqsp.linalg.chunks`), with the
-        chunk's maps read by ``maps.rows`` and its E_{omega_s} by :meth:`expectation_rows`;
+        chunk's maps read by ``maps.rows`` and its E_{omega_s} placed by ``expectations.rows``;
         Z/z's E_{omega_s} embed Y^{s,t} is S_s Y^{s,t}. A type-B lattice comes from
         :func:`propagate` with them; kc, h's doubled law, the lattice's Q family and the
         rebuilt lattice's kc and conclusion-b read them here.
@@ -259,7 +253,7 @@ class Family:
             q = np.empty((len(order), self.n ** 2, cols), dtype=complex)
             for part in chunks(len(order), 16 * rows * cols):
                 starts = [s for s, _ in order[part]]
-                before = self.slots[starts] if self.stores_q else self.expectation_rows(starts)
+                before = self.slots[starts] if self.stores_q else self.expectations.rows(starts)
                 q[part] = stacked_products(before, self.maps.rows(order[part]))
             object.__setattr__(self, "conditioned_maps", MapStack(q, order))
         return self.conditioned_maps
@@ -351,11 +345,13 @@ def triples(horizon: int):
 def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     """Fill the lattice by the type-appropriate recursion at tau = t-1.
 
-    The lattice is one (K, n^4, n^2) array in sorted pair order and E_{omega_t} one
-    (T+1, n^2, n^4) array, both allocated up front. Each row t is one call of the split
-    kernel over every s < t-1, or one per chunk of the row where its products exceed
-    the chunk budget (:func:`qqsp.linalg.chunks`). Type B forms each Q^{s,t} here once
-    and hands them on with the lattice (:attr:`Family.conditioned`).
+    The lattice is one (K, n^4, n^2) array in sorted pair order, allocated up front. Each
+    row t is one call of the split kernel over every s < t-1, or one per chunk of the row
+    where its products exceed the chunk budget (:func:`qqsp.linalg.chunks`). No array of
+    E_{omega_t} is allocated: law A's right factor of row t places E_{omega_{t-1}} alone,
+    and type B forms each Q^{s,t} = E_{omega_s} P^{s,t} here once, placing E_{omega_s} a
+    chunk of its column at a time, and hands them on with the lattice
+    (:attr:`Family.conditioned`).
     """
     if strict:
         reject_seed(validate_seed(seed))
@@ -363,27 +359,26 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     order = [(s, t) for s in range(horizon) for t in range(s + 1, horizon + 1)]
     at = {key: i for i, key in enumerate(order)}
     maps = np.empty((len(order), n ** 4, n * n), dtype=complex)
-    es = np.empty((horizon + 1, n * n, n ** 4), dtype=complex)
     qs = np.empty((len(order), n * n, n * n), dtype=complex) if law == "B" else None
     omegas = [seed.omega0]
     rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)
     for t in range(1, horizon + 1):
         maps[at[(t - 1, t)]] = seed.step_maps[t - 1].matrix
-        es[t - 1] = expectation_matrices(omegas[t - 1].rho[None])[0]
         lefts, rows = ([at[(s, tau)] for s in range(t - 1)] for tau in (t - 1, t))
         if rows:
-            rights = fundamental_rights(maps[at[(t - 1, t)]][None], es[t - 1][None], law)
+            between = expectation_matrices(omegas[t - 1].rho[None]) if law == "A" else None
+            rights = fundamental_rights(maps[at[(t - 1, t)]][None], between, law)
         for part in chunks(len(rows), 16 * n ** 6):   # the products are n^4 x n^2
             left = (qs if law == "B" else maps).take(lefts[part], axis=0)
             maps[rows[part]] = fundamental_products(left, rights, law)
         if law == "B":   # Q^{s,t} of the finished column t: the left factors of row t + 1
             column = [at[(s, t)] for s in range(t)]
-            qs[column] = stacked_products(es[:t], [maps[i] for i in column])
+            for part in chunks(t, 16 * n ** 6):   # E_{omega_s} is n^2 x n^4
+                es = expectation_matrices([w.rho for w in omegas[part]])
+                qs[column[part]] = stacked_products(es, [maps[i] for i in column[part]])
         image = predual_matrix(maps[at[(0, t)]], n, n * n) @ vec(rho00)
         omegas.append(computed_state(unvec(image, n), "omega_t", t))
-    es[horizon] = expectation_matrices(omegas[horizon].rho[None])[0]
     return Family("P", n, MapStack(maps, order), tuple(omegas), law, seed.algebra_kind,
-                  expectations=MapStack(es, range(horizon + 1)),
                   conditioned_maps=None if qs is None else MapStack(qs, order))
 
 

@@ -3,8 +3,9 @@
 The structured report is one self-describing JSON document with sorted
 keys; floats serialize through Python's shortest-roundtrip repr and
 complex entries as [re, im] pairs, so identical runs produce identical
-bytes. Wall-clock timings are written to a separate sidecar file and are
-the only run artifact allowed to differ between reruns.
+bytes. Wall-clock timings and the peak resident set size after each stage
+are written to a separate sidecar file and are the only run artifact allowed
+to differ between reruns.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class Report:
     stages: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    peak_rss_kib: dict = field(default_factory=dict)   # stage -> the process's peak RSS after it
     decay_series: dict = field(default_factory=dict)   # kind -> DecayTrace
     trajectory: list = field(default_factory=list)     # per t: diagonal weights
 
@@ -117,7 +119,10 @@ def emit_report(report: Report, out_dir, fmt: str = "structured") -> list[Path]:
             p.write_text(_decay_csv_text(report.decay_series[kind]))
             written.append(p)
     timing_path = out / f"{report.name}.timings.txt"
+    # "<stage>: <seconds> s", then "<stage> peak RSS: <MiB> MiB" for every stage
     timing_lines = [f"{stage}: {seconds:.6f} s" for stage, seconds in report.timings.items()]
+    timing_lines += [f"{stage} peak RSS: {kib / 1024:.1f} MiB"
+                     for stage, kib in report.peak_rss_kib.items()]
     timing_path.write_text("\n".join(timing_lines) + "\n" if timing_lines else "")
     return written
 

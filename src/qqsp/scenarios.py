@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -124,12 +125,28 @@ class Scenario:
         }
 
 
+SCENARIO_FIELDS = ("name", "algebra", "process_type", "horizon", "mode", "seed",
+                   "initial_state", "tolerances", "ensemble", "epsilon", "rng_seed",
+                   "sample_count", "pipeline")
+
+
 def _require(data: dict, key: str, where: str):
     if not isinstance(data, dict):
         raise ScenarioError(f"{where}: expected an object")
     if key not in data:
         raise ScenarioError(f"{where}: missing required field {key!r}")
     return data[key]
+
+
+def _fields(data: dict, known, where: str, alternatives=()) -> None:
+    """Refuse a field of the object ``data`` that is not ``known``, and two ``alternatives``."""
+    for key in data:
+        if key not in known:
+            raise ScenarioError(f"{where}.{key}: unknown field (expected one of "
+                                f"{', '.join(known)})")
+    given = [key for key in alternatives if key in data]
+    if len(given) > 1:
+        raise ScenarioError(f"{where}: expected one of {', '.join(map(repr, given))}, got both")
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -141,9 +158,11 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(name, str) or not name or any(bad in name for bad in ("/", "\\", "..")):
         raise ScenarioError(f"scenario.name: expected a plain file stem (no path separator "
                             f"or '..'), got {name!r}")
+    _fields(data, SCENARIO_FIELDS, name)
     algebra = _require(data, "algebra", name)
     kind = _require(algebra, "kind", f"{name}.algebra")
     dim = _require(algebra, "dim", f"{name}.algebra")
+    _fields(algebra, ("kind", "dim"), f"{name}.algebra")
     if kind not in ("full", "diagonal"):
         raise ScenarioError(f"{name}.algebra.kind: expected 'full' or 'diagonal', got {kind!r}")
     if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= 8:
@@ -166,6 +185,8 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(f"{name}.pipeline: unknown stage {stage!r}")
     seen = set()
     for stage in pipeline:
+        if stage in seen:
+            raise ScenarioError(f"{name}.pipeline: stage {stage!r} is given twice")
         if stage in LATTICE_STAGES and "propagate" not in seen:
             raise ScenarioError(f"{name}.pipeline: stage {stage!r} requires 'propagate' first")
         if stage in ("axioms", "reconstruct", "ergodic") and "marginals" not in seen:
@@ -272,6 +293,8 @@ def _parse_state(spec: dict, dim: int, where: str, diagonal: bool) -> State:
     """A state on M_dim; on a diagonal algebra a matrix must have exact zeros off the diagonal."""
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
+    kinds = ("diag", "matrix", "maximally_mixed")
+    _fields(spec, kinds, where, alternatives=kinds)
     try:
         if "diag" in spec:
             w = _finite_array(spec["diag"], f"{where}.diag")
@@ -337,6 +360,8 @@ def _resolve_seed(sc: Scenario):
     where = f"{sc.name}.seed"
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
+    kinds = ("builtin", "classical", "step_maps")
+    _fields(spec, kinds, where, alternatives=kinds)
     if "builtin" in spec:
         if sc.algebra_kind != "full":
             raise ScenarioError(f"{where}: quantum builtins need a full matrix algebra")
@@ -351,6 +376,9 @@ def _resolve_seed(sc: Scenario):
         cs = spec["classical"]
         if not isinstance(cs, dict):
             raise ScenarioError(f"{where}.classical: expected an object")
+        volterra = cs.get("builtin") == "volterra"   # the one builtin that reads a parameter
+        _fields(cs, ("builtin", "tensor", *(("a",) if volterra else ())), f"{where}.classical",
+                alternatives=("builtin", "tensor"))
         if "builtin" in cs:
             builder = _builtin(_CLASSICAL_BUILTIN_TENSORS, cs, f"{where}.classical.builtin")
             tensor = builder(cs, sc.dim, f"{where}.classical")
@@ -410,6 +438,7 @@ def _parse_ensemble(sc: Scenario):
     ens = sc.ensemble
     if not isinstance(ens, dict):
         raise ScenarioError(f"{sc.name}.ensemble: expected an object")
+    _fields(ens, ("random", "pairs"), f"{sc.name}.ensemble", alternatives=("random", "pairs"))
     if "random" in ens:
         count = ens["random"]
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
@@ -424,8 +453,9 @@ def _parse_ensemble(sc: Scenario):
         diagonal = sc.algebra_kind == "diagonal"
         for idx, pair in enumerate(ens["pairs"]):
             where = f"{sc.name}.ensemble.pairs[{idx}]"
-            a = _parse_state(_require(pair, "a", where), _pair_dim(pair, sc, where),
-                             f"{where}.a", diagonal)
+            spec_a = _require(pair, "a", where)
+            _fields(pair, ("a", "b"), where)
+            a = _parse_state(spec_a, _pair_dim(pair, sc, where), f"{where}.a", diagonal)
             b = _parse_state(_require(pair, "b", where), a.dim, f"{where}.b", diagonal)
             (single if a.dim == sc.dim else double).append((a, b))
         return max(len(single), len(double), 1), tuple(single), tuple(double)
@@ -534,7 +564,9 @@ def run_scenario(sc: Scenario, mode: str | None = None,
     Strict-mode mathematical failures raise ValidationFailure, and so does
     a computed state that fails State's checks, in either mode; scenario
     inconsistencies raise ScenarioError. File emission is the caller's
-    business (see :func:`qqsp.report.emit_report`).
+    business (see :func:`qqsp.report.emit_report`). Each stage's seconds and the
+    process's peak resident set size after it (``ru_maxrss``, KiB on Linux) go to
+    the timings sidecar only.
     """
     if mode is not None:
         sc = replace(sc, mode=mode)
@@ -549,6 +581,7 @@ def run_scenario(sc: Scenario, mode: str | None = None,
         started = time.perf_counter()
         _STAGE_RUNNERS[stage](sc, qqsp_seed, ctx, report)
         report.timings[stage] = time.perf_counter() - started
+        report.peak_rss_kib[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return report
 
 

@@ -137,6 +137,73 @@ def test_decay_trace_equals_the_per_t_rows(seed):
     assert decay_trace(lat, []).distances == ()
 
 
+def _one_shot_decay_rows(source, pairs):
+    """Every pair's states stacked once, every t's predual applied to the whole stack."""
+    states = np.array([x.rho for pair in pairs for x in pair])
+    if source.stores_q:
+        states = ptrace_first(states, source.n, source.n)
+    side = source.maps.in_dim
+    gaps = np.empty((source.horizon, len(pairs), side, side), dtype=complex)
+    for t, gap in zip(range(1, source.horizon + 1), gaps):
+        images = predual(source.maps[(0, t)])(states)
+        np.subtract(images[0::2], images[1::2], out=gap)
+    norms = trace_norms(gaps.reshape(-1, side, side)).reshape(source.horizon, len(pairs))
+    return tuple(map(tuple, norms.T.tolist()))
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_decay_trace_equals_the_one_shot_trace_at_any_chunk_budget(monkeypatch, ptype):
+    # each t's predual meets one chunk of pairs at a time; one pair a chunk, the default
+    # (two chunks on M_3 (x) M_3 here) and the whole stack at once give the same bits
+    import qqsp.linalg
+
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(3), State.maximally_mixed(3), 4,
+                                             ptype))
+    families = build_families(lat)
+    budget = qqsp.linalg.CHUNK_BYTES
+    assert len(qqsp.linalg.chunks(30, 2 * 16 * 81)) == 2   # 30 pairs on M_3 (x) M_3
+    for source in (lat, families["Q"], families["Z" if ptype == "A" else "z"]):
+        pairs = state_pair_ensemble(source.side, 30, np.random.default_rng(7))
+        monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", budget)
+        default = decay_trace(source, pairs)
+        monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 2 * 16 * source.side ** 2)
+        assert decay_trace(source, pairs) == default   # one pair a chunk
+        assert default.distances == _one_shot_decay_rows(source, pairs)
+
+
+def _one_shot_contraction(q_family, s, t, sample_count, rng):
+    """Every sample's projectors, images and gaps formed as one stack, with one max."""
+    n = q_family.n
+    dual = predual(q_family.map(s, t))
+    images = dual(np.array([np.diag(np.eye(n)[i]).astype(complex) for i in range(n)]))
+    first, second = np.triu_indices(n, 1)
+    draws = rng.normal(size=(sample_count, 2, n, 2))
+    u, _ = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
+    projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
+    sampled = dual(projectors.reshape(-1, n, n))
+    gaps = np.concatenate([images[first] - images[second], sampled[0::2] - sampled[1::2]])
+    return 0.5 * float(trace_norms(gaps).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_contraction_equals_the_one_shot_stack_at_any_chunk_budget(monkeypatch, n):
+    # one sample a chunk, the default (two chunks at n = 4) and one stack give the same
+    # bits, from one draw that leaves the generator where the one-shot draw leaves it
+    import qqsp.linalg
+
+    q = build_Q(propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.maximally_mixed(n),
+                                                   3, "A")))
+    assert len(qqsp.linalg.chunks(200, 2 * 16 * n * n)) == (2 if n == 4 else 1)
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    default = contraction_coefficient(q, 0, 2, sample_count=200, rng=rng)
+    assert default.lam == _one_shot_contraction(q, 0, 2, 200, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 2 * 16 * n * n)   # one sample a chunk
+    one_rng = np.random.default_rng(9)
+    assert contraction_coefficient(q, 0, 2, sample_count=200, rng=one_rng) == default
+    assert one_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def _per_state_ensemble(dim, count, rng, diagonal):
     """The per-state loop: the basis pair, then each random state drawn and checked alone."""
     def draw():

@@ -17,6 +17,7 @@ from qqsp.algebra import (
     SuperMap,
     embed_averaged_supermap,
     embed_supermap,
+    expectation_matrices,
     expectation_supermap,
     expectation_supermaps,
     predual,
@@ -107,7 +108,7 @@ def test_z_holds_the_maps_of_q(ptype):
 @pytest.mark.parametrize("ptype", ["A", "B"])
 def test_a_lattice_is_held_as_one_array(ptype):
     # every map of the lattice is a read-only view of its one array, which H/h hold as it
-    # is; Q and Z/z hold Q's one array, and E_{omega_t} is one array by t
+    # is; Q and Z/z hold Q's one array, and no array of E_{omega_t} is held
     lat = _lattice(2, ptype)
     q, h, z = _marginals(lat)
     p = lat.maps.array
@@ -115,8 +116,7 @@ def test_a_lattice_is_held_as_one_array(ptype):
     for i, key in enumerate(lat.pairs()):
         assert np.shares_memory(lat.map(*key).matrix, p[i])
         assert np.shares_memory(q.maps[key].matrix, q.maps.array[i])
-    for t in range(lat.horizon + 1):
-        assert np.shares_memory(lat.expectations[t].matrix, lat.expectations.array[t])
+    assert not hasattr(lat.expectations, "array")
     assert (build_H if ptype == "A" else build_h)(lat).maps.array is p
     assert h.maps.array is p and q.maps is lat.conditioned and z.maps.array is q.maps.array
 
@@ -225,7 +225,7 @@ def test_the_rebuilt_lattice_is_p_scaled_by_the_slot(n, ptype):
     lat = _lattice(n, ptype)
     q, h, _ = _marginals(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
-    assert isinstance(rebuilt.maps, ScaledMapStack) and rebuilt.expectations is None
+    assert isinstance(rebuilt.maps, ScaledMapStack) and not hasattr(rebuilt.expectations, "array")
     assert rebuilt.maps.base.array is lat.maps.array
     emb = embed_supermap(n)
     slots = {t: (lat.expectations[t] @ emb).matrix for t in range(1, lat.horizon + 1)}
@@ -273,6 +273,43 @@ def test_rebuilding_and_checking_a_pair_stays_under_one_lattice_array():
     finally:
         tracemalloc.stop()
     assert peak - start < lat.maps.array.nbytes
+
+
+def test_a_full_run_stays_under_two_lattice_arrays():
+    # no stage holds an array of E_{omega_t} or a sample-sized stack beside the lattice, so a
+    # whole strict run, ergodic stage included, peaks under two lattice arrays
+    import numpy.random  # noqa: F401  (the first draw imports it; that is not the run's memory)
+
+    n, horizon = 4, 6
+    sc = parse_scenario({"name": "mixed-n4-T6-A", "algebra": {"kind": "full", "dim": n},
+                         "process_type": "A", "horizon": horizon, "seed": {"builtin": "mixed"},
+                         "initial_state": {"maximally_mixed": True}})
+    tracemalloc.start()
+    try:
+        run_scenario(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lattice = horizon * (horizon + 1) // 2 * n ** 6 * np.dtype(complex).itemsize
+    assert peak < 2 * lattice
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_expectations_are_placed_from_the_trajectory_as_they_are_read(ptype):
+    # E_{omega_t} has no array: a read of any t places it from omega_t, with the bits of
+    # expectation_matrices of the whole trajectory, and the marginals share the one reader
+    lat = _lattice(3, ptype)
+    q, h, z = _marginals(lat)
+    es = lat.expectations
+    assert not hasattr(es, "array") and list(es) == list(range(lat.horizon + 1))
+    want = expectation_matrices([w.rho for w in lat.omegas])
+    for ts in ([2, 0, 3], range(len(es)), [4]):
+        assert np.array_equal(es.rows(ts), want[list(ts)])
+    for t in es:
+        assert np.array_equal(es[t].matrix, want[t]) and (es[t].in_dim, es[t].out_dim) == (9, 3)
+    assert q.expectations is h.expectations is z.expectations is es
+    with pytest.raises(KeyError):
+        es[lat.horizon + 1]
 
 
 # ------------------------------------------------ carried states, one row a call

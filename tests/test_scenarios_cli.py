@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,20 +273,23 @@ def test_each_quantity_is_computed_once(monkeypatch):
     T = sc.horizon
     distinct = len({id(m) for m in sc.resolved[0].step_maps})
     assert distinct == 1   # the builtin holds one map T times
-    # E_{omega_t} once per t as propagate makes omega_t, each a stack of one written into
-    # the lattice's E array. No E_{phi_t} or E_{psi_t} trajectory is stored: the exchange
-    # table places its E_{psi_s} and its E_{phi_t} in one stack each per chunk, the
-    # absorption table E_{psi_t} once per t, and the rebuilt lattice's conditioned maps
-    # E_{psi_s} in one stack per chunk of pairs; the carried states' E_{Q_* omega_s} in
-    # one stack per chunk of the state-consistency table. Each table is one chunk here;
-    # expectation_supermap(s) form none of them
+    # No trajectory of E_{omega_t}, E_{phi_t} or E_{psi_t} is stored; each is placed where it
+    # is read, one stack per chunk. Type-B propagate places E_{omega_s} for each column t of
+    # Q^{s,t}; h's slots and z's averaged slot place E_{omega_t} once each (one chunk of t);
+    # the exchange table places E_{psi_s}, H's trailing E_{omega_t} and E_{phi_t} per chunk,
+    # the absorption table E_{psi_t} and E_{omega_t} per chunk of t, the rebuilt lattice's
+    # conditioned maps E_{psi_s} per chunk of pairs, and the state-consistency table
+    # E_{omega_t} and the carried states' E_{Q_* omega_s} per chunk. Each table is one chunk
+    # here; expectation_supermap(s) form none of them
     n, pairs = sc.dim, T * (T + 1) // 2
     exchange = state = len(chunks(pairs, 16 * n ** 2 * n ** 4))   # n^2 x n^4 gaps
     conditioned = len(chunks(pairs, 16 * n ** 4 * n ** 2))        # n^4 x n^2 maps
-    assert (exchange, conditioned) == (1, 1)
+    by_t = len(chunks(T + 1, 16 * n ** 2 * n ** 4))               # n^2 x n^4 E_{omega_t}
+    assert (exchange, conditioned, by_t) == (1, 1, 1)
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
                       "certify_unital_cp": distinct,
-                      "expectation_matrices": (T + 1) + 2 * exchange + T + conditioned + state}
+                      "expectation_matrices": T + 2 * by_t + 3 * exchange + 2 * by_t
+                      + conditioned + 2 * state}
 
 
 def test_explicit_pair_ensemble_scenario():
@@ -357,6 +361,21 @@ def test_timings_are_sidecar_only(tmp_path):
     assert "timings" not in load_structured(files[0])
 
 
+def test_the_sidecar_gives_each_stage_its_seconds_and_its_peak_rss(tmp_path):
+    # one "<stage>: <seconds> s" line per stage, then one "<stage> peak RSS: <MiB> MiB" line,
+    # which the seconds-line pattern of a sidecar reader does not match
+    sc = builtin_scenarios()["constant-n2"]
+    emit_report(run_scenario(sc), tmp_path, "structured")
+    lines = (tmp_path / "constant-n2.timings.txt").read_text().splitlines()
+    seconds = re.compile(r"^(\w+): ([0-9.eE+-]+) s$")
+    assert [seconds.match(ln)[1] for ln in lines[:len(sc.pipeline)]] == list(sc.pipeline)
+    peaks = [re.fullmatch(r"(\w+) peak RSS: ([0-9.]+) MiB", ln) for ln in lines[len(sc.pipeline):]]
+    assert [m[1] for m in peaks] == list(sc.pipeline)
+    mibs = [float(m[2]) for m in peaks]
+    assert mibs == sorted(mibs) and mibs[0] > 0   # a running peak
+    assert not any(seconds.match(ln) for ln in lines[len(sc.pipeline):])
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
 def test_determinism_per_builtin(tmp_path, name):
     sc = builtin_scenarios()[name]
@@ -400,6 +419,16 @@ def test_cli_run_scenario_file(tmp_path):
     proc = run_cli("run", str(path), "--out-dir", str(tmp_path))
     assert proc.returncode == 0
     assert (tmp_path / "volterra-from-file.report.json").exists()
+
+
+def test_in_process_runs_each_report_their_own_mode(tmp_path):
+    # the parser is built once per process, and no flag of one call leaks into the next
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(builtin_scenarios()["constant-n2"].to_dict()))
+    for mode in ("strict", "permissive"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(path), "--out-dir", str(tmp_path / mode), f"--{mode}"]) == 0
+        assert load_structured(tmp_path / mode / "constant-n2.report.json")["run"]["mode"] == mode
 
 
 def test_cli_exit_2_on_malformed_scenario(tmp_path):
@@ -447,6 +476,13 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     pytest.param("sample_count", 10 ** 12, id="sample_count-past-the-memory-bound"),
     pytest.param("ensemble", {"random": 10 ** 12}, id="ensemble-past-the-memory-bound"),
     pytest.param("ensemble", {"pairs": []}, id="ensemble-without-pairs"),
+    pytest.param("ensemble", {"random": 3, "pairs": [
+        {"a": {"diag": [1.0, 0.0]}, "b": {"diag": [0.0, 1.0]}}]}, id="ensemble-random-and-pairs"),
+    pytest.param("initial_state", {"diag": [0.7, 0.3], "maximally_mixed": True},
+                 id="initial_state-diag-and-maximally-mixed"),
+    pytest.param("sample_cout", 5, id="misspelt-field"),
+    pytest.param("algebra", {"kind": "full", "dim": 2, "dimm": 3}, id="algebra-unknown-field"),
+    pytest.param("pipeline", ["propagate", "propagate"], id="pipeline-repeated-stage"),
 ])
 def test_cli_exit_2_on_malformed_field(tmp_path, capsys, field, value):
     # the ensemble is parsed up front even though this pipeline has no ergodic stage
