@@ -352,8 +352,13 @@ class ExpectationMaps(Mapping):
         return len(self.rhos)
 
     def rows(self, ts) -> Array:
-        """E_{omega_t} for every t of ``ts``, as one fresh (k, n^2, n^4) stack."""
-        return expectation_matrices(self.rhos[list(ts)])
+        """E_{omega_t} for every t of ``ts``, as one fresh read-only (k, n^2, n^4) stack.
+
+        Read-only, as a stored row is, so a SuperMap of a row keeps it without a copy.
+        """
+        mats = expectation_matrices(self.rhos[list(ts)])
+        mats.setflags(write=False)
+        return mats
 
 
 def predual(m: SuperMap) -> SuperMap:
