@@ -14,19 +14,20 @@ type-B one, so :func:`check_markov` only picks a split law of
 :func:`qqsp.process.split_residuals`; h reads Q^{s,tau} = E_{omega_s} P^{s,tau}
 off its own cores.
 
-H/h and Z/z are stored factored (:class:`qqsp.process.Family`). H/h hold
+H/h and Z/z are always stored factored (:class:`qqsp.process.Family`). H/h hold
 P's own array as their cores C^{s,t}. Z^{s,t} = embed Q^{s,t} E_{omega_t}, so Z/z
-hold Q's array, and nothing forms embed Q^{s,t}. Every Z/z residual is taken
-on n^2 x n^2 stacks and scaled by sqrt(n) (embed is a 0/1 row selection with
-embed^dagger embed = n 1), with the slot S_tau = E_{omega_tau} embed between
-two of Q's maps. H/h's residuals that start with C^{s,t} are normed on its
+hold Q's array, and nothing forms embed Q^{s,t}. Since E_omega(1 (x) x) = omega(1) x,
+the slot E_{omega_t} embed is c_t 1 with c_t = tr(rho_t) (:attr:`Family.slot_scales`),
+and no slot is formed. Every Z/z residual is taken on n^2 x n^2 stacks and scaled by
+sqrt(n) (embed is a 0/1 row selection with embed^dagger embed = n 1), with c_tau
+between two of Q's maps. H/h's residuals that start with C^{s,t} are normed on its
 thin R factor, taken once per core; the absorption axiom is then one table of
 n^2 x n^2 products of two R factors.
 
 A pair (Q, H) with the right exchange axioms determines the lattice:
-P^{s,t} x = H^{s,t}(embed(x)) along the trajectory psi_t. That rebuilt
-lattice is built once, by :func:`reconstruct_qqsp`; from the H/h of a lattice it is P's own
-array scaled by tr(rho_t). No family stores a trajectory of conditional expectations: every
+P^{s,t} x = H^{s,t}(embed(x)) = c_t C^{s,t} x along the trajectory psi_t. That rebuilt
+lattice is built once, by :func:`reconstruct_qqsp`: H's own array scaled by c_t as it is
+read. No family stores a trajectory of conditional expectations: every
 table places the E_{omega_t}, E_{psi_t} and E_{phi_t} it reads a chunk at a time
 (:class:`qqsp.algebra.ExpectationMaps`). Conventions that place x in the averaged
 slot state the same identities with the tensor factors exchanged.
@@ -45,7 +46,6 @@ from .algebra import (
     State,
     SuperMap,
     embed_averaged_supermap,
-    embed_supermap,
     expectation_matrices,
     flip_rows,
     predual,
@@ -66,11 +66,10 @@ from .process import (
 )
 
 
-def _derived(source: Family, kind: str, maps: MapStack, factored: bool, **shared) -> Family:
-    """A marginal family on the trajectory of ``source``, sharing its E_{omega_t} and slots."""
+def _derived(source: Family, kind: str, maps: MapStack, **shared) -> Family:
+    """A marginal family on the trajectory of ``source``, sharing its E_{omega_t}."""
     return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
-                  expectations=source.expectations, factored=factored, slots=source.slots,
-                  **shared)
+                  expectations=source.expectations, **shared)
 
 
 def build_Q(lattice: Family) -> Family:
@@ -79,13 +78,13 @@ def build_Q(lattice: Family) -> Family:
     Its maps are the lattice's :attr:`Family.conditioned` maps, so Q^{s,t} that
     propagation or kc already formed are not formed again.
     """
-    return _derived(lattice, "Q", lattice.conditioned, False)
+    return _derived(lattice, "Q", lattice.conditioned)
 
 
 def _build_doubled(lattice: Family, kind: str) -> Family:
     # the core of H^{s,t} = P^{s,t} E_{omega_t} is the lattice map itself, so H/h
     # hold the lattice's own array and share its E_{omega_s} P^{s,t}
-    return _derived(lattice, kind, lattice.maps, True, conditioned_maps=lattice.conditioned)
+    return _derived(lattice, kind, lattice.maps, conditioned_maps=lattice.conditioned)
 
 
 def build_H(lattice: Family) -> Family:
@@ -105,12 +104,10 @@ def build_h(lattice: Family) -> Family:
 def _derive_embedded(h_family: Family, q_family: Family, kind: str) -> Family:
     # embed(E_{omega_s} P^{s,t} E_{omega_t}) = embed Q^{s,t} E_{omega_t}: Q's maps, with embed
     # as the lead
-    if not h_family.factored:
-        raise ValueError(f"{kind} derives from the {h_family.kind} built from a lattice")
     if q_family.maps is not h_family.conditioned_maps:   # Q's own array, not a copy
         raise ValueError(f"{kind} takes Q^{{s,t}} from the Q family of its {h_family.kind}'s "
                          f"lattice, which shares its trajectory")
-    return _derived(h_family, kind, q_family.maps, True)
+    return _derived(h_family, kind, q_family.maps)
 
 
 def build_Z(h_family: Family, q_family: Family) -> Family:
@@ -137,7 +134,7 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
     """Residuals of the composition law over every admissible triple.
 
     The law is the split law of :func:`qqsp.process.split_residuals` that the
-    kind asks for. Q and any unfactored family compose plainly, F^{s,tau} F^{tau,t}.
+    kind asks for. P and Q compose plainly, F^{s,tau} F^{tau,t}.
     The factored H, Z, z compose as C^{s,tau} E_{omega_tau} C^{tau,t} (law A), and so
     does h with ``law='plain'`` (the type-B contrast makes it fail on purpose).
     Natively h obeys the doubled law (Q^{s,tau} (x) Q^{s,tau}) h^{tau,t} (law B), with
@@ -146,9 +143,6 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
     if law not in ("native", "plain"):
         raise ValueError(f"unknown law {law!r}")
     doubled = family.kind == "h" and law == "native"
-    if doubled and not family.factored:
-        raise ValueError("the doubled law of h reads Q^{s,tau} = E_{omega_s} P^{s,tau} off "
-                         "its cores; an unfactored h stores no P^{s,tau}")
     split = "B" if doubled else "A" if family.factored else "plain"
     label = "doubled-composition" if doubled else "markov"
     return split_residuals(family, split, f"{label}-{family.kind}")
@@ -225,8 +219,6 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
 
     def exchanged(part):   # E_{psi_s} H^{s,t}, followed by H's trailing factor E_{omega_t}
         stack = np.matmul(rebuilt.expectations.rows(ss[part]), cores[part])
-        if not h_family.factored:
-            return stack
         return np.matmul(stack, h_family.expectations.rows(ts[part]))
 
     def intertwined(part):   # Q^{s,t} E_{phi_t}
@@ -247,22 +239,18 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
 def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
     """||H - H embed E_{psi_t}|| = ||C D_t|| = ||R^{s,t} R_t^dagger|| at every pair (s, t).
 
-    D_t = T_t - T_t embed E_{psi_t}, with T_t the trailing factor of ``h_family`` (the
-    identity if it has none), psi_t the trajectory of ``rebuilt``, and R^{s,t} the
-    family's thin R factor of C^{s,t}. With the thin QR D_t^dagger = Q_t R_t, Q_t is an
-    isometry, so the norm is taken on the small product R^{s,t} R_t^dagger, one QR per t.
-    E_{psi_t} and E_{omega_t} are placed one chunk of t at a time.
+    H^{s,t} = C^{s,t} E_{omega_t} and E_{omega_t} embed = c_t 1, so D_t = E_{omega_t} -
+    c_t E_{psi_t}, with psi_t the trajectory of ``rebuilt`` and R^{s,t} the family's thin
+    R factor of C^{s,t}. With the thin QR D_t^dagger = Q_t R_t, Q_t is an isometry, so
+    the norm is taken on the small product R^{s,t} R_t^dagger, one QR per t. E_{psi_t}
+    and E_{omega_t} are placed one chunk of t at a time.
     """
-    n, times = h_family.n, range(1, h_family.horizon + 1)
-    lead, r_t = embed_supermap(n).matrix, []   # R_t^dagger at t - 1
+    n, times, r_t = h_family.n, range(1, h_family.horizon + 1), []   # R_t^dagger at t - 1
     for part in chunks(len(times), 16 * n ** 6):   # E_{omega_t} is n^2 x n^4
-        e_psis = rebuilt.expectations.rows(times[part])
-        e_omegas = h_family.expectations.rows(times[part]) if h_family.factored else None
-        for i, (t, e_psi) in enumerate(zip(times[part], e_psis)):
-            # D_t = E_{omega_t} - S_t E_{psi_t}, or 1 - embed E_{psi_t}
-            d = (e_omegas[i] - h_family.slots[t] @ e_psi
-                 if h_family.factored else np.eye(len(lead)) - lead @ e_psi)
-            r_t.append(dagger(np.linalg.qr(dagger(d), mode="r")))
+        scales = h_family.slot_scales[times[part]][:, None, None]
+        ds = (h_family.expectations.rows(times[part])
+              - scales * rebuilt.expectations.rows(times[part]))
+        r_t += [dagger(np.linalg.qr(dagger(d), mode="r")) for d in ds]
     r, r_t = h_family.thin_r.array, np.array(r_t)
     ts = np.array([t for _, t in h_family.pairs()])
     return pair_residuals(h_family, r_t.shape[1:],
@@ -270,21 +258,14 @@ def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
                           None, "axiom-absorption")
 
 
-def _scalar_slots(slots) -> bool:
-    """Whether every slot S of a (k, m, m) stack is exactly S[0, 0] times the identity."""
-    return bool(np.array_equal(slots, slots[:, :1, :1] * np.eye(slots.shape[-1])))
-
-
 def reconstruct_qqsp(q_family: Family, h_family: Family,
                      omega0: State, target_type: str,
                      strict: bool = True, tol: float = 1e-8) -> Family:
     """Rebuild the lattice from a marginal pair: P^{s,t} x = H^{s,t}(embed(x)).
 
-    The rebuilt maps are H^{s,t} S_t, with S_t = E_{omega_t} embed for a factored H/h.
-    Where every S_t is exactly c_t 1 (n^4 compares a t), H^{s,t} S_t has the bits of
-    c_t C^{s,t}, so the rebuilt lattice holds H's own array and scales each row as it is
-    read (:class:`qqsp.algebra.ScaledMapStack`). Any other slot, and an unfactored H
-    (S_t = embed), gets the products in one batched call.
+    H^{s,t} = C^{s,t} E_{omega_t} and E_{omega_t} embed = c_t 1 with c_t = tr(rho_t), so
+    the rebuilt maps are c_t C^{s,t}: the rebuilt lattice holds H's own array and scales
+    each row as it is read (:class:`qqsp.algebra.ScaledMapStack`).
 
     The returned trajectory is psi_t, omega_0 (x) omega_0 after P^{0,t},
     which the axioms force to agree with phi_t. In strict mode the
@@ -292,14 +273,7 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     """
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
-    order = h_family.maps.order
-    ts = [t for _, t in order]
-    if h_family.factored and _scalar_slots(h_family.slots[1:]):
-        # S_t = c_t 1, and H^{s,t} S_t has the bits of c_t H^{s,t}: H's own array, scaled as read
-        maps = ScaledMapStack(h_family.maps, h_family.slots[ts, 0, 0])
-    else:
-        slots = h_family.slots[ts] if h_family.factored else embed_supermap(h_family.n).matrix
-        maps = MapStack(np.matmul(h_family.maps.array, slots), order)   # H^{s,t} S_t, one call
+    maps = ScaledMapStack(h_family.maps, h_family.slot_scales[[t for _, t in h_family.pairs()]])
     rho00 = np.kron(omega0.rho, omega0.rho)
     psis = computed_states([predual(maps[(0, t)])(rho00) for t in range(1, h_family.horizon + 1)],
                            "psi_t", 1)
@@ -354,21 +328,20 @@ def slice_residuals(lattice: Family, q_family: Family,
     z_averaged_slot as for H. The intertwining E_{omega_s} H = Q E_{omega_t}
     holds here by the definition of Q; the axiom exchange checks it for a pair.
 
-    Each is taken on its smallest exact factor. With S_t = E_{omega_t} embed and
-    the thin R factor of P^{s,t}, H's reconstruction slot is ||R^{s,t} (S_t - 1)||.
+    Each is taken on its smallest exact factor. With E_{omega_t} embed = c_t 1 and
+    the thin R factor of P^{s,t}, H's reconstruction slot is ||R^{s,t} (c_t - 1)||.
     E_{omega_t} embed_averaged is |vec 1><rho_t| and the constant map |vec 1 (x) 1><rho_t|,
     so H's averaged slot is the rank-one ||P^{s,t}(1) - 1 (x) 1||_F ||rho_t||_F. Z/z
-    store Q's maps Y: its slots are sqrt(n) ||Y^{s,t} S_t - Q^{s,t}|| and
-    sqrt(n) ||Y^{s,t} A_t - K_t||, with A_t = E_{omega_t} embed_averaged and K_t the
-    constant map x -> omega_t(x) 1 on M.
+    store Q's maps Y: its reconstruction slot is sqrt(n) ||c_t Y^{s,t} - Q^{s,t}||, and its
+    averaged slot, the rank-one sqrt(n) ||Y^{s,t}(1) - 1||_F ||rho_t||_F by the same factors
+    on M.
     """
-    if not (h_family.factored and (z_family is None or z_family.factored)):
-        raise ValueError("slice identities are stated for the marginals built from the lattice")
     if h_family.maps is not lattice.maps:
         raise ValueError(f"{h_family.kind} does not store this lattice's maps P^{{s,t}} "
                          f"as its cores")
     n, pairs = lattice.n, lattice.pairs()
     ts = np.array([t for _, t in pairs])
+    scales = h_family.slot_scales[ts][:, None, None]   # c_t by pair
     units = lattice.maps.array @ vec(np.eye(n))   # P(1), one gemv per map
     unital = np.linalg.norm(units - vec(np.eye(n * n)), axis=1)
 
@@ -377,9 +350,10 @@ def slice_residuals(lattice: Family, q_family: Family,
         return lambda part: np.matmul(left[part], right[ts[part]])
 
     side = (n * n, n * n)
+    r = h_family.thin_r.array
     out = {
         "reconstruction_slot": pair_residuals(
-            lattice, side, products(h_family.thin_r.array, h_family.slots - np.eye(n * n)), None,
+            lattice, side, lambda part: r[part] * (scales[part] - 1), None,
             "reconstruction_slot").max_residual,
         "averaged_slot": max(float(gap) * h_family.trailing_norm(t)
                              for gap, (_, t) in zip(unital, pairs)),
@@ -392,8 +366,9 @@ def slice_residuals(lattice: Family, q_family: Family,
                                    for part in chunks(len(times), 16 * n ** 6)])
         consts = np.array([SuperMap.constant(w, n).matrix for w in lattice.omegas])
         root_n = z_family.lead_norm
+        y = z_family.maps.array
         out["z_reconstruction_slot"] = pair_residuals(
-            lattice, side, products(z_family.maps.array, z_family.slots),
+            lattice, side, lambda part: y[part] * scales[part],
             lambda part: q_family.maps.array[part],
             "z_reconstruction_slot", scale=lambda t: root_n).max_residual
         out["z_averaged_slot"] = pair_residuals(

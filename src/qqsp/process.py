@@ -38,7 +38,6 @@ from .algebra import (
     ScaledMapStack,
     Stacked,
     doubled_after,
-    embed_supermap,
     expectation_matrices,
     flip_symmetry_residual,
     predual,
@@ -163,14 +162,16 @@ class Family:
     (:class:`qqsp.algebra.ExpectationMaps`): each read places the rows it asks for, and
     every reader asks a chunk at a time, so no family holds an array of them.
 
-    A ``factored`` family never forms its n^4 x n^4 maps. H/h store in ``maps``
-    the core C^{s,t} (M -> M (x) M) of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store
-    Q's maps Y^{s,t} (M -> M) of F^{s,t} = embed Y^{s,t} E_{omega_t}
-    (:attr:`stores_q`), and nothing forms embed Y^{s,t}. Residual sweeps work on
-    the stored maps: E E^dagger = ||rho||_F^2 1 gives ||X E_{omega_t}|| =
-    ||rho_t||_F ||X|| (:meth:`trailing_norm`), and embed^dagger embed = n 1 gives
-    ||embed X|| = sqrt(n) ||X|| (:attr:`lead_norm`). Any other family has trivial
-    lead and trailing factors, so the same sweeps read its maps as they are.
+    The doubled marginals are always stored factored (:attr:`factored`) and never
+    form their n^4 x n^4 maps. H/h store in ``maps`` the core C^{s,t} (M -> M (x) M)
+    of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store Q's maps Y^{s,t} (M -> M) of
+    F^{s,t} = embed Y^{s,t} E_{omega_t} (:attr:`stores_q`), and nothing forms
+    embed Y^{s,t}. Residual sweeps work on the stored maps: E E^dagger =
+    ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X|| (:meth:`trailing_norm`),
+    and embed^dagger embed = n 1 gives ||embed X|| = sqrt(n) ||X|| (:attr:`lead_norm`).
+    E_omega(1 (x) x) = omega(1) x, so the reconstruction slot E_{omega_t} embed that
+    stands between two of Z/z's maps is tr(rho_t) 1 (:attr:`slot_scales`). P and Q have
+    trivial lead and trailing factors, so the same sweeps read their maps as they are.
     """
 
     kind: str
@@ -180,10 +181,6 @@ class Family:
     process_type: str | None = None
     algebra_kind: str = "full"
     expectations: ExpectationMaps | None = field(default=None, repr=False, compare=False)
-    factored: bool = False
-    # the reconstruction slot S_t = E_{omega_t} embed of a factored family by t, which stands
-    # between two stored maps of Z/z; shared by the families derived from it
-    slots: np.ndarray | None = field(default=None, repr=False, compare=False)
     # E_{omega_s} C^{s,t} (:attr:`conditioned`); shared by a lattice and its H/h
     conditioned_maps: MapStack | None = field(default=None, repr=False, compare=False)
 
@@ -194,9 +191,9 @@ class Family:
             raise ValueError(f"a process needs type 'A' or 'B', got {self.process_type!r}")
         if self.expectations is None and self.omegas is not None:
             object.__setattr__(self, "expectations", ExpectationMaps(self.omegas))
-        if self.factored and (self.kind in ("P", "Q") or self.expectations is None):
-            raise ValueError(f"a factored family is a doubled marginal with the E_{{omega_t}} "
-                             f"of its lattice, got kind {self.kind!r}")
+        if self.factored and self.expectations is None:
+            raise ValueError(f"a doubled marginal {self.kind} needs the E_{{omega_t}} of its "
+                             f"lattice, and was given no trajectory")
         if not isinstance(self.maps, (MapStack, ScaledMapStack)):
             # a hand-built {(s, t): SuperMap} dict: its maps are stacked once
             order = sorted(self.maps)
@@ -206,12 +203,6 @@ class Family:
         if (self.maps.in_dim, self.maps.out_dim) != (in_dim, out_dim):
             raise ValueError(f"maps have dims ({self.maps.in_dim}, {self.maps.out_dim}), "
                              f"expected ({in_dim}, {out_dim})")
-        if self.factored and self.slots is None:   # S_t, one composition per t
-            embed, es = embed_supermap(self.n), self.expectations
-            ts = range(len(es))   # E_{omega_t} placed a chunk of t at a time
-            rows = (e for part in chunks(len(ts), 16 * self.n ** 6) for e in es.rows(ts[part]))
-            object.__setattr__(self, "slots", np.array(
-                [(SuperMap(es.in_dim, es.out_dim, e) @ embed).matrix for e in rows]))
 
     @property
     def side(self) -> int:
@@ -223,9 +214,14 @@ class Family:
         return max(t for (_, t) in self.maps)
 
     @property
+    def factored(self) -> bool:
+        """Whether this is a doubled marginal H/h/Z/z, stored as C^{s,t} of C^{s,t} E_{omega_t}."""
+        return self.kind in ("H", "h", "Z", "z")
+
+    @property
     def stores_q(self) -> bool:
-        """Whether this is a factored Z/z: its stored maps are Q's, and its lead is embed."""
-        return self.factored and self.kind in ("Z", "z")
+        """Whether this is a Z/z: its stored maps are Q's, and its lead is embed."""
+        return self.kind in ("Z", "z")
 
     @property
     def lead_norm(self) -> float:
@@ -244,8 +240,8 @@ class Family:
 
         One gemm a pair, a chunk of pairs at a time (:func:`qqsp.linalg.chunks`), with the
         chunk's maps read by ``maps.rows`` and its E_{omega_s} placed by ``expectations.rows``;
-        Z/z's E_{omega_s} embed Y^{s,t} is S_s Y^{s,t}. A type-B lattice comes from
-        :func:`propagate` with them; kc, h's doubled law, the lattice's Q family and the
+        Z/z's E_{omega_s} embed Y^{s,t} is c_s Y^{s,t} (:attr:`slot_scales`). A type-B lattice
+        comes from :func:`propagate` with them; kc, h's doubled law, the lattice's Q family and the
         rebuilt lattice's kc and conclusion-b read them here.
         """
         if self.conditioned_maps is None:
@@ -253,8 +249,11 @@ class Family:
             q = np.empty((len(order), self.n ** 2, cols), dtype=complex)
             for part in chunks(len(order), 16 * rows * cols):
                 starts = [s for s, _ in order[part]]
-                before = self.slots[starts] if self.stores_q else self.expectations.rows(starts)
-                q[part] = stacked_products(before, self.maps.rows(order[part]))
+                if self.stores_q:
+                    q[part] = self.maps.rows(order[part]) * self.slot_scales[starts][:, None, None]
+                else:
+                    q[part] = stacked_products(self.expectations.rows(starts),
+                                               self.maps.rows(order[part]))
             object.__setattr__(self, "conditioned_maps", MapStack(q, order))
         return self.conditioned_maps
 
@@ -265,6 +264,11 @@ class Family:
     @cached_property
     def _rho_norms(self) -> tuple[float, ...]:
         return tuple(float(np.linalg.norm(w.rho)) for w in self.omegas)
+
+    @cached_property
+    def slot_scales(self) -> np.ndarray:
+        """c_t = tr(rho_t) by t: E_omega(1 (x) x) = omega(1) x, so E_{omega_t} embed = c_t 1."""
+        return np.array([np.trace(w.rho) for w in self.omegas])
 
     @cached_property
     def thin_r(self) -> Stacked:

@@ -82,6 +82,18 @@ def test_averaged_slot_and_constant_map_are_rank_one(rng, n):
         assert np.array_equal(constant.matrix, np.outer(vec(np.eye(n * n)), v))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_reconstruction_slot_is_the_trace_times_the_identity(rng, n):
+    # E_omega(1 (x) x) = omega(1) x: the product E_omega embed comes out exactly S[0, 0] 1,
+    # and S[0, 0] is tr(rho) up to the order BLAS sums the diagonal in
+    for _ in range(10):
+        omega = State(random_density(rng, n))
+        slot = (expectation_supermap(omega) @ embed_supermap(n)).matrix
+        assert np.array_equal(slot, slot[0, 0] * np.eye(n * n))
+        trace = np.trace(omega.rho)
+        assert abs(slot[0, 0] - trace) <= 4 * np.spacing(abs(trace))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_embed_is_root_n_times_an_isometry(n):
     emb = embed_supermap(n).matrix
@@ -235,27 +247,6 @@ def test_the_rebuilt_lattice_is_p_scaled_by_the_slot(n, ptype):
     e_psi = [expectation_supermap(psi).matrix for psi in rebuilt.omegas]
     assert np.array_equal(rebuilt.conditioned.array,
                           [e_psi[s] @ m for (s, _), m in zip(lat.pairs(), want)])
-
-
-@pytest.mark.parametrize("ptype", ["A", "B"])
-def test_a_slot_that_is_not_scalar_gets_the_stored_product(ptype):
-    # a factored H whose slot at T is moved off c_T 1 (hermiticity- and unit-preserving, so
-    # psi_T stays a state), and an unfactored H: both keep the stored products H^{s,t} S_t
-    lat = _lattice(2, ptype)
-    q, h, _ = _marginals(lat)
-    slots = h.slots.copy()
-    slots[-1, 1, 2] += 1e-3   # E_10 picks up E_01 and E_01 picks up E_10
-    slots[-1, 2, 1] += 1e-3
-    moved = Family(h.kind, 2, h.maps, h.omegas, expectations=h.expectations, factored=True,
-                   slots=slots, conditioned_maps=h.conditioned_maps)
-    unfactored = Family(h.kind, 2, dense(h), h.omegas)
-    emb = embed_supermap(2).matrix
-    for family, slot in ((moved, lambda t: slots[t]), (unfactored, lambda t: emb)):
-        rebuilt = reconstruct_qqsp(q, family, lat.omega(0), ptype, strict=False)
-        assert isinstance(rebuilt.maps, MapStack)
-        want = np.array([family.maps[(s, t)].matrix @ slot(t) for s, t in lat.pairs()])
-        assert np.array_equal(rebuilt.maps.array, want)
-        assert np.array_equal(_rebuilt_rows(rebuilt), want)
 
 
 def test_rebuilding_and_checking_a_pair_stays_under_one_lattice_array():

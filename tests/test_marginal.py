@@ -181,17 +181,6 @@ def test_type_b_contrast(entangling_lattice):
     assert check_markov(z).max_residual <= 1e-9
 
 
-def test_unfactored_h_has_no_doubled_law():
-    # the doubled law reads Q^{s,tau} = E_{omega_s} P^{s,tau} off the cores, which a
-    # hand-built h on M (x) M does not store; its plain law is still measured
-    n, T = 2, 3
-    h = Family("h", n, {(s, t): SuperMap.identity(n * n)
-                        for s in range(T) for t in range(s + 1, T + 1)})
-    with pytest.raises(ValueError, match="unfactored h"):
-        check_markov(h)
-    assert check_markov(h, law="plain").max_residual == 0.0
-
-
 # ----------------------------------------------------------------- axioms
 
 def test_axioms_hold_for_built_pair(mixed_lattice):
@@ -221,19 +210,15 @@ def test_mismatched_pair_fails_exchange(constant_lattice, mixed_lattice):
     assert rep.exchange.max_residual > 0.01
 
 
-def test_abstract_families_are_accepted():
-    # hand-built identity families: valid inputs, axioms measured not assumed
-    n, T = 2, 3
-    keys = [(s, t) for s in range(T) for t in range(s + 1, T + 1)]
-    q = Family("Q", n, {k: SuperMap.identity(n) for k in keys})
-    h = Family("H", n, {k: SuperMap.identity(n * n) for k in keys})
-    omega0 = State.maximally_mixed(n)
-    rec = reconstruct_qqsp(q, h, omega0, "A", strict=False)
-    assert rec.horizon == T
-    rep = verify_marginal_axioms(q, h, rec)
-    assert rep.exchange.max_residual <= 1e-12   # both sides are E_{omega0}
-    assert rep.absorption.max_residual > 0.1    # identity does not absorb
-    with pytest.raises(ValidationFailure):
+def test_a_pair_rebuilt_from_a_foreign_initial_state_fails_absorption():
+    # psi_t then leaves the trajectory omega_t of H: the slot c_t E_{psi_t} no longer
+    # cancels H's E_{omega_t}, and the strict rebuild refuses the pair
+    lat = propagate(make_mixed_seed(3, "A"))
+    q, h = build_Q(lat), build_H(lat)
+    omega0 = State.from_weights([0.1, 0.9])
+    rep = verify_marginal_axioms(q, h, reconstruct_qqsp(q, h, omega0, "A", strict=False))
+    assert abs(rep.absorption.max_residual - 0.6) <= 1e-12
+    with pytest.raises(ValidationFailure, match="axiom suite"):
         reconstruct_qqsp(q, h, omega0, "A", strict=True, tol=1e-8)
 
 
@@ -336,6 +321,18 @@ def test_family_dimension_guard():
     with pytest.raises(ValueError, match="type"):
         Family("P", 2, {(0, 1): symmetrized_embedding(2)})
     assert Family("P", 2, {(0, 1): symmetrized_embedding(2)}, process_type="B").side == 4
+
+
+@pytest.mark.parametrize("kind", ["H", "h", "Z", "z"])
+def test_a_doubled_marginal_is_never_stored_on_the_doubled_algebra(kind):
+    # H/h store their cores M -> M (x) M and Z/z Q's maps on M; a dense map on M (x) M is
+    # refused, and so is a doubled marginal without the trajectory of its lattice
+    omegas = (State.maximally_mixed(2),) * 2
+    with pytest.raises(ValueError, match="expected"):
+        Family(kind, 2, {(0, 1): SuperMap.identity(4)}, omegas)
+    with pytest.raises(ValueError, match="trajectory"):
+        Family(kind, 2, {(0, 1): SuperMap.identity(2) if kind in "Zz"
+                         else symmetrized_embedding(2)})
 
 
 # ------------------------------------------- factored doubled marginals

@@ -78,6 +78,11 @@ def _pair_loop(family, lhs, rhs, scale=lambda t: 1.0):
     return {(s, t): scale(t) * operator_norm(lhs(s, t) - rhs(s, t)) for s, t in family.pairs()}
 
 
+def _slot(family, t):
+    """S_t = E_{omega_t} embed, formed here as the product of the two maps."""
+    return (family.expectations[t] @ embed_supermap(family.n)).matrix
+
+
 def _plain(family):
     """The plain law on the stored maps; a factored family has E_tau, or S_tau for Z/z, between."""
     y = family.maps
@@ -85,7 +90,7 @@ def _plain(family):
     def compose(s, tau, t):
         if not family.factored:
             return (y[(s, tau)] @ y[(tau, t)]).matrix
-        between = (SuperMap(family.n, family.n, family.slots[tau]) if family.stores_q
+        between = (SuperMap(family.n, family.n, _slot(family, tau)) if family.stores_q
                    else family.expectations[tau])
         return (y[(s, tau)] @ (between @ y[(tau, t)])).matrix
     return compose
@@ -112,12 +117,12 @@ def _slice_loops(lattice, q, h, z):
     return {
         "reconstruction_slot": _pair_loop(
             lattice, lambda s, t: np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
-            @ (h.slots[t] - np.eye(n * n)), lambda s, t: 0),
+            @ (_slot(h, t) - np.eye(n * n)), lambda s, t: 0),
         "averaged_slot": {(s, t): float(np.linalg.norm(lattice.map(s, t).matrix @ one - one2,
                                                        axis=-1)) * h.trailing_norm(t)
                           for s, t in lattice.pairs()},
         "z_reconstruction_slot": _pair_loop(
-            lattice, lambda s, t: z.maps[(s, t)].matrix @ z.slots[t],
+            lattice, lambda s, t: z.maps[(s, t)].matrix @ _slot(z, t),
             lambda s, t: q.map(s, t).matrix, lambda t: root_n),
         "z_averaged_slot": _pair_loop(
             lattice, lambda s, t: z.maps[(s, t)].matrix @ (es[t] @ avg).matrix,
@@ -246,7 +251,7 @@ def _loop_tables(lat):
         return expectation_supermap(State(predual(q.map(s, t))(q.omega(s).rho))).matrix
 
     def absorbed(s, t):   # R^{s,t} R_t^dagger, with D_t^dagger = Q_t R_t
-        d = es[t].matrix - h.slots[t] @ e_psi[t].matrix
+        d = es[t].matrix - _slot(h, t) @ e_psi[t].matrix
         return (np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
                 @ np.linalg.qr(d.conj().T, mode="r").conj().T)
 
