@@ -44,8 +44,6 @@ from .algebra import (
     MapStack,
     ScaledMapStack,
     State,
-    SuperMap,
-    embed_averaged_supermap,
     expectation_matrices,
     flip_rows,
     predual,
@@ -333,8 +331,7 @@ def slice_residuals(lattice: Family, q_family: Family,
     E_{omega_t} embed_averaged is |vec 1><rho_t| and the constant map |vec 1 (x) 1><rho_t|,
     so H's averaged slot is the rank-one ||P^{s,t}(1) - 1 (x) 1||_F ||rho_t||_F. Z/z
     store Q's maps Y: its reconstruction slot is sqrt(n) ||c_t Y^{s,t} - Q^{s,t}||, and its
-    averaged slot, the rank-one sqrt(n) ||Y^{s,t}(1) - 1||_F ||rho_t||_F by the same factors
-    on M.
+    averaged slot, by the same factors on M, sqrt(n) ||Y^{s,t}(1) - 1||_F ||rho_t||_F.
     """
     if h_family.maps is not lattice.maps:
         raise ValueError(f"{h_family.kind} does not store this lattice's maps P^{{s,t}} "
@@ -342,36 +339,24 @@ def slice_residuals(lattice: Family, q_family: Family,
     n, pairs = lattice.n, lattice.pairs()
     ts = np.array([t for _, t in pairs])
     scales = h_family.slot_scales[ts][:, None, None]   # c_t by pair
-    units = lattice.maps.array @ vec(np.eye(n))   # P(1), one gemv per map
-    unital = np.linalg.norm(units - vec(np.eye(n * n)), axis=1)
 
-    def products(left, right):
-        """The products left[(s, t)] right[t] of a chunk, from an array by pair and one by t."""
-        return lambda part: np.matmul(left[part], right[ts[part]])
+    def averaged(maps, side: int) -> float:
+        """max ||F^{s,t}(1) - 1||_F ||rho_t||_F over the pairs, one gemv per map for F(1)."""
+        gaps = np.linalg.norm(maps @ vec(np.eye(n)) - vec(np.eye(side)), axis=1)
+        return max(float(gap) * h_family.trailing_norm(t) for gap, t in zip(gaps, ts))
 
-    side = (n * n, n * n)
     r = h_family.thin_r.array
     out = {
         "reconstruction_slot": pair_residuals(
-            lattice, side, lambda part: r[part] * (scales[part] - 1), None,
+            lattice, (n * n, n * n), lambda part: r[part] * (scales[part] - 1), None,
             "reconstruction_slot").max_residual,
-        "averaged_slot": max(float(gap) * h_family.trailing_norm(t)
-                             for gap, (_, t) in zip(unital, pairs)),
+        "averaged_slot": averaged(lattice.maps.array, n * n),
     }
     if z_family is not None:
-        es, avg = z_family.expectations, embed_averaged_supermap(n).matrix
-        times = range(len(es))
-        # A_t = E_{omega_t} embed_averaged, E_{omega_t} placed a chunk of t at a time
-        averaged = np.concatenate([np.matmul(es.rows(times[part]), avg)
-                                   for part in chunks(len(times), 16 * n ** 6)])
-        consts = np.array([SuperMap.constant(w, n).matrix for w in lattice.omegas])
-        root_n = z_family.lead_norm
-        y = z_family.maps.array
+        y, root_n = z_family.maps.array, z_family.lead_norm
         out["z_reconstruction_slot"] = pair_residuals(
-            lattice, side, lambda part: y[part] * scales[part],
+            lattice, (n * n, n * n), lambda part: y[part] * scales[part],
             lambda part: q_family.maps.array[part],
             "z_reconstruction_slot", scale=lambda t: root_n).max_residual
-        out["z_averaged_slot"] = pair_residuals(
-            lattice, side, products(z_family.maps.array, averaged), lambda part: consts[ts[part]],
-            "z_averaged_slot", scale=lambda t: root_n).max_residual
+        out["z_averaged_slot"] = root_n * averaged(y, n)
     return out

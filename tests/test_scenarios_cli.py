@@ -275,8 +275,8 @@ def test_each_quantity_is_computed_once(monkeypatch):
     assert distinct == 1   # the builtin holds one map T times
     # No trajectory of E_{omega_t}, E_{phi_t} or E_{psi_t} is stored; each is placed where it
     # is read, one stack per chunk. Type-B propagate places E_{omega_s} for each column t of
-    # Q^{s,t}; z's averaged slot places E_{omega_t} once (one chunk of t), and no slot
-    # E_{omega_t} embed is formed, since it is tr(rho_t) 1;
+    # Q^{s,t}; no slot E_{omega_t} embed or E_{omega_t} embed_averaged is formed, since the
+    # one is tr(rho_t) 1 and the other is of rank one;
     # the exchange table places E_{psi_s}, H's trailing E_{omega_t} and E_{phi_t} per chunk,
     # the absorption table E_{psi_t} and E_{omega_t} per chunk of t, the rebuilt lattice's
     # conditioned maps E_{psi_s} per chunk of pairs, and the state-consistency table
@@ -289,7 +289,7 @@ def test_each_quantity_is_computed_once(monkeypatch):
     assert (exchange, conditioned, by_t) == (1, 1, 1)
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
                       "certify_unital_cp": distinct,
-                      "expectation_matrices": T + by_t + 3 * exchange + 2 * by_t
+                      "expectation_matrices": T + 3 * exchange + 2 * by_t
                       + conditioned + 2 * state}
 
 

@@ -111,22 +111,23 @@ def _close(got, want):
 
 def _slice_loops(lattice, q, h, z):
     """Per-gap loops of the factored slice formulas, in the stacked code's arithmetic."""
-    n, es = lattice.n, lattice.expectations
-    avg, root_n = embed_averaged_supermap(n), z.lead_norm
-    one, one2 = vec(np.eye(n)), vec(np.eye(n * n))
+    n, root_n = lattice.n, z.lead_norm
+    one = vec(np.eye(n))
+
+    def averaged(family, unit, scale=1.0):   # the rank-one ||F^{s,t}(1) - 1||_F ||rho_t||_F
+        return {(s, t): scale * (float(np.linalg.norm(family.maps[(s, t)].matrix @ one - unit,
+                                                      axis=-1)) * family.trailing_norm(t))
+                for s, t in lattice.pairs()}
+
     return {
         "reconstruction_slot": _pair_loop(
             lattice, lambda s, t: np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
             @ (_slot(h, t) - np.eye(n * n)), lambda s, t: 0),
-        "averaged_slot": {(s, t): float(np.linalg.norm(lattice.map(s, t).matrix @ one - one2,
-                                                       axis=-1)) * h.trailing_norm(t)
-                          for s, t in lattice.pairs()},
+        "averaged_slot": averaged(h, vec(np.eye(n * n))),
         "z_reconstruction_slot": _pair_loop(
             lattice, lambda s, t: z.maps[(s, t)].matrix @ _slot(z, t),
             lambda s, t: q.map(s, t).matrix, lambda t: root_n),
-        "z_averaged_slot": _pair_loop(
-            lattice, lambda s, t: z.maps[(s, t)].matrix @ (es[t] @ avg).matrix,
-            lambda s, t: SuperMap.constant(lattice.omega(t), n).matrix, lambda t: root_n),
+        "z_averaged_slot": averaged(z, one, root_n),
     }
 
 
