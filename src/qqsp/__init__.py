@@ -15,8 +15,6 @@ from .algebra import (
     SuperMap,
     certify_unital_cp,
     conditional_expectation,
-    embed_averaged_supermap,
-    embed_supermap,
     expectation_supermap,
     flip_conjugate,
     flip_supermap,

@@ -6,7 +6,7 @@ Conventions, fixed once for the whole package:
 * tensor factors are ordered "first (x) second", and the conditional
   expectation averages the FIRST factor: E_phi(a (x) b) = phi(a) b;
 * consequently the embedding of M into M (x) M that the expectation leaves
-  untouched is x -> 1 (x) x (:func:`embed_supermap`). Texts that average
+  untouched is x -> 1 (x) x, and E_phi(1 (x) x) = phi(1) x. Texts that average
   the second factor state the same identities with the slots exchanged.
 
 In finite dimension every linear functional is normal, so the predual and
@@ -501,26 +501,6 @@ def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
     """:func:`expectation_supermap` of every density matrix of a (k, n, n) stack, in one call."""
     n = np.shape(rhos)[-1]
     return tuple(SuperMap(n * n, n, m) for m in expectation_matrices(rhos))
-
-
-@cache
-def embed_supermap(n: int) -> SuperMap:
-    """The unital embedding x -> 1 (x) x left fixed by every E_phi.
-
-    This is the reconstruction slot: for marginal processes built from a
-    process lattice, applying them after this embedding recovers the
-    lattice maps. Its matrix is a 0/1 row selection with embed^dagger embed
-    = n 1, so ||embed X|| = sqrt(n) ||X||. Built once per n.
-    """
-    t = np.einsum("ac,bi,dj->abcdij", np.eye(n), np.eye(n), np.eye(n))
-    return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
-
-
-@cache
-def embed_averaged_supermap(n: int) -> SuperMap:
-    """The complementary embedding x -> x (x) 1 (the slot E_phi averages)."""
-    t = np.einsum("ai,bd,cj->abcdij", np.eye(n), np.eye(n), np.eye(n))
-    return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from qqsp.algebra import SuperMap, embed_supermap  # noqa: E402
+from qqsp.algebra import SuperMap  # noqa: E402
+from qqsp.linalg import unit_tensor_matrix  # noqa: E402
 
 
 @pytest.fixture
@@ -37,6 +39,26 @@ def symmetric_stochastic_tensor(rng, N):
             p[i, j] = row
             p[j, i] = row
     return p
+
+
+@cache
+def embed_supermap(n: int) -> SuperMap:
+    """The unital embedding x -> 1 (x) x left fixed by every E_phi, built once per n.
+
+    This is the reconstruction slot: a doubled marginal after it gives back the
+    lattice map. Its matrix is a 0/1 row selection with embed^dagger embed = n 1,
+    so ||embed X|| = sqrt(n) ||X||. The library never forms it, since
+    E_{omega_t} embed = tr(rho_t) 1; tests use it as the reference route.
+    """
+    t = np.einsum("ac,bi,dj->abcdij", np.eye(n), np.eye(n), np.eye(n))
+    return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
+
+
+@cache
+def embed_averaged_supermap(n: int) -> SuperMap:
+    """The complementary embedding x -> x (x) 1 (the slot E_phi averages)."""
+    t = np.einsum("ai,bd,cj->abcdij", np.eye(n), np.eye(n), np.eye(n))
+    return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
 
 
 def core(family, s, t):

@@ -12,8 +12,6 @@ from qqsp.algebra import (
     certify_unital_cp,
     conditional_expectation,
     doubled_after,
-    embed_averaged_supermap,
-    embed_supermap,
     expectation_supermap,
     flip_after,
     flip_conjugate,
@@ -39,7 +37,8 @@ from qqsp.linalg import (
 )
 from qqsp.seeds import symmetrized_embedding, transpose_embedding
 
-from conftest import random_density, random_hermitian
+from conftest import (embed_averaged_supermap, embed_supermap, random_density,
+                      random_hermitian)
 
 
 # ---------------------------------------------------------------- oracles

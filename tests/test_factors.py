@@ -15,8 +15,6 @@ from qqsp.algebra import (
     ScaledMapStack,
     State,
     SuperMap,
-    embed_averaged_supermap,
-    embed_supermap,
     expectation_matrices,
     expectation_supermap,
     expectation_supermaps,
@@ -45,7 +43,7 @@ from qqsp.process import (
 from qqsp.scenarios import builtin_scenarios, parse_scenario, run_scenario
 from qqsp.seeds import make_entangling_seed, make_mixed_seed, mixed_step_map
 
-from conftest import dense, random_density
+from conftest import dense, embed_averaged_supermap, embed_supermap, random_density
 
 ROOT = Path(__file__).resolve().parents[1]
 

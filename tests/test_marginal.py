@@ -6,8 +6,6 @@ import pytest
 from qqsp.algebra import (
     State,
     SuperMap,
-    embed_averaged_supermap,
-    embed_supermap,
     expectation_supermap,
     flip_supermap,
     predual,
@@ -37,7 +35,7 @@ from qqsp.seeds import (
     symmetrized_embedding,
 )
 
-from conftest import dense, random_density
+from conftest import dense, embed_averaged_supermap, embed_supermap, random_density
 
 BASIS2 = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
 

@@ -9,8 +9,6 @@ from qqsp.algebra import (
     State,
     SuperMap,
     doubled_after,
-    embed_averaged_supermap,
-    embed_supermap,
     expectation_supermap,
     flip_after,
     predual,
@@ -39,7 +37,7 @@ from qqsp.process import (
 from qqsp.scenarios import parse_scenario, run_scenario
 from qqsp.seeds import make_entangling_seed, make_mixed_seed, mixed_step_map
 
-from conftest import core
+from conftest import core, embed_averaged_supermap, embed_supermap
 
 LATTICES = {
     "mixed-n2-A": lambda: propagate(make_mixed_seed(5, "A")),
