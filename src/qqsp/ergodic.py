@@ -109,10 +109,11 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
                             rng: np.random.Generator | None = None) -> ContractionEstimate:
     """The largest half trace distance of Q^{s,t}_* over the basis pairs and sampled pure pairs.
 
-    The ``sample_count`` orthonormal pure pairs come from one ``rng.normal`` draw; their
-    projectors, images and gaps are formed one chunk of samples at a time
-    (:func:`qqsp.linalg.chunks`), and a running maximum keeps the largest norm. Per sample
-    the bits do not depend on the chunks, and the generator is left where one draw leaves it.
+    The ``sample_count`` orthonormal pure pairs are drawn, and their projectors, images
+    and gaps formed, one chunk of samples at a time (:func:`qqsp.linalg.chunks`), and a
+    running maximum keeps the largest norm. A chunk's ``rng.normal`` call continues the
+    stream of the one before, so per sample the bits do not depend on the chunks, and the
+    generator is left where one draw of every sample leaves it.
     """
     if (s, t) not in q_family.maps:
         raise ValueError(f"no map stored at ({s}, {t})")
@@ -128,10 +129,10 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
     lam = trace_norms(images[first] - images[second]).max(initial=0.0)
     if sample_count:
         rng = rng if rng is not None else np.random.default_rng(0)
-        # one draw in the per-sample order: the real, then the imaginary n x 2 block
-        draws = rng.normal(size=(sample_count, 2, n, 2))
         for part in chunks(sample_count, 2 * 16 * n * n):   # a sample's two projectors
-            g = draws[part, 0] + 1j * draws[part, 1]
+            # in the per-sample order: the real, then the imaginary n x 2 block
+            draws = rng.normal(size=(len(range(sample_count)[part]), 2, n, 2))
+            g = draws[:, 0] + 1j * draws[:, 1]
             u, _ = np.linalg.qr(g)
             # projectors[k, c] = |u_c><u_c| of sample k
             projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
@@ -156,27 +157,28 @@ def state_pair_ensemble(dim: int, count: int, rng: np.random.Generator,
                         diagonal: bool = False) -> list[tuple[State, State]]:
     """count pairs: the extremal basis pair (e_0 vs e_last), then count - 1 random pairs.
 
-    The 2 (count - 1) random states are drawn in one call: on a full algebra
-    g g^dagger / tr with g from ``rng.normal(size=(k, 2, dim, dim))`` (real part,
+    The 2 (count - 1) random states are drawn, formed and checked by :meth:`State.stack`
+    one chunk of about ``CHUNK_BYTES`` at a time (:func:`qqsp.linalg.chunks`): on a full
+    algebra g g^dagger / tr with g from ``rng.normal(size=(k, 2, dim, dim))`` (real part,
     then imaginary part), on a diagonal one normalised weights from
-    ``rng.random((k, dim)) + 1e-3``. That is the stream and the order of drawing
-    the states one at a time. The states are formed and checked by :meth:`State.stack`
-    one chunk of about ``CHUNK_BYTES`` at a time (:func:`qqsp.linalg.chunks`), so beside
-    the draws and the states only one chunk's copies are live; per state the bits do
-    not depend on the chunks. A failing state raises :class:`InvalidDensity` with its
-    index in the whole ensemble.
+    ``rng.random((k, dim)) + 1e-3``, k the chunk's count. Each call continues the stream
+    of the one before, so that is the stream and the order of drawing the states one at a
+    time, and beside the states only one chunk's draws and copies are live; per state the
+    bits do not depend on the chunks. A failing state raises :class:`InvalidDensity` with
+    its index in the whole ensemble.
     """
     k = 2 * max(count - 1, 0)
     basis = np.zeros((2, dim, dim), dtype=complex)
     basis[0, 0, 0] = basis[1, -1, -1] = 1.0
-    draws = rng.random((k, dim)) + 1e-3 if diagonal else rng.normal(size=(k, 2, dim, dim))
     states = list(State.stack(basis))
     for part in chunks(k, 16 * dim * dim):
+        size = len(range(k)[part])
         if diagonal:
-            w = draws[part]
+            w = rng.random((size, dim)) + 1e-3
             rhos = (w / w.sum(axis=1, keepdims=True))[:, :, None] * np.eye(dim)
         else:
-            g = draws[part, 0] + 1j * draws[part, 1]
+            draws = rng.normal(size=(size, 2, dim, dim))
+            g = draws[:, 0] + 1j * draws[:, 1]
             rhos = g @ np.conj(g).transpose(0, 2, 1)
             rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         try:

@@ -270,10 +270,15 @@ def test_ensemble_equals_the_one_shot_stack_at_any_chunk_budget(monkeypatch, dim
 def test_a_failing_ensemble_state_is_named_by_its_index_in_the_ensemble(monkeypatch):
     import qqsp.linalg
 
-    class Draws:   # the stream of default_rng, with state 7 of the random ones spoiled
+    class Draws:   # one stream of default_rng, with state 7 of the random ones spoiled
+        def __init__(self):
+            self.rng, self.drawn = np.random.default_rng(5), 0
+
         def normal(self, size):
-            draws = np.random.default_rng(5).normal(size=size)
-            draws[7, 0, 0, 0] = np.nan
+            draws = self.rng.normal(size=size)
+            if self.drawn <= 7 < self.drawn + len(draws):
+                draws[7 - self.drawn, 0, 0, 0] = np.nan
+            self.drawn += len(draws)
             return draws
 
     monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", 16 * 3 * 3)   # one state a chunk
