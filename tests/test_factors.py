@@ -11,7 +11,6 @@ import pytest
 
 from qqsp import __version__
 from qqsp.algebra import (
-    MapStack,
     ScaledMapStack,
     State,
     SuperMap,
@@ -43,7 +42,7 @@ from qqsp.process import (
 from qqsp.scenarios import builtin_scenarios, parse_scenario, run_scenario
 from qqsp.seeds import make_entangling_seed, make_mixed_seed, mixed_step_map
 
-from conftest import dense, embed_averaged_supermap, embed_supermap, random_density
+from conftest import embed_averaged_supermap, embed_supermap, random_density
 
 ROOT = Path(__file__).resolve().parents[1]
 
