@@ -47,7 +47,7 @@ HERMITICITY_TOL = 1e-12
 def _frozen(a: Array) -> Array:
     # One layout for every stored matrix: BLAS sums in an order that depends
     # on it, so a reshuffled (non-contiguous) copy would shift results. An array
-    # already so laid out and read-only, such as a row of a Stacked, is kept.
+    # already so laid out and read-only, such as a row of a MapStack, is kept.
     if getattr(a, "dtype", None) == complex and a.flags.c_contiguous and not a.flags.writeable:
         return a
     out = np.array(a, dtype=complex, order="C")
@@ -260,10 +260,11 @@ class SuperMap:
         return cls(omega.dim, out_dim, unit_tensor_matrix(t))
 
 
-class Stacked(Mapping):
-    """Matrices of one shape as one read-only (K, rows, cols) array, keyed in ``order``.
+class MapStack(Mapping):
+    """Maps of one shape as one read-only (K, out_dim^2, in_dim^2) array, keyed in ``order``.
 
-    ``x[key]`` is the row of ``key``, a view; :meth:`rows` reads many keys as one stack.
+    ``x[key]`` is a SuperMap view of the row of ``key``; :meth:`rows` reads many keys as one
+    stack.
     """
 
     def __init__(self, array, order):
@@ -271,9 +272,10 @@ class Stacked(Mapping):
         self.array.setflags(write=False)
         self.order = tuple(order)
         self.index = {key: i for i, key in enumerate(self.order)}
+        self.out_dim, self.in_dim = (math.isqrt(d) for d in self.array.shape[1:])
 
-    def __getitem__(self, key):
-        return self.array[self.index[key]]
+    def __getitem__(self, key) -> SuperMap:
+        return SuperMap(self.in_dim, self.out_dim, self.array[self.index[key]])
 
     def __iter__(self):
         return iter(self.order)
@@ -287,17 +289,6 @@ class Stacked(Mapping):
         if at and at == list(range(at[0], at[0] + len(at))):
             return self.array[at[0]:at[0] + len(at)]
         return self.array.take(at, axis=0)
-
-
-class MapStack(Stacked):
-    """Maps of one shape as one (K, out_dim^2, in_dim^2) array: ``x[key]`` is a SuperMap view."""
-
-    def __init__(self, array, order):
-        super().__init__(array, order)
-        self.out_dim, self.in_dim = (math.isqrt(d) for d in self.array.shape[1:])
-
-    def __getitem__(self, key) -> SuperMap:
-        return SuperMap(self.in_dim, self.out_dim, self.array[self.index[key]])
 
 
 class ScaledMapStack(Mapping):
@@ -327,47 +318,15 @@ class ScaledMapStack(Mapping):
         return self.base.rows(keys) * self.factors[at][:, None, None]
 
 
-class ExpectationMaps(Mapping):
-    """E_{omega_t} of every state of a trajectory, keyed by t, placed as it is read.
-
-    There is no array of them: :meth:`rows` is one :func:`expectation_matrices` call,
-    and ``x[t]`` is a SuperMap of one row. Placing is exact, so every read has the bits
-    of every other.
-    """
-
-    def __init__(self, states):
-        self.rhos = np.array([w.rho for w in states])
-        n = self.rhos.shape[-1]
-        self.in_dim, self.out_dim = n * n, n
-
-    def __getitem__(self, t) -> SuperMap:
-        if t not in range(len(self.rhos)):
-            raise KeyError(t)
-        return SuperMap(self.in_dim, self.out_dim, self.rows([t])[0])
-
-    def __iter__(self):
-        return iter(range(len(self.rhos)))
-
-    def __len__(self) -> int:
-        return len(self.rhos)
-
-    def rows(self, ts) -> Array:
-        """E_{omega_t} for every t of ``ts``, as one fresh read-only (k, n^2, n^4) stack.
-
-        Read-only, as a stored row is, so a SuperMap of a row keeps it without a copy.
-        """
-        mats = expectation_matrices(self.rhos[list(ts)])
-        mats.setflags(write=False)
-        return mats
-
-
 def predual(m: SuperMap) -> SuperMap:
     """Map on densities with trace(predual(m)(rho) x) = trace(rho m(x)).
 
     If m is unital and completely positive the predual carries states to
     states (it is trace preserving and positive).
     """
-    return SuperMap(m.out_dim, m.in_dim, predual_matrix(m.matrix, m.in_dim, m.out_dim))
+    mat = predual_matrix(m.matrix, m.in_dim, m.out_dim)
+    mat.setflags(write=False)   # a fresh C-ordered copy, which SuperMap then keeps as it is
+    return SuperMap(m.out_dim, m.in_dim, mat)
 
 
 def supermap_tensor(m1: SuperMap, m2: SuperMap) -> SuperMap:

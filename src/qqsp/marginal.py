@@ -20,16 +20,18 @@ hold Q's array, and nothing forms embed Q^{s,t}. Since E_omega(1 (x) x) = omega(
 the slot E_{omega_t} embed is c_t 1 with c_t = tr(rho_t) (:attr:`Family.slot_scales`),
 and no slot is formed. Every Z/z residual is taken on n^2 x n^2 stacks and scaled by
 sqrt(n) (embed is a 0/1 row selection with embed^dagger embed = n 1), with c_tau
-between two of Q's maps. H/h's residuals that start with C^{s,t} are normed on its
-thin R factor, taken once per core; the absorption axiom is then one table of
-n^2 x n^2 products of two R factors.
+between two of Q's maps. E_sigma is linear in sigma and E_sigma E_sigma^dagger =
+||sigma||_F^2 1, so a gap C E_sigma is normed as ||C|| ||sigma||_F: the absorption
+axiom, state consistency and both reconstruction slots are each a stored map's norm
+(:attr:`Family.map_norms`, formed once per family) times one scalar per t, and
+place no E row.
 
 A pair (Q, H) with the right exchange axioms determines the lattice:
 P^{s,t} x = H^{s,t}(embed(x)) = c_t C^{s,t} x along the trajectory psi_t. That rebuilt
 lattice is built once, by :func:`reconstruct_qqsp`: H's own array scaled by c_t as it is
-read. No family stores a trajectory of conditional expectations: every
-table places the E_{omega_t}, E_{psi_t} and E_{phi_t} it reads a chunk at a time
-(:class:`qqsp.algebra.ExpectationMaps`). Conventions that place x in the averaged
+read. No family stores a trajectory of conditional expectations: the exchange
+table places the E_{psi_s}, E_{omega_t} and E_{phi_t} it reads a chunk at a time
+from the density matrices (:attr:`Family.rhos`). Conventions that place x in the averaged
 slot state the same identities with the tensor factors exchanged.
 """
 
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    ExpectationMaps,
     MapStack,
     ScaledMapStack,
     State,
@@ -52,7 +53,7 @@ from .algebra import (
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import chunks, dagger, predual_matrix, vec
+from .linalg import predual_matrix, vec
 from .process import (
     Family,
     ResidualTable,
@@ -65,9 +66,9 @@ from .process import (
 
 
 def _derived(source: Family, kind: str, maps: MapStack, **shared) -> Family:
-    """A marginal family on the trajectory of ``source``, sharing its E_{omega_t}."""
+    """A marginal family on the trajectory of ``source``."""
     return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
-                  expectations=source.expectations, **shared)
+                  **shared)
 
 
 def build_Q(lattice: Family) -> Family:
@@ -198,15 +199,15 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     ``rebuilt`` is :func:`reconstruct_qqsp` of the pair: its maps are
     H^{s,t} embed and its trajectory is psi_t. The exchange table places each chunk's
     E_{psi_s}, E_{phi_t} and H's trailing E_{omega_t} in one
-    :func:`qqsp.algebra.expectation_matrices` call each, and the absorption table its
-    E_{psi_t} and E_{omega_t} one chunk of t at a time.
+    :func:`qqsp.algebra.expectation_matrices` call each; the absorption table places
+    none (:func:`_absorption`).
     """
     if q_family.n != h_family.n:
         raise ValueError("families live on different algebras")
     if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
         raise ValueError("families cover different (s, t) lattices")
     phis = _phi_trajectory(q_family, rebuilt.omega(0))
-    phi_es = ExpectationMaps(phis)
+    phi_rhos = np.array([w.rho for w in phis])
     cores = h_family.maps.array   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
     ss, ts = np.array(h_family.pairs()).T
@@ -216,11 +217,11 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
         return cores[part] - cores[part][:, flip]
 
     def exchanged(part):   # E_{psi_s} H^{s,t}, followed by H's trailing factor E_{omega_t}
-        stack = np.matmul(rebuilt.expectations.rows(ss[part]), cores[part])
-        return np.matmul(stack, h_family.expectations.rows(ts[part]))
+        stack = np.matmul(expectation_matrices(rebuilt.rhos[ss[part]]), cores[part])
+        return np.matmul(stack, expectation_matrices(h_family.rhos[ts[part]]))
 
     def intertwined(part):   # Q^{s,t} E_{phi_t}
-        return np.matmul(q_family.maps.array[part], phi_es.rows(ts[part]))
+        return np.matmul(q_family.maps.array[part], expectation_matrices(phi_rhos[ts[part]]))
 
     side = h_family.n * h_family.n
     return AxiomReport(
@@ -235,25 +236,26 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
 
 
 def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
-    """||H - H embed E_{psi_t}|| = ||C D_t|| = ||R^{s,t} R_t^dagger|| at every pair (s, t).
+    """||H - H embed E_{psi_t}|| = ||C^{s,t}|| ||rho_t - c_t psi_t||_F at every pair (s, t).
 
-    H^{s,t} = C^{s,t} E_{omega_t} and E_{omega_t} embed = c_t 1, so D_t = E_{omega_t} -
-    c_t E_{psi_t}, with psi_t the trajectory of ``rebuilt`` and R^{s,t} the family's thin
-    R factor of C^{s,t}. With the thin QR D_t^dagger = Q_t R_t, Q_t is an isometry, so
-    the norm is taken on the small product R^{s,t} R_t^dagger, one QR per t. E_{psi_t}
-    and E_{omega_t} are placed one chunk of t at a time.
+    H^{s,t} = C^{s,t} E_{omega_t} and E_{omega_t} embed = c_t 1, so the gap is C^{s,t} D_t
+    with D_t = E_{omega_t} - c_t E_{psi_t} = E_{rho_t - c_t psi_t}, psi_t the trajectory of
+    ``rebuilt``. D_t D_t^dagger = ||rho_t - c_t psi_t||_F^2 1, so the norm is the core's
+    (:attr:`Family.map_norms`) times one Frobenius norm per t; no D_t is placed.
     """
-    n, times, r_t = h_family.n, range(1, h_family.horizon + 1), []   # R_t^dagger at t - 1
-    for part in chunks(len(times), 16 * n ** 6):   # E_{omega_t} is n^2 x n^4
-        scales = h_family.slot_scales[times[part]][:, None, None]
-        ds = (h_family.expectations.rows(times[part])
-              - scales * rebuilt.expectations.rows(times[part]))
-        r_t += [dagger(np.linalg.qr(dagger(d), mode="r")) for d in ds]
-    r, r_t = h_family.thin_r.array, np.array(r_t)
-    ts = np.array([t for _, t in h_family.pairs()])
-    return pair_residuals(h_family, r_t.shape[1:],
-                          lambda part: np.matmul(r[part], r_t[ts[part] - 1]),
-                          None, "axiom-absorption")
+    gaps = np.linalg.norm(h_family.rhos - h_family.slot_scales[:, None, None] * rebuilt.rhos,
+                          axis=(1, 2))
+    return _by_pair(h_family, h_family.map_norms * gaps[_times(h_family)], "axiom-absorption")
+
+
+def _times(family: Family) -> np.ndarray:
+    """t of every stored pair (s, t), in the order of the family's array."""
+    return np.array([t for _, t in family.pairs()])
+
+
+def _by_pair(family: Family, values, label: str) -> ResidualTable:
+    """The table of one value per stored pair, ``values`` in the order of the family's array."""
+    return ResidualTable(dict(zip(family.pairs(), np.asarray(values).tolist())), label)
 
 
 def reconstruct_qqsp(q_family: Family, h_family: Family,
@@ -288,11 +290,12 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
 def state_consistency_residual(q_family: Family) -> ResidualTable:
     """Residual of E_{omega_s} Q^{s,t} = E_{omega_t} (trajectory consistency).
 
-    Measured as the operator-norm gap between the two conditional
-    expectations, i.e. with omega_s carried forward through Q^{s,t}. One matmul
-    of the preduals carries every state; each row s of them is checked as one
-    stack, so a failure names Q^{s,t}_* omega_s and its t. Each chunk of the
-    table places its E_{omega_t} and its E_{Q_* omega_s} in one call each.
+    Measured as the operator-norm gap between the two conditional expectations, i.e.
+    with omega_s carried forward through Q^{s,t}. E is linear in the state and
+    E_sigma E_sigma^dagger = ||sigma||_F^2 1, so the gap E_{omega_t} - E_{Q_* omega_s}
+    has norm ||rho_t - Q^{s,t}_* rho_s||_F and no E is placed. One matmul of the preduals
+    carries every state; each row s of them is checked as one stack, so a failure names
+    Q^{s,t}_* omega_s and its t.
     """
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
@@ -302,18 +305,12 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     images = duals @ vecs[:, :, None]   # one gemv per map
     rhos = images.reshape(len(pairs), n, n).transpose(0, 2, 1)   # unvec of each image
     starts = [i for i, (s, _) in enumerate(pairs) if i == 0 or pairs[i - 1][0] != s]
-    states = []
+    carried = []
     for lo, hi in zip(starts, [*starts[1:], len(pairs)]):   # one row s at a time
         s, t = pairs[lo]
-        states += computed_states(rhos[lo:hi], f"Q^{{{s},t}}_* omega_{s}", t)
-    ts = np.array([t for _, t in pairs])
-
-    # E_{omega_t} - E_{Q_* omega_s}
-    return pair_residuals(
-        q_family, (n * n, n ** 4),
-        lambda part: q_family.expectations.rows(ts[part]),
-        lambda part: expectation_matrices([w.rho for w in states[part]]),
-        "state-consistency")
+        carried += [w.rho for w in computed_states(rhos[lo:hi], f"Q^{{{s},t}}_* omega_{s}", t)]
+    gaps = q_family.rhos[_times(q_family)] - np.array(carried)
+    return _by_pair(q_family, np.linalg.norm(gaps, axis=(1, 2)), "state-consistency")
 
 
 def slice_residuals(lattice: Family, q_family: Family,
@@ -326,37 +323,33 @@ def slice_residuals(lattice: Family, q_family: Family,
     z_averaged_slot as for H. The intertwining E_{omega_s} H = Q E_{omega_t}
     holds here by the definition of Q; the axiom exchange checks it for a pair.
 
-    Each is taken on its smallest exact factor. With E_{omega_t} embed = c_t 1 and
-    the thin R factor of P^{s,t}, H's reconstruction slot is ||R^{s,t} (c_t - 1)||.
-    E_{omega_t} embed_averaged is |vec 1><rho_t| and the constant map |vec 1 (x) 1><rho_t|,
-    so H's averaged slot is the rank-one ||P^{s,t}(1) - 1 (x) 1||_F ||rho_t||_F. Z/z
-    store Q's maps Y: its reconstruction slot is sqrt(n) ||c_t Y^{s,t} - Q^{s,t}||, and its
-    averaged slot, by the same factors on M, sqrt(n) ||Y^{s,t}(1) - 1||_F ||rho_t||_F.
+    Each is taken in closed form. With E_{omega_t} embed = c_t 1, H's reconstruction slot
+    is max |c_t - 1| ||P^{s,t}||, on H's :attr:`Family.map_norms`. Z/z store Q's own array
+    Y = Q, so its reconstruction slot sqrt(n) ||c_t Y^{s,t} - Q^{s,t}|| is
+    sqrt(n) max |c_t - 1| ||Q^{s,t}||. E_{omega_t} embed_averaged is |vec 1><rho_t| and the
+    constant map |vec 1 (x) 1><rho_t|, so H's averaged slot is the rank-one
+    ||P^{s,t}(1) - 1 (x) 1||_F ||rho_t||_F, and Z/z's, by the same factors on M,
+    sqrt(n) ||Y^{s,t}(1) - 1||_F ||rho_t||_F.
     """
     if h_family.maps is not lattice.maps:
         raise ValueError(f"{h_family.kind} does not store this lattice's maps P^{{s,t}} "
                          f"as its cores")
-    n, pairs = lattice.n, lattice.pairs()
-    ts = np.array([t for _, t in pairs])
-    scales = h_family.slot_scales[ts][:, None, None]   # c_t by pair
+    if z_family is not None and z_family.maps is not q_family.maps:
+        raise ValueError(f"{z_family.kind} does not store the maps Q^{{s,t}} of this Q family")
+    n, ts = lattice.n, _times(lattice)
+    drifts = np.abs(h_family.slot_scales - 1)[ts]   # |c_t - 1| by pair
 
     def averaged(maps, side: int) -> float:
         """max ||F^{s,t}(1) - 1||_F ||rho_t||_F over the pairs, one gemv per map for F(1)."""
         gaps = np.linalg.norm(maps @ vec(np.eye(n)) - vec(np.eye(side)), axis=1)
         return max(float(gap) * h_family.trailing_norm(t) for gap, t in zip(gaps, ts))
 
-    r = h_family.thin_r.array
     out = {
-        "reconstruction_slot": pair_residuals(
-            lattice, (n * n, n * n), lambda part: r[part] * (scales[part] - 1), None,
-            "reconstruction_slot").max_residual,
+        "reconstruction_slot": float(np.max(drifts * h_family.map_norms)),
         "averaged_slot": averaged(lattice.maps.array, n * n),
     }
     if z_family is not None:
-        y, root_n = z_family.maps.array, z_family.lead_norm
-        out["z_reconstruction_slot"] = pair_residuals(
-            lattice, (n * n, n * n), lambda part: y[part] * scales[part],
-            lambda part: q_family.maps.array[part],
-            "z_reconstruction_slot", scale=lambda t: root_n).max_residual
-        out["z_averaged_slot"] = root_n * averaged(y, n)
+        root_n = z_family.lead_norm
+        out["z_reconstruction_slot"] = root_n * float(np.max(drifts * z_family.map_norms))
+        out["z_averaged_slot"] = root_n * averaged(z_family.maps.array, n)
     return out

@@ -6,7 +6,7 @@ fixed at tau = t-1; consistency at every other split is measured, never
 assumed. The state trajectory obeys omega_t(x) = (omega_0 (x) omega_0)(P^{0,t} x).
 The lattice and its marginals share one type, :class:`Family`, which holds
 its maps as one array; the trajectory's conditional expectations E_{omega_t} are
-placed from the states as they are read, and no array of them is kept.
+placed from the states where they are read, and no array of them is kept.
 
 Every split product is formed by one kernel, :func:`fundamental_rights` and
 :func:`fundamental_products`, under one of three laws: A, the type-A
@@ -29,14 +29,12 @@ import numpy as np
 
 from .algebra import (
     ChoiReport,
-    ExpectationMaps,
     InvalidDensity,
     State,
     SuperMap,
     certify_unital_cp,
     MapStack,
     ScaledMapStack,
-    Stacked,
     doubled_after,
     expectation_matrices,
     flip_symmetry_residual,
@@ -45,7 +43,8 @@ from .algebra import (
 # operator_norm is not called here since the sweeps take stacked norms; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import chunks, gram_norms, predual_matrix, scaled_grams, stacked_products, unvec, vec
+from .linalg import (chunks, gram_norms, operator_norms, predual_matrix, scaled_grams,
+                     stacked_products, unvec, vec)
 
 DEFAULT_FLIP_TOL = 1e-10
 
@@ -158,9 +157,8 @@ class Family:
     marginals on M (x) M (see :mod:`qqsp.marginal`). ``maps`` holds the stored maps
     in sorted pair order as one array (:class:`qqsp.algebra.MapStack`), or a rebuilt
     lattice's scaled view of another family's (:class:`qqsp.algebra.ScaledMapStack`).
-    ``expectations`` reads E_{omega_t} by t off the trajectory
-    (:class:`qqsp.algebra.ExpectationMaps`): each read places the rows it asks for, and
-    every reader asks a chunk at a time, so no family holds an array of them.
+    No family holds an array of E_{omega_t}: a reader places the rows it needs from the
+    trajectory's density matrices (:attr:`rhos`) a chunk at a time.
 
     The doubled marginals are always stored factored (:attr:`factored`) and never
     form their n^4 x n^4 maps. H/h store in ``maps`` the core C^{s,t} (M -> M (x) M)
@@ -172,6 +170,9 @@ class Family:
     E_omega(1 (x) x) = omega(1) x, so the reconstruction slot E_{omega_t} embed that
     stands between two of Z/z's maps is tr(rho_t) 1 (:attr:`slot_scales`). P and Q have
     trivial lead and trailing factors, so the same sweeps read their maps as they are.
+    E_sigma is linear in sigma and E_sigma E_sigma^dagger = ||sigma||_F^2 1 for every
+    sigma, so a gap X E_sigma is normed as ||X|| ||sigma||_F, with ||X|| read off
+    :attr:`map_norms` where X is a stored map.
     """
 
     kind: str
@@ -180,7 +181,6 @@ class Family:
     omegas: tuple[State, ...] | None = None
     process_type: str | None = None
     algebra_kind: str = "full"
-    expectations: ExpectationMaps | None = field(default=None, repr=False, compare=False)
     # E_{omega_s} C^{s,t} (:attr:`conditioned`); shared by a lattice and its H/h
     conditioned_maps: MapStack | None = field(default=None, repr=False, compare=False)
 
@@ -189,9 +189,7 @@ class Family:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "P" and self.process_type not in ("A", "B"):
             raise ValueError(f"a process needs type 'A' or 'B', got {self.process_type!r}")
-        if self.expectations is None and self.omegas is not None:
-            object.__setattr__(self, "expectations", ExpectationMaps(self.omegas))
-        if self.factored and self.expectations is None:
+        if self.factored and self.omegas is None:
             raise ValueError(f"a doubled marginal {self.kind} needs the E_{{omega_t}} of its "
                              f"lattice, and was given no trajectory")
         if not isinstance(self.maps, (MapStack, ScaledMapStack)):
@@ -239,7 +237,7 @@ class Family:
         """E_{omega_s} C^{s,t} at every pair, the lattice's Q^{s,t}, formed once into one array.
 
         One gemm a pair, a chunk of pairs at a time (:func:`qqsp.linalg.chunks`), with the
-        chunk's maps read by ``maps.rows`` and its E_{omega_s} placed by ``expectations.rows``;
+        chunk's maps read by ``maps.rows`` and its E_{omega_s} placed from :attr:`rhos`;
         Z/z's E_{omega_s} embed Y^{s,t} is c_s Y^{s,t} (:attr:`slot_scales`). A type-B lattice
         comes from :func:`propagate` with them; kc, h's doubled law, the lattice's Q family and the
         rebuilt lattice's kc and conclusion-b read them here.
@@ -252,7 +250,7 @@ class Family:
                 if self.stores_q:
                     q[part] = self.maps.rows(order[part]) * self.slot_scales[starts][:, None, None]
                 else:
-                    q[part] = stacked_products(self.expectations.rows(starts),
+                    q[part] = stacked_products(expectation_matrices(self.rhos[starts]),
                                                self.maps.rows(order[part]))
             object.__setattr__(self, "conditioned_maps", MapStack(q, order))
         return self.conditioned_maps
@@ -260,6 +258,11 @@ class Family:
     def trailing_norm(self, t: int) -> float:
         """||X T_t|| / ||X|| for the trailing factor T_t: ||rho_t||_F, or 1."""
         return self._rho_norms[t] if self.factored else 1.0
+
+    @cached_property
+    def rhos(self) -> np.ndarray:
+        """The (T+1, n, n) stack of the trajectory's density matrices, for placing E_{omega_t}."""
+        return np.array([w.rho for w in self.omegas])
 
     @cached_property
     def _rho_norms(self) -> tuple[float, ...]:
@@ -271,15 +274,14 @@ class Family:
         return np.array([np.trace(w.rho) for w in self.omegas])
 
     @cached_property
-    def thin_r(self) -> Stacked:
-        """R^{s,t} of the thin QR of every stored map, one ``np.linalg.qr`` call per chunk.
+    def map_norms(self) -> np.ndarray:
+        """||C^{s,t}|| of every stored map, in pair order: one operator_norms call per chunk.
 
-        ||C X|| = ||R X|| for every X, so a residual C^{s,t} X is normed on R^{s,t} X.
+        Each entry has the bits of the map's :func:`qqsp.linalg.operator_norm` taken alone.
         """
         maps = self.maps.array
-        return Stacked(np.concatenate([np.linalg.qr(maps[part], mode="r")
-                                       for part in chunks(len(maps), maps[0].nbytes)]),
-                       self.maps.order)
+        return np.concatenate([operator_norms(maps[part])
+                               for part in chunks(len(maps), maps[0].nbytes)])
 
     def omega(self, t: int) -> State:
         return self.omegas[t]

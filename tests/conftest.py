@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from qqsp.algebra import SuperMap  # noqa: E402
+from qqsp.algebra import SuperMap, expectation_supermaps  # noqa: E402
 from qqsp.linalg import unit_tensor_matrix  # noqa: E402
 
 
@@ -61,6 +61,14 @@ def embed_averaged_supermap(n: int) -> SuperMap:
     return SuperMap(n, n * n, unit_tensor_matrix(t.reshape(n * n, n * n, n, n)))
 
 
+def expectations(family):
+    """E_{omega_t} of every state of a family's trajectory, as SuperMaps indexed by t.
+
+    The library keeps no such trajectory; tests use it as the reference route.
+    """
+    return expectation_supermaps(np.array([w.rho for w in family.omegas]))
+
+
 def core(family, s, t):
     """C^{s,t}: the stored map, or embed Y^{s,t} for a factored Z/z, which stores Q's maps Y.
 
@@ -76,6 +84,6 @@ def dense(family):
     The library never forms these n^4 x n^4 maps; tests use them as an
     independent reference.
     """
-    es, side = family.expectations, family.side
+    es, side = expectations(family), family.side
     return {(s, t): SuperMap(side, side, core(family, s, t).matrix @ es[t].matrix)
             for (s, t) in family.pairs()}

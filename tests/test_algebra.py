@@ -12,6 +12,7 @@ from qqsp.algebra import (
     certify_unital_cp,
     conditional_expectation,
     doubled_after,
+    expectation_matrices,
     expectation_supermap,
     flip_after,
     flip_conjugate,
@@ -200,11 +201,17 @@ def test_expectation_matches_basis_expansion_oracle(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expectation_gram_identity(rng, n):
-    # E_omega E_omega^dagger = ||rho||_F^2 I, so ||X E_omega|| = ||rho||_F ||X||
-    rho = random_density(rng, n)
-    e = expectation_supermap(State(rho)).matrix
-    want = np.linalg.norm(rho) ** 2 * np.eye(n * n)
-    assert np.abs(e @ e.conj().T - want).max() <= 1e-14
+    # E_sigma E_sigma^dagger = ||sigma||_F^2 I for a state and for sigma = rho - c rho',
+    # which is none, so ||C E_sigma|| = ||sigma||_F ||C|| for every C
+    rho, other = random_density(rng, n), random_density(rng, n)
+    for sigma in (rho, rho - (0.9 + 0.1j) * other):
+        e = expectation_matrices(sigma[None])[0]
+        want = np.linalg.norm(sigma) ** 2 * np.eye(n * n)
+        assert np.abs(e @ e.conj().T - want).max() <= 1e-14
+        for _ in range(3):
+            c = rng.normal(size=(n ** 4, n * n)) + 1j * rng.normal(size=(n ** 4, n * n))
+            want = np.linalg.norm(sigma) * operator_norm(c)
+            assert abs(operator_norm(c @ e) - want) <= 8 * np.spacing(want)
 
 
 def test_expectation_fixes_unaveraged_slot(rng):
@@ -308,6 +315,26 @@ def test_predual_duality_oracle(rng):
         lhs = np.trace(dual(rho) @ x)
         rhs = np.trace(rho @ m(x))
         assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_predual_holds_the_one_matrix_it_forms(monkeypatch, n):
+    # the predual's matrix is the one predual_matrix returns, read-only and C-ordered, not a
+    # second copy of it
+    import qqsp.algebra
+
+    formed = []
+
+    def recorded(*args):
+        formed.append(predual_matrix(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(qqsp.algebra, "predual_matrix", recorded)
+    m = symmetrized_embedding(n)
+    dual = predual(m)
+    assert dual.matrix is formed[0] and not dual.matrix.flags.writeable
+    assert dual.matrix.flags.c_contiguous
+    assert np.array_equal(dual.matrix, predual_matrix(m.matrix, n, n * n))
 
 
 def test_predual_of_unital_map_preserves_trace(rng):

@@ -369,7 +369,8 @@ def test_factored_residuals_match_dense_reference(make_lattice, foreign_q):
     n, ptype = lat.n, lat.process_type
     q = build_Q(propagate(make_constant_seed(n, lat.horizon)) if foreign_q else lat)
     h = build_H(lat) if ptype == "A" else build_h(lat)
-    z = (build_Z if ptype == "A" else build_z)(h, build_Q(lat))
+    own_q = build_Q(lat)
+    z = (build_Z if ptype == "A" else build_z)(h, own_q)
     dense_h = {k: m.matrix for k, m in dense(h).items()}
     dense_z = {k: m.matrix for k, m in dense(z).items()}
     for fam in (h, z):
@@ -413,12 +414,16 @@ def test_factored_residuals_match_dense_reference(make_lattice, foreign_q):
         "reconstruction_slot": [operator_norm(f @ emb - lat.map(*k).matrix)
                                 for k, f in dense_h.items()],
         "averaged_slot": [operator_norm(f @ emb_avg - consts[k[1]]) for k, f in dense_h.items()],
-        "z_reconstruction_slot": [operator_norm(f @ emb - emb @ q.map(*k).matrix)
+        "z_reconstruction_slot": [operator_norm(f @ emb - emb @ own_q.map(*k).matrix)
                                   for k, f in dense_z.items()],
         "z_averaged_slot": [operator_norm(f @ emb_avg - consts[k[1]])
                             for k, f in dense_z.items()],
     }
-    got = slice_residuals(lat, q, h, z)
+    # Z's reconstruction slot compares Z with the Q whose maps it stores; another Q is refused
+    if foreign_q:
+        with pytest.raises(ValueError, match="of this Q family"):
+            slice_residuals(lat, q, h, z)
+    got = slice_residuals(lat, own_q, h, z)
     assert set(got) == set(want)
     for name, values in want.items():
         assert abs(got[name] - max(values)) <= 1e-14, name

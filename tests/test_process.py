@@ -37,7 +37,7 @@ from qqsp.seeds import (
     unsymmetrized_embedding,
 )
 
-from conftest import dense, random_density
+from conftest import dense, expectations, random_density
 
 
 # ---------------------------------------------------------------- oracles
@@ -241,7 +241,7 @@ def test_type_a_composition_is_reassociated_exactly(n):
     # n^4 x n^4 intermediate P^{s,tau} E_tau
     omega0 = State.from_weights(np.arange(1, n + 1) / (n * (n + 1) / 2))
     lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), omega0, 4, "A"))
-    es = lat.expectations
+    es = expectations(lat)
     for s, tau, t in triples(lat.horizon):
         want = (lat.map(s, tau).matrix @ es[tau].matrix) @ lat.map(tau, t).matrix
         got = _one_split(lat.map(s, tau), lat.map(tau, t), es[s], es[tau], "A")

@@ -278,19 +278,16 @@ def test_each_quantity_is_computed_once(monkeypatch):
     # Q^{s,t}; no slot E_{omega_t} embed or E_{omega_t} embed_averaged is formed, since the
     # one is tr(rho_t) 1 and the other is of rank one;
     # the exchange table places E_{psi_s}, H's trailing E_{omega_t} and E_{phi_t} per chunk,
-    # the absorption table E_{psi_t} and E_{omega_t} per chunk of t, the rebuilt lattice's
-    # conditioned maps E_{psi_s} per chunk of pairs, and the state-consistency table
-    # E_{omega_t} and the carried states' E_{Q_* omega_s} per chunk. Each table is one chunk
-    # here; expectation_supermap(s) form none of them
+    # and the rebuilt lattice's conditioned maps E_{psi_s} per chunk of pairs. The absorption
+    # and state-consistency tables place none: each gap is E of a difference of states. Each
+    # table is one chunk here; expectation_supermap(s) form none of them
     n, pairs = sc.dim, T * (T + 1) // 2
-    exchange = state = len(chunks(pairs, 16 * n ** 2 * n ** 4))   # n^2 x n^4 gaps
-    conditioned = len(chunks(pairs, 16 * n ** 4 * n ** 2))        # n^4 x n^2 maps
-    by_t = len(chunks(T + 1, 16 * n ** 2 * n ** 4))               # n^2 x n^4 E_{omega_t}
-    assert (exchange, conditioned, by_t) == (1, 1, 1)
+    exchange = len(chunks(pairs, 16 * n ** 2 * n ** 4))      # n^2 x n^4 gaps
+    conditioned = len(chunks(pairs, 16 * n ** 4 * n ** 2))   # n^4 x n^2 maps
+    assert (exchange, conditioned) == (1, 1)
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
                       "certify_unital_cp": distinct,
-                      "expectation_matrices": T + 3 * exchange + 2 * by_t
-                      + conditioned + 2 * state}
+                      "expectation_matrices": T + 3 * exchange + conditioned}
 
 
 def test_explicit_pair_ensemble_scenario():

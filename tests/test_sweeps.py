@@ -37,7 +37,7 @@ from qqsp.process import (
 from qqsp.scenarios import parse_scenario, run_scenario
 from qqsp.seeds import make_entangling_seed, make_mixed_seed, mixed_step_map
 
-from conftest import core, embed_averaged_supermap, embed_supermap
+from conftest import core, embed_averaged_supermap, embed_supermap, expectations
 
 LATTICES = {
     "mixed-n2-A": lambda: propagate(make_mixed_seed(5, "A")),
@@ -78,7 +78,17 @@ def _pair_loop(family, lhs, rhs, scale=lambda t: 1.0):
 
 def _slot(family, t):
     """S_t = E_{omega_t} embed, formed here as the product of the two maps."""
-    return (family.expectations[t] @ embed_supermap(family.n)).matrix
+    return (expectations(family)[t] @ embed_supermap(family.n)).matrix
+
+
+def _drift(family, t):
+    """|c_t - 1| with c_t = tr(rho_t): E_{omega_t} embed = c_t 1."""
+    return abs(np.trace(family.omega(t).rho) - 1)
+
+
+def _frobenius(gap):
+    """||gap||_F, summed as the stacked tables sum each slice."""
+    return float(np.linalg.norm(gap, axis=(0, 1)))
 
 
 def _plain(family):
@@ -89,17 +99,27 @@ def _plain(family):
         if not family.factored:
             return (y[(s, tau)] @ y[(tau, t)]).matrix
         between = (SuperMap(family.n, family.n, _slot(family, tau)) if family.stores_q
-                   else family.expectations[tau])
+                   else expectations(family)[tau])
         return (y[(s, tau)] @ (between @ y[(tau, t)])).matrix
     return compose
 
 
 def _dense_split_loop(family):
     """Today's n^4 x n^2 reference: ||rho_t||_F ||C^{s,t} - C^{s,tau} E_tau C^{tau,t}|| on the cores."""
-    c, es = partial(core, family), family.expectations
+    c, es = partial(core, family), expectations(family)
     return {(s, tau, t): family.trailing_norm(t)
             * operator_norm(c(s, t).matrix - (c(s, tau) @ (es[tau] @ c(tau, t))).matrix)
             for s, tau, t in triples(family.horizon)}
+
+
+def _carried(q, s, t):
+    """Q^{s,t}_* omega_s, one state at a time."""
+    return State(predual(q.map(s, t))(q.omega(s).rho))
+
+
+def _state_loop(q):
+    """||rho_t - Q^{s,t}_* rho_s||_F per pair: the norm of E_{omega_t} - E_{Q_* omega_s}."""
+    return {(s, t): _frobenius(q.omega(t).rho - _carried(q, s, t).rho) for s, t in q.pairs()}
 
 
 def _close(got, want):
@@ -117,21 +137,20 @@ def _slice_loops(lattice, q, h, z):
                                                       axis=-1)) * family.trailing_norm(t))
                 for s, t in lattice.pairs()}
 
-    return {
-        "reconstruction_slot": _pair_loop(
-            lattice, lambda s, t: np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
-            @ (_slot(h, t) - np.eye(n * n)), lambda s, t: 0),
+    return {   # |c_t - 1| ||C^{s,t}||, with Z/z's C = Q^{s,t} its stored map
+        "reconstruction_slot": {(s, t): _drift(h, t) * operator_norm(h.maps[(s, t)].matrix)
+                                for s, t in lattice.pairs()},
         "averaged_slot": averaged(h, vec(np.eye(n * n))),
-        "z_reconstruction_slot": _pair_loop(
-            lattice, lambda s, t: z.maps[(s, t)].matrix @ _slot(z, t),
-            lambda s, t: q.map(s, t).matrix, lambda t: root_n),
+        "z_reconstruction_slot": {(s, t): root_n * (_drift(z, t)
+                                                    * operator_norm(q.map(s, t).matrix))
+                                  for s, t in lattice.pairs()},
         "z_averaged_slot": averaged(z, one, root_n),
     }
 
 
 def _dense_slices(lattice, q, h, z):
     """Today's n^4 x n^2 sweeps of the slice identities, on the cores."""
-    n, es = lattice.n, lattice.expectations
+    n, es = lattice.n, expectations(lattice)
     emb, avg = embed_supermap(n), embed_averaged_supermap(n)
     consts = [SuperMap.constant(w, n * n).matrix for w in lattice.omegas]
     return {
@@ -149,7 +168,7 @@ def _dense_slices(lattice, q, h, z):
 
 def _fundamental(lattice):
     """The fundamental equation's product at one split, written out for the lattice's type."""
-    p, es = lattice.map, lattice.expectations
+    p, es = lattice.map, expectations(lattice)
     if lattice.process_type == "A":
         return lambda s, tau, t: (p(s, tau) @ (es[tau] @ p(tau, t))).matrix
     return lambda s, tau, t: doubled_after(es[s] @ p(s, tau), [p(tau, t).matrix])[0]
@@ -188,7 +207,7 @@ def test_stacked_markov_laws_equal_the_per_gap_loop(lattice):
 
 def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
     q, h, z = _families(lattice)
-    es = lattice.expectations
+    es = expectations(lattice)
     rebuilt = reconstruct_qqsp(q, h, lattice.omega(0), lattice.process_type, strict=False)
     rep = verify_marginal_axioms(q, h, rebuilt)
     e_psi = [expectation_supermap(psi) for psi in rebuilt.omegas]
@@ -202,11 +221,12 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
         h, lambda s, t: (e_psi[s] @ h.maps[(s, t)] @ es[t]).matrix,
         lambda s, t: (q.map(s, t) @ e_phi[t]).matrix)
 
-    def carried(s, t):
-        return expectation_supermap(State(predual(q.map(s, t))(q.omega(s).rho))).matrix
-
-    assert state_consistency_residual(q).entries == _pair_loop(
-        q, carried, lambda s, t: es[t].matrix)
+    assert state_consistency_residual(q).entries == _state_loop(q)
+    # the closed form against the placed E_{omega_t} - E_{Q_* omega_s}
+    dense = _pair_loop(q, lambda s, t: expectation_supermap(_carried(q, s, t)).matrix,
+                       lambda s, t: es[t].matrix)
+    assert all(_close(value, dense[key])
+               for key, value in state_consistency_residual(q).entries.items())
 
     got = slice_residuals(lattice, q, h, z)
     assert got == {name: max(table.values())
@@ -234,7 +254,7 @@ def _sweep_tables(lat):
 def _loop_tables(lat):
     """:func:`_sweep_tables` from the per-gap loops, one gap and one operator_norm at a time."""
     q, h, z = _families(lat)
-    es = lat.expectations
+    es = expectations(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), lat.process_type, strict=False)
     e_psi = [expectation_supermap(psi) for psi in rebuilt.omegas]
     e_phi = [expectation_supermap(lat.omega(0))] + [
@@ -246,24 +266,21 @@ def _loop_tables(lat):
     else:
         doubled = _split_loop(h, _plain(h))
 
-    def carried(s, t):
-        return expectation_supermap(State(predual(q.map(s, t))(q.omega(s).rho))).matrix
-
-    def absorbed(s, t):   # R^{s,t} R_t^dagger, with D_t^dagger = Q_t R_t
-        d = es[t].matrix - _slot(h, t) @ e_psi[t].matrix
-        return (np.linalg.qr(h.maps[(s, t)].matrix, mode="r")
-                @ np.linalg.qr(d.conj().T, mode="r").conj().T)
+    def absorbed(s, t):   # ||C^{s,t}|| ||rho_t - c_t psi_t||_F
+        c = np.trace(h.omega(t).rho)
+        return (operator_norm(h.maps[(s, t)].matrix)
+                * _frobenius(h.omega(t).rho - c * rebuilt.omega(t).rho))
 
     return {
         "kc": _split_loop(lat, _fundamental(lat)), "markov-Q": _split_loop(q, _plain(q)),
         "markov-h": doubled, "markov-z": _split_loop(z, _plain(z)),
         "plain-h": _split_loop(h, _plain(h)),
-        "state": _pair_loop(q, carried, lambda s, t: es[t].matrix),
+        "state": _state_loop(q),
         "flip": _pair_loop(h, lambda s, t: flip_after(h.maps[(s, t)]).matrix,
                            lambda s, t: h.maps[(s, t)].matrix, h.trailing_norm),
         "exchange": _pair_loop(h, lambda s, t: (e_psi[s] @ h.maps[(s, t)] @ es[t]).matrix,
                                lambda s, t: (q.map(s, t) @ e_phi[t]).matrix),
-        "absorption": _pair_loop(h, absorbed, lambda s, t: 0),
+        "absorption": {(s, t): absorbed(s, t) for s, t in h.pairs()},
         "slices": {name: max(table.values())
                    for name, table in _slice_loops(lat, q, h, z).items()},
     }
@@ -515,9 +532,12 @@ def test_factored_identities_match_the_dense_sweeps(case):
     lat = DENSE_CASES[case]()
     foreign = case.endswith("foreign-Q")
     q, h, z = _families(lat)
-    if foreign:   # the pair hands the slices and the axioms the Q of another lattice
+    pair_q = q
+    if foreign:   # the pair hands the axioms the Q of another lattice; the slices refuse it
         from qqsp.seeds import make_constant_seed
-        q = build_Q(propagate(make_constant_seed(lat.n, lat.horizon)))
+        pair_q = build_Q(propagate(make_constant_seed(lat.n, lat.horizon)))
+        with pytest.raises(ValueError, match="of this Q family"):
+            slice_residuals(lat, pair_q, h, z)
     markov = check_markov(z).entries
     assert markov == _split_loop(z, _plain(z))
     dense = _dense_split_loop(z)
@@ -530,6 +550,7 @@ def test_factored_identities_match_the_dense_sweeps(case):
     assert got.keys() == want.keys()
     assert all(_close(got[name], want[name]) for name in want), (got, want)
     exchange = verify_marginal_axioms(
-        q, h, reconstruct_qqsp(q, h, lat.omega(0), lat.process_type, strict=False)).exchange
-    assert (got["z_reconstruction_slot"] > 0.01) == foreign
+        pair_q, h,
+        reconstruct_qqsp(pair_q, h, lat.omega(0), lat.process_type, strict=False)).exchange
+    assert got["z_reconstruction_slot"] <= 1e-14
     assert (exchange.max_residual > 0.01) == foreign
