@@ -6,7 +6,7 @@ fixed at tau = t-1; consistency at every other split is measured, never
 assumed. The state trajectory obeys omega_t(x) = (omega_0 (x) omega_0)(P^{0,t} x).
 The lattice and its marginals share one type, :class:`Family`, which holds
 its maps as one array; the trajectory's conditional expectations E_{omega_t} are
-placed from the states where they are read, and no array of them is kept.
+placed from the states as they are read, and no array of them is kept.
 
 Every split product is formed by one kernel, :func:`fundamental_rights` and
 :func:`fundamental_products`, under one of three laws: A, the type-A

@@ -76,11 +76,6 @@ def _pair_loop(family, lhs, rhs, scale=lambda t: 1.0):
     return {(s, t): scale(t) * operator_norm(lhs(s, t) - rhs(s, t)) for s, t in family.pairs()}
 
 
-def _slot(family, t):
-    """S_t = E_{omega_t} embed, formed here as the product of the two maps."""
-    return (expectations(family)[t] @ embed_supermap(family.n)).matrix
-
-
 def _drift(family, t):
     """|c_t - 1| with c_t = tr(rho_t): E_{omega_t} embed = c_t 1."""
     return abs(np.trace(family.omega(t).rho) - 1)
@@ -92,14 +87,16 @@ def _frobenius(gap):
 
 
 def _plain(family):
-    """The plain law on the stored maps; a factored family has E_tau, or S_tau for Z/z, between."""
-    y = family.maps
+    """The plain law on the stored maps; a factored family has E_tau, or S_tau for Z/z, between.
+
+    S_tau = E_{omega_tau} embed is formed here as the product of the two maps.
+    """
+    y, es = family.maps, expectations(family)
 
     def compose(s, tau, t):
         if not family.factored:
             return (y[(s, tau)] @ y[(tau, t)]).matrix
-        between = (SuperMap(family.n, family.n, _slot(family, tau)) if family.stores_q
-                   else expectations(family)[tau])
+        between = es[tau] @ embed_supermap(family.n) if family.stores_q else es[tau]
         return (y[(s, tau)] @ (between @ y[(tau, t)])).matrix
     return compose
 
