@@ -71,13 +71,14 @@ def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
 
     A stack is applied as ``mat @ vecs[:, :, None]``, one gemv per matrix, so each
     image has the bits of the single-matrix product; one gemm over the stacked
-    columns would round differently.
+    columns would round differently. ``mat`` may be a (k, out^2, in^2) stack of maps,
+    broadcast against the stack of matrices as matmul broadcasts, still one gemv per image.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim == 2:
         return unvec(mat @ vec(x), out_dim)
     vecs = x.transpose(0, 2, 1).reshape(len(x), x.shape[1] ** 2)   # column-stack each matrix
-    images = (mat @ vecs[:, :, None]).reshape(len(x), out_dim, out_dim)
+    images = (mat @ vecs[:, :, None]).reshape(-1, out_dim, out_dim)
     return np.ascontiguousarray(images.transpose(0, 2, 1))
 
 

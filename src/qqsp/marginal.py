@@ -47,18 +47,18 @@ from .algebra import (
     State,
     expectation_matrices,
     flip_rows,
-    predual,
     trace_norm_distance,
 )
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import predual_matrix, vec
+from .linalg import vec
 from .process import (
     Family,
     ResidualTable,
     ValidationFailure,
-    computed_states,
+    carried_states,
+    conditioned_products,
     pair_residuals,
     split_residuals,
     triples,
@@ -164,12 +164,6 @@ def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
                           for key, value in kc.entries.items()}, f"{label}-{family.kind}")
 
 
-def _phi_trajectory(q_family: Family, omega0: State) -> list[State]:
-    """phi_t = omega_0 after Q^{0,t} on the predual side, checked as one stack."""
-    images = [predual(q_family.map(0, t))(omega0.rho) for t in range(1, q_family.horizon + 1)]
-    return [omega0, *computed_states(images, "phi_t", 1)]
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Residuals of the marginal-pair axioms over the whole lattice.
@@ -197,16 +191,17 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     """Check the exchange axioms an abstract pair (Q, H or h) must satisfy.
 
     ``rebuilt`` is :func:`reconstruct_qqsp` of the pair: its maps are
-    H^{s,t} embed and its trajectory is psi_t. The exchange table places each chunk's
-    E_{psi_s}, E_{phi_t} and H's trailing E_{omega_t} in one
-    :func:`qqsp.algebra.expectation_matrices` call each; the absorption table places
-    none (:func:`_absorption`).
+    H^{s,t} embed and its trajectory is psi_t, and phi_t = omega_0 after Q^{0,t} on the
+    predual side. The exchange table forms each chunk's E_{psi_s} H^{s,t} in one
+    :func:`qqsp.process.conditioned_products` call and places its E_{phi_t} and H's trailing
+    E_{omega_t} in one call each; the absorption table places none (:func:`_absorption`).
     """
     if q_family.n != h_family.n:
         raise ValueError("families live on different algebras")
     if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
         raise ValueError("families cover different (s, t) lattices")
-    phis = _phi_trajectory(q_family, rebuilt.omega(0))
+    firsts = q_family.maps.rows([(0, t) for t in range(1, q_family.horizon + 1)])
+    phis = [rebuilt.omega(0), *carried_states(firsts, rebuilt.omega(0).rho, "phi_t", 1)]
     phi_rhos = np.array([w.rho for w in phis])
     cores = h_family.maps.array   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
@@ -217,7 +212,7 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
         return cores[part] - cores[part][:, flip]
 
     def exchanged(part):   # E_{psi_s} H^{s,t}, followed by H's trailing factor E_{omega_t}
-        stack = np.matmul(expectation_matrices(rebuilt.rhos[ss[part]]), cores[part])
+        stack = conditioned_products(rebuilt.rhos[ss[part]], cores[part])
         return np.matmul(stack, expectation_matrices(h_family.rhos[ts[part]]))
 
     def intertwined(part):   # Q^{s,t} E_{phi_t}
@@ -274,9 +269,8 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
     maps = ScaledMapStack(h_family.maps, h_family.slot_scales[[t for _, t in h_family.pairs()]])
-    rho00 = np.kron(omega0.rho, omega0.rho)
-    psis = computed_states([predual(maps[(0, t)])(rho00) for t in range(1, h_family.horizon + 1)],
-                           "psi_t", 1)
+    psis = carried_states(maps.rows([(0, t) for t in range(1, h_family.horizon + 1)]),
+                          np.kron(omega0.rho, omega0.rho), "psi_t", 1)
     rebuilt = Family("P", h_family.n, maps, (omega0, *psis), target_type,
                      h_family.algebra_kind)
     if strict:
@@ -293,22 +287,19 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     Measured as the operator-norm gap between the two conditional expectations, i.e.
     with omega_s carried forward through Q^{s,t}. E is linear in the state and
     E_sigma E_sigma^dagger = ||sigma||_F^2 1, so the gap E_{omega_t} - E_{Q_* omega_s}
-    has norm ||rho_t - Q^{s,t}_* rho_s||_F and no E is placed. One matmul of the preduals
-    carries every state; each row s of them is checked as one stack, so a failure names
+    has norm ||rho_t - Q^{s,t}_* rho_s||_F and no E is placed. Each row s of the family
+    is carried by one :func:`qqsp.process.carried_states` call, so a failure names
     Q^{s,t}_* omega_s and its t.
     """
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
-    n, pairs = q_family.n, q_family.pairs()
-    duals = predual_matrix(q_family.maps.array, n, n)
-    vecs = np.array([vec(w.rho) for w in q_family.omegas])[[s for s, _ in pairs]]
-    images = duals @ vecs[:, :, None]   # one gemv per map
-    rhos = images.reshape(len(pairs), n, n).transpose(0, 2, 1)   # unvec of each image
+    pairs, maps = q_family.pairs(), q_family.maps.array
     starts = [i for i, (s, _) in enumerate(pairs) if i == 0 or pairs[i - 1][0] != s]
     carried = []
     for lo, hi in zip(starts, [*starts[1:], len(pairs)]):   # one row s at a time
         s, t = pairs[lo]
-        carried += [w.rho for w in computed_states(rhos[lo:hi], f"Q^{{{s},t}}_* omega_{s}", t)]
+        carried += [w.rho for w in carried_states(maps[lo:hi], q_family.omegas[s].rho,
+                                                  f"Q^{{{s},t}}_* omega_{s}", t)]
     gaps = q_family.rhos[_times(q_family)] - np.array(carried)
     return _by_pair(q_family, np.linalg.norm(gaps, axis=(1, 2)), "state-consistency")
 

@@ -8,10 +8,12 @@ The lattice and its marginals share one type, :class:`Family`, which holds
 its maps as one array; the trajectory's conditional expectations E_{omega_t} are
 placed from the states as they are read, and no array of them is kept.
 
-Every split product is formed by one kernel, :func:`fundamental_rights` and
-:func:`fundamental_products`, under one of three laws: A, the type-A
-fundamental equation; B, the type-B one with Q = E_{omega_s} C^{s,tau}; plain,
-C^{s,tau} C^{tau,t}. :func:`propagate` fills the lattice with it, a row at a
+Every product E_rho F, Q^{s,t} = E_{omega_s} P^{s,t} among them, is formed by
+:func:`conditioned_products`, and every state the pipeline computes, a predual image,
+by :func:`carried_states`. Every split product is formed by one kernel,
+:func:`fundamental_products`, under one of three laws: A, the type-A fundamental
+equation; B, the type-B one with Q = E_{omega_s} C^{s,tau}; plain, C^{s,tau} C^{tau,t}.
+:func:`propagate` fills the lattice and its Q^{s,t} with it, a row at a
 time, and :func:`split_residuals` is the one sweep that measures it, for
 :func:`kc_consistency` and for the Markov laws of the marginals. Every residual
 table, split or pair (:func:`pair_residuals`), is taken a chunk of its keys at a
@@ -38,13 +40,12 @@ from .algebra import (
     doubled_after,
     expectation_matrices,
     flip_symmetry_residual,
-    predual,
 )
 # operator_norm is not called here since the sweeps take stacked norms; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import (chunks, gram_norms, operator_norms, predual_matrix, scaled_grams,
-                     stacked_products, unvec, vec)
+from .linalg import (apply_supermatrix, chunks, gram_norms, operator_norms, predual_matrix,
+                     scaled_grams, stacked_products)
 
 DEFAULT_FLIP_TOL = 1e-10
 
@@ -236,11 +237,11 @@ class Family:
     def conditioned(self) -> MapStack:
         """E_{omega_s} C^{s,t} at every pair, the lattice's Q^{s,t}, formed once into one array.
 
-        One gemm a pair, a chunk of pairs at a time (:func:`qqsp.linalg.chunks`), with the
-        chunk's maps read by ``maps.rows`` and its E_{omega_s} placed from :attr:`rhos`;
-        Z/z's E_{omega_s} embed Y^{s,t} is c_s Y^{s,t} (:attr:`slot_scales`). A type-B lattice
-        comes from :func:`propagate` with them; kc, h's doubled law, the lattice's Q family and the
-        rebuilt lattice's kc and conclusion-b read them here.
+        Every propagated lattice comes from :func:`propagate` with them; any other family (the
+        rebuilt lattice, Z/z, a hand-built one) fills them here, one :func:`conditioned_products`
+        call per chunk of pairs, with Z/z's E_{omega_s} embed Y^{s,t} = c_s Y^{s,t}
+        (:attr:`slot_scales`). kc, h's doubled law, the lattice's Q family and the rebuilt
+        lattice's kc and conclusion-b read them.
         """
         if self.conditioned_maps is None:
             order, rows, cols = self.maps.order, self.maps.out_dim ** 2, self.maps.in_dim ** 2
@@ -250,8 +251,7 @@ class Family:
                 if self.stores_q:
                     q[part] = self.maps.rows(order[part]) * self.slot_scales[starts][:, None, None]
                 else:
-                    q[part] = stacked_products(expectation_matrices(self.rhos[starts]),
-                                               self.maps.rows(order[part]))
+                    q[part] = conditioned_products(self.rhos[starts], self.maps.rows(order[part]))
             object.__setattr__(self, "conditioned_maps", MapStack(q, order))
         return self.conditioned_maps
 
@@ -307,33 +307,40 @@ def computed_state(rho, quantity: str, t: int) -> State:
     return computed_states(np.asarray(rho)[None], quantity, t)[0]
 
 
-LAWS = ("A", "B", "plain")
+def conditioned_products(rhos, maps) -> np.ndarray:
+    """The stack of E_{rho_k} F_k over k densities (k, n, n) and k (n^4, m) maps.
 
-
-def fundamental_rights(cores, betweens, law: str):
-    """The right factors :func:`fundamental_products` takes for the cores C^{tau,t}.
-
-    ``cores`` holds the matrices of the C^{tau,t} and ``betweens`` the matrix that
-    stands before each. Law A: the (k, n^2, n^2) stack of E_{omega_tau} C^{tau,t},
-    one gemm per core. Laws B and plain: the cores themselves, which
-    :func:`qqsp.algebra.doubled_after` or the matmul takes. Only law A reads ``betweens``.
+    Each E is placed from its density and each product is one gemm, with the bits of E @ F.
     """
-    if law == "A":
-        return stacked_products(betweens, cores)
-    return cores
+    return stacked_products(expectation_matrices(rhos), maps)
+
+
+def carried_states(maps, rhos, quantity: str, first_t: int) -> tuple[State, ...]:
+    """The predual images of densities under maps, as the :func:`computed_states` from first_t.
+
+    ``maps`` (out^2, in^2) and ``rhos`` (out, out) are each one or a stack; one serves every
+    slice of the other. Each image is one gemv, with the bits of its :func:`qqsp.algebra.predual`.
+    """
+    maps = np.asarray(maps)
+    out_dim, in_dim = (math.isqrt(d) for d in maps.shape[-2:])
+    images = apply_supermatrix(predual_matrix(maps, in_dim, out_dim),
+                               np.reshape(rhos, (-1, out_dim, out_dim)), in_dim)
+    return computed_states(images, quantity, first_t)
+
+
+LAWS = ("A", "B", "plain")
 
 
 def fundamental_products(lefts, rights, law: str) -> np.ndarray:
     """The split products of C^{s,tau} and C^{tau,t}, one per slice, as a stack.
 
     ``lefts`` and ``rights`` are stacks of one factor per slice, or a single factor
-    that serves every slice; ``rights`` comes from :func:`fundamental_rights`. Law A,
-    the type-A fundamental equation: C^{s,tau} (E_{omega_tau} C^{tau,t}), associated
-    right to left so that no n^4 x n^4 product is formed (n^8 MACs, not n^10), in one
-    batched matmul. Law B, the type-B equation: (Q (x) Q) C^{tau,t}, where ``lefts``
-    holds Q = E_{omega_s} C^{s,tau} (:attr:`Family.conditioned`), by mode products
-    (:func:`qqsp.algebra.doubled_after`). Law plain: C^{s,tau} C^{tau,t}. Per slice
-    each product runs the gemm of its pair taken alone.
+    that serves every slice. Law A, the type-A fundamental equation:
+    C^{s,tau} (E_{omega_tau} C^{tau,t}), ``rights`` holding E_{omega_tau} C^{tau,t}
+    (:attr:`Family.conditioned`), so that no n^4 x n^4 product is formed (n^8 MACs, not
+    n^10), in one batched matmul. Law B, the type-B equation: (Q (x) Q) C^{tau,t}, ``lefts``
+    holding Q = E_{omega_s} C^{s,tau}, by mode products (:func:`qqsp.algebra.doubled_after`).
+    Law plain: C^{s,tau} C^{tau,t}. Per slice each product is the gemm of its pair alone.
     """
     if law == "B":
         return doubled_after(lefts, rights)
@@ -349,15 +356,14 @@ def triples(horizon: int):
 
 
 def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
-    """Fill the lattice by the type-appropriate recursion at tau = t-1.
+    """Fill the lattice and its Q^{s,t} = E_{omega_s} P^{s,t} by the recursion at tau = t-1.
 
-    The lattice is one (K, n^4, n^2) array in sorted pair order, allocated up front. Each
-    row t is one call of the split kernel over every s < t-1, or one per chunk of the row
-    where its products exceed the chunk budget (:func:`qqsp.linalg.chunks`). No array of
-    E_{omega_t} is allocated: law A's right factor of row t places E_{omega_{t-1}} alone,
-    and type B forms each Q^{s,t} = E_{omega_s} P^{s,t} here once, placing E_{omega_s} a
-    chunk of its column at a time, and hands them on with the lattice
-    (:attr:`Family.conditioned`).
+    Both are one array in sorted pair order, allocated up front. Row t places P^{t-1,t} and
+    forms Q^{t-1,t}; then, per chunk of its s < t-1 (:func:`qqsp.linalg.chunks`), one kernel
+    call forms the P^{s,t} and one :func:`conditioned_products` call their Q^{s,t}; last it
+    carries omega_t. Law A's right factor is Q^{t-1,t} and law B's left factors the Q^{s,t-1},
+    as in :func:`split_residuals`. Each Q^{s,t} is formed once, for either type, and leaves
+    with the lattice (:attr:`Family.conditioned`); no array of E_{omega_t} is allocated.
     """
     if strict:
         reject_seed(validate_seed(seed))
@@ -365,27 +371,22 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     order = [(s, t) for s in range(horizon) for t in range(s + 1, horizon + 1)]
     at = {key: i for i, key in enumerate(order)}
     maps = np.empty((len(order), n ** 4, n * n), dtype=complex)
-    qs = np.empty((len(order), n * n, n * n), dtype=complex) if law == "B" else None
+    qs = np.empty((len(order), n * n, n * n), dtype=complex)
+    lefts_of, rights_of = (maps, qs) if law == "A" else (qs, maps)
     omegas = [seed.omega0]
     rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)
     for t in range(1, horizon + 1):
-        maps[at[(t - 1, t)]] = seed.step_maps[t - 1].matrix
+        step = at[(t - 1, t)]
+        maps[step] = seed.step_maps[t - 1].matrix
+        qs[step] = conditioned_products(omegas[t - 1].rho[None], maps[step][None])[0]
         lefts, rows = ([at[(s, tau)] for s in range(t - 1)] for tau in (t - 1, t))
-        if rows:
-            between = expectation_matrices(omegas[t - 1].rho[None]) if law == "A" else None
-            rights = fundamental_rights(maps[at[(t - 1, t)]][None], between, law)
-        for part in chunks(len(rows), 16 * n ** 6):   # the products are n^4 x n^2
-            left = (qs if law == "B" else maps).take(lefts[part], axis=0)
-            maps[rows[part]] = fundamental_products(left, rights, law)
-        if law == "B":   # Q^{s,t} of the finished column t: the left factors of row t + 1
-            column = [at[(s, t)] for s in range(t)]
-            for part in chunks(t, 16 * n ** 6):   # E_{omega_s} is n^2 x n^4
-                es = expectation_matrices([w.rho for w in omegas[part]])
-                qs[column[part]] = stacked_products(es, [maps[i] for i in column[part]])
-        image = predual_matrix(maps[at[(0, t)]], n, n * n) @ vec(rho00)
-        omegas.append(computed_state(unvec(image, n), "omega_t", t))
+        for part in chunks(len(rows), 16 * n ** 6):   # P^{s,t} is n^4 x n^2, E_{omega_s} n^2 x n^4
+            maps[rows[part]] = products = fundamental_products(
+                lefts_of.take(lefts[part], axis=0), rights_of[step][None], law)
+            qs[rows[part]] = conditioned_products([w.rho for w in omegas[:t - 1][part]], products)
+        omegas.append(carried_states(maps[at[(0, t)]], rho00, "omega_t", t)[0])
     return Family("P", n, MapStack(maps, order), tuple(omegas), law, seed.algebra_kind,
-                  conditioned_maps=None if qs is None else MapStack(qs, order))
+                  conditioned_maps=MapStack(qs, order))
 
 
 @dataclass(frozen=True)
@@ -502,9 +503,10 @@ def interact_states(lattice: Family, phi: State, psi: State,
                     s: int, t: int) -> State:
     """Law of interaction: the state with density predual(P^{s,t})(rho_phi (x) rho_psi).
 
-    Symmetric in (phi, psi) because the lattice maps are flip symmetric.
+    Symmetric in (phi, psi) because the lattice maps are flip symmetric. An image that
+    is not a state is a ValidationFailure naming P^{s,t}.
     """
     if not (0 <= s < t <= lattice.horizon and t - s >= 1):
         raise ValueError(f"times ({s}, {t}) outside the lattice")
-    rho = predual(lattice.map(s, t))(np.kron(phi.rho, psi.rho))
-    return State(rho)
+    return carried_states(lattice.map(s, t).matrix, np.kron(phi.rho, psi.rho),
+                          f"P^{{{s},t}}_*(phi (x) psi)", t)[0]

@@ -80,6 +80,8 @@ DEFAULT_TOLERANCES = {
 ERGODIC_STACK_BYTES = 1 << 26
 # the bytes of the one lattice array propagate allocates: T(T+1)/2 maps of n^4 x n^2
 LATTICE_BYTES = 1 << 30
+# a seed holds T step maps whatever its pipeline; above 11584, the longest lattice at n = 1
+MAX_HORIZON = 1 << 14
 
 
 class ScenarioError(ValueError):
@@ -173,6 +175,9 @@ def parse_scenario(data: dict) -> Scenario:
     horizon = _require(data, "horizon", name)
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise ScenarioError(f"{name}.horizon: expected a positive integer, got {horizon!r}")
+    if horizon > MAX_HORIZON:
+        raise ScenarioError(f"{name}.horizon: {horizon} is over the {MAX_HORIZON} steps a "
+                            f"seed may hold")
     mode = data.get("mode", "strict")
     if mode not in ("strict", "permissive"):
         raise ScenarioError(f"{name}.mode: expected 'strict' or 'permissive', got {mode!r}")

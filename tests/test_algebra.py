@@ -24,6 +24,7 @@ from qqsp.algebra import (
     trace_norm_distance,
 )
 from qqsp.linalg import (
+    apply_supermatrix,
     choi_matrix,
     matrix_unit,
     operator_norm,
@@ -295,6 +296,21 @@ def test_trace_norm_is_a_metric_on_samples(rng):
 
 
 # --------------------------------------------------------------- predual
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one-matrix", "k-matrices"])
+def test_apply_supermatrix_on_a_stack_of_maps_is_each_map_alone(rng, count):
+    # a (k, out^2, in^2) stack of maps meets one matrix or one matrix each; every image has
+    # the bits of its map applied to its matrix alone
+    k, in_dim, out_dim = 3, 3, 2
+    maps = rng.normal(size=(k, out_dim ** 2, in_dim ** 2)) + 1j * rng.normal(
+        size=(k, out_dim ** 2, in_dim ** 2))
+    xs = rng.normal(size=(count, in_dim, in_dim)) + 1j * rng.normal(size=(count, in_dim, in_dim))
+    images = apply_supermatrix(maps, xs, out_dim)
+    assert images.shape == (k, out_dim, out_dim)
+    for i, image in enumerate(images):
+        alone = SuperMap(in_dim, out_dim, maps[i])(xs[i if count > 1 else 0])
+        assert image.tobytes() == alone.tobytes()
+
 
 def test_predual_constant_map(rng):
     omega = State.maximally_mixed(2)

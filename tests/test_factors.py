@@ -349,23 +349,25 @@ def test_expectation_supermaps_equal_the_stack_of_ones(rng):
                                   lambda: propagate(make_mixed_seed(5, "A"))],
                          ids=["mixed-n3-B", "entangling-n2-B", "mixed-n2-A"])
 def test_carried_states_equal_the_per_state_loop(monkeypatch, make):
-    import qqsp.marginal
+    import qqsp.process
 
     q = build_Q(make())
     rows = []
-    original = qqsp.marginal.computed_states
+    original = qqsp.process.computed_states
 
     def recorded(rhos, quantity, first_t):
         states = original(rhos, quantity, first_t)
         rows.append(states)
         return states
 
-    monkeypatch.setattr(qqsp.marginal, "computed_states", recorded)
+    monkeypatch.setattr(qqsp.process, "computed_states", recorded)   # carried_states' check
     state_consistency_residual(q)
+    assert len(rows) == q.horizon   # one check per row s
     got = [w.rho.tobytes() for states in rows for w in states]
+    monkeypatch.undo()   # computed_state below goes through the same check
     want = [computed_state(predual(q.map(s, t))(q.omega(s).rho), "carried", t).rho.tobytes()
             for s, t in q.pairs()]
-    assert len(rows) == q.horizon and got == want
+    assert got == want
 
 
 def test_a_carried_state_that_fails_is_named_as_before():

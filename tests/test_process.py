@@ -20,7 +20,6 @@ from qqsp.process import (
     QQSPSeed,
     ValidationFailure,
     fundamental_products,
-    fundamental_rights,
     interact_states,
     kc_consistency,
     propagate,
@@ -204,11 +203,12 @@ def test_omega_consistency_on_basis():
 # ----------------------------------------------------------- consistency
 
 def _one_split(p_s_tau, p_tau_t, e_s, e_tau, law):
-    """The kernel's product at one split, as a stack of one; law B's left factor is Q."""
-    rights = fundamental_rights([p_tau_t.matrix], [e_tau.matrix], law)
+    """The kernel's product at one split, as a stack of one; the conditioned factor is
+    E_{omega_tau} P^{tau,t} under law A and Q = E_{omega_s} P^{s,tau} under law B."""
+    right = e_tau @ p_tau_t if law == "A" else p_tau_t
     left = e_s @ p_s_tau if law == "B" else p_s_tau
     return SuperMap(p_tau_t.in_dim, p_s_tau.out_dim,
-                    fundamental_products(left.matrix[None], rights, law)[0])
+                    fundamental_products(left.matrix[None], right.matrix[None], law)[0])
 
 
 def test_fundamental_composition_matches_explicit_laws(rng):
@@ -312,6 +312,20 @@ def test_interact_volterra_vertex_pair():
     d2 = State.from_weights([0.0, 1.0])
     out = interact_states(lat, d1, d2, 0, 1)
     assert trace_norm_distance(out, d1) <= 1e-13
+
+
+def test_an_interaction_image_that_is_no_state_names_its_map():
+    lat = propagate(make_mixed_seed(3, "A"))
+    maps = dict(lat.maps)
+    maps[(0, 2)] = SuperMap(2, 4, 2 * maps[(0, 2)].matrix)   # its predual doubles the trace
+    doubled = Family("P", 2, maps, lat.omegas, "A")
+    mixed = State.maximally_mixed(2)
+    with pytest.raises(ValidationFailure, match=r"P\^\{0,t\}_\*\(phi \(x\) psi\) at t=2 "
+                                                r"is not a state: density matrix trace"):
+        interact_states(doubled, mixed, mixed, 0, 2)
+    assert issubclass(ValidationFailure, ValueError)
+    assert trace_norm_distance(interact_states(doubled, mixed, mixed, 0, 1),
+                               interact_states(lat, mixed, mixed, 0, 1)) == 0.0
 
 
 def test_interact_time_range():

@@ -29,6 +29,7 @@ from qqsp.report import (
 from qqsp.scenarios import (
     ERGODIC_STACK_BYTES,
     LATTICE_BYTES,
+    MAX_HORIZON,
     ScenarioError,
     builtin_scenarios,
     parse_scenario,
@@ -274,9 +275,12 @@ def test_each_quantity_is_computed_once(monkeypatch):
     distinct = len({id(m) for m in sc.resolved[0].step_maps})
     assert distinct == 1   # the builtin holds one map T times
     # No trajectory of E_{omega_t}, E_{phi_t} or E_{psi_t} is stored; each is placed where it
-    # is read, one stack per chunk. Type-B propagate places E_{omega_s} for each column t of
-    # Q^{s,t}; no slot E_{omega_t} embed or E_{omega_t} embed_averaged is formed, since the
-    # one is tr(rho_t) 1 and the other is of rank one;
+    # is read, one stack per chunk. propagate places, for each row t of Q^{s,t}, E_{omega_{t-1}}
+    # alone for Q^{t-1,t}, whose product law A's split products read, and then E_{omega_s}
+    # for each chunk of the row's s < t-1: 2T - 1 stacks of T(T+1)/2 rows in all, each
+    # E_{omega_s} row placed once per pair as before; no slot E_{omega_t} embed or
+    # E_{omega_t} embed_averaged is formed, since the one is tr(rho_t) 1 and the other is of
+    # rank one;
     # the exchange table places E_{psi_s}, H's trailing E_{omega_t} and E_{phi_t} per chunk,
     # and the rebuilt lattice's conditioned maps E_{psi_s} per chunk of pairs. The absorption
     # and state-consistency tables place none: each gap is E of a difference of states. Each
@@ -284,10 +288,11 @@ def test_each_quantity_is_computed_once(monkeypatch):
     n, pairs = sc.dim, T * (T + 1) // 2
     exchange = len(chunks(pairs, 16 * n ** 2 * n ** 4))      # n^2 x n^4 gaps
     conditioned = len(chunks(pairs, 16 * n ** 4 * n ** 2))   # n^4 x n^2 maps
-    assert (exchange, conditioned) == (1, 1)
+    rows = sum(1 + len(chunks(t - 1, 16 * n ** 6)) for t in range(1, T + 1))
+    assert (exchange, conditioned, rows) == (1, 1, 2 * T - 1)
     assert counts == {"verify_marginal_axioms": 1, "build_Q": 1, "reconstruct_qqsp": 1,
                       "certify_unital_cp": distinct,
-                      "expectation_matrices": T + 3 * exchange + conditioned}
+                      "expectation_matrices": rows + 3 * exchange + conditioned}
 
 
 def test_explicit_pair_ensemble_scenario():
@@ -523,6 +528,27 @@ def test_a_lattice_past_the_memory_bound_is_refused_at_parse_time():
     assert parse_scenario({**doc, "horizon": 200, "pipeline": ["validate"]}).horizon == 200
 
 
+@pytest.mark.parametrize("kind, seed", [("full", {"builtin": "mixed"}),
+                                        ("diagonal", {"classical": {"builtin": "copy-second"}})],
+                         ids=["quantum", "classical"])
+@pytest.mark.parametrize("pipeline", [["validate"], []], ids=["validate", "empty"])
+def test_a_horizon_past_the_seed_bound_exits_2_without_propagate(tmp_path, kind, seed,
+                                                                 pipeline):
+    # a seed holds its T step maps whatever the pipeline, so the bound is on T itself; 2^62
+    # would be refused before anything is allocated, and asks for nothing if it is not
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "name": "long", "algebra": {"kind": kind, "dim": 2}, "process_type": "A",
+        "horizon": 2 ** 62, "seed": seed, "initial_state": {"maximally_mixed": True},
+        "pipeline": pipeline}))
+    proc = run_cli("run", str(path), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert f"long.horizon: {2 ** 62} is over the {MAX_HORIZON} steps" in proc.stderr
+    # every lattice LATTICE_BYTES admits, the longest at n = 1, still parses
+    longest = max(t for t in range(1, MAX_HORIZON + 1) if t * (t + 1) // 2 * 16 <= LATTICE_BYTES)
+    assert longest == 11584 < MAX_HORIZON
+
+
 _HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
@@ -715,11 +741,11 @@ def test_stacked_computed_states_name_the_first_failing_t():
 
 def test_a_failing_phi_is_named_by_its_t(monkeypatch):
     # phi_t goes through one stack per trajectory; a bad image still names its t
-    import qqsp.marginal
+    import qqsp.process
 
     lat = propagate(make_mixed_seed(4, "A"))
     q, h = build_Q(lat), build_H(lat)
-    original = qqsp.marginal.computed_states
+    original = qqsp.process.computed_states
 
     def spoiled(rhos, quantity, first_t):
         rhos = np.array(rhos)
@@ -727,7 +753,7 @@ def test_a_failing_phi_is_named_by_its_t(monkeypatch):
             rhos[1] *= 1 + 1e-9   # phi_2
         return original(rhos, quantity, first_t)
 
-    monkeypatch.setattr(qqsp.marginal, "computed_states", spoiled)
+    monkeypatch.setattr(qqsp.process, "computed_states", spoiled)   # carried_states' check
     with pytest.raises(ValidationFailure, match="phi_t at t=2"):
         reconstruct_qqsp(q, h, lat.omega(0), "A")
 

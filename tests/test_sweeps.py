@@ -385,17 +385,22 @@ def test_kc_makes_at_most_one_compose_per_stored_pair(monkeypatch, ptype):
     assert len(calls) <= len(lat.maps)
 
 
-def test_each_q_is_formed_once_per_type_b_run(monkeypatch):
-    # propagate forms Q^{s,t} = E_{omega_s} P^{s,t} for every pair, and kc, h's doubled
-    # law and build_Q read them; the rebuilt lattice forms its E_{psi_s} P^{s,t} once, for
-    # conclusion-b, and its kc reads them. Each is one gemm of an E before a row of its
-    # family's one array, and no E is composed after a map as a SuperMap
+@pytest.mark.parametrize("ptype", ["A", "B"])
+def test_each_q_is_formed_once_per_run(monkeypatch, ptype):
+    # propagate forms Q^{s,t} = E_{omega_s} P^{s,t} for every pair of either type, and kc,
+    # H/h's laws and build_Q read them; the rebuilt lattice forms its E_{psi_s} P^{s,t} once
+    # (Family.conditioned), for conclusion-b, and its kc reads them; the exchange table forms
+    # each E_{psi_s} H^{s,t} once. Each is one gemm of an E before a row, counted here by the
+    # caller of conditioned_products, and no E is composed after a map as a SuperMap
+    import sys
+
     import qqsp.process
+    from qqsp.algebra import ScaledMapStack
 
     n, horizon = 2, 5
     slots, original = (embed_supermap(n), embed_averaged_supermap(n)), SuperMap.compose
     original_products = qqsp.process.stacked_products
-    composed, formed = [], []
+    composed, formed = [], {}
 
     def counted(self, other):   # an E after a map into M (x) M that is no slot
         if ((self.in_dim, self.out_dim, other.in_dim) == (n * n, n, n)
@@ -404,21 +409,29 @@ def test_each_q_is_formed_once_per_type_b_run(monkeypatch):
         return original(self, other)
 
     def products(lefts, rights):
-        pairs = list(zip(lefts, rights))
-        if np.shape(pairs[0][0]) == (n * n, n ** 4):   # E_{omega_s} before a map: a Q^{s,t}
-            formed.extend(b.__array_interface__["data"][0] for _, b in pairs)
-        return original_products([a for a, _ in pairs], [b for _, b in pairs])
+        out = original_products(lefts, rights)
+        if out.shape[1:] == (n * n, n * n) and np.shape(lefts)[1:] == (n * n, n ** 4):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in ("propagate", "conditioned", "exchanged"):
+                frame = frame.f_back
+            caller = frame.f_code.co_name
+            if caller == "conditioned":   # a lattice's own Q, or the rebuilt lattice's
+                rebuilt = isinstance(frame.f_locals["self"].maps, ScaledMapStack)
+                caller = "rebuilt" if rebuilt else "lattice"
+            formed[caller] = formed.get(caller, 0) + len(out)
+        return out
 
     monkeypatch.setattr(SuperMap, "compose", counted)
     monkeypatch.setattr(qqsp.process, "stacked_products", products)
     report = run_scenario(parse_scenario({
-        "name": "mixed-n2-T5-B", "algebra": {"kind": "full", "dim": n}, "process_type": "B",
-        "horizon": horizon, "seed": {"builtin": "entangling-mixed"},
+        "name": f"mixed-n2-T5-{ptype}", "algebra": {"kind": "full", "dim": n},
+        "process_type": ptype, "horizon": horizon, "seed": {"builtin": "entangling-mixed"},
         "initial_state": {"diag": [0.7, 0.3]},
         "pipeline": ["propagate", "kc", "marginals", "axioms", "reconstruct"]}))
     assert report.verdicts["kc_ok"] and report.verdicts["roundtrip_ok"]
     assert composed == []
-    assert len(formed) == len(set(formed)) == 2 * horizon * (horizon + 1) // 2
+    pairs = horizon * (horizon + 1) // 2
+    assert formed == {"propagate": pairs, "rebuilt": pairs, "exchanged": pairs}
 
 
 # ------------------------------------------------- H/h's law from the kc table
