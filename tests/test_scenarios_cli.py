@@ -534,8 +534,8 @@ def test_a_lattice_past_the_memory_bound_is_refused_at_parse_time():
 @pytest.mark.parametrize("pipeline", [["validate"], []], ids=["validate", "empty"])
 def test_a_horizon_past_the_seed_bound_exits_2_without_propagate(tmp_path, kind, seed,
                                                                  pipeline):
-    # a seed holds its T step maps whatever the pipeline, so the bound is on T itself; 2^62
-    # would be refused before anything is allocated, and asks for nothing if it is not
+    # a seed holds its T step maps whatever the pipeline, so T itself is bounded, before the
+    # seed is built: a tuple of 2^62 maps is a MemoryError, not a scenario error
     path = tmp_path / "long.json"
     path.write_text(json.dumps({
         "name": "long", "algebra": {"kind": kind, "dim": 2}, "process_type": "A",
