@@ -7,8 +7,12 @@ For each workload, runs ``python3 perfbench/run.py --workload W --trace 0``
 K times in each checkout, one run at a time and alternating which checkout
 goes first in each pair, so every run takes the benchmark's own seed and run
 length. It prints, per end-to-end metric of ``BENCHMARK.json``, the median
-and quartiles of each side, the change/parent ratio of the medians and the
-number of pairs in which the change was better. It writes those numbers,
+and quartiles of each side, the change/parent ratio of the medians, the
+number of pairs in which the change was better and whether the change meets
+the rule for claiming a gain (``gain_rule_met``): at least ten pairs, better
+in at least nine tenths of them (a tie counts for neither side), and a median
+better than the parent's by more than the distance between the parent's
+quartiles. It writes those numbers,
 every run's value, the command, the machine and both checkouts' ``src/qqsp``
 line counts, per workload, to ``BENCH_<label>.json`` in the checkout this
 script sits in. An existing file of that name keeps the workloads this run
@@ -57,6 +61,18 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def gain_rule_met(row: dict, pairs: int) -> bool:
+    """Whether one metric's runs support claiming a gain: ten pairs or more, the change better
+    in at least nine tenths of them, and the medians apart by more than the parent's
+    interquartile distance, in the better direction."""
+    parent, change = row["parent"], row["change"]
+    gap = parent["median"] - change["median"]
+    if row["better"] != "lower":
+        gap = -gap
+    return (pairs >= 10 and row["change_better_pairs"] >= 0.9 * pairs
+            and gap > parent["q3"] - parent["q1"])
+
+
 def compare(dirs: dict, workload: str, pairs: int, metrics: list[dict]) -> dict:
     runs = {side: [] for side in SIDES}
     for k in range(pairs):
@@ -81,12 +97,13 @@ def compare(dirs: dict, workload: str, pairs: int, metrics: list[dict]) -> dict:
                "change_better_pairs": better}
         parent, change = row["parent"]["median"], row["change"]["median"]
         row["ratio"] = change / parent if parent else None
+        row["gain_rule_met"] = gain_rule_met(row, pairs)
         out["metrics"][name] = row
         print(f"{workload:9s} {name:12s} parent {parent:.4g} "
               f"[{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}]  "
               f"change {change:.4g} [{row['change']['q1']:.4g}, {row['change']['q3']:.4g}]  "
               f"ratio {'-' if row['ratio'] is None else format(row['ratio'], '.3f')}  "
-              f"better {better}/{pairs}")
+              f"better {better}/{pairs}  gain rule {'met' if row['gain_rule_met'] else 'not met'}")
     return out
 
 

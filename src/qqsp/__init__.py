@@ -16,8 +16,6 @@ from .algebra import (
     certify_unital_cp,
     conditional_expectation,
     expectation_supermap,
-    flip_conjugate,
-    flip_supermap,
     flip_symmetry_residual,
     predual,
     supermap_tensor,

@@ -28,13 +28,11 @@ from .linalg import (
     choi_matrix,
     dagger,
     hermiticity_defect,
-    matrix_unit,
     operator_norm,
     predual_matrix,
     ptrace_first,
     supermatrix_from_function,
     supermatrix_tensor,
-    swap_matrix,
     trace_norm,
     unit_tensor_matrix,
 )
@@ -273,6 +271,7 @@ class MapStack(Mapping):
         self.order = tuple(order)
         self.index = {key: i for i, key in enumerate(self.order)}
         self.out_dim, self.in_dim = (math.isqrt(d) for d in self.array.shape[1:])
+        self.norms = None   # the maps' operator norms, which the first Family.map_norms takes
 
     def __getitem__(self, key) -> SuperMap:
         return SuperMap(self.in_dim, self.out_dim, self.array[self.index[key]])
@@ -338,14 +337,11 @@ def supermap_tensor(m1: SuperMap, m2: SuperMap) -> SuperMap:
 def doubled_after(q, ms) -> Array:
     """(q (x) q) m for every pair of a q and a map m into M_n (x) M_n, without q (x) q.
 
-    ``q`` is a map on M_n: a SuperMap, its (n^2, n^2) matrix, or a (K, n^2, n^2)
-    stack of them, one per m. ``ms`` holds the (n^4, k^2) matrices of maps on M_k,
-    as a (K, n^4, k^2) array or a sequence; a single q or a single m serves every
-    slice of the other side. The result is the stack of products. In the tensor
-    view of m each output index splits as (a, b); q (x) q acts on the two a's and
-    on the two b's separately, so it is two n^2 x n^2 mode products, each one
-    broadcast matmul over the stack: n^6 k^2 MACs per map each instead of the
-    n^8 k^2 of the dense (q (x) q) m. Each slice has the bits of its pair taken alone.
+    ``q`` is a map on M_n (a SuperMap, its matrix, or a (K, n^2, n^2) stack, one per m);
+    ``ms`` the (n^4, k^2) matrices of maps on M_k, a (K, n^4, k^2) array or a sequence; a
+    single q or m serves every slice of the other. Each output index of m splits as (a, b)
+    and q (x) q is two n^2 x n^2 mode products, one broadcast matmul each: n^6 k^2 MACs per
+    map instead of n^8 k^2. Each slice has the bits of its pair taken alone.
     """
     q = q.matrix if isinstance(q, SuperMap) else np.asarray(q)
     n = math.isqrt(q.shape[-1])
@@ -373,19 +369,6 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(np.kron(a.entries, b.entries), kind)
 
 
-def flip_conjugate(z) -> AlgebraElement:
-    """Exchange tensor factors: the involution with U(x (x) y) = y (x) x."""
-    m = as_matrix(z)
-    d = m.shape[0]
-    n = int(round(np.sqrt(d)))
-    if n * n != d:
-        raise ValueError(f"flip needs a matrix on M_n (x) M_n, got side {d}")
-    # W m W with W the swap: exchange the factors of the row and the column index
-    flipped = m.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(d, d)
-    kind = z.algebra_kind if isinstance(z, AlgebraElement) else "full"
-    return AlgebraElement(flipped, kind)
-
-
 def flip_rows(n: int) -> Array:
     """The row permutation of U m for maps m into M_n (x) M_n, U(x (x) y) = y (x) x.
 
@@ -401,12 +384,6 @@ def flip_after(m: SuperMap) -> SuperMap:
     if n * n != m.out_dim:
         raise ValueError("the flip needs a map into a doubled algebra")
     return SuperMap(m.in_dim, m.out_dim, m.matrix[flip_rows(n)])
-
-
-def flip_supermap(n: int) -> SuperMap:
-    """The flip as a superoperator on M_{n^2}; :func:`flip_after` applies it."""
-    w = swap_matrix(n)
-    return SuperMap(n * n, n * n, np.kron(w, w))
 
 
 def conditional_expectation(phi: State, z) -> AlgebraElement:
@@ -509,8 +486,3 @@ def trace_norm_distance(phi: State, psi: State) -> float:
     if phi.dim != psi.dim:
         raise ValueError(f"dimension mismatch: {phi.dim} vs {psi.dim}")
     return trace_norm(phi.rho - psi.rho)
-
-
-def basis_elements(n: int):
-    """The matrix units E_ij of M_n, a spanning set for identity checks."""
-    return [matrix_unit(n, i, j) for i in range(n) for j in range(n)]

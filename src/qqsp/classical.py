@@ -186,19 +186,18 @@ def classical_propagate(q: ClassicalQSP, strict: bool = True, tol: float = 1e-12
 def tensor_to_step_map(p: Array) -> SuperMap:
     """Lift one cubic tensor to the diagonal-algebra step map.
 
-    Sends diag(f) to the diagonal element of M_N (x) M_N whose (i, j)
-    entry is sum_k f_k p_{ij,k}; off-diagonal input components are
-    annihilated, so the map is a sum of maps x -> x_kk * (psd diagonal),
-    hence completely positive whenever the tensor is entrywise >= 0.
+    Sends diag(f) to the diagonal element of M_N (x) M_N whose (i, j) entry is
+    sum_k f_k p_{ij,k} and annihilates off-diagonal inputs: a sum of maps
+    x -> x_kk * (psd diagonal), completely positive when the tensor is entrywise >= 0.
+    Its matrix is written in closed form: column k + N k (vec E_kk) holds p_{ij,k} on the
+    rows of the diagonal (+ 0.0 gives the +0.0 a product with E_kk gives for -0.0).
     """
     p = np.asarray(p, dtype=float)
     N = p.shape[0]
-
-    def f(x):
-        vals = np.einsum("ijk,k->ij", p, np.diag(x))
-        return np.diag(vals.reshape(-1)).astype(complex)
-
-    return SuperMap.from_function(f, N, N * N)
+    mat = np.zeros((N ** 4, N * N), dtype=complex)
+    mat[np.arange(N * N)[:, None] * (N * N + 1), np.arange(N) * (N + 1)] = \
+        p.reshape(N * N, N) + 0.0
+    return SuperMap(N, N * N, mat)
 
 
 def lift_to_quantum(q: ClassicalQSP, strict: bool = True) -> QQSPSeed:
@@ -217,30 +216,32 @@ def lift_to_quantum(q: ClassicalQSP, strict: bool = True) -> QQSPSeed:
     return QQSPSeed(maps, State.from_weights(q.x0.weights), q.process_type, "diagonal")
 
 
-def _extract_tensor(m: SuperMap, N: int, tol: float) -> Array:
-    p = np.zeros((N, N, N))
-    for k in range(N):
-        chi = np.zeros((N, N), dtype=complex)
-        chi[k, k] = 1.0
-        out = m(chi)
-        off = out - np.diag(np.diag(out))
-        if np.abs(off).max() > tol:
-            raise ValueError(
-                f"map does not preserve the diagonal algebra (residual {np.abs(off).max():.2e})")
-        p[:, :, k] = np.real(np.diag(out)).reshape(N, N)
-    return p
-
-
 def project_to_classical(lattice: Family, tol: float = 1e-12) -> ClassicalQSP:
-    """Read tensors off a diagonal-preserving lattice via indicator elements."""
+    """Read tensors off a diagonal-preserving lattice via indicator elements.
+
+    The image of E_kk is its map's column k + N k, an N^2 x N^2 matrix with p_{ij,k} at
+    diagonal entry (i, j): one gather of every map's columns. An image with off-diagonal
+    mass above ``tol`` raises ValueError for the first such (pair, k).
+    """
     N, T = lattice.n, lattice.horizon
-    filled = {key: _extract_tensor(lattice.map(*key), N, tol) for key in lattice.pairs()}
+    pairs = lattice.pairs()
+    images = lattice.maps.rows(pairs)[:, :, np.arange(N) * (N + 1)]   # (pairs, N^4, N)
+    diagonal = np.arange(N * N) * (N * N + 1)   # the rows of an image's diagonal entries
+    off = np.abs(images)
+    off[:, diagonal] = 0
+    residuals = off.max(axis=1).reshape(-1)
+    bad = np.flatnonzero(residuals > tol)
+    if bad.size:
+        raise ValueError(f"map does not preserve the diagonal algebra "
+                         f"(residual {residuals[bad[0]]:.2e})")
+    # + 0.0: a gemv against the indicator gives +0.0 where the column holds -0.0
+    tensors = np.real(images[:, diagonal]).reshape(len(pairs), N, N, N) + 0.0
+    tensors.setflags(write=False)
+    filled = dict(zip(pairs, tensors))
     steps = tuple(filled[(k, k + 1)] for k in range(T))
     x0 = Distribution(lattice.omega(0).diagonal_weights())
     trajectory = tuple(Distribution(lattice.omega(t).diagonal_weights())
                        for t in range(T + 1))
-    for p in filled.values():
-        p.setflags(write=False)
     return ClassicalQSP(steps, x0, lattice.process_type,
                         lattice=filled, trajectory=trajectory)
 

@@ -5,24 +5,20 @@ state pairs vanish as t grows. At desk scale the limit is replaced by a
 finite-horizon verdict: every tracked family must push the whole pair
 ensemble below epsilon by t = T.
 
-The ergodic relations between the marginals follow from F = C E_{omega_t}:
-H_*(rho) = omega_t (x) P_*(rho), Z_*(rho) = omega_t (x) Q_*(Tr_1 rho) and
-Q_*(sigma) = P_*(omega_s (x) sigma). :func:`decay_trace` takes every distance
-on the stored maps. H/h's cores are P's own maps, so :func:`ergodic_verdict`
-hands H/h P's trace as it is; Z/z store Q's maps and decay as Q does on the
-Tr_1 images of the pairs. Only {P, H/h} against {Q, Z/z} can still disagree,
-and Q against Z/z only through the two pair ensembles they see.
+The ergodic relations follow from F = C E_{omega_t}: H_*(rho) = omega_t (x) P_*(rho),
+Z_*(rho) = omega_t (x) Q_*(Tr_1 rho) and Q_*(sigma) = P_*(omega_s (x) sigma). So
+:func:`ergodic_verdict` hands H/h P's trace, Z/z decay as Q on the Tr_1 images of the
+pairs, and only {P, H/h} against {Q, Z/z} can disagree (Q and Z/z by their ensembles).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .algebra import InvalidDensity, State, predual
-from .linalg import chunks, matrix_unit, ptrace_first, trace_norms
+from .linalg import chunks, matrix_unit, predual_matrix, ptrace_first, trace_norms
 from .process import Family
 
 
@@ -51,37 +47,33 @@ class DecayTrace:
 def decay_trace(source: Family, pairs) -> DecayTrace:
     """Distance table over t = 1 .. horizon for each state pair, from s = 0.
 
-    The pairs live on the algebra the maps land in (``source.side``). The
-    distances are taken on the stored map C^{0,t}: omega_t (x) C_* is the
-    predual of C E_{omega_t}, and omega_t drops out of the trace norm. A factored
-    Z/z stores Q's maps Y, and (embed Y)_* = Y_* Tr_1, so its trace is Q's on the
-    Tr_1 images of the pairs. Each t's predual is formed once and applied to one
-    chunk of pairs at a time (:func:`qqsp.linalg.chunks`), whose states are stacked
-    as they are read; the last chunk's stack is kept, so an ensemble of one chunk is
-    stacked once. Only the gaps, on the maps' input side, are held for every t, and
-    they are normed in one :func:`qqsp.linalg.trace_norms` call.
-    Monotonicity is not asserted; the full table is the point of the diagnostic.
+    The pairs live where the maps land (``source.side``); the distances are taken on the
+    stored C^{0,t}, since omega_t (x) C_* is the predual of C E_{omega_t}, and a Z/z's on Q's
+    maps Y and the Tr_1 images of the pairs ((embed Y)_* = Y_* Tr_1). The pairs' vectors
+    are stacked once; per chunk of t (:func:`qqsp.linalg.chunks`) one
+    :func:`qqsp.linalg.predual_matrix` call and one broadcast matmul, a gemv per image, give
+    the gaps, normed in one :func:`qqsp.linalg.trace_norms` call. Monotonicity is not asserted.
     """
     for phi, psi in pairs:
         if phi.dim != source.side or psi.dim != source.side:
             raise ValueError(f"pair dimension {phi.dim} does not match the family "
                              f"({source.side})")
     times = tuple(range(1, source.horizon + 1))
-    parts = chunks(len(pairs), 2 * 16 * source.side ** 2)
-
-    @lru_cache(maxsize=1)
-    def states(start: int, stop: int) -> np.ndarray:
-        """The states of the pairs start..stop - 1, pair by pair (Tr_1 images for Z/z)."""
-        rhos = np.array([x.rho for pair in pairs[start:stop] for x in pair])
-        return ptrace_first(rhos, source.n, source.n) if source.stores_q else rhos
-
-    side = source.maps.in_dim   # where the stored maps' preduals land
+    side, out_dim = source.maps.in_dim, source.maps.out_dim   # preduals land on M_side
     gaps = np.empty((len(times), len(pairs), side, side), dtype=complex)
-    for t, gap in zip(times, gaps):
-        dual = predual(source.maps[(0, t)])
-        for part in parts:
-            images = dual(states(part.start, part.stop))
-            np.subtract(images[0::2], images[1::2], out=gap[part])
+    if pairs:
+        # each state's transpose in C order is its column-stacked vector, and Tr_1 commutes
+        # with the transpose, so the vectors are formed in one copy of the ensemble
+        vecs = np.array([x.rho.T for pair in pairs for x in pair])
+        if source.stores_q:
+            vecs = ptrace_first(vecs, source.n, source.n)
+        vecs = vecs.reshape(2 * len(pairs), -1, 1)
+        keys = [(0, t) for t in times]
+        for part in chunks(len(times), 16 * side * side * max(out_dim * out_dim, len(vecs))):
+            duals = predual_matrix(source.maps.rows(keys[part]), side, out_dim)
+            images = np.matmul(duals[:, None], vecs)   # [t][pair, phi or psi], one gemv each
+            images = images.reshape(-1, len(pairs), 2, side, side)   # the transposed images
+            np.subtract(images[:, :, 0], images[:, :, 1], out=gaps[part].transpose(0, 1, 3, 2))
     norms = trace_norms(gaps.reshape(-1, side, side))
     rows = norms.reshape(len(times), len(pairs)).T.tolist()   # [pair][time]
     return DecayTrace(source.kind, times, tuple(map(tuple, rows)))
@@ -109,11 +101,9 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
                             rng: np.random.Generator | None = None) -> ContractionEstimate:
     """The largest half trace distance of Q^{s,t}_* over the basis pairs and sampled pure pairs.
 
-    The ``sample_count`` orthonormal pure pairs are drawn, and their projectors, images
-    and gaps formed, one chunk of samples at a time (:func:`qqsp.linalg.chunks`), and a
-    running maximum keeps the largest norm. A chunk's ``rng.normal`` call continues the
-    stream of the one before, so per sample the bits do not depend on the chunks, and the
-    generator is left where one draw of every sample leaves it.
+    The sampled pairs are drawn and imaged a chunk at a time (:func:`qqsp.linalg.chunks`)
+    under a running maximum; each chunk's ``rng.normal`` call continues the stream, so the
+    bits and the generator's final state are those of one draw of every sample.
     """
     if (s, t) not in q_family.maps:
         raise ValueError(f"no map stored at ({s}, {t})")
@@ -157,15 +147,12 @@ def state_pair_ensemble(dim: int, count: int, rng: np.random.Generator,
                         diagonal: bool = False) -> list[tuple[State, State]]:
     """count pairs: the extremal basis pair (e_0 vs e_last), then count - 1 random pairs.
 
-    The 2 (count - 1) random states are drawn, formed and checked by :meth:`State.stack`
-    one chunk of about ``CHUNK_BYTES`` at a time (:func:`qqsp.linalg.chunks`): on a full
-    algebra g g^dagger / tr with g from ``rng.normal(size=(k, 2, dim, dim))`` (real part,
-    then imaginary part), on a diagonal one normalised weights from
-    ``rng.random((k, dim)) + 1e-3``, k the chunk's count. Each call continues the stream
-    of the one before, so that is the stream and the order of drawing the states one at a
-    time, and beside the states only one chunk's draws and copies are live; per state the
-    bits do not depend on the chunks. A failing state raises :class:`InvalidDensity` with
-    its index in the whole ensemble.
+    The random states are drawn and checked (:meth:`State.stack`) a chunk at a time
+    (:func:`qqsp.linalg.chunks`): g g^dagger / tr with g from ``rng.normal(size=(k, 2, dim,
+    dim))`` (real, then imaginary part) on a full algebra, normalised ``rng.random((k, dim))
+    + 1e-3`` on a diagonal one. Each call continues the stream, so the states are those of
+    one draw at a time, bit for bit. A failing state raises :class:`InvalidDensity` with its
+    index in the whole ensemble.
     """
     k = 2 * max(count - 1, 0)
     basis = np.zeros((2, dim, dim), dtype=complex)

@@ -14,25 +14,22 @@ type-B one, so :func:`check_markov` only picks a split law of
 :func:`qqsp.process.split_residuals`; h reads Q^{s,tau} = E_{omega_s} P^{s,tau}
 off its own cores.
 
-H/h and Z/z are always stored factored (:class:`qqsp.process.Family`). H/h hold
-P's own array as their cores C^{s,t}. Z^{s,t} = embed Q^{s,t} E_{omega_t}, so Z/z
-hold Q's array, and nothing forms embed Q^{s,t}. Since E_omega(1 (x) x) = omega(1) x,
-the slot E_{omega_t} embed is c_t 1 with c_t = tr(rho_t) (:attr:`Family.slot_scales`),
-and no slot is formed. Every Z/z residual is taken on n^2 x n^2 stacks and scaled by
-sqrt(n) (embed is a 0/1 row selection with embed^dagger embed = n 1), with c_tau
-between two of Q's maps. E_sigma is linear in sigma and E_sigma E_sigma^dagger =
-||sigma||_F^2 1, so a gap C E_sigma is normed as ||C|| ||sigma||_F: the absorption
-axiom, state consistency and both reconstruction slots are each a stored map's norm
-(:attr:`Family.map_norms`, formed once per family) times one scalar per t, and
-place no E row.
+H/h and Z/z are stored factored (:class:`qqsp.process.Family`): H/h hold P's own array
+as their cores C^{s,t}, and Z^{s,t} = embed Q^{s,t} E_{omega_t}, so Z/z hold Q's array.
+E_omega(1 (x) x) = omega(1) x makes the slot E_{omega_t} embed c_t 1 with c_t = tr(rho_t)
+(:attr:`Family.slot_scales`), and embed^dagger embed = n 1 makes every Z/z residual an
+n^2 x n^2 one scaled by sqrt(n). E_sigma is linear in sigma and E_sigma E_sigma^dagger =
+||sigma||_F^2 1, so a gap C E_sigma is normed as ||C|| ||sigma||_F: absorption, state
+consistency and the reconstruction slots are a map norm (:attr:`Family.map_norms`) times
+one scalar per t, and place no E row.
 
-A pair (Q, H) with the right exchange axioms determines the lattice:
-P^{s,t} x = H^{s,t}(embed(x)) = c_t C^{s,t} x along the trajectory psi_t. That rebuilt
-lattice is built once, by :func:`reconstruct_qqsp`: H's own array scaled by c_t as it is
-read. No family stores a trajectory of conditional expectations: the exchange
-table places the E_{psi_s}, E_{omega_t} and E_{phi_t} it reads a chunk at a time
-from the density matrices (:attr:`Family.rhos`). Conventions that place x in the averaged
-slot state the same identities with the tensor factors exchanged.
+A pair (Q, H) with the right exchange axioms determines the lattice: P^{s,t} x =
+H^{s,t}(embed(x)) = c_t C^{s,t} x along the trajectory psi_t (:func:`reconstruct_qqsp`,
+H's own array scaled by c_t as it is read). For the lattice's own pair
+(:func:`derived_pair`) the rebuilt lattice's kc and conclusion b and the exchange axiom
+are P's and Q's numbers times scalars per t, reported as bounds; any other pair is
+swept. Conventions that place x in the averaged slot state the same identities with the
+tensor factors exchanged.
 """
 
 from __future__ import annotations
@@ -47,18 +44,18 @@ from .algebra import (
     State,
     expectation_matrices,
     flip_rows,
-    trace_norm_distance,
 )
 # not called here since pair_residuals took the residual loops; perfbench's
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
-from .linalg import vec
+from .linalg import trace_norms, vec
 from .process import (
     Family,
     ResidualTable,
     ValidationFailure,
     carried_states,
     conditioned_products,
+    kc_consistency,
     pair_residuals,
     split_residuals,
     triples,
@@ -130,14 +127,10 @@ def build_z(h_family: Family, q_family: Family) -> Family:
 
 
 def check_markov(family: Family, law: str = "native") -> ResidualTable:
-    """Residuals of the composition law over every admissible triple.
-
-    The law is the split law of :func:`qqsp.process.split_residuals` that the
-    kind asks for. P and Q compose plainly, F^{s,tau} F^{tau,t}.
-    The factored H, Z, z compose as C^{s,tau} E_{omega_tau} C^{tau,t} (law A), and so
-    does h with ``law='plain'`` (the type-B contrast makes it fail on purpose).
-    Natively h obeys the doubled law (Q^{s,tau} (x) Q^{s,tau}) h^{tau,t} (law B), with
-    Q^{s,tau} = E_{omega_s} P^{s,tau} read off its own cores.
+    """Residuals of the composition law over every admissible triple, under the split law
+    of :func:`qqsp.process.split_residuals` the kind asks for: plain for P and Q; law A,
+    C^{s,tau} E_{omega_tau} C^{tau,t}, for H, Z, z and for h with ``law='plain'`` (the type-B
+    contrast, failing on purpose); natively h's doubled law B, (Q (x) Q) h^{tau,t}.
     """
     if law not in ("native", "plain"):
         raise ValueError(f"unknown law {law!r}")
@@ -186,23 +179,46 @@ class AxiomReport:
         return self.max_residual <= tol
 
 
+def derived_pair(q_family: Family, h_family: Family, rebuilt: Family) -> bool:
+    """Whether (Q, H or h) is a lattice's own pair and ``rebuilt`` its :func:`reconstruct_qqsp`:
+    Q holds the E_{omega_s} P^{s,t} that :func:`build_H`/:func:`build_h` share with the lattice,
+    and the rebuilt maps are H's own array scaled by c_t. Checked by identity, never on values.
+    """
+    maps = rebuilt.maps
+    return (q_family.maps is h_family.conditioned_maps and isinstance(maps, ScaledMapStack)
+            and maps.base is h_family.maps
+            and np.array_equal(maps.factors, h_family.slot_scales[_times(h_family)]))
+
+
+ROUNDING = 1.5 * np.finfo(float).eps   # per unit of operand scale: a bound >= its rounded sweep
+
+
+def _psi_drift(h_family: Family, rebuilt: Family) -> tuple[np.ndarray, np.ndarray]:
+    """c_t = tr(rho_t) and d_t = ||psi_t - c_t omega_t||_F by t: E_{psi_t} = c_t E_{omega_t} +
+    E_{delta_t} with ||E_{delta_t}|| = d_t, E being linear and E_sigma E_sigma^dagger = ||sigma||^2 1.
+    """
+    c = h_family.slot_scales
+    return c, np.linalg.norm(rebuilt.rhos - c[:, None, None] * h_family.rhos, axis=(1, 2))
+
+
 def verify_marginal_axioms(q_family: Family, h_family: Family,
                            rebuilt: Family) -> AxiomReport:
     """Check the exchange axioms an abstract pair (Q, H or h) must satisfy.
 
-    ``rebuilt`` is :func:`reconstruct_qqsp` of the pair: its maps are
-    H^{s,t} embed and its trajectory is psi_t, and phi_t = omega_0 after Q^{0,t} on the
-    predual side. The exchange table forms each chunk's E_{psi_s} H^{s,t} in one
-    :func:`qqsp.process.conditioned_products` call and places its E_{phi_t} and H's trailing
-    E_{omega_t} in one call each; the absorption table places none (:func:`_absorption`).
+    ``rebuilt`` is :func:`reconstruct_qqsp` of the pair: maps H^{s,t} embed, trajectory psi_t;
+    phi_t = omega_0 after Q^{0,t} on the predual side. A :func:`derived_pair` takes the exchange
+    in closed form (:func:`_exchange_bound`); any other pair sweeps it, one
+    :func:`qqsp.process.conditioned_products` call for each chunk's E_{psi_s} H^{s,t} and one
+    placement of its E_{phi_t} and of H's trailing E_{omega_t}.
     """
     if q_family.n != h_family.n:
         raise ValueError("families live on different algebras")
     if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
         raise ValueError("families cover different (s, t) lattices")
-    firsts = q_family.maps.rows([(0, t) for t in range(1, q_family.horizon + 1)])
-    phis = [rebuilt.omega(0), *carried_states(firsts, rebuilt.omega(0).rho, "phi_t", 1)]
-    phi_rhos = np.array([w.rho for w in phis])
+    rho0 = rebuilt.omega(0).rho
+    firsts = [(0, t) for t in range(1, q_family.horizon + 1)]
+    phi_rhos = np.array([rho0, *(w.rho for w in carried_states(q_family.maps, rho0, "phi_t",
+                                                               1, keys=firsts))])
     cores = h_family.maps.array   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
     ss, ts = np.array(h_family.pairs()).T
@@ -219,24 +235,42 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
         return np.matmul(q_family.maps.array[part], expectation_matrices(phi_rhos[ts[part]]))
 
     side = h_family.n * h_family.n
+    if derived_pair(q_family, h_family, rebuilt):
+        exchange = _exchange_bound(q_family, h_family, rebuilt, phi_rhos)
+    else:
+        exchange = pair_residuals(h_family, (side, side * side), exchanged, intertwined,
+                                  "axiom-exchange")
     return AxiomReport(
         flip=pair_residuals(h_family, cores.shape[1:], flipped, None,
                             "axiom-flip", scale=h_family.trailing_norm),
-        exchange=pair_residuals(h_family, (side, side * side), exchanged, intertwined,
-                                "axiom-exchange"),
+        exchange=exchange,
         absorption=_absorption(h_family, rebuilt),
-        trajectory_gap=max(trace_norm_distance(phi, psi)
-                           for phi, psi in zip(phis, rebuilt.omegas)),
+        trajectory_gap=float(trace_norms(phi_rhos - rebuilt.rhos).max()),
     )
+
+
+def _exchange_bound(q_family: Family, h_family: Family, rebuilt: Family,
+                    phi_rhos: np.ndarray) -> ResidualTable:
+    """||E_{psi_s} H^{s,t} - Q^{s,t} E_{phi_t}|| of a :func:`derived_pair`, bounded per pair.
+
+    With Q = E_{omega_s} C and :func:`_psi_drift` the gap is Q E_{c_s rho_t - phi_t} +
+    E_{delta_s} C E_{omega_t}: at most ||Q|| ||c_s rho_t - phi_t||_F + d_s ||C|| ||rho_t||_F,
+    plus :data:`ROUNDING` of ||Q|| ||rho_t||_F, on the map norms. No E is placed.
+    """
+    c, d = _psi_drift(h_family, rebuilt)
+    ss, ts = np.array(h_family.pairs()).T
+    rho_norms = np.array([h_family.trailing_norm(t) for t in range(h_family.horizon + 1)])[ts]
+    shift = np.linalg.norm(c[ss, None, None] * h_family.rhos[ts] - phi_rhos[ts], axis=(1, 2))
+    qs, cores = q_family.map_norms, h_family.map_norms
+    return _by_pair(h_family, qs * shift + d[ss] * cores * rho_norms
+                    + ROUNDING * qs * rho_norms, "axiom-exchange")
 
 
 def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
     """||H - H embed E_{psi_t}|| = ||C^{s,t}|| ||rho_t - c_t psi_t||_F at every pair (s, t).
 
-    H^{s,t} = C^{s,t} E_{omega_t} and E_{omega_t} embed = c_t 1, so the gap is C^{s,t} D_t
-    with D_t = E_{omega_t} - c_t E_{psi_t} = E_{rho_t - c_t psi_t}, psi_t the trajectory of
-    ``rebuilt``. D_t D_t^dagger = ||rho_t - c_t psi_t||_F^2 1, so the norm is the core's
-    (:attr:`Family.map_norms`) times one Frobenius norm per t; no D_t is placed.
+    With E_{omega_t} embed = c_t 1 the gap is C^{s,t} E_{rho_t - c_t psi_t}: the core's norm
+    (:attr:`Family.map_norms`) times one Frobenius norm per t; no E is placed.
     """
     gaps = np.linalg.norm(h_family.rhos - h_family.slot_scales[:, None, None] * rebuilt.rhos,
                           axis=(1, 2))
@@ -258,19 +292,16 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
                      strict: bool = True, tol: float = 1e-8) -> Family:
     """Rebuild the lattice from a marginal pair: P^{s,t} x = H^{s,t}(embed(x)).
 
-    H^{s,t} = C^{s,t} E_{omega_t} and E_{omega_t} embed = c_t 1 with c_t = tr(rho_t), so
-    the rebuilt maps are c_t C^{s,t}: the rebuilt lattice holds H's own array and scales
-    each row as it is read (:class:`qqsp.algebra.ScaledMapStack`).
-
-    The returned trajectory is psi_t, omega_0 (x) omega_0 after P^{0,t},
-    which the axioms force to agree with phi_t. In strict mode the
-    rebuilt lattice must pass the axiom suite at ``tol``.
+    E_{omega_t} embed = c_t 1, so the rebuilt maps are H's own array scaled by c_t as read
+    (:class:`qqsp.algebra.ScaledMapStack`), and the trajectory psi_t, omega_0 (x) omega_0
+    after P^{0,t}, is carried a chunk of rows at a time. In strict mode the rebuilt lattice
+    must pass the axiom suite at ``tol``.
     """
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
-    maps = ScaledMapStack(h_family.maps, h_family.slot_scales[[t for _, t in h_family.pairs()]])
-    psis = carried_states(maps.rows([(0, t) for t in range(1, h_family.horizon + 1)]),
-                          np.kron(omega0.rho, omega0.rho), "psi_t", 1)
+    maps = ScaledMapStack(h_family.maps, h_family.slot_scales[_times(h_family)])
+    psis = carried_states(maps, np.kron(omega0.rho, omega0.rho), "psi_t", 1,
+                          keys=[(0, t) for t in range(1, h_family.horizon + 1)])
     rebuilt = Family("P", h_family.n, maps, (omega0, *psis), target_type,
                      h_family.algebra_kind)
     if strict:
@@ -281,26 +312,76 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     return rebuilt
 
 
+def conclusion_b_residuals(q_family: Family, h_family: Family, rebuilt: Family) -> ResidualTable:
+    """||E_{psi_s} P_rec^{s,t} - Q^{s,t}|| at every pair, the rebuilt lattice's conclusion b.
+
+    Swept on the rebuilt lattice's conditioned maps, except for a :func:`derived_pair`:
+    P_rec = c_t C and :func:`_psi_drift` make the gap (c_s c_t - 1) Q + c_t E_{delta_s} C, at
+    most |c_s c_t - 1| ||Q|| + |c_t| d_s ||C|| plus :data:`ROUNDING` of ||Q||.
+    """
+    if not derived_pair(q_family, h_family, rebuilt):
+        return pair_residuals(rebuilt, (q_family.n ** 2, q_family.n ** 2),
+                              lambda part: rebuilt.conditioned.array[part],
+                              lambda part: q_family.maps.array[part], "conclusion-b")
+    c, d = _psi_drift(h_family, rebuilt)
+    ss, ts = np.array(h_family.pairs()).T
+    qs = q_family.map_norms
+    return _by_pair(h_family, np.abs(c[ss] * c[ts] - 1) * qs + np.abs(c[ts]) * d[ss]
+                    * h_family.map_norms + ROUNDING * qs, "conclusion-b")
+
+
+def rebuilt_kc(q_family: Family, h_family: Family, rebuilt: Family,
+               kc: ResidualTable | None = None) -> ResidualTable:
+    """:func:`qqsp.process.kc_consistency` of the rebuilt lattice, swept unless the pair is a
+    :func:`derived_pair` and ``kc`` the lattice's own table, whose gaps G it then rescales.
+
+    With P_rec = c_t C and :func:`_psi_drift` the rebuilt gap is c_t [(1 - k) C^{s,t} + k G]
+    less a delta term: at most |c_t| (|k| G + |1 - k| ||C^{s,t}||) plus, for law A,
+    k = c_tau^2 and |c_tau c_t| d_tau ||C^{s,tau}|| ||C^{tau,t}||; for law B, k = (c_s c_tau)^2
+    and (2ab + b^2) |c_t| ||C^{tau,t}||, a = |c_s c_tau| ||Q^{s,tau}|| and b = |c_tau| d_s
+    ||C^{s,tau}|| normed parts of E_{psi_s} P_rec^{s,tau}; plus :data:`ROUNDING` of |c_t| ||C^{s,t}||.
+    """
+    if kc is None or not derived_pair(q_family, h_family, rebuilt):
+        return kc_consistency(rebuilt)
+    law = rebuilt.process_type
+    if kc.label != f"kc-type-{law}" or set(kc.entries) != set(triples(h_family.horizon)):
+        raise ValueError(f"{kc.label!r} is not the kc table of a type-{law} lattice on "
+                         f"{h_family.kind}'s cores")
+    c, d = _psi_drift(h_family, rebuilt)
+    ac, at = np.abs(c), h_family.maps.index
+    s, tau, t = np.array(list(kc.entries)).T
+    gaps = np.array(list(kc.entries.values()))
+    cores = h_family.map_norms
+    whole, left, right = (cores[[at[key] for key in zip(a, b)]]
+                          for a, b in ((s, t), (s, tau), (tau, t)))
+    if law == "A":
+        k = c[tau] ** 2
+        spread = ac[tau] * ac[t] * d[tau] * left * right
+    else:
+        k = (c[s] * c[tau]) ** 2
+        a = ac[s] * ac[tau] * q_family.map_norms[[at[key] for key in zip(s, tau)]]
+        b = ac[tau] * d[s] * left
+        spread = (2 * a * b + b * b) * ac[t] * right
+    bound = ac[t] * (np.abs(k) * gaps + np.abs(1 - k) * whole + ROUNDING * whole) + spread
+    return ResidualTable(dict(zip(kc.entries, bound.tolist())), kc.label)
+
+
 def state_consistency_residual(q_family: Family) -> ResidualTable:
     """Residual of E_{omega_s} Q^{s,t} = E_{omega_t} (trajectory consistency).
 
     Measured as the operator-norm gap between the two conditional expectations, i.e.
     with omega_s carried forward through Q^{s,t}. E is linear in the state and
     E_sigma E_sigma^dagger = ||sigma||_F^2 1, so the gap E_{omega_t} - E_{Q_* omega_s}
-    has norm ||rho_t - Q^{s,t}_* rho_s||_F and no E is placed. Each row s of the family
-    is carried by one :func:`qqsp.process.carried_states` call, so a failure names
-    Q^{s,t}_* omega_s and its t.
+    has norm ||rho_t - Q^{s,t}_* rho_s||_F and no E is placed. One
+    :func:`qqsp.process.carried_states` call carries every pair; a failure names its pair.
     """
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
-    pairs, maps = q_family.pairs(), q_family.maps.array
-    starts = [i for i, (s, _) in enumerate(pairs) if i == 0 or pairs[i - 1][0] != s]
-    carried = []
-    for lo, hi in zip(starts, [*starts[1:], len(pairs)]):   # one row s at a time
-        s, t = pairs[lo]
-        carried += [w.rho for w in carried_states(maps[lo:hi], q_family.omegas[s].rho,
-                                                  f"Q^{{{s},t}}_* omega_{s}", t)]
-    gaps = q_family.rhos[_times(q_family)] - np.array(carried)
+    pairs = q_family.pairs()
+    ss, ts = np.array(pairs).T
+    carried = carried_states(q_family.maps.array, q_family.rhos[ss],
+                             lambda k: (f"Q^{{{ss[k]},t}}_* omega_{ss[k]}", ts[k]))
+    gaps = q_family.rhos[ts] - np.array([w.rho for w in carried])
     return _by_pair(q_family, np.linalg.norm(gaps, axis=(1, 2)), "state-consistency")
 
 
@@ -309,18 +390,12 @@ def slice_residuals(lattice: Family, q_family: Family,
                     z_family: Family | None = None) -> dict:
     """Map-level residuals of the slice identities, keyed by identity name.
 
-    reconstruction_slot: H(embed x) = P x; averaged_slot: H(x (x) 1) =
-    omega_t(x) 1 (x) 1; z_reconstruction_slot: Z(embed x) = embed(Q x);
-    z_averaged_slot as for H. The intertwining E_{omega_s} H = Q E_{omega_t}
-    holds here by the definition of Q; the axiom exchange checks it for a pair.
-
-    Each is taken in closed form. With E_{omega_t} embed = c_t 1, H's reconstruction slot
-    is max |c_t - 1| ||P^{s,t}||, on H's :attr:`Family.map_norms`. Z/z store Q's own array
-    Y = Q, so its reconstruction slot sqrt(n) ||c_t Y^{s,t} - Q^{s,t}|| is
-    sqrt(n) max |c_t - 1| ||Q^{s,t}||. E_{omega_t} embed_averaged is |vec 1><rho_t| and the
-    constant map |vec 1 (x) 1><rho_t|, so H's averaged slot is the rank-one
-    ||P^{s,t}(1) - 1 (x) 1||_F ||rho_t||_F, and Z/z's, by the same factors on M,
-    sqrt(n) ||Y^{s,t}(1) - 1||_F ||rho_t||_F.
+    reconstruction_slot: H(embed x) = P x; averaged_slot: H(x (x) 1) = omega_t(x) 1 (x) 1;
+    z_reconstruction_slot: Z(embed x) = embed(Q x); z_averaged_slot as for H. Each is a
+    closed form: with E_{omega_t} embed = c_t 1 the reconstruction slots are
+    max |c_t - 1| ||P^{s,t}|| and sqrt(n) max |c_t - 1| ||Q^{s,t}||; E_{omega_t} embed_averaged
+    and the constant map are rank one, so the averaged slots are ||P^{s,t}(1) - 1 (x) 1||_F
+    ||rho_t||_F and sqrt(n) ||Q^{s,t}(1) - 1||_F ||rho_t||_F.
     """
     if h_family.maps is not lattice.maps:
         raise ValueError(f"{h_family.kind} does not store this lattice's maps P^{{s,t}} "

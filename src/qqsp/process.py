@@ -8,17 +8,13 @@ The lattice and its marginals share one type, :class:`Family`, which holds
 its maps as one array; the trajectory's conditional expectations E_{omega_t} are
 placed from the states as they are read, and no array of them is kept.
 
-Every product E_rho F, Q^{s,t} = E_{omega_s} P^{s,t} among them, is formed by
-:func:`conditioned_products`, and every state the pipeline computes, a predual image,
-by :func:`carried_states`. Every split product is formed by one kernel,
-:func:`fundamental_products`, under one of three laws: A, the type-A fundamental
-equation; B, the type-B one with Q = E_{omega_s} C^{s,tau}; plain, C^{s,tau} C^{tau,t}.
-:func:`propagate` fills the lattice and its Q^{s,t} with it, a row at a
-time, and :func:`split_residuals` is the one sweep that measures it, for
-:func:`kc_consistency` and for the Markov laws of the marginals. Every residual
-table, split or pair (:func:`pair_residuals`), is taken a chunk of its keys at a
-time: the operands are slices or takes of the stored arrays, and each chunk's
-gaps are one batched product, one subtraction and one Gram call.
+Every product E_rho F is formed by :func:`conditioned_products`, every computed state by
+:func:`carried_images` and :func:`computed_states`, and every split product by
+:func:`fundamental_products` under one of three laws: A, the type-A fundamental equation;
+B, the type-B one with Q = E_{omega_s} C^{s,tau}; plain, C^{s,tau} C^{tau,t}.
+:func:`propagate` fills the lattice with it and :func:`split_residuals` measures it.
+Every residual table (:func:`split_residuals`, :func:`pair_residuals`) is taken a chunk
+of its keys at a time, one batched product, subtraction and Gram call per chunk.
 """
 
 from __future__ import annotations
@@ -167,13 +163,8 @@ class Family:
     F^{s,t} = embed Y^{s,t} E_{omega_t} (:attr:`stores_q`), and nothing forms
     embed Y^{s,t}. Residual sweeps work on the stored maps: E E^dagger =
     ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X|| (:meth:`trailing_norm`),
-    and embed^dagger embed = n 1 gives ||embed X|| = sqrt(n) ||X|| (:attr:`lead_norm`).
-    E_omega(1 (x) x) = omega(1) x, so the reconstruction slot E_{omega_t} embed that
-    stands between two of Z/z's maps is tr(rho_t) 1 (:attr:`slot_scales`). P and Q have
-    trivial lead and trailing factors, so the same sweeps read their maps as they are.
-    E_sigma is linear in sigma and E_sigma E_sigma^dagger = ||sigma||_F^2 1 for every
-    sigma, so a gap X E_sigma is normed as ||X|| ||sigma||_F, with ||X|| read off
-    :attr:`map_norms` where X is a stored map.
+    and embed^dagger embed = n 1 gives ||embed X|| = sqrt(n) ||X|| (:attr:`lead_norm`);
+    P and Q have trivial lead and trailing factors.
     """
 
     kind: str
@@ -183,7 +174,8 @@ class Family:
     process_type: str | None = None
     algebra_kind: str = "full"
     # E_{omega_s} C^{s,t} (:attr:`conditioned`); shared by a lattice and its H/h
-    conditioned_maps: MapStack | None = field(default=None, repr=False, compare=False)
+    conditioned_maps: MapStack | ScaledMapStack | None = field(default=None, repr=False,
+                                                               compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -234,25 +226,26 @@ class Family:
         return self.maps[(s, t)]
 
     @property
-    def conditioned(self) -> MapStack:
-        """E_{omega_s} C^{s,t} at every pair, the lattice's Q^{s,t}, formed once into one array.
+    def conditioned(self) -> MapStack | ScaledMapStack:
+        """E_{omega_s} C^{s,t} at every pair, the lattice's Q^{s,t}, formed once.
 
-        Every propagated lattice comes from :func:`propagate` with them; any other family (the
-        rebuilt lattice, Z/z, a hand-built one) fills them here, one :func:`conditioned_products`
-        call per chunk of pairs, with Z/z's E_{omega_s} embed Y^{s,t} = c_s Y^{s,t}
-        (:attr:`slot_scales`). kc, h's doubled law, the lattice's Q family and the rebuilt
-        lattice's kc and conclusion-b read them.
+        :func:`propagate` hands a lattice them; any other family fills them here, one
+        :func:`conditioned_products` call per chunk of pairs, except Z/z, whose
+        E_{omega_s} embed Y^{s,t} = c_s Y^{s,t} (:attr:`slot_scales`) are Y scaled as read
+        (:class:`qqsp.algebra.ScaledMapStack`).
         """
         if self.conditioned_maps is None:
             order, rows, cols = self.maps.order, self.maps.out_dim ** 2, self.maps.in_dim ** 2
-            q = np.empty((len(order), self.n ** 2, cols), dtype=complex)
-            for part in chunks(len(order), 16 * rows * cols):
-                starts = [s for s, _ in order[part]]
-                if self.stores_q:
-                    q[part] = self.maps.rows(order[part]) * self.slot_scales[starts][:, None, None]
-                else:
-                    q[part] = conditioned_products(self.rhos[starts], self.maps.rows(order[part]))
-            object.__setattr__(self, "conditioned_maps", MapStack(q, order))
+            starts = [s for s, _ in order]
+            if self.stores_q:
+                maps = ScaledMapStack(self.maps, self.slot_scales[starts])
+            else:
+                q = np.empty((len(order), self.n ** 2, cols), dtype=complex)
+                for part in chunks(len(order), 16 * rows * cols):
+                    q[part] = conditioned_products(self.rhos[starts[part]],
+                                                   self.maps.rows(order[part]))
+                maps = MapStack(q, order)
+            object.__setattr__(self, "conditioned_maps", maps)
         return self.conditioned_maps
 
     def trailing_norm(self, t: int) -> float:
@@ -273,15 +266,17 @@ class Family:
         """c_t = tr(rho_t) by t: E_omega(1 (x) x) = omega(1) x, so E_{omega_t} embed = c_t 1."""
         return np.array([np.trace(w.rho) for w in self.omegas])
 
-    @cached_property
+    @property
     def map_norms(self) -> np.ndarray:
-        """||C^{s,t}|| of every stored map, in pair order: one operator_norms call per chunk.
-
-        Each entry has the bits of the map's :func:`qqsp.linalg.operator_norm` taken alone.
+        """||C^{s,t}|| of every stored map, in pair order: one operator_norms call per chunk,
+        once per array (P and H/h, Q and Z/z share theirs); each entry has the bits of the
+        map's :func:`qqsp.linalg.operator_norm` taken alone.
         """
-        maps = self.maps.array
-        return np.concatenate([operator_norms(maps[part])
-                               for part in chunks(len(maps), maps[0].nbytes)])
+        if self.maps.norms is None:
+            maps = self.maps.array
+            self.maps.norms = np.concatenate([operator_norms(maps[part])
+                                              for part in chunks(len(maps), maps[0].nbytes)])
+        return self.maps.norms
 
     def omega(self, t: int) -> State:
         return self.omegas[t]
@@ -290,16 +285,17 @@ class Family:
         return list(self.maps.order)
 
 
-def computed_states(rhos, quantity: str, first_t: int) -> tuple[State, ...]:
-    """The states the pipeline computed for t = first_t, first_t + 1, ..., checked as one stack.
-
-    Failing :class:`State`'s checks is a ValidationFailure naming the first failing t.
+def computed_states(rhos, quantity, first_t: int = 1) -> tuple[State, ...]:
+    """The states the pipeline computed, checked as one stack. A failure is a ValidationFailure
+    naming the first failing slice k: ``quantity`` at t = first_t + k, or for a function
+    ``quantity`` the name and t it gives k.
     """
     try:
         return State.stack(rhos)
     except InvalidDensity as exc:
-        raise ValidationFailure(f"computed state {quantity} at t={first_t + exc.index} "
-                                f"is not a state: {exc}") from exc
+        name, t = (quantity(exc.index) if callable(quantity)
+                   else (quantity, first_t + exc.index))
+        raise ValidationFailure(f"computed state {name} at t={t} is not a state: {exc}") from exc
 
 
 def computed_state(rho, quantity: str, t: int) -> State:
@@ -315,17 +311,34 @@ def conditioned_products(rhos, maps) -> np.ndarray:
     return stacked_products(expectation_matrices(rhos), maps)
 
 
-def carried_states(maps, rhos, quantity: str, first_t: int) -> tuple[State, ...]:
-    """The predual images of densities under maps, as the :func:`computed_states` from first_t.
+def carried_images(maps, rhos, keys=None) -> np.ndarray:
+    """The (k, in, in) predual images of densities under maps, unchecked.
 
-    ``maps`` (out^2, in^2) and ``rhos`` (out, out) are each one or a stack; one serves every
-    slice of the other. Each image is one gemv, with the bits of its :func:`qqsp.algebra.predual`.
+    ``maps`` is one (out^2, in^2) map or a stack, or with ``keys`` the rows of ``keys`` of a
+    MapStack or ScaledMapStack; ``rhos`` is one (out, out) density or one per map. The maps
+    are read and their preduals formed a chunk (:func:`qqsp.linalg.chunks`) at a time; each
+    image is one gemv, with the bits of its :func:`qqsp.algebra.predual`.
     """
-    maps = np.asarray(maps)
-    out_dim, in_dim = (math.isqrt(d) for d in maps.shape[-2:])
-    images = apply_supermatrix(predual_matrix(maps, in_dim, out_dim),
-                               np.reshape(rhos, (-1, out_dim, out_dim)), in_dim)
-    return computed_states(images, quantity, first_t)
+    rhos = np.asarray(rhos)
+    if keys is None:
+        maps = np.asarray(maps)
+        stack = maps if maps.ndim == 3 else maps[None]
+        out_dim, in_dim = (math.isqrt(d) for d in stack.shape[1:])
+        count, read = len(stack), stack.__getitem__
+    else:
+        out_dim, in_dim = maps.out_dim, maps.in_dim
+        count, read = len(keys), (lambda part: maps.rows(keys[part]))
+    each = rhos.ndim == 3
+    return np.concatenate([
+        apply_supermatrix(predual_matrix(read(part), in_dim, out_dim),
+                          (rhos[part] if each else rhos).reshape(-1, out_dim, out_dim), in_dim)
+        for part in chunks(count, 16 * out_dim ** 2 * in_dim ** 2)])
+
+
+def carried_states(maps, rhos, quantity, first_t: int = 1, keys=None) -> tuple[State, ...]:
+    """The :func:`carried_images` of densities under maps, checked as the
+    :func:`computed_states` from first_t."""
+    return computed_states(carried_images(maps, rhos, keys), quantity, first_t)
 
 
 LAWS = ("A", "B", "plain")
@@ -361,9 +374,10 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     Both are one array in sorted pair order, allocated up front. Row t places P^{t-1,t} and
     forms Q^{t-1,t}; then, per chunk of its s < t-1 (:func:`qqsp.linalg.chunks`), one kernel
     call forms the P^{s,t} and one :func:`conditioned_products` call their Q^{s,t}; last it
-    carries omega_t. Law A's right factor is Q^{t-1,t} and law B's left factors the Q^{s,t-1},
-    as in :func:`split_residuals`. Each Q^{s,t} is formed once, for either type, and leaves
-    with the lattice (:attr:`Family.conditioned`); no array of E_{omega_t} is allocated.
+    carries omega_t, going on with its hermitian part as :class:`State` takes it; the raw
+    images are checked at the end in one :func:`computed_states` stack. Law A's right factor
+    is Q^{t-1,t} and law B's left factors the Q^{s,t-1}, as in :func:`split_residuals`. Each
+    Q^{s,t} is formed once and leaves with the lattice (:attr:`Family.conditioned`).
     """
     if strict:
         reject_seed(validate_seed(seed))
@@ -373,19 +387,22 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     maps = np.empty((len(order), n ** 4, n * n), dtype=complex)
     qs = np.empty((len(order), n * n, n * n), dtype=complex)
     lefts_of, rights_of = (maps, qs) if law == "A" else (qs, maps)
-    omegas = [seed.omega0]
+    rhos = np.empty((horizon + 1, n, n), dtype=complex)   # omega_t, as State will hold it
+    rhos[0], raw = seed.omega0.rho, np.empty((horizon, n, n), dtype=complex)
     rho00 = np.kron(seed.omega0.rho, seed.omega0.rho)
     for t in range(1, horizon + 1):
         step = at[(t - 1, t)]
         maps[step] = seed.step_maps[t - 1].matrix
-        qs[step] = conditioned_products(omegas[t - 1].rho[None], maps[step][None])[0]
+        qs[step] = conditioned_products(rhos[t - 1][None], maps[step][None])[0]
         lefts, rows = ([at[(s, tau)] for s in range(t - 1)] for tau in (t - 1, t))
         for part in chunks(len(rows), 16 * n ** 6):   # P^{s,t} is n^4 x n^2, E_{omega_s} n^2 x n^4
             maps[rows[part]] = products = fundamental_products(
                 lefts_of.take(lefts[part], axis=0), rights_of[step][None], law)
-            qs[rows[part]] = conditioned_products([w.rho for w in omegas[:t - 1][part]], products)
-        omegas.append(carried_states(maps[at[(0, t)]], rho00, "omega_t", t)[0])
-    return Family("P", n, MapStack(maps, order), tuple(omegas), law, seed.algebra_kind,
+            qs[rows[part]] = conditioned_products(rhos[:t - 1][part], products)
+        raw[t - 1] = image = carried_images(maps[at[(0, t)]], rho00)[0]
+        rhos[t] = (image + np.conj(image).T) / 2   # State's hermitian part, bit for bit
+    omegas = (seed.omega0, *computed_states(raw, "omega_t", 1))
+    return Family("P", n, MapStack(maps, order), omegas, law, seed.algebra_kind,
                   conditioned_maps=MapStack(qs, order))
 
 
@@ -417,13 +434,10 @@ class ResidualTable:
 def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
     """scales[t] ||gap|| for every key (..., t) of ``keys``, each gap of the given shape.
 
-    The keys are taken in chunks of about ``CHUNK_BYTES`` of gaps
-    (:func:`qqsp.linalg.chunks`); ``gaps(part)`` returns the stack of the gaps of
-    ``keys[part]``, and each chunk's Grams are one :func:`scaled_grams` call.
-    Every norm of the table is then taken in one stacked eigvalsh
-    (:func:`qqsp.linalg.gram_norms`) and scaled by the one vector ``scales``,
-    indexed by t. Per slice the Grams and norms are those of the gap taken alone,
-    so the table does not depend on the chunks.
+    ``gaps(part)`` stacks the gaps of a chunk ``keys[part]`` (:func:`qqsp.linalg.chunks`),
+    whose Grams are one :func:`scaled_grams` call; every norm is then one stacked eigvalsh
+    (:func:`qqsp.linalg.gram_norms`), scaled by ``scales`` indexed by t. Per slice the
+    norms are those of the gap alone, so the table does not depend on the chunks.
     """
     if not keys:
         return ResidualTable({}, label)
@@ -437,15 +451,11 @@ def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
 def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     """||F^{s,t} - G^{s,tau,t} T_t|| at every split whose two factors are stored.
 
-    G^{s,tau,t} is the split product under ``law`` of the stored maps C^{s,tau}
-    and C^{tau,t} (:func:`fundamental_products`) and T_t is the family's trailing
-    factor, so the norm is taken on the stored maps (:class:`Family`). Under law A
-    E_{omega_tau} stands between the two, or the slot S_tau = E_{omega_tau} embed for
-    Z/z, whose lead embed is taken out of the norm as sqrt(n). Law A's right factors
-    E_{omega_tau} C^{tau,t} and law B's left factors E_{omega_s} C^{s,tau} are the
-    family's conditioned maps (:attr:`Family.conditioned`), formed once per run. For
-    each chunk of splits the operands are slices or takes of those arrays, the products
-    are one kernel call and the stored maps C^{s,t} are subtracted into them in one call.
+    G^{s,tau,t} is the split product under ``law`` of the stored maps C^{s,tau} and
+    C^{tau,t} (:func:`fundamental_products`) and T_t the trailing factor; Z/z's lead embed
+    is taken out of the norm as sqrt(n). Law A's right and law B's left factors are the
+    family's conditioned maps (:attr:`Family.conditioned`). Per chunk of splits the
+    products are one kernel call, and the stored C^{s,t} are subtracted into them.
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
@@ -471,12 +481,9 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
 def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> ResidualTable:
     """scale(t) ||L^{s,t} - R^{s,t}|| at every stored pair (s, t) of ``family``.
 
-    The pairs are taken in the order of the family's array, a chunk at a time
-    (:func:`_table`), and each L^{s,t} - R^{s,t} has the given ``shape``. For a chunk,
-    a slice ``part`` of that order, ``lhs(part)`` gives the L's and ``rhs(part)`` the
-    R's, each as one stack; with ``rhs`` None the L's are the gaps. ``scale`` defaults
-    to 1; a gap followed by a family's trailing factor takes that family's
-    :meth:`Family.trailing_norm`.
+    The pairs are taken in the family's order a chunk at a time (:func:`_table`); for a
+    slice ``part``, ``lhs(part)`` and ``rhs(part)`` stack the L's and R's of the given
+    ``shape`` (with ``rhs`` None the L's are the gaps). ``scale`` defaults to 1.
     """
     def gaps(part):
         stack = lhs(part)
@@ -487,13 +494,8 @@ def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> R
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:
-    """Residual of the fundamental equation at every admissible split.
-
-    For each s < tau < t the gap between P^{s,t} and the fundamental
-    equation's product under the lattice's own type as the law
-    (:func:`split_residuals`) is evaluated in operator norm. The maximum is
-    the lattice's consistency score; a nonzero score is a diagnostic, not
-    an error.
+    """Operator-norm residual of the fundamental equation, under the lattice's own type as
+    the law (:func:`split_residuals`), at every split s < tau < t; a diagnostic, not an error.
     """
     ptype = lattice.process_type
     return split_residuals(lattice, ptype, f"kc-type-{ptype}")

@@ -36,6 +36,8 @@ from .marginal import (
     build_z,
     check_markov,
     composition_from_kc,
+    conclusion_b_residuals,
+    rebuilt_kc,
     reconstruct_qqsp,
     slice_residuals,
     state_consistency_residual,
@@ -47,7 +49,6 @@ from .process import (
     ResidualTable,
     ValidationFailure,
     kc_consistency,
-    pair_residuals,
     propagate,
     reject_seed,
     seed_diagnostics,
@@ -156,10 +157,12 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     name = _require(data, "name", "scenario")
-    # the name is the stem of every report file, so it must not leave --out-dir
-    if not isinstance(name, str) or not name or any(bad in name for bad in ("/", "\\", "..")):
-        raise ScenarioError(f"scenario.name: expected a plain file stem (no path separator "
-                            f"or '..'), got {name!r}")
+    # the name is the stem of every report file, so it must not leave --out-dir, and the
+    # file system refuses a NUL byte in a path
+    if (not isinstance(name, str) or not name
+            or any(bad in name for bad in ("/", "\\", "..", "\0"))):
+        raise ScenarioError(f"scenario.name: expected a plain file stem (no path separator, "
+                            f"'..' or NUL byte), got {name!r}")
     _fields(data, SCENARIO_FIELDS, name)
     algebra = _require(data, "algebra", name)
     kind = _require(algebra, "kind", f"{name}.algebra")
@@ -480,56 +483,24 @@ def _pair_dim(pair: dict, sc: Scenario, where: str) -> int:
 
 def builtin_scenarios() -> dict:
     """The named scenario catalog, keyed by scenario name."""
+    def doc(name, kind, ptype, horizon, seed, state, **extra) -> dict:
+        return {"name": name, "algebra": {"kind": kind, "dim": 2}, "process_type": ptype,
+                "horizon": horizon, "seed": seed, "initial_state": state, **extra}
+
+    def volterra():
+        return {"classical": {"builtin": "volterra", "a": 1.0}}
+
     defs = [
-        {
-            "name": "constant-n2",
-            "algebra": {"kind": "full", "dim": 2},
-            "process_type": "A", "horizon": 6,
-            "seed": {"builtin": "constant"},
-            "initial_state": {"maximally_mixed": True},
-        },
-        {
-            "name": "mixed-n2-typeA",
-            "algebra": {"kind": "full", "dim": 2},
-            "process_type": "A", "horizon": 8,
-            "seed": {"builtin": "mixed"},
-            "initial_state": {"diag": [0.7, 0.3]},
-        },
-        {
-            "name": "mixed-n2-typeB",
-            "algebra": {"kind": "full", "dim": 2},
-            "process_type": "B", "horizon": 8,
-            "seed": {"builtin": "entangling-mixed"},
-            "initial_state": {"diag": [0.7, 0.3]},
-        },
-        {
-            "name": "volterra-a1-typeA",
-            "algebra": {"kind": "diagonal", "dim": 2},
-            "process_type": "A", "horizon": 6,
-            "seed": {"classical": {"builtin": "volterra", "a": 1.0}},
-            "initial_state": {"diag": [0.5, 0.5]},
-        },
-        {
-            "name": "volterra-a1-typeB",
-            "algebra": {"kind": "diagonal", "dim": 2},
-            "process_type": "B", "horizon": 6,
-            "seed": {"classical": {"builtin": "volterra", "a": 1.0}},
-            "initial_state": {"diag": [0.5, 0.5]},
-        },
-        {
-            "name": "mendel-typeA",
-            "algebra": {"kind": "diagonal", "dim": 2},
-            "process_type": "A", "horizon": 6,
-            "seed": {"classical": {"builtin": "mendel"}},
-            "initial_state": {"diag": [0.3, 0.7]},
-        },
-        {
-            "name": "identity-like-typeA",
-            "algebra": {"kind": "diagonal", "dim": 2},
-            "process_type": "A", "horizon": 8, "mode": "permissive",
-            "seed": {"classical": {"builtin": "copy-second"}},
-            "initial_state": {"diag": [0.6, 0.4]},
-        },
+        doc("constant-n2", "full", "A", 6, {"builtin": "constant"}, {"maximally_mixed": True}),
+        doc("mixed-n2-typeA", "full", "A", 8, {"builtin": "mixed"}, {"diag": [0.7, 0.3]}),
+        doc("mixed-n2-typeB", "full", "B", 8, {"builtin": "entangling-mixed"},
+            {"diag": [0.7, 0.3]}),
+        doc("volterra-a1-typeA", "diagonal", "A", 6, volterra(), {"diag": [0.5, 0.5]}),
+        doc("volterra-a1-typeB", "diagonal", "B", 6, volterra(), {"diag": [0.5, 0.5]}),
+        doc("mendel-typeA", "diagonal", "A", 6, {"classical": {"builtin": "mendel"}},
+            {"diag": [0.3, 0.7]}),
+        doc("identity-like-typeA", "diagonal", "A", 8, {"classical": {"builtin": "copy-second"}},
+            {"diag": [0.6, 0.4]}, mode="permissive"),
     ]
     return {d["name"]: parse_scenario(d) for d in defs}
 
@@ -566,12 +537,9 @@ def run_scenario(sc: Scenario, mode: str | None = None,
                  seed: int | None = None) -> Report:
     """Execute the pipeline stages in order and assemble the Report.
 
-    Strict-mode mathematical failures raise ValidationFailure, and so does
-    a computed state that fails State's checks, in either mode; scenario
-    inconsistencies raise ScenarioError. File emission is the caller's
-    business (see :func:`qqsp.report.emit_report`). Each stage's seconds and the
-    process's peak resident set size after it (``ru_maxrss``, KiB on Linux) go to
-    the timings sidecar only.
+    Strict-mode failures, and in either mode a computed state that fails State's checks,
+    raise ValidationFailure; scenario inconsistencies raise ScenarioError. Each stage's
+    seconds and peak RSS after it (``ru_maxrss``, KiB) go to the timings sidecar only.
     """
     if mode is not None:
         sc = replace(sc, mode=mode)
@@ -694,21 +662,16 @@ def _stage_axioms(sc, seed, ctx, report):
 
 def _stage_reconstruct(sc, seed, ctx, report):
     lat, q = ctx.lattice, ctx.families["Q"]
-    rec = ctx.rebuilt
+    rec, hh = ctx.rebuilt, ctx.families.get("H") or ctx.families.get("h")
     if rec is None:   # no axioms stage has checked the pair
-        hh = ctx.families.get("H") or ctx.families.get("h")
         rec = reconstruct_qqsp(q, hh, lat.omega(0), lat.process_type,
                                strict=sc.mode == "strict", tol=sc.tolerances["axiom"])
     deviation = ctx.map_deviation
-    # E_{psi_s} P_rec^{s,t} - Q^{s,t}; a type-B kc of the rebuilt lattice reads the same products
-    conclusion_b = pair_residuals(
-        rec, (q.n ** 2, q.n ** 2),
-        lambda part: rec.conditioned.array[part], lambda part: q.maps.array[part],
-        "conclusion-b").max_residual
+    ctx.kc = ctx.kc or kc_consistency(lat)   # the lattice's own pair reads its bounds off it
     out = {
         "max_map_deviation": deviation,
-        "conclusion_b_residual": conclusion_b,
-        "fundamental_equation_max": kc_consistency(rec).max_residual,
+        "conclusion_b_residual": conclusion_b_residuals(q, hh, rec).max_residual,
+        "fundamental_equation_max": rebuilt_kc(q, hh, rec, ctx.kc).max_residual,
     }
     if lat.process_type == "B":
         out["state_consistency_residual"] = state_consistency_residual(q).max_residual

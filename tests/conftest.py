@@ -9,8 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from qqsp.algebra import SuperMap, expectation_supermaps  # noqa: E402
-from qqsp.linalg import unit_tensor_matrix  # noqa: E402
+from qqsp.algebra import AlgebraElement, SuperMap, as_matrix, expectation_supermaps  # noqa: E402
+from qqsp.linalg import matrix_unit, swap_matrix, unit_tensor_matrix  # noqa: E402
 
 
 @pytest.fixture
@@ -87,3 +87,44 @@ def dense(family):
     es, side = expectations(family), family.side
     return {(s, t): SuperMap(side, side, core(family, s, t).matrix @ es[t].matrix)
             for (s, t) in family.pairs()}
+
+
+def swept_q(q):
+    """The Q family ``q`` on a MapStack of its own over the same array.
+
+    Its maps are Q's bit for bit, but it is not the lattice's Q by identity, so the
+    pair it makes with the lattice's H/h is not a derived pair: the axioms and the
+    rebuilt lattice's tables are swept for it, the oracle of the closed forms.
+    """
+    from qqsp.algebra import MapStack
+    from qqsp.process import Family
+
+    return Family("Q", q.n, MapStack(q.maps.array, q.maps.order), q.omegas,
+                  algebra_kind=q.algebra_kind)
+
+
+# Reference constructions the library no longer forms: the flip as an element map and as
+# a dense superoperator (the library permutes rows, algebra.flip_after), and the matrix units.
+
+def flip_conjugate(z) -> AlgebraElement:
+    """Exchange tensor factors: the involution with U(x (x) y) = y (x) x."""
+    m = as_matrix(z)
+    d = m.shape[0]
+    n = int(round(np.sqrt(d)))
+    if n * n != d:
+        raise ValueError(f"flip needs a matrix on M_n (x) M_n, got side {d}")
+    # W m W with W the swap: exchange the factors of the row and the column index
+    flipped = m.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(d, d)
+    kind = z.algebra_kind if isinstance(z, AlgebraElement) else "full"
+    return AlgebraElement(flipped, kind)
+
+
+def flip_supermap(n: int) -> SuperMap:
+    """The flip as a superoperator on M_{n^2}; :func:`flip_after` applies it."""
+    w = swap_matrix(n)
+    return SuperMap(n * n, n * n, np.kron(w, w))
+
+
+def basis_elements(n: int):
+    """The matrix units E_ij of M_n, a spanning set for identity checks."""
+    return [matrix_unit(n, i, j) for i in range(n) for j in range(n)]

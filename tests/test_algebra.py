@@ -8,15 +8,12 @@ from qqsp.algebra import (
     InvalidDensity,
     State,
     SuperMap,
-    basis_elements,
     certify_unital_cp,
     conditional_expectation,
     doubled_after,
     expectation_matrices,
     expectation_supermap,
     flip_after,
-    flip_conjugate,
-    flip_supermap,
     flip_symmetry_residual,
     predual,
     supermap_tensor,
@@ -39,8 +36,8 @@ from qqsp.linalg import (
 )
 from qqsp.seeds import symmetrized_embedding, transpose_embedding
 
-from conftest import (embed_averaged_supermap, embed_supermap, random_density,
-                      random_hermitian)
+from conftest import (basis_elements, embed_averaged_supermap, embed_supermap, flip_conjugate,
+                      flip_supermap, random_density, random_hermitian)
 
 
 # ---------------------------------------------------------------- oracles

@@ -515,17 +515,23 @@ def test_z_distances_are_q_distances_on_reduced_pairs(n, ptype, rng):
 
 @pytest.mark.parametrize("ptype", ["A", "B"])
 def test_no_decay_trace_sees_a_dense_doubled_map(monkeypatch, ptype):
-    # every predual the ergodic stage takes is of a stored map, at most n^4 x n^2
+    # every predual the ergodic stage takes is of a stored map, at most n^4 x n^2: the
+    # decay traces' stacked preduals and the contraction coefficient's one
     import qqsp.ergodic
 
     shapes = []
-    original = qqsp.ergodic.predual
+    original, stacked = qqsp.ergodic.predual, qqsp.ergodic.predual_matrix
 
     def recording(m):
         shapes.append(m.matrix.shape)
         return original(m)
 
+    def recording_stack(mats, in_dim, out_dim):
+        shapes.extend(np.shape(mat) for mat in mats)
+        return stacked(mats, in_dim, out_dim)
+
     monkeypatch.setattr(qqsp.ergodic, "predual", recording)
+    monkeypatch.setattr(qqsp.ergodic, "predual_matrix", recording_stack)
     sc = parse_scenario({
         "name": f"mixed-n3-T4-{ptype}", "algebra": {"kind": "full", "dim": 3},
         "process_type": ptype, "horizon": 4, "mode": "strict",

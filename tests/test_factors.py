@@ -362,7 +362,7 @@ def test_carried_states_equal_the_per_state_loop(monkeypatch, make):
 
     monkeypatch.setattr(qqsp.process, "computed_states", recorded)   # carried_states' check
     state_consistency_residual(q)
-    assert len(rows) == q.horizon   # one check per row s
+    assert len(rows) == 1   # one check for every pair
     got = [w.rho.tobytes() for states in rows for w in states]
     monkeypatch.undo()   # computed_state below goes through the same check
     want = [computed_state(predual(q.map(s, t))(q.omega(s).rho), "carried", t).rho.tobytes()
@@ -474,16 +474,16 @@ def test_numpy_scalars_serialize_as_their_python_values():
 # ----------------------------------------------------- one lift per distinct tensor
 
 def test_a_homogeneous_classical_seed_lifts_its_tensor_once(monkeypatch):
-    import qqsp.algebra
+    import qqsp.classical
 
     calls = []
-    original = qqsp.algebra.supermatrix_from_function
+    original = qqsp.classical.tensor_to_step_map   # writes the lifted matrix in closed form
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(qqsp.algebra, "supermatrix_from_function", counted)
+    monkeypatch.setattr(qqsp.classical, "tensor_to_step_map", counted)
     classical = ClassicalQSP.homogeneous(volterra_tensor(0.5), [0.4, 0.6], 6, "A")
     assert len({id(p) for p in classical.step_tensors}) == 1
     seed = lift_to_quantum(classical)

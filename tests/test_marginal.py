@@ -7,7 +7,6 @@ from qqsp.algebra import (
     State,
     SuperMap,
     expectation_supermap,
-    flip_supermap,
     predual,
     supermap_tensor,
     trace_norm_distance,
@@ -35,7 +34,8 @@ from qqsp.seeds import (
     symmetrized_embedding,
 )
 
-from conftest import dense, embed_averaged_supermap, embed_supermap, random_density
+from conftest import (dense, embed_averaged_supermap, embed_supermap, flip_supermap,
+                      random_density)
 
 BASIS2 = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
 
