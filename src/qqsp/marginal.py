@@ -195,7 +195,7 @@ ROUNDING = 1.5 * np.finfo(float).eps   # per unit of operand scale: a bound >= i
 
 def _psi_drift(h_family: Family, rebuilt: Family) -> tuple[np.ndarray, np.ndarray]:
     """c_t = tr(rho_t) and d_t = ||psi_t - c_t omega_t||_F by t: E_{psi_t} = c_t E_{omega_t} +
-    E_{delta_t} with ||E_{delta_t}|| = d_t, E being linear and E_sigma E_sigma^dagger = ||sigma||^2 1.
+    E_{delta_t}, ||E_{delta_t}|| = d_t (E is linear, E_sigma E_sigma^dagger = ||sigma||_F^2 1).
     """
     c = h_family.slot_scales
     return c, np.linalg.norm(rebuilt.rhos - c[:, None, None] * h_family.rhos, axis=(1, 2))
@@ -339,7 +339,7 @@ def rebuilt_kc(q_family: Family, h_family: Family, rebuilt: Family,
     less a delta term: at most |c_t| (|k| G + |1 - k| ||C^{s,t}||) plus, for law A,
     k = c_tau^2 and |c_tau c_t| d_tau ||C^{s,tau}|| ||C^{tau,t}||; for law B, k = (c_s c_tau)^2
     and (2ab + b^2) |c_t| ||C^{tau,t}||, a = |c_s c_tau| ||Q^{s,tau}|| and b = |c_tau| d_s
-    ||C^{s,tau}|| normed parts of E_{psi_s} P_rec^{s,tau}; plus :data:`ROUNDING` of |c_t| ||C^{s,t}||.
+    ||C^{s,tau}|| the parts of E_{psi_s} P_rec^{s,tau}; plus :data:`ROUNDING` of |c_t| ||C^{s,t}||.
     """
     if kc is None or not derived_pair(q_family, h_family, rebuilt):
         return kc_consistency(rebuilt)
@@ -349,7 +349,7 @@ def rebuilt_kc(q_family: Family, h_family: Family, rebuilt: Family,
                          f"{h_family.kind}'s cores")
     c, d = _psi_drift(h_family, rebuilt)
     ac, at = np.abs(c), h_family.maps.index
-    s, tau, t = np.array(list(kc.entries)).T
+    s, tau, t = np.array(list(kc.entries), dtype=int).reshape(-1, 3).T
     gaps = np.array(list(kc.entries.values()))
     cores = h_family.map_norms
     whole, left, right = (cores[[at[key] for key in zip(a, b)]]

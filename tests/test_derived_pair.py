@@ -136,6 +136,14 @@ def test_a_foreign_or_hand_built_pair_is_swept():
         rebuilt_kc(q, h, rebuilt, kc_consistency(propagate(make_constant_seed(2, 4))))
 
 
+def test_a_one_step_lattice_bounds_an_empty_kc_table():
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(2), State.maximally_mixed(2), 1,
+                                             "A"))
+    q, h, rebuilt = _pair(lat)
+    assert derived_pair(q, h, rebuilt)
+    assert rebuilt_kc(q, h, rebuilt, kc_consistency(lat)).entries == {}
+
+
 def test_a_run_reports_the_bounds_of_its_own_pair(monkeypatch):
     # the reconstruct stage reads P's kc table, also when no kc stage ran, and sweeps
     # neither the rebuilt lattice's kc nor its conclusion b
