@@ -49,34 +49,55 @@ def decay_trace(source: Family, pairs) -> DecayTrace:
 
     The pairs live where the maps land (``source.side``); the distances are taken on the
     stored C^{0,t}, since omega_t (x) C_* is the predual of C E_{omega_t}, and a Z/z's on Q's
-    maps Y and the Tr_1 images of the pairs ((embed Y)_* = Y_* Tr_1). The pairs' vectors
-    are stacked once; per chunk of t (:func:`qqsp.linalg.chunks`) one
-    :func:`qqsp.linalg.predual_matrix` call and one broadcast matmul, a gemv per image, give
-    the gaps, normed in one :func:`qqsp.linalg.trace_norms` call. Monotonicity is not asserted.
+    maps Y and the Tr_1 images of the pairs ((embed Y)_* = Y_* Tr_1). It is
+    :func:`decay_traces` of one family.
     """
-    for phi, psi in pairs:
-        if phi.dim != source.side or psi.dim != source.side:
-            raise ValueError(f"pair dimension {phi.dim} does not match the family "
-                             f"({source.side})")
+    return decay_traces((source, pairs))[0]
+
+
+def decay_traces(*runs) -> tuple[DecayTrace, ...]:
+    """The :func:`decay_trace` of each (family, pairs) of ``runs``, families that store one
+    array of maps (Q and a Z/z on Q's maps), in one pass over it.
+
+    The pairs' vectors of every run are stacked once; per chunk of t
+    (:func:`qqsp.linalg.chunks`) one :func:`qqsp.linalg.predual_matrix` call and one
+    broadcast matmul, a gemv per image, give the gaps, normed in one
+    :func:`qqsp.linalg.trace_norms` call. Each distance has the bits of its family's run
+    alone. Monotonicity is not asserted.
+    """
+    source = runs[0][0]
+    vecs = []
+    for family, pairs in runs:
+        if family.maps is not source.maps:
+            raise ValueError(f"{family.kind} does not store the maps of {source.kind}")
+        for phi, psi in pairs:
+            if phi.dim != family.side or psi.dim != family.side:
+                raise ValueError(f"pair dimension {phi.dim} does not match the family "
+                                 f"({family.side})")
+        if pairs:
+            # each state's transpose in C order is its column-stacked vector, and Tr_1
+            # commutes with the transpose, so the vectors are formed in one copy of the pairs
+            stack = np.array([x.rho.T for pair in pairs for x in pair])
+            vecs.append(ptrace_first(stack, family.n, family.n) if family.stores_q else stack)
     times = tuple(range(1, source.horizon + 1))
     side, out_dim = source.maps.in_dim, source.maps.out_dim   # preduals land on M_side
-    gaps = np.empty((len(times), len(pairs), side, side), dtype=complex)
-    if pairs:
-        # each state's transpose in C order is its column-stacked vector, and Tr_1 commutes
-        # with the transpose, so the vectors are formed in one copy of the ensemble
-        vecs = np.array([x.rho.T for pair in pairs for x in pair])
-        if source.stores_q:
-            vecs = ptrace_first(vecs, source.n, source.n)
-        vecs = vecs.reshape(2 * len(pairs), -1, 1)
+    count = sum(len(pairs) for _, pairs in runs)
+    gaps = np.empty((len(times), count, side, side), dtype=complex)
+    if count:
+        vecs = np.concatenate(vecs).reshape(2 * count, -1, 1)
         keys = [(0, t) for t in times]
         for part in chunks(len(times), 16 * side * side * max(out_dim * out_dim, len(vecs))):
             duals = predual_matrix(source.maps.rows(keys[part]), side, out_dim)
             images = np.matmul(duals[:, None], vecs)   # [t][pair, phi or psi], one gemv each
-            images = images.reshape(-1, len(pairs), 2, side, side)   # the transposed images
+            images = images.reshape(-1, count, 2, side, side)   # the transposed images
             np.subtract(images[:, :, 0], images[:, :, 1], out=gaps[part].transpose(0, 1, 3, 2))
-    norms = trace_norms(gaps.reshape(-1, side, side))
-    rows = norms.reshape(len(times), len(pairs)).T.tolist()   # [pair][time]
-    return DecayTrace(source.kind, times, tuple(map(tuple, rows)))
+    rows = trace_norms(gaps.reshape(-1, side, side)).reshape(len(times), count).T.tolist()
+    traces, start = [], 0
+    for family, pairs in runs:   # rows [pair][time], each run's pairs in turn
+        traces.append(DecayTrace(family.kind, times,
+                                 tuple(map(tuple, rows[start:start + len(pairs)]))))
+        start += len(pairs)
+    return tuple(traces)
 
 
 @dataclass(frozen=True)
@@ -201,7 +222,8 @@ def ergodic_verdict(lattice: Family, families: dict,
     ``families`` maps kind to marginal Family ({Q, H, Z} or {Q, h, z}).
     All sources are driven over one seeded ensemble: pairs on M (x) M for
     the doubled families and the lattice itself, pairs on M for Q. H/h
-    must store ``lattice``'s own maps as its cores; it takes P's trace.
+    must store ``lattice``'s own maps as its cores; it takes P's trace. Q and a Z/z
+    on Q's maps are traced in one :func:`decay_traces` pass.
     """
     if "Q" not in families:
         raise ValueError("a Q family is required")
@@ -217,11 +239,17 @@ def ergodic_verdict(lattice: Family, families: dict,
                                         rng, diagonal))
     sources = {"P": lattice, **families}
     traces, verdicts = {}, {}
-    for kind in sorted(sources, key=lambda k: k in ("H", "h")):   # P before H/h
-        src = sources[kind]
-        traces[kind] = (replace(traces["P"], family_kind=kind) if kind in ("H", "h") else
-                        decay_trace(src, pairs_single if src.side == lattice.n
-                                    else pairs_double))
+    shared = {}   # the kinds whose families store one array: Q and Z/z take one pass
+    for kind, src in sources.items():
+        if kind not in ("H", "h"):
+            shared.setdefault(id(src.maps), []).append(kind)
+    for kinds in shared.values():
+        runs = [(sources[kind], pairs_single if sources[kind].side == lattice.n
+                 else pairs_double) for kind in kinds]
+        traces.update(zip(kinds, decay_traces(*runs) if len(runs) > 1
+                          else [decay_trace(*runs[0])]))
+    for kind in {"H", "h"} & set(families):
+        traces[kind] = replace(traces["P"], family_kind=kind)
     traces = dict(sorted(traces.items()))
     for kind, tr in traces.items():
         ratios = tr.step_ratios()

@@ -157,6 +157,32 @@ def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
                           for key, value in kc.entries.items()}, f"{label}-{family.kind}")
 
 
+def composition_from_q(family: Family, q_family: Family,
+                       q_table: ResidualTable | None = None) -> ResidualTable:
+    """:func:`check_markov` of a Z or z, bounded from ``q_table``, the Markov table of
+    ``q_family``, when the family stores that Q's own array; swept otherwise.
+
+    With E_{omega_tau} embed = c_tau 1 the gap is embed (Q^{s,t} - c_tau Q^{s,tau} Q^{tau,t})
+    E_{omega_t}: at most sqrt(n) ||rho_t||_F (G + |1 - c_tau| ||Q^{s,tau}|| ||Q^{tau,t}||),
+    with G Q's entry, plus :data:`ROUNDING` of sqrt(n) ||rho_t||_F ||Q^{s,t}||, on the map norms.
+    """
+    if q_table is None or not family.stores_q or family.maps is not q_family.maps:
+        return check_markov(family)
+    if q_table.label != "markov-Q" or set(q_table.entries) != set(triples(family.horizon)):
+        raise ValueError(f"{q_table.label!r} is not the Markov table of the Q whose maps "
+                         f"{family.kind} stores")
+    s, tau, t = np.array(list(q_table.entries), dtype=int).reshape(-1, 3).T
+    at, norms = family.maps.index, family.map_norms
+    whole, left, right = (norms[[at[key] for key in zip(a, b)]]
+                          for a, b in ((s, t), (s, tau), (tau, t)))
+    scale = family.lead_norm * np.array([family.trailing_norm(k)
+                                         for k in range(family.horizon + 1)])[t]
+    gaps = np.array(list(q_table.entries.values()))
+    drift = np.abs(1 - family.slot_scales[tau])
+    bound = scale * (gaps + drift * left * right + ROUNDING * whole)
+    return ResidualTable(dict(zip(q_table.entries, bound.tolist())), f"markov-{family.kind}")
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Residuals of the marginal-pair axioms over the whole lattice.

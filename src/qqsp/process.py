@@ -176,6 +176,8 @@ class Family:
     # E_{omega_s} C^{s,t} (:attr:`conditioned`); shared by a lattice and its H/h
     conditioned_maps: MapStack | ScaledMapStack | None = field(default=None, repr=False,
                                                                compare=False)
+    # set by :func:`propagate` alone: every P^{s,t} is stored as its law's product at tau = t-1
+    propagated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -200,7 +202,7 @@ class Family:
         """Side of the algebra the maps land in, where their preduals' states live."""
         return self.n if self.kind == "Q" else self.n * self.n
 
-    @property
+    @cached_property
     def horizon(self) -> int:
         return max(t for (_, t) in self.maps)
 
@@ -403,7 +405,7 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
         rhos[t] = (image + np.conj(image).T) / 2   # State's hermitian part, bit for bit
     omegas = (seed.omega0, *computed_states(raw, "omega_t", 1))
     return Family("P", n, MapStack(maps, order), omegas, law, seed.algebra_kind,
-                  conditioned_maps=MapStack(qs, order))
+                  conditioned_maps=MapStack(qs, order), propagated=True)
 
 
 @dataclass(frozen=True)
@@ -427,9 +429,6 @@ class ResidualTable:
     def ok(self, tol: float) -> bool:
         return self.max_residual <= tol
 
-    def sorted_items(self):
-        return sorted(self.entries.items())
-
 
 def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
     """scales[t] ||gap|| for every key (..., t) of ``keys``, each gap of the given shape.
@@ -448,14 +447,17 @@ def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
     return ResidualTable(dict(zip(keys, values.tolist())), label)
 
 
-def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
+def split_residuals(family: Family, law: str, label: str,
+                    constructed: bool = False) -> ResidualTable:
     """||F^{s,t} - G^{s,tau,t} T_t|| at every split whose two factors are stored.
 
     G^{s,tau,t} is the split product under ``law`` of the stored maps C^{s,tau} and
     C^{tau,t} (:func:`fundamental_products`) and T_t the trailing factor; Z/z's lead embed
     is taken out of the norm as sqrt(n). Law A's right and law B's left factors are the
     family's conditioned maps (:attr:`Family.conditioned`). Per chunk of splits the
-    products are one kernel call, and the stored C^{s,t} are subtracted into them.
+    products are one kernel call, and the stored C^{s,t} are subtracted into them. With
+    ``constructed`` every F^{s,t} is stored as this product at tau = t-1, so those gaps
+    are the product less itself: they read 0.0 and are not swept.
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
@@ -463,9 +465,10 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     # the order of :func:`triples`, which runs over the sorted pairs (s, tau)
     keys = [(s, tau, t) for s, tau in maps.order for t in range(tau + 1, horizon + 1)
             if (tau, t) in maps.index]
-    lefts = [(s, tau) for s, tau, _ in keys]
-    rights = [(tau, t) for _, tau, t in keys]
-    wholes = [(s, t) for s, _, t in keys]
+    swept = [key for key in keys if key[1] < key[2] - 1] if constructed else keys
+    lefts = [(s, tau) for s, tau, _ in swept]
+    rights = [(tau, t) for _, tau, t in swept]
+    wholes = [(s, t) for s, _, t in swept]
     left_maps = family.conditioned if law == "B" else maps
     right_maps = family.conditioned if law == "A" else maps
 
@@ -475,7 +478,10 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
         return np.subtract(maps.rows(wholes[part]), products, out=products)
 
     scales = [family.lead_norm * family.trailing_norm(t) for t in range(horizon + 1)]
-    return _table(keys, (maps.out_dim ** 2, maps.in_dim ** 2), gaps, scales, label)
+    table = _table(swept, (maps.out_dim ** 2, maps.in_dim ** 2), gaps, scales, label)
+    if not constructed:
+        return table
+    return ResidualTable({key: table.entries.get(key, 0.0) for key in keys}, label)
 
 
 def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> ResidualTable:
@@ -496,9 +502,12 @@ def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> R
 def kc_consistency(lattice: Family) -> ResidualTable:
     """Operator-norm residual of the fundamental equation, under the lattice's own type as
     the law (:func:`split_residuals`), at every split s < tau < t; a diagnostic, not an error.
+
+    A lattice :func:`propagate` filled reads 0.0 at its constructing split tau = t-1 unswept;
+    any other lattice is swept at every split.
     """
     ptype = lattice.process_type
-    return split_residuals(lattice, ptype, f"kc-type-{ptype}")
+    return split_residuals(lattice, ptype, f"kc-type-{ptype}", constructed=lattice.propagated)
 
 
 def interact_states(lattice: Family, phi: State, psi: State,

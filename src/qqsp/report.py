@@ -3,15 +3,19 @@
 The structured report is one self-describing JSON document with sorted
 keys; floats serialize through Python's shortest-roundtrip repr and
 complex entries as [re, im] pairs, so identical runs produce identical
-bytes. Wall-clock timings and the peak resident set size after each stage
-are written to a separate sidecar file and are the only run artifact allowed
-to differ between reruns.
+bytes. The text is that of ``json.dumps(sort_keys=True, indent=2)``, but every
+container of scalars goes through the C encoder (:func:`_indented_json`).
+Wall-clock timings and the peak resident set size after each stage are
+written to a separate sidecar file and are the only run artifact allowed to
+differ between reruns.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,50 @@ def _json_scalar(obj):
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+@cache
+def _c_encoder(depth: int):
+    """The C encoder of a container whose items sit at ``depth`` in a 2-space indented
+    document: sorted keys, ASCII escapes, NaN allowed, numpy scalars through
+    :func:`_json_scalar`. It writes no newline after the opening bracket nor before the
+    closing one; :func:`_indented_json` adds them.
+    """
+    return c_make_encoder(None, _json_scalar, encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * depth, True, False, True)
+
+
+def _indented_json(obj, depth: int, out: list) -> None:
+    """Append the text ``json.dumps(obj, sort_keys=True, indent=2, default=_json_scalar)``
+    gives ``obj`` at nesting ``depth`` to ``out``. A container of scalars is one C encoder
+    call; the walk itself visits only the containers that hold containers.
+    """
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        values = [value for _, value in items]
+    elif isinstance(obj, (list, tuple)):
+        items, values = None, obj
+    else:
+        out += _c_encoder(0)(obj, 0)
+        return
+    inner = "\n" + "  " * (depth + 1)
+    if not any(isinstance(value, (dict, list, tuple)) for value in values):
+        text = "".join(_c_encoder(depth + 1)(obj, 0))
+        # "[]" and "{}" stay as they are, as json.dumps writes them
+        out.append(text if len(text) == 2 else
+                   f"{text[0]}{inner}{text[1:-1]}\n{'  ' * depth}{text[-1]}")
+        return
+    out.append("{" if items is not None else "[")
+    for k, value in enumerate(values):
+        out.append(inner if k == 0 else "," + inner)
+        if items is not None:
+            key = items[k][0]
+            out.append(encode_basestring_ascii(key) if isinstance(key, str)
+                       # json.dumps's text of any other key, with its errors
+                       else "".join(_c_encoder(0)({key: None}, 0))[1:-len(": null}")])
+            out.append(": ")
+        _indented_json(value, depth + 1, out)
+    out.append("\n" + "  " * depth + ("}" if items is not None else "]"))
 
 
 def complex_matrix_to_pairs(m: np.ndarray):
@@ -65,7 +113,7 @@ class Report:
         return json.loads(self.to_structured_text())
 
     def to_structured_text(self) -> str:
-        """The report document as sorted, indented JSON; one walk over the stages."""
+        """The report document as sorted, indented JSON, as ``json.dumps`` writes it."""
         document = {
             "tool": {"name": "qqsp", "version": __version__},
             "scenario": self.scenario_echo,
@@ -73,7 +121,12 @@ class Report:
             "stages": self.stages,
             "verdicts": self.verdicts,
         }
-        return json.dumps(document, sort_keys=True, indent=2, default=_json_scalar) + "\n"
+        if c_make_encoder is None:   # a Python built without the _json module
+            return json.dumps(document, sort_keys=True, indent=2, default=_json_scalar) + "\n"
+        out: list = []
+        _indented_json(document, 0, out)
+        out.append("\n")
+        return "".join(out)
 
 
 def _decay_csv_text(trace) -> str:
@@ -114,9 +167,14 @@ def emit_report(report: Report, out_dir, fmt: str = "structured") -> list[Path]:
             p = out / f"{report.name}.trajectory.csv"
             p.write_text(_trajectory_csv_text(report.trajectory))
             written.append(p)
+        texts = {}   # H/h take P's trace, whose text is formed once
         for kind in sorted(report.decay_series):
+            trace = report.decay_series[kind]
+            key = (id(trace.times), id(trace.distances))
+            if key not in texts:
+                texts[key] = _decay_csv_text(trace)
             p = out / f"{report.name}.decay_{kind}.csv"
-            p.write_text(_decay_csv_text(report.decay_series[kind]))
+            p.write_text(texts[key])
             written.append(p)
     timing_path = out / f"{report.name}.timings.txt"
     # "<stage>: <seconds> s", then "<stage> peak RSS: <MiB> MiB" for every stage

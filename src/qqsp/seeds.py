@@ -16,10 +16,17 @@ def constant_step_map(omega: State) -> SuperMap:
 
 
 def symmetrized_embedding(n: int) -> SuperMap:
-    """S(x) = (x (x) 1 + 1 (x) x) / 2, unital CP and flip symmetric."""
-    one = np.eye(n, dtype=complex)
-    return SuperMap.from_function(
-        lambda x: 0.5 * (np.kron(x, one) + np.kron(one, x)), n, n * n)
+    """S(x) = (x (x) 1 + 1 (x) x) / 2, unital CP and flip symmetric.
+
+    Column i + n j (vec E_ij) holds 0.5 at vec(E_ij (x) 1), rows (i n + b) + n^2 (j n + b),
+    and 0.5 more at vec(1 (x) E_ij), rows (b n + i) + n^2 (b n + j), for every b: the
+    matrix of the basis probes, bit for bit.
+    """
+    i, j, b = np.indices((n, n, n)).reshape(3, -1)
+    mat = np.zeros((n ** 4, n * n), dtype=complex)
+    mat[i * n + b + n * n * (j * n + b), i + n * j] = 0.5
+    mat[b * n + i + n * n * (b * n + j), i + n * j] += 0.5
+    return SuperMap(n, n * n, mat)
 
 
 def unsymmetrized_embedding(n: int) -> SuperMap:

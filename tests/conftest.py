@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from functools import cache
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
@@ -128,3 +130,41 @@ def flip_supermap(n: int) -> SuperMap:
 def basis_elements(n: int):
     """The matrix units E_ij of M_n, a spanning set for identity checks."""
     return [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+
+
+def _byteid():
+    """scripts/byteid.py as a module, loaded without leaving its path entries behind."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("byteid", ROOT / "scripts" / "byteid.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+@cache
+def byteid_scenarios() -> dict:
+    """Every scenario ``scripts/byteid.py`` runs, its full-A probe and scale rows included,
+    parsed and keyed by name."""
+    from qqsp.scenarios import builtin_scenarios, parse_scenario
+
+    byteid = _byteid()
+    out = dict(builtin_scenarios())
+    workloads = sys.modules["workloads"]
+    for workload in ("full-A", "full-B"):
+        docs, probe, _ = workloads.scenario_documents(workload, int(byteid.SEED))
+        out.update((doc["name"], parse_scenario(doc)) for doc in docs + [probe] * bool(probe))
+    for row in byteid.SCALE_ROWS:
+        doc = byteid.scenario(row)
+        out[doc["name"]] = parse_scenario(doc)
+    return out
+
+
+def probed_symmetrized_embedding(n: int) -> SuperMap:
+    """S(x) = (x (x) 1 + 1 (x) x) / 2 from its n^2 basis probes, the reference for the
+    closed form :func:`qqsp.seeds.symmetrized_embedding`."""
+    one = np.eye(n, dtype=complex)
+    return SuperMap.from_function(lambda x: 0.5 * (np.kron(x, one) + np.kron(one, x)),
+                                  n, n * n)

@@ -236,6 +236,14 @@ def test_certify_constant_map():
     assert rep.is_cp and rep.is_unital
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_closed_form_embedding_is_the_probed_one_bit_for_bit(n):
+    from conftest import probed_symmetrized_embedding
+
+    closed, probed = symmetrized_embedding(n).matrix, probed_symmetrized_embedding(n).matrix
+    assert closed.shape == probed.shape and closed.tobytes() == probed.tobytes()   # sign bits too
+
+
 def test_certify_symmetrized_embedding_against_choi_oracle():
     m = symmetrized_embedding(2)
     rep = certify_unital_cp(m)

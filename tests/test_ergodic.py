@@ -11,6 +11,7 @@ from qqsp.ergodic import (
     ErgodicConfig,
     contraction_coefficient,
     decay_trace,
+    decay_traces,
     ergodic_verdict,
     state_pair_ensemble,
 )
@@ -461,25 +462,48 @@ def test_h_distances_equal_p_distances():
 
 
 def test_verdict_takes_three_decay_traces(monkeypatch):
-    # P, Q and Z/z are measured; H/h takes P's trace, relabelled
+    # P, Q and Z/z are measured, Q and Z/z in one pass over Q's maps; H/h takes P's
+    # trace, relabelled
     import qqsp.ergodic
 
     calls = []
-    original = qqsp.ergodic.decay_trace
+    shared = qqsp.ergodic.decay_traces
 
     def counting(source, pairs):
-        calls.append(source.kind)
-        return original(source, pairs)
+        calls.append([source.kind])
+        return shared((source, pairs))[0]
+
+    def counting_runs(*runs):
+        calls.append([source.kind for source, _ in runs])
+        return shared(*runs)
 
     monkeypatch.setattr(qqsp.ergodic, "decay_trace", counting)
+    monkeypatch.setattr(qqsp.ergodic, "decay_traces", counting_runs)
     for seed in (make_mixed_seed(4, "A"), make_entangling_seed(4, "B")):
         calls.clear()
         lat = propagate(seed)
-        rep = ergodic_verdict(lat, build_families(lat), ErgodicConfig(pair_count=4))
+        families = build_families(lat)
+        rep = ergodic_verdict(lat, families, ErgodicConfig(pair_count=4))
         doubled = "H" if lat.process_type == "A" else "h"
-        assert sorted(calls) == sorted(["P", "Q", "Z" if doubled == "H" else "z"])
+        embedded = "Z" if doubled == "H" else "z"
+        assert sorted(calls) == [["P"], ["Q", embedded]]
         assert rep.traces[doubled].family_kind == doubled
         assert list(rep.traces) == sorted(rep.traces)
+
+
+def test_a_shared_pass_gives_each_family_its_own_trace(rng):
+    # Q's and Z/z's traces from one pass over Q's maps are each family's alone, bit for bit
+    for seed in (make_mixed_seed(5, "A"), make_entangling_seed(4, "B")):
+        lat = propagate(seed)
+        families = build_families(lat)
+        q, z = families["Q"], families["Z" if lat.process_type == "A" else "z"]
+        singles, doubles = state_pair_ensemble(2, 5, rng), state_pair_ensemble(4, 7, rng)
+        assert decay_traces((q, singles), (z, doubles)) == (decay_trace(q, singles),
+                                                           decay_trace(z, doubles))
+        assert decay_traces((z, doubles), (q, [])) == (decay_trace(z, doubles),
+                                                      decay_trace(q, []))
+        with pytest.raises(ValueError, match="does not store the maps"):
+            decay_traces((q, singles), (lat, doubles))
 
 
 def test_verdict_rejects_a_doubled_family_of_another_lattice():
