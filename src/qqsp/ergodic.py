@@ -246,6 +246,7 @@ def ergodic_verdict(lattice: Family, families: dict,
     for kinds in shared.values():
         runs = [(sources[kind], pairs_single if sources[kind].side == lattice.n
                  else pairs_double) for kind in kinds]
+        # a family alone goes through decay_trace, the name perfbench's tracer times
         traces.update(zip(kinds, decay_traces(*runs) if len(runs) > 1
                           else [decay_trace(*runs[0])]))
     for kind in {"H", "h"} & set(families):

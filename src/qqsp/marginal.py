@@ -157,8 +157,7 @@ def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
                           for key, value in kc.entries.items()}, f"{label}-{family.kind}")
 
 
-def composition_from_q(family: Family, q_family: Family,
-                       q_table: ResidualTable | None = None) -> ResidualTable:
+def composition_from_q(family: Family, q_family: Family, q_table: ResidualTable) -> ResidualTable:
     """:func:`check_markov` of a Z or z, bounded from ``q_table``, the Markov table of
     ``q_family``, when the family stores that Q's own array; swept otherwise.
 
@@ -166,7 +165,7 @@ def composition_from_q(family: Family, q_family: Family,
     E_{omega_t}: at most sqrt(n) ||rho_t||_F (G + |1 - c_tau| ||Q^{s,tau}|| ||Q^{tau,t}||),
     with G Q's entry, plus :data:`ROUNDING` of sqrt(n) ||rho_t||_F ||Q^{s,t}||, on the map norms.
     """
-    if q_table is None or not family.stores_q or family.maps is not q_family.maps:
+    if not family.stores_q or family.maps is not q_family.maps:
         return check_markov(family)
     if q_table.label != "markov-Q" or set(q_table.entries) != set(triples(family.horizon)):
         raise ValueError(f"{q_table.label!r} is not the Markov table of the Q whose maps "

@@ -447,17 +447,17 @@ def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
     return ResidualTable(dict(zip(keys, values.tolist())), label)
 
 
-def split_residuals(family: Family, law: str, label: str,
-                    constructed: bool = False) -> ResidualTable:
+def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     """||F^{s,t} - G^{s,tau,t} T_t|| at every split whose two factors are stored.
 
     G^{s,tau,t} is the split product under ``law`` of the stored maps C^{s,tau} and
     C^{tau,t} (:func:`fundamental_products`) and T_t the trailing factor; Z/z's lead embed
     is taken out of the norm as sqrt(n). Law A's right and law B's left factors are the
     family's conditioned maps (:attr:`Family.conditioned`). Per chunk of splits the
-    products are one kernel call, and the stored C^{s,t} are subtracted into them. With
-    ``constructed`` every F^{s,t} is stored as this product at tau = t-1, so those gaps
-    are the product less itself: they read 0.0 and are not swept.
+    products are one kernel call, and the stored C^{s,t} are subtracted into them. A
+    lattice :func:`propagate` filled stores every P^{s,t} as its own law's product at
+    tau = t-1, so under that law those gaps are the product less itself: they read 0.0
+    and are not swept.
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
@@ -465,6 +465,7 @@ def split_residuals(family: Family, law: str, label: str,
     # the order of :func:`triples`, which runs over the sorted pairs (s, tau)
     keys = [(s, tau, t) for s, tau in maps.order for t in range(tau + 1, horizon + 1)
             if (tau, t) in maps.index]
+    constructed = family.propagated and law == family.process_type
     swept = [key for key in keys if key[1] < key[2] - 1] if constructed else keys
     lefts = [(s, tau) for s, tau, _ in swept]
     rights = [(tau, t) for _, tau, t in swept]
@@ -507,7 +508,7 @@ def kc_consistency(lattice: Family) -> ResidualTable:
     any other lattice is swept at every split.
     """
     ptype = lattice.process_type
-    return split_residuals(lattice, ptype, f"kc-type-{ptype}", constructed=lattice.propagated)
+    return split_residuals(lattice, ptype, f"kc-type-{ptype}")
 
 
 def interact_states(lattice: Family, phi: State, psi: State,
