@@ -214,11 +214,22 @@ def trace_norms(stack: Array) -> Array:
     out = np.zeros(len(stack))
     if stack.size == 0:
         return out
+    bound = 1e-12 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
     adjoint = np.conj(stack).transpose(0, 2, 1)
-    skew = np.linalg.norm(stack - adjoint, axis=(1, 2))
-    hermitian = skew <= 1e-12 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    # np.linalg.norm(stack - adjoint, axis=(1, 2)) and (stack + adjoint) / 2 are formed in
+    # place, with the bits of those expressions and fewer stack-sized copies alive at once
+    squares = stack - adjoint
+    squares *= np.conj(squares)
+    hermitian = np.sqrt(np.add.reduce(squares.real, axis=(1, 2))) <= bound
+    del squares
     if hermitian.any():
-        herm = (stack[hermitian] + adjoint[hermitian]) / 2
+        if hermitian.all():
+            herm = stack + adjoint
+        else:
+            herm = stack[hermitian]
+            herm += adjoint[hermitian]
+        del adjoint
+        herm /= 2
         out[hermitian] = np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
     if not hermitian.all():
         out[~hermitian] = np.linalg.svd(stack[~hermitian], compute_uv=False).sum(axis=1)

@@ -63,9 +63,14 @@ from .process import (
 
 
 def _derived(source: Family, kind: str, maps: MapStack, **shared) -> Family:
-    """A marginal family on the trajectory of ``source``."""
-    return Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
-                  **shared)
+    """A marginal family on the trajectory of ``source``, which hands it the stack, the norms
+    and the traces of the trajectory's density matrices, so each is computed once per run."""
+    family = Family(kind, source.n, maps, source.omegas, algebra_kind=source.algebra_kind,
+                    **shared)
+    if source.omegas is not None:   # the source's cached properties, the same bits
+        for name in ("rhos", "_rho_norms", "slot_scales"):
+            family.__dict__[name] = getattr(source, name)
+    return family
 
 
 def build_Q(lattice: Family) -> Family:

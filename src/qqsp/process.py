@@ -436,13 +436,23 @@ def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
     ``gaps(part)`` stacks the gaps of a chunk ``keys[part]`` (:func:`qqsp.linalg.chunks`),
     whose Grams are one :func:`scaled_grams` call; every norm is then one stacked eigvalsh
     (:func:`qqsp.linalg.gram_norms`), scaled by ``scales`` indexed by t. Per slice the
-    norms are those of the gap alone, so the table does not depend on the chunks.
+    norms are those of the gap alone, so the table does not depend on the chunks. A chunk
+    whose gaps are all exactly zero takes no Gram: its norms are the +0.0 the Gram route
+    gives them.
     """
     if not keys:
         return ResidualTable({}, label)
-    grams, exps = zip(*(scaled_grams(gaps(part))
-                        for part in chunks(len(keys), 16 * shape[0] * shape[1])))
-    norms = gram_norms(np.concatenate(grams), np.concatenate(exps))
+    swept, grams = np.zeros(len(keys), dtype=bool), []
+    for part in chunks(len(keys), 16 * shape[0] * shape[1]):
+        stack = gaps(part)
+        if stack[0].any() or stack.any():   # a nonzero first slice settles a chunk at once
+            swept[part] = True
+            grams.append(scaled_grams(stack))
+        del stack   # one chunk's gaps at a time
+    norms = np.zeros(len(keys))
+    if grams:
+        stacks, exps = zip(*grams)
+        norms[swept] = gram_norms(np.concatenate(stacks), np.concatenate(exps))
     values = np.asarray(scales)[[key[-1] for key in keys]] * norms
     return ResidualTable(dict(zip(keys, values.tolist())), label)
 

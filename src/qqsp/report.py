@@ -13,6 +13,7 @@ differ between reruns.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -48,32 +49,31 @@ def _indented_json(obj, depth: int, out: list) -> None:
     gives ``obj`` at nesting ``depth`` to ``out``. A container of scalars is one C encoder
     call; the walk itself visits only the containers that hold containers.
     """
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        values = [value for _, value in items]
-    elif isinstance(obj, (list, tuple)):
-        items, values = None, obj
-    else:
+    if not isinstance(obj, (dict, list, tuple)):
         out += _c_encoder(0)(obj, 0)
         return
+    is_dict = isinstance(obj, dict)
     inner = "\n" + "  " * (depth + 1)
-    if not any(isinstance(value, (dict, list, tuple)) for value in values):
+    # a container of scalars goes to the C encoder, which sorts a dict's keys itself; only
+    # the distinct types of its values are scanned for a container
+    values = obj.values() if is_dict else obj
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values))):
         text = "".join(_c_encoder(depth + 1)(obj, 0))
         # "[]" and "{}" stay as they are, as json.dumps writes them
         out.append(text if len(text) == 2 else
                    f"{text[0]}{inner}{text[1:-1]}\n{'  ' * depth}{text[-1]}")
         return
-    out.append("{" if items is not None else "[")
-    for k, value in enumerate(values):
+    items = sorted(obj.items()) if is_dict else enumerate(obj)
+    out.append("{" if is_dict else "[")
+    for k, (key, value) in enumerate(items):
         out.append(inner if k == 0 else "," + inner)
-        if items is not None:
-            key = items[k][0]
+        if is_dict:
             out.append(encode_basestring_ascii(key) if isinstance(key, str)
                        # json.dumps's text of any other key, with its errors
                        else "".join(_c_encoder(0)({key: None}, 0))[1:-len(": null}")])
             out.append(": ")
         _indented_json(value, depth + 1, out)
-    out.append("\n" + "  " * depth + ("}" if items is not None else "]"))
+    out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
 
 
 def complex_matrix_to_pairs(m: np.ndarray):
@@ -148,6 +148,20 @@ def _trajectory_csv_text(trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` over the file at ``path`` (made if missing), then cut the file
+    to the text's length.
+
+    The file is opened without truncation, so a rewrite keeps its inode, its hard links and a
+    symlink's target, and is not re-allocated as a truncated and rewritten file is. Like
+    ``Path.write_text`` it is not atomic and does not fsync: a rewrite cut short may leave the
+    new bytes followed by old ones.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        f.truncate()
+
+
 def emit_report(report: Report, out_dir, fmt: str = "structured") -> list[Path]:
     """Write the report document and, for csv-bundle, one CSV per time series.
 
@@ -160,12 +174,12 @@ def emit_report(report: Report, out_dir, fmt: str = "structured") -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     report_path = out / f"{report.name}.report.json"
-    report_path.write_text(report.to_structured_text())
+    _write(report_path, report.to_structured_text())
     written.append(report_path)
     if fmt == "csv-bundle":
         if report.trajectory:
             p = out / f"{report.name}.trajectory.csv"
-            p.write_text(_trajectory_csv_text(report.trajectory))
+            _write(p, _trajectory_csv_text(report.trajectory))
             written.append(p)
         texts = {}   # H/h take P's trace, whose text is formed once
         for kind in sorted(report.decay_series):
@@ -174,14 +188,14 @@ def emit_report(report: Report, out_dir, fmt: str = "structured") -> list[Path]:
             if key not in texts:
                 texts[key] = _decay_csv_text(trace)
             p = out / f"{report.name}.decay_{kind}.csv"
-            p.write_text(texts[key])
+            _write(p, texts[key])
             written.append(p)
     timing_path = out / f"{report.name}.timings.txt"
     # "<stage>: <seconds> s", then "<stage> peak RSS: <MiB> MiB" for every stage
     timing_lines = [f"{stage}: {seconds:.6f} s" for stage, seconds in report.timings.items()]
     timing_lines += [f"{stage} peak RSS: {kib / 1024:.1f} MiB"
                      for stage, kib in report.peak_rss_kib.items()]
-    timing_path.write_text("\n".join(timing_lines) + "\n" if timing_lines else "")
+    _write(timing_path, "\n".join(timing_lines) + "\n" if timing_lines else "")
     return written
 
 

@@ -276,15 +276,21 @@ def _check_seed(seed: int, where: str) -> int:
 
 
 def scenario_from_file(path) -> Scenario:
+    """The scenario of a UTF-8 JSON file; a file that cannot be read, decoded or parsed is a
+    ScenarioError naming it."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to parse") from exc
     return parse_scenario(data)
 
 

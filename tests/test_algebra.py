@@ -427,6 +427,15 @@ def test_stacked_trace_norms_equal_the_per_matrix_norm(rng, count, side):
     assert np.array_equal(trace_norms(stack), [trace_norm(a) for a in stack])
 
 
+@pytest.mark.parametrize("side", [1, 2, 9])
+def test_an_all_hermitian_stack_takes_the_trace_norm_of_each_matrix(rng, side):
+    # no slice is gathered when every one is hermitian within the bound; same bits
+    stack = _slices(rng, 7, side, side)
+    stack = (stack + np.conj(stack).transpose(0, 2, 1)) / 2
+    stack[1::3] += 1e-14 * _slices(rng, len(stack[1::3]), side, side)
+    assert np.array_equal(trace_norms(stack), [trace_norm(a) for a in stack])
+
+
 def test_flip_supermap_matches_elementwise(rng):
     f = flip_supermap(2)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

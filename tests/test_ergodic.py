@@ -462,23 +462,31 @@ def test_h_distances_equal_p_distances():
 
 
 def test_verdict_takes_three_decay_traces(monkeypatch):
-    # P, Q and Z/z are measured, Q and Z/z in one pass over Q's maps; H/h takes P's
-    # trace, relabelled
+    # P, Q and Z/z are measured, Q and Z/z in one pass over Q's maps; every gap, the
+    # contraction's too, is normed in one chunked pass; H/h takes P's trace, relabelled
     import qqsp.ergodic
 
     calls = []
-    shared = qqsp.ergodic.decay_traces
+    gaps, contraction, norms = (qqsp.ergodic._decay_gaps, qqsp.ergodic._contraction_gaps,
+                                qqsp.ergodic._chunked_trace_norms)
 
-    def counting(source, pairs):
-        calls.append([source.kind])
-        return shared((source, pairs))[0]
-
-    def counting_runs(*runs):
+    def counting_gaps(runs, out):
         calls.append([source.kind for source, _ in runs])
-        return shared(*runs)
+        return gaps(runs, out)
 
-    monkeypatch.setattr(qqsp.ergodic, "decay_trace", counting)
-    monkeypatch.setattr(qqsp.ergodic, "decay_traces", counting_runs)
+    def counting_contraction(*args):
+        calls.append("contraction")
+        return contraction(*args)
+
+    def counting_norms(stack):
+        calls.append("norms")
+        return norms(stack)
+
+    monkeypatch.setattr(qqsp.ergodic, "_decay_gaps", counting_gaps)
+    monkeypatch.setattr(qqsp.ergodic, "_contraction_gaps", counting_contraction)
+    monkeypatch.setattr(qqsp.ergodic, "_chunked_trace_norms", counting_norms)
+    for name in ("decay_trace", "decay_traces", "contraction_coefficient"):
+        monkeypatch.setattr(qqsp.ergodic, name, None)   # the verdict calls none of them
     for seed in (make_mixed_seed(4, "A"), make_entangling_seed(4, "B")):
         calls.clear()
         lat = propagate(seed)
@@ -486,9 +494,89 @@ def test_verdict_takes_three_decay_traces(monkeypatch):
         rep = ergodic_verdict(lat, families, ErgodicConfig(pair_count=4))
         doubled = "H" if lat.process_type == "A" else "h"
         embedded = "Z" if doubled == "H" else "z"
-        assert sorted(calls) == [["P"], ["Q", embedded]]
+        assert calls == [["P"], ["Q", embedded], "contraction", "norms"]
         assert rep.traces[doubled].family_kind == doubled
         assert list(rep.traces) == sorted(rep.traces)
+
+
+def _loop_verdict(trace, epsilon):
+    """The verdict of one trace from its rows, by Python loops over the tuples."""
+    final = max((row[-1] for row in trace.distances), default=0.0)
+    ratios = [b / a for row in trace.distances for a, b in zip(row, row[1:]) if a > 1e-14]
+    return final, final < epsilon, max(ratios) if ratios else 0.0
+
+
+VERDICT_LATTICES = {
+    "mixed-n2-A": lambda: propagate(make_mixed_seed(5, "A")),
+    "mixed-n3-B": lambda: propagate(QQSPSeed.from_single_map(
+        mixed_step_map(3), State.from_weights([0.5, 0.3, 0.2]), 4, "B")),
+    "entangling-n2-B": lambda: propagate(make_entangling_seed(6, "B")),
+    "identity-like": lambda: propagate(make_identity_like_seed(5), strict=False),
+    "volterra-diagonal": lambda: propagate(lift_to_quantum(ClassicalQSP.homogeneous(
+        volterra_tensor(1.0), [0.3, 0.7], 5, "A"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_LATTICES))
+def test_the_verdict_norms_are_those_of_decay_trace_and_contraction_coefficient(name):
+    # the one stack of every gap, normed a chunk at a time, gives each distance and the
+    # coefficient the bits of the per-family calls on the same stream, and each verdict
+    # that of loops over the trace's rows
+    lat = VERDICT_LATTICES[name]()
+    families = build_families(lat)
+    q, z = families["Q"], families["Z" if lat.process_type == "A" else "z"]
+    diagonal = lat.algebra_kind == "diagonal"
+    config = ErgodicConfig(pair_count=7, rng_seed=3, sample_count=40)
+    rep = ergodic_verdict(lat, families, config)
+    rng = np.random.default_rng(config.rng_seed)
+    singles = state_pair_ensemble(lat.n, 7, rng, diagonal)
+    doubles = state_pair_ensemble(lat.n ** 2, 7, rng, diagonal)
+    want = {"P": decay_trace(lat, doubles), "Q": decay_trace(q, singles),
+            z.kind: decay_trace(z, doubles)}
+    for kind, trace in want.items():
+        assert rep.traces[kind] == trace
+    assert rep.contraction == contraction_coefficient(q, 0, 1, 40, rng)
+    for kind, verdict in rep.verdicts.items():
+        assert (verdict.final_max_distance, verdict.ergodic, verdict.max_step_ratio) == (
+            _loop_verdict(rep.traces[kind], config.epsilon))
+
+
+def test_explicit_pairs_are_checked_against_their_family():
+    lat = propagate(make_constant_seed(2, 4))
+    mixed = State.maximally_mixed
+    with pytest.raises(ValueError, match="pair dimension"):
+        ergodic_verdict(lat, build_families(lat),
+                        ErgodicConfig(explicit_single=((mixed(4), mixed(4)),)))
+    with pytest.raises(ValueError, match="pair dimension"):
+        ergodic_verdict(lat, build_families(lat),
+                        ErgodicConfig(explicit_double=((mixed(2), mixed(2)),)))
+
+
+@pytest.mark.parametrize("horizon", [6, 12])
+def test_the_verdict_grows_the_heap_by_its_stacks_and_a_few_chunks(horizon):
+    # held: the two ensembles, P's column-stacked pair vectors and the one gap stack; beyond
+    # them the stage's copies stay within a few chunks whatever the horizon
+    import tracemalloc
+
+    from qqsp.linalg import CHUNK_BYTES
+
+    n, config = 4, ErgodicConfig()
+    lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.maximally_mixed(n),
+                                             horizon, "A"))
+    assert 16 * n * n * n ** 4 == CHUNK_BYTES   # one t's predual of P is one chunk
+    families = build_families(lat)
+    pairs = 2 * config.pair_count
+    held = 16 * (pairs * (n ** 2 + 2 * n ** 4)
+                 + n * n * (horizon * 3 * config.pair_count + n * (n - 1) // 2
+                            + config.sample_count))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        ergodic_verdict(lat, families, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start - held < 4 * CHUNK_BYTES
 
 
 def test_a_shared_pass_gives_each_family_its_own_trace(rng):

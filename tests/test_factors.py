@@ -166,6 +166,20 @@ def test_no_embedded_core_is_formed_but_the_decay_traces(monkeypatch, ptype, erg
 # ------------------------------------------------------ one norm per stored map
 
 @pytest.mark.parametrize("ptype", ["A", "B"])
+def test_the_marginals_take_the_trajectory_of_their_lattice(ptype):
+    # the density stack, the Frobenius norms and the traces of omega_t are computed once per
+    # run, on the lattice, with the bits of one matrix at a time
+    lat = _lattice(3, ptype)
+    for family in _marginals(lat):
+        for name in ("rhos", "_rho_norms", "slot_scales"):
+            assert getattr(family, name) is getattr(lat, name)
+    assert lat._rho_norms == tuple(float(np.linalg.norm(w.rho)) for w in lat.omegas)
+    assert [lat.trailing_norm(t) for t in range(5)] == [1.0] * 5
+    h = _marginals(lat)[1]
+    assert [h.trailing_norm(t) for t in range(5)] == list(lat._rho_norms)
+
+
+@pytest.mark.parametrize("ptype", ["A", "B"])
 def test_map_norms_equal_the_per_map_operator_norm(monkeypatch, ptype):
     import qqsp.process
 

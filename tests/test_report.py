@@ -1,11 +1,15 @@
-"""The report emitter against its oracle, ``json.dumps(sort_keys=True, indent=2)``.
+"""The report emitter against its oracle, ``json.dumps(sort_keys=True, indent=2)``, and the
+in-place rewrite of report files.
 
 The emitter hands every container of scalars to the C encoder and walks the rest
 itself; its text must be the oracle's on every report ``scripts/byteid.py`` writes and
 on the edge cases of the JSON grammar.
 """
 
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -68,3 +72,77 @@ def test_the_emitter_refuses_what_json_dumps_refuses(bad, error):
         _oracle(report)
     with pytest.raises(TypeError, match=error):
         report.to_structured_text()
+
+
+# ------------------------------------------------------------ in-place rewrites
+
+def _written(tmp_path, name="constant-n2"):
+    from qqsp.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = main(["run", name, "--out-dir", str(tmp_path), "--format", "csv-bundle",
+                       "--seed", "1"])
+    return status, {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())
+                    if p.is_file() and "timings" not in p.name}
+
+
+@pytest.mark.parametrize("old", ["shorter", "equal", "longer"])
+def test_a_rewrite_over_any_old_file_leaves_exactly_the_new_bytes(tmp_path, old):
+    # the old file is cut to the text's length whether it was longer, as long or shorter
+    status, want = _written(tmp_path / "fresh")
+    assert status == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, data in want.items():
+        size = {"shorter": len(data) // 2, "equal": len(data), "longer": 3 * len(data)}[old]
+        (out / name).write_bytes(b"x" * size)
+    assert _written(out) == (0, want)
+
+
+def test_report_files_are_opened_without_truncation(tmp_path, monkeypatch):
+    # the file is cut to length after the write: a file truncated to 0 and rewritten is
+    # re-allocated by the filesystem when it is closed
+    flags, real = [], os.open
+
+    def recording(path, flag, *args):
+        flags.append(flag)
+        return real(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", recording)
+    assert _written(tmp_path)[0] == 0
+    assert len(flags) == len(list(tmp_path.iterdir()))   # every file, the sidecar too
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_a_rewrite_keeps_the_inode_of_a_hard_link_and_of_a_symlink_target(tmp_path):
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    status, want = _written(out)
+    elsewhere.mkdir()
+    report = "constant-n2.report.json"
+    linked, target = elsewhere / "linked.json", elsewhere / "target.csv"
+    os.link(out / report, linked)
+    csv = next(name for name in want if name.endswith(".csv"))
+    (out / csv).rename(target)
+    (out / csv).symlink_to(target)
+    inodes = (os.stat(out / report).st_ino, os.stat(target).st_ino)
+    (out / report).write_bytes(b"stale " * 10000)
+    target.write_bytes(b"")
+    assert _written(out) == (0, want)
+    assert (os.stat(out / report).st_ino, os.stat(target).st_ino) == inodes
+    assert linked.read_bytes() == want[report] and target.read_bytes() == want[csv]
+    assert (out / csv).is_symlink()
+
+
+@pytest.mark.parametrize("blocker", ["read-only file", "directory"])
+def test_a_report_file_that_cannot_be_written_exits_4(tmp_path, blocker):
+    path = tmp_path / "constant-n2.report.json"
+    if blocker == "directory":
+        path.mkdir()
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("the superuser writes read-only files")
+        path.write_text("kept")
+        path.chmod(0o444)
+    status, _ = _written(tmp_path)
+    assert status == 4
+    assert path.is_dir() or path.read_text() == "kept"

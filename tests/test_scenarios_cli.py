@@ -441,6 +441,33 @@ def test_cli_exit_2_on_malformed_scenario(tmp_path):
     assert not (tmp_path / "out").exists()  # no output files on parse failure
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"name": "x\xff"}', "not UTF-8 text at byte 11"),
+    (b"\xfe\xff{}", "not UTF-8 text at byte 0"),
+    (b"[" * 1000 + b"]" * 1000, "nested too deeply"),
+    (b'{"name": "x", "horizon": ' + b"[" * 5000 + b"]" * 5000 + b"}", "nested too deeply"),
+], ids=["latin-1-name", "utf-16-bom", "nested-1000", "nested-field"])
+def test_cli_exit_2_on_a_file_that_is_no_utf8_or_too_deep(tmp_path, content, message):
+    # a decode error and a JSON too deep for the parser's recursion end like any parse error
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    proc = run_cli("run", str(path), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert str(path) in proc.stderr and message in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reads_a_scenario_file_as_utf8(tmp_path):
+    data = builtin_scenarios()["constant-n2"].to_dict()
+    data["name"] = "caf\u00e9-n2"
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    proc = run_cli("run", str(path), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 0
+    assert load_structured(tmp_path / "out" / "caf\u00e9-n2.report.json")["scenario"]["name"] == (
+        "caf\u00e9-n2")
+
+
 @pytest.mark.parametrize("field, value", [
     ("tolerances", "abc"),
     ("tolerances", {"kc": "1e-3"}),

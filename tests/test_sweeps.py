@@ -13,7 +13,7 @@ from qqsp.algebra import (
     flip_after,
     predual,
 )
-from qqsp.linalg import operator_norm, operator_norms, vec
+from qqsp.linalg import chunks, gram_norms, operator_norm, operator_norms, vec
 from qqsp.marginal import (
     build_H,
     build_Q,
@@ -29,6 +29,7 @@ from qqsp.marginal import (
 )
 from qqsp.process import (
     QQSPSeed,
+    ResidualTable,
     kc_consistency,
     pair_residuals,
     propagate,
@@ -37,7 +38,14 @@ from qqsp.process import (
 from qqsp.scenarios import parse_scenario, run_scenario
 from qqsp.seeds import make_entangling_seed, make_mixed_seed, mixed_step_map
 
-from conftest import core, embed_averaged_supermap, embed_supermap, expectations, swept_q
+from conftest import (
+    byteid_scenarios,
+    core,
+    embed_averaged_supermap,
+    embed_supermap,
+    expectations,
+    swept_q,
+)
 
 LATTICES = {
     "mixed-n2-A": lambda: propagate(make_mixed_seed(5, "A")),
@@ -306,19 +314,29 @@ def test_every_table_equals_the_per_gap_loops_at_any_chunk_budget(monkeypatch, n
 @pytest.mark.parametrize("n, horizon, ptype", [(2, 12, "A"), (2, 12, "B"), (4, 6, "A"),
                                                (4, 6, "B")])
 def test_batched_tables_equal_the_per_group_tables(monkeypatch, n, horizon, ptype):
-    # the default chunks against one slice per chunk: same tables, fewer Gram calls
+    # the default chunks against one slice per chunk: same tables, fewer gap stacks; every
+    # gap of this lattice is exactly zero, so no chunk takes a Gram
     import qqsp.linalg
     import qqsp.process
 
     lat = propagate(QQSPSeed.from_single_map(mixed_step_map(n), State.maximally_mixed(n),
                                              horizon, ptype))
-    lengths = []
-    original = qqsp.process.scaled_grams
+    lengths, grams = [], []
+    table, original = qqsp.process._table, qqsp.process.scaled_grams
+
+    def recorded_table(keys, shape, gaps, scales, label):
+        def recorded_gaps(part):
+            stack = gaps(part)
+            lengths.append(len(stack))
+            return stack
+
+        return table(keys, shape, recorded_gaps, scales, label)
 
     def recorded(stack):
-        lengths.append(len(stack))
+        grams.append(len(stack))
         return original(stack)
 
+    monkeypatch.setattr(qqsp.process, "_table", recorded_table)
     monkeypatch.setattr(qqsp.process, "scaled_grams", recorded)
     batched = _sweep_tables(lat)
     batches = len(lengths)
@@ -327,8 +345,58 @@ def test_batched_tables_equal_the_per_group_tables(monkeypatch, n, horizon, ptyp
     per_slice = _sweep_tables(lat)
     assert batched == per_slice
     assert set(lengths) == {1} and batches < len(lengths)
+    assert grams == []
     # and the kc table is still the per-gap loop
     assert batched["kc"] == _split_loop(lat, _fundamental(lat))
+
+
+def _gram_table(keys, shape, gaps, scales, label):
+    """:func:`qqsp.process._table` with one Gram per chunk, zero gaps included."""
+    import qqsp.process
+
+    if not keys:
+        return ResidualTable({}, label)
+    grams, exps = zip(*(qqsp.process.scaled_grams(gaps(part))
+                        for part in chunks(len(keys), 16 * shape[0] * shape[1])))
+    norms = gram_norms(np.concatenate(grams), np.concatenate(exps))
+    values = np.asarray(scales)[[key[-1] for key in keys]] * norms
+    return ResidualTable(dict(zip(keys, values.tolist())), label)
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["default", "one-slice"])
+@pytest.mark.parametrize("name, zeros", [("mixed-n2-T12-A", "all"), ("mixed-n2-T12-B", "some")])
+def test_a_zero_gap_chunk_takes_no_gram_and_reads_its_gram_bits(monkeypatch, name, zeros,
+                                                                 budget):
+    # the type-A flip table is all +0.0, the type-B one mixes zeros and nonzeros; every
+    # report byte, every table's sign bits included, is the Gram route's
+    import qqsp.linalg
+    import qqsp.process
+
+    if budget is not None:
+        monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", budget)
+    sc = byteid_scenarios()[name]
+    grams, original = [], qqsp.process.scaled_grams
+
+    def recorded(stack):
+        grams.append(len(stack))
+        return original(stack)
+
+    monkeypatch.setattr(qqsp.process, "scaled_grams", recorded)
+    skipped = run_scenario(sc, seed=1)
+    skipped_grams = sum(grams)
+    flip = skipped.stages["axioms"]["flip"]["entries"].values()
+    assert all(v == 0.0 and not np.signbit(v) for v in flip) if zeros == "all" else (
+        0.0 in flip and max(flip) > 0.0)
+    grams.clear()
+    monkeypatch.setattr(qqsp.process, "_table", _gram_table)
+    swept = run_scenario(sc, seed=1)
+    assert skipped.to_structured_text() == swept.to_structured_text()
+    # only chunks of zero gaps are skipped: the type-A flip table's, and with one slice a
+    # chunk each type-B zero; at the default chunks the type-B zeros share chunks with nonzeros
+    if (zeros, budget) == ("some", None):
+        assert skipped_grams == sum(grams)
+    else:
+        assert skipped_grams < sum(grams)
 
 
 def test_chunks_cover_the_table_in_order_within_the_budget(monkeypatch):
