@@ -27,6 +27,7 @@ from .linalg import (
     apply_supermatrix,
     choi_matrix,
     dagger,
+    frobenius_norms,
     hermiticity_defect,
     operator_norm,
     predual_matrix,
@@ -113,16 +114,17 @@ def _hermitian_densities(stack: Array) -> Array:
 
     def reject(bad, describe) -> None:
         nonlocal m, index, message
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            index, message = int(hits[0]), describe(int(hits[0]))
+        if bad.any():
+            index = int(np.argmax(bad))   # the first failing slice
+            message = describe(index)
             m = m[:index]   # only slices before the first failure are checked further
 
-    reject(~np.isfinite(m).all(axis=(1, 2)),   # NaN would pass every comparison below
-           lambda i: "density matrix has non-finite entries")
+    finite = np.isfinite(m)   # NaN would pass every comparison below
+    if not finite.all():
+        reject(~finite.all(axis=(1, 2)), lambda i: "density matrix has non-finite entries")
     adjoint = np.conj(m).transpose(0, 2, 1)
-    skew = np.linalg.norm(m - adjoint, axis=(1, 2))
-    bound = HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
+    skew = frobenius_norms(m - adjoint)
+    bound = HERMITICITY_TOL * np.maximum(1.0, frobenius_norms(m))
     # the stacked norms sum in another order than one matrix's norm and can differ
     # from it by an ulp, so the slices near the bound are settled one at a time
     for i in np.flatnonzero(np.abs(skew - bound) <= 1e-9 * bound):

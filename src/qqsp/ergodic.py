@@ -14,6 +14,7 @@ pairs, and only {P, H/h} against {Q, Z/z} can disagree (Q and Z/z by their ensem
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -167,10 +168,11 @@ def _contraction_gaps(q_family: Family, s: int, t: int, rng, gaps) -> None:
         # in the per-sample order: the real, then the imaginary n x 2 block
         draws = rng.normal(size=(len(range(len(sampled))[part]), 2, n, 2))
         u, _ = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
-        # projectors[k, c] = |u_c><u_c| of sample k; each copy is let go before the next
+        # projectors[k, c] = |u_c><u_c| of sample k; each stack is let go as soon as the
+        # next is formed, so the chunk's copies are not all alive at once
         projectors = (u[:, :, None, :] * u[:, None, :, :].conj()).transpose(0, 3, 1, 2)
         del draws, u
-        projectors = projectors.reshape(-1, n, n)
+        projectors = projectors.reshape(-1, n, n)   # a copy, and the product is let go
         images = dual(projectors)
         del projectors
         np.subtract(images[0::2], images[1::2], out=sampled[part])
@@ -200,6 +202,14 @@ class ErgodicConfig:
     explicit_double: tuple = ()   # (State, State) pairs on M (x) M
 
 
+@cache
+def _basis_pair(dim: int) -> tuple[State, State]:
+    """The extremal basis pair (e_0 vs e_last) on M_dim, checked once; States are immutable."""
+    basis = np.zeros((2, dim, dim), dtype=complex)
+    basis[0, 0, 0] = basis[1, -1, -1] = 1.0
+    return State.stack(basis)
+
+
 def state_pair_ensemble(dim: int, count: int, rng: np.random.Generator,
                         diagonal: bool = False) -> list[tuple[State, State]]:
     """count pairs: the extremal basis pair (e_0 vs e_last), then count - 1 random pairs.
@@ -212,9 +222,7 @@ def state_pair_ensemble(dim: int, count: int, rng: np.random.Generator,
     index in the whole ensemble.
     """
     k = 2 * max(count - 1, 0)
-    basis = np.zeros((2, dim, dim), dtype=complex)
-    basis[0, 0, 0] = basis[1, -1, -1] = 1.0
-    states = list(State.stack(basis))
+    states = list(_basis_pair(dim))
     for part in chunks(k, 16 * dim * dim):
         size = len(range(k)[part])
         if diagonal:

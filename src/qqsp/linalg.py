@@ -204,6 +204,12 @@ def gram_norms(grams: Array, exps: Array) -> Array:
     return np.ldexp(np.sqrt(np.linalg.eigvalsh(grams)[:, -1]), exps)
 
 
+def frobenius_norms(stack: Array) -> Array:
+    """``np.linalg.norm(stack, axis=(1, 2))`` of a complex (k, rows, cols) stack, with its bits
+    and without its argument handling."""
+    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(1, 2)))
+
+
 def trace_norms(stack: Array) -> Array:
     """:func:`trace_norm` of every matrix of a (k, side, side) stack.
 
@@ -214,10 +220,10 @@ def trace_norms(stack: Array) -> Array:
     out = np.zeros(len(stack))
     if stack.size == 0:
         return out
-    bound = 1e-12 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    bound = 1e-12 * np.maximum(1.0, frobenius_norms(stack))
     adjoint = np.conj(stack).transpose(0, 2, 1)
-    # np.linalg.norm(stack - adjoint, axis=(1, 2)) and (stack + adjoint) / 2 are formed in
-    # place, with the bits of those expressions and fewer stack-sized copies alive at once
+    # frobenius_norms(stack - adjoint) and (stack + adjoint) / 2 are formed in place, with
+    # the bits of those expressions and fewer stack-sized copies alive at once
     squares = stack - adjoint
     squares *= np.conj(squares)
     hermitian = np.sqrt(np.add.reduce(squares.real, axis=(1, 2))) <= bound
