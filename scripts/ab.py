@@ -12,7 +12,12 @@ number of pairs in which the change was better and whether the change meets
 the rule for claiming a gain (``gain_rule_met``): at least ten pairs, better
 in at least nine tenths of them (a tie counts for neither side), and a median
 better than the parent's by more than the distance between the parent's
-quartiles. It writes those numbers,
+quartiles. Beside it stands the no-regression verdict (``regression``): ``worse``
+when the change's median is worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median);
+``unresolved`` when it is not, but either side's interquartile distance passes
+that fraction of the parent's median and not every change run beats every
+parent run; ``ok`` otherwise. It writes those numbers,
 every run's value, the command, the machine and both checkouts' ``src/qqsp``
 line counts, per workload, to ``BENCH_<label>.json`` in the checkout this
 script sits in. An existing file of that name keeps the workloads this run
@@ -73,6 +78,21 @@ def gain_rule_met(row: dict, pairs: int) -> bool:
             and gap > parent["q3"] - parent["q1"])
 
 
+def regression(row: dict, bound: float) -> str:
+    """One metric's no-regression verdict: 'worse' when the change's median is worse than
+    the parent's by more than ``bound`` times the parent's median; else 'unresolved' when
+    either side's interquartile distance is over that much and not every change run beats
+    every parent run; else 'ok'."""
+    parent, change = row["parent"], row["change"]
+    sign = 1 if row["better"] == "lower" else -1   # > 0 below: the change is worse
+    allowed = bound * abs(parent["median"])
+    if sign * (change["median"] - parent["median"]) > allowed:
+        return "worse"
+    spread_out = any(side["q3"] - side["q1"] > allowed for side in (parent, change))
+    beats_all = all(sign * (c - p) < 0 for c in change["runs"] for p in parent["runs"])
+    return "unresolved" if spread_out and not beats_all else "ok"
+
+
 def compare(dirs: dict, workload: str, pairs: int, metrics: list[dict]) -> dict:
     runs = {side: [] for side in SIDES}
     for k in range(pairs):
@@ -98,12 +118,14 @@ def compare(dirs: dict, workload: str, pairs: int, metrics: list[dict]) -> dict:
         parent, change = row["parent"]["median"], row["change"]["median"]
         row["ratio"] = change / parent if parent else None
         row["gain_rule_met"] = gain_rule_met(row, pairs)
+        row["regression"] = regression(row, metric["bound"])
         out["metrics"][name] = row
         print(f"{workload:9s} {name:12s} parent {parent:.4g} "
               f"[{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}]  "
               f"change {change:.4g} [{row['change']['q1']:.4g}, {row['change']['q3']:.4g}]  "
               f"ratio {'-' if row['ratio'] is None else format(row['ratio'], '.3f')}  "
-              f"better {better}/{pairs}  gain rule {'met' if row['gain_rule_met'] else 'not met'}")
+              f"better {better}/{pairs}  gain rule {'met' if row['gain_rule_met'] else 'not met'}"
+              f"  regression {row['regression']}")
     return out
 
 

@@ -104,8 +104,8 @@ class InvalidDensity(ValueError):
 def _hermitian_densities(stack: Array) -> Array:
     """The hermitian parts of a (k, d, d) stack of density matrices, checked per slice.
 
-    Each slice must be finite, hermitian up to 1e-12 relative, of trace 1 within
-    1e-12 and have no eigenvalue below -1e-12. Every check runs on the whole stack;
+    Each slice must be finite, hermitian up to 1e-12 relative, have a finite hermitian part,
+    a trace 1 within 1e-12 and no eigenvalue below -1e-12. Every check runs on the whole stack;
     the first failing slice raises :class:`InvalidDensity` with the message of the
     first check it fails, as a loop over the slices would.
     """
@@ -132,12 +132,13 @@ def _hermitian_densities(stack: Array) -> Array:
         bound[i] = HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m[i])))
     reject(skew > bound, lambda i: "density matrix is not hermitian "
                                    f"(defect {hermiticity_defect(m[i]):.2e})")
-    m = (m + adjoint[:len(m)]) / 2
+    m = (m + adjoint[:len(m)]) / 2   # overflows above ~9e307; the bounds below fail on NaN
+    reject(~np.isfinite(m).all(axis=(1, 2)), lambda i: "density matrix's hermitian part overflows")
     tr = np.real(np.trace(m, axis1=1, axis2=2))
-    reject(np.abs(tr - 1.0) > 1e-12,
+    reject(~(np.abs(tr - 1.0) <= 1e-12),
            lambda i: f"density matrix trace {float(tr[i])!r} is not 1")
     lo = np.linalg.eigvalsh(m).min(axis=1, initial=np.inf)
-    reject(lo < -1e-12, lambda i: f"density matrix has eigenvalue {lo[i]:.2e} < -1e-12")
+    reject(~(lo >= -1e-12), lambda i: f"density matrix has eigenvalue {lo[i]:.2e} < -1e-12")
     if message is not None:
         raise InvalidDensity(message, index)
     return m
@@ -405,10 +406,11 @@ def conditional_expectation(phi: State, z) -> AlgebraElement:
 def expectation_supermap(phi: State) -> SuperMap:
     """The conditional expectation E_phi as a SuperMap from M_{n^2} to M_n.
 
-    Tr_1[(rho (x) 1) z] sends E_{(e, b), (a, d)} to rho[a, e] E_{bd}. It is
-    :func:`expectation_supermaps` of a stack of one.
+    Tr_1[(rho (x) 1) z] sends E_{(e, b), (a, d)} to rho[a, e] E_{bd}; its matrix is
+    :func:`expectation_matrices` of a stack of one.
     """
-    return expectation_supermaps(phi.rho[None])[0]
+    n = phi.dim
+    return SuperMap(n * n, n, expectation_matrices(phi.rho[None])[0])
 
 
 @cache
@@ -433,12 +435,6 @@ def expectation_matrices(rhos) -> Array:
     mats = np.zeros((k, n * n, n ** 4), dtype=complex)
     mats[:, rows, cols] = rhos[:, a, e]
     return mats
-
-
-def expectation_supermaps(rhos) -> tuple[SuperMap, ...]:
-    """:func:`expectation_supermap` of every density matrix of a (k, n, n) stack, in one call."""
-    n = np.shape(rhos)[-1]
-    return tuple(SuperMap(n * n, n, m) for m in expectation_matrices(rhos))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,12 @@ def classical_propagate(q: ClassicalQSP, strict: bool = True, tol: float = 1e-12
                         lattice=lattice, trajectory=trajectory)
 
 
+def diagonal_layout(N: int) -> tuple[Array, Array]:
+    """The rows ij (N^2 + 1), the diagonal entries of M_N (x) M_N, and the columns k (N + 1),
+    vec E_kk, where the matrix of a map of the diagonal algebra of M_N may hold entries."""
+    return np.arange(N * N) * (N * N + 1), np.arange(N) * (N + 1)
+
+
 def tensor_to_step_map(p: Array) -> SuperMap:
     """Lift one cubic tensor to the diagonal-algebra step map.
 
@@ -195,8 +201,8 @@ def tensor_to_step_map(p: Array) -> SuperMap:
     p = np.asarray(p, dtype=float)
     N = p.shape[0]
     mat = np.zeros((N ** 4, N * N), dtype=complex)
-    mat[np.arange(N * N)[:, None] * (N * N + 1), np.arange(N) * (N + 1)] = \
-        p.reshape(N * N, N) + 0.0
+    rows, cols = diagonal_layout(N)
+    mat[rows[:, None], cols] = p.reshape(N * N, N) + 0.0
     return SuperMap(N, N * N, mat)
 
 
@@ -225,8 +231,8 @@ def project_to_classical(lattice: Family, tol: float = 1e-12) -> ClassicalQSP:
     """
     N, T = lattice.n, lattice.horizon
     pairs = lattice.pairs()
-    images = lattice.maps.rows(pairs)[:, :, np.arange(N) * (N + 1)]   # (pairs, N^4, N)
-    diagonal = np.arange(N * N) * (N * N + 1)   # the rows of an image's diagonal entries
+    diagonal, cols = diagonal_layout(N)
+    images = lattice.maps.rows(pairs)[:, :, cols]   # (pairs, N^4, N)
     off = np.abs(images)
     off[:, diagonal] = 0
     residuals = off.max(axis=1).reshape(-1)

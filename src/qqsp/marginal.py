@@ -42,7 +42,6 @@ from .algebra import (
     MapStack,
     ScaledMapStack,
     State,
-    expectation_matrices,
     flip_rows,
 )
 # not called here since pair_residuals took the residual loops; perfbench's
@@ -58,6 +57,7 @@ from .process import (
     kc_consistency,
     pair_residuals,
     split_residuals,
+    trailing_products,
     triples,
 )
 
@@ -145,6 +145,24 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
     return split_residuals(family, split, f"{label}-{family.kind}")
 
 
+def _split_table(table: ResidualTable, label: str, family: Family, what: str):
+    """(s, tau, t), the gaps, and ``family``'s map norms at (s, t), (s, tau) and (tau, t) of
+    ``table``, a table labelled ``label`` over every split of the horizon; else it is not ``what``.
+    """
+    if table.label != label or set(table.entries) != set(triples(family.horizon)):
+        raise ValueError(f"{table.label!r} is not {what}")
+    s, tau, t = np.array(list(table.entries), dtype=int).reshape(-1, 3).T
+    at, norms = family.maps.index, family.map_norms
+    whole, left, right = (norms[[at[key] for key in zip(a, b)]]
+                          for a, b in ((s, t), (s, tau), (tau, t)))
+    return (s, tau, t), np.array(list(table.entries.values())), (whole, left, right)
+
+
+def _trailing_norms(family: Family) -> np.ndarray:
+    """||rho_t||_F of a factored family, or 1, by t (:meth:`Family.trailing_norm`)."""
+    return np.array([family.trailing_norm(t) for t in range(family.horizon + 1)])
+
+
 def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
     """:func:`check_markov` of the H or h built from the lattice whose kc table is ``kc``.
 
@@ -154,12 +172,12 @@ def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
     each entry is the kc entry times ||rho_t||_F, bit for bit.
     """
     ptype = {"H": "A", "h": "B"}.get(family.kind)
-    if kc.label != f"kc-type-{ptype}" or set(kc.entries) != set(triples(family.horizon)):
-        raise ValueError(f"{kc.label!r} is not the kc table of a lattice an {family.kind} "
-                         f"family can share")
+    (_, _, t), gaps, _ = _split_table(kc, f"kc-type-{ptype}", family,
+                                      f"the kc table of a lattice an {family.kind} family "
+                                      f"can share")
     label = "doubled-composition" if family.kind == "h" else "markov"
-    return ResidualTable({key: family.trailing_norm(key[-1]) * value
-                          for key, value in kc.entries.items()}, f"{label}-{family.kind}")
+    return ResidualTable(dict(zip(kc.entries, (_trailing_norms(family)[t] * gaps).tolist())),
+                         f"{label}-{family.kind}")
 
 
 def composition_from_q(family: Family, q_family: Family, q_table: ResidualTable) -> ResidualTable:
@@ -172,16 +190,9 @@ def composition_from_q(family: Family, q_family: Family, q_table: ResidualTable)
     """
     if not family.stores_q or family.maps is not q_family.maps:
         return check_markov(family)
-    if q_table.label != "markov-Q" or set(q_table.entries) != set(triples(family.horizon)):
-        raise ValueError(f"{q_table.label!r} is not the Markov table of the Q whose maps "
-                         f"{family.kind} stores")
-    s, tau, t = np.array(list(q_table.entries), dtype=int).reshape(-1, 3).T
-    at, norms = family.maps.index, family.map_norms
-    whole, left, right = (norms[[at[key] for key in zip(a, b)]]
-                          for a, b in ((s, t), (s, tau), (tau, t)))
-    scale = family.lead_norm * np.array([family.trailing_norm(k)
-                                         for k in range(family.horizon + 1)])[t]
-    gaps = np.array(list(q_table.entries.values()))
+    (_, tau, t), gaps, (whole, left, right) = _split_table(
+        q_table, "markov-Q", family, f"the Markov table of the Q whose maps {family.kind} stores")
+    scale = family.lead_norm * _trailing_norms(family)[t]
     drift = np.abs(1 - family.slot_scales[tau])
     bound = scale * (gaps + drift * left * right + ROUNDING * whole)
     return ResidualTable(dict(zip(q_table.entries, bound.tolist())), f"markov-{family.kind}")
@@ -239,7 +250,8 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     phi_t = omega_0 after Q^{0,t} on the predual side. A :func:`derived_pair` takes the exchange
     in closed form (:func:`_exchange_bound`); any other pair sweeps it, one
     :func:`qqsp.process.conditioned_products` call for each chunk's E_{psi_s} H^{s,t} and one
-    placement of its E_{phi_t} and of H's trailing E_{omega_t}.
+    :func:`qqsp.process.trailing_products` call for its E_{phi_t} and for H's trailing
+    E_{omega_t}.
     """
     if q_family.n != h_family.n:
         raise ValueError("families live on different algebras")
@@ -259,10 +271,10 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
 
     def exchanged(part):   # E_{psi_s} H^{s,t}, followed by H's trailing factor E_{omega_t}
         stack = conditioned_products(rebuilt.rhos[ss[part]], cores[part])
-        return np.matmul(stack, expectation_matrices(h_family.rhos[ts[part]]))
+        return trailing_products(stack, h_family.rhos[ts[part]])
 
     def intertwined(part):   # Q^{s,t} E_{phi_t}
-        return np.matmul(q_family.maps.array[part], expectation_matrices(phi_rhos[ts[part]]))
+        return trailing_products(q_family.maps.array[part], phi_rhos[ts[part]])
 
     side = h_family.n * h_family.n
     if derived_pair(q_family, h_family, rebuilt):
@@ -289,7 +301,7 @@ def _exchange_bound(q_family: Family, h_family: Family, rebuilt: Family,
     """
     c, d = _psi_drift(h_family, rebuilt)
     ss, ts = np.array(h_family.pairs()).T
-    rho_norms = np.array([h_family.trailing_norm(t) for t in range(h_family.horizon + 1)])[ts]
+    rho_norms = _trailing_norms(h_family)[ts]
     shift = np.linalg.norm(c[ss, None, None] * h_family.rhos[ts] - phi_rhos[ts], axis=(1, 2))
     qs, cores = q_family.map_norms, h_family.map_norms
     return _by_pair(h_family, qs * shift + d[ss] * cores * rho_norms
@@ -374,16 +386,11 @@ def rebuilt_kc(q_family: Family, h_family: Family, rebuilt: Family,
     if kc is None or not derived_pair(q_family, h_family, rebuilt):
         return kc_consistency(rebuilt)
     law = rebuilt.process_type
-    if kc.label != f"kc-type-{law}" or set(kc.entries) != set(triples(h_family.horizon)):
-        raise ValueError(f"{kc.label!r} is not the kc table of a type-{law} lattice on "
-                         f"{h_family.kind}'s cores")
+    (s, tau, t), gaps, (whole, left, right) = _split_table(
+        kc, f"kc-type-{law}", h_family, f"the kc table of a type-{law} lattice on "
+                                        f"{h_family.kind}'s cores")
     c, d = _psi_drift(h_family, rebuilt)
     ac, at = np.abs(c), h_family.maps.index
-    s, tau, t = np.array(list(kc.entries), dtype=int).reshape(-1, 3).T
-    gaps = np.array(list(kc.entries.values()))
-    cores = h_family.map_norms
-    whole, left, right = (cores[[at[key] for key in zip(a, b)]]
-                          for a, b in ((s, t), (s, tau), (tau, t)))
     if law == "A":
         k = c[tau] ** 2
         spread = ac[tau] * ac[t] * d[tau] * left * right

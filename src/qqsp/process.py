@@ -8,8 +8,9 @@ The lattice and its marginals share one type, :class:`Family`, which holds
 its maps as one array; the trajectory's conditional expectations E_{omega_t} are
 placed from the states as they are read, and no array of them is kept.
 
-Every product E_rho F is formed by :func:`conditioned_products`, every computed state by
-:func:`carried_images` and :func:`computed_states`, and every split product by
+Every product E_rho F is formed by :func:`conditioned_products` and every F E_rho by
+:func:`trailing_products`, every computed state by :func:`carried_images` and
+:func:`computed_states`, and every split product by
 :func:`fundamental_products` under one of three laws: A, the type-A fundamental equation;
 B, the type-B one with Q = E_{omega_s} C^{s,tau}; plain, C^{s,tau} C^{tau,t}.
 :func:`propagate` fills the lattice with it and :func:`split_residuals` measures it.
@@ -300,17 +301,18 @@ def computed_states(rhos, quantity, first_t: int = 1) -> tuple[State, ...]:
         raise ValidationFailure(f"computed state {name} at t={t} is not a state: {exc}") from exc
 
 
-def computed_state(rho, quantity: str, t: int) -> State:
-    """One state the pipeline computed; see :func:`computed_states`."""
-    return computed_states(np.asarray(rho)[None], quantity, t)[0]
-
-
 def conditioned_products(rhos, maps) -> np.ndarray:
     """The stack of E_{rho_k} F_k over k densities (k, n, n) and k (n^4, m) maps.
 
     Each E is placed from its density and each product is one gemm, with the bits of E @ F.
     """
     return stacked_products(expectation_matrices(rhos), maps)
+
+
+def trailing_products(maps, rhos) -> np.ndarray:
+    """The stack of F_k E_{rho_k} over k (m, n^2) maps and k densities (k, n, n): each E
+    placed from its density, all products one batched matmul."""
+    return np.matmul(maps, expectation_matrices(rhos))
 
 
 def carried_images(maps, rhos, keys=None) -> np.ndarray:

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +82,21 @@ def complex_matrix_to_pairs(m: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def is_number(x) -> bool:
+    """Whether ``x`` is a real number; JSON's true and false are not."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _entry(v) -> complex:
+    if len(v) != 2 or not all(map(is_number, v)):   # [re, im], nothing dropped, no bool
+        raise ValueError(f"entry {v!r} is not two numbers")
+    return complex(v[0], v[1])
+
+
 def pairs_to_complex_matrix(rows) -> np.ndarray:
     try:
-        m = np.array([[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
+        m = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"expected rows of [re, im] pairs ({exc})") from exc
     if not np.isfinite(m).all():   # json accepts NaN and Infinity
         raise ValueError("entries must be finite numbers")
@@ -108,9 +120,6 @@ class Report:
     @property
     def name(self) -> str:
         return self.scenario_echo.get("name", "scenario")
-
-    def to_document(self) -> dict:
-        return json.loads(self.to_structured_text())
 
     def to_structured_text(self) -> str:
         """The report document as sorted, indented JSON, as ``json.dumps`` writes it."""
@@ -197,8 +206,3 @@ def emit_report(report: Report, out_dir, fmt: str = "structured") -> list[Path]:
                      for stage, kib in report.peak_rss_kib.items()]
     _write(timing_path, "\n".join(timing_lines) + "\n" if timing_lines else "")
     return written
-
-
-def load_structured(path) -> dict:
-    """Round-trip partner of :meth:`Report.to_structured_text`."""
-    return json.loads(Path(path).read_text())

@@ -23,6 +23,7 @@ from .classical import (
     ClassicalQSP,
     classical_validate,
     copy_second_parent_tensor,
+    diagonal_layout,
     lift_to_quantum,
     mendel_tensor,
     require_valid_tensors,
@@ -56,7 +57,7 @@ from .process import (
     seed_diagnostics,
     seed_issues,
 )
-from .report import Report, complex_matrix_to_pairs, pairs_to_complex_matrix
+from .report import Report, complex_matrix_to_pairs, is_number, pairs_to_complex_matrix
 from .seeds import (
     constant_step_map,
     entangling_mixed_step_map,
@@ -211,8 +212,7 @@ def parse_scenario(data: dict) -> Scenario:
                             f"{LATTICE_BYTES >> 20} MiB one lattice may take")
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v >= 0 for v in tolerances.values()):
+            is_number(v) and math.isfinite(v) and v >= 0 for v in tolerances.values()):
         raise ScenarioError(f"{name}.tolerances: expected an object of finite numbers >= 0, "
                             f"got {tolerances!r}")
     for key in tolerances:
@@ -244,7 +244,7 @@ _NUMBER_RULES = {
 def _number(data: dict, key: str, default, kind, where: str):
     """A JSON number as ``kind``; bools, strings and, for ints, fractions are refused."""
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{where}.{key}: expected an integer, got {value!r}")
@@ -295,11 +295,14 @@ def scenario_from_file(path) -> Scenario:
 
 
 def _finite_array(value, where: str) -> np.ndarray:
-    """A JSON array of finite real numbers; json accepts NaN and Infinity, this does not."""
+    """A JSON array of finite real numbers; json accepts NaN and Infinity, and numpy reads
+    true, false and numeric strings as numbers: this does not."""
     try:
         array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: expected an array of numbers ({exc})") from exc
+    if not all(map(is_number, np.asarray(value, dtype=object).flat)):
+        raise ScenarioError(f"{where}: entries must be numbers, not true, false or strings")
     if not np.isfinite(array).all():
         raise ScenarioError(f"{where}: entries must be finite numbers")
     return array
@@ -431,7 +434,8 @@ def _resolve_seed(sc: Scenario):
                     f"{where}.step_maps[{k}]: shape {m.shape} != ({n ** 4}, {n ** 2})")
             if diagonal:   # a map of the diagonal algebra: E_ii to a diagonal element, E_ij to 0
                 kept = np.zeros(m.shape, dtype=bool)
-                kept[::n * n + 1, ::n + 1] = True
+                rows, cols = diagonal_layout(n)
+                kept[rows[:, None], cols] = True
                 bad = np.flatnonzero(np.any((m != 0) & ~kept, axis=0))
                 if bad.size:
                     i, j = bad[0] % n, bad[0] // n   # column i + n j is vec E_ij
@@ -439,13 +443,9 @@ def _resolve_seed(sc: Scenario):
                         f"{where}.step_maps[{k}]: the image of E_{i}{j} is "
                         f"{'not diagonal' if i == j else 'not 0'}, as a diagonal algebra requires")
             maps.append(SuperMap(n, n * n, m))
-        if len(maps) == 1:
-            seed = QQSPSeed.from_single_map(maps[0], omega0, sc.horizon, sc.process_type,
-                                            algebra_kind=sc.algebra_kind)
-        else:
-            seed = QQSPSeed(tuple(maps), omega0, sc.process_type,
-                            algebra_kind=sc.algebra_kind)
-        return seed, None
+        # one map serves every step, as QQSPSeed.from_single_map holds it
+        return QQSPSeed(tuple(maps) * (sc.horizon // len(maps)), omega0, sc.process_type,
+                        algebra_kind=sc.algebra_kind), None
     raise ScenarioError(f"{where}: expected 'builtin', 'classical' or 'step_maps'")
 
 
@@ -542,10 +542,7 @@ class _PipelineState:
         self.families: dict = {}
         self.classical: ClassicalQSP | None = None
         self.rebuilt: Family | None = None   # the lattice rebuilt from (Q, H), once checked
-        self.kc: ResidualTable | None = None    # the kc stage's table, which H/h's law reuses
-        # slices.reconstruction_slot: ||H^{s,t} embed - P^{s,t}||, the reconstruct
-        # stage's max_map_deviation (the rebuilt maps are H^{s,t} embed)
-        self.map_deviation: float | None = None
+        self.kc: ResidualTable | None = None   # formed once, by kc or by marginals
 
 
 def run_scenario(sc: Scenario, mode: str | None = None,
@@ -571,20 +568,6 @@ def run_scenario(sc: Scenario, mode: str | None = None,
         report.timings[stage] = time.perf_counter() - started
         report.peak_rss_kib[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return report
-
-
-def run_scenario_file(path, out_dir=".", fmt: str = "structured",
-                      mode: str | None = None, seed: int | None = None):
-    """Parse a scenario file, run it, and emit its report files.
-
-    Returns (Report, written paths). Convenience wrapper around
-    :func:`scenario_from_file`, :func:`run_scenario` and
-    :func:`qqsp.report.emit_report`.
-    """
-    from .report import emit_report
-
-    report = run_scenario(scenario_from_file(path), mode=mode, seed=seed)
-    return report, emit_report(report, out_dir, fmt)
 
 
 def _stage_validate(sc, seed, ctx, report):
@@ -627,7 +610,7 @@ def _stage_propagate(sc, seed, ctx, report):
 
 
 def _stage_kc(sc, seed, ctx, report):
-    table = ctx.kc = kc_consistency(ctx.lattice)
+    table = ctx.kc = ctx.kc or kc_consistency(ctx.lattice)
     report.stages["kc"] = _table_dict(table)
     report.verdicts["kc_ok"] = table.ok(sc.tolerances["kc"])
 
@@ -644,8 +627,8 @@ def _stage_marginals(sc, seed, ctx, report):
     ctx.families = {"Q": q, hh.kind: hh, zz.kind: zz}
     out = {"kinds": sorted(ctx.families)}
     # H/h's table is the kc table's, and Z/z's is bounded from Q's
-    tables = {"Q": check_markov(q)}
-    tables[hh.kind] = check_markov(hh) if ctx.kc is None else composition_from_kc(ctx.kc, hh)
+    ctx.kc = ctx.kc or kc_consistency(lat)
+    tables = {"Q": check_markov(q), hh.kind: composition_from_kc(ctx.kc, hh)}
     tables[zz.kind] = composition_from_q(zz, q, tables["Q"])
     for kind, table in tables.items():
         out[f"composition_{kind}"] = _table_dict(table)
@@ -653,7 +636,6 @@ def _stage_marginals(sc, seed, ctx, report):
     if "h" in ctx.families:
         out["plain_markov_h"] = _table_dict(check_markov(ctx.families["h"], law="plain"))
     out["slices"] = slice_residuals(lat, q, hh, zz)
-    ctx.map_deviation = out["slices"]["reconstruction_slot"]
     report.stages["marginals"] = out
     report.verdicts["composition_ok"] = worst <= sc.tolerances["markov"]
 
@@ -682,8 +664,8 @@ def _stage_reconstruct(sc, seed, ctx, report):
     if rec is None:   # no axioms stage has checked the pair
         rec = reconstruct_qqsp(q, hh, lat.omega(0), lat.process_type,
                                strict=sc.mode == "strict", tol=sc.tolerances["axiom"])
-    deviation = ctx.map_deviation
-    ctx.kc = ctx.kc or kc_consistency(lat)   # the lattice's own pair reads its bounds off it
+    # the rebuilt maps are H^{s,t} embed: ||H^{s,t} embed - P^{s,t}|| is the reconstruction slot
+    deviation = report.stages["marginals"]["slices"]["reconstruction_slot"]
     out = {
         "max_map_deviation": deviation,
         "conclusion_b_residual": conclusion_b_residuals(q, hh, rec).max_residual,

@@ -11,7 +11,7 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from qqsp.algebra import AlgebraElement, SuperMap, as_matrix, expectation_supermaps  # noqa: E402
+from qqsp.algebra import AlgebraElement, SuperMap, as_matrix, expectation_supermap  # noqa: E402
 from qqsp.linalg import matrix_unit, swap_matrix, unit_tensor_matrix  # noqa: E402
 
 
@@ -68,7 +68,7 @@ def expectations(family):
 
     The library keeps no such trajectory; tests use it as the reference route.
     """
-    return expectation_supermaps(np.array([w.rho for w in family.omegas]))
+    return tuple(map(expectation_supermap, family.omegas))
 
 
 def core(family, s, t):

@@ -494,11 +494,13 @@ def _per_matrix_state_rho(m):
     if skew > 1e-12 * max(1.0, float(np.linalg.norm(m))):
         raise ValueError(f"density matrix is not hermitian (defect {skew:.2e})")
     m = (m + m.conj().T) / 2
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix's hermitian part overflows")
     tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > 1e-12:
+    if not abs(tr - 1.0) <= 1e-12:
         raise ValueError(f"density matrix trace {tr!r} is not 1")
     lo = float(np.linalg.eigvalsh(m).min())
-    if lo < -1e-12:
+    if not lo >= -1e-12:
         raise ValueError(f"density matrix has eigenvalue {lo:.2e} < -1e-12")
     return m
 
@@ -521,6 +523,11 @@ def _density_cases():
         "trace-off-5e-13": np.diag([0.5 + 5e-13, 0.3, 0.2]).astype(complex),
         "eigenvalue-minus-1e-11": np.diag([0.6 + 1e-11, 0.4, -1e-11]).astype(complex),
         "eigenvalue-minus-1e-13": np.diag([0.6 + 1e-13, 0.4, -1e-13]).astype(complex),
+        # finite, but the hermitian part overflows: its trace is NaN, which passed the trace
+        # and eigenvalue bounds, or an eigvalsh of it raised LinAlgError
+        "overflowing-trace": np.diag([1e308, -1e308, 1.0]).astype(complex),
+        "overflowing-off-diagonal": np.array([[0.5, 1e308, 0], [1e308, 0.5, 0], [0, 0, 0]],
+                                             dtype=complex),
     }
 
 

@@ -14,8 +14,8 @@ from qqsp.algebra import (
     ScaledMapStack,
     State,
     SuperMap,
+    expectation_matrices,
     expectation_supermap,
-    expectation_supermaps,
     predual,
 )
 from qqsp.classical import ClassicalQSP, lift_to_quantum, volterra_tensor
@@ -35,7 +35,7 @@ from qqsp.process import (
     Family,
     QQSPSeed,
     ValidationFailure,
-    computed_state,
+    computed_states,
     propagate,
 )
 from qqsp.scenarios import builtin_scenarios, parse_scenario, run_scenario
@@ -345,17 +345,19 @@ def test_a_full_run_stays_under_two_lattice_arrays():
 # ------------------------------------------------ carried states, one row a call
 
 def test_expectation_supermaps_equal_the_stack_of_ones(rng):
-    # against the one-state construction Tr_1[(rho (x) 1) z] written out
+    # the stacked matrices against each state's supermap and against the one-state
+    # construction Tr_1[(rho (x) 1) z] written out
     n = 3
     states = [State(random_density(rng, n)) for _ in range(4)]
-    stacked = expectation_supermaps(np.array([w.rho for w in states]))
-    for state, m in zip(states, stacked):
+    stacked = expectation_matrices(np.array([w.rho for w in states]))
+    assert stacked.shape == (len(states), n * n, n ** 4)
+    for state, matrix in zip(states, stacked):
         t = np.einsum("ae,xb,yd->xyebad", state.rho, np.eye(n), np.eye(n))
         one = SuperMap(n * n, n, unit_tensor_matrix(t.reshape(n, n, n * n, n * n)))
+        m = expectation_supermap(state)
         assert (m.in_dim, m.out_dim) == (one.in_dim, one.out_dim)
-        assert m.matrix.tobytes() == one.matrix.tobytes()
+        assert m.matrix.tobytes() == matrix.tobytes() == one.matrix.tobytes()
         assert m.matrix.flags.c_contiguous and not m.matrix.flags.writeable
-        assert expectation_supermap(state).matrix.tobytes() == one.matrix.tobytes()
 
 
 @pytest.mark.parametrize("make", [lambda: _lattice(3, "B"),
@@ -378,9 +380,9 @@ def test_carried_states_equal_the_per_state_loop(monkeypatch, make):
     state_consistency_residual(q)
     assert len(rows) == 1   # one check for every pair
     got = [w.rho.tobytes() for states in rows for w in states]
-    monkeypatch.undo()   # computed_state below goes through the same check
-    want = [computed_state(predual(q.map(s, t))(q.omega(s).rho), "carried", t).rho.tobytes()
-            for s, t in q.pairs()]
+    monkeypatch.undo()   # computed_states below is the same check
+    want = [computed_states([predual(q.map(s, t))(q.omega(s).rho)], "carried", t)[0]
+            .rho.tobytes() for s, t in q.pairs()]
     assert got == want
 
 
@@ -394,7 +396,8 @@ def test_a_carried_state_that_fails_is_named_as_before():
         state_consistency_residual(bad)
     with pytest.raises(ValidationFailure) as one_at_a_time:
         for s, t in bad.pairs():
-            computed_state(predual(bad.map(s, t))(bad.omega(s).rho), f"Q^{{{s},t}}_* omega_{s}", t)
+            computed_states([predual(bad.map(s, t))(bad.omega(s).rho)],
+                            f"Q^{{{s},t}}_* omega_{s}", t)
     assert str(stacked.value) == str(one_at_a_time.value)
     assert "Q^{0,t}_* omega_0 at t=3" in str(stacked.value)
 
@@ -417,8 +420,8 @@ def test_a_carried_state_that_fails_in_a_chunk_across_rows_is_named_by_its_pair(
         state_consistency_residual(spoiled)
     with pytest.raises(ValidationFailure) as one_at_a_time:
         for s, t in pairs:
-            computed_state(predual(spoiled.map(s, t))(spoiled.omega(s).rho),
-                           f"Q^{{{s},t}}_* omega_{s}", t)
+            computed_states([predual(spoiled.map(s, t))(spoiled.omega(s).rho)],
+                            f"Q^{{{s},t}}_* omega_{s}", t)
     s, t = bad
     assert str(stacked.value) == str(one_at_a_time.value)
     assert f"Q^{{{s},t}}_* omega_{s} at t={t} " in str(stacked.value)
@@ -473,7 +476,6 @@ def test_one_walk_report_equals_the_two_walk_path(source):
         report = run_scenario(sc, seed=1)
         text = report.to_structured_text()
         assert text == _two_walk_text(report), sc.name
-        assert report.to_document() == json.loads(text)
 
 
 def test_numpy_scalars_serialize_as_their_python_values():

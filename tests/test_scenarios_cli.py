@@ -18,12 +18,11 @@ from qqsp.algebra import SuperMap
 from qqsp.cli import main
 from qqsp.linalg import chunks
 from qqsp.marginal import build_H, build_Q, reconstruct_qqsp
-from qqsp.process import ValidationFailure, computed_state, computed_states, propagate
+from qqsp.process import ValidationFailure, computed_states, propagate
 from qqsp.report import (
     CSV_HEADER,
     complex_matrix_to_pairs,
     emit_report,
-    load_structured,
     pairs_to_complex_matrix,
 )
 from qqsp.scenarios import (
@@ -259,7 +258,7 @@ def test_each_quantity_is_computed_once(monkeypatch):
     defining = {"verify_marginal_axioms": "qqsp.marginal", "build_Q": "qqsp.marginal",
                 "reconstruct_qqsp": "qqsp.marginal", "_resolve_seed": "qqsp.scenarios",
                 "certify_unital_cp": "qqsp.algebra", "expectation_supermap": "qqsp.algebra",
-                "expectation_supermaps": "qqsp.algebra", "expectation_matrices": "qqsp.algebra"}
+                "expectation_matrices": "qqsp.algebra"}
     for name, module_name in defining.items():
         original = getattr(importlib.import_module(module_name), name)
 
@@ -283,7 +282,7 @@ def test_each_quantity_is_computed_once(monkeypatch):
     # rank one. The pair is the lattice's own, so the exchange table and the rebuilt
     # lattice's conclusion-b and kc are closed forms and place no E_{psi_s} or E_{phi_t};
     # the absorption and state-consistency tables place none either: each gap is E of a
-    # difference of states. expectation_supermap(s) form none of them
+    # difference of states. expectation_supermap forms none of them
     n = sc.dim
     rows = sum(1 + len(chunks(t - 1, 16 * n ** 6)) for t in range(1, T + 1))
     assert rows == 2 * T - 1
@@ -307,7 +306,6 @@ def test_explicit_pair_ensemble_scenario():
 def test_explicit_classical_tensor_scenario(tmp_path):
     # tensors travel as dense row-major real arrays inside the scenario file
     from qqsp.classical import volterra_tensor
-    from qqsp.scenarios import run_scenario_file
 
     data = {
         "name": "volterra-explicit",
@@ -320,7 +318,8 @@ def test_explicit_classical_tensor_scenario(tmp_path):
     }
     path = tmp_path / "volterra-explicit.json"
     path.write_text(json.dumps(data))
-    report, files = run_scenario_file(path, tmp_path / "out")
+    report = run_scenario(scenario_from_file(path))
+    files = emit_report(report, tmp_path / "out")
     assert report.verdicts["seed_valid"]
     assert report.verdicts["kc_ok"]
     assert files[0].name == "volterra-explicit.report.json"
@@ -337,7 +336,7 @@ def test_structured_report_round_trips(tmp_path):
     report = run_scenario(builtin_scenarios()["constant-n2"])
     files = emit_report(report, tmp_path, "structured")
     assert len(files) == 1
-    assert load_structured(files[0]) == report.to_document()
+    assert json.loads(files[0].read_text()) == json.loads(report.to_structured_text())
 
 
 def test_csv_bundle_row_contract(tmp_path):
@@ -357,7 +356,7 @@ def test_timings_are_sidecar_only(tmp_path):
     files = emit_report(report, tmp_path, "structured")
     assert (tmp_path / "constant-n2.timings.txt").exists()
     assert all("timings" not in p.name for p in files)
-    assert "timings" not in load_structured(files[0])
+    assert "timings" not in json.loads(files[0].read_text())
 
 
 def test_the_sidecar_gives_each_stage_its_seconds_and_its_peak_rss(tmp_path):
@@ -427,7 +426,8 @@ def test_in_process_runs_each_report_their_own_mode(tmp_path):
     for mode in ("strict", "permissive"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["run", str(path), "--out-dir", str(tmp_path / mode), f"--{mode}"]) == 0
-        assert load_structured(tmp_path / mode / "constant-n2.report.json")["run"]["mode"] == mode
+        text = (tmp_path / mode / "constant-n2.report.json").read_text()
+        assert json.loads(text)["run"]["mode"] == mode
 
 
 def test_cli_exit_2_on_malformed_scenario(tmp_path):
@@ -464,8 +464,8 @@ def test_cli_reads_a_scenario_file_as_utf8(tmp_path):
     path.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
     proc = run_cli("run", str(path), "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 0
-    assert load_structured(tmp_path / "out" / "caf\u00e9-n2.report.json")["scenario"]["name"] == (
-        "caf\u00e9-n2")
+    text = (tmp_path / "out" / "caf\u00e9-n2.report.json").read_text()
+    assert json.loads(text)["scenario"]["name"] == "caf\u00e9-n2"
 
 
 @pytest.mark.parametrize("field, value", [
@@ -637,6 +637,11 @@ def _non_finite_case(case: str) -> dict:
         m = mixed_step_map(2).matrix.copy()
         m[0, 0] = float("nan")
         return {**quantum, "seed": {"step_maps": [complex_matrix_to_pairs(m)]}}
+    if case == "diag-overflow":   # finite, but the hermitian part (m + m^dagger)/2 is not
+        return {**quantum, "initial_state": {"diag": [1e308, -1e308]}}
+    if case == "pair-overflow":
+        return {**quantum, "ensemble": {"pairs": [{"a": {"diag": [1e308, -1e308]},
+                                                   "b": {"diag": [1.0, 0.0]}}]}}
     if case == "pair-matrix-nan":
         rho = complex_matrix_to_pairs(np.diag([float("nan"), 0.5]))
         return {**quantum, "ensemble": {"pairs": [{"a": {"matrix": rho},
@@ -654,6 +659,8 @@ def _non_finite_case(case: str) -> dict:
     ("step-map-nan", "seed.step_maps[0]"),
     ("pair-matrix-nan", "ensemble.pairs[0]"),
     ("tensor-nan", "seed.classical.tensor"),
+    ("diag-overflow", "initial_state"),
+    ("pair-overflow", "ensemble.pairs[0].a"),
 ])
 def test_cli_exit_2_on_non_finite_input(tmp_path, capsys, mode, case, field):
     # each used to end in a LinAlgError traceback (exit 1) in some mode
@@ -662,6 +669,49 @@ def test_cli_exit_2_on_non_finite_input(tmp_path, capsys, mode, case, field):
     path.write_text(json.dumps(data))
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert f"{case}.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _entry_case(case: str) -> dict:
+    """A scenario with one matrix entry that is not an [re, im] pair of numbers, or one
+    array entry that is a bool."""
+    quantum = {"name": case, "algebra": {"kind": "full", "dim": 2}, "process_type": "A",
+               "horizon": 3, "seed": {"builtin": "mixed"},
+               "initial_state": {"diag": [0.5, 0.5]}}
+    rho = complex_matrix_to_pairs(np.diag([0.5, 0.5]))
+    three = [[[0.5, 0, 7], [0, 0]], rho[1]]
+    flags = [[[True, False], [0, 0]], [[0, 0], [0, 0]]]   # diag(1, 0) if true read as 1
+    step = complex_matrix_to_pairs(mixed_step_map(2).matrix)
+    step[0][0] = [0.5, 0, 7]
+    tensor = [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, True]]]
+    classical = {**quantum, "algebra": {"kind": "diagonal", "dim": 2}}
+    return {
+        "state-three-numbers": {**quantum, "initial_state": {"matrix": three}},
+        "state-bools": {**quantum, "initial_state": {"matrix": flags}},
+        "pair-three-numbers": {**quantum, "ensemble": {"pairs": [
+            {"a": {"matrix": three}, "b": {"diag": [1.0, 0.0]}}]}},
+        "step-map-three-numbers": {**quantum, "seed": {"step_maps": [step]}},
+        "diag-bool": {**quantum, "initial_state": {"diag": [True, 0.0]}},
+        "diag-string": {**quantum, "initial_state": {"diag": ["0.5", 0.5]}},
+        "tensor-bool": {**classical, "seed": {"classical": {"tensor": tensor}}},
+    }[case]
+
+
+@pytest.mark.parametrize("case, field", [
+    ("state-three-numbers", "initial_state"),
+    ("state-bools", "initial_state"),
+    ("pair-three-numbers", "ensemble.pairs[0].a"),
+    ("step-map-three-numbers", "seed.step_maps[0]"),
+    ("diag-bool", "initial_state.diag"),
+    ("diag-string", "initial_state.diag"),
+    ("tensor-bool", "seed.classical.tensor"),
+])
+def test_cli_exit_2_on_an_entry_that_is_not_a_number(tmp_path, capsys, case, field):
+    # each ran with exit 0: [0.5, 0, 7] read as 0.5, [true, false] as 1 and "0.5" as 0.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_entry_case(case)))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{case}.{field}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -749,8 +799,8 @@ def test_cli_exit_3_on_computed_non_state(tmp_path, capsys):
 def test_computed_state_failure_is_a_validation_failure():
     # in either mode: the helper has no mode to consult
     with pytest.raises(ValidationFailure, match="phi_t at t=3"):
-        computed_state(np.diag([0.5, 0.5 - 1e-11]), "phi_t", 3)
-    assert computed_state(np.diag([0.25, 0.75]), "phi_t", 3).dim == 2
+        computed_states([np.diag([0.5, 0.5 - 1e-11])], "phi_t", 3)
+    assert computed_states([np.diag([0.25, 0.75])], "phi_t", 3)[0].dim == 2
 
 
 def test_stacked_computed_states_name_the_first_failing_t():
@@ -759,7 +809,8 @@ def test_stacked_computed_states_name_the_first_failing_t():
                                                 "trace"):
         computed_states([good, good, bad, bad], "psi_t", 1)
     states = computed_states([good, good], "psi_t", 1)
-    assert [x.rho.tobytes() for x in states] == [computed_state(good, "psi_t", 1).rho.tobytes()] * 2
+    assert [x.rho.tobytes() for x in states] == [computed_states([good], "psi_t", 1)[0]
+                                                 .rho.tobytes()] * 2
 
 
 def test_a_failing_phi_is_named_by_its_t(monkeypatch):

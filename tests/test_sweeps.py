@@ -1,5 +1,7 @@
 """Stacked residual sweeps against per-gap loops, Gram operator norms, op-count pins."""
 
+import json
+import sys
 from functools import partial
 
 import numpy as np
@@ -545,7 +547,7 @@ def test_map_deviation_is_the_rebuilt_lattice_against_p(builtin, ptype, stages):
     assert _close(deviation, dense)
 
 
-def test_marginals_without_kc_check_the_law_directly(monkeypatch):
+def test_marginals_without_kc_read_h_off_the_kc_table(monkeypatch):
     import qqsp.scenarios
 
     kinds = []
@@ -559,14 +561,40 @@ def test_marginals_without_kc_check_the_law_directly(monkeypatch):
     doc = {"name": "mixed-n2-T5-B", "algebra": {"kind": "full", "dim": 2},
            "process_type": "B", "horizon": 5, "seed": {"builtin": "entangling-mixed"},
            "initial_state": {"diag": [0.7, 0.3]}}
-    with_kc = run_scenario(parse_scenario({**doc, "pipeline": ["propagate", "kc",
-                                                               "marginals"]}))
-    # h's native table is the kc table's and z's is bounded from Q's: h's plain law only
-    assert sorted(kinds) == ["Q", "h"]
-    kinds.clear()
-    without_kc = run_scenario(parse_scenario({**doc, "pipeline": ["propagate", "marginals"]}))
-    assert sorted(kinds) == ["Q", "h", "h"]
-    assert with_kc.stages["marginals"] == without_kc.stages["marginals"]
+    reports = []
+    for pipeline in (["propagate", "kc", "marginals"], ["propagate", "marginals"]):
+        reports.append(run_scenario(parse_scenario({**doc, "pipeline": pipeline})))
+        # h's native table is the kc table's and z's is bounded from Q's: h's plain law only
+        assert sorted(kinds) == ["Q", "h"]
+        kinds.clear()
+    assert reports[0].stages["marginals"] == reports[1].stages["marginals"]
+
+
+@pytest.mark.parametrize("name", ["mixed-n2-T12-A", "mixed-n2-T12-B"])
+def test_a_pipeline_without_a_kc_stage_forms_one_kc_table(monkeypatch, name):
+    # the marginals stage forms the kc table that H/h's law and the rebuilt lattice's kc
+    # bound read; every number is the full pipeline's, bit for bit
+    sc = byteid_scenarios()[name]
+    full = run_scenario(sc)
+    calls = []
+    original = kc_consistency
+
+    def counted(lattice):
+        calls.append(lattice)
+        return original(lattice)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("qqsp")]:
+        if getattr(module, "kc_consistency", None) is original:
+            monkeypatch.setattr(module, "kc_consistency", counted)
+    short = run_scenario(parse_scenario({**sc.to_dict(),
+                                         "pipeline": ["propagate", "marginals", "reconstruct"]}))
+    assert len(calls) == 1
+    assert sc.mode == "strict" and "kc" in sc.pipeline and "kc" not in short.stages
+    kind = "H" if sc.process_type == "A" else "h"
+    for stage, key in (("marginals", f"composition_{kind}"),
+                       ("reconstruct", "fundamental_equation_max"),
+                       ("reconstruct", "conclusion_b_residual")):
+        assert json.dumps(short.stages[stage][key]) == json.dumps(full.stages[stage][key])
 
 
 # ------------------------------- factored identities against today's dense sweeps
