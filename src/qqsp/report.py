@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +82,8 @@ def complex_matrix_to_pairs(m: np.ndarray):
 
 
 def is_number(x) -> bool:
-    """Whether ``x`` is a real number; JSON's true and false are not."""
-    return isinstance(x, Real) and not isinstance(x, bool)
+    """Whether ``x`` is a JSON number: an int or a float, and not true or false."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _entry(v) -> complex:
