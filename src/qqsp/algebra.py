@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -123,16 +123,18 @@ def _hermitian_densities(stack: Array) -> Array:
     if not finite.all():
         reject(~finite.all(axis=(1, 2)), lambda i: "density matrix has non-finite entries")
     adjoint = np.conj(m).transpose(0, 2, 1)
-    skew = frobenius_norms(m - adjoint)
-    bound = HERMITICITY_TOL * np.maximum(1.0, frobenius_norms(m))
-    # the stacked norms sum in another order than one matrix's norm and can differ
-    # from it by an ulp, so the slices near the bound are settled one at a time
-    for i in np.flatnonzero(np.abs(skew - bound) <= 1e-9 * bound):
-        skew[i] = hermiticity_defect(m[i])
-        bound[i] = HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m[i])))
-    reject(skew > bound, lambda i: "density matrix is not hermitian "
-                                   f"(defect {hermiticity_defect(m[i]):.2e})")
-    m = (m + adjoint[:len(m)]) / 2   # overflows above ~9e307; the bounds below fail on NaN
+    # entries above ~9e307 overflow the norms and the hermitian part, which the checks refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = frobenius_norms(m - adjoint)
+        bound = HERMITICITY_TOL * np.maximum(1.0, frobenius_norms(m))
+        # the stacked norms sum in another order than one matrix's norm and can differ
+        # from it by an ulp, so the slices near the bound are settled one at a time
+        for i in np.flatnonzero(np.abs(skew - bound) <= 1e-9 * bound):
+            skew[i] = hermiticity_defect(m[i])
+            bound[i] = HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m[i])))
+        reject(skew > bound, lambda i: "density matrix is not hermitian "
+                                       f"(defect {hermiticity_defect(m[i]):.2e})")
+        m = (m + adjoint[:len(m)]) / 2   # the bounds below fail on NaN
     reject(~np.isfinite(m).all(axis=(1, 2)), lambda i: "density matrix's hermitian part overflows")
     tr = np.real(np.trace(m, axis1=1, axis2=2))
     reject(~(np.abs(tr - 1.0) <= 1e-12),
@@ -264,17 +266,21 @@ class SuperMap:
 class MapStack(Mapping):
     """Maps of one shape as one read-only (K, out_dim^2, in_dim^2) array, keyed in ``order``.
 
-    ``x[key]`` is a SuperMap view of the row of ``key``; :meth:`rows` reads many keys as one
-    stack.
+    ``x[key]`` is a SuperMap view of the row of ``key``; :meth:`rows_at` reads many rows,
+    given by position, as one stack.
     """
 
     def __init__(self, array, order):
         self.array = np.ascontiguousarray(array, dtype=complex)
         self.array.setflags(write=False)
         self.order = tuple(order)
-        self.index = {key: i for i, key in enumerate(self.order)}
         self.out_dim, self.in_dim = (math.isqrt(d) for d in self.array.shape[1:])
         self.norms = None   # the maps' operator norms, which the first Family.map_norms takes
+
+    @cached_property
+    def index(self) -> dict:
+        """The row of each key, for reads by key."""
+        return {key: i for i, key in enumerate(self.order)}
 
     def __getitem__(self, key) -> SuperMap:
         return SuperMap(self.in_dim, self.out_dim, self.array[self.index[key]])
@@ -285,10 +291,9 @@ class MapStack(Mapping):
     def __len__(self) -> int:
         return len(self.order)
 
-    def rows(self, keys) -> Array:
-        """The rows of ``keys`` as one stack: a slice where they are consecutive, else one take."""
-        at = [self.index[key] for key in keys]
-        if at and at == list(range(at[0], at[0] + len(at))):
+    def rows_at(self, at) -> Array:
+        """The rows at the positions ``at``: a slice where they are consecutive, else one take."""
+        if len(at) and at[-1] - at[0] == len(at) - 1 and (np.diff(at) == 1).all():
             return self.array[at[0]:at[0] + len(at)]
         return self.array.take(at, axis=0)
 
@@ -296,17 +301,17 @@ class MapStack(Mapping):
 class ScaledMapStack(Mapping):
     """The maps c_k F_k of a :class:`MapStack` F, one factor per row, without a copy of F.
 
-    ``base`` is F itself; there is no array of the scaled maps. :meth:`rows` is the one
+    ``base`` is F itself; there is no array of the scaled maps. :meth:`rows_at` is the one
     read, and it scales each row as it is gathered; ``x[key]`` is a SuperMap of one row.
     """
 
     def __init__(self, base: MapStack, factors):
         self.base, self.factors = base, np.asarray(factors)
-        self.order, self.index = base.order, base.index
+        self.order = base.order
         self.in_dim, self.out_dim = base.in_dim, base.out_dim
 
     def __getitem__(self, key) -> SuperMap:
-        return SuperMap(self.in_dim, self.out_dim, self.rows([key])[0])
+        return SuperMap(self.in_dim, self.out_dim, self.rows_at([self.base.index[key]])[0])
 
     def __iter__(self):
         return iter(self.order)
@@ -314,10 +319,9 @@ class ScaledMapStack(Mapping):
     def __len__(self) -> int:
         return len(self.order)
 
-    def rows(self, keys) -> Array:
-        """c_k F_k for every key of ``keys``, as one fresh stack."""
-        at = [self.index[key] for key in keys]
-        return self.base.rows(keys) * self.factors[at][:, None, None]
+    def rows_at(self, at) -> Array:
+        """c_k F_k for every position k of ``at``, as one fresh stack."""
+        return self.base.rows_at(at) * self.factors[at][:, None, None]
 
 
 def predual(m: SuperMap) -> SuperMap:

@@ -232,7 +232,7 @@ def project_to_classical(lattice: Family, tol: float = 1e-12) -> ClassicalQSP:
     N, T = lattice.n, lattice.horizon
     pairs = lattice.pairs()
     diagonal, cols = diagonal_layout(N)
-    images = lattice.maps.rows(pairs)[:, :, cols]   # (pairs, N^4, N)
+    images = lattice.maps.rows_at(np.arange(len(pairs)))[:, :, cols]   # (pairs, N^4, N)
     off = np.abs(images)
     off[:, diagonal] = 0
     residuals = off.max(axis=1).reshape(-1)

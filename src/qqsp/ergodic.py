@@ -75,9 +75,9 @@ def _decay_gaps(runs, gaps) -> None:
     side, out_dim = source.maps.in_dim, source.maps.out_dim   # preduals land on M_side
     # one run's vectors are not copied again
     vecs = (vecs[0] if len(vecs) == 1 else np.concatenate(vecs)).reshape(2 * count, -1, 1)
-    keys = [(0, t) for t in range(1, source.horizon + 1)]
-    for part in chunks(len(keys), 16 * side * side * max(out_dim * out_dim, len(vecs))):
-        duals = predual_matrix(source.maps.rows(keys[part]), side, out_dim)
+    firsts = source.key_index.firsts   # the rows of P^{0,t}
+    for part in chunks(len(firsts), 16 * side * side * max(out_dim * out_dim, len(vecs))):
+        duals = predual_matrix(source.maps.rows_at(firsts[part]), side, out_dim)
         images = np.matmul(duals[:, None], vecs)   # [t][pair, phi or psi], one gemv each
         images = images.reshape(-1, count, 2, side, side)   # the transposed images
         np.subtract(images[:, :, 0], images[:, :, 1], out=gaps[part].transpose(0, 1, 3, 2))

@@ -58,7 +58,6 @@ from .process import (
     pair_residuals,
     split_residuals,
     trailing_products,
-    triples,
 )
 
 
@@ -147,15 +146,19 @@ def check_markov(family: Family, law: str = "native") -> ResidualTable:
 
 def _split_table(table: ResidualTable, label: str, family: Family, what: str):
     """(s, tau, t), the gaps, and ``family``'s map norms at (s, t), (s, tau) and (tau, t) of
-    ``table``, a table labelled ``label`` over every split of the horizon; else it is not ``what``.
+    ``table``, a table labelled ``label`` over the splits of ``family``'s :class:`KeyIndex`;
+    else it is not ``what``. A table in another order of those keys is read in the index's.
     """
-    if table.label != label or set(table.entries) != set(triples(family.horizon)):
+    index, keys, gaps = family.key_index, table.keys, table.values
+    same = keys is index.splits or keys == index.splits
+    if table.label != label or not same and set(keys) != set(index.splits):
         raise ValueError(f"{table.label!r} is not {what}")
-    s, tau, t = np.array(list(table.entries), dtype=int).reshape(-1, 3).T
-    at, norms = family.maps.index, family.map_norms
-    whole, left, right = (norms[[at[key] for key in zip(a, b)]]
-                          for a, b in ((s, t), (s, tau), (tau, t)))
-    return (s, tau, t), np.array(list(table.entries.values())), (whole, left, right)
+    if not same:
+        at = {key: i for i, key in enumerate(keys)}
+        gaps = gaps[[at[key] for key in index.splits]]
+    norms = family.map_norms
+    return ((index.s, index.tau, index.t), gaps,
+            (norms[index.whole], norms[index.left], norms[index.right]))
 
 
 def _trailing_norms(family: Family) -> np.ndarray:
@@ -176,7 +179,7 @@ def composition_from_kc(kc: ResidualTable, family: Family) -> ResidualTable:
                                       f"the kc table of a lattice an {family.kind} family "
                                       f"can share")
     label = "doubled-composition" if family.kind == "h" else "markov"
-    return ResidualTable(dict(zip(kc.entries, (_trailing_norms(family)[t] * gaps).tolist())),
+    return ResidualTable(family.key_index.splits, _trailing_norms(family)[t] * gaps,
                          f"{label}-{family.kind}")
 
 
@@ -195,7 +198,7 @@ def composition_from_q(family: Family, q_family: Family, q_table: ResidualTable)
     scale = family.lead_norm * _trailing_norms(family)[t]
     drift = np.abs(1 - family.slot_scales[tau])
     bound = scale * (gaps + drift * left * right + ROUNDING * whole)
-    return ResidualTable(dict(zip(q_table.entries, bound.tolist())), f"markov-{family.kind}")
+    return ResidualTable(family.key_index.splits, bound, f"markov-{family.kind}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,7 @@ def derived_pair(q_family: Family, h_family: Family, rebuilt: Family) -> bool:
     maps = rebuilt.maps
     return (q_family.maps is h_family.conditioned_maps and isinstance(maps, ScaledMapStack)
             and maps.base is h_family.maps
-            and np.array_equal(maps.factors, h_family.slot_scales[_times(h_family)]))
+            and np.array_equal(maps.factors, h_family.slot_scales[h_family.key_index.pair_t]))
 
 
 ROUNDING = 1.5 * np.finfo(float).eps   # per unit of operand scale: a bound >= its rounded sweep
@@ -255,15 +258,15 @@ def verify_marginal_axioms(q_family: Family, h_family: Family,
     """
     if q_family.n != h_family.n:
         raise ValueError("families live on different algebras")
-    if not set(q_family.maps) == set(h_family.maps) == set(rebuilt.maps):
+    orders = (q_family.maps.order, h_family.maps.order, rebuilt.maps.order)
+    if len(set(orders)) > 1 and len(set(map(frozenset, orders))) > 1:   # one order, or one set
         raise ValueError("families cover different (s, t) lattices")
     rho0 = rebuilt.omega(0).rho
-    firsts = [(0, t) for t in range(1, q_family.horizon + 1)]
-    phi_rhos = np.array([rho0, *(w.rho for w in carried_states(q_family.maps, rho0, "phi_t",
-                                                               1, keys=firsts))])
+    phi_rhos = np.array([rho0, *(w.rho for w in carried_states(
+        q_family.maps, rho0, "phi_t", 1, rows=q_family.key_index.firsts))])
     cores = h_family.maps.array   # H/h carry no lead, so their cores are the stored maps
     flip = flip_rows(h_family.n)
-    ss, ts = np.array(h_family.pairs()).T
+    ss, ts = h_family.key_index.pair_s, h_family.key_index.pair_t
 
     def flipped(part):
         # H - U H, so that each flipped core is made only while it is subtracted
@@ -300,12 +303,12 @@ def _exchange_bound(q_family: Family, h_family: Family, rebuilt: Family,
     plus :data:`ROUNDING` of ||Q|| ||rho_t||_F, on the map norms. No E is placed.
     """
     c, d = _psi_drift(h_family, rebuilt)
-    ss, ts = np.array(h_family.pairs()).T
+    ss, ts = h_family.key_index.pair_s, h_family.key_index.pair_t
     rho_norms = _trailing_norms(h_family)[ts]
     shift = np.linalg.norm(c[ss, None, None] * h_family.rhos[ts] - phi_rhos[ts], axis=(1, 2))
     qs, cores = q_family.map_norms, h_family.map_norms
-    return _by_pair(h_family, qs * shift + d[ss] * cores * rho_norms
-                    + ROUNDING * qs * rho_norms, "axiom-exchange")
+    return ResidualTable(h_family.key_index.pairs, qs * shift + d[ss] * cores * rho_norms
+                         + ROUNDING * qs * rho_norms, "axiom-exchange")
 
 
 def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
@@ -316,17 +319,8 @@ def _absorption(h_family: Family, rebuilt: Family) -> ResidualTable:
     """
     gaps = np.linalg.norm(h_family.rhos - h_family.slot_scales[:, None, None] * rebuilt.rhos,
                           axis=(1, 2))
-    return _by_pair(h_family, h_family.map_norms * gaps[_times(h_family)], "axiom-absorption")
-
-
-def _times(family: Family) -> np.ndarray:
-    """t of every stored pair (s, t), in the order of the family's array."""
-    return np.array([t for _, t in family.pairs()])
-
-
-def _by_pair(family: Family, values, label: str) -> ResidualTable:
-    """The table of one value per stored pair, ``values`` in the order of the family's array."""
-    return ResidualTable(dict(zip(family.pairs(), np.asarray(values).tolist())), label)
+    index = h_family.key_index
+    return ResidualTable(index.pairs, h_family.map_norms * gaps[index.pair_t], "axiom-absorption")
 
 
 def reconstruct_qqsp(q_family: Family, h_family: Family,
@@ -341,9 +335,9 @@ def reconstruct_qqsp(q_family: Family, h_family: Family,
     """
     if target_type not in ("A", "B"):
         raise ValueError(f"target type must be 'A' or 'B', got {target_type!r}")
-    maps = ScaledMapStack(h_family.maps, h_family.slot_scales[_times(h_family)])
+    maps = ScaledMapStack(h_family.maps, h_family.slot_scales[h_family.key_index.pair_t])
     psis = carried_states(maps, np.kron(omega0.rho, omega0.rho), "psi_t", 1,
-                          keys=[(0, t) for t in range(1, h_family.horizon + 1)])
+                          rows=h_family.key_index.firsts)
     rebuilt = Family("P", h_family.n, maps, (omega0, *psis), target_type,
                      h_family.algebra_kind)
     if strict:
@@ -366,10 +360,11 @@ def conclusion_b_residuals(q_family: Family, h_family: Family, rebuilt: Family) 
                               lambda part: rebuilt.conditioned.array[part],
                               lambda part: q_family.maps.array[part], "conclusion-b")
     c, d = _psi_drift(h_family, rebuilt)
-    ss, ts = np.array(h_family.pairs()).T
+    ss, ts = h_family.key_index.pair_s, h_family.key_index.pair_t
     qs = q_family.map_norms
-    return _by_pair(h_family, np.abs(c[ss] * c[ts] - 1) * qs + np.abs(c[ts]) * d[ss]
-                    * h_family.map_norms + ROUNDING * qs, "conclusion-b")
+    return ResidualTable(h_family.key_index.pairs, np.abs(c[ss] * c[ts] - 1) * qs
+                         + np.abs(c[ts]) * d[ss] * h_family.map_norms + ROUNDING * qs,
+                         "conclusion-b")
 
 
 def rebuilt_kc(q_family: Family, h_family: Family, rebuilt: Family,
@@ -390,17 +385,17 @@ def rebuilt_kc(q_family: Family, h_family: Family, rebuilt: Family,
         kc, f"kc-type-{law}", h_family, f"the kc table of a type-{law} lattice on "
                                         f"{h_family.kind}'s cores")
     c, d = _psi_drift(h_family, rebuilt)
-    ac, at = np.abs(c), h_family.maps.index
+    ac = np.abs(c)
     if law == "A":
         k = c[tau] ** 2
         spread = ac[tau] * ac[t] * d[tau] * left * right
     else:
         k = (c[s] * c[tau]) ** 2
-        a = ac[s] * ac[tau] * q_family.map_norms[[at[key] for key in zip(s, tau)]]
+        a = ac[s] * ac[tau] * q_family.map_norms[h_family.key_index.left]
         b = ac[tau] * d[s] * left
         spread = (2 * a * b + b * b) * ac[t] * right
     bound = ac[t] * (np.abs(k) * gaps + np.abs(1 - k) * whole + ROUNDING * whole) + spread
-    return ResidualTable(dict(zip(kc.entries, bound.tolist())), kc.label)
+    return ResidualTable(h_family.key_index.splits, bound, kc.label)
 
 
 def state_consistency_residual(q_family: Family) -> ResidualTable:
@@ -414,12 +409,12 @@ def state_consistency_residual(q_family: Family) -> ResidualTable:
     """
     if q_family.omegas is None:
         raise ValueError("family carries no omega trajectory")
-    pairs = q_family.pairs()
-    ss, ts = np.array(pairs).T
+    ss, ts = q_family.key_index.pair_s, q_family.key_index.pair_t
     carried = carried_states(q_family.maps.array, q_family.rhos[ss],
                              lambda k: (f"Q^{{{ss[k]},t}}_* omega_{ss[k]}", ts[k]))
     gaps = q_family.rhos[ts] - np.array([w.rho for w in carried])
-    return _by_pair(q_family, np.linalg.norm(gaps, axis=(1, 2)), "state-consistency")
+    return ResidualTable(q_family.key_index.pairs, np.linalg.norm(gaps, axis=(1, 2)),
+                         "state-consistency")
 
 
 def slice_residuals(lattice: Family, q_family: Family,
@@ -439,13 +434,13 @@ def slice_residuals(lattice: Family, q_family: Family,
                          f"as its cores")
     if z_family is not None and z_family.maps is not q_family.maps:
         raise ValueError(f"{z_family.kind} does not store the maps Q^{{s,t}} of this Q family")
-    n, ts = lattice.n, _times(lattice)
+    n, ts = lattice.n, lattice.key_index.pair_t
     drifts = np.abs(h_family.slot_scales - 1)[ts]   # |c_t - 1| by pair
 
     def averaged(maps, side: int) -> float:
         """max ||F^{s,t}(1) - 1||_F ||rho_t||_F over the pairs, one gemv per map for F(1)."""
         gaps = np.linalg.norm(maps @ vec(np.eye(n)) - vec(np.eye(side)), axis=1)
-        return max(float(gap) * h_family.trailing_norm(t) for gap, t in zip(gaps, ts))
+        return max((gaps * _trailing_norms(h_family)[ts]).tolist())
 
     out = {
         "reconstruction_slot": float(np.max(drifts * h_family.map_norms)),

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -143,6 +144,45 @@ def reject_seed(issues: list[SeedIssue]) -> None:
             f"residual {worst.residual:.3e} ({len(issues)} issue(s))")
 
 
+class Keys(tuple):
+    """The time tuples (s, t) or (s, tau, t) of a residual table, in the order of its values."""
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """The report's "s,t" or "s,tau,t" text of every tuple, formed once per key set."""
+        return tuple(",".join(map(str, key)) for key in self)
+
+
+class KeyIndex:
+    """The keys of every residual table over one pair order, and the rows they read.
+
+    ``pairs`` is the order, with columns ``pair_s`` and ``pair_t``; ``splits`` the splits of
+    :func:`triples` whose (s, tau) and (tau, t) are in it, with columns ``s``, ``tau``, ``t``
+    and the rows ``whole``, ``left`` and ``right`` of (s, t), (s, tau) and (tau, t); ``firsts``
+    the rows of (0, t) for t = 1 .. horizon and ``position`` the row of each pair. Every family
+    over all pairs of one horizon in sorted order shares one (:attr:`Family.key_index`).
+    """
+
+    def __init__(self, order):
+        self.pairs = Keys(order)
+        self.position = at = {key: i for i, key in enumerate(self.pairs)}
+        horizon = max((t for _, t in self.pairs), default=0)
+        self.splits = Keys(key for key in triples(horizon) if key[:2] in at and key[1:] in at)
+        splits = np.array([[s, tau, t, at[(s, t)], at[(s, tau)], at[(tau, t)]]
+                           for s, tau, t in self.splits], dtype=int).reshape(-1, 6)
+        pairs = np.array(self.pairs, dtype=int).reshape(-1, 2)
+        self.firsts = np.array([at[(0, t)] for t in range(1, horizon + 1)], dtype=int)
+        for array in (splits, pairs, self.firsts):
+            array.setflags(write=False)
+        self.s, self.tau, self.t, self.whole, self.left, self.right = splits.T
+        self.pair_s, self.pair_t = pairs.T
+
+
+@cache
+def _horizon_index(horizon: int) -> KeyIndex:
+    return KeyIndex((s, t) for s in range(horizon) for t in range(s + 1, horizon + 1))
+
+
 FAMILY_KINDS = ("P", "Q", "H", "h", "Z", "z")
 
 
@@ -207,6 +247,13 @@ class Family:
     def horizon(self) -> int:
         return max(t for (_, t) in self.maps)
 
+    @cached_property
+    def key_index(self) -> KeyIndex:
+        """The keys of this family's tables and the rows they read: its horizon's one index
+        when it holds every pair in sorted order, else its own."""
+        shared = _horizon_index(self.horizon)
+        return shared if self.maps.order == shared.pairs else KeyIndex(self.maps.order)
+
     @property
     def factored(self) -> bool:
         """Whether this is a doubled marginal H/h/Z/z, stored as C^{s,t} of C^{s,t} E_{omega_t}."""
@@ -239,14 +286,14 @@ class Family:
         """
         if self.conditioned_maps is None:
             order, rows, cols = self.maps.order, self.maps.out_dim ** 2, self.maps.in_dim ** 2
-            starts = [s for s, _ in order]
+            starts, at = self.key_index.pair_s, np.arange(len(order))
             if self.stores_q:
                 maps = ScaledMapStack(self.maps, self.slot_scales[starts])
             else:
                 q = np.empty((len(order), self.n ** 2, cols), dtype=complex)
                 for part in chunks(len(order), 16 * rows * cols):
                     q[part] = conditioned_products(self.rhos[starts[part]],
-                                                   self.maps.rows(order[part]))
+                                                   self.maps.rows_at(at[part]))
                 maps = MapStack(q, order)
             object.__setattr__(self, "conditioned_maps", maps)
         return self.conditioned_maps
@@ -315,23 +362,23 @@ def trailing_products(maps, rhos) -> np.ndarray:
     return np.matmul(maps, expectation_matrices(rhos))
 
 
-def carried_images(maps, rhos, keys=None) -> np.ndarray:
+def carried_images(maps, rhos, rows=None) -> np.ndarray:
     """The (k, in, in) predual images of densities under maps, unchecked.
 
-    ``maps`` is one (out^2, in^2) map or a stack, or with ``keys`` the rows of ``keys`` of a
-    MapStack or ScaledMapStack; ``rhos`` is one (out, out) density or one per map. The maps
+    ``maps`` is one (out^2, in^2) map or a stack, or with ``rows`` the rows at those positions
+    of a MapStack or ScaledMapStack; ``rhos`` is one (out, out) density or one per map. The maps
     are read and their preduals formed a chunk (:func:`qqsp.linalg.chunks`) at a time; each
     image is one gemv, with the bits of its :func:`qqsp.algebra.predual`.
     """
     rhos = np.asarray(rhos)
-    if keys is None:
+    if rows is None:
         maps = np.asarray(maps)
         stack = maps if maps.ndim == 3 else maps[None]
         out_dim, in_dim = (math.isqrt(d) for d in stack.shape[1:])
         count, read = len(stack), stack.__getitem__
     else:
         out_dim, in_dim = maps.out_dim, maps.in_dim
-        count, read = len(keys), (lambda part: maps.rows(keys[part]))
+        count, read = len(rows), (lambda part: maps.rows_at(rows[part]))
     each = rhos.ndim == 3
     return np.concatenate([
         apply_supermatrix(predual_matrix(read(part), in_dim, out_dim),
@@ -339,10 +386,10 @@ def carried_images(maps, rhos, keys=None) -> np.ndarray:
         for part in chunks(count, 16 * out_dim ** 2 * in_dim ** 2)])
 
 
-def carried_states(maps, rhos, quantity, first_t: int = 1, keys=None) -> tuple[State, ...]:
+def carried_states(maps, rhos, quantity, first_t: int = 1, rows=None) -> tuple[State, ...]:
     """The :func:`carried_images` of densities under maps, checked as the
     :func:`computed_states` from first_t."""
-    return computed_states(carried_images(maps, rhos, keys), quantity, first_t)
+    return computed_states(carried_images(maps, rhos, rows), quantity, first_t)
 
 
 LAWS = ("A", "B", "plain")
@@ -386,8 +433,8 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
     if strict:
         reject_seed(validate_seed(seed))
     n, law, horizon = seed.n, seed.process_type, seed.horizon
-    order = [(s, t) for s in range(horizon) for t in range(s + 1, horizon + 1)]
-    at = {key: i for i, key in enumerate(order)}
+    index = _horizon_index(horizon)
+    order, at = index.pairs, index.position
     maps = np.empty((len(order), n ** 4, n * n), dtype=complex)
     qs = np.empty((len(order), n * n, n * n), dtype=complex)
     lefts_of, rights_of = (maps, qs) if law == "A" else (qs, maps)
@@ -410,53 +457,55 @@ def propagate(seed: QQSPSeed, strict: bool = True) -> Family:
                   conditioned_maps=MapStack(qs, order), propagated=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualTable:
-    """Operator-norm residuals indexed by time tuples."""
+    """Operator-norm residuals: ``values`` in the order of the :class:`KeyIndex`'s ``keys``."""
 
-    entries: dict
+    keys: Keys
+    values: np.ndarray
     label: str = ""
 
     @property
+    def entries(self) -> MappingProxyType:
+        """The read-only {time tuple: value} view of the table."""
+        return MappingProxyType(dict(zip(self.keys, self.values.tolist())))
+
+    @property
     def max_residual(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(self.entries.values())
+        return max(self.values.tolist()) if len(self.values) else 0.0
 
     def worst(self):
-        if not self.entries:
-            return None
-        return max(self.entries.items(), key=lambda kv: kv[1])
+        return max(self.entries.items(), key=lambda kv: kv[1], default=None)
 
     def ok(self, tol: float) -> bool:
         return self.max_residual <= tol
 
 
-def _table(keys, shape, gaps, scales, label: str) -> ResidualTable:
-    """scales[t] ||gap|| for every key (..., t) of ``keys``, each gap of the given shape.
+def _table(keys: Keys, shape, gaps, scales, label: str, swept=None) -> ResidualTable:
+    """scales[k] ||gap_k|| at the positions k ``swept`` of ``keys`` (all of them by default),
+    each gap of the given shape; an unswept key reads +0.0.
 
-    ``gaps(part)`` stacks the gaps of a chunk ``keys[part]`` (:func:`qqsp.linalg.chunks`),
-    whose Grams are one :func:`scaled_grams` call; every norm is then one stacked eigvalsh
-    (:func:`qqsp.linalg.gram_norms`), scaled by ``scales`` indexed by t. Per slice the
-    norms are those of the gap alone, so the table does not depend on the chunks. A chunk
-    whose gaps are all exactly zero takes no Gram: its norms are the +0.0 the Gram route
-    gives them.
+    ``gaps(part)`` stacks the gaps of a chunk ``part`` (:func:`qqsp.linalg.chunks`) of the
+    swept positions, whose Grams are one :func:`scaled_grams` call; every norm is then one
+    stacked eigvalsh (:func:`qqsp.linalg.gram_norms`), times its key's scale. Per
+    slice the norms are those of the gap alone, so the table does not depend on the chunks.
+    A chunk whose gaps are all exactly zero takes no Gram: its norms are the +0.0 the Gram
+    route gives them.
     """
-    if not keys:
-        return ResidualTable({}, label)
-    swept, grams = np.zeros(len(keys), dtype=bool), []
-    for part in chunks(len(keys), 16 * shape[0] * shape[1]):
+    at = np.arange(len(keys)) if swept is None else swept
+    nonzero, grams = np.zeros(len(at), dtype=bool), []
+    for part in chunks(len(at), 16 * shape[0] * shape[1]):
         stack = gaps(part)
         if stack[0].any() or stack.any():   # a nonzero first slice settles a chunk at once
-            swept[part] = True
+            nonzero[part] = True
             grams.append(scaled_grams(stack))
         del stack   # one chunk's gaps at a time
-    norms = np.zeros(len(keys))
+    norms, values = np.zeros(len(at)), np.zeros(len(keys))
     if grams:
         stacks, exps = zip(*grams)
-        norms[swept] = gram_norms(np.concatenate(stacks), np.concatenate(exps))
-    values = np.asarray(scales)[[key[-1] for key in keys]] * norms
-    return ResidualTable(dict(zip(keys, values.tolist())), label)
+        norms[nonzero] = gram_norms(np.concatenate(stacks), np.concatenate(exps))
+    values[at] = scales[at] * norms
+    return ResidualTable(keys, values, label)
 
 
 def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
@@ -466,35 +515,28 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     C^{tau,t} (:func:`fundamental_products`) and T_t the trailing factor; Z/z's lead embed
     is taken out of the norm as sqrt(n). Law A's right and law B's left factors are the
     family's conditioned maps (:attr:`Family.conditioned`). Per chunk of splits the
-    products are one kernel call, and the stored C^{s,t} are subtracted into them. A
-    lattice :func:`propagate` filled stores every P^{s,t} as its own law's product at
-    tau = t-1, so under that law those gaps are the product less itself: they read 0.0
-    and are not swept.
+    products are one kernel call, and the stored C^{s,t} are subtracted into them; the
+    splits and their rows are the family's :class:`KeyIndex`. A lattice :func:`propagate`
+    filled stores every P^{s,t} as its own law's product at tau = t-1, so under that law
+    those gaps are the product less itself: they read 0.0 and are not swept.
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
-    maps, horizon = family.maps, family.horizon
-    # the order of :func:`triples`, which runs over the sorted pairs (s, tau)
-    keys = [(s, tau, t) for s, tau in maps.order for t in range(tau + 1, horizon + 1)
-            if (tau, t) in maps.index]
+    maps, horizon, index = family.maps, family.horizon, family.key_index
     constructed = family.propagated and law == family.process_type
-    swept = [key for key in keys if key[1] < key[2] - 1] if constructed else keys
-    lefts = [(s, tau) for s, tau, _ in swept]
-    rights = [(tau, t) for _, tau, t in swept]
-    wholes = [(s, t) for s, _, t in swept]
+    swept = np.flatnonzero(index.tau < index.t - 1) if constructed else np.arange(len(index.t))
+    lefts, rights, wholes = index.left[swept], index.right[swept], index.whole[swept]
     left_maps = family.conditioned if law == "B" else maps
     right_maps = family.conditioned if law == "A" else maps
 
     def gaps(part):
-        products = fundamental_products(left_maps.rows(lefts[part]),
-                                        right_maps.rows(rights[part]), law)
-        return np.subtract(maps.rows(wholes[part]), products, out=products)
+        products = fundamental_products(left_maps.rows_at(lefts[part]),
+                                        right_maps.rows_at(rights[part]), law)
+        return np.subtract(maps.rows_at(wholes[part]), products, out=products)
 
-    scales = [family.lead_norm * family.trailing_norm(t) for t in range(horizon + 1)]
-    table = _table(swept, (maps.out_dim ** 2, maps.in_dim ** 2), gaps, scales, label)
-    if not constructed:
-        return table
-    return ResidualTable({key: table.entries.get(key, 0.0) for key in keys}, label)
+    scales = np.array([family.lead_norm * family.trailing_norm(t) for t in range(horizon + 1)])
+    return _table(index.splits, (maps.out_dim ** 2, maps.in_dim ** 2), gaps, scales[index.t],
+                  label, swept)
 
 
 def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> ResidualTable:
@@ -508,8 +550,9 @@ def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> R
         stack = lhs(part)
         return stack if rhs is None else stack - rhs(part)
 
-    scales = [1.0 if scale is None else scale(t) for t in range(family.horizon + 1)]
-    return _table(family.pairs(), shape, gaps, scales, label)
+    index = family.key_index
+    scales = np.array([1.0 if scale is None else scale(t) for t in range(family.horizon + 1)])
+    return _table(index.pairs, shape, gaps, scales[index.pair_t], label)
 
 
 def kc_consistency(lattice: Family) -> ResidualTable:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 import resource
+import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -211,8 +211,8 @@ def parse_scenario(data: dict) -> Scenario:
                             f"{lattice_bytes / 2 ** 30:.1f} GiB, over the "
                             f"{LATTICE_BYTES >> 20} MiB one lattice may take")
     tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict) or not all(
-            is_number(v) and math.isfinite(v) and v >= 0 for v in tolerances.values()):
+    if not isinstance(tolerances, dict) or not all(   # NaN, inf and 10**400 fail the range
+            is_number(v) and 0 <= v <= sys.float_info.max for v in tolerances.values()):
         raise ScenarioError(f"{name}.tolerances: expected an object of finite numbers >= 0, "
                             f"got {tolerances!r}")
     for key in tolerances:
@@ -262,8 +262,10 @@ def _pair_count(count: int, side: int, where: str) -> int:
     """A count of state pairs on M_side, refused if their stack passes ERGODIC_STACK_BYTES."""
     need = 2 * count * side * side * np.dtype(complex).itemsize
     if need > ERGODIC_STACK_BYTES:
+        mib, rest = divmod(need, 1 << 20)   # need / 2^20 rounded half to even, in ints
+        mib += rest > 1 << 19 or rest == 1 << 19 and mib & 1
         raise ScenarioError(f"{where}: {count} pairs of {side} x {side} states need "
-                            f"{need / 2 ** 20:.0f} MiB, over the "
+                            f"{mib} MiB, over the "
                             f"{ERGODIC_STACK_BYTES >> 20} MiB an ergodic stack may take")
     return count
 
@@ -524,16 +526,10 @@ def _choi_row(step, diag) -> dict:
     }
 
 
-@lru_cache(maxsize=1 << 16)
-def _key_text(key: tuple) -> str:
-    """The "s,tau,t" text of a time tuple, formed once."""
-    return ",".join(map(str, key))
-
-
 def _table_dict(table) -> dict:
     # in the table's own order: the report's encoder sorts the keys
     return {"max": table.max_residual,
-            "entries": {_key_text(key): value for key, value in table.entries.items()}}
+            "entries": dict(zip(table.keys.texts, table.values.tolist()))}
 
 
 class _PipelineState:

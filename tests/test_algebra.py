@@ -490,10 +490,11 @@ def _per_matrix_state_rho(m):
     m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
         raise ValueError("density matrix has non-finite entries")
-    skew = float(np.linalg.norm(m - m.conj().T))
-    if skew > 1e-12 * max(1.0, float(np.linalg.norm(m))):
-        raise ValueError(f"density matrix is not hermitian (defect {skew:.2e})")
-    m = (m + m.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):   # State refuses the inf or NaN
+        skew = float(np.linalg.norm(m - m.conj().T))
+        if skew > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+            raise ValueError(f"density matrix is not hermitian (defect {skew:.2e})")
+        m = (m + m.conj().T) / 2
     if not np.isfinite(m).all():
         raise ValueError("density matrix's hermitian part overflows")
     tr = float(np.real(np.trace(m)))

@@ -157,9 +157,9 @@ def test_a_rebuilt_or_hand_built_lattice_is_swept_at_every_split(monkeypatch):
     swept = []
     table = qqsp.process._table
 
-    def recorded(keys, *args):
-        swept.append(list(keys))
-        return table(keys, *args)
+    def recorded(keys, shape, gaps, scales, label, at=None):
+        swept.append([keys[i] for i in (range(len(keys)) if at is None else at)])
+        return table(keys, shape, gaps, scales, label, at)
 
     monkeypatch.setattr(qqsp.process, "_table", recorded)
     lat = propagate(QQSPSeed.from_single_map(mixed_step_map(2), State.from_weights([0.7, 0.3]),

@@ -280,7 +280,7 @@ def test_absorption_is_the_qr_route_within_8_ulps(ptype, omega0):
 
 def _rebuilt_rows(rebuilt):
     """Every map of a rebuilt lattice, by the one stacked read and by key, which must agree."""
-    rows = rebuilt.maps.rows(rebuilt.maps.order)
+    rows = rebuilt.maps.rows_at(np.arange(len(rebuilt.maps)))
     for key, row in zip(rebuilt.maps.order, rows):
         assert np.array_equal(rebuilt.maps[key].matrix, row)
     return rows

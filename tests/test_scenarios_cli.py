@@ -30,6 +30,7 @@ from qqsp.scenarios import (
     LATTICE_BYTES,
     MAX_HORIZON,
     ScenarioError,
+    _pair_count,
     builtin_scenarios,
     parse_scenario,
     run_scenario,
@@ -499,6 +500,9 @@ def test_cli_reads_a_scenario_file_as_utf8(tmp_path):
     ("epsilon", True),
     ("epsilon", "0.001"),
     pytest.param("epsilon", 10 ** 400, id="epsilon-huge-integer"),
+    pytest.param("tolerances", {"kc": 10 ** 400}, id="tolerances-huge-integer"),
+    pytest.param("sample_count", 10 ** 400, id="sample_count-huge-integer"),
+    pytest.param("ensemble", {"random": 10 ** 400}, id="ensemble-huge-integer"),
     pytest.param("sample_count", 10 ** 12, id="sample_count-past-the-memory-bound"),
     pytest.param("ensemble", {"random": 10 ** 12}, id="ensemble-past-the-memory-bound"),
     pytest.param("ensemble", {"pairs": []}, id="ensemble-without-pairs"),
@@ -538,6 +542,18 @@ def test_ergodic_counts_parse_up_to_the_memory_bound(field, side, place):
     parse_scenario({**doc, **place(most)})
     with pytest.raises(ScenarioError, match=f"mixed-n8.{field}: {most + 1} pairs"):
         parse_scenario({**doc, **place(most + 1)})
+
+
+def test_a_pair_count_past_any_float_names_its_size_in_whole_mib():
+    # the size is rounded half to even in integers, as "{need / 2 ** 20:.0f}" rounds a size
+    # a float holds; ties included (33024 pairs on M_8 need 64.5 MiB)
+    for count in (33024, 33025, 33280, 40000, 10 ** 9 + 7):
+        need = 2 * count * 64 * 16
+        with pytest.raises(ScenarioError, match=f": {count} pairs of 8 x 8 states need "
+                                                f"{need / 2 ** 20:.0f} MiB, over the"):
+            _pair_count(count, 8, "where")
+    with pytest.raises(ScenarioError, match=f"need {128 * 10 ** 400 >> 20} MiB, over the"):
+        _pair_count(10 ** 400, 2, "where")
 
 
 def test_a_lattice_past_the_memory_bound_is_refused_at_parse_time():
@@ -670,6 +686,16 @@ def test_cli_exit_2_on_non_finite_input(tmp_path, capsys, mode, case, field):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert f"{case}.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_overflowing_state_prints_only_its_error_line(tmp_path):
+    # numpy's overflow warnings of the norms and the hermitian part are not printed
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_non_finite_case("diag-overflow")))
+    proc = run_module("run", str(path), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: diag-overflow.initial_state: density matrix's hermitian "
+                           "part overflows\n")
 
 
 def _entry_case(case: str) -> dict:

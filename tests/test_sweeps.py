@@ -326,13 +326,13 @@ def test_batched_tables_equal_the_per_group_tables(monkeypatch, n, horizon, ptyp
     lengths, grams = [], []
     table, original = qqsp.process._table, qqsp.process.scaled_grams
 
-    def recorded_table(keys, shape, gaps, scales, label):
+    def recorded_table(keys, shape, gaps, scales, label, swept=None):
         def recorded_gaps(part):
             stack = gaps(part)
             lengths.append(len(stack))
             return stack
 
-        return table(keys, shape, recorded_gaps, scales, label)
+        return table(keys, shape, recorded_gaps, scales, label, swept)
 
     def recorded(stack):
         grams.append(len(stack))
@@ -352,17 +352,20 @@ def test_batched_tables_equal_the_per_group_tables(monkeypatch, n, horizon, ptyp
     assert batched["kc"] == _split_loop(lat, _fundamental(lat))
 
 
-def _gram_table(keys, shape, gaps, scales, label):
+def _gram_table(keys, shape, gaps, scales, label, swept=None):
     """:func:`qqsp.process._table` with one Gram per chunk, zero gaps included."""
     import qqsp.process
 
-    if not keys:
-        return ResidualTable({}, label)
+    at = range(len(keys)) if swept is None else swept
+    values = np.zeros(len(keys))
+    if not len(at):
+        return ResidualTable(keys, values, label)
     grams, exps = zip(*(qqsp.process.scaled_grams(gaps(part))
-                        for part in chunks(len(keys), 16 * shape[0] * shape[1])))
+                        for part in chunks(len(at), 16 * shape[0] * shape[1])))
     norms = gram_norms(np.concatenate(grams), np.concatenate(exps))
-    values = np.asarray(scales)[[key[-1] for key in keys]] * norms
-    return ResidualTable(dict(zip(keys, values.tolist())), label)
+    for i, norm in zip(at, norms):   # an unswept key reads +0.0
+        values[i] = scales[i] * norm
+    return ResidualTable(keys, values, label)
 
 
 @pytest.mark.parametrize("budget", [None, 0], ids=["default", "one-slice"])
@@ -540,7 +543,7 @@ def test_map_deviation_is_the_rebuilt_lattice_against_p(builtin, ptype, stages):
     q, h, z = _families(lat)
     rebuilt = reconstruct_qqsp(q, h, lat.omega(0), ptype, strict=False)
     dense = pair_residuals(lat, lat.map(0, 1).matrix.shape,
-                           lambda part: rebuilt.maps.rows(rebuilt.maps.order[part]),
+                           lambda part: rebuilt.maps.rows_at(np.arange(len(rebuilt.maps))[part]),
                            lambda part: lat.maps.array[part], "map-deviation").max_residual
     deviation = report.stages["reconstruct"]["max_map_deviation"]
     assert deviation == max(_slice_loops(lat, q, h, z)["reconstruction_slot"].values())
