@@ -267,7 +267,7 @@ class MapStack(Mapping):
     """Maps of one shape as one read-only (K, out_dim^2, in_dim^2) array, keyed in ``order``.
 
     ``x[key]`` is a SuperMap view of the row of ``key``; :meth:`rows_at` reads many rows,
-    given by position, as one stack.
+    given by a slice or by position, as one stack: the one read outside this module.
     """
 
     def __init__(self, array, order):
@@ -292,7 +292,9 @@ class MapStack(Mapping):
         return len(self.order)
 
     def rows_at(self, at) -> Array:
-        """The rows at the positions ``at``: a slice where they are consecutive, else one take."""
+        """The rows at a slice or the positions ``at``: a view where consecutive, else a take."""
+        if isinstance(at, slice):
+            return self.array[at]
         if len(at) and at[-1] - at[0] == len(at) - 1 and (np.diff(at) == 1).all():
             return self.array[at[0]:at[0] + len(at)]
         return self.array.take(at, axis=0)
@@ -309,6 +311,7 @@ class ScaledMapStack(Mapping):
         self.base, self.factors = base, np.asarray(factors)
         self.order = base.order
         self.in_dim, self.out_dim = base.in_dim, base.out_dim
+        self.norms = None   # the scaled maps' operator norms, as for a MapStack
 
     def __getitem__(self, key) -> SuperMap:
         return SuperMap(self.in_dim, self.out_dim, self.rows_at([self.base.index[key]])[0])
@@ -320,7 +323,7 @@ class ScaledMapStack(Mapping):
         return len(self.order)
 
     def rows_at(self, at) -> Array:
-        """c_k F_k for every position k of ``at``, as one fresh stack."""
+        """c_k F_k for every position k of ``at``, a slice or positions, as one fresh stack."""
         return self.base.rows_at(at) * self.factors[at][:, None, None]
 
 

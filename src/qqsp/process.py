@@ -154,20 +154,19 @@ class Keys(tuple):
 
 
 class KeyIndex:
-    """The keys of every residual table over one pair order, and the rows they read.
+    """The keys of every residual table over one horizon, and the rows they read.
 
-    ``pairs`` is the order, with columns ``pair_s`` and ``pair_t``; ``splits`` the splits of
-    :func:`triples` whose (s, tau) and (tau, t) are in it, with columns ``s``, ``tau``, ``t``
-    and the rows ``whole``, ``left`` and ``right`` of (s, t), (s, tau) and (tau, t); ``firsts``
-    the rows of (0, t) for t = 1 .. horizon and ``position`` the row of each pair. Every family
-    over all pairs of one horizon in sorted order shares one (:attr:`Family.key_index`).
+    ``pairs`` is every pair (s, t) in sorted order, with columns ``pair_s`` and ``pair_t``;
+    ``splits`` the splits of :func:`triples`, with columns ``s``, ``tau``, ``t`` and the rows
+    ``whole``, ``left`` and ``right`` of (s, t), (s, tau) and (tau, t); ``firsts`` the rows of
+    (0, t) for t = 1 .. horizon and ``position`` the row of each pair. Every family of one
+    horizon holds its pairs in this order and shares one (:attr:`Family.key_index`).
     """
 
-    def __init__(self, order):
-        self.pairs = Keys(order)
+    def __init__(self, horizon: int):
+        self.pairs = Keys((s, t) for s in range(horizon) for t in range(s + 1, horizon + 1))
         self.position = at = {key: i for i, key in enumerate(self.pairs)}
-        horizon = max((t for _, t in self.pairs), default=0)
-        self.splits = Keys(key for key in triples(horizon) if key[:2] in at and key[1:] in at)
+        self.splits = Keys(triples(horizon))
         splits = np.array([[s, tau, t, at[(s, t)], at[(s, tau)], at[(tau, t)]]
                            for s, tau, t in self.splits], dtype=int).reshape(-1, 6)
         pairs = np.array(self.pairs, dtype=int).reshape(-1, 2)
@@ -178,9 +177,7 @@ class KeyIndex:
         self.pair_s, self.pair_t = pairs.T
 
 
-@cache
-def _horizon_index(horizon: int) -> KeyIndex:
-    return KeyIndex((s, t) for s in range(horizon) for t in range(s + 1, horizon + 1))
+_horizon_index = cache(KeyIndex)   # one index per horizon
 
 
 FAMILY_KINDS = ("P", "Q", "H", "h", "Z", "z")
@@ -192,9 +189,10 @@ class Family:
 
     Kind P is the process itself (M -> M (x) M, tagged type A or B); Q is
     its marginal Markov process on M; H/h and Z/z are the doubled
-    marginals on M (x) M (see :mod:`qqsp.marginal`). ``maps`` holds the stored maps
-    in sorted pair order as one array (:class:`qqsp.algebra.MapStack`), or a rebuilt
-    lattice's scaled view of another family's (:class:`qqsp.algebra.ScaledMapStack`).
+    marginals on M (x) M (see :mod:`qqsp.marginal`). ``maps`` holds every pair of the
+    horizon in sorted order (:class:`KeyIndex`), read only through ``rows_at``: one array
+    (:class:`qqsp.algebra.MapStack`), or a rebuilt lattice's scaled view of another
+    family's (:class:`qqsp.algebra.ScaledMapStack`); ``omegas`` holds omega_0 .. omega_T.
     No family holds an array of E_{omega_t}: a reader places the rows it needs from the
     trajectory's density matrices (:attr:`rhos`) a chunk at a time.
 
@@ -203,7 +201,7 @@ class Family:
     of F^{s,t} = C^{s,t} E_{omega_t}; Z/z store Q's maps Y^{s,t} (M -> M) of
     F^{s,t} = embed Y^{s,t} E_{omega_t} (:attr:`stores_q`), and nothing forms
     embed Y^{s,t}. Residual sweeps work on the stored maps: E E^dagger =
-    ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X|| (:meth:`trailing_norm`),
+    ||rho||_F^2 1 gives ||X E_{omega_t}|| = ||rho_t||_F ||X|| (:attr:`trailing_norms`),
     and embed^dagger embed = n 1 gives ||embed X|| = sqrt(n) ||X|| (:attr:`lead_norm`);
     P and Q have trivial lead and trailing factors.
     """
@@ -237,6 +235,14 @@ class Family:
         if (self.maps.in_dim, self.maps.out_dim) != (in_dim, out_dim):
             raise ValueError(f"maps have dims ({self.maps.in_dim}, {self.maps.out_dim}), "
                              f"expected ({in_dim}, {out_dim})")
+        if self.maps.order != self.key_index.pairs:
+            missing = next((key for key in self.key_index.pairs if key not in self.maps), None)
+            raise ValueError(f"a family holds every pair (s, t) of its horizon {self.horizon} in "
+                             f"sorted order; " + (f"pair {missing} is missing" if missing
+                                                  else "it holds another order or other pairs"))
+        if self.omegas is not None and len(self.omegas) != self.horizon + 1:
+            raise ValueError(f"a family of horizon {self.horizon} needs {self.horizon + 1} "
+                             f"states omega_0 .. omega_T, got {len(self.omegas)}")
 
     @property
     def side(self) -> int:
@@ -247,12 +253,10 @@ class Family:
     def horizon(self) -> int:
         return max(t for (_, t) in self.maps)
 
-    @cached_property
+    @property
     def key_index(self) -> KeyIndex:
-        """The keys of this family's tables and the rows they read: its horizon's one index
-        when it holds every pair in sorted order, else its own."""
-        shared = _horizon_index(self.horizon)
-        return shared if self.maps.order == shared.pairs else KeyIndex(self.maps.order)
+        """The keys of this family's tables and the rows they read: its horizon's one index."""
+        return _horizon_index(self.horizon)
 
     @property
     def factored(self) -> bool:
@@ -286,21 +290,22 @@ class Family:
         """
         if self.conditioned_maps is None:
             order, rows, cols = self.maps.order, self.maps.out_dim ** 2, self.maps.in_dim ** 2
-            starts, at = self.key_index.pair_s, np.arange(len(order))
+            starts = self.key_index.pair_s
             if self.stores_q:
                 maps = ScaledMapStack(self.maps, self.slot_scales[starts])
             else:
                 q = np.empty((len(order), self.n ** 2, cols), dtype=complex)
                 for part in chunks(len(order), 16 * rows * cols):
                     q[part] = conditioned_products(self.rhos[starts[part]],
-                                                   self.maps.rows_at(at[part]))
+                                                   self.maps.rows_at(part))
                 maps = MapStack(q, order)
             object.__setattr__(self, "conditioned_maps", maps)
         return self.conditioned_maps
 
-    def trailing_norm(self, t: int) -> float:
-        """||X T_t|| / ||X|| for the trailing factor T_t: ||rho_t||_F, or 1."""
-        return self._rho_norms[t] if self.factored else 1.0
+    @cached_property
+    def trailing_norms(self) -> np.ndarray:
+        """||X T_t|| / ||X|| for the trailing factor T_t by t: ||rho_t||_F, or 1."""
+        return self._rho_norms if self.factored else np.ones(self.horizon + 1)
 
     @cached_property
     def rhos(self) -> np.ndarray:
@@ -308,8 +313,8 @@ class Family:
         return np.array([w.rho for w in self.omegas])
 
     @cached_property
-    def _rho_norms(self) -> tuple[float, ...]:
-        return tuple(float(np.linalg.norm(w.rho)) for w in self.omegas)
+    def _rho_norms(self) -> np.ndarray:
+        return np.array([np.linalg.norm(w.rho) for w in self.omegas])
 
     @cached_property
     def slot_scales(self) -> np.ndarray:
@@ -323,9 +328,9 @@ class Family:
         map's :func:`qqsp.linalg.operator_norm` taken alone.
         """
         if self.maps.norms is None:
-            maps = self.maps.array
-            self.maps.norms = np.concatenate([operator_norms(maps[part])
-                                              for part in chunks(len(maps), maps[0].nbytes)])
+            maps, row_bytes = self.maps, 16 * self.maps.out_dim ** 2 * self.maps.in_dim ** 2
+            self.maps.norms = np.concatenate([operator_norms(maps.rows_at(part))
+                                              for part in chunks(len(maps), row_bytes)])
         return self.maps.norms
 
     def omega(self, t: int) -> State:
@@ -365,20 +370,20 @@ def trailing_products(maps, rhos) -> np.ndarray:
 def carried_images(maps, rhos, rows=None) -> np.ndarray:
     """The (k, in, in) predual images of densities under maps, unchecked.
 
-    ``maps`` is one (out^2, in^2) map or a stack, or with ``rows`` the rows at those positions
-    of a MapStack or ScaledMapStack; ``rhos`` is one (out, out) density or one per map. The maps
-    are read and their preduals formed a chunk (:func:`qqsp.linalg.chunks`) at a time; each
-    image is one gemv, with the bits of its :func:`qqsp.algebra.predual`.
+    ``maps`` is one (out^2, in^2) map or a stack, or a MapStack or ScaledMapStack read by
+    ``rows_at`` (at the positions ``rows``, if given); ``rhos`` is one (out, out) density or one
+    per map. The maps are read and their preduals formed a chunk (:func:`qqsp.linalg.chunks`)
+    at a time; each image is one gemv, with the bits of its :func:`qqsp.algebra.predual`.
     """
     rhos = np.asarray(rhos)
-    if rows is None:
-        maps = np.asarray(maps)
+    if isinstance(maps, np.ndarray):
         stack = maps if maps.ndim == 3 else maps[None]
         out_dim, in_dim = (math.isqrt(d) for d in stack.shape[1:])
         count, read = len(stack), stack.__getitem__
     else:
         out_dim, in_dim = maps.out_dim, maps.in_dim
-        count, read = len(rows), (lambda part: maps.rows_at(rows[part]))
+        count, read = ((len(maps), maps.rows_at) if rows is None
+                       else (len(rows), lambda part: maps.rows_at(rows[part])))
     each = rhos.ndim == 3
     return np.concatenate([
         apply_supermatrix(predual_matrix(read(part), in_dim, out_dim),
@@ -522,7 +527,7 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
     """
     if law not in LAWS:
         raise ValueError(f"unknown split law {law!r}")
-    maps, horizon, index = family.maps, family.horizon, family.key_index
+    maps, index = family.maps, family.key_index
     constructed = family.propagated and law == family.process_type
     swept = np.flatnonzero(index.tau < index.t - 1) if constructed else np.arange(len(index.t))
     lefts, rights, wholes = index.left[swept], index.right[swept], index.whole[swept]
@@ -534,24 +539,24 @@ def split_residuals(family: Family, law: str, label: str) -> ResidualTable:
                                         right_maps.rows_at(rights[part]), law)
         return np.subtract(maps.rows_at(wholes[part]), products, out=products)
 
-    scales = np.array([family.lead_norm * family.trailing_norm(t) for t in range(horizon + 1)])
+    scales = family.lead_norm * family.trailing_norms
     return _table(index.splits, (maps.out_dim ** 2, maps.in_dim ** 2), gaps, scales[index.t],
                   label, swept)
 
 
-def pair_residuals(family: Family, shape, lhs, rhs, label: str, scale=None) -> ResidualTable:
-    """scale(t) ||L^{s,t} - R^{s,t}|| at every stored pair (s, t) of ``family``.
+def pair_residuals(family: Family, shape, lhs, rhs, label: str, scales=None) -> ResidualTable:
+    """scales[t] ||L^{s,t} - R^{s,t}|| at every pair (s, t) of ``family``.
 
     The pairs are taken in the family's order a chunk at a time (:func:`_table`); for a
     slice ``part``, ``lhs(part)`` and ``rhs(part)`` stack the L's and R's of the given
-    ``shape`` (with ``rhs`` None the L's are the gaps). ``scale`` defaults to 1.
+    ``shape`` (with ``rhs`` None the L's are the gaps). ``scales``, by t, defaults to 1.
     """
     def gaps(part):
         stack = lhs(part)
         return stack if rhs is None else stack - rhs(part)
 
     index = family.key_index
-    scales = np.array([1.0 if scale is None else scale(t) for t in range(family.horizon + 1)])
+    scales = np.ones(family.horizon + 1) if scales is None else scales
     return _table(index.pairs, shape, gaps, scales[index.pair_t], label)
 
 

@@ -52,7 +52,7 @@ def _scales(q, h, rebuilt):
     """The operand scale of each bound's rounding allowance, by key."""
     c = np.abs(h.slot_scales)
     cores, qs, at = h.map_norms, q.map_norms, h.maps.index
-    rho = [h.trailing_norm(t) for t in range(h.horizon + 1)]
+    rho = h.trailing_norms
     return {"kc": lambda s, tau, t: c[t] * cores[at[(s, t)]],
             "conclusion-b": lambda s, t: qs[at[(s, t)]],
             "exchange": lambda s, t: qs[at[(s, t)]] * rho[t]}
@@ -195,9 +195,9 @@ def test_a_run_reports_the_bounds_of_its_own_pair(monkeypatch):
         swept.append("kc")
         return kc_sweep(lattice)
 
-    def pair_recorded(family, shape, lhs, rhs, label, scale=None):
+    def pair_recorded(family, shape, lhs, rhs, label, scales=None):
         swept.append(label)
-        return pair_sweep(family, shape, lhs, rhs, label, scale)
+        return pair_sweep(family, shape, lhs, rhs, label, scales)
 
     monkeypatch.setattr(qqsp.marginal, "kc_consistency", kc_recorded)
     monkeypatch.setattr(qqsp.marginal, "pair_residuals", pair_recorded)

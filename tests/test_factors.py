@@ -173,10 +173,10 @@ def test_the_marginals_take_the_trajectory_of_their_lattice(ptype):
     for family in _marginals(lat):
         for name in ("rhos", "_rho_norms", "slot_scales"):
             assert getattr(family, name) is getattr(lat, name)
-    assert lat._rho_norms == tuple(float(np.linalg.norm(w.rho)) for w in lat.omegas)
-    assert [lat.trailing_norm(t) for t in range(5)] == [1.0] * 5
+    assert lat._rho_norms.tolist() == [float(np.linalg.norm(w.rho)) for w in lat.omegas]
+    assert lat.trailing_norms.tolist() == [1.0] * 5
     h = _marginals(lat)[1]
-    assert [h.trailing_norm(t) for t in range(5)] == list(lat._rho_norms)
+    assert h.trailing_norms.tolist() == lat._rho_norms.tolist()
 
 
 @pytest.mark.parametrize("ptype", ["A", "B"])

@@ -321,6 +321,21 @@ def test_family_dimension_guard():
     assert Family("P", 2, {(0, 1): symmetrized_embedding(2)}, process_type="B").side == 4
 
 
+def test_a_family_without_every_pair_or_one_state_per_time_is_refused():
+    s_map, omega = symmetrized_embedding(2), State.maximally_mixed(2)
+    with pytest.raises(ValueError, match=r"horizon 2 in sorted order; pair \(0, 2\) is missing"):
+        Family("P", 2, {(0, 1): s_map, (1, 2): s_map}, (omega,) * 3, "A")
+    inner = {(s, t): s_map for s in range(3) for t in range(s + 1, 4) if (s, t) != (1, 2)}
+    with pytest.raises(ValueError, match=r"pair \(1, 2\) is missing"):
+        Family("P", 2, inner, (omega,) * 4, "A")
+    extra = {(s, t): s_map for s in range(2) for t in range(s + 1, 3)}
+    with pytest.raises(ValueError, match="another order or other pairs"):
+        Family("P", 2, {**extra, (2, 1): s_map}, (omega,) * 3, "A")
+    with pytest.raises(ValueError, match="horizon 2 needs 3 states omega_0 .. omega_T, got 2"):
+        Family("P", 2, extra, (omega,) * 2, "A")
+    assert Family("P", 2, extra, (omega,) * 3, "A").key_index.pairs == tuple(sorted(extra))
+
+
 @pytest.mark.parametrize("kind", ["H", "h", "Z", "z"])
 def test_a_doubled_marginal_is_never_stored_on_the_doubled_algebra(kind):
     # H/h store their cores M -> M (x) M and Z/z Q's maps on M; a dense map on M (x) M is

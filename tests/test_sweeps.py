@@ -77,13 +77,14 @@ def _families(lat):
 
 def _split_loop(family, compose):
     """The sweep one gap at a time: per-split product of the stored maps, per-gap operator_norm."""
-    return {(s, tau, t): family.lead_norm * family.trailing_norm(t)
+    return {(s, tau, t): family.lead_norm * family.trailing_norms[t]
             * operator_norm(family.maps[(s, t)].matrix - compose(s, tau, t))
             for s, tau, t in triples(family.horizon)}
 
 
-def _pair_loop(family, lhs, rhs, scale=lambda t: 1.0):
-    return {(s, t): scale(t) * operator_norm(lhs(s, t) - rhs(s, t)) for s, t in family.pairs()}
+def _pair_loop(family, lhs, rhs, scales=None):
+    scales = np.ones(family.horizon + 1) if scales is None else scales
+    return {(s, t): scales[t] * operator_norm(lhs(s, t) - rhs(s, t)) for s, t in family.pairs()}
 
 
 def _drift(family, t):
@@ -114,7 +115,7 @@ def _plain(family):
 def _dense_split_loop(family):
     """Today's n^4 x n^2 reference: ||rho_t||_F ||C^{s,t} - C^{s,tau} E_tau C^{tau,t}|| on the cores."""
     c, es = partial(core, family), expectations(family)
-    return {(s, tau, t): family.trailing_norm(t)
+    return {(s, tau, t): family.trailing_norms[t]
             * operator_norm(c(s, t).matrix - (c(s, tau) @ (es[tau] @ c(tau, t))).matrix)
             for s, tau, t in triples(family.horizon)}
 
@@ -141,7 +142,7 @@ def _slice_loops(lattice, q, h, z):
 
     def averaged(family, unit, scale=1.0):   # the rank-one ||F^{s,t}(1) - 1||_F ||rho_t||_F
         return {(s, t): scale * (float(np.linalg.norm(family.maps[(s, t)].matrix @ one - unit,
-                                                      axis=-1)) * family.trailing_norm(t))
+                                                      axis=-1)) * family.trailing_norms[t])
                 for s, t in lattice.pairs()}
 
     return {   # |c_t - 1| ||C^{s,t}||, with Z/z's C = Q^{s,t} its stored map
@@ -223,7 +224,7 @@ def test_stacked_pair_sweeps_equal_the_per_pair_loop(lattice):
         for t in range(1, lattice.horizon + 1)]
     assert rep.flip.entries == _pair_loop(
         h, lambda s, t: flip_after(h.maps[(s, t)]).matrix, lambda s, t: h.maps[(s, t)].matrix,
-        h.trailing_norm)
+        h.trailing_norms)
     assert rep.exchange.entries == _pair_loop(
         h, lambda s, t: (e_psi[s] @ h.maps[(s, t)] @ es[t]).matrix,
         lambda s, t: (q.map(s, t) @ e_phi[t]).matrix)
@@ -284,7 +285,7 @@ def _loop_tables(lat):
         "plain-h": _split_loop(h, _plain(h)),
         "state": _state_loop(q),
         "flip": _pair_loop(h, lambda s, t: flip_after(h.maps[(s, t)]).matrix,
-                           lambda s, t: h.maps[(s, t)].matrix, h.trailing_norm),
+                           lambda s, t: h.maps[(s, t)].matrix, h.trailing_norms),
         "exchange": _pair_loop(h, lambda s, t: (e_psi[s] @ h.maps[(s, t)] @ es[t]).matrix,
                                lambda s, t: (q.map(s, t) @ e_phi[t]).matrix),
         "absorption": {(s, t): absorbed(s, t) for s, t in h.pairs()},

@@ -1,10 +1,11 @@
-"""Residual tables as value arrays over one key index per pair order.
+"""Residual tables as value arrays over one key index per horizon.
 
 A table holds its values in the order of the :class:`qqsp.process.Keys` that every table of
-its shape over one pair order shares (:class:`qqsp.process.KeyIndex`, one per horizon);
-``entries`` is a view derived for readers that want a dict. The bounds read a kc or Markov
-table by its keys: they refuse a table with a missing, extra or mislabelled key, and read a
-table that holds the same keys in another order in the index's order.
+its shape over one horizon shares (:class:`qqsp.process.KeyIndex`); ``entries`` is a view
+derived for readers that want a dict. Every family holds all pairs of its horizon in sorted
+order, and one in another order is refused at construction. The bounds read a kc or Markov
+table by its keys: they refuse a table with a missing, extra or mislabelled key, or with the
+same keys in another order.
 """
 
 import json
@@ -83,14 +84,12 @@ def test_every_table_of_a_horizon_shares_one_key_index():
     for table in (axioms.flip, axioms.exchange, axioms.absorption, state_consistency_residual(q),
                   conclusion_b_residuals(q, h, rebuilt)):
         assert table.keys is index.pairs
-    # a family in another pair order gets an index of its own, and its tables are its own
-    order = pairs[::-1]
-    reversed_lat = Family("P", 2, MapStack(lat.maps.array[::-1], order), lat.omegas, "B")
-    own = reversed_lat.key_index
-    assert own is not index and own.pairs == order
-    assert set(own.splits) == set(index.splits)
-    swept = kc_consistency(reversed_lat).entries
-    assert swept == kc_consistency(Family("P", 2, lat.maps, lat.omegas, "B")).entries
+    # a family in another pair order is refused at construction; one in sorted order shares
+    # its horizon's index, and its tables are swept over that index's keys
+    with pytest.raises(ValueError, match="it holds another order or other pairs"):
+        Family("P", 2, MapStack(lat.maps.array[::-1], pairs[::-1]), lat.omegas, "B")
+    copy = Family("P", 2, lat.maps, lat.omegas, "B")
+    assert copy.key_index is index and kc_consistency(copy).keys is index.splits
 
 
 def test_entries_is_a_read_only_view_of_the_values():
@@ -134,7 +133,7 @@ def test_a_table_with_a_missing_extra_or_mislabelled_key_is_refused(ptype, spoil
 
 
 @pytest.mark.parametrize("ptype", "AB")
-def test_a_table_in_another_key_order_gives_the_bounds_of_the_ordered_one(ptype):
+def test_a_table_in_another_key_order_is_refused(ptype):
     lat = _lattice(ptype, 6)
     q, h, z, rebuilt = _families(lat)
     kc, markov = kc_consistency(lat), check_markov(q)
@@ -144,13 +143,15 @@ def test_a_table_in_another_key_order_gives_the_bounds_of_the_ordered_one(ptype)
         keys = [table.keys[i] for i in order]
         return _hand_built({key: table.entries[key] for key in keys}, table.label)
 
-    for bound, table in ((lambda t: composition_from_kc(t, h), kc),
-                         (lambda t: rebuilt_kc(q, h, rebuilt, t), kc),
-                         (lambda t: composition_from_q(z, q, t), markov)):
-        ordered, other = bound(table), bound(shuffled(table))
-        assert max(ordered.values) > 0
-        assert other.keys is ordered.keys and other.label == ordered.label
-        assert other.values.tobytes() == ordered.values.tobytes()
+    for bound, table, what in (
+            (lambda t: composition_from_kc(t, h), kc, f"the kc table of a lattice an {h.kind}"),
+            (lambda t: rebuilt_kc(q, h, rebuilt, t), kc, f"the kc table of a type-{ptype}"),
+            (lambda t: composition_from_q(z, q, t), markov,
+             f"the Markov table of the Q whose maps {z.kind}")):
+        ordered = bound(table)
+        assert max(ordered.values) > 0 and ordered.keys is table.keys
+        with pytest.raises(ValueError, match=f"is not {what}"):
+            bound(shuffled(table))
 
 
 def _every_table(sc):
