@@ -1,12 +1,13 @@
 """Time strict ``mixed`` full lattices at desk scale, one fresh interpreter per run.
 
     python3 scripts/scale.py                       # the default rows below
-    python3 scripts/scale.py 6,8,A 8,4,A,noergodic
+    python3 scripts/scale.py 6,8,A 8,4,A,noergodic 8,12,A,diag
 
-A row ``N,T,TYPE`` runs ``qqsp run`` on the ``mixed`` seed over the full
-algebra M_N with the maximally mixed initial state, horizon T and process
-type TYPE, in strict mode through every pipeline stage; a trailing
-``noergodic`` drops the ergodic stage. Each run gets its own interpreter,
+A row ``N,T,TYPE[,diag][,noergodic]`` runs ``qqsp run`` on the ``mixed`` seed over
+the full algebra M_N with the maximally mixed initial state, horizon T and process
+type TYPE, in strict mode through every pipeline stage. ``diag`` starts instead from
+diag(1, ..., N)·2/(N(N+1)), a state whose type-A kc gaps the sweeps cannot skip as
+zero; a trailing ``noergodic`` drops the ergodic stage. Each run gets its own interpreter,
 started from this checkout's ``src`` with the BLAS thread count pinned to
 1, and prints one line: the exit status, the wall time of ``qqsp run``
 (parse, stages and report emission), the per-stage seconds of the timings
@@ -34,18 +35,21 @@ ALL_STAGES = ["validate", "propagate", "kc", "marginals", "axioms", "reconstruct
 
 
 def scenario(row: str) -> dict:
-    """The scenario document of one row ``N,T,TYPE[,noergodic]``."""
+    """The scenario document of one row ``N,T,TYPE[,diag][,noergodic]``."""
     parts = row.split(",")
-    if (len(parts) not in (3, 4) or parts[2] not in ("A", "B")
-            or parts[3:] not in ([], ["noergodic"])):
-        raise ValueError(f"expected N,T,TYPE[,noergodic], got {row!r}")
+    flags = parts[3:]
+    if (len(parts) < 3 or parts[2] not in ("A", "B")
+            or flags not in ([], ["diag"], ["noergodic"], ["diag", "noergodic"])):
+        raise ValueError(f"expected N,T,TYPE[,diag][,noergodic], got {row!r}")
     n, horizon, ptype = int(parts[0]), int(parts[1]), parts[2]
-    stages = ALL_STAGES[:-1] if parts[3:] else ALL_STAGES
+    stages = ALL_STAGES[:-1] if "noergodic" in flags else ALL_STAGES
+    state = ({"diag": [2 * k / (n * (n + 1)) for k in range(1, n + 1)]} if "diag" in flags
+             else {"maximally_mixed": True})
     return {
-        "name": f"mixed-n{n}-T{horizon}-{ptype}" + ("-noergodic" if parts[3:] else ""),
+        "name": f"mixed-n{n}-T{horizon}-{ptype}" + "".join(f"-{flag}" for flag in flags),
         "algebra": {"kind": "full", "dim": n},
         "process_type": ptype, "horizon": horizon, "mode": "strict",
-        "seed": {"builtin": "mixed"}, "initial_state": {"maximally_mixed": True},
+        "seed": {"builtin": "mixed"}, "initial_state": state,
         "pipeline": stages,
     }
 

@@ -139,17 +139,6 @@ class ContractionEstimate:
     sample_count: int
 
 
-def _contraction_setup(q_family: Family, s: int, t: int, sample_count: int):
-    """The method and the sample count :func:`contraction_coefficient` takes."""
-    if (s, t) not in q_family.maps:
-        raise ValueError(f"no map stored at ({s}, {t})")
-    if q_family.kind != "Q":
-        raise ValueError("contraction coefficients are measured on the Q family")
-    # M_1 = C is diagonal too and has no orthonormal pure pair to sample
-    exact = q_family.algebra_kind == "diagonal" or q_family.n == 1
-    return ("exact-classical", 0) if exact else ("pure-pair-sampling", sample_count)
-
-
 def _contraction_gaps(q_family: Family, s: int, t: int, rng, gaps) -> None:
     """Write the image gaps under Q^{s,t}_* of the computational-basis pairs, then of
     ``len(gaps) - n(n-1)/2`` sampled orthonormal pure pairs, into ``gaps``.
@@ -184,8 +173,16 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
                             rng: np.random.Generator | None = None) -> ContractionEstimate:
     """The largest half trace distance of Q^{s,t}_* over the basis pairs and sampled pure
     pairs (:func:`_contraction_gaps`), normed a chunk at a time."""
-    method, sample_count = _contraction_setup(q_family, s, t, sample_count)
+    if (s, t) not in q_family.maps:
+        raise ValueError(f"no map stored at ({s}, {t})")
+    if q_family.kind != "Q":
+        raise ValueError("contraction coefficients are measured on the Q family")
     n = q_family.n
+    # M_1 = C is diagonal too and has no orthonormal pure pair to sample
+    if q_family.algebra_kind == "diagonal" or n == 1:
+        method, sample_count = "exact-classical", 0
+    else:
+        method = "pure-pair-sampling"
     gaps = np.empty((n * (n - 1) // 2 + sample_count, n, n), dtype=complex)
     _contraction_gaps(q_family, s, t, rng if rng is not None else np.random.default_rng(0), gaps)
     lam = 0.5 * float(_chunked_trace_norms(gaps).max(initial=0.0))
@@ -277,12 +274,10 @@ def ergodic_verdict(lattice: Family, families: dict,
     ``families`` maps kind to marginal Family ({Q, H, Z} or {Q, h, z}).
     All sources are driven over one seeded ensemble: pairs on M (x) M for
     the doubled families and the lattice itself, pairs on M for Q. H/h
-    must store ``lattice``'s own maps as its cores; it takes P's trace and verdict. Q and a
-    Z/z on Q's maps are traced in one :func:`_decay_gaps` pass. Every gap the stage norms,
-    P's, Q's and Z/z's at every t and the contraction's (:func:`_contraction_gaps`), is
-    written into one stack, normed a chunk at a time; each distance and the coefficient
-    have the bits of :func:`decay_trace` and :func:`contraction_coefficient`. Explicit pairs
-    are checked against their families' side; drawn ones have it.
+    must store ``lattice``'s own maps as its cores; it takes P's trace and verdict. P is
+    traced by :func:`decay_trace`, Q and its Z/z, which must store Q's maps, by one
+    :func:`decay_traces` pass, and the coefficient of Q^{0,1} by
+    :func:`contraction_coefficient`, on the stream after both ensembles.
     """
     if "Q" not in families:
         raise ValueError("a Q family is required")
@@ -295,42 +290,18 @@ def ergodic_verdict(lattice: Family, families: dict,
                     state_pair_ensemble(n, config.pair_count, rng, diagonal))
     pairs_double = (list(config.explicit_double) or
                     state_pair_ensemble(n * n, config.pair_count, rng, diagonal))
-    passes = {}   # maps array -> its kinds and runs: Q and Z/z take one pass
-    for kind, src in {"P": lattice, **families}.items():
-        if kind not in ("H", "h"):
-            single = src.side == n
-            pairs = pairs_single if single else pairs_double
-            if config.explicit_single if single else config.explicit_double:
-                _check_pairs(src, pairs)
-            kinds, runs = passes.setdefault(id(src.maps), ([], []))
-            kinds.append(kind)
-            runs.append((src, pairs))
-    q = families["Q"]
-    method, sample_count = _contraction_setup(q, 0, 1, config.sample_count)
-    # one block of the stack per pass, [t][pair], then the contraction's block
-    shapes = [(runs[0][0].horizon, sum(len(pairs) for _, pairs in runs))
-              for _, runs in passes.values()]
-    bounds = np.cumsum([0, *(h * count for h, count in shapes),
-                        n * (n - 1) // 2 + sample_count])
-    blocks = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    gaps = np.empty((bounds[-1], n, n), dtype=complex)
-    for (_, runs), shape, block in zip(passes.values(), shapes, blocks):
-        _decay_gaps(runs, gaps[block].reshape(*shape, n, n))
-    _contraction_gaps(q, 0, 1, rng, gaps[blocks[-1]])
-    norms = _chunked_trace_norms(gaps)
-    traces, verdicts = {}, {}
-    for (kinds, runs), shape, block in zip(passes.values(), shapes, blocks):
-        distances, start = norms[block].reshape(shape), 0
-        for kind, trace, (_, pairs) in zip(kinds, _traces(runs, distances), runs):
-            traces[kind] = trace
-            verdicts[kind] = _verdict(kind, distances[:, start:start + len(pairs)],
-                                      config.epsilon)
-            start += len(pairs)
+    # each family takes the ensemble of its own side; at n = 1 every side is n
+    runs = {kind: (src, pairs_single if src.side == n else pairs_double)
+            for kind, src in {"P": lattice, **families}.items() if kind not in ("H", "h")}
+    traces = {"P": decay_trace(*runs.pop("P"))}
+    kinds = ["Q", *(kind for kind in runs if kind != "Q")]   # Q's maps carry the pass
+    traces.update(zip(kinds, decay_traces(*(runs[kind] for kind in kinds))))
+    verdicts = {kind: _verdict(kind, np.array(trace.distances).reshape(-1, len(trace.times)).T,
+                               config.epsilon) for kind, trace in traces.items()}
     for kind in {"H", "h"} & set(families):
         traces[kind] = replace(traces["P"], family_kind=kind)
         verdicts[kind] = replace(verdicts["P"], kind=kind)
-    contraction = ContractionEstimate(0, 1, 0.5 * float(norms[blocks[-1]].max(initial=0.0)),
-                                      method, sample_count)
+    contraction = contraction_coefficient(families["Q"], 0, 1, config.sample_count, rng)
     flags = [v.ergodic for v in verdicts.values()]
     return ErgodicReport(
         traces=dict(sorted(traces.items())),

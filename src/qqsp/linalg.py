@@ -52,8 +52,8 @@ def unit_tensor_matrix(t: Array) -> Array:
 def swap_matrix(n: int) -> Array:
     """Permutation W on C^n (x) C^n with W(e_a (x) e_b) = e_b (x) e_a.
 
-    W is the supermatrix of the transpose map, vec(A^T) = W vec(A), which
-    is why it doubles as the commutation matrix used when forming preduals.
+    W is the supermatrix of the transpose map, vec(A^T) = W vec(A). No library
+    code forms it: it is the oracle the tests check the predual and flip kernels against.
     """
     identity = unit_tensor(np.eye(n * n), n, n)
     return unit_tensor_matrix(identity.transpose(1, 0, 2, 3))
@@ -80,19 +80,6 @@ def apply_supermatrix(mat: Array, x: Array, out_dim: int) -> Array:
     vecs = x.transpose(0, 2, 1).reshape(len(x), x.shape[1] ** 2)   # column-stack each matrix
     images = (mat @ vecs[:, :, None]).reshape(-1, out_dim, out_dim)
     return np.ascontiguousarray(images.transpose(0, 2, 1))
-
-
-def stacked_products(lefts, rights) -> Array:
-    """The fresh (k, rows, cols) stack of a @ b over the pairs of ``lefts`` and ``rights``.
-
-    Each product is one gemm written straight into the stack, with the bits of
-    ``a @ b``; neither factor is copied into a stack of its own.
-    """
-    pairs = list(zip(lefts, rights, strict=True))
-    out = np.empty((len(pairs), pairs[0][0].shape[0], pairs[0][1].shape[1]), dtype=complex)
-    for (a, b), product in zip(pairs, out):
-        np.matmul(a, b, out=product)
-    return out
 
 
 def supermatrix_from_function(f, in_dim: int, out_dim: int) -> Array:

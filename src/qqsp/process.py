@@ -43,7 +43,7 @@ from .algebra import (
 # tracer test still looks the name up in this module
 from .linalg import operator_norm  # noqa: F401
 from .linalg import (apply_supermatrix, chunks, gram_norms, operator_norms, predual_matrix,
-                     scaled_grams, stacked_products)
+                     scaled_grams)
 
 DEFAULT_FLIP_TOL = 1e-10
 
@@ -226,6 +226,8 @@ class Family:
         if self.factored and self.omegas is None:
             raise ValueError(f"a doubled marginal {self.kind} needs the E_{{omega_t}} of its "
                              f"lattice, and was given no trajectory")
+        if not self.maps:
+            raise ValueError(f"a family {self.kind} holds no pair (s, t)")
         if not isinstance(self.maps, (MapStack, ScaledMapStack)):
             # a hand-built {(s, t): SuperMap} dict: its maps are stacked once
             order = sorted(self.maps)
@@ -354,11 +356,9 @@ def computed_states(rhos, quantity, first_t: int = 1) -> tuple[State, ...]:
 
 
 def conditioned_products(rhos, maps) -> np.ndarray:
-    """The stack of E_{rho_k} F_k over k densities (k, n, n) and k (n^4, m) maps.
-
-    Each E is placed from its density and each product is one gemm, with the bits of E @ F.
-    """
-    return stacked_products(expectation_matrices(rhos), maps)
+    """The stack of E_{rho_k} F_k over k densities (k, n, n) and k (n^4, m) maps: each E
+    placed from its density, all products one batched matmul, with the bits of E @ F."""
+    return np.matmul(expectation_matrices(rhos), maps)
 
 
 def trailing_products(maps, rhos) -> np.ndarray:

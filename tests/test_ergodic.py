@@ -462,31 +462,30 @@ def test_h_distances_equal_p_distances():
 
 
 def test_verdict_takes_three_decay_traces(monkeypatch):
-    # P, Q and Z/z are measured, Q and Z/z in one pass over Q's maps; every gap, the
-    # contraction's too, is normed in one chunked pass; H/h takes P's trace, relabelled
+    # the verdict is composed of the public traces: decay_trace for P, one decay_traces pass
+    # over Q's maps for Q and Z/z, and contraction_coefficient at (0, 1); no gap is formed
+    # outside them, and H/h takes P's trace, relabelled
     import qqsp.ergodic
 
     calls = []
-    gaps, contraction, norms = (qqsp.ergodic._decay_gaps, qqsp.ergodic._contraction_gaps,
-                                qqsp.ergodic._chunked_trace_norms)
 
-    def counting_gaps(runs, out):
-        calls.append([source.kind for source, _ in runs])
-        return gaps(runs, out)
+    def counting(name, original, describe):
+        def run(*args):
+            calls.append((name, describe(*args)))
+            return original(*args)
+        monkeypatch.setattr(qqsp.ergodic, name, run)
 
-    def counting_contraction(*args):
-        calls.append("contraction")
-        return contraction(*args)
+    def kinds(*runs):
+        return [source.kind for source, _ in runs]
 
-    def counting_norms(stack):
-        calls.append("norms")
-        return norms(stack)
+    def at(q, s, t, *_):
+        return q.kind, s, t
 
-    monkeypatch.setattr(qqsp.ergodic, "_decay_gaps", counting_gaps)
-    monkeypatch.setattr(qqsp.ergodic, "_contraction_gaps", counting_contraction)
-    monkeypatch.setattr(qqsp.ergodic, "_chunked_trace_norms", counting_norms)
-    for name in ("decay_trace", "decay_traces", "contraction_coefficient"):
-        monkeypatch.setattr(qqsp.ergodic, name, None)   # the verdict calls none of them
+    counting("decay_trace", qqsp.ergodic.decay_trace, lambda *run: kinds(run))
+    counting("decay_traces", qqsp.ergodic.decay_traces, kinds)
+    counting("contraction_coefficient", qqsp.ergodic.contraction_coefficient, at)
+    counting("_decay_gaps", qqsp.ergodic._decay_gaps, lambda runs, _: kinds(*runs))
+    counting("_contraction_gaps", qqsp.ergodic._contraction_gaps, at)
     for seed in (make_mixed_seed(4, "A"), make_entangling_seed(4, "B")):
         calls.clear()
         lat = propagate(seed)
@@ -494,7 +493,11 @@ def test_verdict_takes_three_decay_traces(monkeypatch):
         rep = ergodic_verdict(lat, families, ErgodicConfig(pair_count=4))
         doubled = "H" if lat.process_type == "A" else "h"
         embedded = "Z" if doubled == "H" else "z"
-        assert calls == [["P"], ["Q", embedded], "contraction", "norms"]
+        # decay_trace is decay_traces of one run
+        assert calls == [("decay_trace", ["P"]), ("decay_traces", ["P"]), ("_decay_gaps", ["P"]),
+                         ("decay_traces", ["Q", embedded]), ("_decay_gaps", ["Q", embedded]),
+                         ("contraction_coefficient", ("Q", 0, 1)),
+                         ("_contraction_gaps", ("Q", 0, 1))]
         assert rep.traces[doubled].family_kind == doubled
         assert list(rep.traces) == sorted(rep.traces)
 
@@ -592,6 +595,19 @@ def test_a_shared_pass_gives_each_family_its_own_trace(rng):
                                                       decay_trace(q, []))
         with pytest.raises(ValueError, match="does not store the maps"):
             decay_traces((q, singles), (lat, doubles))
+
+
+def test_verdict_rejects_a_z_on_a_copy_of_q():
+    # Z/z is traced in Q's pass, so it must store Q's own array, not equal maps of its own
+    from qqsp.algebra import MapStack
+    from qqsp.process import Family
+
+    lat = propagate(make_mixed_seed(4, "A"))
+    families = build_families(lat)
+    q, z = families["Q"], families["Z"]
+    copied = Family("Z", z.n, MapStack(q.maps.array.copy(), q.maps.order), z.omegas)
+    with pytest.raises(ValueError, match="Z does not store the maps of Q"):
+        ergodic_verdict(lat, {**families, "Z": copied})
 
 
 def test_verdict_rejects_a_doubled_family_of_another_lattice():

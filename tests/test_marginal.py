@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qqsp.algebra import (
+    MapStack,
     State,
     SuperMap,
     expectation_supermap,
@@ -334,6 +335,11 @@ def test_a_family_without_every_pair_or_one_state_per_time_is_refused():
     with pytest.raises(ValueError, match="horizon 2 needs 3 states omega_0 .. omega_T, got 2"):
         Family("P", 2, extra, (omega,) * 2, "A")
     assert Family("P", 2, extra, (omega,) * 3, "A").key_index.pairs == tuple(sorted(extra))
+    # an empty family is refused before its maps are stacked or its horizon taken
+    with pytest.raises(ValueError, match=r"holds no pair \(s, t\)"):
+        Family("Q", 2, {})
+    with pytest.raises(ValueError, match=r"holds no pair \(s, t\)"):
+        Family("Q", 2, MapStack(np.empty((0, 4, 4)), []))
 
 
 @pytest.mark.parametrize("kind", ["H", "h", "Z", "z"])
@@ -493,6 +499,7 @@ def test_no_stage_forms_a_quartic_matrix(monkeypatch, ptype):
 
     import qqsp.algebra
     import qqsp.linalg
+    import qqsp.process
     import qqsp.scenarios
 
     stage, shapes, tensors, stacked = ["validate"], [], [], []
@@ -525,7 +532,7 @@ def test_no_stage_forms_a_quartic_matrix(monkeypatch, ptype):
     monkeypatch.setattr(SuperMap, "__post_init__", recording_init)
     stack_kernels = {  # the stacked products, and the gap stacks every sweep norms
         qqsp.algebra.doubled_after: lambda args, out: out,
-        qqsp.linalg.stacked_products: lambda args, out: out,
+        qqsp.process.conditioned_products: lambda args, out: out,
         qqsp.linalg.scaled_grams: lambda args, out: args[0],
     }
     for module in [m for name, m in sys.modules.items() if name.startswith("qqsp")]:

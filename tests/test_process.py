@@ -7,6 +7,7 @@ from qqsp.algebra import (
     State,
     SuperMap,
     certify_unital_cp,
+    expectation_matrices,
     expectation_supermap,
     flip_symmetry_residual,
     predual,
@@ -19,6 +20,7 @@ from qqsp.process import (
     Family,
     QQSPSeed,
     ValidationFailure,
+    conditioned_products,
     fundamental_products,
     interact_states,
     kc_consistency,
@@ -246,6 +248,22 @@ def test_type_a_composition_is_reassociated_exactly(n):
         want = (lat.map(s, tau).matrix @ es[tau].matrix) @ lat.map(tau, t).matrix
         got = _one_split(lat.map(s, tau), lat.map(tau, t), es[s], es[tau], "A")
         assert operator_norm(got.matrix - want) <= 1e-14 * operator_norm(want)
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_e_products_keep_each_pairs_bits(rng, n, k):
+    # one batched matmul over the stacks rounds as the gemm of each pair alone, whether the
+    # maps are a fresh stack, a slice of a larger one, or gathered by position
+    rhos = np.array([random_density(rng, n) for _ in range(k)])
+    larger = rng.normal(size=(2 * k + 1, n ** 4, n * n)) + 1j * rng.normal(
+        size=(2 * k + 1, n ** 4, n * n))
+    for maps in (np.ascontiguousarray(larger[:k]), larger[k + 1:], larger.take(
+            rng.permutation(2 * k + 1)[:k], axis=0)):
+        got = conditioned_products(rhos, maps)
+        for j in range(k):
+            want = expectation_matrices(rhos[j:j + 1])[0] @ maps[j]
+            assert got[j].tobytes() == want.tobytes()
 
 
 def test_kc_constant_lattice_zero():

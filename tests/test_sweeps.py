@@ -469,12 +469,13 @@ def test_each_q_is_formed_once_per_run(monkeypatch, ptype):
     # after a map as a SuperMap
     import sys
 
+    import qqsp.marginal
     import qqsp.process
     from qqsp.algebra import ScaledMapStack
 
     n, horizon = 2, 5
     slots, original = (embed_supermap(n), embed_averaged_supermap(n)), SuperMap.compose
-    original_products = qqsp.process.stacked_products
+    original_products = qqsp.process.conditioned_products
     composed, formed = [], {}
 
     def counted(self, other):   # an E after a map into M (x) M that is no slot
@@ -483,9 +484,9 @@ def test_each_q_is_formed_once_per_run(monkeypatch, ptype):
             composed.append((id(self), id(other)))
         return original(self, other)
 
-    def products(lefts, rights):
-        out = original_products(lefts, rights)
-        if out.shape[1:] == (n * n, n * n) and np.shape(lefts)[1:] == (n * n, n ** 4):
+    def products(rhos, maps):
+        out = original_products(rhos, maps)
+        if out.shape[1:] == (n * n, n * n) and np.shape(maps)[1:] == (n ** 4, n * n):
             frame = sys._getframe(1)
             while frame.f_code.co_name not in ("propagate", "conditioned", "exchanged"):
                 frame = frame.f_back
@@ -497,7 +498,8 @@ def test_each_q_is_formed_once_per_run(monkeypatch, ptype):
         return out
 
     monkeypatch.setattr(SuperMap, "compose", counted)
-    monkeypatch.setattr(qqsp.process, "stacked_products", products)
+    for module in (qqsp.process, qqsp.marginal):   # the exchange table's caller imports it
+        monkeypatch.setattr(module, "conditioned_products", products)
     report = run_scenario(parse_scenario({
         "name": f"mixed-n2-T5-{ptype}", "algebra": {"kind": "full", "dim": n},
         "process_type": ptype, "horizon": horizon, "seed": {"builtin": "entangling-mixed"},
