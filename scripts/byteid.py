@@ -9,10 +9,11 @@ and over the full-A and full-B scenario files that
 under ``OUT_DIR/full-A`` and ``OUT_DIR/full-B``), then over the strict
 ``mixed`` rows of ``SCALE_ROWS`` as ``scripts/scale.py``'s ``scenario()`` writes them
 (``structured``, under ``OUT_DIR/scale``), which cover multi-chunk tables and long
-horizons. 53 files in all. Wall-clock sidecars are deleted, so running it in two
-checkouts and comparing with ``diff -r OUT_A OUT_B`` checks that every report and
-CSV byte is unchanged. The full-A failure probe runs after the full-A scenarios; its
-outcome is printed, not written.
+horizons. The full-A failure probe (the drift repro) runs after the full-A scenarios;
+its report, when it writes one, goes under ``OUT_DIR/probe``, and its outcome (``exit N``
+or the exception it raised) to ``OUT_DIR/probe/outcome.txt``. 55 files in all, two of them
+the probe's. Wall-clock sidecars are deleted, so running it in two checkouts and comparing
+with ``diff -r OUT_A OUT_B`` checks that every report and CSV byte is unchanged.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def main(argv: list[str]) -> int:
                     failed.append(path.stem)
             if probe is not None:
                 try:
-                    with tempfile.TemporaryDirectory() as probe_out:
-                        probe_outcome = f"exit {run(str(probe), Path(probe_out), fmt)}"
+                    probe_outcome = f"exit {run(str(probe), out / 'probe', fmt)}"
                 except ValueError as exc:
                     probe_outcome = f"{type(exc).__name__}: {exc}"
+                (out / "probe").mkdir(parents=True, exist_ok=True)
+                (out / "probe" / "outcome.txt").write_text(probe_outcome + "\n")
         for row in SCALE_ROWS:
             doc = scenario(row)
             path = Path(tmp) / f"{doc['name']}.json"

@@ -39,87 +39,35 @@ def _check_pairs(family: Family, pairs) -> None:
                              f"({family.side})")
 
 
-def _chunked_trace_norms(gaps) -> np.ndarray:
-    """:func:`qqsp.linalg.trace_norms` of a (k, side, side) stack, one chunk at a time
-    (:func:`qqsp.linalg.chunks`), so its copies stay a few chunks however long the stack;
-    per slice the bits of the whole stack's call."""
-    norms = np.empty(len(gaps))
-    for part in chunks(len(gaps), gaps[0].nbytes if len(gaps) else 1):
-        norms[part] = trace_norms(gaps[part])
-    return norms
-
-
-def _decay_gaps(runs, gaps) -> None:
-    """Write the gaps of the pairs of every (family, pairs) of ``runs``, families that store
-    one array of maps (Q and a Z/z on Q's maps), into ``gaps[t - 1, pair]``, each run's pairs
-    in turn, for t = 1 .. horizon.
-
-    The pairs' vectors of every run are stacked once; per chunk of t
-    (:func:`qqsp.linalg.chunks`) one :func:`qqsp.linalg.predual_matrix` call and one
-    broadcast matmul, a gemv per image, give the gaps, each with the bits of its family's run
-    alone.
-    """
-    source = runs[0][0]
-    vecs = []
-    for family, pairs in runs:
-        if family.maps is not source.maps:
-            raise ValueError(f"{family.kind} does not store the maps of {source.kind}")
-        if pairs:
-            # each state's transpose in C order is its column-stacked vector, and Tr_1
-            # commutes with the transpose, so the vectors are formed in one copy of the pairs
-            stack = np.array([x.rho.T for pair in pairs for x in pair])
-            vecs.append(ptrace_first(stack, family.n, family.n) if family.stores_q else stack)
-    if not vecs:
-        return
-    count = len(gaps[0])
-    side, out_dim = source.maps.in_dim, source.maps.out_dim   # preduals land on M_side
-    # one run's vectors are not copied again
-    vecs = (vecs[0] if len(vecs) == 1 else np.concatenate(vecs)).reshape(2 * count, -1, 1)
-    firsts = source.key_index.firsts   # the rows of P^{0,t}
-    for part in chunks(len(firsts), 16 * side * side * max(out_dim * out_dim, len(vecs))):
-        duals = predual_matrix(source.maps.rows_at(firsts[part]), side, out_dim)
-        images = np.matmul(duals[:, None], vecs)   # [t][pair, phi or psi], one gemv each
-        images = images.reshape(-1, count, 2, side, side)   # the transposed images
-        np.subtract(images[:, :, 0], images[:, :, 1], out=gaps[part].transpose(0, 1, 3, 2))
-
-
-def _traces(runs, norms) -> list[DecayTrace]:
-    """The DecayTrace of each run from the [t][pair] norms of :func:`_decay_gaps`."""
-    times = tuple(range(1, len(norms) + 1))
-    rows, start, traces = norms.T.tolist(), 0, []
-    for family, pairs in runs:   # rows [pair][time], each run's pairs in turn
-        traces.append(DecayTrace(family.kind, times,
-                                 tuple(map(tuple, rows[start:start + len(pairs)]))))
-        start += len(pairs)
-    return traces
-
-
-def decay_trace(source: Family, pairs) -> DecayTrace:
+def decay_trace(family: Family, pairs) -> DecayTrace:
     """Distance table over t = 1 .. horizon for each state pair, from s = 0.
 
-    The pairs live where the maps land (``source.side``); the distances are taken on the
+    The pairs live where the maps land (``family.side``); the distances are taken on the
     stored C^{0,t}, since omega_t (x) C_* is the predual of C E_{omega_t}, and a Z/z's on Q's
-    maps Y and the Tr_1 images of the pairs ((embed Y)_* = Y_* Tr_1). It is
-    :func:`decay_traces` of one family.
+    maps Y and the Tr_1 images of the pairs ((embed Y)_* = Y_* Tr_1). The pairs' vectors are
+    stacked once; per chunk of t (:func:`qqsp.linalg.chunks`) one
+    :func:`qqsp.linalg.predual_matrix` call and one broadcast matmul, a gemv per image, give
+    the gaps, which :func:`qqsp.linalg.trace_norms` norms. Monotonicity is not asserted.
     """
-    return decay_traces((source, pairs))[0]
-
-
-def decay_traces(*runs) -> tuple[DecayTrace, ...]:
-    """The :func:`decay_trace` of each (family, pairs) of ``runs``, families that store one
-    array of maps (Q and a Z/z on Q's maps), in one pass over it (:func:`_decay_gaps`),
-    normed a chunk at a time. Each distance has the bits of its family's run alone.
-    Monotonicity is not asserted.
-    """
-    for family, pairs in runs:
-        _check_pairs(family, pairs)
-    source = runs[0][0]
-    side = source.maps.in_dim
-    gaps = np.empty((source.horizon, sum(len(pairs) for _, pairs in runs), side, side),
-                    dtype=complex)
-    _decay_gaps(runs, gaps)
-    norms = _chunked_trace_norms(gaps.reshape(-1, side, side)).reshape(gaps.shape[:2])
-    return tuple(_traces(runs, norms))
+    _check_pairs(family, pairs)
+    side, out_dim = family.maps.in_dim, family.maps.out_dim   # preduals land on M_side
+    gaps = np.empty((family.horizon, len(pairs), side, side), dtype=complex)
+    if pairs:
+        # each state's transpose in C order is its column-stacked vector, and Tr_1
+        # commutes with the transpose, so the vectors are formed in one copy of the pairs
+        vecs = np.array([x.rho.T for pair in pairs for x in pair])
+        if family.stores_q:
+            vecs = ptrace_first(vecs, family.n, family.n)
+        vecs = vecs.reshape(2 * len(pairs), -1, 1)
+        firsts = family.key_index.firsts   # the rows of C^{0,t}
+        for part in chunks(len(firsts), 16 * side * side * max(out_dim * out_dim, len(vecs))):
+            duals = predual_matrix(family.maps.rows_at(firsts[part]), side, out_dim)
+            images = np.matmul(duals[:, None], vecs)   # [t][pair, phi or psi], one gemv each
+            images = images.reshape(-1, len(pairs), 2, side, side)   # the transposed images
+            np.subtract(images[:, :, 0], images[:, :, 1], out=gaps[part].transpose(0, 1, 3, 2))
+    norms = trace_norms(gaps.reshape(-1, side, side)).reshape(gaps.shape[:2])
+    return DecayTrace(family.kind, tuple(range(1, family.horizon + 1)),
+                      tuple(map(tuple, norms.T.tolist())))   # [pair][time]
 
 
 @dataclass(frozen=True)
@@ -168,8 +116,18 @@ def _contraction_gaps(q_family: Family, s: int, t: int, rng, gaps) -> None:
         del images
 
 
+@dataclass(frozen=True)
+class ErgodicConfig:
+    epsilon: float = 1e-3
+    pair_count: int = 20
+    rng_seed: int = 12345
+    sample_count: int = 200
+    explicit_single: tuple = ()   # (State, State) pairs on M, overrides sampling
+    explicit_double: tuple = ()   # (State, State) pairs on M (x) M
+
+
 def contraction_coefficient(q_family: Family, s: int, t: int,
-                            sample_count: int = 200,
+                            sample_count: int = ErgodicConfig.sample_count,
                             rng: np.random.Generator | None = None) -> ContractionEstimate:
     """The largest half trace distance of Q^{s,t}_* over the basis pairs and sampled pure
     pairs (:func:`_contraction_gaps`), normed a chunk at a time."""
@@ -185,18 +143,8 @@ def contraction_coefficient(q_family: Family, s: int, t: int,
         method = "pure-pair-sampling"
     gaps = np.empty((n * (n - 1) // 2 + sample_count, n, n), dtype=complex)
     _contraction_gaps(q_family, s, t, rng if rng is not None else np.random.default_rng(0), gaps)
-    lam = 0.5 * float(_chunked_trace_norms(gaps).max(initial=0.0))
+    lam = 0.5 * float(trace_norms(gaps).max(initial=0.0))
     return ContractionEstimate(s, t, lam, method, sample_count)
-
-
-@dataclass(frozen=True)
-class ErgodicConfig:
-    epsilon: float = 1e-3
-    pair_count: int = 20
-    rng_seed: int = 12345
-    sample_count: int = 200
-    explicit_single: tuple = ()   # (State, State) pairs on M, overrides sampling
-    explicit_double: tuple = ()   # (State, State) pairs on M (x) M
 
 
 @cache
@@ -274,10 +222,9 @@ def ergodic_verdict(lattice: Family, families: dict,
     ``families`` maps kind to marginal Family ({Q, H, Z} or {Q, h, z}).
     All sources are driven over one seeded ensemble: pairs on M (x) M for
     the doubled families and the lattice itself, pairs on M for Q. H/h
-    must store ``lattice``'s own maps as its cores; it takes P's trace and verdict. P is
-    traced by :func:`decay_trace`, Q and its Z/z, which must store Q's maps, by one
-    :func:`decay_traces` pass, and the coefficient of Q^{0,1} by
-    :func:`contraction_coefficient`, on the stream after both ensembles.
+    must store ``lattice``'s own maps as its cores; it takes P's trace and verdict. P, then
+    each other family in turn, is traced by :func:`decay_trace`, and the coefficient of
+    Q^{0,1} by :func:`contraction_coefficient`, on the stream after both ensembles.
     """
     if "Q" not in families:
         raise ValueError("a Q family is required")
@@ -291,11 +238,8 @@ def ergodic_verdict(lattice: Family, families: dict,
     pairs_double = (list(config.explicit_double) or
                     state_pair_ensemble(n * n, config.pair_count, rng, diagonal))
     # each family takes the ensemble of its own side; at n = 1 every side is n
-    runs = {kind: (src, pairs_single if src.side == n else pairs_double)
-            for kind, src in {"P": lattice, **families}.items() if kind not in ("H", "h")}
-    traces = {"P": decay_trace(*runs.pop("P"))}
-    kinds = ["Q", *(kind for kind in runs if kind != "Q")]   # Q's maps carry the pass
-    traces.update(zip(kinds, decay_traces(*(runs[kind] for kind in kinds))))
+    traces = {kind: decay_trace(src, pairs_single if src.side == n else pairs_double)
+              for kind, src in {"P": lattice, **families}.items() if kind not in ("H", "h")}
     verdicts = {kind: _verdict(kind, np.array(trace.distances).reshape(-1, len(trace.times)).T,
                                config.epsilon) for kind, trace in traces.items()}
     for kind in {"H", "h"} & set(families):

@@ -200,32 +200,37 @@ def frobenius_norms(stack: Array) -> Array:
 def trace_norms(stack: Array) -> Array:
     """:func:`trace_norm` of every matrix of a (k, side, side) stack.
 
-    The hermitian slices go through one stacked eigvalsh, the rest through
-    one stacked svd; each slice takes the branch :func:`trace_norm` takes.
+    The stack is taken a chunk at a time (:func:`chunks`), so its copies stay a few
+    chunks however long it is. Per chunk the hermitian slices go through one stacked
+    eigvalsh, the rest through one stacked svd; each slice takes the branch
+    :func:`trace_norm` takes, with the bits of any other chunking.
     """
     stack = np.asarray(stack, dtype=complex)
     out = np.zeros(len(stack))
     if stack.size == 0:
         return out
-    bound = 1e-12 * np.maximum(1.0, frobenius_norms(stack))
-    adjoint = np.conj(stack).transpose(0, 2, 1)
-    # frobenius_norms(stack - adjoint) and (stack + adjoint) / 2 are formed in place, with
-    # the bits of those expressions and fewer stack-sized copies alive at once
-    squares = stack - adjoint
-    squares *= np.conj(squares)
-    hermitian = np.sqrt(np.add.reduce(squares.real, axis=(1, 2))) <= bound
-    del squares
-    if hermitian.any():
-        if hermitian.all():
-            herm = stack + adjoint
-        else:
-            herm = stack[hermitian]
-            herm += adjoint[hermitian]
-        del adjoint
-        herm /= 2
-        out[hermitian] = np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
-    if not hermitian.all():
-        out[~hermitian] = np.linalg.svd(stack[~hermitian], compute_uv=False).sum(axis=1)
+    for part in chunks(len(stack), stack[0].nbytes):
+        chunk, norms = stack[part], out[part]
+        bound = 1e-12 * np.maximum(1.0, frobenius_norms(chunk))
+        adjoint = np.conj(chunk).transpose(0, 2, 1)
+        # frobenius_norms(chunk - adjoint) and (chunk + adjoint) / 2 are formed in place,
+        # with the bits of those expressions and fewer chunk-sized copies alive at once
+        squares = chunk - adjoint
+        squares *= np.conj(squares)
+        hermitian = np.sqrt(np.add.reduce(squares.real, axis=(1, 2))) <= bound
+        del squares
+        if hermitian.any():
+            if hermitian.all():
+                herm = chunk + adjoint
+            else:
+                herm = chunk[hermitian]
+                herm += adjoint[hermitian]
+            del adjoint
+            herm /= 2
+            norms[hermitian] = np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
+            del herm
+        if not hermitian.all():
+            norms[~hermitian] = np.linalg.svd(chunk[~hermitian], compute_uv=False).sum(axis=1)
     return out
 
 

@@ -28,6 +28,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import (
+    DEFAULT_CP_TOL,
+    DEFAULT_UNITAL_TOL,
     ChoiReport,
     InvalidDensity,
     State,
@@ -101,8 +103,8 @@ class SeedIssue:
     residual: float
 
 
-def seed_diagnostics(seed: QQSPSeed, cp_tolerance: float = 1e-9,
-                     unital_tolerance: float = 1e-10) -> list[StepDiagnostic]:
+def seed_diagnostics(seed: QQSPSeed, cp_tolerance: float = DEFAULT_CP_TOL,
+                     unital_tolerance: float = DEFAULT_UNITAL_TOL) -> list[StepDiagnostic]:
     """ChoiReport plus flip-symmetry residual for every unit-step map.
 
     Each distinct map object is certified once; a seed that holds one map T
@@ -131,7 +133,7 @@ def seed_issues(diagnostics: list[StepDiagnostic], flip_tol: float) -> list[Seed
 
 def validate_seed(seed: QQSPSeed, tol: float = DEFAULT_FLIP_TOL) -> list[SeedIssue]:
     """Return one issue per violated seed invariant; empty means valid."""
-    return seed_issues(seed_diagnostics(seed, cp_tolerance=max(tol, 1e-9),
+    return seed_issues(seed_diagnostics(seed, cp_tolerance=max(tol, DEFAULT_CP_TOL),
                                         unital_tolerance=tol), tol)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import State, SuperMap
+from .algebra import DEFAULT_CP_TOL, DEFAULT_UNITAL_TOL, State, SuperMap
 from .classical import (
     ClassicalQSP,
     classical_validate,
@@ -47,6 +47,7 @@ from .marginal import (
     verify_marginal_axioms,
 )
 from .process import (
+    DEFAULT_FLIP_TOL,
     Family,
     QQSPSeed,
     ResidualTable,
@@ -68,9 +69,9 @@ STAGES = ("validate", "propagate", "kc", "marginals", "axioms", "reconstruct", "
 LATTICE_STAGES = ("kc", "marginals", "axioms", "reconstruct", "ergodic")
 
 DEFAULT_TOLERANCES = {
-    "cp": 1e-9,
-    "unital": 1e-10,
-    "flip": 1e-10,
+    "cp": DEFAULT_CP_TOL,
+    "unital": DEFAULT_UNITAL_TOL,
+    "flip": DEFAULT_FLIP_TOL,
     "kc": 1e-10,
     "markov": 1e-9,
     "axiom": 1e-8,
@@ -103,10 +104,10 @@ class Scenario:
     initial_state: dict
     mode: str = "strict"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    ensemble: dict = field(default_factory=lambda: {"random": 20})
-    epsilon: float = 1e-3
-    rng_seed: int = 12345
-    sample_count: int = 200
+    ensemble: dict = field(default_factory=lambda: {"random": ErgodicConfig.pair_count})
+    epsilon: float = ErgodicConfig.epsilon
+    rng_seed: int = ErgodicConfig.rng_seed
+    sample_count: int = ErgodicConfig.sample_count
     pipeline: tuple = STAGES
     # parse-time forms of seed_spec/initial_state ((QQSPSeed, ClassicalQSP | None))
     # and of ensemble ((count, single pairs, double pairs))
@@ -224,11 +225,13 @@ def parse_scenario(data: dict) -> Scenario:
         horizon=horizon, seed_spec=_require(data, "seed", name),
         initial_state=_require(data, "initial_state", name), mode=mode,
         tolerances={**DEFAULT_TOLERANCES, **tolerances},
-        ensemble=data.get("ensemble", {"random": 20}),
-        epsilon=_number(data, "epsilon", 1e-3, float, name),
-        rng_seed=_check_seed(_number(data, "rng_seed", 12345, int, name), f"{name}.rng_seed"),
+        ensemble=data.get("ensemble", {"random": ErgodicConfig.pair_count}),
+        epsilon=_number(data, "epsilon", ErgodicConfig.epsilon, float, name),
+        rng_seed=_check_seed(_number(data, "rng_seed", ErgodicConfig.rng_seed, int, name),
+                             f"{name}.rng_seed"),
         # a diagonal algebra and M_1 sample nothing (ergodic.contraction_coefficient)
-        sample_count=_pair_count(_number(data, "sample_count", 200, int, name),
+        sample_count=_pair_count(_number(data, "sample_count", ErgodicConfig.sample_count,
+                                         int, name),
                                  dim if kind == "full" and dim > 1 else 0,
                                  f"{name}.sample_count"), pipeline=pipeline,
     )

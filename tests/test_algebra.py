@@ -436,6 +436,32 @@ def test_an_all_hermitian_stack_takes_the_trace_norm_of_each_matrix(rng, side):
     assert np.array_equal(trace_norms(stack), [trace_norm(a) for a in stack])
 
 
+@pytest.mark.parametrize("budget", ["default", "one slice", "all in one"])
+def test_trace_norms_take_a_chunk_at_a_time(monkeypatch, rng, budget):
+    # 4096 4 x 4 gaps, hermitian, nearly hermitian and not: every budget gives each slice
+    # the bits of trace_norm, and the copies beyond the stack and the norms stay a few chunks
+    import tracemalloc
+
+    import qqsp.linalg
+
+    stack = _slices(rng, 4096, 4, 4)
+    stack[::2] = (stack[::2] + np.conj(stack[::2]).transpose(0, 2, 1)) / 2
+    stack[2::4] += 1e-14 * _slices(rng, len(stack[2::4]), 4, 4)
+    want = [trace_norm(a) for a in stack]
+    sizes = {"default": qqsp.linalg.CHUNK_BYTES, "one slice": 0, "all in one": stack.nbytes}
+    monkeypatch.setattr(qqsp.linalg, "CHUNK_BYTES", sizes[budget])
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        norms = trace_norms(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(norms, want)
+    if budget == "default":
+        assert peak - start - norms.nbytes < 4 * qqsp.linalg.CHUNK_BYTES
+
+
 def test_flip_supermap_matches_elementwise(rng):
     f = flip_supermap(2)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

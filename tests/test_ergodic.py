@@ -11,7 +11,6 @@ from qqsp.ergodic import (
     ErgodicConfig,
     contraction_coefficient,
     decay_trace,
-    decay_traces,
     ergodic_verdict,
     state_pair_ensemble,
 )
@@ -462,9 +461,9 @@ def test_h_distances_equal_p_distances():
 
 
 def test_verdict_takes_three_decay_traces(monkeypatch):
-    # the verdict is composed of the public traces: decay_trace for P, one decay_traces pass
-    # over Q's maps for Q and Z/z, and contraction_coefficient at (0, 1); no gap is formed
-    # outside them, and H/h takes P's trace, relabelled
+    # the verdict is composed of the public traces: decay_trace for P, Q and Z/z in turn, and
+    # contraction_coefficient at (0, 1); no gap is formed outside them, and H/h takes P's
+    # trace, relabelled
     import qqsp.ergodic
 
     calls = []
@@ -475,17 +474,9 @@ def test_verdict_takes_three_decay_traces(monkeypatch):
             return original(*args)
         monkeypatch.setattr(qqsp.ergodic, name, run)
 
-    def kinds(*runs):
-        return [source.kind for source, _ in runs]
-
-    def at(q, s, t, *_):
-        return q.kind, s, t
-
-    counting("decay_trace", qqsp.ergodic.decay_trace, lambda *run: kinds(run))
-    counting("decay_traces", qqsp.ergodic.decay_traces, kinds)
-    counting("contraction_coefficient", qqsp.ergodic.contraction_coefficient, at)
-    counting("_decay_gaps", qqsp.ergodic._decay_gaps, lambda runs, _: kinds(*runs))
-    counting("_contraction_gaps", qqsp.ergodic._contraction_gaps, at)
+    counting("decay_trace", qqsp.ergodic.decay_trace, lambda source, _: source.kind)
+    counting("contraction_coefficient", qqsp.ergodic.contraction_coefficient,
+             lambda q, s, t, *_: (q.kind, s, t))
     for seed in (make_mixed_seed(4, "A"), make_entangling_seed(4, "B")):
         calls.clear()
         lat = propagate(seed)
@@ -493,11 +484,8 @@ def test_verdict_takes_three_decay_traces(monkeypatch):
         rep = ergodic_verdict(lat, families, ErgodicConfig(pair_count=4))
         doubled = "H" if lat.process_type == "A" else "h"
         embedded = "Z" if doubled == "H" else "z"
-        # decay_trace is decay_traces of one run
-        assert calls == [("decay_trace", ["P"]), ("decay_traces", ["P"]), ("_decay_gaps", ["P"]),
-                         ("decay_traces", ["Q", embedded]), ("_decay_gaps", ["Q", embedded]),
-                         ("contraction_coefficient", ("Q", 0, 1)),
-                         ("_contraction_gaps", ("Q", 0, 1))]
+        assert calls == [("decay_trace", "P"), ("decay_trace", "Q"), ("decay_trace", embedded),
+                         ("contraction_coefficient", ("Q", 0, 1))]
         assert rep.traces[doubled].family_kind == doubled
         assert list(rep.traces) == sorted(rep.traces)
 
@@ -522,9 +510,8 @@ VERDICT_LATTICES = {
 
 @pytest.mark.parametrize("name", sorted(VERDICT_LATTICES))
 def test_the_verdict_norms_are_those_of_decay_trace_and_contraction_coefficient(name):
-    # the one stack of every gap, normed a chunk at a time, gives each distance and the
-    # coefficient the bits of the per-family calls on the same stream, and each verdict
-    # that of loops over the trace's rows
+    # the verdict's traces and coefficient have the bits of the per-family calls on the same
+    # stream, and each verdict is that of loops over the trace's rows
     lat = VERDICT_LATTICES[name]()
     families = build_families(lat)
     q, z = families["Q"], families["Z" if lat.process_type == "A" else "z"]
@@ -557,7 +544,8 @@ def test_explicit_pairs_are_checked_against_their_family():
 
 @pytest.mark.parametrize("horizon", [6, 12])
 def test_the_verdict_grows_the_heap_by_its_stacks_and_a_few_chunks(horizon):
-    # held: the two ensembles, P's column-stacked pair vectors and the one gap stack; beyond
+    # held: the two ensembles, one family's column-stacked pair vectors and the gap stacks
+    # (counted here for all three families, though each is let go with its trace); beyond
     # them the stage's copies stay within a few chunks whatever the horizon
     import tracemalloc
 
@@ -582,32 +570,23 @@ def test_the_verdict_grows_the_heap_by_its_stacks_and_a_few_chunks(horizon):
     assert peak - start - held < 4 * CHUNK_BYTES
 
 
-def test_a_shared_pass_gives_each_family_its_own_trace(rng):
-    # Q's and Z/z's traces from one pass over Q's maps are each family's alone, bit for bit
-    for seed in (make_mixed_seed(5, "A"), make_entangling_seed(4, "B")):
-        lat = propagate(seed)
-        families = build_families(lat)
-        q, z = families["Q"], families["Z" if lat.process_type == "A" else "z"]
-        singles, doubles = state_pair_ensemble(2, 5, rng), state_pair_ensemble(4, 7, rng)
-        assert decay_traces((q, singles), (z, doubles)) == (decay_trace(q, singles),
-                                                           decay_trace(z, doubles))
-        assert decay_traces((z, doubles), (q, [])) == (decay_trace(z, doubles),
-                                                      decay_trace(q, []))
-        with pytest.raises(ValueError, match="does not store the maps"):
-            decay_traces((q, singles), (lat, doubles))
-
-
-def test_verdict_rejects_a_z_on_a_copy_of_q():
-    # Z/z is traced in Q's pass, so it must store Q's own array, not equal maps of its own
+def test_a_z_on_a_copy_of_q_is_traced_on_its_own_maps():
+    # every family is traced on the maps it stores: a Z/z on a copy of Q's array gives the
+    # traces and verdicts of the built one, bit for bit
     from qqsp.algebra import MapStack
     from qqsp.process import Family
 
-    lat = propagate(make_mixed_seed(4, "A"))
-    families = build_families(lat)
-    q, z = families["Q"], families["Z"]
-    copied = Family("Z", z.n, MapStack(q.maps.array.copy(), q.maps.order), z.omegas)
-    with pytest.raises(ValueError, match="Z does not store the maps of Q"):
-        ergodic_verdict(lat, {**families, "Z": copied})
+    for seed in (make_mixed_seed(4, "A"), make_entangling_seed(4, "B")):
+        lat = propagate(seed)
+        families = build_families(lat)
+        kind = "Z" if lat.process_type == "A" else "z"
+        q, z = families["Q"], families[kind]
+        copied = Family(kind, z.n, MapStack(q.maps.array.copy(), q.maps.order), z.omegas)
+        assert copied.maps is not q.maps and copied.stores_q
+        config = ErgodicConfig(pair_count=6)
+        built = ergodic_verdict(lat, families, config)
+        rep = ergodic_verdict(lat, {**families, kind: copied}, config)
+        assert rep.traces == built.traces and rep.verdicts == built.verdicts
 
 
 def test_verdict_rejects_a_doubled_family_of_another_lattice():

@@ -14,11 +14,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qqsp.algebra import SuperMap
+from qqsp.algebra import DEFAULT_CP_TOL, DEFAULT_UNITAL_TOL, SuperMap
 from qqsp.cli import main
+from qqsp.ergodic import ErgodicConfig
 from qqsp.linalg import chunks
 from qqsp.marginal import build_H, build_Q, reconstruct_qqsp
-from qqsp.process import ValidationFailure, computed_states, propagate
+from qqsp.process import DEFAULT_FLIP_TOL, ValidationFailure, computed_states, propagate
 from qqsp.report import (
     CSV_HEADER,
     complex_matrix_to_pairs,
@@ -26,6 +27,7 @@ from qqsp.report import (
     pairs_to_complex_matrix,
 )
 from qqsp.scenarios import (
+    DEFAULT_TOLERANCES,
     ERGODIC_STACK_BYTES,
     LATTICE_BYTES,
     MAX_HORIZON,
@@ -74,6 +76,20 @@ BUILTIN_NAMES = {
 def test_builtin_catalog():
     catalog = builtin_scenarios()
     assert set(catalog) == BUILTIN_NAMES
+
+
+def test_a_minimal_scenario_parses_to_the_library_defaults():
+    # each default has one home: ErgodicConfig for the ergodic stage, algebra and process
+    # for the seed tolerances, which the scenario defaults read
+    sc = parse_scenario({"name": "mixed-n2", "algebra": {"kind": "full", "dim": 2},
+                         "process_type": "A", "horizon": 2, "seed": {"builtin": "mixed"},
+                         "initial_state": {"maximally_mixed": True}})
+    config = ErgodicConfig()
+    assert (sc.pair_ensemble[0], sc.epsilon, sc.rng_seed, sc.sample_count) == (
+        config.pair_count, config.epsilon, config.rng_seed, config.sample_count)
+    assert sc.tolerances == DEFAULT_TOLERANCES
+    assert (DEFAULT_TOLERANCES["cp"], DEFAULT_TOLERANCES["unital"],
+            DEFAULT_TOLERANCES["flip"]) == (DEFAULT_CP_TOL, DEFAULT_UNITAL_TOL, DEFAULT_FLIP_TOL)
 
 
 def test_parse_rejects_missing_initial_state():
